@@ -277,7 +277,10 @@ class BGCounterexample:
         while len(word) < min_length:
             word = self._s.iterate(word, period)
             n += period
-        assert self.letter not in word
+        if self.letter in word:
+            raise SubstitutionError(
+                f"counterexample word from {c!r} at depth {n} contains {self.letter!r}"
+            )
         return word, (c, n)
 
 
@@ -347,7 +350,7 @@ def bounded_gaps(
     # decided YES; pin kappa by scanning a saturated factor set
     bblock = block_analysis.max_block
     for depth in kappa_depths:
-        fs = wd.factor_language(s, depth, max_rounds=max(64, 3 * depth + 16))
+        fs = wd.factor_language(s, depth)
         if not fs.saturated:
             continue
         kappa = wd.gap_bound(fs, e)
@@ -359,7 +362,10 @@ def bounded_gaps(
                 bblock_bound=bblock,
                 factor_depth=fs.max_length,
             )
-            assert kappa >= bblock + 1
+            if kappa < bblock + 1:
+                raise SubstitutionError(
+                    f"gap bound {kappa} for {e!r} does not exceed the block bound {bblock}"
+                )
             return BGDecision(status=YES, certificate=cert, factors=fs)
     return BGDecision(
         status=UNDECIDED,
@@ -405,7 +411,7 @@ def lr_constant_bound(
         for depth in g_depths:
             if depth <= fs.max_length:
                 continue
-            fs = wd.factor_language(s, depth, max_rounds=max(64, 3 * depth + 16))
+            fs = wd.factor_language(s, depth)
             if fs.saturated:
                 rw = wd.return_words(s, cert.letter, fs)
                 if rw.complete:
@@ -425,7 +431,7 @@ def lr_constant_bound(
         if depth < longest or depth < used.max_length:
             continue
         if depth > used.max_length:
-            used = wd.factor_language(s, depth, max_rounds=max(64, 3 * depth + 16))
+            used = wd.factor_language(s, depth)
             if not used.saturated:
                 continue
         G = _coverage_length(used, pairs)
@@ -435,7 +441,8 @@ def lr_constant_bound(
         raise SubstitutionError(
             f"pair-coverage length not found within factor depth {used.max_length}"
         )
-    assert G >= cert.kappa
+    if G < cert.kappa:
+        raise SubstitutionError(f"pair-coverage length {G} is below the gap bound {cert.kappa}")
     value = (3 + G) * growth.theta * growth.rho_v / growth.lambda_v
     caveats = (
         f"growth constants checked for n <= {growth.n_checked}",
@@ -455,7 +462,7 @@ def lr_constant_bound(
 def _pair_in(s, pair, fs, depths) -> bool:
     if len(pair) <= fs.max_length:
         return pair in fs
-    deeper = wd.factor_language(s, len(pair), max_rounds=max(64, 3 * len(pair) + 16))
+    deeper = wd.factor_language(s, len(pair))
     return deeper.saturated and pair in deeper
 
 
@@ -495,25 +502,26 @@ def extendable_core(factors: wd.FactorSet) -> frozenset[str]:
     Removal is sound: a word all of whose one-letter extensions are gone can
     occur in no two-sided sequence.  Words of maximal length are kept
     unconditionally (nothing is known beyond the depth), so the core is only
-    trustworthy with a margin below max_length.
+    trustworthy with a margin below max_length.  The result is the greatest
+    fixed point, computed by a worklist: removing w can only strand w[:-1]
+    and w[1:], so only those are checked again.
     """
     factors.require_saturated()
     letters = factors.substitution.letters
     kept = set(factors.words)
     top = factors.max_length
-    while True:
-        doomed = [
-            w
-            for w in kept
-            if len(w) < top
-            and (
-                not any(w + x in kept for x in letters)
-                or not any(x + w in kept for x in letters)
-            )
-        ]
-        if not doomed:
-            return frozenset(kept)
-        kept.difference_update(doomed)
+    todo = [w for w in kept if len(w) < top]
+    while todo:
+        w = todo.pop()
+        if w not in kept:
+            continue
+        if any(w + x in kept for x in letters) and any(x + w in kept for x in letters):
+            continue
+        kept.remove(w)
+        if len(w) > 1:
+            todo.append(w[:-1])
+            todo.append(w[1:])
+    return frozenset(kept)
 
 
 def is_periodic(
@@ -534,7 +542,7 @@ def is_periodic(
     """
     want = depth + core_margin
     if factors is None or factors.max_length < want:
-        factors = wd.factor_language(s, want, max_rounds=max(64, 3 * want + 16))
+        factors = wd.factor_language(s, want)
     if not factors.saturated:
         return PeriodicityResult(
             status=UNDECIDED,
@@ -705,7 +713,8 @@ def classify(
             break
         if decision is None or (decision.status == UNDECIDED and d.status == NO):
             decision = d
-    assert decision is not None
+    if decision is None:
+        raise SubstitutionError("no bounded-gaps decision for any candidate letter")
 
     minimal = decision.status
     growth = None
@@ -772,14 +781,9 @@ def _return_word_pool(s, cert, factors, g_depths) -> tuple[str, ...]:
         for depth in g_depths:
             if depth <= factors.max_length:
                 continue
-            deeper = wd.factor_language(s, depth, max_rounds=max(64, 3 * depth + 16))
+            deeper = wd.factor_language(s, depth)
             if deeper.saturated:
                 rw = wd.return_words(s, cert.letter, deeper)
                 if rw.complete:
                     break
     return tuple(sorted(rw.words))
-
-
-def empirical_repetitivity(s: Substitution, n: int, factors: wd.FactorSet) -> int | None:
-    """Convenience wrapper: the repetitivity function on a saturated factor set."""
-    return wd.repetitivity_function(factors, n)

@@ -228,6 +228,11 @@ class InsufficientDigitsError(ValueError):
     pass
 
 
+# decimal_string converts in chunks of this many digits, below the smallest
+# int-to-str digit limit the interpreter accepts (640)
+_DECIMAL_CHUNK = 512
+
+
 @dataclass
 class ExpansionValue:
     """A digit expansion evaluated as an exact dyadic rational to `bits` bits.
@@ -255,7 +260,13 @@ class ExpansionValue:
     def decimal_string(self) -> str:
         digits10 = max(1, math.ceil(self.bits * math.log10(2)))
         scaled = self.mantissa * 10**digits10 // (1 << self.bits)
-        return f"0.{scaled:0{digits10}d}"
+        chunks = []
+        while digits10 > _DECIMAL_CHUNK:
+            scaled, low = divmod(scaled, 10**_DECIMAL_CHUNK)
+            chunks.append(f"{low:0{_DECIMAL_CHUNK}d}")
+            digits10 -= _DECIMAL_CHUNK
+        chunks.append(f"{scaled:0{digits10}d}")
+        return "0." + "".join(reversed(chunks))
 
 
 def expansion_value(digits: Sequence[int] | str, base: int = 2, bits: int = 160) -> ExpansionValue:

@@ -26,7 +26,12 @@ class ShapeError(SubstitutionError):
     """The substitution is not of the two-letter fixed-letter shape."""
 
 
+class ShallowFactorSetError(SubstitutionError):
+    """A power bound reaches past the factor-set depth, so it cannot be certified."""
+
+
 MAX_PARTITIONS = 10**4
+MAX_WIDTH_DEPTH = 256  # deepest factor set window_half_width builds
 
 
 def shape_letters(s: Substitution) -> tuple[str, str]:
@@ -65,8 +70,10 @@ class OnePartition:
 def enumerate_one_partitions(s: Substitution, w: str) -> list[OnePartition]:
     """All 1-partitions of w, shorter front remainder first.
 
-    Exhaustive search with memoization on the position; deterministic
-    ordering.  Raises when w uses letters outside the two-letter alphabet.
+    Exhaustive search, tabulated bottom-up over the positions reachable
+    from a front remainder, so long words need no deep recursion;
+    deterministic ordering.  Raises when w uses letters outside the
+    two-letter alphabet.
     """
     a, b = shape_letters(s)
     alpha = s.rules[a]
@@ -74,32 +81,41 @@ def enumerate_one_partitions(s: Substitution, w: str) -> list[OnePartition]:
     if foreign:
         raise ValueError(f"word uses letters {sorted(foreign)} outside the alphabet")
     n = len(w)
-
-    memo: dict[int, list[tuple[int, ...]]] = {}
-
-    def parse(i: int) -> list[tuple[int, ...]]:
-        got = memo.get(i)
-        if got is not None:
-            return got
-        res: list[tuple[int, ...]] = []
-        tail_len = n - i
-        if tail_len == 0 or (tail_len < len(alpha) and alpha.startswith(w[i:])):
-            res.append((i,))
-        if w.startswith(b, i):
-            res.extend((i,) + rest for rest in parse(i + 1))
-        if w.startswith(alpha, i):
-            res.extend((i,) + rest for rest in parse(i + len(alpha)))
-        if len(res) > MAX_PARTITIONS:
-            raise RuntimeError(f"more than {MAX_PARTITIONS} partitions; refusing")
-        memo[i] = res
-        return res
-
     starts = [0] + [
         k for k in range(1, min(len(alpha), n + 1)) if alpha.endswith(w[:k])
     ]
+    reachable = set(starts)
+    for i in range(n):
+        if i in reachable:
+            if w.startswith(b, i):
+                reachable.add(i + 1)
+            if w.startswith(alpha, i):
+                reachable.add(i + len(alpha))
+
+    # bottom-up over the reachable positions; a partial partition is a linked
+    # list (cut, rest), so extending one by a block costs O(1)
+    memo: dict[int, list[tuple]] = {}
+    for i in sorted(reachable, reverse=True):
+        res: list[tuple] = []
+        tail_len = n - i
+        if tail_len == 0 or (tail_len < len(alpha) and alpha.startswith(w[i:])):
+            res.append((i, None))
+        if w.startswith(b, i):
+            res.extend((i, rest) for rest in memo[i + 1])
+        if w.startswith(alpha, i):
+            res.extend((i, rest) for rest in memo[i + len(alpha)])
+        if len(res) > MAX_PARTITIONS:
+            raise RuntimeError(f"more than {MAX_PARTITIONS} partitions; refusing")
+        memo[i] = res
+
     out = []
     for z0len in starts:
-        for cuts in parse(z0len):
+        for node in memo[z0len]:
+            cut_list = []
+            while node is not None:
+                cut_list.append(node[0])
+                node = node[1]
+            cuts = tuple(cut_list)
             blocks = tuple(w[c1:c2] for c1, c2 in zip(cuts, cuts[1:]))
             out.append(
                 OnePartition(
@@ -130,7 +146,7 @@ def power_bound(s: Substitution, factors: wd.FactorSet) -> int:
         while len(v) * (n + 1) <= factors.max_length and v * (n + 1) in factors:
             n += 1
         if len(v) * (n + 1) > factors.max_length:
-            raise SubstitutionError(
+            raise ShallowFactorSetError(
                 f"cannot certify the power bound: {v!r}^{n + 1} exceeds factor depth "
                 f"{factors.max_length}"
             )
@@ -148,7 +164,7 @@ def max_power_exponent(s: Substitution, factors: wd.FactorSet, max_base_length: 
             while m * (n + 1) <= factors.max_length and v * (n + 1) in factors:
                 n += 1
             if m * (n + 1) > factors.max_length:
-                raise SubstitutionError(
+                raise ShallowFactorSetError(
                     f"cannot certify the exponent bound: {v!r}^{n + 1} exceeds factor depth"
                 )
             best = max(best, n)
@@ -164,24 +180,39 @@ class WindowWidth:
 
 
 def window_half_width(s: Substitution, factors: wd.FactorSet) -> WindowWidth:
-    """The agreement half-width L for the system, by the applicable route."""
+    """The agreement half-width L for the system, by the applicable route.
+
+    When `factors` is too shallow to certify the power bound, the factor set
+    is deepened by doubling up to MAX_WIDTH_DEPTH; past that the error is
+    raised.
+    """
     a, b = shape_letters(s)
     alpha = s.rules[a]
-    if a + a in alpha:
-        L0 = power_bound(s, factors)
-        return WindowWidth(
-            route="doubled-letter",
-            half_width=L0 + 2 * (len(alpha) + 1),
-            power_bound=L0,
-            max_exponent=None,
-        )
-    N = max_power_exponent(s, factors, 2 * len(alpha))
-    return WindowWidth(
-        route="no-doubled-letter",
-        half_width=(N + 2) * 2 * len(alpha),
-        power_bound=None,
-        max_exponent=N,
-    )
+    while True:
+        try:
+            if a + a in alpha:
+                L0 = power_bound(s, factors)
+                return WindowWidth(
+                    route="doubled-letter",
+                    half_width=L0 + 2 * (len(alpha) + 1),
+                    power_bound=L0,
+                    max_exponent=None,
+                )
+            N = max_power_exponent(s, factors, 2 * len(alpha))
+            return WindowWidth(
+                route="no-doubled-letter",
+                half_width=(N + 2) * 2 * len(alpha),
+                power_bound=None,
+                max_exponent=N,
+            )
+        except ShallowFactorSetError:
+            if 2 * factors.max_length > MAX_WIDTH_DEPTH:
+                raise
+            factors = wd.factor_language(s, 2 * factors.max_length)
+            if not factors.saturated:
+                raise SubstitutionError(
+                    f"factor set did not saturate at depth {factors.max_length}"
+                ) from None
 
 
 @dataclass
@@ -283,7 +314,7 @@ def recognition_rule(
     training_len = 4 * L
     train = factors
     if train.max_length < training_len or not train.saturated:
-        train = wd.factor_language(s, training_len, max_rounds=max(64, 3 * training_len + 16))
+        train = wd.factor_language(s, training_len)
         train.require_saturated()
 
     windows: set[str] = set()

@@ -252,9 +252,7 @@ def gordon_check(
     if factors is None:
         factors = report.factors
         if factors is None or factors.max_length < search_depth:
-            factors = wd.factor_language(
-                s, search_depth, max_rounds=max(64, 3 * search_depth + 16)
-            )
+            factors = wd.factor_language(s, search_depth)
     growing = report.split.growing
     u = wd.find_power(factors, lambda w: w[0] in growing, 3)
     if u is None:

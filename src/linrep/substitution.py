@@ -373,7 +373,8 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
         reach = s.reachable([e])
         if len(reach) > len(best_reach):
             best, best_reach = e, reach
-    assert best is not None
+    if best is None:
+        raise SubstitutionError("no growing letter to serve as the witness")
     return ValidationReport(
         substitution=s,
         split=split,
@@ -650,9 +651,7 @@ def check_compatibility(s: Substitution, depth: int = 16) -> CompatibilityResult
     """
     split = bounded_letters(s)
     all_letters = frozenset(s.letters)
-    factors = wd.factor_language(
-        s, max(4, depth + 1), max_rounds=max(64, 3 * depth + 16)
-    )
+    factors = wd.factor_language(s, max(4, depth + 1))
     if factors.saturated:
         # refutation scan, small words first
         for w in sorted(factors.words, key=lambda w: (len(w), w)):

@@ -1,10 +1,13 @@
 """Finite-word primitives and the factor language of a substitution.
 
 Words are plain Python strings over single-character letters.  The factor
-language of a substitution S collects every subword of every iterate
-S^n(a), a in the alphabet, up to a requested length; it is computed as the
-least fixed point of the subword-of-image closure and is exact when the
-iteration saturates.
+language of a substitution S collects every subword of length <= n of every
+iterate S^k(a), a in the alphabet.  `factor_language` builds it by a closure
+at the fixed depth n: each round expands the length-n factors found in the
+round before, only at the windows that start inside the image of their first
+letter, plus the image of each letter's end word (the last n letters of
+S^k(a)).  The cost follows the number of factors, not the length of the
+iterates, and the set is exact once a round adds nothing.
 """
 
 from __future__ import annotations
@@ -96,83 +99,86 @@ def factor_language(
     s,
     max_length: int,
     *,
-    max_rounds: int = 64,
+    max_rounds: int | None = None,
     max_words: int = 10**6,
-    max_chars_per_letter: int = 4 * 10**6,
 ) -> FactorSet:
-    """Factors of length <= max_length of all iterates S^n(a).
+    """Factors of length <= max_length of all iterates S^k(a), a in the alphabet.
 
-    Closure semantics: seed with the single letters (level 0) and repeatedly
-    add every subword of the image of anything already present, until
-    nothing new appears.  The iteration is evaluated along the per-letter
-    iterate strings S^n(a): one stable round certifies the fixed point,
-    because a factor of S^m(a) has all its image's subwords inside
-    S^(m+1)(a).  Hitting any cap yields an explicit unsaturated result,
-    never a silent truncation.
+    Closure at the fixed depth n = max_length.  Round 0 seeds the letters.
+    Round k expands, for every factor u of length n found in round k-1, the
+    windows of S(u) that start inside S(u[0]), and every window of the image
+    of each letter's end word E_{k-1}(a): the last n letters of S^(k-1)(a),
+    or all of it while it is shorter.  A word found in round k lies in
+    S^k(a), with a the witness letter of the factor or end word it came
+    from, and (a, k) is kept as its witness.
+
+    Covering: S is non-erasing, so a window v of length <= n of
+    S^k(a) = S(x), x = S^(k-1)(a), starts inside S(x[j]) for some j.  If
+    j + n <= |x|, then u = x[j:j+n] is a factor of length n and v fits
+    inside S(u), because |S(u[1:])| >= n - 1; u was found in some round
+    before k and expanded in the round after it.  Otherwise x[j] lies in the
+    end word E_{k-1}(a), whose image is a suffix of S^k(a) holding v.  So
+    after round k the set F_k is exactly the windows of S^0(a), ..., S^k(a)
+    over all letters a.
+
+    Stopping: suppose round k adds nothing, F_k = F_{k-1}.  Each window v of
+    S^(k+1)(a) lies, by the covering argument, in S(u) for some u of F_k: a
+    length-n factor of S^k(a) or its end word.  As u is in F_{k-1}, it lies
+    in some S^i(b) with i < k, so v lies in S^(i+1)(b) and is in F_k.  Hence
+    F_{k+1} = F_k, and by induction F_k holds every factor of length <= n.
+    Hitting `max_rounds` (default max(64, 3 * max_length + 16)) or
+    `max_words` yields an explicit unsaturated result, never a silent
+    truncation.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
+    if max_rounds is None:
+        max_rounds = max(64, 3 * max_length + 16)
+    n = max_length
+    rules = s.rules
+    apply = s.apply
     letters = list(s.letters)
     words: set[str] = set()
     witnesses: dict[str, tuple[str, int]] = {}
+    fresh: list[str] = []  # factors of length n found in the current round
 
-    def harvest(text: str, first_new_index: int, origin: tuple[str, int]) -> bool:
-        # `words` stays prefix-closed: at each position add windows longest
-        # first and stop at the first known one, whose prefixes are all known
-        added = False
-        n = len(text)
-        lo = max(0, first_new_index - max_length + 1)
-        for i in range(lo, n):
-            top = min(max_length, n - i)
-            length = top
+    def harvest(text: str, stop: int, origin: tuple[str, int]) -> None:
+        # windows starting before `stop`; `words` stays prefix-closed: at each
+        # position add windows longest first and stop at the first known one,
+        # whose prefixes are all known
+        for i in range(min(stop, len(text))):
+            length = min(n, len(text) - i)
             while length >= 1:
                 w = text[i : i + length]
                 if w in words:
                     break
                 words.add(w)
                 witnesses[w] = origin
-                added = True
+                if length == n:
+                    fresh.append(w)
                 length -= 1
-        return added
 
-    strings = {a: a for a in letters}
     for a in letters:
-        harvest(a, 0, (a, 0))
+        harvest(a, 1, (a, 0))
+    ends = {a: a for a in letters}
 
     saturated = False
     rounds = 0
-    truncated = False
-    for n in range(1, max_rounds + 1):
-        rounds = n
-        added_this_round = False
+    for k in range(1, max_rounds + 1):
+        rounds = k
+        size = len(words)
+        batch, fresh = fresh, []
+        for u in batch:
+            harvest(apply(u), len(rules[u[0]]), (witnesses[u][0], k))
         for a in letters:
-            old = strings[a]
-            new = s.apply(old)
-            if len(new) > max_chars_per_letter:
-                truncated = True
-                new = new[:max_chars_per_letter]
-            # when the new iterate extends the old one, only windows touching
-            # the fresh suffix can be new
-            start = len(old) if new.startswith(old) else 0
-            strings[a] = new
-            if harvest(new, start, (a, n)):
-                added_this_round = True
+            image = apply(ends[a])
+            ends[a] = image[-n:]
+            harvest(image, len(image), (a, k))
         if len(words) > max_words:
             break
-        if truncated:
-            break
-        if not added_this_round:
+        if len(words) == size:
             saturated = True
             break
-
-    if truncated and len(words) <= max_words:
-        # iterate strings outgrew the budget before the window sets settled
-        # (slow new factors riding on fast total growth): finish with the
-        # word-by-word closure, which is slower but memory-flat
-        saturated, extra_rounds = _closure_finish(
-            s, max_length, words, witnesses, max_rounds, max_words
-        )
-        rounds += extra_rounds
 
     return FactorSet(
         substitution=s,
@@ -182,65 +188,6 @@ def factor_language(
         witnesses=witnesses,
         rounds=rounds,
     )
-
-
-def _closure_finish(
-    s,
-    max_length: int,
-    words: set[str],
-    witnesses: dict[str, tuple[str, int]],
-    max_rounds: int,
-    max_words: int,
-) -> tuple[bool, int]:
-    """Literal closure: add subwords of the image of every word until stable.
-
-    Only maximal pending words are expanded: a word inside another
-    contributes a subset of its cover's image subwords, so skipping it
-    changes nothing about the fixed point.
-    """
-    sep = _separator_for(s.letters)
-    processed_join = sep
-    pending = set(words)
-    rounds = 0
-    while pending and rounds < max_rounds:
-        rounds += 1
-        fresh: set[str] = set()
-        batch: list[str] = []
-        batch_join = sep
-        for w in sorted(pending, key=len, reverse=True):
-            if w in processed_join or w in batch_join:
-                continue
-            batch.append(w)
-            batch_join += w + sep
-        for w in batch:
-            base = witnesses[w]
-            image = s.apply(w)
-            n = len(image)
-            for i in range(n):
-                top = min(max_length, n - i)
-                length = top
-                while length >= 1:  # words is prefix-closed, see harvest
-                    u = image[i : i + length]
-                    if u in words:
-                        break
-                    words.add(u)
-                    witnesses[u] = (base[0], base[1] + 1)
-                    fresh.add(u)
-                    length -= 1
-        processed_join += batch_join[1:]
-        if len(words) > max_words:
-            return False, rounds
-        pending = fresh
-    return (not pending), rounds
-
-
-def _separator_for(letters) -> str:
-    used = set(letters)
-    for code in range(1, 0x110000):
-        ch = chr(code)
-        if ch not in used:
-            return ch
-    raise RuntimeError("no separator character available")
 
 
 def repetitivity_function(factors: FactorSet, n: int) -> int | None:

@@ -36,6 +36,28 @@ def naive_factors(rules: dict[str, str], max_len: int, *, extra_rounds: int = 5)
     return found
 
 
+def rescan_extendable_core(words: set[str], letters, top: int) -> set[str]:
+    """Greatest set of words shorter than `top` with a left and a right extension.
+
+    Reference fixpoint: rescans every kept word until a pass removes nothing;
+    words of length `top` are kept unconditionally.
+    """
+    kept = set(words)
+    while True:
+        doomed = [
+            w
+            for w in kept
+            if len(w) < top
+            and (
+                not any(w + x in kept for x in letters)
+                or not any(x + w in kept for x in letters)
+            )
+        ]
+        if not doomed:
+            return kept
+        kept.difference_update(doomed)
+
+
 def naive_count(pattern: str, text: str) -> int:
     hits = 0
     for i in range(len(text) - len(pattern) + 1):

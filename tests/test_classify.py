@@ -14,6 +14,8 @@ from linrep.classify import (
 )
 from linrep.substitution import Substitution, bounded_letters
 
+from bruteforce import rescan_extendable_core
+
 
 def test_bounded_gaps_abaa_certificate():
     s = lr.load("minimal-nonprimitive")
@@ -195,6 +197,25 @@ def test_extendable_core_drops_one_sided_junk():
     core = extendable_core(fs)
     assert "0" not in core
     assert "1" * 10 in core
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        {"0": "01", "1": "0"},
+        {"0": "01", "1": "11"},
+        {"0": "0", "1": "10"},
+        {"a": "abc", "b": "bc", "c": "c"},
+        {"a": "a", "b": "abba"},
+        {"a": "aab", "b": "b", "c": "ca"},
+        {"a": "a", "b": "cb", "c": "ac"},
+        {"a": "ca", "b": "bb", "c": "b"},
+    ],
+)
+def test_extendable_core_matches_rescan_fixpoint(rules):
+    s = Substitution.from_rules(rules)
+    fs = wd.factor_language(s, 24)
+    assert extendable_core(fs) == rescan_extendable_core(set(fs.words), s.letters, 24)
 
 
 def test_classify_rejects_unreachable_alphabet():

@@ -154,6 +154,23 @@ def test_partition_prefix(defs, capsys):
     assert "preimage" in out
 
 
+@pytest.mark.parametrize(
+    "name,half_width",
+    [("minimal-nonprimitive-noaa", 60), ("stutter-doubled", 27)],
+)
+def test_partition_deepens_shallow_factor_set(defs, capsys, name, half_width):
+    # the kappa scan's depth-16 factor set cannot certify these power bounds
+    assert main(["partition", str(defs / f"{name}.json"), "--prefix", "300"]) == 0
+    out = capsys.readouterr().out
+    assert f"half-width L = {half_width} " in out
+    assert "distinct interior cut-sets: 1" in out
+
+
+def test_partition_long_prefix(defs, capsys):
+    assert main(["partition", str(defs / "minimal-nonprimitive.json"), "--prefix", "3000"]) == 0
+    assert "distinct interior cut-sets: 1" in capsys.readouterr().out
+
+
 def test_partition_primitive_rejected(defs, capsys):
     assert main(["partition", str(defs / "fibonacci.json"), "--prefix", "50"]) == 1
     assert "nonprimitive two-letter shape" in capsys.readouterr().err

@@ -177,3 +177,23 @@ def test_full_report_round_trip():
     assert d["conditions"]["lengths_diverge"] == "yes"
     assert len(d["value"]["decimal"]) >= 10
     assert "transcendental" in d["attribution"]
+
+
+def test_decimal_string_beyond_int_str_limit(catalog_subs, catalog_reports):
+    # 14,400 bits need 4,335 decimal digits, past the interpreter's default
+    # limit of 4,300 for converting one int to a string
+    s = catalog_subs["stutter-separated"]
+    tr = nt.transcendence_report(s, catalog_reports["stutter-separated"], bits=14400)
+    text = tr.value.decimal_string()
+    assert text.startswith("0.")
+    digits = text[2:]
+    assert len(digits) == 4335
+    # exact long division of mantissa / 2^bits, one digit at a time
+    rest = Fraction(tr.value.mantissa, 1 << 14400)
+    expected = []
+    for _ in range(len(digits)):
+        rest *= 10
+        d = int(rest)
+        expected.append(str(d))
+        rest -= d
+    assert digits == "".join(expected)

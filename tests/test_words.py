@@ -74,12 +74,27 @@ def test_factor_language_identity():
     assert fs.words == {"a"}
 
 
-@pytest.mark.parametrize("name", ["fibonacci", "thue-morse", "remarkc", "minimal-nonprimitive"])
+# iterates grow fast while new factors arrive slowly; each with a depth at
+# which the naive oracle saturates before its strings reach their size cap
+SLOW_SYSTEMS = {
+    "0-01001-1-1": ({"0": "01001", "1": "1"}, 6),
+    "a-a-b-abba": ({"a": "a", "b": "abba"}, 10),
+    "a-abc-b-bc-c-c": ({"a": "abc", "b": "bc", "c": "c"}, 10),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["fibonacci", "thue-morse", "remarkc", "minimal-nonprimitive", *SLOW_SYSTEMS]
+)
 def test_factor_language_matches_bruteforce(name, catalog_subs):
-    s = catalog_subs[name]
-    fs = factor_language(s, 10, max_rounds=64)
+    if name in SLOW_SYSTEMS:
+        rules, depth = SLOW_SYSTEMS[name]
+        s = Substitution.from_rules(rules)
+    else:
+        s, depth = catalog_subs[name], 10
+    fs = factor_language(s, depth, max_rounds=64)
     assert fs.saturated
-    assert fs.words == naive_factors(s.rules, 10)
+    assert fs.words == naive_factors(s.rules, depth)
 
 
 def test_witnesses_recheck(fib):
@@ -87,6 +102,21 @@ def test_witnesses_recheck(fib):
     for w in sorted(fs.words):
         letter, level = fs.witnesses[w]
         assert w in fib.iterate(letter, level)
+
+
+def test_witnesses_recheck_slow_system():
+    # new factors keep arriving for about max_length rounds, so witnesses
+    # reach deep iterates; each must still hold its word
+    s = Substitution.from_rules({"a": "abc", "b": "bc", "c": "c"})
+    fs = factor_language(s, 32)
+    assert fs.saturated
+    assert max(level for _, level in fs.witnesses.values()) >= 30
+    iterates: dict[tuple[str, int], str] = {}
+    for w in sorted(fs.words):
+        key = fs.witnesses[w]
+        if key not in iterates:
+            iterates[key] = s.iterate(*key)
+        assert w in iterates[key]
 
 
 def test_unsaturated_is_flagged_not_truncated():
