@@ -5,8 +5,9 @@ bands as CSV), partition (1-partition cuts and preimage), transcendence
 (stutter premises and expansion value), catalog (list/export named
 definitions).
 
-Exit codes: 0 decided, 1 input error, 3 undecided-at-depth, 4 spectrum
-requested for a system without a minimality certificate (computed anyway).
+Exit codes: 0 decided, 1 input error or stdout closed by the reader,
+3 undecided-at-depth, 4 spectrum requested for a system without a minimality
+certificate (computed anyway).
 Identical inputs and flags produce byte-identical outputs; reports carry the
 effective parameter values instead of timestamps.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -166,11 +168,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         levels = [args.level]
     rows = []
     for k in levels:
-        spec = band_spectrum(
-            s, letter, k, window=window, grid_per_unit=args.grid, threads=args.threads
-        )
+        spec = band_spectrum(s, letter, k, window=window)
         rows.append(spec)
-        merged = "  [possible band merging]" if spec.possible_merging else ""
+        merged = f"  [{spec.closed_gaps} closed gaps]" if spec.closed_gaps else ""
         print(
             f"level {k}: period |{spec.period_word[:24]}{'...' if len(spec.period_word) > 24 else ''}|"
             f" = {len(spec.period_word)}, {spec.band_count} bands,"
@@ -321,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=6)
     p.add_argument("--levels", type=int, nargs=2, metavar=("FROM", "TO"))
     p.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--grid", type=int, default=10**4, help="grid points per unit energy")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--csv", metavar="OUT")
     p.set_defaults(func=cmd_spectrum)
 
@@ -352,10 +350,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 1
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so that the
+        # flush at interpreter exit does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ they can arbitrate the library's closure-based implementations.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def apply_rules(rules: dict[str, str], w: str) -> str:
     out = []
@@ -114,3 +116,34 @@ def naive_partitions(alpha: str, b: str, w: str) -> list[tuple[int, ...]]:
             rec(z0len, ())
     uniq = sorted(set(results))
     return uniq
+
+
+def floquet_bands(word: str, values: dict[str, float], merge_tol: float = 1e-9):
+    """Bands of the period-|word| operator from dense periodic and antiperiodic
+    eigenvalues, with gaps no wider than `merge_tol` merged.
+
+    Returns the bands and the number of merged gaps.
+    """
+    v = np.array([values[c] for c in word], dtype=float)
+    q = len(v)
+    if q == 1:
+        edges = np.array([v[0] - 2.0, v[0] + 2.0])
+    else:
+        spectra = []
+        for corner in (1.0, -1.0):
+            h = np.diag(v)
+            for i in range(q - 1):
+                h[i, i + 1] = h[i + 1, i] = 1.0
+            h[0, q - 1] += corner
+            h[q - 1, 0] += corner
+            spectra.append(np.linalg.eigvalsh(h))
+        edges = np.sort(np.concatenate(spectra))
+    bands: list[list[float]] = []
+    merged = 0
+    for lo, hi in zip(edges[0::2], edges[1::2]):
+        if bands and lo - bands[-1][1] <= merge_tol:
+            bands[-1][1] = float(hi)
+            merged += 1
+        else:
+            bands.append([float(lo), float(hi)])
+    return [(lo, hi) for lo, hi in bands], merged

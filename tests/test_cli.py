@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,27 +127,36 @@ def test_spectrum_level_table(defs, capsys):
     assert out.count("level ") == 3
 
 
-def test_spectrum_thread_count_invariant(defs, tmp_path, capsys):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    assert main(["spectrum", str(defs / "fibonacci.json"), "--level", "5", "--csv", str(serial)]) == 0
-    assert (
-        main(
-            [
-                "spectrum",
-                str(defs / "fibonacci.json"),
-                "--level",
-                "5",
-                "--threads",
-                "3",
-                "--csv",
-                str(threaded),
-            ]
-        )
-        == 0
-    )
-    capsys.readouterr()
-    assert serial.read_bytes() == threaded.read_bytes()
+def test_spectrum_window_clips(defs, tmp_path, capsys):
+    csv = tmp_path / "bands.csv"
+    argv = ["spectrum", str(defs / "free.json"), "--level", "3", "--csv", str(csv)]
+    assert main(argv + ["--window", "-1", "1"]) == 0
+    assert "8, 1 bands, total measure 2  [3 closed gaps]\n" in capsys.readouterr().out
+    rows = csv.read_text().splitlines()
+    assert rows[1:] == ["3,0,-1,1"]
+    assert main(argv + ["--window", "2.5", "3"]) == 0
+    assert "8, 0 bands, total measure 0\n" in capsys.readouterr().out
+    assert csv.read_text() == "level,band_index,E_minus,E_plus\n"
+
+
+def test_spectrum_closed_gaps_label(defs, capsys):
+    assert main(["spectrum", str(defs / "thue-morse.json"), "--level", "7"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(" = 128, 66 bands, total measure 0.1589494091  [62 closed gaps]\n")
+
+
+def test_closed_stdout_exits_quietly(defs):
+    # -u makes the first print hit the closed pipe, as an unbuffered terminal would
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-u", "-m", "linrep.cli", "partition",
+            str(defs / "minimal-nonprimitive.json"), "--prefix", "2500"]
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) != 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_partition_prefix(defs, capsys):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import linrep as lr
+from bruteforce import apply_rules, floquet_bands
 from linrep.spectral import (
+    CLOSED_GAP_TOL,
     GordonHypothesisMissing,
     band_spectrum,
     cube_positions,
@@ -85,6 +87,75 @@ def test_band_invariants(fib):
         assert hi > lo
     for (_, hi), (lo2, _) in zip(spec.bands, spec.bands[1:]):
         assert lo2 > hi
+
+
+# (system, letter of the period word) for the Floquet edge checks
+FLOQUET_SYSTEMS = [
+    ("fibonacci", "a"),
+    ("thue-morse", "a"),
+    ("period-doubling", "a"),
+    ("minimal-nonprimitive", "a"),
+    ("stutter-separated", "0"),
+]
+
+
+def _period_words(s, letter, max_length):
+    """(level, S^level(letter)) by plain string rewriting, while |word| <= max_length."""
+    level, word = 1, apply_rules(s.rules, letter)
+    while len(word) <= max_length:
+        yield level, word
+        level, word = level + 1, apply_rules(s.rules, word)
+
+
+def test_fibonacci_exactly_q_bands(fib):
+    # Fibonacci approximants have all gaps open, so every level shows q bands
+    for k in range(4, 21):
+        spec = band_spectrum(fib, "a", k)
+        assert spec.band_count == len(spec.period_word)
+        assert spec.closed_gaps == 0
+
+
+@pytest.mark.parametrize("name,letter", FLOQUET_SYSTEMS)
+def test_band_edges_match_dense_floquet(catalog_subs, name, letter):
+    s = catalog_subs[name]
+    for k, word in _period_words(s, letter, 1000):
+        spec = band_spectrum(s, letter, k)
+        assert spec.period_word == word
+        ref, merged = floquet_bands(word, s.alphabet.values, CLOSED_GAP_TOL)
+        assert spec.band_count == len(ref), (name, k)
+        assert spec.closed_gaps == merged, (name, k)
+        worst = max(max(abs(a - c), abs(b - d)) for (a, b), (c, d) in zip(spec.bands, ref))
+        assert worst < 1e-10, (name, k, worst)
+
+
+@pytest.mark.parametrize("name,letter", FLOQUET_SYSTEMS)
+def test_band_edges_are_trace_roots(catalog_subs, name, letter):
+    # independent of the eigensolver: every reported edge solves |tr T| = 2
+    s = catalog_subs[name]
+    values = s.alphabet.values
+    for k, word in _period_words(s, letter, 34):
+        for edge in (e for band in band_spectrum(s, letter, k).bands for e in band):
+            m = transfer_matrix(word, edge, values, dtype=np.longdouble)
+            assert abs(abs(m[0, 0] + m[1, 1]) - 2.0) < 1e-8, (name, k, edge)
+
+
+def test_one_letter_period_word(fib):
+    # q = 1: the constant potential v gives the single band [v - 2, v + 2]
+    for letter, v in (("a", 1.0), ("b", -1.0)):
+        spec = band_spectrum(fib, letter, 0)
+        assert spec.period_word == letter
+        assert spec.bands == ((v - 2.0, v + 2.0),)
+        assert spec.total_measure == 4.0
+
+
+def test_window_clips_bands():
+    free = lr.load("free")
+    spec = band_spectrum(free, "a", 3, window=(-1.0, 1.0))
+    assert spec.bands == ((-1.0, 1.0),)
+    assert spec.total_measure == 2.0
+    empty = band_spectrum(free, "a", 3, window=(2.5, 3.0))
+    assert empty.band_count == 0
+    assert empty.total_measure == 0.0
 
 
 def test_finite_section_small():
