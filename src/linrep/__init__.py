@@ -19,6 +19,7 @@ from .classify import (
     analyze_bounded_blocks,
     bounded_gaps,
     classify,
+    decide_minimality,
     is_periodic,
     lr_constant_bound,
 )
@@ -69,6 +70,7 @@ from .words import (
     FactorSet,
     ReturnWordSet,
     count_occurrences,
+    coverage_length,
     factor_language,
     find_power,
     palindromes,

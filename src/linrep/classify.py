@@ -434,7 +434,7 @@ def lr_constant_bound(
             used = wd.factor_language(s, depth)
             if not used.saturated:
                 continue
-        G = _coverage_length(used, pairs)
+        G = wd.coverage_length(used, pairs)
         if G is not None:
             break
     if G is None:
@@ -466,16 +466,6 @@ def _pair_in(s, pair, fs, depths) -> bool:
     return deeper.saturated and pair in deeper
 
 
-def _coverage_length(fs: wd.FactorSet, targets) -> int | None:
-    """Smallest L such that every factor of length L contains every target."""
-    start = max(len(t) for t in targets)
-    for L in range(start, fs.max_length + 1):
-        candidates = fs.words_of_length(L)
-        if candidates and all(t in w for w in candidates for t in targets):
-            return L
-    return None
-
-
 # ---------------------------------------------------------------------------
 # periodicity
 
@@ -503,24 +493,18 @@ def extendable_core(factors: wd.FactorSet) -> frozenset[str]:
     occur in no two-sided sequence.  Words of maximal length are kept
     unconditionally (nothing is known beyond the depth), so the core is only
     trustworthy with a margin below max_length.  The result is the greatest
-    fixed point, computed by a worklist: removing w can only strand w[:-1]
-    and w[1:], so only those are checked again.
+    fixed point.  A word's extensions are one letter longer, so it is
+    computed top-down from the factors of maximal length: the kept words of
+    length L are those that are both a prefix and a suffix of kept words of
+    length L + 1.
     """
     factors.require_saturated()
-    letters = factors.substitution.letters
-    kept = set(factors.words)
-    top = factors.max_length
-    todo = [w for w in kept if len(w) < top]
-    while todo:
-        w = todo.pop()
-        if w not in kept:
-            continue
-        if any(w + x in kept for x in letters) and any(x + w in kept for x in letters):
-            continue
-        kept.remove(w)
-        if len(w) > 1:
-            todo.append(w[:-1])
-            todo.append(w[1:])
+    level = {w for w in factors.maximal if len(w) == factors.max_length}
+    kept = set(level)
+    while level:
+        level = {w[:-1] for w in level} & {w[1:] for w in level}
+        level.discard("")
+        kept |= level
     return frozenset(kept)
 
 
@@ -677,6 +661,35 @@ class ClassificationReport:
         return out
 
 
+def decide_minimality(
+    s: Substitution, *, kappa_depths: tuple[int, ...] = (16, 32, 64, 128, 256)
+) -> tuple[AlphabetSplit, tuple[str, ...], BGDecision]:
+    """The minimality decision alone: the alphabet split, the candidate letters
+    (growing letters that reach the whole alphabet) and the bounded-gaps
+    decision of the first candidate certified, else the most decisive one."""
+    split = validate(s).split
+    all_letters = frozenset(s.letters)
+    candidates = tuple(
+        e for e in s.letters if e in split.growing and s.reachable([e]) == all_letters
+    )
+    if not candidates:
+        raise SubstitutionError(
+            "no growing letter reaches the whole alphabet; prune unreachable letters first"
+        )
+
+    block_analysis = analyze_bounded_blocks(s, split)
+    decision: BGDecision | None = None
+    for e in candidates:
+        d = bounded_gaps(s, split, e, block_analysis=block_analysis, kappa_depths=kappa_depths)
+        if d.status == YES:
+            return split, candidates, d
+        if decision is None or (decision.status == UNDECIDED and d.status == NO):
+            decision = d
+    if decision is None:
+        raise SubstitutionError("no bounded-gaps decision for any candidate letter")
+    return split, candidates, decision
+
+
 def classify(
     s: Substitution,
     *,
@@ -689,33 +702,11 @@ def classify(
     """Full classification: compatibility, primitivity, minimality (with
     certificate or counterexample), linear repetitivity with its explicit
     constant, periodicity, unique ergodicity."""
-    report = validate(s)
-    split = report.split
+    split, candidates, decision = decide_minimality(s, kappa_depths=kappa_depths)
     compatibility = check_compatibility(s, compat_depth)
     primitive = is_primitive(s)
 
-    all_letters = frozenset(s.letters)
-    candidates = tuple(
-        e for e in s.letters if e in split.growing and s.reachable([e]) == all_letters
-    )
-    if not candidates:
-        raise SubstitutionError(
-            "no growing letter reaches the whole alphabet; prune unreachable letters first"
-        )
-
-    block_analysis = analyze_bounded_blocks(s, split)
-    decision: BGDecision | None = None
     caveats: list[str] = []
-    for e in candidates:
-        d = bounded_gaps(s, split, e, block_analysis=block_analysis, kappa_depths=kappa_depths)
-        if d.status == YES:
-            decision = d
-            break
-        if decision is None or (decision.status == UNDECIDED and d.status == NO):
-            decision = d
-    if decision is None:
-        raise SubstitutionError("no bounded-gaps decision for any candidate letter")
-
     minimal = decision.status
     growth = None
     lr = None

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import catalog as cat
 from . import numtheory as nt
 from . import recognizer as rec
-from .classify import UNDECIDED, YES, classify
+from .classify import UNDECIDED, YES, classify, decide_minimality
 from .spectral import band_spectrum
 from .substitution import (
     EmptySubshiftError,
@@ -157,10 +157,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             return _fail(f"inverted or empty energy window [{lo}, {hi}]")
         window = (lo, hi)
     try:
-        report = classify(s)
+        split, _, decision = decide_minimality(s)
     except SubstitutionError as exc:
         return _fail(str(exc))
-    letter = report.certificate.letter if report.certificate else min(report.split.growing)
+    letter = decision.certificate.letter if decision.certificate else min(split.growing)
 
     if args.levels is not None:
         levels = list(range(args.levels[0], args.levels[1] + 1))
@@ -182,9 +182,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             for i, (lo, hi) in enumerate(spec.bands):
                 lines.append(f"{spec.level},{i},{lo:.17g},{hi:.17g}")
         Path(args.csv).write_text("\n".join(lines) + "\n")
-    if report.minimal != YES:
+    if decision.status != YES:
         print(
-            f"warning: system is not certified minimal (status {report.minimal!r}); "
+            f"warning: system is not certified minimal (status {decision.status!r}); "
             "bands describe the chosen periodic word only",
             file=sys.stderr,
         )

@@ -261,10 +261,8 @@ def gordon_check(
     while len(sample_word) < sample_length:
         sample_word = s.apply(sample_word[:sample_length])
     sample_word = sample_word[:sample_length]
-    codes = {ch: i for i, ch in enumerate(s.letters)}
-    sample = np.frombuffer(
-        bytes(codes[ch] for ch in sample_word), dtype=np.uint8
-    )
+    codes = {ord(ch): i for i, ch in enumerate(s.letters)}
+    sample = np.frombuffer(sample_word.translate(codes).encode("latin-1"), dtype=np.uint8)
 
     n_k = tuple(s.word_image_length(u, k) for k in levels)
     empirical: dict[int, float] = {}

@@ -135,6 +135,13 @@ def mat_pow(a: Sequence[Sequence[int]], n: int) -> list[list[int]]:
     return result
 
 
+class _Images(dict):
+    """The rules as a lookup table whose missing letters raise a typed error."""
+
+    def __missing__(self, letter: str) -> str:
+        raise UnknownLetterError(f"letter {letter!r} is not in the alphabet")
+
+
 class Substitution:
     """A non-erasing substitution over an Alphabet.
 
@@ -160,6 +167,7 @@ class Substitution:
         if extra:
             raise UnknownLetterError(f"rules given for letters outside the alphabet: {sorted(extra)}")
         self._lengths: list[dict[str, int]] = [{a: 1 for a in alphabet.letters}]
+        self._image_of = _Images(self.rules).__getitem__
 
     @classmethod
     def from_rules(
@@ -178,8 +186,7 @@ class Substitution:
         return self.alphabet.letters
 
     def apply(self, w: str) -> str:
-        rules = self.rules
-        return "".join(rules[ch] for ch in w)
+        return "".join(map(self._image_of, w))
 
     def iterate(self, w: str, n: int) -> str:
         for _ in range(n):

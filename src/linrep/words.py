@@ -3,17 +3,21 @@
 Words are plain Python strings over single-character letters.  The factor
 language of a substitution S collects every subword of length <= n of every
 iterate S^k(a), a in the alphabet.  `factor_language` builds it by a closure
-at the fixed depth n: each round expands the length-n factors found in the
-round before, only at the windows that start inside the image of their first
-letter, plus the image of each letter's end word (the last n letters of
-S^k(a)).  The cost follows the number of factors, not the length of the
-iterates, and the set is exact once a round adds nothing.
+at the fixed depth n and stores only its maximal words: the factors of
+length n and the whole iterates shorter than n, each with a witness
+(a, k).  It also keeps the end words, the last n letters of each iterate
+S^k(a) (all of it while it is shorter).  Every factor is a prefix of a
+maximal word or of a suffix of an end word, so `FactorSet` derives the full
+set, the words of one length and the witnesses only when a caller asks for
+them; membership tests and the coverage scan read the maximal words
+directly.  The cost follows the number of length-n factors, not the length
+of the iterates or the number of shorter factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 Word = str
 
@@ -53,35 +57,94 @@ def subwords(w: Word, max_length: int) -> set[Word]:
 
 @dataclass
 class FactorSet:
-    """Factors of a substitution language up to `max_length`.
+    """Factors of a substitution language up to `max_length`, kept as maximal words.
 
-    `saturated` is True when the closure iteration reached a fixed point, in
-    which case `words` is exactly the set of nonempty factors of length
-    <= max_length.  `witnesses` maps each factor w to a pair (a, n) with w a
-    subword of S^n(a); witnesses are kept so they can be re-checked.
+    `maximal` maps every factor of length max_length, and every whole
+    iterate S^k(a) shorter than that, to a witness (a, k) with the word a
+    subword of S^k(a).  `ends` maps each end word seen (the last max_length
+    letters of S^k(a), or all of it) to its witness.  Every factor is a
+    subword of a maximal word and a prefix of a *root*: a maximal word or a
+    proper suffix of an end word.
+
+    `saturated` is True when the closure reached a fixed point, in which
+    case `words` is exactly the set of nonempty factors of length
+    <= max_length.  `words`, `words_of_length` and `witnesses` are derived
+    from the roots on first use; `in` searches the maximal words.
     """
 
     substitution: object
     max_length: int
-    words: frozenset[Word]
+    maximal: dict[Word, tuple[str, int]]
+    ends: dict[Word, tuple[str, int]]
     saturated: bool
-    witnesses: dict[Word, tuple[str, int]]
     rounds: int
-    _by_length: dict[int, tuple[Word, ...]] = field(default_factory=dict, repr=False)
+    # views derived on first use
+    _roots: dict[Word, tuple[str, int]] | None = field(default=None, repr=False, compare=False)
+    _words: frozenset[Word] | None = field(default=None, repr=False, compare=False)
+    _witnesses: dict[Word, tuple[str, int]] | None = field(
+        default=None, repr=False, compare=False
+    )
+    _by_length: dict[int, tuple[Word, ...]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    _text: tuple[str, str] | None = field(default=None, repr=False, compare=False)
+
+    def roots(self) -> dict[Word, tuple[str, int]]:
+        """The maximal words and the proper suffixes of the end words, with witnesses."""
+        if self._roots is None:
+            roots = dict(self.maximal)
+            for e, origin in self.ends.items():
+                for i in range(1, len(e)):
+                    roots.setdefault(e[i:], origin)
+            self._roots = roots
+        return self._roots
+
+    def _derive(self, record: Callable[[Word, tuple[str, int]], None], known) -> None:
+        # the prefixes of every root, longest first; the derived set stays
+        # prefix-closed, so the first known prefix ends the walk
+        for root, origin in self.roots().items():
+            for length in range(len(root), 0, -1):
+                w = root[:length]
+                if w in known:
+                    break
+                record(w, origin)
+
+    @property
+    def words(self) -> frozenset[Word]:
+        if self._words is None:
+            words: set[Word] = set()
+            self._derive(lambda w, _: words.add(w), words)
+            self._words = frozenset(words)
+        return self._words
+
+    @property
+    def witnesses(self) -> dict[Word, tuple[str, int]]:
+        """Maps each factor w to a pair (a, n) with w a subword of S^n(a)."""
+        if self._witnesses is None:
+            witnesses: dict[Word, tuple[str, int]] = {}
+            self._derive(witnesses.__setitem__, witnesses)
+            self._witnesses = witnesses
+        return self._witnesses
 
     def __contains__(self, w: Word) -> bool:
-        return w in self.words
+        if self._words is not None:
+            return w in self._words
+        if len(w) >= self.max_length:
+            return len(w) == self.max_length and w in self.maximal
+        if self._text is None:
+            letters = set(self.substitution.letters)
+            sep = next(chr(i) for i in range(len(letters) + 1) if chr(i) not in letters)
+            self._text = (sep, sep.join(self.maximal))
+        sep, text = self._text
+        return bool(w) and sep not in w and w in text
 
     def words_of_length(self, length: int) -> tuple[Word, ...]:
         """Sorted tuple of the factors of exactly the given length."""
-        if not self._by_length:
-            grouped: dict[int, list[Word]] = {}
-            for w in self.words:
-                grouped.setdefault(len(w), []).append(w)
-            for k, ws in grouped.items():
-                ws.sort()
-                self._by_length[k] = tuple(ws)
-        return self._by_length.get(length, ())
+        if length not in self._by_length:
+            self._by_length[length] = tuple(
+                sorted({r[:length] for r in self.roots() if len(r) >= length})
+            )
+        return self._by_length[length]
 
     def complexity(self, length: int) -> int:
         """Factor-count p(length)."""
@@ -104,13 +167,16 @@ def factor_language(
 ) -> FactorSet:
     """Factors of length <= max_length of all iterates S^k(a), a in the alphabet.
 
-    Closure at the fixed depth n = max_length.  Round 0 seeds the letters.
-    Round k expands, for every factor u of length n found in round k-1, the
-    windows of S(u) that start inside S(u[0]), and every window of the image
-    of each letter's end word E_{k-1}(a): the last n letters of S^(k-1)(a),
-    or all of it while it is shorter.  A word found in round k lies in
-    S^k(a), with a the witness letter of the factor or end word it came
-    from, and (a, k) is kept as its witness.
+    Closure at the fixed depth n = max_length over the maximal words.
+    Round 0 seeds the letters.  Round k expands, for every factor u of
+    length n found in round k-1, the length-n windows of S(u) that start
+    inside S(u[0]), and every length-n window of the image of each letter's
+    end word E_{k-1}(a): the last n letters of S^(k-1)(a), or all of it
+    while it is shorter.  The new end word E_k(a) is the last n letters of
+    that image; while S^k(a) is shorter than n it is stored whole as a
+    maximal word.  A word found in round k lies in S^k(a), with a the
+    witness letter of the factor or end word it came from, and (a, k) is
+    kept as its witness.
 
     Covering: S is non-erasing, so a window v of length <= n of
     S^k(a) = S(x), x = S^(k-1)(a), starts inside S(x[j]) for some j.  If
@@ -118,16 +184,27 @@ def factor_language(
     inside S(u), because |S(u[1:])| >= n - 1; u was found in some round
     before k and expanded in the round after it.  Otherwise x[j] lies in the
     end word E_{k-1}(a), whose image is a suffix of S^k(a) holding v.  So
-    after round k the set F_k is exactly the windows of S^0(a), ..., S^k(a)
-    over all letters a.
+    after round k the windows of S^0(a), ..., S^k(a) over all letters a are
+    F_k: the subwords of the stored maximal words.
 
-    Stopping: suppose round k adds nothing, F_k = F_{k-1}.  Each window v of
-    S^(k+1)(a) lies, by the covering argument, in S(u) for some u of F_k: a
-    length-n factor of S^k(a) or its end word.  As u is in F_{k-1}, it lies
-    in some S^i(b) with i < k, so v lies in S^(i+1)(b) and is in F_k.  Hence
-    F_{k+1} = F_k, and by induction F_k holds every factor of length <= n.
-    Hitting `max_rounds` (default max(64, 3 * max_length + 16)) or
-    `max_words` yields an explicit unsaturated result, never a silent
+    Derivation: a window of S^k(a) at position p is a prefix of the
+    length-n window at p when p + n <= |S^k(a)|, and otherwise a prefix of a
+    suffix of E_k(a).  So F_k is also the set of prefixes of the roots (the
+    maximal words and the proper suffixes of the end words), which is how
+    `FactorSet` derives its views.
+
+    Stopping: the round adds nothing to F_k exactly when it finds no new
+    length-n factor and every short iterate S^k(a) is already a subword of
+    a stored word: a new word of length < n is a prefix of a new length-n
+    factor or a subword of a suffix of E_k(a), and the subwords of a
+    length-n E_k(a) that was known before are known.  Suppose
+    F_k = F_{k-1}.  Each window v of S^(k+1)(a) lies, by the covering
+    argument, in S(u) for some u of F_k: a length-n factor of S^k(a) or its
+    end word.  As u is in F_{k-1}, it lies in some S^i(b) with i < k, so v
+    lies in S^(i+1)(b) and is in F_k.  Hence F_{k+1} = F_k, and by
+    induction F_k holds every factor of length <= n.  Hitting `max_rounds`
+    (default max(64, 3 * max_length + 16)) or storing more than `max_words`
+    maximal words yields an explicit unsaturated result, never a silent
     truncation.
     """
     if max_length < 1:
@@ -138,56 +215,86 @@ def factor_language(
     rules = s.rules
     apply = s.apply
     letters = list(s.letters)
-    words: set[str] = set()
-    witnesses: dict[str, tuple[str, int]] = {}
+    maximal: dict[str, tuple[str, int]] = {}
+    ends: dict[str, tuple[str, int]] = {}
     fresh: list[str] = []  # factors of length n found in the current round
 
     def harvest(text: str, stop: int, origin: tuple[str, int]) -> None:
-        # windows starting before `stop`; `words` stays prefix-closed: at each
-        # position add windows longest first and stop at the first known one,
-        # whose prefixes are all known
-        for i in range(min(stop, len(text))):
-            length = min(n, len(text) - i)
-            while length >= 1:
-                w = text[i : i + length]
-                if w in words:
-                    break
-                words.add(w)
-                witnesses[w] = origin
-                if length == n:
-                    fresh.append(w)
-                length -= 1
+        # length-n windows starting before `stop`
+        for i in range(min(stop, len(text) - n + 1)):
+            w = text[i : i + n]
+            if w not in maximal:
+                maximal[w] = origin
+                fresh.append(w)
 
-    for a in letters:
-        harvest(a, 1, (a, 0))
-    ends = {a: a for a in letters}
+    def advance(images: dict[str, str], k: int) -> bool:
+        # harvest each letter's image and keep its end word; True when the
+        # round adds nothing.  Short iterates are stored whether or not they
+        # are new, and searched in the maximal words only in a round without
+        # new length-n factors, the only round where that decides anything
+        short: dict[str, tuple[str, int]] = {}
+        for a, image in images.items():
+            harvest(image, len(image), (a, k))
+            tail = tails[a] = image[-n:]
+            ends.setdefault(tail, (a, k))
+            if len(tail) < n and tail not in maximal:
+                short.setdefault(tail, (a, k))
+        quiet = not fresh and all(any(t in m for m in maximal) for t in short)
+        maximal.update(short)
+        return quiet
+
+    tails: dict[str, str] = {}
+    advance({a: a for a in letters}, 0)
 
     saturated = False
     rounds = 0
     for k in range(1, max_rounds + 1):
         rounds = k
-        size = len(words)
         batch, fresh = fresh, []
         for u in batch:
-            harvest(apply(u), len(rules[u[0]]), (witnesses[u][0], k))
-        for a in letters:
-            image = apply(ends[a])
-            ends[a] = image[-n:]
-            harvest(image, len(image), (a, k))
-        if len(words) > max_words:
+            harvest(apply(u), len(rules[u[0]]), (maximal[u][0], k))
+        quiet = advance({a: apply(tails[a]) for a in letters}, k)
+        if len(maximal) > max_words:
             break
-        if len(words) == size:
+        if quiet:
             saturated = True
             break
 
     return FactorSet(
         substitution=s,
         max_length=max_length,
-        words=frozenset(words),
+        maximal=maximal,
+        ends=ends,
         saturated=saturated,
-        witnesses=witnesses,
         rounds=rounds,
     )
+
+
+def coverage_length(factors: FactorSet, targets: Iterable[Word]) -> int | None:
+    """Smallest L >= max |t| with: every factor of length L contains every target.
+
+    Read from the roots: a prefix r[:L] of a root r avoids a target t
+    exactly when L < r.find(t) + |t| (or L <= |r| when t is not in r), and
+    every factor is such a prefix, so the longest factor avoiding a target
+    has length A = max over r, t of those bounds and the answer is
+    max(start, A + 1).  Returns None when that exceeds the longest factor;
+    a factor of length max_length missing a target settles it at once.
+    """
+    factors.require_saturated()
+    targets = tuple(targets)
+    roots = factors.roots()
+    n = factors.max_length
+    avoid = 0
+    for t in targets:
+        hits = [r.find(t) for r in roots]
+        if min(hits) < 0:
+            missed = [len(r) for r, i in zip(roots, hits) if i < 0]
+            if max(missed) == n:
+                return None
+            avoid = max(avoid, *missed)
+        avoid = max(avoid, max(hits) + len(t) - 1)
+    L = max(max(map(len, targets)), avoid + 1)
+    return L if L <= max(map(len, roots)) else None
 
 
 def repetitivity_function(factors: FactorSet, n: int) -> int | None:
@@ -195,7 +302,6 @@ def repetitivity_function(factors: FactorSet, n: int) -> int | None:
 
     Returns None when no such L exists within factors.max_length (the
     sentinel case; e.g. a letter that does not occur with bounded gaps).
-    Monotone in L, so the first success of the upward scan is the minimum.
     """
     factors.require_saturated()
     if n < 1 or n > factors.max_length:
@@ -203,21 +309,12 @@ def repetitivity_function(factors: FactorSet, n: int) -> int | None:
     targets = factors.words_of_length(n)
     if not targets:
         raise ValueError(f"factor set has no words of length {n}")
-    for L in range(n, factors.max_length + 1):
-        candidates = factors.words_of_length(L)
-        if candidates and all(t in w for w in candidates for t in targets):
-            return L
-    return None
+    return coverage_length(factors, targets)
 
 
 def gap_bound(factors: FactorSet, v: Word) -> int | None:
     """Smallest L with: every factor of length L contains `v` (None if not found)."""
-    factors.require_saturated()
-    for L in range(len(v), factors.max_length + 1):
-        candidates = factors.words_of_length(L)
-        if candidates and all(v in w for w in candidates):
-            return L
-    return None
+    return coverage_length(factors, (v,))
 
 
 @dataclass(frozen=True)
@@ -239,19 +336,20 @@ class ReturnWordSet:
 
 
 def return_words(s, v: Word, factors: FactorSet) -> ReturnWordSet:
-    """All x with xv in the language, xv starting with v and containing v exactly twice."""
+    """All x with xv in the language, xv starting with v and containing v exactly twice.
+
+    Read from the roots: xv is a prefix of some root r, which then starts
+    with v and has its next occurrence of v at |x|.
+    """
     factors.require_saturated()
     if v not in factors:
         raise ValueError(f"{v!r} is not a factor at depth {factors.max_length}")
     found = set()
-    max_gap = None
-    for w in factors.words:
-        if len(w) > len(v) and w.startswith(v) and w.endswith(v):
-            if count_occurrences(v, w) == 2:
-                x = w[: len(w) - len(v)]
-                found.add(x)
-                gap = len(x)
-                max_gap = gap if max_gap is None else max(max_gap, gap)
+    for r in factors.roots():
+        if r.startswith(v):
+            j = r.find(v, 1)
+            if j > 0:
+                found.add(r[:j])
     kappa = gap_bound(factors, v)
     complete = kappa is not None and factors.max_length >= kappa + len(v)
     return ReturnWordSet(
@@ -259,7 +357,7 @@ def return_words(s, v: Word, factors: FactorSet) -> ReturnWordSet:
         words=frozenset(found),
         complete=complete,
         kappa=kappa,
-        max_observed_gap=max_gap,
+        max_observed_gap=max(map(len, found), default=None),
     )
 
 

@@ -9,10 +9,11 @@ from linrep.classify import (
     analyze_bounded_blocks,
     bounded_gaps,
     classify,
+    decide_minimality,
     extendable_core,
     is_periodic,
 )
-from linrep.substitution import Substitution, bounded_letters
+from linrep.substitution import Substitution, SubstitutionError, bounded_letters
 
 from bruteforce import rescan_extendable_core
 
@@ -313,7 +314,7 @@ def test_random_two_letter_pipeline_consistency():
         s = Substitution.from_rules(rules)
         try:
             rep = classify(s)
-        except Exception:
+        except SubstitutionError:
             continue  # invalid systems (empty subshift, unreachable letters)
         if rep.minimal == YES and rep.lr is not None and minimal_seen < 8:
             minimal_seen += 1
@@ -330,3 +331,12 @@ def test_random_two_letter_pipeline_consistency():
             if s.image_length(letter, depth) <= 10**5:
                 assert word in s.iterate(letter, depth)
     assert minimal_seen >= 6 and nonminimal_seen >= 6
+
+
+def test_decide_minimality_matches_classify(catalog_reports, catalog_subs):
+    for name, rep in catalog_reports.items():
+        split, candidates, decision = decide_minimality(catalog_subs[name])
+        assert split == rep.split, name
+        assert candidates == rep.witness_pool, name
+        assert decision.status == rep.minimal, name
+        assert decision.certificate == rep.certificate, name

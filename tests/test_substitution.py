@@ -41,6 +41,15 @@ def test_unknown_letter_rejected():
         Substitution(Alphabet("ab"), {"a": "ac", "b": "b"})
 
 
+def test_apply_rejects_letter_outside_alphabet():
+    s = lr.load("fibonacci")
+    assert s.apply("abba") == "abaaab"
+    with pytest.raises(UnknownLetterError):
+        s.apply("abz")
+    with pytest.raises(UnknownLetterError):
+        s.iterate("z", 2)
+
+
 def test_duplicate_values_rejected_by_default():
     with pytest.raises(SubstitutionError):
         Alphabet("ab", {"a": 1.0, "b": 1.0})

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from linrep.substitution import Substitution
 from linrep.words import (
     UnsaturatedFactorSetError,
     count_occurrences,
+    coverage_length,
     distinct_windows,
     factor_language,
     find_power,
@@ -16,7 +19,16 @@ from linrep.words import (
     subwords,
 )
 
-from bruteforce import naive_count, naive_factors, naive_find_power, naive_return_words
+from bruteforce import (
+    closure_factor_language,
+    failed_witnesses,
+    naive_count,
+    naive_factors,
+    naive_find_power,
+    naive_return_words,
+    scan_coverage_length,
+)
+from conftest import CATALOG_NAMES
 
 
 @pytest.mark.parametrize(
@@ -264,3 +276,160 @@ def test_restriction_consistency(fib):
     deep = factor_language(fib, 9, max_rounds=64)
     shallow = factor_language(fib, 5, max_rounds=64)
     assert {w for w in deep.words if len(w) <= 5} == shallow.words
+
+
+# --- maximal-word representation against the reference closure -----------------
+
+def _random_rules(seed: int) -> dict[str, str]:
+    rng = random.Random(seed)
+    letters = "abc"[: rng.choice((2, 3))]
+    return {c: "".join(rng.choice(letters) for _ in range(rng.randint(1, 4))) for c in letters}
+
+
+# some factors here occur only near the end of iterates: they start no
+# factor of length n, so only the suffixes of the end words yield them
+END_SUFFIX_SYSTEMS = {
+    "a-aa-b-b-c-abb": {"a": "aa", "b": "b", "c": "abb"},
+    "a-c-b-aab-c-a": {"a": "c", "b": "aab", "c": "a"},
+    "a-bb-b-a-c-bac": {"a": "bb", "b": "a", "c": "bac"},
+    "a-bab-b-ab-c-ac": {"a": "bab", "b": "ab", "c": "ac"},
+    "a-a-b-cc-c-ac": {"a": "a", "b": "cc", "c": "ac"},
+}
+
+ORACLE_SYSTEMS = [
+    *CATALOG_NAMES,
+    *SLOW_SYSTEMS,
+    *END_SUFFIX_SYSTEMS,
+    *(f"random-{seed}" for seed in range(8)),
+]
+
+
+def _oracle_substitution(name: str, catalog_subs) -> Substitution:
+    if name in SLOW_SYSTEMS:
+        return Substitution.from_rules(SLOW_SYSTEMS[name][0])
+    if name in END_SUFFIX_SYSTEMS:
+        return Substitution.from_rules(END_SUFFIX_SYSTEMS[name])
+    if name.startswith("random-"):
+        return Substitution.from_rules(_random_rules(int(name.split("-")[1])))
+    return catalog_subs[name]
+
+
+@pytest.mark.parametrize(
+    "name,depth",
+    [(name, depth) for name in ORACLE_SYSTEMS for depth in (16, 48, 128)]
+    + [(name, 4) for name in END_SUFFIX_SYSTEMS]
+    + [(name, 256) for name in ("fibonacci", "thue-morse", "minimal-nonprimitive", "random-6")],
+)
+def test_factor_language_matches_closure_oracle(name, depth, catalog_subs):
+    s = _oracle_substitution(name, catalog_subs)
+    fs = factor_language(s, depth)
+    words, _, saturated, rounds = closure_factor_language(s, depth)
+    assert (fs.saturated, fs.rounds) == (saturated, rounds)
+    assert fs.words == words
+    assert fs.witnesses.keys() == words
+    assert failed_witnesses(s.rules, fs.witnesses, depth) == []
+
+
+@pytest.mark.parametrize(
+    "name", ["fibonacci", "remarkc", "random-1", "random-2", *SLOW_SYSTEMS, *END_SUFFIX_SYSTEMS]
+)
+def test_membership_reads_maximal_words(name, catalog_subs):
+    s = _oracle_substitution(name, catalog_subs)
+    fs = factor_language(s, 20)
+    words, *_ = closure_factor_language(s, 20)
+    probes = sorted({w + x for w in words for x in s.letters} | {x + w for w in words for x in s.letters})
+    assert all(w in fs for w in words)
+    assert [w for w in probes if w in fs] == [w for w in probes if w in words]
+    assert "" not in fs
+    assert fs._words is None  # answered without deriving the full set
+
+
+@pytest.mark.parametrize("name", [*SLOW_SYSTEMS, *END_SUFFIX_SYSTEMS, "random-0", "random-5"])
+def test_return_words_match_closure_oracle(name, catalog_subs):
+    s = _oracle_substitution(name, catalog_subs)
+    fs = factor_language(s, 12)
+    words, *_ = closure_factor_language(s, 12)
+    for v in sorted(s.letters):
+        expected = naive_return_words(words, v)
+        rw = return_words(s, v, fs)
+        assert rw.words == expected, v
+        assert rw.max_observed_gap == max(map(len, expected), default=None), v
+
+
+def test_deep_slow_system_saturates_below_word_cap():
+    # all factors of length <= 256 number about 2.7 million, over the
+    # max_words cap; the 32,045 maximal words are not
+    s = Substitution.from_rules(SLOW_SYSTEMS["0-01001-1-1"][0])
+    fs = factor_language(s, 256)
+    assert fs.saturated and fs.rounds == 257
+    assert len(fs.maximal) == 32045
+
+
+def test_word_cap_counts_maximal_words():
+    s = lr.load("fibonacci")
+    stored = len(factor_language(s, 64).maximal)  # 65 of length 64 plus the short iterates
+    assert factor_language(s, 64, max_words=stored).saturated
+    capped = factor_language(s, 64, max_words=stored - 1)
+    assert not capped.saturated
+    with pytest.raises(UnsaturatedFactorSetError):
+        coverage_length(capped, ["a"])
+
+
+def _coverage_target_sets(fs):
+    letters = sorted(fs.substitution.letters)
+    return [
+        *([a] for a in letters),
+        letters,
+        list(fs.words_of_length(2)),
+        list(fs.words_of_length(3))[:2],
+        [letters[0] * 3, letters[-1] * 2],
+        [letters[0] * fs.max_length],
+        [letters[0] + "x"],  # not a factor at all
+    ]
+
+
+@pytest.mark.parametrize(
+    "rules,depth",
+    [
+        ({"a": "ab", "b": "a"}, 24),
+        ({"a": "abb", "b": "ba"}, 16),
+        ({"a": "a", "b": "abbb"}, 12),  # the letter a is a short iterate forever
+        ({"a": "a"}, 5),  # the language is the single word a
+        ({"a": "b", "b": "b"}, 6),
+        ({"0": "01001", "1": "1"}, 16),
+        ({"a": "abc", "b": "bc", "c": "c"}, 20),
+        ({"a": "aab", "b": "b"}, 18),
+        *((rules, 6) for rules in END_SUFFIX_SYSTEMS.values()),
+    ]
+    + [(_random_rules(seed), 14) for seed in range(8)],
+)
+def test_coverage_length_matches_scan(rules, depth):
+    s = Substitution.from_rules(rules)
+    fs = factor_language(s, depth)
+    assert fs.saturated
+    words, *_ = closure_factor_language(s, depth)
+    for targets in _coverage_target_sets(fs):
+        if targets:
+            assert coverage_length(fs, targets) == scan_coverage_length(words, targets, depth), targets
+
+
+def test_coverage_length_quick_rejection():
+    # remarkc has a letter missing from a factor of length max_length
+    s = lr.load("remarkc")
+    fs = factor_language(s, 14, max_rounds=64)
+    missing = [a for a in s.letters if any(a not in w for w in fs.words_of_length(14))]
+    assert missing
+    for a in missing:
+        assert coverage_length(fs, [a]) is None
+        assert scan_coverage_length(closure_factor_language(s, 14)[0], [a], 14) is None
+
+
+def test_coverage_length_short_iterates():
+    s = Substitution.from_rules({"a": "a", "b": "abbb"})
+    fs = factor_language(s, 12)
+    assert "a" in fs.maximal  # S^k(a) = a stays shorter than the depth
+    assert coverage_length(fs, ["a"]) == 4
+    assert coverage_length(fs, ["b"]) is None  # S^k(b) starts with a^k
+    single = factor_language(Substitution.from_rules({"a": "a"}), 5)
+    assert coverage_length(single, ["a"]) == 1
+    assert coverage_length(single, ["aa"]) is None
