@@ -62,6 +62,7 @@ from .substitution import (
     check_compatibility,
     fixed_point_prefix,
     is_primitive,
+    iterate_prefix,
     perron_growth,
     reduced_substitution,
     validate,
@@ -70,6 +71,7 @@ from .words import (
     FactorSet,
     ReturnWordSet,
     count_occurrences,
+    coverage_exact,
     coverage_length,
     factor_language,
     find_power,

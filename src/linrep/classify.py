@@ -18,12 +18,15 @@ enumeration at all:
   arbitrarily long e-free images; conversely, long factors contain deep
   images of growing letters once bounded blocks cannot stretch).
 
-A positive decision is turned into a concrete certificate (gap bound kappa
-by scanning the saturated factor set, reachability witnesses, block bound);
-a negative one into a word-pumping counterexample.  Minimality and linear
-repetitivity coincide for these systems, and the explicit repetitivity
-constant (3 + G) * theta * rho / lambda is assembled from return words of
-the certified letter.
+A positive decision is turned into a concrete certificate (the exact gap
+bound kappa, reachability witnesses, block bound); a negative one into a
+word-pumping counterexample.  Minimality and linear repetitivity coincide
+for these systems, and the explicit repetitivity constant
+(3 + G) * theta * rho / lambda is assembled from the return words of the
+certified letter.  kappa and the pair-coverage length G are exact results
+of `words.coverage_exact`, a fold over summaries of the letter images, not
+of a scan at some depth; the one factor set a certified system needs (depth
+2 * kappa at least) supplies the return words and the pairs that occur.
 """
 
 from __future__ import annotations
@@ -49,6 +52,9 @@ from .substitution import (
 YES = "yes"
 NO = "no"
 UNDECIDED = "undecided-at-depth"
+
+# is_periodic reads core complexities this many letters below the factor depth
+CORE_MARGIN = 8
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +101,24 @@ class BlockAnalysis:
     undecided_reason: str | None = None
 
     def pumped_block(self, s: Substitution, min_length: int) -> tuple[str, tuple[str, int]]:
-        """Grow the pumped run until it reaches min_length; returns (run, origin)."""
+        """Grow the pumped run until it reaches min_length; returns (run, origin).
+
+        A consistent pump gains at least one letter per context cycle once
+        the cycle is reached, so it needs at most steps_to_cycle +
+        cycle_length * min_length steps.
+        """
         if self.pump is None:
             raise ValueError("no pump certificate")
         growing = bounded_letters(s).growing
         left, run, right = self.pump.seed
         letter, depth = self.pump.origin
-        guard = 0
+        guard = self.pump.steps_to_cycle + self.pump.cycle_length * min_length
         while len(run) < min_length:
             left, run, right = _update_triple(s, growing, left, run, right)
             depth += 1
-            guard += 1
-            if guard > 10**6:
-                raise RuntimeError("pump failed to grow (inconsistent certificate)")
+            guard -= 1
+            if guard < 0:
+                raise SubstitutionError("pump failed to grow (inconsistent certificate)")
         return run, (letter, depth)
 
 
@@ -243,10 +254,13 @@ def analyze_bounded_blocks(
 class BGCertificate:
     """Witness that `letter` occurs with bounded gaps.
 
-    kappa: every factor of length >= kappa contains the letter (scanned on a
-    saturated factor set).  reachability_witnesses[c] is the first depth at
-    which the letter shows up in the images of the growing letter c.
-    bblock_bound is the maximal bounded-letter block length.
+    kappa: the least length with every factor of length >= kappa containing
+    the letter, exact from `words.coverage_exact`.  factor_depth = kappa + 1
+    is the depth of a saturated factor set on which a scan confirms kappa
+    and which holds every return word of the letter.
+    reachability_witnesses[c] is the first depth at which the letter shows
+    up in the images of the growing letter c.  bblock_bound is the maximal
+    bounded-letter block length.
     """
 
     letter: str
@@ -289,7 +303,6 @@ class BGDecision:
     status: str
     certificate: BGCertificate | None = None
     counterexample: BGCounterexample | None = None
-    factors: wd.FactorSet | None = None
     note: str | None = None
 
 
@@ -299,13 +312,13 @@ def bounded_gaps(
     e: str,
     *,
     block_analysis: BlockAnalysis | None = None,
-    kappa_depths: tuple[int, ...] = (16, 32, 64, 128, 256),
 ) -> BGDecision:
     """Decide whether the growing letter e occurs with bounded gaps.
 
-    Exactly one of three things happens: a certificate with a concrete gap
-    bound, a counterexample pump, or an honest undecided when a scan cap is
-    hit (the block analysis caps, or kappa exceeding the deepest factor set).
+    Exactly one of three things happens: a certificate with the exact gap
+    bound, a counterexample pump, or an honest undecided when a cap is hit
+    (the block-orbit measurement or the round cap of the coverage fold).
+    No factor set is built.
     """
     if e not in split.growing:
         raise ValueError(f"candidate {e!r} is not a growing letter")
@@ -347,31 +360,27 @@ def bounded_gaps(
                 return BGDecision(status=NO, counterexample=counter)
         witnesses[c] = next(i for i, st in enumerate(sets) if e in st)
 
-    # decided YES; pin kappa by scanning a saturated factor set
+    # decided YES, so e has bounded gaps and the fold pins kappa exactly
     bblock = block_analysis.max_block
-    for depth in kappa_depths:
-        fs = wd.factor_language(s, depth)
-        if not fs.saturated:
-            continue
-        kappa = wd.gap_bound(fs, e)
-        if kappa is not None and kappa + 1 <= fs.max_length:
-            cert = BGCertificate(
-                letter=e,
-                kappa=kappa,
-                reachability_witnesses=witnesses,
-                bblock_bound=bblock,
-                factor_depth=fs.max_length,
-            )
-            if kappa < bblock + 1:
-                raise SubstitutionError(
-                    f"gap bound {kappa} for {e!r} does not exceed the block bound {bblock}"
-                )
-            return BGDecision(status=YES, certificate=cert, factors=fs)
-    return BGDecision(
-        status=UNDECIDED,
-        note=f"gap bound for {e!r} exceeds the deepest scanned factor set "
-        f"(depths {kappa_depths}); the cycle analysis still certifies bounded gaps",
+    try:
+        kappa = wd.coverage_exact(s, (e,))
+    except wd.CoverageUndecidedError as exc:
+        return BGDecision(
+            status=UNDECIDED,
+            note=f"gap bound for {e!r}: {exc}; the cycle analysis still certifies bounded gaps",
+        )
+    if kappa < bblock + 1:
+        raise SubstitutionError(
+            f"gap bound {kappa} for {e!r} does not exceed the block bound {bblock}"
+        )
+    cert = BGCertificate(
+        letter=e,
+        kappa=kappa,
+        reachability_witnesses=witnesses,
+        bblock_bound=bblock,
+        factor_depth=kappa + 1,
     )
+    return BGDecision(status=YES, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +392,9 @@ class LRBound:
     """Explicit repetitivity constant (3 + G) * theta * rho / lambda.
 
     G is the smallest length such that every factor of length >= G contains
-    every concatenation of two return words that is itself a factor.  Valid
+    every concatenation of two return words that is itself a factor, exact
+    from `words.coverage_exact`.  factor_depth is the depth of the saturated
+    factor set the return words and the pairs were read from.  Valid
     insofar as lambda/rho are (n <= growth.n_checked); carried as a caveat.
     """
 
@@ -401,69 +412,36 @@ def lr_constant_bound(
     cert: BGCertificate,
     growth: GrowthEstimate,
     factors: wd.FactorSet,
-    *,
-    g_depths: tuple[int, ...] = (32, 64, 128, 256),
 ) -> LRBound:
-    """Assemble the explicit linear-repetitivity constant from a bounded-gaps certificate."""
-    rw = wd.return_words(s, cert.letter, factors)
-    fs = factors
-    if not rw.complete:
-        for depth in g_depths:
-            if depth <= fs.max_length:
-                continue
-            fs = wd.factor_language(s, depth)
-            if fs.saturated:
-                rw = wd.return_words(s, cert.letter, fs)
-                if rw.complete:
-                    break
-        if not rw.complete:
-            raise SubstitutionError(
-                f"return words of {cert.letter!r} not certified complete at depth {fs.max_length}"
-            )
-    pairs = sorted(
-        z1 + z2 for z1 in rw.words for z2 in rw.words if _pair_in(s, z1 + z2, fs, g_depths)
-    )
-    # re-evaluate on a set deep enough to contain the longest pair
-    longest = max(len(p) for p in pairs)
-    G = None
-    used = fs
-    for depth in (fs.max_length,) + g_depths:
-        if depth < longest or depth < used.max_length:
-            continue
-        if depth > used.max_length:
-            used = wd.factor_language(s, depth)
-            if not used.saturated:
-                continue
-        G = wd.coverage_length(used, pairs)
-        if G is not None:
-            break
-    if G is None:
+    """Assemble the explicit linear-repetitivity constant from a bounded-gaps certificate.
+
+    A return word is at most kappa long, so a saturated factor set of depth
+    2 * kappa holds every return word and every pair of them that is a
+    factor; both are read from `factors`, and G comes from
+    `words.coverage_exact`.
+    """
+    if not factors.saturated or factors.max_length < 2 * cert.kappa:
         raise SubstitutionError(
-            f"pair-coverage length not found within factor depth {used.max_length}"
+            f"return-word pairs need a saturated factor set of depth >= {2 * cert.kappa}"
         )
+    rw = wd.return_words(s, cert.letter, factors)
+    pairs = sorted(z1 + z2 for z1 in rw.words for z2 in rw.words if z1 + z2 in factors)
+    try:
+        G = wd.coverage_exact(s, pairs)
+    except wd.CoverageUndecidedError as exc:
+        raise SubstitutionError(f"pair-coverage length {exc}") from None
     if G < cert.kappa:
         raise SubstitutionError(f"pair-coverage length {G} is below the gap bound {cert.kappa}")
     value = (3 + G) * growth.theta * growth.rho_v / growth.lambda_v
-    caveats = (
-        f"growth constants checked for n <= {growth.n_checked}",
-        f"G scanned on factors up to length {used.max_length}",
-    )
     return LRBound(
         value=value,
         G=G,
         pair_set=tuple(pairs),
         return_word_set=rw,
         growth=growth,
-        factor_depth=used.max_length,
-        caveats=caveats,
+        factor_depth=factors.max_length,
+        caveats=(f"growth constants checked for n <= {growth.n_checked}",),
     )
-
-
-def _pair_in(s, pair, fs, depths) -> bool:
-    if len(pair) <= fs.max_length:
-        return pair in fs
-    deeper = wd.factor_language(s, len(pair))
-    return deeper.saturated and pair in deeper
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +476,17 @@ def extendable_core(factors: wd.FactorSet) -> frozenset[str]:
     length L are those that are both a prefix and a suffix of kept words of
     length L + 1.
     """
+    return frozenset().union(*_core_levels(factors))
+
+
+def _core_levels(factors: wd.FactorSet):
+    # the levels of the extendable core, longest first
     factors.require_saturated()
     level = {w for w in factors.maximal if len(w) == factors.max_length}
-    kept = set(level)
     while level:
+        yield level
         level = {w[:-1] for w in level} & {w[1:] for w in level}
         level.discard("")
-        kept |= level
-    return frozenset(kept)
 
 
 def is_periodic(
@@ -513,7 +494,7 @@ def is_periodic(
     depth: int = 40,
     factors: wd.FactorSet | None = None,
     *,
-    core_margin: int = 8,
+    core_margin: int = CORE_MARGIN,
 ) -> PeriodicityResult:
     """Bounded periodicity decision via factor complexity of the extendable core.
 
@@ -523,6 +504,9 @@ def is_periodic(
     periodicity; the period word is then extracted from a longest core
     factor and verified to tile every core factor.  Otherwise
     p(n) >= n + 1 throughout and the system is aperiodic up to the depth.
+    Every core word is a prefix of a longer one, so the tiling is checked
+    on the longest core words within the margin alone, and only their
+    level is kept.
     """
     want = depth + core_margin
     if factors is None or factors.max_length < want:
@@ -534,22 +518,20 @@ def is_periodic(
             depth=0,
             note=f"factor set did not saturate at depth {factors.max_length}",
         )
-    core = extendable_core(factors)
     horizon = factors.max_length - core_margin + 1  # lengths safe from boundary effects
-    by_len: dict[int, list[str]] = {}
-    for w in core:
-        if len(w) <= horizon:
-            by_len.setdefault(len(w), []).append(w)
+    top: set[str] = set()  # the longest core words within the horizon
+    sizes: dict[int, int] = {}
+    for level in _core_levels(factors):
+        length = len(next(iter(level)))
+        if length <= horizon:
+            top = top or level
+            sizes[length] = len(level)
     for n in range(1, depth + 1):
-        if len(by_len.get(n, ())) <= n:
-            u = min(by_len[max(k for k in by_len if by_len[k])])
+        if sizes.get(n, 0) <= n:
+            u = min(top)
             q = _minimal_period(u)
             period = u[:q]
-            tiling_ok = all(
-                f in period * (len(f) // q + 2)
-                for ws in by_len.values()
-                for f in ws
-            )
+            tiling_ok = all(f in period * (len(f) // q + 2) for f in top)
             if tiling_ok:
                 canonical = min(period[i:] + period[:i] for i in range(q))
                 return PeriodicityResult(status="periodic", period=canonical, depth=n)
@@ -661,9 +643,7 @@ class ClassificationReport:
         return out
 
 
-def decide_minimality(
-    s: Substitution, *, kappa_depths: tuple[int, ...] = (16, 32, 64, 128, 256)
-) -> tuple[AlphabetSplit, tuple[str, ...], BGDecision]:
+def decide_minimality(s: Substitution) -> tuple[AlphabetSplit, tuple[str, ...], BGDecision]:
     """The minimality decision alone: the alphabet split, the candidate letters
     (growing letters that reach the whole alphabet) and the bounded-gaps
     decision of the first candidate certified, else the most decisive one."""
@@ -680,7 +660,7 @@ def decide_minimality(
     block_analysis = analyze_bounded_blocks(s, split)
     decision: BGDecision | None = None
     for e in candidates:
-        d = bounded_gaps(s, split, e, block_analysis=block_analysis, kappa_depths=kappa_depths)
+        d = bounded_gaps(s, split, e, block_analysis=block_analysis)
         if d.status == YES:
             return split, candidates, d
         if decision is None or (decision.status == UNDECIDED and d.status == NO):
@@ -696,13 +676,15 @@ def classify(
     compat_depth: int = 16,
     aperiodic_depth: int = 40,
     growth_nmax: int = 30,
-    kappa_depths: tuple[int, ...] = (16, 32, 64, 128, 256),
-    g_depths: tuple[int, ...] = (32, 64, 128, 256),
 ) -> ClassificationReport:
     """Full classification: compatibility, primitivity, minimality (with
     certificate or counterexample), linear repetitivity with its explicit
-    constant, periodicity, unique ergodicity."""
-    split, candidates, decision = decide_minimality(s, kappa_depths=kappa_depths)
+    constant, periodicity, unique ergodicity.
+
+    A certified system gets one saturated factor set, deep enough for the
+    return-word pairs (2 * kappa) and for the periodicity core; it becomes
+    `report.factors`."""
+    split, candidates, decision = decide_minimality(s)
     compatibility = check_compatibility(s, compat_depth)
     primitive = is_primitive(s)
 
@@ -710,30 +692,26 @@ def classify(
     minimal = decision.status
     growth = None
     lr = None
+    factors = None
     if minimal == YES:
         cert = decision.certificate
-        factors = decision.factors
-        reduced = reduced_substitution(s, split)
+        factors = wd.factor_language(s, max(2 * cert.kappa, aperiodic_depth + CORE_MARGIN))
         try:
-            lr = lr_constant_bound(
-                s,
-                cert,
-                perron_growth(
-                    reduced,
-                    _return_word_pool(s, cert, factors, g_depths),
-                    growth_nmax,
-                ),
-                factors,
-                g_depths=g_depths,
-            )
-            growth = lr.growth
+            if not factors.saturated:
+                raise SubstitutionError(
+                    f"factor set did not saturate at depth {factors.max_length}"
+                )
+            pool = tuple(sorted(wd.return_words(s, cert.letter, factors).words))
+            growth = perron_growth(reduced_substitution(s, split), pool, growth_nmax)
+            lr = lr_constant_bound(s, cert, growth, factors)
             caveats.extend(lr.caveats)
         except SubstitutionError as exc:
+            growth = None
             caveats.append(f"repetitivity constant undecided: {exc}")
     elif minimal == UNDECIDED and decision.note:
         caveats.append(decision.note)
 
-    periodicity = is_periodic(s, aperiodic_depth, factors=decision.factors)
+    periodicity = is_periodic(s, aperiodic_depth, factors=factors)
     if compatibility.status != "holds-certified":
         caveats.append(
             "statements describe the finite-word language; its compatibility "
@@ -755,7 +733,7 @@ def classify(
         periodicity=periodicity,
         growth=growth,
         lr=lr,
-        factors=decision.factors,
+        factors=factors,
         depth_caveats=tuple(caveats),
     )
 
@@ -764,17 +742,3 @@ def _unique_ergodicity(minimal: str) -> str:
     # minimality forces unique ergodicity; the converse fails, so a
     # non-minimal system gets no verdict from this analysis
     return YES if minimal == YES else UNDECIDED
-
-
-def _return_word_pool(s, cert, factors, g_depths) -> tuple[str, ...]:
-    rw = wd.return_words(s, cert.letter, factors)
-    if not rw.complete:
-        for depth in g_depths:
-            if depth <= factors.max_length:
-                continue
-            deeper = wd.factor_language(s, depth)
-            if deeper.saturated:
-                rw = wd.return_words(s, cert.letter, deeper)
-                if rw.complete:
-                    break
-    return tuple(sorted(rw.words))

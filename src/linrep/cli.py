@@ -26,9 +26,9 @@ from . import recognizer as rec
 from .classify import UNDECIDED, YES, classify, decide_minimality
 from .spectral import band_spectrum
 from .substitution import (
-    EmptySubshiftError,
     Substitution,
     SubstitutionError,
+    iterate_prefix,
     prune_to_reachable,
     validate,
 )
@@ -77,8 +77,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             aperiodic_depth=args.depth + 24,
             growth_nmax=args.nmax,
         )
-    except EmptySubshiftError as exc:
-        return _fail(str(exc))
+        payload = report.to_json_dict() if args.json else None
     except SubstitutionError as exc:
         return _fail(str(exc))
 
@@ -110,8 +109,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for caveat in report.depth_caveats:
         print(f"caveat: {caveat}")
 
-    if args.json:
-        payload = report.to_json_dict()
+    if payload is not None:
         payload["depth_caveats"] = notes + payload["depth_caveats"]
         payload["parameters"] = {"depth": args.depth, "nmax": args.nmax}
         _write_json(args.json, payload)
@@ -208,7 +206,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
             if foreign:
                 return _fail(f"word uses foreign symbols {sorted(foreign)}")
         else:
-            target = rec._long_sample(s, a, args.prefix)
+            target = iterate_prefix(s, a, args.prefix)
         parts = rec.enumerate_one_partitions(s, target)
         if not parts:
             return _fail("word admits no 1-partition (not a factor of the language?)")
@@ -279,11 +277,7 @@ def cmd_transcendence(args: argparse.Namespace) -> int:
     print(f"value ({tr.value.bits} bits, base {tr.value.base}): {tr.value.decimal_string()}")
     print(tr.attribution)
     if args.dump_digits:
-        need = tr.value.digits_used
-        from .substitution import fixed_point_prefix
-
-        u = fixed_point_prefix(s, w.zero, need)
-        nt.dump_digits(args.dump_digits, [tr.digit_letter_map[ch] for ch in u])
+        nt.dump_digits(args.dump_digits, tr.digits)
     if args.json:
         _write_json(args.json, tr.to_json_dict())
     return 0

@@ -298,6 +298,7 @@ class TranscendenceReport:
     value: ExpansionValue
     digit_letter_map: dict[str, int]
     attribution: str
+    digits: tuple[int, ...]  # the digits of the fixed-point prefix behind `value`
 
     def to_json_dict(self) -> dict:
         w = self.witness
@@ -356,7 +357,7 @@ def transcendence_report(
     digit_map = _digit_map(s, base)
     need = math.ceil(bits * math.log(2) / math.log(base)) + 8
     u = fixed_point_prefix(s, witness.zero, need)
-    digits = [digit_map[ch] for ch in u]
+    digits = tuple(digit_map[ch] for ch in u)
     value = expansion_value(digits, base, bits)
     return TranscendenceReport(
         witness=witness,
@@ -364,6 +365,7 @@ def transcendence_report(
         value=value,
         digit_letter_map=digit_map,
         attribution=ATTRIBUTION,
+        digits=digits,
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from . import words as wd
 from .classify import YES, ClassificationReport
-from .substitution import Substitution, SubstitutionError
+from .substitution import Substitution, SubstitutionError, iterate_prefix
 
 
 class ShapeError(SubstitutionError):
@@ -332,7 +332,7 @@ def recognition_rule(
     )
 
     # validation against fresh, longer samples drawn from a deep iterate
-    sample = _long_sample(s, a, sample_depth)
+    sample = iterate_prefix(s, a, sample_depth)
     fresh_len = min(6 * L, len(sample))
     fresh = sorted(wd.distinct_windows(sample, fresh_len))
     stride = max(1, len(fresh) // validation_words)
@@ -357,13 +357,6 @@ def recognition_rule(
         training_length=training_len,
         validated_on=checked,
     )
-
-
-def _long_sample(s: Substitution, seed: str, length: int) -> str:
-    w = seed
-    while len(w) < length:
-        w = s.apply(w[:length])
-    return w[:length]
 
 
 def desubstitute(s: Substitution, window: str, rule: RecognitionRule) -> tuple[str, int]:
@@ -434,7 +427,7 @@ def uniqueness_scan(
         )
     L = window_half_width(s, factors).half_width
     need = int(report.lr.value * max_word_length) + 2 * max_word_length
-    sample = _long_sample(s, a, need)
+    sample = iterate_prefix(s, a, need)
 
     n = len(sample)
     width = len(alpha)

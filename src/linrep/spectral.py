@@ -27,7 +27,7 @@ from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from . import words as wd
 from .classify import YES, ClassificationReport
-from .substitution import Substitution, reduced_substitution, perron_growth
+from .substitution import Substitution, iterate_prefix, perron_growth, reduced_substitution
 
 FINITE_SECTION_CAP = 4096
 
@@ -256,11 +256,7 @@ def gordon_check(
     )
     bound = lam / (report.lr.value * rho)
 
-    witness = report.certificate.letter
-    sample_word = witness
-    while len(sample_word) < sample_length:
-        sample_word = s.apply(sample_word[:sample_length])
-    sample_word = sample_word[:sample_length]
+    sample_word = iterate_prefix(s, report.certificate.letter, sample_length)
     codes = {ord(ch): i for i, ch in enumerate(s.letters)}
     sample = np.frombuffer(sample_word.translate(codes).encode("latin-1"), dtype=np.uint8)
 

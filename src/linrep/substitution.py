@@ -591,6 +591,19 @@ def perron_growth(
     return GrowthEstimate(theta=theta, lambda_v=lo, rho_v=hi, words=word_list, n_checked=n_max)
 
 
+def iterate_prefix(s: Substitution, seed: str, length: int) -> str:
+    """First `length` letters of S^k(seed), k the first power that long.
+
+    Only the first `length` letters are substituted at each step.  Unlike
+    `fixed_point_prefix`, the seed need not start a fixed point; it must
+    grow.
+    """
+    w = seed
+    while len(w) < length:
+        w = s.apply(w[:length])
+    return w[:length]
+
+
 def fixed_point_prefix(s: Substitution, letter: str, length: int) -> str:
     """First `length` letters of the one-sided fixed point grown from `letter`.
 

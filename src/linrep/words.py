@@ -297,6 +297,122 @@ def coverage_length(factors: FactorSet, targets: Iterable[Word]) -> int | None:
     return L if L <= max(map(len, roots)) else None
 
 
+class CoverageUndecidedError(ValueError):
+    """`coverage_exact` hit its round cap before its summaries repeated."""
+
+
+# rounds of the coverage fold before it reports undecided
+FOLD_ROUNDS = 1024
+
+
+def coverage_exact(s, targets: Iterable[Word]) -> int:
+    """Smallest L >= max |t| with: every factor of length L contains every target.
+
+    Exact and without a factor set: with A the length of the longest factor
+    of the language that avoids some target, the answer is
+    max(max |t|, A + 1), and A is folded from the letter images.
+
+    Summary: for a target t of length m, a word x is summarized by its first
+    and last m - 1 letters (all of x while shorter), whether x is t-free,
+    its longest t-free prefix, suffix and factor, and |x| while x is t-free
+    (else 0).  The summary of a product xy follows from those of x and y: an
+    occurrence of t in xy lies in x, in y, or crosses the seam, and a
+    crossing one lies in the junction word suffix(x) + prefix(y), using s
+    letters of x (1 <= s <= m - 1).  Such an occurrence rules out exactly
+    the crossing runs with at least s letters of x and at least m - s of
+    y, so the longest t-free run across the seam is x[-a:] y[:b] with a
+    capped by the t-free suffix of x and by some s - 1, and b by the t-free
+    prefix of y and by m - s - 1 for every occurrence with s <= a: at most
+    m candidates.  The t-free prefix of xy is that of x when x holds t, else
+    it ends just before the end of the first crossing occurrence, else it
+    runs into y; the suffix is symmetric.
+
+    Fold: round 0 summarizes the letters; round k + 1 summarizes
+    S^(k+1)(a) by folding the summaries of S^k(b), b in S(a), over the
+    letters of S(a).  The tuple of the letters' summaries in round k + 1 is
+    a function of the tuple in round k, so once a tuple repeats, every later
+    tuple is one already seen, and the fold stops there.  A factor of the
+    language is a subword of some S^k(a), so A is the largest longest-t-free
+    factor among the summaries seen: the answer is exact whenever the fold
+    stops.
+
+    Stopping: when A is finite, every number in a summary is at most A (a
+    t-free word is a t-free factor), and the letter strings have at most
+    m - 1 letters, so there are finitely many summaries and the tuple
+    repeats.  When some target is avoided by arbitrarily long factors (a
+    letter without bounded gaps, or a target outside the language), the
+    t-free lengths grow without bound and nothing repeats; after
+    FOLD_ROUNDS rounds `CoverageUndecidedError` says so.  The cap counts
+    rounds, and each round folds sum |S(a)| summaries per target.
+    """
+    targets = tuple(targets)
+    if not targets or not all(targets):
+        raise ValueError("coverage needs nonempty targets")
+    rules = s.rules
+    letters = list(s.letters)
+    avoid = 0
+    # a word free of t is free of every word containing t, so only the
+    # targets inside no other target can reach the maximum
+    for t in [t for t in targets if not any(t != u and t in u for u in targets)]:
+        m = len(t)
+        k = m - 1
+
+        def join(x, y):
+            xpre, xsuf, xfree, xhead, xtail, xrun, xn = x
+            ypre, ysuf, yfree, yhead, ytail, yrun, yn = y
+            pre = (xpre + ypre)[:k]
+            both = xsuf + ysuf
+            suf = both[max(len(both) - k, 0) :]
+            seam = xsuf + ypre
+            i = seam.find(t)
+            if i < 0:  # nothing crosses the seam
+                free = xfree and yfree
+                head = xn + yhead if xfree else xhead
+                tail = xtail + yn if yfree else ytail
+                run = max(xrun, yrun, xtail + yhead)
+                return pre, suf, free, head, tail, run, xn + yn if free else 0
+            # letters of x used by each occurrence of t across the seam
+            cut = len(xsuf)
+            uses = []
+            while i >= 0:
+                uses.append(cut - i)
+                i = seam.find(t, i + 1)
+            head = xn + m - uses[0] - 1 if xfree else xhead
+            tail = yn + uses[-1] - 1 if yfree else ytail
+            run = max(xrun, yrun)
+            for cap in [xtail] + [u - 1 for u in uses]:
+                a = min(xtail, cap)
+                b = min([yhead] + [m - u - 1 for u in uses if u <= a])
+                run = max(run, a + b)
+            return pre, suf, False, head, tail, run, 0
+
+        level = {}
+        for a in letters:
+            free = a != t
+            level[a] = (a[:k], a[:k], free, int(free), int(free), int(free), int(free))
+        seen = set()
+        for _ in range(FOLD_ROUNDS + 1):
+            key = tuple(level.values())
+            if key in seen:
+                break
+            seen.add(key)
+            avoid = max(avoid, max(x[5] for x in key))
+            nxt = {}
+            for a in letters:
+                image = rules[a]
+                acc = level[image[0]]
+                for b in image[1:]:
+                    acc = join(acc, level[b])
+                nxt[a] = acc
+            level = nxt
+        else:
+            raise CoverageUndecidedError(
+                f"undecided-at-depth: the coverage fold for {t!r} did not repeat "
+                f"within {FOLD_ROUNDS} rounds"
+            )
+    return max(max(map(len, targets)), avoid + 1)
+
+
 def repetitivity_function(factors: FactorSet, n: int) -> int | None:
     """Smallest L with: every factor of length L contains every factor of length n.
 

@@ -223,7 +223,7 @@ def test_criterion_7_recognizer_uniqueness(catalog_subs, catalog_reports, capsys
     L = scan.half_width
 
     # spot-exhaustive confirmation at selected lengths via coverage windows
-    sample = rec._long_sample(s, "a", int(rep.lr.value * 600) + 1200)
+    sample = lr.iterate_prefix(s, "a", int(rep.lr.value * 600) + 1200)
     for m in (4 * L + 2, 4 * L + 30, 280):
         for w in sorted(wd.distinct_windows(sample, m)):
             cut_sets = {p.interior_cuts(L) for p in rec.enumerate_one_partitions(s, w)}

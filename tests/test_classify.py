@@ -340,3 +340,25 @@ def test_decide_minimality_matches_classify(catalog_reports, catalog_subs):
         assert candidates == rep.witness_pool, name
         assert decision.status == rep.minimal, name
         assert decision.certificate == rep.certificate, name
+
+
+@pytest.mark.parametrize(
+    "rules,kappa,G,confirm",
+    [
+        # two random primitive systems whose G lies beyond the old scanned
+        # depths (256), so they got no repetitivity constant before
+        ({"a": "bbac", "b": "abcc", "c": "cbaa"}, 6, 263, True),
+        ({"a": "bbcc", "b": "cbbcb", "c": "aa"}, 32, 26447, False),
+    ],
+)
+def test_lr_bound_beyond_old_scan_depth(rules, kappa, G, confirm):
+    s = Substitution.from_rules(rules)
+    rep = classify(s)
+    assert rep.minimal == YES and rep.certificate.kappa == kappa
+    assert rep.lr is not None and rep.lr.G == G
+    assert rep.lr.factor_depth == rep.factors.max_length >= 2 * kappa
+    if confirm:
+        # a saturated factor set one letter deeper than G confirms it by a scan
+        fs = wd.factor_language(s, G + 1)
+        assert fs.saturated
+        assert wd.coverage_length(fs, rep.lr.pair_set) == G

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -44,7 +45,27 @@ def test_analyze_remarkc_report(defs, capsys):
 
 
 def test_analyze_undecided_exit3(tmp_path, capsys):
-    # gap bound far beyond every scanned factor depth: decision stays open
+    # bounded letters on cycles of lengths 5, 7, 9, 11 and 13: the run
+    # between two a's returns only after 45,045 steps, beyond the block-orbit
+    # measurement cap, so the decision stays open
+    symbols = iter("bcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    rules, seed = {}, ""
+    for n in (5, 7, 9, 11, 13):
+        cycle = [next(symbols) for _ in range(n)]
+        rules.update(zip(cycle, cycle[1:] + cycle[:1]))
+        seed += cycle[0]
+    rules["a"] = "a" + seed + "a"
+    path = tmp_path / "cycles.json"
+    path.write_text(json.dumps({"name": "slow-cycles", "rules": rules}))
+    assert main(["analyze", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "minimal: undecided-at-depth" in out
+
+
+def test_analyze_wide_blocks_certified(tmp_path, capsys):
+    # gap bound and pair coverage far beyond the old scanned depths (256):
+    # the longest a-free factor is b^300, and b^300 a b^300 a b^299 is the
+    # longest factor without the pair (a b^300)^2
     defn = {
         "name": "wide-blocks",
         "alphabet": [{"symbol": "a", "value": 1.0}, {"symbol": "b", "value": -1.0}],
@@ -52,9 +73,33 @@ def test_analyze_undecided_exit3(tmp_path, capsys):
     }
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(defn))
-    assert main(["analyze", str(path)]) == 3
+    assert main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "minimal: undecided-at-depth" in out
+    assert "minimal: yes (letter 'a' with gap bound 301, block bound 300)" in out
+    assert "G=902" in out
+
+
+def test_analyze_inconsistent_pump_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # a forged block pump whose run never grows: the JSON report cannot
+    # draw its sample factor, and analyze fails with a typed error, not a
+    # traceback
+    lc = importlib.import_module("linrep.classify")  # the package attribute is the function
+
+    def forged(s, split, **kwargs):
+        pump = lc.BlockPump(
+            seed=(None, "b", None), origin=("b", 0), cycle_length=1, cycle_margin=1,
+            steps_to_cycle=0,
+        )
+        return lc.BlockAnalysis(bounded=False, max_block=None, pump=pump)
+
+    monkeypatch.setattr(lc, "analyze_bounded_blocks", forged)
+    path = tmp_path / "abaa.json"
+    path.write_text(json.dumps(catalog.definition("minimal-nonprimitive")))
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(path), "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "pump failed to grow" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_analyze_malformed_json(tmp_path, capsys):

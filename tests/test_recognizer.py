@@ -69,7 +69,7 @@ def test_enumerate_rejects_foreign_letters(abaa):
 
 def test_enumerate_matches_naive_recursion(abaa):
     rng = random.Random(5)
-    sample = rec._long_sample(abaa, "a", 400)
+    sample = lr.iterate_prefix(abaa, "a", 400)
     for _ in range(40):
         i = rng.randrange(0, len(sample) - 12)
         w = sample[i : i + rng.randint(2, 12)]
@@ -90,7 +90,7 @@ def test_enumerate_matches_naive_on_random_shapes():
 
 
 def test_partition_concatenation_invariant(abaa):
-    sample = rec._long_sample(abaa, "a", 200)
+    sample = lr.iterate_prefix(abaa, "a", 200)
     for w in (sample[3:40], sample[10:90]):
         for p in rec.enumerate_one_partitions(abaa, w):
             assert p.z0 + "".join(p.blocks) + p.z_end == w
@@ -100,7 +100,7 @@ def test_partition_concatenation_invariant(abaa):
 
 def test_cut_density(abaa):
     alpha_len = len(abaa.rules["a"])
-    sample = rec._long_sample(abaa, "a", 300)
+    sample = lr.iterate_prefix(abaa, "a", 300)
     for p in rec.enumerate_one_partitions(abaa, sample[5:250]):
         gaps = {b - a for a, b in zip(p.cut_positions, p.cut_positions[1:])}
         assert gaps <= {1, alpha_len}
@@ -122,7 +122,7 @@ def test_front_remainder_bound(abaa):
     # two partitions that both start with the full image block agree except
     # within |S(a)b| of the right end
     alpha = abaa.rules["a"]
-    sample = rec._long_sample(abaa, "a", 400)
+    sample = lr.iterate_prefix(abaa, "a", 400)
     idx = sample.find(alpha * 2)
     w = sample[idx : idx + 90]
     parts = [
@@ -169,7 +169,7 @@ def test_propagation_below_threshold(abaa, abaa_factors):
 
 
 def test_interior_agreement_on_samples(abaa, abaa_factors, abaa_report):
-    sample = rec._long_sample(abaa, "a", 3000)
+    sample = lr.iterate_prefix(abaa, "a", 3000)
     rng = random.Random(17)
     L = rec.window_half_width(abaa, abaa_factors).half_width
     for _ in range(25):
@@ -194,7 +194,7 @@ def test_no_doubled_letter_run_arithmetic():
     # a long power, which the language does not contain)
     noaa = lr.load("minimal-nonprimitive-noaa")
     alpha = noaa.rules["a"]
-    preimages = rec._long_sample(noaa, "a", 400)
+    preimages = lr.iterate_prefix(noaa, "a", 400)
     rng = random.Random(23)
     checked = 0
     for _ in range(60):
@@ -218,7 +218,7 @@ def test_recognition_rule_and_round_trip(abaa, abaa_rule, abaa_report):
     rule = abaa_rule
     assert rule.validated_on > 0
     rng = random.Random(31)
-    sample = rec._long_sample(abaa, "a", 20000)
+    sample = lr.iterate_prefix(abaa, "a", 20000)
     L = rule.half_width
     for _ in range(30):
         i = rng.randrange(0, len(sample) - (4 * L + 60))
@@ -242,7 +242,7 @@ def test_recognition_no_doubled_letter_route():
     assert rule.route == "no-doubled-letter"
     assert rule.validated_on > 0
     L = rule.half_width
-    sample = rec._long_sample(noaa, "a", 6 * (4 * L + 80))
+    sample = lr.iterate_prefix(noaa, "a", 6 * (4 * L + 80))
     rng = random.Random(41)
     for _ in range(10):
         i = rng.randrange(0, len(sample) - (4 * L + 80))

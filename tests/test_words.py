@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 import linrep as lr
 from linrep.substitution import Substitution
 from linrep.words import (
+    CoverageUndecidedError,
     UnsaturatedFactorSetError,
     count_occurrences,
+    coverage_exact,
     coverage_length,
     distinct_windows,
     factor_language,
@@ -433,3 +435,115 @@ def test_coverage_length_short_iterates():
     single = factor_language(Substitution.from_rules({"a": "a"}), 5)
     assert coverage_length(single, ["a"]) == 1
     assert coverage_length(single, ["aa"]) is None
+
+
+# --- the exact coverage fold against the reference scan ------------------------
+
+# the six systems of the classify-slow benchmark workload
+CLASSIFY_SLOW_RULES = [
+    {"0": "01001", "1": "1"},
+    {"a": "baa", "b": "b"},
+    {"a": "a", "b": "abbb"},
+    {"a": "abc", "b": "bc", "c": "c"},
+    {"a": "a", "b": "abba"},
+    {"a": "abab", "b": "b"},
+]
+
+
+def _check_fold_against_scan(s, target_sets, depth) -> int:
+    """Compare coverage_exact with the scan; returns how many values were compared."""
+    words, _, saturated, _ = closure_factor_language(s, depth)
+    assert saturated
+    compared = 0
+    for targets in target_sets:
+        expected = scan_coverage_length(words, targets, depth)
+        try:
+            got = coverage_exact(s, targets)
+        except CoverageUndecidedError:
+            assert expected is None, targets
+            continue
+        if got > depth:
+            assert expected is None, targets
+        else:
+            assert got == expected, targets
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_coverage_exact_matches_scan_catalog(name, catalog_subs, catalog_reports):
+    s, rep = catalog_subs[name], catalog_reports[name]
+    letters = sorted(s.letters)
+    target_sets = [[a] for a in letters] + [letters]
+    depth = 24
+    if rep.lr is not None:
+        # the report's kappa and G, checked against the scan below
+        letter, pairs = rep.certificate.letter, list(rep.lr.pair_set)
+        assert coverage_exact(s, [letter]) == rep.certificate.kappa
+        assert coverage_exact(s, pairs) == rep.lr.G
+        target_sets += [[letter], pairs]
+        depth = rep.lr.G + 2
+    compared = _check_fold_against_scan(s, target_sets, depth)
+    if rep.lr is not None:
+        assert compared == len(target_sets)  # minimal: every target has bounded gaps
+
+
+@pytest.mark.parametrize("rules", CLASSIFY_SLOW_RULES)
+def test_coverage_exact_matches_scan_slow_systems(rules):
+    s = Substitution.from_rules(rules)
+    fs = factor_language(s, 20)
+    letters = sorted(s.letters)
+    target_sets = [
+        *([a] for a in letters),
+        letters,
+        list(fs.words_of_length(2)),
+        *([w] for w in fs.words_of_length(3)),
+    ]
+    # none of these is minimal: most targets are avoided by arbitrarily long factors
+    assert _check_fold_against_scan(s, target_sets, 20) >= 1
+
+
+def test_coverage_exact_matches_scan_random():
+    rng = random.Random(780)
+    compared = systems = 0
+    while systems < 24:
+        letters = "abc"[: rng.choice((2, 3))]
+        rules = {c: "".join(rng.choice(letters) for _ in range(rng.randint(1, 4))) for c in letters}
+        s = Substitution.from_rules(rules)
+        if not lr.bounded_letters(s).growing:
+            continue  # a finite language: every long length holds every target vacuously
+        systems += 1
+        pool = sorted(factor_language(s, 4).words)
+        target_sets = [
+            rng.sample(pool, min(len(pool), rng.randint(1, 3))) for _ in range(4)
+        ] + [["".join(rng.choice(letters) for _ in range(rng.randint(1, 5)))]]
+        compared += _check_fold_against_scan(s, target_sets, 40)
+    assert compared >= 40
+
+
+@pytest.mark.parametrize(
+    "rules,targets",
+    [
+        # targets longer than the letters and the short iterates: the kept
+        # first and last |t| - 1 letters must not wrap around
+        ({"a": "ab", "b": "a"}, ["aba", "abaab", "baababaa", "abaababaabaab"]),
+        # two occurrences across one seam: the longest run across it stops
+        # short of the occurrence that uses more letters of the left word
+        ({"a": "bb", "b": "babbb"}, ["bbbab", "bbbba", "abbbba"]),
+    ],
+)
+def test_coverage_exact_seam_cases(rules, targets):
+    s = Substitution.from_rules(rules)
+    words, *_ = closure_factor_language(s, 40)
+    for t in targets:
+        assert coverage_exact(s, [t]) == scan_coverage_length(words, [t], 40), t
+
+
+def test_coverage_exact_caps_rounds():
+    # "ba" never occurs in the iterates a b^k: the avoiding factors grow
+    # without bound, so the fold stops at its cap with a typed result
+    s = Substitution.from_rules({"a": "ab", "b": "b"})
+    with pytest.raises(CoverageUndecidedError, match="undecided-at-depth"):
+        coverage_exact(s, ["ba"])
+    with pytest.raises(ValueError):
+        coverage_exact(s, [""])
