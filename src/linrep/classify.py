@@ -25,8 +25,9 @@ for these systems, and the explicit repetitivity constant
 (3 + G) * theta * rho / lambda is assembled from the return words of the
 certified letter.  kappa and the pair-coverage length G are exact results
 of `words.coverage_exact`, a fold over summaries of the letter images, not
-of a scan at some depth; the one factor set a certified system needs (depth
-2 * kappa at least) supplies the return words and the pairs that occur.
+of a scan at some depth.  `classify` builds one factor set per system; it
+supplies the compatibility scan, the periodicity core and, for a certified
+system (depth 2 * kappa at least), the return words and the pairs that occur.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ UNDECIDED = "undecided-at-depth"
 
 # is_periodic reads core complexities this many letters below the factor depth
 CORE_MARGIN = 8
+# steps analyze_bounded_blocks spends measuring one bounded run orbit
+MEASURE_CAP = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +173,12 @@ def _interior_triples(s: Substitution, c: str, growing: frozenset[str]) -> list[
     return out
 
 
-def analyze_bounded_blocks(
-    s: Substitution, split: AlphabetSplit, *, measure_cap: int = 4096
-) -> BlockAnalysis:
+def analyze_bounded_blocks(s: Substitution, split: AlphabetSplit) -> BlockAnalysis:
     """Decide whether the bounded-letter-only factors have bounded length.
 
     The decision itself is exact (margin sum over the context cycle); the
-    cap only limits the measurement of the maximal block length of orbits
-    already known to be bounded.
+    cap MEASURE_CAP only limits the measurement of the maximal block
+    length of orbits already known to be bounded.
     """
     growing = split.growing
 
@@ -234,13 +235,13 @@ def analyze_bounded_blocks(
             max_block = max(max_block, len(state[1]))
             state = _update_triple(s, growing, *state)
             steps += 1
-            if steps > measure_cap:
+            if steps > MEASURE_CAP:
                 return BlockAnalysis(
                     bounded=None,
                     max_block=None,
                     pump=None,
                     undecided_reason=(
-                        f"bounded-block orbit did not close within {measure_cap} steps"
+                        f"bounded-block orbit did not close within {MEASURE_CAP} steps"
                     ),
                 )
     return BlockAnalysis(bounded=True, max_block=max_block, pump=None)
@@ -409,22 +410,27 @@ class LRBound:
 
 def lr_constant_bound(
     s: Substitution,
+    split: AlphabetSplit,
     cert: BGCertificate,
-    growth: GrowthEstimate,
     factors: wd.FactorSet,
+    n_max: int,
 ) -> LRBound:
     """Assemble the explicit linear-repetitivity constant from a bounded-gaps certificate.
 
     A return word is at most kappa long, so a saturated factor set of depth
     2 * kappa holds every return word and every pair of them that is a
-    factor; both are read from `factors`, and G comes from
-    `words.coverage_exact`.
+    factor; both are read from `factors`, in one return-word pass.  The
+    return words are also the words whose growth constants (n <= n_max)
+    enter the constant, and G comes from `words.coverage_exact`.
     """
-    if not factors.saturated or factors.max_length < 2 * cert.kappa:
+    if not factors.saturated:
+        raise SubstitutionError(f"factor set did not saturate at depth {factors.max_length}")
+    if factors.max_length < 2 * cert.kappa:
         raise SubstitutionError(
             f"return-word pairs need a saturated factor set of depth >= {2 * cert.kappa}"
         )
     rw = wd.return_words(s, cert.letter, factors)
+    growth = perron_growth(reduced_substitution(s, split), rw.words, n_max)
     pairs = sorted(z1 + z2 for z1 in rw.words for z2 in rw.words if z1 + z2 in factors)
     try:
         G = wd.coverage_exact(s, pairs)
@@ -493,22 +499,20 @@ def is_periodic(
     s: Substitution,
     depth: int = 40,
     factors: wd.FactorSet | None = None,
-    *,
-    core_margin: int = CORE_MARGIN,
 ) -> PeriodicityResult:
     """Bounded periodicity decision via factor complexity of the extendable core.
 
     The subshift only sees two-sided-extendable factors, so complexity is
-    read off the pruned core (with a safety margin below the factor-set
-    depth).  Core complexity p(n) <= n at any n forces eventual
-    periodicity; the period word is then extracted from a longest core
-    factor and verified to tile every core factor.  Otherwise
+    read off the pruned core (with a safety margin of CORE_MARGIN below
+    the factor-set depth).  Core complexity p(n) <= n at any n forces
+    eventual periodicity; the period word is then extracted from a longest
+    core factor and verified to tile every core factor.  Otherwise
     p(n) >= n + 1 throughout and the system is aperiodic up to the depth.
     Every core word is a prefix of a longer one, so the tiling is checked
     on the longest core words within the margin alone, and only their
     level is kept.
     """
-    want = depth + core_margin
+    want = depth + CORE_MARGIN
     if factors is None or factors.max_length < want:
         factors = wd.factor_language(s, want)
     if not factors.saturated:
@@ -518,7 +522,7 @@ def is_periodic(
             depth=0,
             note=f"factor set did not saturate at depth {factors.max_length}",
         )
-    horizon = factors.max_length - core_margin + 1  # lengths safe from boundary effects
+    horizon = factors.max_length - CORE_MARGIN + 1  # lengths safe from boundary effects
     top: set[str] = set()  # the longest core words within the horizon
     sizes: dict[int, int] = {}
     for level in _core_levels(factors):
@@ -563,7 +567,7 @@ class ClassificationReport:
     periodicity: PeriodicityResult
     growth: GrowthEstimate | None
     lr: LRBound | None
-    factors: wd.FactorSet | None
+    factors: wd.FactorSet
     depth_caveats: tuple[str, ...]
     pruned_from: tuple[str, ...] | None = None
 
@@ -681,32 +685,27 @@ def classify(
     certificate or counterexample), linear repetitivity with its explicit
     constant, periodicity, unique ergodicity.
 
-    A certified system gets one saturated factor set, deep enough for the
-    return-word pairs (2 * kappa) and for the periodicity core; it becomes
+    Every system gets one factor set, of depth max(compat_depth + 1,
+    aperiodic_depth + CORE_MARGIN, and 2 * kappa when certified): deep
+    enough for the compatibility scan, the periodicity core and the
+    return-word pairs.  All of them read it, and it becomes
     `report.factors`."""
     split, candidates, decision = decide_minimality(s)
-    compatibility = check_compatibility(s, compat_depth)
+    minimal = decision.status
+    depth = max(compat_depth + 1, aperiodic_depth + CORE_MARGIN)
+    if minimal == YES:
+        depth = max(depth, 2 * decision.certificate.kappa)
+    factors = wd.factor_language(s, depth)
+    compatibility = check_compatibility(s, factors, compat_depth)
     primitive = is_primitive(s)
 
     caveats: list[str] = []
-    minimal = decision.status
-    growth = None
     lr = None
-    factors = None
     if minimal == YES:
-        cert = decision.certificate
-        factors = wd.factor_language(s, max(2 * cert.kappa, aperiodic_depth + CORE_MARGIN))
         try:
-            if not factors.saturated:
-                raise SubstitutionError(
-                    f"factor set did not saturate at depth {factors.max_length}"
-                )
-            pool = tuple(sorted(wd.return_words(s, cert.letter, factors).words))
-            growth = perron_growth(reduced_substitution(s, split), pool, growth_nmax)
-            lr = lr_constant_bound(s, cert, growth, factors)
+            lr = lr_constant_bound(s, split, decision.certificate, factors, growth_nmax)
             caveats.extend(lr.caveats)
         except SubstitutionError as exc:
-            growth = None
             caveats.append(f"repetitivity constant undecided: {exc}")
     elif minimal == UNDECIDED and decision.note:
         caveats.append(decision.note)
@@ -731,7 +730,7 @@ def classify(
         linearly_repetitive=minimal,
         uniquely_ergodic=_unique_ergodicity(minimal),
         periodicity=periodicity,
-        growth=growth,
+        growth=lr.growth if lr else None,
         lr=lr,
         factors=factors,
         depth_caveats=tuple(caveats),

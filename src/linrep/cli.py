@@ -143,6 +143,8 @@ def _minimal_note(report) -> str:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    if args.levels is not None and not 0 <= args.levels[0] <= args.levels[1]:
+        return _fail("--levels needs 0 <= FROM <= TO, got {} {}".format(*args.levels))
     definition = _load_definition(args.definition)
     try:
         s, notes = _prepare(definition)
@@ -341,8 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the least value each numeric flag accepts, whichever command has it
+FLAG_MINIMA = {"depth": 1, "nmax": 1, "level": 0, "prefix": 1, "bits": 1}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for name, low in FLAG_MINIMA.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            return _fail(f"--{name} must be >= {low}, got {value}")
     try:
         code = args.func(args)
         sys.stdout.flush()

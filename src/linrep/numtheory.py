@@ -18,15 +18,20 @@ premises, never the conclusion on its own authority.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
 from .classify import NO, YES, ClassificationReport
+from .recognizer import shape_letters
 from .substitution import Substitution, SubstitutionError, fixed_point_prefix
 
 CASE_SEPARATED = "separated-run"  # S(0) = 0 1^k 0 w 0
 CASE_DOUBLED = "doubled-start"    # S(0) = 0 0 w 0, w containing 1
+
+# check_conditions: a ratio tail has settled when its steps stay within this,
+# and a ratio is positive when it stays above it
+RATIO_TOL = 1e-6
 
 ATTRIBUTION = (
     "premises of the Ferenczi-Mauduit transcendence criterion verified at the "
@@ -66,26 +71,15 @@ class StutterWitness:
     v_prime_lengths: tuple[int, ...]
 
 
-def _shape_letters(s: Substitution) -> tuple[str, str, bool]:
-    """Identify (growing, fixed) letters of a two-letter system with a fixed letter."""
-    if len(s.letters) != 2:
-        raise CaseDetectionError("stutter analysis needs a two-letter alphabet")
-    fixed = [a for a in s.letters if s.rules[a] == a]
-    if not fixed:
-        raise CaseDetectionError("no letter is fixed by the substitution")
-    one = fixed[0]
-    zero = next(a for a in s.letters if a != one)
-    swapped = s.letters.index(one) == 0
-    return zero, one, swapped
-
-
 def detect_case(s: Substitution, report: ClassificationReport) -> StutterWitness:
     """Classify S(0) into the separated-run or doubled-start shape.
 
     Preconditions (checked): nonprimitive, certified minimal, aperiodic up
     to depth.  Primitive systems are out of scope here (handled by the
-    constant-length / primitive theory elsewhere).  The skeleton witness has
-    empty length tables; build_witness fills them.
+    constant-length / primitive theory elsewhere).  The growing and fixed
+    letters come from `recognizer.shape_letters`, whose `ShapeError` says
+    when there are none.  The skeleton witness has empty length tables;
+    build_witness fills them.
     """
     if report.primitive.primitive:
         raise CaseDetectionError("primitive systems are out of scope for this analysis")
@@ -93,7 +87,7 @@ def detect_case(s: Substitution, report: ClassificationReport) -> StutterWitness
         raise CaseDetectionError(f"system is not certified minimal (status {report.minimal!r})")
     if report.periodicity.status == "periodic":
         raise CaseDetectionError("periodic systems are excluded")
-    zero, one, swapped = _shape_letters(s)
+    zero, one = shape_letters(s)
     img = s.rules[zero]
     if not (img[0] == zero and img[-1] == zero and one in img):
         raise CaseDetectionError(
@@ -108,31 +102,19 @@ def detect_case(s: Substitution, report: ClassificationReport) -> StutterWitness
             raise PeriodicShapeError(
                 f"image {img!r} is exactly {zero}{one}^{k}{zero}: periodic fixed point"
             )
-        return StutterWitness(
-            case_tag=CASE_SEPARATED,
-            zero=zero,
-            one=one,
-            swapped=swapped,
-            k=k,
-            w=rest[:-1],
-            p="",
-            depth=0,
-            u_lengths=(),
-            v_lengths=(),
-            v_prime_lengths=(),
-        )
-    # img[1] == zero
-    w = img[2:-1]
-    if one not in w:
-        raise CaseDetectionError(
-            f"doubled-start image {img!r} must carry {one!r} strictly inside"
-        )
+        case_tag, w = CASE_SEPARATED, rest[:-1]
+    else:  # img[1] == zero
+        case_tag, k, w = CASE_DOUBLED, None, img[2:-1]
+        if one not in w:
+            raise CaseDetectionError(
+                f"doubled-start image {img!r} must carry {one!r} strictly inside"
+            )
     return StutterWitness(
-        case_tag=CASE_DOUBLED,
+        case_tag=case_tag,
         zero=zero,
         one=one,
-        swapped=swapped,
-        k=None,
+        swapped=s.letters.index(one) == 0,
+        k=k,
         w=w,
         p="",
         depth=0,
@@ -161,21 +143,13 @@ def build_witness(s: Substitution, skeleton: StutterWitness, depth: int = 32) ->
             "shape classification inconsistent, flag for review"
         )
     p = prefix[:idx]
-    u_lengths = tuple(s.word_image_length(p, n) for n in range(1, depth + 1))
-    v_lengths = tuple(s.word_image_length(v_word, n) for n in range(1, depth + 1))
-    vp_lengths = tuple(s.word_image_length(zero, n) for n in range(1, depth + 1))
-    return StutterWitness(
-        case_tag=skeleton.case_tag,
-        zero=zero,
-        one=one,
-        swapped=skeleton.swapped,
-        k=skeleton.k,
-        w=skeleton.w,
+    return replace(
+        skeleton,
         p=p,
         depth=depth,
-        u_lengths=u_lengths,
-        v_lengths=v_lengths,
-        v_prime_lengths=vp_lengths,
+        u_lengths=tuple(s.word_image_length(p, n) for n in range(1, depth + 1)),
+        v_lengths=tuple(s.word_image_length(v_word, n) for n in range(1, depth + 1)),
+        v_prime_lengths=tuple(s.word_image_length(zero, n) for n in range(1, depth + 1)),
     )
 
 
@@ -191,13 +165,13 @@ class ConditionReport:
     depth: int
 
 
-def check_conditions(witness: StutterWitness, *, ratio_tol: float = 1e-6) -> ConditionReport:
+def check_conditions(witness: StutterWitness) -> ConditionReport:
     """Check the three premises at the witness depth.
 
     Divergence: |V_n| strictly increasing (integers, hence unbounded).
     Bounded prefix ratio: the tail of |U_n|/|V_n| has settled within
-    ratio_tol.  Positive core ratio: min over the upper half of
-    |V_n'|/|V_n| stays above ratio_tol.
+    RATIO_TOL.  Positive core ratio: min over the upper half of
+    |V_n'|/|V_n| stays above RATIO_TOL.
     """
     n = witness.depth
     if n < 10:
@@ -208,12 +182,12 @@ def check_conditions(witness: StutterWitness, *, ratio_tol: float = 1e-6) -> Con
     ratios_uv = [u / vv for u, vv in zip(witness.u_lengths, v)]
     tail = ratios_uv[-6:]
     settled = max(abs(tail[i + 1] - tail[i]) for i in range(len(tail) - 1))
-    bounded = YES if settled <= ratio_tol else "undecided-at-depth"
+    bounded = YES if settled <= RATIO_TOL else "undecided-at-depth"
 
     ratios_vpv = [vp / vv for vp, vv in zip(witness.v_prime_lengths, v)]
     half = ratios_vpv[n // 2 :]
     min_core = min(half)
-    positive = YES if min_core > ratio_tol else "undecided-at-depth"
+    positive = YES if min_core > RATIO_TOL else "undecided-at-depth"
     return ConditionReport(
         lengths_diverge=diverge,
         prefix_ratio_bounded=bounded,
@@ -238,7 +212,7 @@ class ExpansionValue:
     """A digit expansion evaluated as an exact dyadic rational to `bits` bits.
 
     value = mantissa / 2^bits; the truncation error of the partial sum is at
-    most base^(-digits_used), recorded as error_exponent.
+    most base^(-digits_used).
     """
 
     mantissa: int
@@ -249,13 +223,6 @@ class ExpansionValue:
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.mantissa, 1 << self.bits)
-
-    def to_float(self) -> float:
-        return self.mantissa / (1 << self.bits)
-
-    @property
-    def error_exponent(self) -> int:
-        return -self.digits_used
 
     def decimal_string(self) -> str:
         digits10 = max(1, math.ceil(self.bits * math.log10(2)))

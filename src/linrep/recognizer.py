@@ -16,7 +16,7 @@ the largest exponent any short factor achieves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from . import words as wd
 from .classify import YES, ClassificationReport
 from .substitution import Substitution, SubstitutionError, iterate_prefix
@@ -32,6 +32,9 @@ class ShallowFactorSetError(SubstitutionError):
 
 MAX_PARTITIONS = 10**4
 MAX_WIDTH_DEPTH = 256  # deepest factor set window_half_width builds
+# recognition_rule validates on this many fresh windows of a sample this long
+SAMPLE_DEPTH = 10**4
+VALIDATION_WORDS = 120
 
 
 def shape_letters(s: Substitution) -> tuple[str, str]:
@@ -296,16 +299,14 @@ def recognition_rule(
     s: Substitution,
     factors: wd.FactorSet,
     report: ClassificationReport | None = None,
-    *,
-    sample_depth: int = 10**4,
-    validation_words: int = 120,
 ) -> RecognitionRule:
     """Harvest cut-centered windows from factor partitions, then validate them.
 
     Training: every 1-partition of every factor of length 4L contributes the
     (2L+1)-windows centered at its interior cuts.  Validation: on fresh
-    longer samples, cuts re-derived from the window set alone must coincide
-    with the enumerated partitions' interior cuts.
+    longer samples (about VALIDATION_WORDS windows of a SAMPLE_DEPTH-letter
+    prefix of an iterate), cuts re-derived from the window set alone must
+    coincide with the enumerated partitions' interior cuts.
     """
     _require_minimal_aperiodic(report)
     a, b = shape_letters(s)
@@ -332,10 +333,10 @@ def recognition_rule(
     )
 
     # validation against fresh, longer samples drawn from a deep iterate
-    sample = iterate_prefix(s, a, sample_depth)
+    sample = iterate_prefix(s, a, SAMPLE_DEPTH)
     fresh_len = min(6 * L, len(sample))
     fresh = sorted(wd.distinct_windows(sample, fresh_len))
-    stride = max(1, len(fresh) // validation_words)
+    stride = max(1, len(fresh) // VALIDATION_WORDS)
     checked = 0
     for f in fresh[::stride]:
         parts = enumerate_one_partitions(s, f)
@@ -350,13 +351,7 @@ def recognition_rule(
                 f"(expected cuts {sorted(expect)[:8]}..., got {sorted(got)[:8]}...)"
             )
         checked += 1
-    return RecognitionRule(
-        half_width=L,
-        route=ww.route,
-        windows=rule.windows,
-        training_length=training_len,
-        validated_on=checked,
-    )
+    return replace(rule, validated_on=checked)
 
 
 def desubstitute(s: Substitution, window: str, rule: RecognitionRule) -> tuple[str, int]:

@@ -37,6 +37,14 @@ FINITE_SECTION_CAP = 4096
 # (period-doubling level 8) and are merged as well, which `closed_gaps` counts.
 CLOSED_GAP_TOL = 1e-9
 
+# the default energy window reaches this far beyond the spectrum's bound
+WINDOW_MARGIN = 0.5
+
+# gordon_check: slack of the cube-frequency bound, and the depth of the
+# factor set it searches for a cube when the report's set is shallower
+GORDON_TOL = 1e-3
+GORDON_SEARCH_DEPTH = 48
+
 
 def transfer_matrix(
     word: str, energy: float, potentials: Mapping[str, float], dtype=float
@@ -76,9 +84,9 @@ class BandSpectrum:
         return len(self.bands)
 
 
-def default_window(s: Substitution, margin: float = 0.5) -> tuple[float, float]:
+def default_window(s: Substitution) -> tuple[float, float]:
     values = [s.alphabet.value(ch) for ch in s.letters]
-    return (min(values) - 2.0 - margin, max(values) + 2.0 + margin)
+    return (min(values) - 2.0 - WINDOW_MARGIN, max(values) + 2.0 + WINDOW_MARGIN)
 
 
 def _floquet_edges(word: str, potentials: Mapping[str, float]) -> np.ndarray:
@@ -127,6 +135,8 @@ def band_spectrum(
     edge is an eigenvalue from a backward-stable banded solver, found in
     O(q^2) time and O(q) memory.
     """
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     if window is None:
         window = default_window(s)
     lo, hi = window
@@ -157,16 +167,12 @@ def band_spectrum(
     )
 
 
-def finite_section_eigenvalues(
-    word: str, potentials: Mapping[str, float], boundary: str = "dirichlet"
-) -> np.ndarray:
+def finite_section_eigenvalues(word: str, potentials: Mapping[str, float]) -> np.ndarray:
     """Eigenvalues of the operator restricted to the word's sites, Dirichlet cut.
 
     Symmetric tridiagonal matrix with the letter values on the diagonal and
     unit hopping; eigenvalues sorted ascending.
     """
-    if boundary != "dirichlet":
-        raise ValueError(f"unsupported boundary {boundary!r}")
     n = len(word)
     if n == 0:
         raise ValueError("empty word")
@@ -226,22 +232,18 @@ def cube_positions(sample: np.ndarray, n: int) -> int:
 def gordon_check(
     s: Substitution,
     report: ClassificationReport,
-    factors: wd.FactorSet | None = None,
     *,
     levels: Sequence[int] = (1, 2, 3, 4, 5, 6),
     sample_length: int = 10**6,
-    tolerance: float = 1e-3,
-    search_depth: int = 48,
 ) -> GordonReport | GordonHypothesisMissing:
     """Locate a cube witness and verify the analytic cube-frequency bound empirically."""
     if report.minimal != YES:
         raise ValueError("gordon_check needs a certified minimal system")
     if report.lr is None:
         raise ValueError("gordon_check needs the explicit repetitivity constant")
-    if factors is None:
-        factors = report.factors
-        if factors is None or factors.max_length < search_depth:
-            factors = wd.factor_language(s, search_depth)
+    factors = report.factors
+    if factors.max_length < GORDON_SEARCH_DEPTH:
+        factors = wd.factor_language(s, GORDON_SEARCH_DEPTH)
     growing = report.split.growing
     u = wd.find_power(factors, lambda w: w[0] in growing, 3)
     if u is None:
@@ -270,7 +272,7 @@ def gordon_check(
             break
         freq = cube_positions(sample, n) / total
         empirical[k] = freq
-        if freq < bound - tolerance:
+        if freq < bound - GORDON_TOL:
             ok = False
     return GordonReport(
         u=u,

@@ -20,7 +20,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import words as wd
+# power iteration stops once theta is stable to this relative tolerance
+PERRON_RTOL = 1e-12
+# relative slack GrowthEstimate.verify allows around the float constants
+GROWTH_SLACK = 1e-9
 
 
 class SubstitutionError(Exception):
@@ -85,22 +88,12 @@ class Alphabet:
                 raise SubstitutionError(
                     "duplicate letter values (pass allow_duplicate_values=True to permit)"
                 )
-        self._index = {ch: i for i, ch in enumerate(self.letters)}
-
-    def index(self, ch: str) -> int:
-        return self._index[ch]
 
     def value(self, ch: str) -> float:
         return self.values[ch]
 
     def __contains__(self, ch: str) -> bool:
-        return ch in self._index
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
+        return ch in self.values
 
     def __repr__(self) -> str:
         return f"Alphabet({''.join(self.letters)!r})"
@@ -192,10 +185,6 @@ class Substitution:
         for _ in range(n):
             w = self.apply(w)
         return w
-
-    @property
-    def max_image_length(self) -> int:
-        return max(len(img) for img in self.rules.values())
 
     def abelianization(self) -> list[list[int]]:
         """Occurrence matrix M with M[i][j] = (count of letter j in the image of letter i)."""
@@ -431,17 +420,32 @@ class ReducedSubstitution:
 
 
 def reduced_substitution(s: Substitution, split: AlphabetSplit) -> ReducedSubstitution:
-    """Erase bounded letters from every rule; verify the erasure intertwines iteration."""
+    """Erase bounded letters from every rule.
+
+    With pi the erasure of the bounded letters B and S' the reduced
+    substitution, pi(S^n(w)) = S'^n(pi(w)) for every word w and every n
+    >= 0, so one check of the letters settles every depth.  Both pi o S and
+    S' o pi are morphisms, so they agree on every word once they agree on
+    every letter, and then the identity for n follows from the one for
+    n - 1.  For a growing letter c, pi(S(c)) = S'(c) = S'(pi(c)) by the
+    definition of S'.  For a bounded letter b, S'(pi(b)) is empty, and
+    pi(S(b)) is empty exactly when S(b) lies in B*.  So erasure commutes
+    with S exactly when no bounded letter's image holds a growing letter,
+    which `bounded_letters` guarantees (B is invariant) and which is checked
+    here for a split built elsewhere.
+    """
     if not split.growing:
         raise NoGrowingLettersError("cannot reduce: no growing letters")
+    for b in s.letters:
+        if b in split.bounded and not split.growing.isdisjoint(s.rules[b]):
+            raise SubstitutionError(
+                f"bounded letter {b!r} maps to {s.rules[b]!r}, which holds a growing "
+                "letter; erasure would not commute with the substitution"
+            )
     growing = [a for a in s.letters if a in split.growing]
-
-    def project(w: str) -> str:
-        return "".join(ch for ch in w if ch in split.growing)
-
     rules = {}
     for c in growing:
-        image = project(s.rules[c])
+        image = "".join(ch for ch in s.rules[c] if ch in split.growing)
         if not image:
             raise SubstitutionError(
                 f"reduced rule for {c!r} is empty; {c!r} cannot be a growing letter"
@@ -453,20 +457,7 @@ def reduced_substitution(s: Substitution, split: AlphabetSplit) -> ReducedSubsti
         allow_duplicate_values=True,
     )
     base = Substitution(alphabet, rules, name=(s.name and s.name + "~"))
-    reduced = ReducedSubstitution(base=base, original=s, split=split)
-
-    # erasure must commute with iteration: check to depth 6 with a size guard
-    for c in growing:
-        w = c
-        for n in range(1, 7):
-            if len(w) > 20000:
-                break
-            w = s.apply(w)
-            if project(w) != base.iterate(c, n):
-                raise SubstitutionError(
-                    f"erasure does not intertwine iteration at letter {c!r}, depth {n}"
-                )
-    return reduced
+    return ReducedSubstitution(base=base, original=s, split=split)
 
 
 @dataclass(frozen=True)
@@ -486,7 +477,6 @@ def is_primitive(s: Substitution | ReducedSubstitution) -> PrimitivityResult:
     r = (n-1)^2 + 1, so scanning up to that bound decides.  A zero entry at
     the bound is returned as the certificate of failure.
     """
-    letters = s.letters if isinstance(s, Substitution) else s.base.letters
     m = s.abelianization()
     n = len(m)
     bound = (n - 1) ** 2 + 1
@@ -500,12 +490,12 @@ def is_primitive(s: Substitution | ReducedSubstitution) -> PrimitivityResult:
         for j, x in enumerate(row):
             if x == 0:
                 return PrimitivityResult(
-                    primitive=False, power=None, zero_entry=(bound, letters[i], letters[j])
+                    primitive=False, power=None, zero_entry=(bound, s.letters[i], s.letters[j])
                 )
     raise AssertionError("unreachable")
 
 
-def perron_eigenvalue(matrix: Sequence[Sequence[int]], *, rtol: float = 1e-12) -> float:
+def perron_eigenvalue(matrix: Sequence[Sequence[int]]) -> float:
     """Dominant eigenvalue of a primitive nonnegative matrix by power iteration."""
     m = np.asarray(matrix, dtype=float)
     v = np.ones(m.shape[0])
@@ -518,7 +508,7 @@ def perron_eigenvalue(matrix: Sequence[Sequence[int]], *, rtol: float = 1e-12) -
             raise NotPrimitiveError("matrix power iteration collapsed to zero")
         new_theta = nw / float(np.linalg.norm(v))
         v = w / nw
-        if theta and abs(new_theta - theta) <= rtol * abs(new_theta):
+        if theta and abs(new_theta - theta) <= PERRON_RTOL * abs(new_theta):
             stable += 1
             if stable >= 5:
                 return new_theta
@@ -543,13 +533,17 @@ class GrowthEstimate:
     words: tuple[str, ...]
     n_checked: int
 
-    def verify(self, s: Substitution, *, slack: float = 1e-9) -> bool:
+    def verify(self, s: Substitution) -> bool:
         """Re-check the sandwich against exact iterate lengths."""
         for v in self.words:
             for n in range(1, self.n_checked + 1):
                 length = s.word_image_length(v, n)
                 scale = self.theta**n
-                if not (self.lambda_v * scale * (1 - slack) <= length <= self.rho_v * scale * (1 + slack)):
+                if not (
+                    self.lambda_v * scale * (1 - GROWTH_SLACK)
+                    <= length
+                    <= self.rho_v * scale * (1 + GROWTH_SLACK)
+                ):
                     return False
         return True
 
@@ -558,15 +552,15 @@ def perron_growth(
     reduced: ReducedSubstitution,
     words_with_growing: Iterable[str],
     n_max: int = 30,
-    *,
-    rtol: float = 1e-12,
 ) -> GrowthEstimate:
     """Growth constants for a finite set of words, each containing a growing letter.
 
     theta is the Perron eigenvalue of the reduced substitution (which must be
     primitive); the lambda/rho constants are empirical extrema of the exact
-    integer lengths |S^n(v)| against theta^n for n up to n_max.
+    integer lengths |S^n(v)| against theta^n for n up to n_max (>= 1).
     """
+    if n_max < 1:
+        raise ValueError(f"growth constants need n_max >= 1, got {n_max}")
     prim = is_primitive(reduced)
     if not prim.primitive:
         raise NotPrimitiveError(
@@ -579,7 +573,7 @@ def perron_growth(
     for v in word_list:
         if not any(ch in growing for ch in v):
             raise ValueError(f"word {v!r} contains no growing letter")
-    theta = perron_eigenvalue(reduced.abelianization(), rtol=rtol)
+    theta = perron_eigenvalue(reduced.abelianization())
     s = reduced.original
     lo = math.inf
     hi = 0.0
@@ -657,34 +651,54 @@ class CompatibilityResult:
     detail: dict
 
 
-def check_compatibility(s: Substitution, depth: int = 16) -> CompatibilityResult:
+def check_compatibility(s: Substitution, factors, depth: int = 16) -> CompatibilityResult:
     """Decide (partially) whether the factor language equals the subshift language.
 
+    `factors` is a `words.FactorSet` of depth >= depth + 1 (`classify`
+    passes the one it builds for the whole classification); only its words
+    of length <= depth + 1 are read, so the answer is that of a set of
+    depth exactly depth + 1 whenever both are saturated.
+
     Refutation: the factor language is exact up to its depth, so a factor
-    with no single-letter extension on one side can never occur inside a
-    two-sided sequence.  Certification: either some growing letter e recurs
-    strictly inside S^p(e) and reaches every letter (every factor then sits
-    inside some S^N(e) with margins growing along multiples of p), or a
-    seed pair a.b of growing letters with S^p(a) ending in a, S^p(b)
-    beginning with b and ab in the language builds two-sided fixed points of
-    S^p covering everything the pair reaches.  Anything else: unknown.
+    of length <= depth with no single-letter extension on one side can
+    never occur inside a two-sided sequence.  Certification: either some
+    growing letter e recurs strictly inside S^p(e) and reaches every letter
+    (every factor then sits inside some S^N(e) with margins growing along
+    multiples of p), or a seed pair a.b of growing letters with S^p(a)
+    ending in a, S^p(b) beginning with b and ab in the language builds
+    two-sided fixed points of S^p covering everything the pair reaches.
+    Anything else: unknown.
     """
+    if factors.max_length < depth + 1:
+        raise ValueError(
+            f"compatibility to depth {depth} needs a factor set of depth >= {depth + 1}, "
+            f"got {factors.max_length}"
+        )
     split = bounded_letters(s)
     all_letters = frozenset(s.letters)
-    factors = wd.factor_language(s, max(4, depth + 1))
     if factors.saturated:
-        # refutation scan, small words first
-        for w in sorted(factors.words, key=lambda w: (len(w), w)):
-            if len(w) >= factors.max_length:
-                break
-            if not any((w + x) in factors for x in s.letters):
-                return CompatibilityResult(
-                    "fails-certified", {"blocked_factor": w, "side": "right"}
-                )
-            if not any((x + w) in factors for x in s.letters):
-                return CompatibilityResult(
-                    "fails-certified", {"blocked_factor": w, "side": "left"}
-                )
+        # the factors of each length n <= depth + 1, longest first: every
+        # factor is a prefix of a root, so level n holds the roots cut to
+        # length n and the words of level n + 1 less their last letter
+        levels = [set() for _ in range(depth + 2)]
+        for r in factors.roots():
+            levels[min(len(r), depth + 1)].add(r[: depth + 1])
+        for n in range(depth, 0, -1):
+            levels[n] |= {u[:-1] for u in levels[n + 1]}
+        # refutation scan, small words first: a word has a right (left)
+        # extension when it is a prefix (suffix) of a factor one letter longer
+        for n in range(1, depth + 1):
+            prefixes = {u[:-1] for u in levels[n + 1]}
+            suffixes = {u[1:] for u in levels[n + 1]}
+            for w in sorted(levels[n]):
+                if w not in prefixes:
+                    return CompatibilityResult(
+                        "fails-certified", {"blocked_factor": w, "side": "right"}
+                    )
+                if w not in suffixes:
+                    return CompatibilityResult(
+                        "fails-certified", {"blocked_factor": w, "side": "left"}
+                    )
 
     # interior recurrence certificate
     for e in sorted(split.growing):
@@ -704,30 +718,31 @@ def check_compatibility(s: Substitution, depth: int = 16) -> CompatibilityResult
 
     # seed-pair certificate
     if factors.saturated and factors.max_length >= 2:
-        ends = {}
-        begins = {}
-        for x in sorted(split.growing):
-            cur = x
-            for p in range(1, depth + 1):
-                cur = s.last_letter(cur)
-                if cur == x:
-                    ends[x] = p
-                    break
-            cur = x
-            for p in range(1, depth + 1):
-                cur = s.first_letter(cur)
-                if cur == x:
-                    begins[x] = p
-                    break
+        pairs = set(factors.words_of_length(2))
+        ends = _return_times(s.last_letter, split.growing, depth)
+        begins = _return_times(s.first_letter, split.growing, depth)
         for x in sorted(ends):
             for y in sorted(begins):
                 p = math.lcm(ends[x], begins[y])
                 if p > depth:
                     continue
-                if (x + y) in factors and (s.reachable([x]) | s.reachable([y])) == all_letters:
+                if (x + y) in pairs and (s.reachable([x]) | s.reachable([y])) == all_letters:
                     return CompatibilityResult(
                         "holds-certified",
                         {"kind": "seed-pair", "left": x, "right": y, "power": p},
                     )
 
     return CompatibilityResult("unknown", {"depth": depth})
+
+
+def _return_times(step, letters, depth: int) -> dict[str, int]:
+    # the least p <= depth with step^p(x) = x, for each letter x that has one
+    times = {}
+    for x in sorted(letters):
+        cur = x
+        for p in range(1, depth + 1):
+            cur = step(cur)
+            if cur == x:
+                times[x] = p
+                break
+    return times

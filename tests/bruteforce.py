@@ -278,3 +278,70 @@ def failed_witnesses(rules: dict[str, str], witnesses: dict[str, tuple[str, int]
             if not ok:
                 failed.append(w)
     return failed
+
+
+def own_set_compatibility(s, depth: int = 16):
+    """The compatibility check on a factor set of its own, of depth max(4, depth + 1).
+
+    Reference for `check_compatibility` on the factor set `classify` builds:
+    the same refutation scan over the full derived word set (with `in` on
+    the set itself), the same recurrence and seed-pair certificates.
+    """
+    import math
+
+    from linrep.substitution import CompatibilityResult, bounded_letters
+    from linrep.words import factor_language
+
+    split = bounded_letters(s)
+    all_letters = frozenset(s.letters)
+    factors = factor_language(s, max(4, depth + 1))
+    if factors.saturated:
+        for w in sorted(factors.words, key=lambda w: (len(w), w)):
+            if len(w) >= factors.max_length:
+                break
+            if not any((w + x) in factors for x in s.letters):
+                return CompatibilityResult("fails-certified", {"blocked_factor": w, "side": "right"})
+            if not any((x + w) in factors for x in s.letters):
+                return CompatibilityResult("fails-certified", {"blocked_factor": w, "side": "left"})
+
+    for e in sorted(split.growing):
+        if s.reachable([e]) != all_letters:
+            continue
+        w = e
+        for p in range(1, depth + 1):
+            if len(w) > 200000:
+                break
+            w = s.apply(w)
+            idx = w.find(e, 1)
+            if 0 < idx < len(w) - 1:
+                return CompatibilityResult(
+                    "holds-certified", {"kind": "interior-recurrence", "letter": e, "power": p}
+                )
+
+    if factors.saturated and factors.max_length >= 2:
+        ends = {}
+        begins = {}
+        for x in sorted(split.growing):
+            cur = x
+            for p in range(1, depth + 1):
+                cur = s.last_letter(cur)
+                if cur == x:
+                    ends[x] = p
+                    break
+            cur = x
+            for p in range(1, depth + 1):
+                cur = s.first_letter(cur)
+                if cur == x:
+                    begins[x] = p
+                    break
+        for x in sorted(ends):
+            for y in sorted(begins):
+                p = math.lcm(ends[x], begins[y])
+                if p > depth:
+                    continue
+                if (x + y) in factors and (s.reachable([x]) | s.reachable([y])) == all_letters:
+                    return CompatibilityResult(
+                        "holds-certified", {"kind": "seed-pair", "left": x, "right": y, "power": p}
+                    )
+
+    return CompatibilityResult("unknown", {"depth": depth})

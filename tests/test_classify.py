@@ -13,9 +13,15 @@ from linrep.classify import (
     extendable_core,
     is_periodic,
 )
-from linrep.substitution import Substitution, SubstitutionError, bounded_letters
+from linrep.substitution import (
+    Substitution,
+    SubstitutionError,
+    bounded_letters,
+    check_compatibility,
+)
 
-from bruteforce import rescan_extendable_core
+from bruteforce import own_set_compatibility, rescan_extendable_core
+from conftest import CATALOG_NAMES
 
 
 def test_bounded_gaps_abaa_certificate():
@@ -362,3 +368,56 @@ def test_lr_bound_beyond_old_scan_depth(rules, kappa, G, confirm):
         fs = wd.factor_language(s, G + 1)
         assert fs.saturated
         assert wd.coverage_length(fs, rep.lr.pair_set) == G
+
+
+def test_classify_builds_one_factor_set(monkeypatch):
+    # compatibility, periodicity and the return words all read the one set
+    calls = []
+    build = wd.factor_language
+
+    def counted(s, max_length, **kwargs):
+        calls.append(max_length)
+        return build(s, max_length, **kwargs)
+
+    monkeypatch.setattr(wd, "factor_language", counted)
+    for name in CATALOG_NAMES:
+        calls.clear()
+        rep = classify(lr.load(name))
+        assert calls == [rep.factors.max_length], name
+
+
+# the six systems whose iterates grow fast while new factors arrive slowly
+SLOW_SYSTEMS = [
+    {"0": "01001", "1": "1"},
+    {"a": "baa", "b": "b"},
+    {"a": "a", "b": "abbb"},
+    {"a": "abc", "b": "bc", "c": "c"},
+    {"a": "a", "b": "abba"},
+    {"a": "abab", "b": "b"},
+]
+
+
+def test_compatibility_on_classify_set_matches_own_set():
+    import random
+
+    systems = [lr.load(name) for name in CATALOG_NAMES]
+    systems += [Substitution.from_rules(rules) for rules in SLOW_SYSTEMS]
+    rng = random.Random(7)
+    while len(systems) < len(CATALOG_NAMES) + len(SLOW_SYSTEMS) + 40:
+        letters = "abc"[: rng.choice([2, 3])]
+        rules = {
+            a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 4))) for a in letters
+        }
+        systems.append(Substitution.from_rules(rules))
+    checked = 0
+    for s in systems:
+        try:
+            rep = classify(s)
+        except SubstitutionError:
+            continue  # empty subshift or unreachable letters
+        assert rep.compatibility == own_set_compatibility(s, 16), s
+        for depth in (3, 8):
+            got = check_compatibility(s, rep.factors, depth)
+            assert got == own_set_compatibility(s, depth), (s, depth)
+        checked += 1
+    assert checked >= 40

@@ -144,6 +144,52 @@ def test_analyze_golden(name, defs, tmp_path, capsys):
     assert out.read_text() == (GOLDEN / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        pytest.param(
+            ["analyze", "fibonacci.json", "--nmax", "0"], "--nmax must be >= 1, got 0",
+            id="analyze-nmax",
+        ),
+        pytest.param(
+            ["analyze", "fibonacci.json", "--depth", "-3"], "--depth must be >= 1, got -3",
+            id="analyze-depth",
+        ),
+        pytest.param(
+            ["spectrum", "fibonacci.json", "--level", "-1"], "--level must be >= 0, got -1",
+            id="spectrum-level",
+        ),
+        pytest.param(
+            ["spectrum", "fibonacci.json", "--levels", "5", "3"],
+            "--levels needs 0 <= FROM <= TO, got 5 3",
+            id="spectrum-levels",
+        ),
+        pytest.param(
+            ["partition", "minimal-nonprimitive.json", "--prefix", "0"],
+            "--prefix must be >= 1, got 0",
+            id="partition-prefix-zero",
+        ),
+        pytest.param(
+            ["partition", "minimal-nonprimitive.json", "--prefix", "-4"],
+            "--prefix must be >= 1, got -4",
+            id="partition-prefix-negative",
+        ),
+        pytest.param(
+            ["transcendence", "stutter-separated.json", "--bits", "0"],
+            "--bits must be >= 1, got 0",
+            id="transcendence-bits",
+        ),
+    ],
+)
+def test_out_of_range_flags_rejected(defs, tmp_path, capsys, argv, message):
+    # each of these used to exit 0 with a meaningless result
+    argv = [argv[0], str(defs / argv[1])] + argv[2:]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
 def test_spectrum_free_single_band(defs, tmp_path, capsys):
     csv = tmp_path / "bands.csv"
     assert main(["spectrum", str(defs / "free.json"), "--level", "1", "--csv", str(csv)]) == 0

@@ -228,3 +228,8 @@ def test_gordon_thue_morse_missing(catalog_subs, catalog_reports):
 def test_gordon_needs_minimality(catalog_subs, catalog_reports):
     with pytest.raises(ValueError):
         gordon_check(catalog_subs["remarkc"], catalog_reports["remarkc"])
+
+
+def test_band_spectrum_rejects_negative_level(fib):
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        band_spectrum(fib, "a", -1)

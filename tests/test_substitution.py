@@ -26,6 +26,7 @@ from linrep.substitution import (
     reduced_substitution,
     validate,
 )
+from linrep.words import factor_language
 
 
 # --- construction and validation -------------------------------------------------
@@ -164,6 +165,22 @@ def test_reduced_requires_growing_letter():
     s = Substitution.from_rules({"a": "b", "b": "a"})
     with pytest.raises(NoGrowingLettersError):
         reduced_substitution(s, bounded_letters(s))
+
+
+def test_reduced_rejects_split_with_growing_image_of_bounded_letter():
+    # a forged split calls b bounded although S(b) = a is a growing letter:
+    # erasing b cannot commute with S, since pi(S(b)) = a but S'(pi(b)) is empty
+    from linrep.substitution import AlphabetSplit
+
+    s = Substitution.from_rules({"a": "ab", "b": "a"})
+    forged = AlphabetSplit(
+        bounded=frozenset("b"),
+        growing=frozenset("a"),
+        eternally_single=frozenset(),
+        stabilization_depth=0,
+    )
+    with pytest.raises(SubstitutionError, match="bounded letter 'b'"):
+        reduced_substitution(s, forged)
 
 
 def _random_substitution(rng, letters="abc", max_len=3):
@@ -340,6 +357,14 @@ def test_perron_rejects_bounded_only_words(fib):
         perron_growth(red, ["b"], 5)
 
 
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_perron_growth_rejects_empty_range(fib, n_max):
+    # with no exponent checked lambda would stay inf and rho 0
+    red = reduced_substitution(fib, bounded_letters(fib))
+    with pytest.raises(ValueError, match="n_max >= 1"):
+        perron_growth(red, ["a"], n_max)
+
+
 def test_growth_sandwich_exact_integers():
     s = Substitution.from_rules({"a": "abaa", "b": "b"})
     red = reduced_substitution(s, bounded_letters(s))
@@ -385,25 +410,33 @@ def test_fixed_point_prefix_power_cycle():
 
 
 def test_compatibility_remark1b_fails():
-    res = check_compatibility(lr.load("remark1b"))
+    s = lr.load("remark1b")
+    res = check_compatibility(s, factor_language(s, 17))
     assert res.status == "fails-certified"
     assert res.detail["blocked_factor"] == "0"
     assert res.detail["side"] == "right"
 
 
 def test_compatibility_fibonacci_holds(fib):
-    res = check_compatibility(fib)
+    res = check_compatibility(fib, factor_language(fib, 17))
     assert res.status == "holds-certified"
 
 
 def test_compatibility_swapped_thue_morse():
-    res = check_compatibility(Substitution.from_rules({"a": "ba", "b": "ab"}))
+    s = Substitution.from_rules({"a": "ba", "b": "ab"})
+    res = check_compatibility(s, factor_language(s, 17))
     assert res.status == "holds-certified"
 
 
 def test_compatibility_one_sided_prefix_point_fails():
     # a -> ab, b -> b grows a one-sided fixed point whose first letter can
     # never be extended to the left, so the two-sided language is smaller
-    res = check_compatibility(Substitution.from_rules({"a": "ab", "b": "b"}))
+    s = Substitution.from_rules({"a": "ab", "b": "b"})
+    res = check_compatibility(s, factor_language(s, 17))
     assert res.status == "fails-certified"
     assert res.detail == {"blocked_factor": "a", "side": "left"}
+
+
+def test_compatibility_rejects_shallow_factor_set(fib):
+    with pytest.raises(ValueError, match="depth >= 17"):
+        check_compatibility(fib, factor_language(fib, 16))
