@@ -12,6 +12,11 @@ The half-width follows two routes: when the doubled growing letter occurs
 inside S(a), L = L0 + 2|S(a)b| with L0 the length of the longest power of a
 subword of S(a) inside the language; otherwise L = (N+2) * 2|S(a)| with N
 the largest exponent any short factor achieves.
+
+For a minimal aperiodic system S(a) begins and ends with a
+(`_require_bordered_image`), so every front remainder is followed by at
+most one block chain: the recognition rule reads its cuts from these forced
+parses (`_front_parses`), while `enumerate_one_partitions` serves any shape.
 """
 
 from __future__ import annotations
@@ -295,10 +300,56 @@ class RecognitionRule:
         ]
 
 
+def _require_bordered_image(alpha: str, a: str) -> None:
+    """Raise unless the image alpha = S(a) of the growing letter a begins and ends with a.
+
+    This holds for every certified minimal aperiodic system of the shape.
+    If S(a) began with b, then S^n(a) would begin with b^n for every n, so
+    b^inf would lie in X; a minimal X would then be {b^inf}, which is
+    periodic.  The end of S(a) is symmetric.  As b != a, a block S(a) and a
+    block b never start at the same position, and a tail that is a proper
+    prefix of S(a) starts with a but is shorter than S(a), so it starts no
+    block either: each admissible front remainder is followed by at most
+    one parse, and a word has at most |S(a)| 1-partitions.
+    """
+    if alpha[0] != a or alpha[-1] != a:
+        raise SubstitutionError(
+            "requires the image of the growing letter to start and end with it"
+        )
+
+
+def _front_parses(alpha: str, b: str, w: str) -> list[tuple[int, ...]]:
+    """Cut positions of the 1-partitions of w, in `enumerate_one_partitions` order.
+
+    One cut tuple per front remainder whose forced parse reaches an
+    admissible tail; requires alpha to begin and end with a letter other
+    than b (`_require_bordered_image`).
+    """
+    n, width = len(w), len(alpha)
+    out = []
+    for front in range(min(width - 1, n) + 1):
+        if front and not alpha.endswith(w[:front]):
+            continue
+        cuts = [front]
+        i = front
+        while True:
+            if i == n or (n - i < width and alpha.startswith(w[i:])):
+                out.append(tuple(cuts))
+                break
+            if w[i] == b:
+                i += 1
+            elif w.startswith(alpha, i):
+                i += width
+            else:
+                break
+            cuts.append(i)
+    return out
+
+
 def recognition_rule(
     s: Substitution,
     factors: wd.FactorSet,
-    report: ClassificationReport | None = None,
+    report: ClassificationReport,
 ) -> RecognitionRule:
     """Harvest cut-centered windows from factor partitions, then validate them.
 
@@ -306,10 +357,14 @@ def recognition_rule(
     (2L+1)-windows centered at its interior cuts.  Validation: on fresh
     longer samples (about VALIDATION_WORDS windows of a SAMPLE_DEPTH-letter
     prefix of an iterate), cuts re-derived from the window set alone must
-    coincide with the enumerated partitions' interior cuts.
+    coincide with the interior cuts of the first 1-partition.  The report
+    must certify minimality and aperiodicity; then S(a) begins and ends
+    with a, and the 1-partitions are read from forced parses.
     """
     _require_minimal_aperiodic(report)
     a, b = shape_letters(s)
+    alpha = s.rules[a]
+    _require_bordered_image(alpha, a)
     ww = window_half_width(s, factors)
     L = ww.half_width
     training_len = 4 * L
@@ -320,10 +375,8 @@ def recognition_rule(
 
     windows: set[str] = set()
     for f in train.words_of_length(training_len):
-        for p in enumerate_one_partitions(s, f):
-            for c in p.cut_positions:
-                if L <= c <= len(f) - 1 - L:
-                    windows.add(f[c - L : c + L + 1])
+        cuts = {c for parse in _front_parses(alpha, b, f) for c in parse}
+        windows.update(f[c - L : c + L + 1] for c in cuts if L <= c <= len(f) - 1 - L)
     rule = RecognitionRule(
         half_width=L,
         route=ww.route,
@@ -339,11 +392,11 @@ def recognition_rule(
     stride = max(1, len(fresh) // VALIDATION_WORDS)
     checked = 0
     for f in fresh[::stride]:
-        parts = enumerate_one_partitions(s, f)
+        parts = _front_parses(alpha, b, f)
         if not parts:
             continue
         # windows are only computable for centers in [L, len-1-L]
-        expect = {c for c in parts[0].interior_cuts(L) if c <= len(f) - 1 - L}
+        expect = {c for c in parts[0] if L <= c <= len(f) - 1 - L}
         got = set(rule.cuts(f))
         if got != expect:
             raise SubstitutionError(
@@ -416,10 +469,7 @@ def uniqueness_scan(
         raise SubstitutionError("needs the explicit repetitivity constant for coverage sizing")
     a, b = shape_letters(s)
     alpha = s.rules[a]
-    if alpha[0] != a or alpha[-1] != a:
-        raise SubstitutionError(
-            "scan requires the image of the growing letter to start and end with it"
-        )
+    _require_bordered_image(alpha, a)
     L = window_half_width(s, factors).half_width
     need = int(report.lr.value * max_word_length) + 2 * max_word_length
     sample = iterate_prefix(s, a, need)

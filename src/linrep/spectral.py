@@ -219,14 +219,15 @@ class GordonHypothesisMissing:
 
 
 def cube_positions(sample: np.ndarray, n: int) -> int:
-    """Count positions i with sample[i:i+3n] a perfect cube of period n."""
-    eq = sample[: len(sample) - n] == sample[n:]
-    window = 2 * n
-    if len(eq) < window:
-        return 0
-    csum = np.concatenate(([0], np.cumsum(eq, dtype=np.int64)))
-    sums = csum[window:] - csum[:-window]
-    return int(np.count_nonzero(sums == window))
+    """Count positions i with sample[i:i+3n] a perfect cube of period n.
+
+    Such an i starts 2n successive agreements sample[j] == sample[j+n], so a
+    maximal run of r agreements holds max(0, r - 2n + 1) of them.
+    """
+    eq = np.concatenate(([False], sample[: len(sample) - n] == sample[n:], [False]))
+    edges = np.flatnonzero(eq[1:] != eq[:-1])
+    runs = edges[1::2] - edges[0::2]
+    return int(np.sum(runs[runs >= 2 * n] - (2 * n - 1)))
 
 
 def gordon_check(
@@ -252,10 +253,10 @@ def gordon_check(
 
     reduced = reduced_substitution(s, report.split)
     growth = perron_growth(reduced, [e, u * 3 + e], n_max=max(report.lr.growth.n_checked, max(levels)))
-    lam = min(s.word_image_length(e, n) / growth.theta**n for n in range(1, growth.n_checked + 1))
-    rho = max(
-        s.word_image_length(u * 3 + e, n) / growth.theta**n for n in range(1, growth.n_checked + 1)
-    )
+    e_lengths = s.word_image_lengths(e, growth.n_checked)
+    cube_lengths = s.word_image_lengths(u * 3 + e, growth.n_checked)
+    lam = min(e_lengths[n] / growth.theta**n for n in range(1, growth.n_checked + 1))
+    rho = max(cube_lengths[n] / growth.theta**n for n in range(1, growth.n_checked + 1))
     bound = lam / (report.lr.value * rho)
 
     sample_word = iterate_prefix(s, report.certificate.letter, sample_length)

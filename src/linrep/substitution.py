@@ -204,6 +204,14 @@ class Substitution:
         """|S^n(w)| for a word w, exact."""
         return sum(self.image_length(ch, n) for ch in w)
 
+    def word_image_lengths(self, w: str, n_max: int) -> list[int]:
+        """[|S^n(w)| for n = 0..n_max], exact: w's letters are counted once."""
+        counts = {ch: w.count(ch) for ch in set(w)}
+        self.image_length(self.letters[0], n_max)  # fills self._lengths up to n_max
+        return [
+            sum(k * row[ch] for ch, k in counts.items()) for row in self._lengths[: n_max + 1]
+        ]
+
     def first_letter(self, ch: str) -> str:
         return self.rules[ch][0]
 
@@ -536,8 +544,9 @@ class GrowthEstimate:
     def verify(self, s: Substitution) -> bool:
         """Re-check the sandwich against exact iterate lengths."""
         for v in self.words:
+            lengths = s.word_image_lengths(v, self.n_checked)
             for n in range(1, self.n_checked + 1):
-                length = s.word_image_length(v, n)
+                length = lengths[n]
                 scale = self.theta**n
                 if not (
                     self.lambda_v * scale * (1 - GROWTH_SLACK)
@@ -578,8 +587,9 @@ def perron_growth(
     lo = math.inf
     hi = 0.0
     for v in word_list:
+        lengths = s.word_image_lengths(v, n_max)
         for n in range(1, n_max + 1):
-            ratio = s.word_image_length(v, n) / theta**n
+            ratio = lengths[n] / theta**n
             lo = min(lo, ratio)
             hi = max(hi, ratio)
     return GrowthEstimate(theta=theta, lambda_v=lo, rho_v=hi, words=word_list, n_checked=n_max)
@@ -588,14 +598,41 @@ def perron_growth(
 def iterate_prefix(s: Substitution, seed: str, length: int) -> str:
     """First `length` letters of S^k(seed), k the first power that long.
 
-    Only the first `length` letters are substituted at each step.  Unlike
-    `fixed_point_prefix`, the seed need not start a fixed point; it must
-    grow.
+    Unlike `fixed_point_prefix`, the seed need not start a fixed point, but
+    when `length` > |seed| it must hold a growing letter, or
+    SubstitutionError is raised.  k is read from the exact lengths, and
+    S^k(seed) is built as S^m(S^(k-m)(seed)) with m = k // 2: S^(k-m) is
+    applied to the seed, keeping `length` letters after each step, and the
+    letters' S^m images, computed once, are joined along that word.  Every
+    image joined is a factor of S^k(seed), so no string is longer than
+    S^k(seed) = S(S^(k-1)(seed)), below max|S(c)| * `length`.
+
+    Growth is decided exactly: if |S^n(seed)| = |S^(n+d)(seed)| with d the
+    alphabet size, every letter y of S^n(seed) has single-letter images
+    S^j(y) for j <= d.  These d + 1 letters repeat, so they run into a
+    cycle of single-letter images, and |S^n(seed)| never changes again.
     """
+    if len(seed) >= length:
+        return seed[:length]
+    foreign = set(seed) - set(s.letters)
+    if foreign:
+        raise UnknownLetterError(f"letter {min(foreign)!r} is not in the alphabet")
+    d = len(s.letters)
+    lengths = [len(seed)]
+    while lengths[-1] < length:
+        if len(lengths) > d and lengths[-1] == lengths[-1 - d]:
+            raise SubstitutionError(
+                f"the seed has no growing letter: its images stay at {lengths[-1]} < "
+                f"{length} letters"
+            )
+        lengths.append(s.word_image_length(seed, len(lengths)))
+    k = len(lengths) - 1
+    m = k // 2
     w = seed
-    while len(w) < length:
-        w = s.apply(w[:length])
-    return w[:length]
+    for _ in range(k - m):
+        w = s.apply(w)[:length]
+    images = {ch: s.iterate(ch, m) for ch in set(w)}
+    return "".join(map(images.__getitem__, w))[:length]
 
 
 def fixed_point_prefix(s: Substitution, letter: str, length: int) -> str:

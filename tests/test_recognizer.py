@@ -89,6 +89,31 @@ def test_enumerate_matches_naive_on_random_shapes():
         assert sorted(mine) == naive_partitions(alpha, "b", w), (alpha, w)
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["minimal-nonprimitive", "minimal-nonprimitive-noaa", "stutter-doubled", "stutter-separated"],
+)
+def test_front_parses_match_enumeration(name):
+    # the catalog's minimal shapes: S(a) begins and ends with a, so parses are forced
+    s = lr.load(name)
+    a, b = rec.shape_letters(s)
+    alpha = s.rules[a]
+    fs = wd.factor_language(s, 12)
+    rng = random.Random(17)
+    words = [w for m in range(1, 13) for w in sorted(fs.words_of_length(m))]
+    words += ["".join(rng.choice((a, b)) for _ in range(rng.randint(0, 16))) for _ in range(300)]
+    for w in words:
+        parses = rec._front_parses(alpha, b, w)
+        assert parses == [p.cut_positions for p in rec.enumerate_one_partitions(s, w)], w
+        assert parses == naive_partitions(alpha, b, w), w
+
+
+def test_recognition_rule_requires_bordered_image(abaa_factors, abaa_report):
+    s = Substitution.from_rules({"a": "baa", "b": "b"})
+    with pytest.raises(SubstitutionError, match="start and end"):
+        rec.recognition_rule(s, abaa_factors, abaa_report)
+
+
 def test_partition_concatenation_invariant(abaa):
     sample = lr.iterate_prefix(abaa, "a", 200)
     for w in (sample[3:40], sample[10:90]):

@@ -202,6 +202,13 @@ def test_cube_positions_counter():
     # period-2 cubes start at 0 and 1 (010101 and 101010); no period-1 cube
     assert cube_positions(x, 2) == 2
     assert cube_positions(x, 1) == 0
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        x = rng.integers(0, 2, size=int(rng.integers(1, 40)), dtype=np.uint8)
+        w = x.tobytes()
+        for n in range(1, len(w) // 3 + 1):
+            direct = sum(w[i : i + n] * 3 == w[i : i + 3 * n] for i in range(len(w) - 3 * n + 1))
+            assert cube_positions(x, n) == direct
 
 
 def test_gordon_fibonacci(fib, catalog_reports):

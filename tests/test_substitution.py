@@ -28,6 +28,8 @@ from linrep.substitution import (
 )
 from linrep.words import factor_language
 
+from bruteforce import apply_rules
+
 
 # --- construction and validation -------------------------------------------------
 
@@ -377,6 +379,38 @@ def test_growth_sandwich_exact_integers():
 
 
 # --- fixed points -----------------------------------------------------------------
+
+
+def test_iterate_prefix_matches_letter_by_letter_oracle():
+    # seeded random systems with bounded letters; most seeds start no fixed point;
+    # word_image_lengths is checked against word_image_length on the way
+    rng = random.Random(808)
+    for _ in range(150):
+        letters = "abcd"[: rng.randint(2, 4)]
+        rules = {x: "".join(rng.choice(letters) for _ in range(rng.randint(1, 3))) for x in letters}
+        s = Substitution.from_rules(rules)
+        growing = bounded_letters(s).growing
+        seed = "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+        assert s.word_image_lengths(seed, 12) == [s.word_image_length(seed, n) for n in range(13)]
+        for length in (0, len(seed) - 1, len(seed), rng.randint(1, 40), rng.randint(100, 3000)):
+            if length > len(seed) and not growing & set(seed):
+                with pytest.raises(SubstitutionError):
+                    lr.iterate_prefix(s, seed, length)
+                continue
+            w = seed
+            while len(w) < length:
+                w = apply_rules(rules, w)
+            assert lr.iterate_prefix(s, seed, length) == w[:length], (rules, seed, length)
+
+
+def test_iterate_prefix_rejects_seed_without_growing_letter():
+    s = lr.load("minimal-nonprimitive")
+    with pytest.raises(SubstitutionError):
+        lr.iterate_prefix(s, "b", 10)
+    with pytest.raises(SubstitutionError):
+        lr.iterate_prefix(s, "", 1)
+    with pytest.raises(UnknownLetterError):
+        lr.iterate_prefix(s, "az", 10)
 
 
 def test_fixed_point_prefix_fibonacci(fib):
