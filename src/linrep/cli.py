@@ -9,12 +9,15 @@ Exit codes: 0 decided, 1 input error or stdout closed by the reader,
 3 undecided-at-depth, 4 spectrum requested for a system without a minimality
 certificate (computed anyway).
 Identical inputs and flags produce byte-identical outputs; reports carry the
-effective parameter values instead of timestamps.
+effective parameter values instead of timestamps.  The argument parser is
+built once per process and reused by every `main` call; scipy is loaded only
+when a command first solves a band-edge eigenproblem (`spectrum`).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -298,6 +301,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="linrep",
@@ -344,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # the least value each numeric flag accepts, whichever command has it
-FLAG_MINIMA = {"depth": 1, "nmax": 1, "level": 0, "prefix": 1, "bits": 1}
+FLAG_MINIMA = {"depth": 1, "nmax": 1, "level": 0, "prefix": 1, "bits": 1, "base": 2}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -363,7 +367,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader closed stdout early: point it at devnull so that the
         # flush at interpreter exit does not raise a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -12,6 +12,9 @@ eigenvalue problems, with no energy grid and no bisection.  Shrinking total
 band measure across levels is the desk-scale signature of a zero-measure
 Cantor limit.
 
+scipy is imported on the first band-edge or finite-section solve, not with
+the module: classification and the other applications never load it.
+
 Time convention: the transfer matrix of a word multiplies factors
 right-to-left, the rightmost factor belonging to the first letter, so
 T(uv, E) = T(v, E) @ T(u, E).
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from . import words as wd
 from .classify import YES, ClassificationReport
@@ -97,6 +99,7 @@ def _floquet_edges(word: str, potentials: Mapping[str, float]) -> np.ndarray:
     the antiperiodic (corner -1) matrix have bandwidth 2.  For q = 2 the two
     ring bonds join the same sites and add up to 1 + corner.
     """
+    from scipy.linalg import eig_banded
     v = np.array([potentials[ch] for ch in word], dtype=float)
     q = len(v)
     if q == 1:
@@ -173,6 +176,7 @@ def finite_section_eigenvalues(word: str, potentials: Mapping[str, float]) -> np
     Symmetric tridiagonal matrix with the letter values on the diagonal and
     unit hopping; eigenvalues sorted ascending.
     """
+    from scipy.linalg import eigh_tridiagonal
     n = len(word)
     if n == 0:
         raise ValueError("empty word")

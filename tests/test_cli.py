@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from linrep import catalog
-from linrep.cli import main
+from linrep.cli import build_parser, main
 from linrep.substitution import validate
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -343,3 +343,91 @@ def test_catalog_export_revalidates(tmp_path):
     for p in paths:
         report = validate(json.loads(p.read_text()))
         assert report.substitution.name == p.stem
+
+
+@pytest.mark.parametrize("base", ["0", "1", "-2"])
+def test_base_below_two_rejected(defs, capsys, base):
+    # these used to fail later, on a letter value that is no digit in that base
+    argv = ["transcendence", str(defs / "stutter-separated.json"), "--base", base]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --base must be >= 2, got {base}\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_import_leaves_scipy_unloaded_until_an_eigen_solve():
+    child = _run_python(
+        "import sys\n"
+        "import linrep, linrep.cli\n"
+        "print('numpy' in sys.modules, 'scipy' in sys.modules)\n"
+        "spec = linrep.band_spectrum(linrep.load('fibonacci'), 'a', 4)\n"
+        "print(spec.band_count, 'scipy' in sys.modules)\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == ["True False", "8 True"]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_successive_calls_share_no_arguments(defs, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    fib = str(defs / "fibonacci.json")
+    assert main(["analyze", fib, "--json", str(report)]) == 0
+    first = capsys.readouterr().out
+    report.unlink()
+    assert main(["analyze", fib]) == 0
+    assert capsys.readouterr().out == first
+    assert not report.exists()
+
+    csv = tmp_path / "bands.csv"
+    assert main(["spectrum", fib, "--level", "5", "--csv", str(csv)]) == 0
+    capsys.readouterr()
+    csv.unlink()
+    assert main(["spectrum", fib, "--level", "5"]) == 0
+    again = capsys.readouterr().out
+    assert not csv.exists()
+    fresh = _run_python(
+        f"import sys; from linrep.cli import main; sys.exit(main(['spectrum', {fib!r}, '--level', '5']))"
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert again == fresh.stdout
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_broken_pipe_closes_its_devnull_descriptor():
+    # a real descriptor is needed for the handler's dup2, which pytest's
+    # captured stdout does not have, so the check runs in a child process
+    child = _run_python(
+        "import io, os, sys\n"
+        "from linrep.cli import main\n"
+        "class ClosedPipe(io.StringIO):\n"
+        "    def __init__(self, fd):\n"
+        "        super().__init__()\n"
+        "        self.fd = fd\n"
+        "    def write(self, text):\n"
+        "        raise BrokenPipeError\n"
+        "    def fileno(self):\n"
+        "        return self.fd\n"
+        "sink = ClosedPipe(os.open(os.devnull, os.O_WRONLY))\n"
+        "sys.stdout = sink\n"
+        "codes = [main(['catalog'])]\n"
+        "before = len(os.listdir('/proc/self/fd'))\n"
+        "codes += [main(['catalog']) for _ in range(5)]\n"
+        "after = len(os.listdir('/proc/self/fd'))\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(codes, after - before)\n"
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[1, 1, 1, 1, 1, 1] 0\n"
