@@ -44,6 +44,7 @@ from .substitution import (
     bounded_letters,
     check_compatibility,
     CompatibilityResult,
+    int_det,
     is_primitive,
     perron_growth,
     reduced_substitution,
@@ -548,6 +549,42 @@ def is_periodic(
     return PeriodicityResult(status="aperiodic-up-to-depth", period=None, depth=depth)
 
 
+def aperiodicity_certificate(s: Substitution) -> str | None:
+    """The exact aperiodicity certificate of a minimal system, or None.
+
+    Returns a note naming the checked range when det(M - mI) != 0, in exact
+    integers, for every m in 2..max|S(a)|, M the occurrence matrix.  If S
+    is certified minimal, the subshift X is then aperiodic:
+
+    * Minimality makes every factor of the language occur in every long
+      factor, so X is minimal with L(X) the whole language, and S maps X
+      into itself.  If X were periodic with least period word w, then
+      S(w)^infinity would be a shift of w^infinity, so S(w) is m copies of
+      a conjugate of w and content(S(w)) = m * content(w): m would be an
+      eigenvalue of M.  The certified letter grows and occurs in w, so
+      m^n * |w| = |S^n(w)| is unbounded and m >= 2, and m <= max|S(a)|.
+    * X aperiodic and minimal is infinite, so p_X(n) >= n + 1 for every n
+      (Morse-Hedlund 1938).
+    * Every word of L(X) extends on both sides within L(X), so on a
+      saturated factor set the pruning of `extendable_core` keeps all of
+      L(X): every core level within the horizon has at least n + 1 words,
+      and `is_periodic` can only return ("aperiodic-up-to-depth", None,
+      depth).  `classify` skips that walk when this certificate holds.
+
+    The premise "minimal" is needed: remark1b {0 -> 10, 1 -> 1} passes the
+    determinant test but is not minimal, and its subshift holds the fixed
+    point 1^infinity, with m = 1.
+    """
+    top = max(len(image) for image in s.rules.values())
+    matrix = s.abelianization()
+    size = len(matrix)
+    for m in range(2, top + 1):
+        shifted = [[matrix[i][j] - m * (i == j) for j in range(size)] for i in range(size)]
+        if int_det(shifted) == 0:
+            return None
+    return f"no integer eigenvalue in 2..{top} of the occurrence matrix"
+
+
 # ---------------------------------------------------------------------------
 # full classification
 
@@ -689,7 +726,11 @@ def classify(
     aperiodic_depth + CORE_MARGIN, and 2 * kappa when certified): deep
     enough for the compatibility scan, the periodicity core and the
     return-word pairs.  All of them read it, and it becomes
-    `report.factors`."""
+    `report.factors`.  A certified minimal system whose occurrence matrix
+    has no integer eigenvalue m >= 2 skips the periodicity walk: by the
+    proof in `aperiodicity_certificate` the walk would answer
+    "aperiodic-up-to-depth" at `aperiodic_depth`, and the result carries
+    the certificate as its note."""
     split, candidates, decision = decide_minimality(s)
     minimal = decision.status
     depth = max(compat_depth + 1, aperiodic_depth + CORE_MARGIN)
@@ -710,7 +751,11 @@ def classify(
     elif minimal == UNDECIDED and decision.note:
         caveats.append(decision.note)
 
-    periodicity = is_periodic(s, aperiodic_depth, factors=factors)
+    aperiodic = aperiodicity_certificate(s) if minimal == YES and factors.saturated else None
+    if aperiodic is None:
+        periodicity = is_periodic(s, aperiodic_depth, factors=factors)
+    else:
+        periodicity = PeriodicityResult("aperiodic-up-to-depth", None, aperiodic_depth, aperiodic)
     if compatibility.status != "holds-certified":
         caveats.append(
             "statements describe the finite-word language; its compatibility "

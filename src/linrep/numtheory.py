@@ -85,8 +85,10 @@ def detect_case(s: Substitution, report: ClassificationReport) -> StutterWitness
         raise CaseDetectionError("primitive systems are out of scope for this analysis")
     if report.minimal != YES:
         raise CaseDetectionError(f"system is not certified minimal (status {report.minimal!r})")
-    if report.periodicity.status == "periodic":
-        raise CaseDetectionError("periodic systems are excluded")
+    if report.periodicity.status != "aperiodic-up-to-depth":
+        raise CaseDetectionError(
+            f"requires aperiodicity (periodicity status {report.periodicity.status!r})"
+        )
     zero, one = shape_letters(s)
     img = s.rules[zero]
     if not (img[0] == zero and img[-1] == zero and one in img):

@@ -1,3 +1,8 @@
+import dataclasses
+import importlib
+import random
+
+import numpy as np
 import pytest
 
 import linrep as lr
@@ -7,6 +12,7 @@ from linrep.classify import (
     UNDECIDED,
     YES,
     analyze_bounded_blocks,
+    aperiodicity_certificate,
     bounded_gaps,
     classify,
     decide_minimality,
@@ -18,6 +24,7 @@ from linrep.substitution import (
     SubstitutionError,
     bounded_letters,
     check_compatibility,
+    is_primitive,
 )
 
 from bruteforce import own_set_compatibility, rescan_extendable_core
@@ -421,3 +428,100 @@ def test_compatibility_on_classify_set_matches_own_set():
             assert got == own_set_compatibility(s, depth), (s, depth)
         checked += 1
     assert checked >= 40
+
+
+def _sweep_systems():
+    # the 100 primitive random systems of the classify-sweep benchmark workload
+    rng = random.Random(31337)
+    seen, out = set(), []
+    while len(out) < 100:
+        letters = "abc"[: rng.choice([2, 3])]
+        rules = {a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 5))) for a in letters}
+        key = tuple(sorted(rules.items()))
+        if key in seen or not is_primitive(Substitution.from_rules(rules)):
+            continue
+        seen.add(key)
+        out.append(rules)
+    return out
+
+
+def _integer_eigenvalues(s):
+    # floating-point eigenvalues as an oracle independent of int_det
+    top = max(len(image) for image in s.rules.values())
+    eigenvalues = np.linalg.eigvals(np.array(s.abelianization(), dtype=float))
+    return [k for k in range(2, top + 1) if any(abs(ev - k) < 1e-9 for ev in eigenvalues)]
+
+
+def _count_walks(monkeypatch):
+    # the package attribute linrep.classify is the function, not the module
+    module = importlib.import_module("linrep.classify")
+    calls = []
+    walk = module.is_periodic
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(module, "is_periodic", counted)
+    return calls
+
+
+def test_aperiodicity_shortcut_equals_walk(monkeypatch):
+    calls = _count_walks(monkeypatch)
+    systems = [lr.load(name) for name in CATALOG_NAMES]
+    systems += [Substitution.from_rules(rules) for rules in _sweep_systems()]
+    rng = random.Random(1938)
+    for _ in range(300):
+        letters = "abcd"[: rng.choice([2, 3, 4])]
+        rules = {a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 5))) for a in letters}
+        systems.append(Substitution.from_rules(rules))
+    certified = nonprimitive = 0
+    for s in systems:
+        calls.clear()
+        try:
+            rep = classify(s)
+        except SubstitutionError:
+            continue  # empty subshift or unreachable letters
+        note = aperiodicity_certificate(s)
+        if rep.minimal != YES or note is None or not rep.factors.saturated:
+            assert len(calls) == 1, s
+            continue
+        assert calls == [] and rep.periodicity.note == note, s
+        walked = is_periodic(s, 40, factors=rep.factors)
+        assert dataclasses.replace(rep.periodicity, note=None) == walked, s
+        certified += 1
+        nonprimitive += not rep.primitive.primitive
+    assert certified >= 150 and nonprimitive >= 1
+
+
+def test_aperiodicity_shortcut_premises(monkeypatch):
+    calls = _count_walks(monkeypatch)
+    # remark1b passes the determinant test, but it is not minimal (1^infinity, m = 1)
+    s = lr.load("remark1b")
+    assert aperiodicity_certificate(s) is not None and not _integer_eigenvalues(s)
+    rep = classify(s)
+    assert rep.minimal != YES and rep.periodicity.note is None
+    assert calls == ["remark1b"]
+    # minimal, but an integer eigenvalue m >= 2 leaves the walk in place
+    for name, eigenvalue in [("thue-morse", 2), ("period-doubling", 2), ("stutter-doubled", 3)]:
+        calls.clear()
+        s = lr.load(name)
+        assert eigenvalue in _integer_eigenvalues(s), name
+        assert aperiodicity_certificate(s) is None, name
+        rep = classify(s)
+        assert rep.minimal == YES and rep.periodicity.status == "aperiodic-up-to-depth", name
+        assert calls == [name]
+
+
+def test_classify_walks_the_core_only_without_certificate(monkeypatch):
+    calls = _count_walks(monkeypatch)
+    rep = classify(lr.load("fibonacci"))
+    assert calls == []
+    assert (rep.periodicity.status, rep.periodicity.period, rep.periodicity.depth) == (
+        "aperiodic-up-to-depth",
+        None,
+        40,
+    )
+    assert rep.periodicity.note == "no integer eigenvalue in 2..2 of the occurrence matrix"
+    classify(lr.load("thue-morse"))
+    assert calls == ["thue-morse"]

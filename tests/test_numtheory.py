@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 import linrep as lr
 from linrep import numtheory as nt
-from linrep.classify import YES, classify
+from linrep.classify import UNDECIDED, YES, PeriodicityResult, classify
 from linrep.substitution import Substitution, fixed_point_prefix
 
 
@@ -51,6 +52,17 @@ def test_detect_excludes_periodic_shape():
     s = _two_letter({"0": "0110", "1": "1"})
     with pytest.raises(nt.CaseDetectionError):
         nt.detect_case(s, _report(s))
+
+
+def test_detect_rejects_undecided_periodicity(catalog_subs, catalog_reports):
+    s = catalog_subs["stutter-separated"]
+    rep = catalog_reports["stutter-separated"]
+    nt.detect_case(s, rep)  # the report as classified passes
+    undecided = dataclasses.replace(
+        rep, periodicity=PeriodicityResult(UNDECIDED, None, 0, "factor set did not saturate")
+    )
+    with pytest.raises(nt.CaseDetectionError, match="undecided-at-depth"):
+        nt.detect_case(s, undecided)
 
 
 def test_detect_rejects_primitive(fib):
