@@ -57,6 +57,8 @@ UNDECIDED = "undecided-at-depth"
 
 # is_periodic reads core complexities this many letters below the factor depth
 CORE_MARGIN = 8
+# classify walks the periodicity core this many letters past compat_depth
+APERIODIC_MARGIN = 24
 # steps analyze_bounded_blocks spends measuring one bounded run orbit
 MEASURE_CAP = 4096
 
@@ -606,7 +608,6 @@ class ClassificationReport:
     lr: LRBound | None
     factors: wd.FactorSet
     depth_caveats: tuple[str, ...]
-    pruned_from: tuple[str, ...] | None = None
 
     def to_json_dict(self) -> dict:
         s = self.substitution
@@ -679,8 +680,6 @@ class ClassificationReport:
                 "factor_depth": self.lr.factor_depth,
                 "caveats": list(self.lr.caveats),
             }
-        if self.pruned_from is not None:
-            out["pruned_from"] = list(self.pruned_from)
         return out
 
 
@@ -715,17 +714,17 @@ def classify(
     s: Substitution,
     *,
     compat_depth: int = 16,
-    aperiodic_depth: int = 40,
     growth_nmax: int = 30,
 ) -> ClassificationReport:
     """Full classification: compatibility, primitivity, minimality (with
     certificate or counterexample), linear repetitivity with its explicit
     constant, periodicity, unique ergodicity.
 
-    Every system gets one factor set, of depth max(compat_depth + 1,
-    aperiodic_depth + CORE_MARGIN, and 2 * kappa when certified): deep
-    enough for the compatibility scan, the periodicity core and the
-    return-word pairs.  All of them read it, and it becomes
+    The periodicity core is walked to aperiodic_depth = compat_depth +
+    APERIODIC_MARGIN.  Every system gets one factor set, of depth
+    max(compat_depth + 1, aperiodic_depth + CORE_MARGIN, and 2 * kappa when
+    certified): deep enough for the compatibility scan, the periodicity core
+    and the return-word pairs.  All of them read it, and it becomes
     `report.factors`.  A certified minimal system whose occurrence matrix
     has no integer eigenvalue m >= 2 skips the periodicity walk: by the
     proof in `aperiodicity_certificate` the walk would answer
@@ -733,6 +732,7 @@ def classify(
     the certificate as its note."""
     split, candidates, decision = decide_minimality(s)
     minimal = decision.status
+    aperiodic_depth = compat_depth + APERIODIC_MARGIN
     depth = max(compat_depth + 1, aperiodic_depth + CORE_MARGIN)
     if minimal == YES:
         depth = max(depth, 2 * decision.certificate.kappa)

@@ -7,7 +7,10 @@ definitions).
 
 Exit codes: 0 decided, 1 input error or stdout closed by the reader,
 3 undecided-at-depth, 4 spectrum requested for a system without a minimality
-certificate (computed anyway).
+certificate (computed anyway).  Input errors print one `error: ...` line on
+stderr: `main` maps every `SubstitutionError` a command raises to it, and
+a command adds its own clause only to prefix a message or to map another
+type.
 Identical inputs and flags produce byte-identical outputs; reports carry the
 effective parameter values instead of timestamps.  The argument parser is
 built once per process and reused by every `main` call; scipy is loaded only
@@ -37,17 +40,6 @@ from .substitution import (
 )
 
 
-def _load_definition(path: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SystemExit(_fail(f"cannot read {path}: {exc}"))
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SystemExit(_fail(f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}"))
-
-
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
@@ -57,7 +49,19 @@ def _write_json(path: str, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _prepare(definition: dict) -> tuple[Substitution, list[str]]:
+def _load(path: str) -> tuple[Substitution, list[str]]:
+    """The validated substitution of a definition file, pruned to the
+    letters its witness reaches, and a note for each change made."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise SubstitutionError(f"cannot read {path}: {exc}") from exc
+    try:
+        definition = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SubstitutionError(
+            f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}"
+        ) from exc
     report = validate(definition)
     notes = []
     s = report.substitution
@@ -71,19 +75,9 @@ def _prepare(definition: dict) -> tuple[Substitution, list[str]]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    definition = _load_definition(args.definition)
-    try:
-        s, notes = _prepare(definition)
-        report = classify(
-            s,
-            compat_depth=args.depth,
-            aperiodic_depth=args.depth + 24,
-            growth_nmax=args.nmax,
-        )
-        payload = report.to_json_dict() if args.json else None
-    except SubstitutionError as exc:
-        return _fail(str(exc))
-
+    s, notes = _load(args.definition)
+    report = classify(s, compat_depth=args.depth, growth_nmax=args.nmax)
+    payload = report.to_json_dict() if args.json else None
     rules = ", ".join(f"{a}->{s.rules[a]}" for a in s.letters)
     print(f"substitution {s.name or '?'}: {rules}")
     for note in notes:
@@ -148,21 +142,14 @@ def _minimal_note(report) -> str:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.levels is not None and not 0 <= args.levels[0] <= args.levels[1]:
         return _fail("--levels needs 0 <= FROM <= TO, got {} {}".format(*args.levels))
-    definition = _load_definition(args.definition)
-    try:
-        s, notes = _prepare(definition)
-    except SubstitutionError as exc:
-        return _fail(str(exc))
+    s, _ = _load(args.definition)
     window = None
     if args.window is not None:
         lo, hi = args.window
         if not (hi > lo):
             return _fail(f"inverted or empty energy window [{lo}, {hi}]")
         window = (lo, hi)
-    try:
-        split, _, decision = decide_minimality(s)
-    except SubstitutionError as exc:
-        return _fail(str(exc))
+    split, _, decision = decide_minimality(s)
     letter = decision.certificate.letter if decision.certificate else min(split.growing)
 
     if args.levels is not None:
@@ -196,60 +183,59 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    definition = _load_definition(args.definition)
+    s, _ = _load(args.definition)
     try:
-        s, _ = _prepare(definition)
         a, b = rec.shape_letters(s)
         report = classify(s)
-        if report.primitive.primitive:
-            return _fail("requires nonprimitive two-letter shape")
-        factors = report.factors
-        rule = rec.recognition_rule(s, factors, report)
-        if args.word is not None:
-            target = args.word
-            foreign = set(target) - set(s.letters)
-            if foreign:
-                return _fail(f"word uses foreign symbols {sorted(foreign)}")
-        else:
-            target = iterate_prefix(s, a, args.prefix)
-        parts = rec.enumerate_one_partitions(s, target)
-        if not parts:
-            return _fail("word admits no 1-partition (not a factor of the language?)")
-        L = rule.half_width
-        interior = parts[0].interior_cuts(L)
-        distinct = {p.interior_cuts(L) for p in parts}
-        print(f"half-width L = {L} ({rule.route}); window set size {len(rule.windows)}")
-        print(f"1-partitions: {len(parts)}; distinct interior cut-sets: {len(distinct)}")
-        print(f"interior cuts: {list(interior)}")
-        if len(target) > 4 * L + 2:
-            preimage, offset = rec.desubstitute(s, target, rule)
-            print(f"preimage (from offset {offset}): {preimage}")
-        if args.json:
-            payload = {
-                "schema_version": "1",
-                "depth_caveats": [
-                    f"window rule trained on factors of length {rule.training_length}, "
-                    f"validated on {rule.validated_on} fresh samples"
-                ],
-                "word_length": len(target),
-                "half_width": L,
-                "route": rule.route,
-                "cut_positions": list(interior),
-                "blocks": [list(p.blocks[:50]) for p in parts[:1]],
-                "partition_count": len(parts),
-            }
-            _write_json(args.json, payload)
+        rule = rec.recognition_rule(s, report.factors, report)
     except rec.ShapeError as exc:
         return _fail(f"requires nonprimitive two-letter shape: {exc}")
-    except SubstitutionError as exc:
-        return _fail(str(exc))
+    if args.word is not None:
+        target = args.word
+        foreign = set(target) - set(s.letters)
+        if foreign:
+            return _fail(f"word uses foreign symbols {sorted(foreign)}")
+    else:
+        target = iterate_prefix(s, a, args.prefix)
+    # the rule has certified that S(a) begins and ends with a, so every
+    # 1-partition is a forced parse
+    parses = rec.front_parses(s.rules[a], b, target)
+    if not parses:
+        return _fail("word admits no 1-partition (not a factor of the language?)")
+    L = rule.half_width
+
+    def interior(cuts: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(c for c in cuts if L <= c <= len(target) - L)
+
+    first = parses[0]
+    print(f"half-width L = {L} ({rule.route}); window set size {len(rule.windows)}")
+    print(f"1-partitions: {len(parses)}; distinct interior cut-sets: "
+          f"{len(set(map(interior, parses)))}")
+    print(f"interior cuts: {list(interior(first))}")
+    if len(target) > 4 * L + 2:
+        preimage, offset = rec.desubstitute(s, target, rule)
+        print(f"preimage (from offset {offset}): {preimage}")
+    if args.json:
+        payload = {
+            "schema_version": "1",
+            "depth_caveats": [
+                f"window rule trained on factors of length {rule.training_length}, "
+                f"validated on {rule.validated_on} fresh samples"
+            ],
+            "word_length": len(target),
+            "half_width": L,
+            "route": rule.route,
+            "cut_positions": list(interior(first)),
+            "blocks": [[target[c1:c2] for c1, c2 in zip(first, first[1:])][:50]],
+            "partition_count": len(parses),
+        }
+        _write_json(args.json, payload)
     return 0
 
 
 def cmd_transcendence(args: argparse.Namespace) -> int:
-    definition = _load_definition(args.definition)
     try:
-        s, _ = _prepare(definition)
+        s, _ = _load(args.definition)
         if len(s.letters) != 2:
             return _fail("requires a two-letter substitution")
         report = classify(s)
@@ -260,10 +246,6 @@ def cmd_transcendence(args: argparse.Namespace) -> int:
             )
             return 0
         tr = nt.transcendence_report(s, report, depth=args.depth, bits=args.bits, base=args.base)
-    except nt.CaseDetectionError as exc:
-        return _fail(str(exc))
-    except SubstitutionError as exc:
-        return _fail(str(exc))
     except ValueError as exc:
         return _fail(str(exc))
 
@@ -361,9 +343,8 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 1
+    except SubstitutionError as exc:
+        return _fail(str(exc))
     except BrokenPipeError:
         # the reader closed stdout early: point it at devnull so that the
         # flush at interpreter exit does not raise a second time

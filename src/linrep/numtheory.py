@@ -149,9 +149,9 @@ def build_witness(s: Substitution, skeleton: StutterWitness, depth: int = 32) ->
         skeleton,
         p=p,
         depth=depth,
-        u_lengths=tuple(s.word_image_length(p, n) for n in range(1, depth + 1)),
-        v_lengths=tuple(s.word_image_length(v_word, n) for n in range(1, depth + 1)),
-        v_prime_lengths=tuple(s.word_image_length(zero, n) for n in range(1, depth + 1)),
+        u_lengths=tuple(s.word_image_lengths(p, depth)[1:]),
+        v_lengths=tuple(s.word_image_lengths(v_word, depth)[1:]),
+        v_prime_lengths=tuple(s.word_image_lengths(zero, depth)[1:]),
     )
 
 

@@ -15,8 +15,10 @@ the largest exponent any short factor achieves.
 
 For a minimal aperiodic system S(a) begins and ends with a
 (`_require_bordered_image`), so every front remainder is followed by at
-most one block chain: the recognition rule reads its cuts from these forced
-parses (`_front_parses`), while `enumerate_one_partitions` serves any shape.
+most one block chain: the recognition rule and `linrep partition` read
+their cuts from these forced parses (`front_parses`), while
+`enumerate_one_partitions` serves any shape and is the reference the
+forced parses are tested against.
 """
 
 from __future__ import annotations
@@ -138,6 +140,19 @@ def enumerate_one_partitions(s: Substitution, w: str) -> list[OnePartition]:
     return out
 
 
+def _certified_exponent(v: str, factors: wd.FactorSet, bound: str) -> int:
+    """The largest n with v^n a factor; raises `bound`, formatted with the
+    {power} and {depth}, when v^(n+1) does not fit inside the factor depth."""
+    n = 1
+    while len(v) * (n + 1) <= factors.max_length and v * (n + 1) in factors:
+        n += 1
+    if len(v) * (n + 1) > factors.max_length:
+        raise ShallowFactorSetError(
+            bound.format(power=f"{v!r}^{n + 1}", depth=factors.max_length)
+        )
+    return n
+
+
 def power_bound(s: Substitution, factors: wd.FactorSet) -> int:
     """L0: the longest |v^n| with v a subword of S(a) and v^n in the language.
 
@@ -148,35 +163,25 @@ def power_bound(s: Substitution, factors: wd.FactorSet) -> int:
     a, _ = shape_letters(s)
     factors.require_saturated()
     alpha = s.rules[a]
-    best = 0
-    for v in sorted(wd.subwords(alpha, len(alpha))):
-        n = 1
-        while len(v) * (n + 1) <= factors.max_length and v * (n + 1) in factors:
-            n += 1
-        if len(v) * (n + 1) > factors.max_length:
-            raise ShallowFactorSetError(
-                f"cannot certify the power bound: {v!r}^{n + 1} exceeds factor depth "
-                f"{factors.max_length}"
-            )
-        best = max(best, len(v) * n)
-    return best
+    bound = "cannot certify the power bound: {power} exceeds factor depth {depth}"
+    return max(
+        len(v) * _certified_exponent(v, factors, bound)
+        for v in sorted(wd.subwords(alpha, len(alpha)))
+    )
 
 
 def max_power_exponent(s: Substitution, factors: wd.FactorSet, max_base_length: int) -> int:
     """N: the largest n with v^n in the language over factors v of length <= max_base_length."""
     factors.require_saturated()
-    best = 1
-    for m in range(1, max_base_length + 1):
-        for v in factors.words_of_length(m):
-            n = 1
-            while m * (n + 1) <= factors.max_length and v * (n + 1) in factors:
-                n += 1
-            if m * (n + 1) > factors.max_length:
-                raise ShallowFactorSetError(
-                    f"cannot certify the exponent bound: {v!r}^{n + 1} exceeds factor depth"
-                )
-            best = max(best, n)
-    return best
+    bound = "cannot certify the exponent bound: {power} exceeds factor depth"
+    return max(
+        (
+            _certified_exponent(v, factors, bound)
+            for m in range(1, max_base_length + 1)
+            for v in factors.words_of_length(m)
+        ),
+        default=1,
+    )
 
 
 @dataclass
@@ -318,7 +323,7 @@ def _require_bordered_image(alpha: str, a: str) -> None:
         )
 
 
-def _front_parses(alpha: str, b: str, w: str) -> list[tuple[int, ...]]:
+def front_parses(alpha: str, b: str, w: str) -> list[tuple[int, ...]]:
     """Cut positions of the 1-partitions of w, in `enumerate_one_partitions` order.
 
     One cut tuple per front remainder whose forced parse reaches an
@@ -375,7 +380,7 @@ def recognition_rule(
 
     windows: set[str] = set()
     for f in train.words_of_length(training_len):
-        cuts = {c for parse in _front_parses(alpha, b, f) for c in parse}
+        cuts = {c for parse in front_parses(alpha, b, f) for c in parse}
         windows.update(f[c - L : c + L + 1] for c in cuts if L <= c <= len(f) - 1 - L)
     rule = RecognitionRule(
         half_width=L,
@@ -392,7 +397,7 @@ def recognition_rule(
     stride = max(1, len(fresh) // VALIDATION_WORDS)
     checked = 0
     for f in fresh[::stride]:
-        parts = _front_parses(alpha, b, f)
+        parts = front_parses(alpha, b, f)
         if not parts:
             continue
         # windows are only computable for centers in [L, len-1-L]

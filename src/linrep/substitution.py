@@ -73,7 +73,7 @@ class Alphabet:
         if not self.letters:
             raise SubstitutionError("alphabet must be nonempty")
         for ch in self.letters:
-            if len(ch) != 1:
+            if not isinstance(ch, str) or len(ch) != 1:
                 raise SubstitutionError(f"letters must be single characters, got {ch!r}")
         if len(set(self.letters)) != len(self.letters):
             raise SubstitutionError("duplicate letters in alphabet")
@@ -359,6 +359,8 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
     """
     if isinstance(definition, Substitution):
         s = definition
+    elif not isinstance(definition, Mapping):
+        raise SubstitutionError(f"definition must be an object, got {type(definition).__name__}")
     else:
         name = definition.get("name")
         rules = definition.get("rules")
@@ -382,7 +384,13 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
                 ) from exc
             coupling = definition.get("potential_coupling")
             if coupling is not None:
-                values = {ch: float(coupling) * v for ch, v in values.items()}
+                try:
+                    coupling = float(coupling)
+                except (TypeError, ValueError) as exc:
+                    raise SubstitutionError(
+                        f"'potential_coupling' must be a real number, got {coupling!r}"
+                    ) from exc
+                values = {ch: coupling * v for ch, v in values.items()}
             alphabet = Alphabet(letters, values, allow_duplicate_values=allow_dupes)
         else:
             alphabet = Alphabet(sorted(rules), allow_duplicate_values=allow_dupes)
@@ -687,16 +695,13 @@ def fixed_point_prefix(s: Substitution, letter: str, length: int) -> str:
             f"{letter!r} is not on a first-letter cycle: no one-sided fixed point "
             "starts with it (see check_compatibility for alternatives)"
         )
-    q = period
-    for k in range(1, 64 * len(s.letters) + 1):
-        if s.image_length(letter, k * period) >= 2:
-            q = k * period
-            break
-    else:
+    # S^period(letter) begins with letter, so if it is that one letter it
+    # is the letter again at every multiple of the period
+    if s.image_length(letter, period) < 2:
         raise FixedPointError(f"images of {letter!r} never grow; no fixed point to expand")
     w = letter
     while len(w) < length:
-        w = s.iterate(w[: max(length, 1)], q)
+        w = s.iterate(w[: max(length, 1)], period)
     return w[:length]
 
 

@@ -158,13 +158,15 @@ class FactorSet:
             )
 
 
-def factor_language(
-    s,
-    max_length: int,
-    *,
-    max_rounds: int | None = None,
-    max_words: int = 10**6,
-) -> FactorSet:
+MAX_WORDS = 10**6  # the most maximal words factor_language stores
+
+
+def round_cap(max_length: int) -> int:
+    """The most closure rounds factor_language runs at depth max_length."""
+    return max(64, 3 * max_length + 16)
+
+
+def factor_language(s, max_length: int) -> FactorSet:
     """Factors of length <= max_length of all iterates S^k(a), a in the alphabet.
 
     Closure at the fixed depth n = max_length over the maximal words.
@@ -202,15 +204,13 @@ def factor_language(
     argument, in S(u) for some u of F_k: a length-n factor of S^k(a) or its
     end word.  As u is in F_{k-1}, it lies in some S^i(b) with i < k, so v
     lies in S^(i+1)(b) and is in F_k.  Hence F_{k+1} = F_k, and by
-    induction F_k holds every factor of length <= n.  Hitting `max_rounds`
-    (default max(64, 3 * max_length + 16)) or storing more than `max_words`
-    maximal words yields an explicit unsaturated result, never a silent
-    truncation.
+    induction F_k holds every factor of length <= n.  Running
+    `round_cap(max_length)` rounds, max(64, 3 * max_length + 16), or
+    storing more than MAX_WORDS maximal words yields an explicit
+    unsaturated result, never a silent truncation.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    if max_rounds is None:
-        max_rounds = max(64, 3 * max_length + 16)
     n = max_length
     rules = s.rules
     apply = s.apply
@@ -248,13 +248,13 @@ def factor_language(
 
     saturated = False
     rounds = 0
-    for k in range(1, max_rounds + 1):
+    for k in range(1, round_cap(max_length) + 1):
         rounds = k
         batch, fresh = fresh, []
         for u in batch:
             harvest(apply(u), len(rules[u[0]]), (maximal[u][0], k))
         quiet = advance({a: apply(tails[a]) for a in letters}, k)
-        if len(maximal) > max_words:
+        if len(maximal) > MAX_WORDS:
             break
         if quiet:
             saturated = True

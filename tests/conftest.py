@@ -34,4 +34,4 @@ def fib(catalog_subs):
 
 @pytest.fixture(scope="session")
 def fib_factors(fib):
-    return lr.factor_language(fib, 24, max_rounds=128)
+    return lr.factor_language(fib, 24)

@@ -79,12 +79,12 @@ def test_criterion_2_tri_agreement(catalog_reports, catalog_subs, capsys):
         if rep.minimal == YES:
             bound = rep.lr.value
             depth = 64
-            fs = wd.factor_language(s, depth, max_rounds=3 * depth + 16)
+            fs = wd.factor_language(s, depth)
             for n in range(1, 21):
                 r = wd.repetitivity_function(fs, n)
                 while r is None and depth < 4 * bound * 20:
                     depth *= 2
-                    fs = wd.factor_language(s, depth, max_rounds=3 * depth + 16)
+                    fs = wd.factor_language(s, depth)
                     r = wd.repetitivity_function(fs, n)
                 assert r is not None, (name, n)
                 assert r <= bound * n, (name, n, r, bound)
@@ -215,7 +215,7 @@ def test_criterion_7_recognizer_uniqueness(catalog_subs, catalog_reports, capsys
     t0 = time.time()
     s = catalog_subs["minimal-nonprimitive"]
     rep = catalog_reports["minimal-nonprimitive"]
-    fs = wd.factor_language(s, 64, max_rounds=256)
+    fs = wd.factor_language(s, 64)
 
     # global audit: every factor up to length 600 has a unique interior cut-set
     scan = lr.uniqueness_scan(s, rep, fs, max_word_length=600)
@@ -284,7 +284,7 @@ def test_criterion_9_oracle_equivalence(catalog_subs, capsys):
     depth = 12
     for name in CATALOG_NAMES:
         s = catalog_subs[name]
-        fs = wd.factor_language(s, depth, max_rounds=3 * depth + 16)
+        fs = wd.factor_language(s, depth)
         assert fs.saturated
         oracle = naive_factors(s.rules, depth)
         assert fs.words == oracle, name

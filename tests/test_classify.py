@@ -142,7 +142,7 @@ def test_lr_bound_dominates_empirical_repetitivity(catalog_reports, catalog_subs
     for name in ("fibonacci", "minimal-nonprimitive"):
         rep = catalog_reports[name]
         s = catalog_subs[name]
-        fs = wd.factor_language(s, 96, max_rounds=320)
+        fs = wd.factor_language(s, 96)
         for n in range(1, 9):
             r = wd.repetitivity_function(fs, n)
             assert r is not None
@@ -162,7 +162,7 @@ def test_witness_images_cover_long_factors(catalog_reports, catalog_subs):
         rep = catalog_reports[name]
         s = catalog_subs[name]
         e = rep.certificate.letter
-        fs = wd.factor_language(s, 80, max_rounds=280)
+        fs = wd.factor_language(s, 80)
         checked = 0
         for n in range(1, 5):
             block = s.iterate(e, n)
@@ -200,14 +200,14 @@ def test_is_periodic_examples():
 def test_is_periodic_fibonacci_complexity(fib):
     res = is_periodic(fib, depth=30)
     assert res.status == "aperiodic-up-to-depth"
-    fs = wd.factor_language(fib, 31, max_rounds=128)
+    fs = wd.factor_language(fib, 31)
     for n in range(1, 31):
         assert fs.complexity(n) == n + 1  # golden-rotation complexity
 
 
 def test_extendable_core_drops_one_sided_junk():
     s = lr.load("remark1b")
-    fs = wd.factor_language(s, 20, max_rounds=80)
+    fs = wd.factor_language(s, 20)
     core = extendable_core(fs)
     assert "0" not in core
     assert "1" * 10 in core

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import linrep as lr
 from linrep import catalog
+from linrep import recognizer as rec
 from linrep.cli import build_parser, main
 from linrep.substitution import validate
 
@@ -117,6 +119,11 @@ def test_analyze_malformed_json(tmp_path, capsys):
         '{"rules": "abc"}',
         '{"rules": {"a": 5}}',
         '{"rules": {}}',
+        "[1, 2]",
+        '"abc"',
+        '{"alphabet": [{"symbol": "a", "value": 0}], "rules": {"a": "aa"}, '
+        '"potential_coupling": "x"}',
+        '{"alphabet": [{"symbol": 5, "value": 0}], "rules": {"a": "aa"}}',
     ],
 )
 def test_analyze_malformed_structure(payload, tmp_path, capsys):
@@ -284,6 +291,82 @@ def test_partition_foreign_word(defs, capsys):
         main(["partition", str(defs / "minimal-nonprimitive.json"), "--word", "abcb"]) == 1
     )
     assert "foreign" in capsys.readouterr().err
+
+
+def _expected_partition(s, target):
+    """The stdout and --json payload of `partition`, from the exhaustive enumerator."""
+    report = lr.classify(s)
+    rule = rec.recognition_rule(s, report.factors, report)
+    parts = rec.enumerate_one_partitions(s, target)
+    L = rule.half_width
+    interior = parts[0].interior_cuts(L)
+    lines = [
+        f"half-width L = {L} ({rule.route}); window set size {len(rule.windows)}",
+        f"1-partitions: {len(parts)}; distinct interior cut-sets: "
+        f"{len({p.interior_cuts(L) for p in parts})}",
+        f"interior cuts: {list(interior)}",
+    ]
+    if len(target) > 4 * L + 2:
+        preimage, offset = rec.desubstitute(s, target, rule)
+        lines.append(f"preimage (from offset {offset}): {preimage}")
+    payload = {
+        "schema_version": "1",
+        "depth_caveats": [
+            f"window rule trained on factors of length {rule.training_length}, "
+            f"validated on {rule.validated_on} fresh samples"
+        ],
+        "word_length": len(target),
+        "half_width": L,
+        "route": rule.route,
+        "cut_positions": list(interior),
+        "blocks": [list(parts[0].blocks[:50])],
+        "partition_count": len(parts),
+    }
+    return "\n".join(lines) + "\n", payload
+
+
+@pytest.mark.parametrize("name", ["minimal-nonprimitive", "stutter-separated"])
+@pytest.mark.parametrize("source", ["prefix-200", "prefix-2500", "factor", "empty"])
+def test_partition_output_matches_enumeration(defs, tmp_path, capsys, name, source):
+    s = lr.load(name)
+    a, _ = rec.shape_letters(s)
+    if source.startswith("prefix-"):
+        n = source.split("-")[1]
+        target, flags = lr.iterate_prefix(s, a, int(n)), ["--prefix", n]
+    else:
+        target = lr.iterate_prefix(s, a, 400)[37:337] if source == "factor" else ""
+        flags = ["--word", target]
+    out = tmp_path / "partition.json"
+    assert main(["partition", str(defs / f"{name}.json"), *flags, "--json", str(out)]) == 0
+    stdout, payload = _expected_partition(s, target)
+    captured = capsys.readouterr()
+    assert captured.out == stdout and captured.err == ""
+    assert json.loads(out.read_text()) == payload
+
+
+def test_partition_non_factor_word(defs, tmp_path, capsys):
+    s = lr.load("minimal-nonprimitive")
+    assert rec.enumerate_one_partitions(s, "aaaa") == []
+    out = tmp_path / "partition.json"
+    argv = ["partition", str(defs / "minimal-nonprimitive.json"), "--word", "aaaa"]
+    assert main([*argv, "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: word admits no 1-partition (not a factor of the language?)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["spectrum"], ["partition", "--prefix", "10"], ["transcendence"]],
+)
+def test_every_command_reports_a_substitution_error_alike(tmp_path, capsys, argv):
+    path = tmp_path / "still.json"
+    path.write_text('{"rules": {"a": "a"}}')
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no letter has unbounded image growth")
 
 
 def test_transcendence_separated(defs, tmp_path, capsys):

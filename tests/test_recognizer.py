@@ -22,7 +22,7 @@ def abaa_report(abaa):
 
 @pytest.fixture(scope="module")
 def abaa_factors(abaa):
-    return wd.factor_language(abaa, 64, max_rounds=256)
+    return wd.factor_language(abaa, 64)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +103,7 @@ def test_front_parses_match_enumeration(name):
     words = [w for m in range(1, 13) for w in sorted(fs.words_of_length(m))]
     words += ["".join(rng.choice((a, b)) for _ in range(rng.randint(0, 16))) for _ in range(300)]
     for w in words:
-        parses = rec._front_parses(alpha, b, w)
+        parses = rec.front_parses(alpha, b, w)
         assert parses == [p.cut_positions for p in rec.enumerate_one_partitions(s, w)], w
         assert parses == naive_partitions(alpha, b, w), w
 
@@ -171,7 +171,7 @@ def test_window_width_routes(abaa, abaa_factors):
     assert ww.half_width == 12 + 2 * 5
 
     noaa = lr.load("minimal-nonprimitive-noaa")
-    fs = wd.factor_language(noaa, 64, max_rounds=256)
+    fs = wd.factor_language(noaa, 64)
     ww2 = rec.window_half_width(noaa, fs)
     assert ww2.route == "no-doubled-letter"
     assert ww2.half_width == (ww2.max_exponent + 2) * 2 * len(noaa.rules["a"])
@@ -207,7 +207,7 @@ def test_interior_agreement_on_samples(abaa, abaa_factors, abaa_report):
 def test_interior_agreement_refuses_periodic():
     s = lr.load("periodic-ab")
     rep = lr.classify(s)
-    fs = wd.factor_language(s, 32, max_rounds=128)
+    fs = wd.factor_language(s, 32)
     with pytest.raises(SubstitutionError):
         rec.interior_agreement(s, "ab" * 40, fs, rep)
 
@@ -251,7 +251,7 @@ def test_recognition_rule_and_round_trip(abaa, abaa_rule, abaa_report):
         preimage, offset = rec.desubstitute(abaa, window, rule)
         assert abaa.apply(preimage) == window[offset : offset + len(abaa.apply(preimage))]
         # the preimage is itself admissible
-        assert preimage in wd.factor_language(abaa, len(preimage), max_rounds=256).words
+        assert preimage in wd.factor_language(abaa, len(preimage)).words
 
 
 def test_desubstitute_rejects_short_window(abaa, abaa_rule):
@@ -262,7 +262,7 @@ def test_desubstitute_rejects_short_window(abaa, abaa_rule):
 def test_recognition_no_doubled_letter_route():
     noaa = lr.load("minimal-nonprimitive-noaa")
     rep = lr.classify(noaa)
-    fs = wd.factor_language(noaa, 64, max_rounds=256)
+    fs = wd.factor_language(noaa, 64)
     rule = rec.recognition_rule(noaa, fs, rep)
     assert rule.route == "no-doubled-letter"
     assert rule.validated_on > 0

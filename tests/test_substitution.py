@@ -470,6 +470,13 @@ def test_fixed_point_prefix_needs_cycle():
         fixed_point_prefix(s, "0", 5)
 
 
+@pytest.mark.parametrize("rules", [{"a": "b", "b": "a"}, {"a": "a", "b": "ab"}])
+def test_fixed_point_prefix_rejects_a_letter_that_never_grows(rules):
+    # S^p(a) = a for the return time p of a's first-letter cycle (2, then 1)
+    with pytest.raises(FixedPointError, match="never grow"):
+        fixed_point_prefix(Substitution.from_rules(rules), "a", 5)
+
+
 def test_fixed_point_prefix_power_cycle():
     # a -> ba, b -> ab: first letters swap, so a returns at power 2
     s = Substitution.from_rules({"a": "ba", "b": "ab"})

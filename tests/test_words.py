@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linrep as lr
+from linrep import words as wd
 from linrep.substitution import Substitution
 from linrep.words import (
     CoverageUndecidedError,
@@ -106,7 +107,7 @@ def test_factor_language_matches_bruteforce(name, catalog_subs):
         s = Substitution.from_rules(rules)
     else:
         s, depth = catalog_subs[name], 10
-    fs = factor_language(s, depth, max_rounds=64)
+    fs = factor_language(s, depth)
     assert fs.saturated
     assert fs.words == naive_factors(s.rules, depth)
 
@@ -133,9 +134,10 @@ def test_witnesses_recheck_slow_system():
         assert w in iterates[key]
 
 
-def test_unsaturated_is_flagged_not_truncated():
+def test_unsaturated_is_flagged_not_truncated(monkeypatch):
     s = lr.load("remark1b")  # needs ~20 rounds at depth 20
-    fs = factor_language(s, 20, max_rounds=3)
+    monkeypatch.setattr(wd, "round_cap", lambda max_length: 3)
+    fs = factor_language(s, 20)
     assert not fs.saturated
     with pytest.raises(UnsaturatedFactorSetError):
         repetitivity_function(fs, 1)
@@ -153,7 +155,7 @@ def test_repetitivity_single_letter():
 
 def test_repetitivity_sentinel_remarkc():
     s = lr.load("remarkc")
-    fs = factor_language(s, 14, max_rounds=64)
+    fs = factor_language(s, 14)
     assert fs.saturated
     assert repetitivity_function(fs, 1) is None
 
@@ -170,7 +172,7 @@ def test_return_words_fibonacci(fib, fib_factors):
 
 def test_return_words_abaa():
     s = lr.load("minimal-nonprimitive")
-    fs = factor_language(s, 16, max_rounds=64)
+    fs = factor_language(s, 16)
     rw = return_words(s, "a", fs)
     assert rw.words == {"a", "ab"}
     assert rw.complete
@@ -185,14 +187,14 @@ def test_return_words_periodic_point():
 @pytest.mark.parametrize("name", ["fibonacci", "minimal-nonprimitive", "thue-morse"])
 def test_return_words_match_bruteforce(name, catalog_subs):
     s = catalog_subs[name]
-    fs = factor_language(s, 12, max_rounds=64)
+    fs = factor_language(s, 12)
     for v in sorted(s.letters):
         got = return_words(s, v, fs).words
         assert got == naive_return_words(naive_factors(s.rules, 12), v)
 
 
 def test_find_power_fibonacci(fib):
-    fs = factor_language(fib, 16, max_rounds=64)
+    fs = factor_language(fib, 16)
     u = find_power(fs, lambda w: w[0] == "a", 3)
     assert u == "abaab"  # independently derived by brute-force scanning
     assert u * 3 + "a" in fs
@@ -200,7 +202,7 @@ def test_find_power_fibonacci(fib):
 
 def test_find_power_thue_morse_cube_free(catalog_subs):
     s = catalog_subs["thue-morse"]
-    fs = factor_language(s, 16, max_rounds=64)
+    fs = factor_language(s, 16)
     assert find_power(fs, lambda w: True, 3) is None
 
 
@@ -213,14 +215,14 @@ def test_find_power_trivial():
 @pytest.mark.parametrize("name", ["fibonacci", "period-doubling"])
 def test_find_power_matches_bruteforce(name, catalog_subs):
     s = catalog_subs[name]
-    fs = factor_language(s, 12, max_rounds=64)
+    fs = factor_language(s, 12)
     mine = find_power(fs, lambda w: True, 3)
     naive = naive_find_power(naive_factors(s.rules, 12), lambda w: True, 3, 12)
     assert mine == naive
 
 
 def test_palindromes_fibonacci(fib):
-    fs = factor_language(fib, 3, max_rounds=64)
+    fs = factor_language(fib, 3)
     assert palindromes(fs) == ["a", "b", "aa", "aba", "bab"]
 
 
@@ -233,7 +235,7 @@ def test_palindromes_single_letter():
 def test_palindromes_constant_length_alternating():
     # both letters map to ab, so the language is the alternating word's
     s = Substitution.from_rules({"a": "ab", "b": "ab"})
-    fs = factor_language(s, 5, max_rounds=64)
+    fs = factor_language(s, 5)
     assert palindromes(fs) == ["a", "b", "aba", "bab", "ababa", "babab"]
 
 
@@ -275,8 +277,8 @@ def test_overlap_counting(n):
 
 
 def test_restriction_consistency(fib):
-    deep = factor_language(fib, 9, max_rounds=64)
-    shallow = factor_language(fib, 5, max_rounds=64)
+    deep = factor_language(fib, 9)
+    shallow = factor_language(fib, 5)
     assert {w for w in deep.words if len(w) <= 5} == shallow.words
 
 
@@ -360,18 +362,20 @@ def test_return_words_match_closure_oracle(name, catalog_subs):
 
 def test_deep_slow_system_saturates_below_word_cap():
     # all factors of length <= 256 number about 2.7 million, over the
-    # max_words cap; the 32,045 maximal words are not
+    # MAX_WORDS cap; the 32,045 maximal words are not
     s = Substitution.from_rules(SLOW_SYSTEMS["0-01001-1-1"][0])
     fs = factor_language(s, 256)
     assert fs.saturated and fs.rounds == 257
     assert len(fs.maximal) == 32045
 
 
-def test_word_cap_counts_maximal_words():
+def test_word_cap_counts_maximal_words(monkeypatch):
     s = lr.load("fibonacci")
     stored = len(factor_language(s, 64).maximal)  # 65 of length 64 plus the short iterates
-    assert factor_language(s, 64, max_words=stored).saturated
-    capped = factor_language(s, 64, max_words=stored - 1)
+    monkeypatch.setattr(wd, "MAX_WORDS", stored)
+    assert factor_language(s, 64).saturated
+    monkeypatch.setattr(wd, "MAX_WORDS", stored - 1)
+    capped = factor_language(s, 64)
     assert not capped.saturated
     with pytest.raises(UnsaturatedFactorSetError):
         coverage_length(capped, ["a"])
@@ -418,7 +422,7 @@ def test_coverage_length_matches_scan(rules, depth):
 def test_coverage_length_quick_rejection():
     # remarkc has a letter missing from a factor of length max_length
     s = lr.load("remarkc")
-    fs = factor_language(s, 14, max_rounds=64)
+    fs = factor_language(s, 14)
     missing = [a for a in s.letters if any(a not in w for w in fs.words_of_length(14))]
     assert missing
     for a in missing:
