@@ -38,7 +38,6 @@ from .recognizer import (
     RecognitionRule,
     desubstitute,
     enumerate_one_partitions,
-    interior_agreement,
     recognition_rule,
     uniqueness_scan,
 )

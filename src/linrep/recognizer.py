@@ -18,12 +18,15 @@ For a minimal aperiodic system S(a) begins and ends with a
 most one block chain: the recognition rule and `linrep partition` read
 their cuts from these forced parses (`front_parses`), while
 `enumerate_one_partitions` serves any shape and is the reference the
-forced parses are tested against.
+forced parses are tested against.  The recognition rule reads its window
+set from the factors of length 2L+1 and checks, factor by factor, that
+their 1-partitions agree at the center; that one exhaustive check
+certifies the agreement for every factor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from . import words as wd
 from .classify import YES, ClassificationReport
 from .substitution import Substitution, SubstitutionError, iterate_prefix
@@ -39,9 +42,6 @@ class ShallowFactorSetError(SubstitutionError):
 
 MAX_PARTITIONS = 10**4
 MAX_WIDTH_DEPTH = 256  # deepest factor set window_half_width builds
-# recognition_rule validates on this many fresh windows of a sample this long
-SAMPLE_DEPTH = 10**4
-VALIDATION_WORDS = 120
 
 
 def shape_letters(s: Substitution) -> tuple[str, str]:
@@ -228,54 +228,7 @@ def window_half_width(s: Substitution, factors: wd.FactorSet) -> WindowWidth:
                 ) from None
 
 
-@dataclass
-class Agreement:
-    agree: bool
-    half_width: int
-    route: str
-    partition_count: int
-    violation: tuple[OnePartition, OnePartition] | None
-
-
-def interior_agreement(
-    s: Substitution,
-    w: str,
-    factors: wd.FactorSet,
-    report: ClassificationReport | None = None,
-) -> Agreement:
-    """Check that all 1-partitions of w agree on cuts inside the safety strip.
-
-    Preconditions: the two-letter shape, certified minimality and
-    aperiodicity (pass a classification report to have them checked), and
-    |w| > 2L.  A violation is returned as a counterexample pair, which would
-    indicate an implementation fault rather than a property of the system.
-    """
-    _require_minimal_aperiodic(report)
-    ww = window_half_width(s, factors)
-    L = ww.half_width
-    if len(w) <= 2 * L:
-        raise ValueError(f"word of length {len(w)} too short for half-width {L}")
-    parts = enumerate_one_partitions(s, w)
-    if not parts:
-        raise ValueError(f"{w!r} admits no 1-partition; is it a factor of the language?")
-    reference = parts[0].interior_cuts(L)
-    for p in parts[1:]:
-        if p.interior_cuts(L) != reference:
-            return Agreement(
-                agree=False,
-                half_width=L,
-                route=ww.route,
-                partition_count=len(parts),
-                violation=(parts[0], p),
-            )
-    return Agreement(
-        agree=True, half_width=L, route=ww.route, partition_count=len(parts), violation=None
-    )
-
-
-def _require_minimal_aperiodic(report: ClassificationReport | None) -> None:
-    if report is None:
-        return
+def _require_minimal_aperiodic(report: ClassificationReport) -> None:
     if report.primitive.primitive:
         raise ShapeError("requires a nonprimitive substitution")
     if report.minimal != YES:
@@ -293,8 +246,6 @@ class RecognitionRule:
     half_width: int
     route: str
     windows: frozenset[str]
-    training_length: int
-    validated_on: int
 
     def cuts(self, text: str) -> list[int]:
         L = self.half_width
@@ -356,15 +307,24 @@ def recognition_rule(
     factors: wd.FactorSet,
     report: ClassificationReport,
 ) -> RecognitionRule:
-    """Harvest cut-centered windows from factor partitions, then validate them.
+    """The (2L+1)-windows whose center is a cut, read from the factors of length 2L+1.
 
-    Training: every 1-partition of every factor of length 4L contributes the
-    (2L+1)-windows centered at its interior cuts.  Validation: on fresh
-    longer samples (about VALIDATION_WORDS windows of a SAMPLE_DEPTH-letter
-    prefix of an iterate), cuts re-derived from the window set alone must
-    coincide with the interior cuts of the first 1-partition.  The report
-    must certify minimality and aperiodicity; then S(a) begins and ends
-    with a, and the 1-partitions are read from forced parses.
+    For each factor W of length 2L+1 the 1-partitions of W must agree on
+    whether the center L is a cut; W joins `windows` when they all cut
+    there, and a SubstitutionError names W when they disagree or W has
+    none.
+
+    This one exhaustive check makes the rule exact.  Let f be any factor,
+    P any 1-partition of f and L <= i <= |f|-1-L.  Restricting P to
+    W = f[i-L : i+L+1] gives a 1-partition of W: the block cut at each end
+    leaves a proper suffix or a proper prefix of S(a) (a cut b block leaves
+    nothing).  `front_parses` lists every 1-partition of W
+    (`_require_bordered_image`), so i is a cut of P iff W is in `windows`.
+    Hence all 1-partitions of every factor agree on [L, |f|-1-L], and
+    `RecognitionRule.cuts` reads their common cuts there.
+
+    The report must certify minimality and aperiodicity; then S(a) begins
+    and ends with a, and the 1-partitions are read from forced parses.
     """
     _require_minimal_aperiodic(report)
     a, b = shape_letters(s)
@@ -372,44 +332,20 @@ def recognition_rule(
     _require_bordered_image(alpha, a)
     ww = window_half_width(s, factors)
     L = ww.half_width
-    training_len = 4 * L
-    train = factors
-    if train.max_length < training_len or not train.saturated:
-        train = wd.factor_language(s, training_len)
-        train.require_saturated()
+    if factors.max_length < 2 * L + 1 or not factors.saturated:
+        factors = wd.factor_language(s, 2 * L + 1)
+        factors.require_saturated()
 
     windows: set[str] = set()
-    for f in train.words_of_length(training_len):
-        cuts = {c for parse in front_parses(alpha, b, f) for c in parse}
-        windows.update(f[c - L : c + L + 1] for c in cuts if L <= c <= len(f) - 1 - L)
-    rule = RecognitionRule(
-        half_width=L,
-        route=ww.route,
-        windows=frozenset(windows),
-        training_length=training_len,
-        validated_on=0,
-    )
-
-    # validation against fresh, longer samples drawn from a deep iterate
-    sample = iterate_prefix(s, a, SAMPLE_DEPTH)
-    fresh_len = min(6 * L, len(sample))
-    fresh = sorted(wd.distinct_windows(sample, fresh_len))
-    stride = max(1, len(fresh) // VALIDATION_WORDS)
-    checked = 0
-    for f in fresh[::stride]:
-        parts = front_parses(alpha, b, f)
-        if not parts:
-            continue
-        # windows are only computable for centers in [L, len-1-L]
-        expect = {c for c in parts[0] if L <= c <= len(f) - 1 - L}
-        got = set(rule.cuts(f))
-        if got != expect:
+    for w in factors.words_of_length(2 * L + 1):
+        center_cut = {L in parse for parse in front_parses(alpha, b, w)}
+        if len(center_cut) != 1:
             raise SubstitutionError(
-                f"window rule failed validation on a fresh sample "
-                f"(expected cuts {sorted(expect)[:8]}..., got {sorted(got)[:8]}...)"
+                f"the 1-partitions of factor {w!r} do not decide a cut at its center {L}"
             )
-        checked += 1
-    return replace(rule, validated_on=checked)
+        if center_cut == {True}:
+            windows.add(w)
+    return RecognitionRule(half_width=L, route=ww.route, windows=frozenset(windows))
 
 
 def desubstitute(s: Substitution, window: str, rule: RecognitionRule) -> tuple[str, int]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import words as wd
 from .classify import YES, ClassificationReport
-from .substitution import Substitution, iterate_prefix, perron_growth, reduced_substitution
+from .substitution import Substitution, iterate_prefix
 
 FINITE_SECTION_CAP = 4096
 
@@ -255,12 +255,13 @@ def gordon_check(
         return GordonHypothesisMissing(searched_depth=factors.max_length)
     e = u[0]
 
-    reduced = reduced_substitution(s, report.split)
-    growth = perron_growth(reduced, [e, u * 3 + e], n_max=max(report.lr.growth.n_checked, max(levels)))
-    e_lengths = s.word_image_lengths(e, growth.n_checked)
-    cube_lengths = s.word_image_lengths(u * 3 + e, growth.n_checked)
-    lam = min(e_lengths[n] / growth.theta**n for n in range(1, growth.n_checked + 1))
-    rho = max(cube_lengths[n] / growth.theta**n for n in range(1, growth.n_checked + 1))
+    # the Perron eigenvalue of the reduced substitution, as the report found it
+    theta = report.lr.growth.theta
+    n_max = max(report.lr.growth.n_checked, max(levels))
+    e_lengths = s.word_image_lengths(e, n_max)
+    cube_lengths = s.word_image_lengths(u * 3 + e, n_max)
+    lam = min(e_lengths[n] / theta**n for n in range(1, n_max + 1))
+    rho = max(cube_lengths[n] / theta**n for n in range(1, n_max + 1))
     bound = lam / (report.lr.value * rho)
 
     sample_word = iterate_prefix(s, report.certificate.letter, sample_length)
@@ -287,6 +288,6 @@ def gordon_check(
         freq_lower_bound=bound,
         empirical_frequency=empirical,
         bound_satisfied=ok,
-        theta=growth.theta,
+        theta=theta,
         sample_length=len(sample),
     )

@@ -515,25 +515,26 @@ def is_primitive(s: Substitution | ReducedSubstitution) -> PrimitivityResult:
     """Primitivity via positivity of a power of the occurrence matrix.
 
     If M^r is entrywise positive for some r it already is for
-    r = (n-1)^2 + 1, so scanning up to that bound decides.  A zero entry at
-    the bound is returned as the certificate of failure.
+    r = (n-1)^2 + 1, so scanning up to that bound decides.  The first zero
+    entry at the bound, in row-major order, is returned as the certificate
+    of failure.
     """
     m = s.abelianization()
     n = len(m)
     bound = (n - 1) ** 2 + 1
     power = m
     for r in range(1, bound + 1):
-        if all(x > 0 for row in power for x in row):
+        zero = next(
+            ((i, j) for i, row in enumerate(power) for j, x in enumerate(row) if x == 0), None
+        )
+        if zero is None:
             return PrimitivityResult(primitive=True, power=r, zero_entry=None)
-        if r < bound:
-            power = mat_mul(power, m)
-    for i, row in enumerate(power):
-        for j, x in enumerate(row):
-            if x == 0:
-                return PrimitivityResult(
-                    primitive=False, power=None, zero_entry=(bound, s.letters[i], s.letters[j])
-                )
-    raise AssertionError("unreachable")
+        if r == bound:
+            i, j = zero
+            return PrimitivityResult(
+                primitive=False, power=None, zero_entry=(bound, s.letters[i], s.letters[j])
+            )
+        power = mat_mul(power, m)
 
 
 def perron_eigenvalue(matrix: Sequence[Sequence[int]]) -> float:

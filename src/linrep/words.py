@@ -503,8 +503,3 @@ def palindromes(factors: FactorSet) -> list[Word]:
     """All palindromic factors, sorted by length then lexicographically."""
     factors.require_saturated()
     return sorted((w for w in factors.words if w == w[::-1]), key=lambda w: (len(w), w))
-
-
-def distinct_windows(text: str, length: int) -> set[str]:
-    """Distinct length-`length` windows of a long sample string."""
-    return {text[i : i + length] for i in range(len(text) - length + 1)}

@@ -17,6 +17,11 @@ def apply_rules(rules: dict[str, str], w: str) -> str:
     return "".join(out)
 
 
+def distinct_windows(text: str, length: int) -> set[str]:
+    """Distinct length-`length` windows of a sample string."""
+    return {text[i : i + length] for i in range(len(text) - length + 1)}
+
+
 def naive_factors(rules: dict[str, str], max_len: int, *, extra_rounds: int = 5) -> set[str]:
     """Subwords of all iterates, iterating until the set stops changing for a while."""
     found: set[str] = set()
@@ -149,17 +154,15 @@ def floquet_bands(word: str, values: dict[str, float], merge_tol: float = 1e-9):
     return [(lo, hi) for lo, hi in bands], merged
 
 
-def closure_factor_language(s, max_length: int, *, max_rounds: int | None = None,
-                            max_words: int = 10**6):
+def closure_factor_language(s, max_length: int):
     """Reference closure that stores every factor of length <= max_length.
 
     Each round expands the new length-n factors at the windows starting
     inside the image of their first letter, plus the whole image of each
-    letter's end word, and adds every window and its prefixes.  Returns
-    (words, witnesses, saturated, rounds).
+    letter's end word, and adds every window and its prefixes.  It stops
+    unsaturated after the library's caps: max(64, 3n + 16) rounds or more
+    than 10**6 words.  Returns (words, witnesses, saturated, rounds).
     """
-    if max_rounds is None:
-        max_rounds = max(64, 3 * max_length + 16)
     n = max_length
     words: set[str] = set()
     witnesses: dict[str, tuple[str, int]] = {}
@@ -183,7 +186,7 @@ def closure_factor_language(s, max_length: int, *, max_rounds: int | None = None
     ends = {a: a for a in s.letters}
     saturated = False
     rounds = 0
-    for k in range(1, max_rounds + 1):
+    for k in range(1, max(64, 3 * n + 16) + 1):
         rounds = k
         size = len(words)
         batch, fresh = fresh, []
@@ -193,7 +196,7 @@ def closure_factor_language(s, max_length: int, *, max_rounds: int | None = None
             image = apply_rules(s.rules, ends[a])
             ends[a] = image[-n:]
             harvest(image, len(image), (a, k))
-        if len(words) > max_words:
+        if len(words) > 10**6:
             break
         if len(words) == size:
             saturated = True

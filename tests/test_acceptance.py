@@ -34,7 +34,7 @@ from linrep.substitution import (
     reduced_substitution,
 )
 
-from bruteforce import naive_factors, naive_find_power, naive_return_words
+from bruteforce import distinct_windows, naive_factors, naive_find_power, naive_return_words
 from conftest import CATALOG_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -225,7 +225,7 @@ def test_criterion_7_recognizer_uniqueness(catalog_subs, catalog_reports, capsys
     # spot-exhaustive confirmation at selected lengths via coverage windows
     sample = lr.iterate_prefix(s, "a", int(rep.lr.value * 600) + 1200)
     for m in (4 * L + 2, 4 * L + 30, 280):
-        for w in sorted(wd.distinct_windows(sample, m)):
+        for w in sorted(distinct_windows(sample, m)):
             cut_sets = {p.interior_cuts(L) for p in rec.enumerate_one_partitions(s, w)}
             assert len(cut_sets) == 1, (m, w[:40])
 

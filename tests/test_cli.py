@@ -312,8 +312,8 @@ def _expected_partition(s, target):
     payload = {
         "schema_version": "1",
         "depth_caveats": [
-            f"window rule trained on factors of length {rule.training_length}, "
-            f"validated on {rule.validated_on} fresh samples"
+            f"window rule read from every factor of length {2 * L + 1}; "
+            "their 1-partitions agree at every center"
         ],
         "word_length": len(target),
         "half_width": L,

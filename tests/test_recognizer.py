@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,9 +6,13 @@ import pytest
 import linrep as lr
 from linrep import recognizer as rec
 from linrep import words as wd
+from linrep.classify import YES
 from linrep.substitution import Substitution, SubstitutionError
 
-from bruteforce import naive_partitions
+from bruteforce import distinct_windows, naive_partitions
+
+# the catalog's minimal aperiodic two-letter fixed-letter systems
+SHAPES = ["minimal-nonprimitive", "minimal-nonprimitive-noaa", "stutter-doubled", "stutter-separated"]
 
 
 @pytest.fixture(scope="module")
@@ -89,10 +94,7 @@ def test_enumerate_matches_naive_on_random_shapes():
         assert sorted(mine) == naive_partitions(alpha, "b", w), (alpha, w)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["minimal-nonprimitive", "minimal-nonprimitive-noaa", "stutter-doubled", "stutter-separated"],
-)
+@pytest.mark.parametrize("name", SHAPES)
 def test_front_parses_match_enumeration(name):
     # the catalog's minimal shapes: S(a) begins and ends with a, so parses are forced
     s = lr.load(name)
@@ -193,23 +195,25 @@ def test_propagation_below_threshold(abaa, abaa_factors):
                 assert all(starts_double)
 
 
-def test_interior_agreement_on_samples(abaa, abaa_factors, abaa_report):
+def test_one_partitions_agree_on_samples(abaa, abaa_factors):
+    # the exhaustive enumerator, independent of the forced parses, finds one
+    # interior cut-set on sampled factors longer than 2L
     sample = lr.iterate_prefix(abaa, "a", 3000)
     rng = random.Random(17)
     L = rec.window_half_width(abaa, abaa_factors).half_width
     for _ in range(25):
         i = rng.randrange(0, len(sample) - 3 * L - 2)
         w = sample[i : i + rng.randint(2 * L + 1, 3 * L)]
-        res = rec.interior_agreement(abaa, w, abaa_factors, abaa_report)
-        assert res.agree
+        parts = rec.enumerate_one_partitions(abaa, w)
+        assert parts
+        assert len({p.interior_cuts(L) for p in parts}) == 1, w
 
 
-def test_interior_agreement_refuses_periodic():
+def test_recognition_rule_refuses_periodic():
     s = lr.load("periodic-ab")
     rep = lr.classify(s)
-    fs = wd.factor_language(s, 32)
-    with pytest.raises(SubstitutionError):
-        rec.interior_agreement(s, "ab" * 40, fs, rep)
+    with pytest.raises(SubstitutionError, match="aperiodicity"):
+        rec.recognition_rule(s, wd.factor_language(s, 32), rep)
 
 
 def test_no_doubled_letter_run_arithmetic():
@@ -241,7 +245,6 @@ def test_no_doubled_letter_run_arithmetic():
 
 def test_recognition_rule_and_round_trip(abaa, abaa_rule, abaa_report):
     rule = abaa_rule
-    assert rule.validated_on > 0
     rng = random.Random(31)
     sample = lr.iterate_prefix(abaa, "a", 20000)
     L = rule.half_width
@@ -252,6 +255,79 @@ def test_recognition_rule_and_round_trip(abaa, abaa_rule, abaa_report):
         assert abaa.apply(preimage) == window[offset : offset + len(abaa.apply(preimage))]
         # the preimage is itself admissible
         assert preimage in wd.factor_language(abaa, len(preimage)).words
+
+
+def _harvested_windows(s, L):
+    """The (2L+1)-windows centered at the cuts of every 1-partition of every
+    factor of length 4L, away from the ends."""
+    a, b = rec.shape_letters(s)
+    fs = wd.factor_language(s, 4 * L)
+    fs.require_saturated()
+    out = set()
+    for f in fs.words_of_length(4 * L):
+        cuts = {c for parse in rec.front_parses(s.rules[a], b, f) for c in parse}
+        out.update(f[c - L : c + L + 1] for c in cuts if L <= c <= len(f) - 1 - L)
+    return out
+
+
+@pytest.fixture(scope="module")
+def shape_rules():
+    out = {}
+    for name in SHAPES:
+        s = lr.load(name)
+        rep = lr.classify(s)
+        out[name] = (s, rep, rec.recognition_rule(s, rep.factors, rep))
+    return out
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_rule_cuts_match_parses_on_fresh_samples(shape_rules, name):
+    # windows longer than any the rule was read from, spread over a deep
+    # iterate: every 1-partition cuts exactly where the rule does
+    s, _, rule = shape_rules[name]
+    a, b = rec.shape_letters(s)
+    L = rule.half_width
+    fresh = sorted(distinct_windows(lr.iterate_prefix(s, a, 10**4), 6 * L))
+    checked = 0
+    for f in fresh[:: max(1, len(fresh) // 120)]:
+        parses = rec.front_parses(s.rules[a], b, f)
+        assert parses, f
+        for cuts in parses:
+            assert rule.cuts(f) == [c for c in cuts if L <= c <= len(f) - 1 - L], f
+        checked += 1
+    assert checked >= 100
+
+
+def test_rule_windows_match_4l_harvest(shape_rules):
+    # the catalog shapes, then every a -> a w a, b -> b with |w| <= 6 that
+    # is minimal and aperiodic
+    for s, _, rule in shape_rules.values():
+        assert rule.windows == _harvested_windows(s, rule.half_width), s.rules
+    checked = 0
+    for m in range(7):
+        for letters in itertools.product("ab", repeat=m):
+            if "b" not in letters:
+                continue  # b unreachable
+            s = Substitution.from_rules({"a": "a" + "".join(letters) + "a", "b": "b"})
+            rep = lr.classify(s)
+            if rep.minimal != YES or rep.periodicity.status != "aperiodic-up-to-depth":
+                continue
+            rule = rec.recognition_rule(s, rep.factors, rep)
+            assert rule.windows == _harvested_windows(s, rule.half_width), s.rules
+            checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("name", SHAPES)
+def test_rule_refuses_too_narrow_half_width(shape_rules, monkeypatch, name):
+    # with L = 1 some 3-letter factor has 1-partitions that disagree at its
+    # center, and the exhaustive check must name it
+    s, rep, _ = shape_rules[name]
+    monkeypatch.setattr(
+        rec, "window_half_width", lambda *_: rec.WindowWidth("doubled-letter", 1, None, None)
+    )
+    with pytest.raises(SubstitutionError, match="do not decide a cut"):
+        rec.recognition_rule(s, rep.factors, rep)
 
 
 def test_desubstitute_rejects_short_window(abaa, abaa_rule):
@@ -265,7 +341,6 @@ def test_recognition_no_doubled_letter_route():
     fs = wd.factor_language(noaa, 64)
     rule = rec.recognition_rule(noaa, fs, rep)
     assert rule.route == "no-doubled-letter"
-    assert rule.validated_on > 0
     L = rule.half_width
     sample = lr.iterate_prefix(noaa, "a", 6 * (4 * L + 80))
     rng = random.Random(41)

@@ -12,7 +12,6 @@ from linrep.words import (
     count_occurrences,
     coverage_exact,
     coverage_length,
-    distinct_windows,
     factor_language,
     find_power,
     gap_bound,
@@ -24,6 +23,7 @@ from linrep.words import (
 
 from bruteforce import (
     closure_factor_language,
+    distinct_windows,
     failed_witnesses,
     naive_count,
     naive_factors,
