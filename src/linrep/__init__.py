@@ -71,7 +71,6 @@ from .words import (
     ReturnWordSet,
     count_occurrences,
     coverage_exact,
-    coverage_length,
     factor_language,
     find_power,
     palindromes,

@@ -432,7 +432,7 @@ def lr_constant_bound(
         raise SubstitutionError(
             f"return-word pairs need a saturated factor set of depth >= {2 * cert.kappa}"
         )
-    rw = wd.return_words(s, cert.letter, factors)
+    rw = wd.return_words(cert.letter, factors)
     growth = perron_growth(reduced_substitution(s, split), rw.words, n_max)
     pairs = sorted(z1 + z2 for z1 in rw.words for z2 in rw.words if z1 + z2 in factors)
     try:
@@ -676,7 +676,7 @@ class ClassificationReport:
                 "G": self.lr.G,
                 "pair_set": list(self.lr.pair_set),
                 "return_words": sorted(self.lr.return_word_set.words),
-                "kappa": self.lr.return_word_set.kappa,
+                "kappa": self.certificate.kappa,
                 "factor_depth": self.lr.factor_depth,
                 "caveats": list(self.lr.caveats),
             }

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import words as wd
 from .classify import YES, ClassificationReport
-from .substitution import Substitution, iterate_prefix
+from .substitution import Substitution, growth_ratio_range, iterate_prefix
 
 FINITE_SECTION_CAP = 4096
 
@@ -258,10 +258,8 @@ def gordon_check(
     # the Perron eigenvalue of the reduced substitution, as the report found it
     theta = report.lr.growth.theta
     n_max = max(report.lr.growth.n_checked, max(levels))
-    e_lengths = s.word_image_lengths(e, n_max)
-    cube_lengths = s.word_image_lengths(u * 3 + e, n_max)
-    lam = min(e_lengths[n] / theta**n for n in range(1, n_max + 1))
-    rho = max(cube_lengths[n] / theta**n for n in range(1, n_max + 1))
+    lam = growth_ratio_range(s, e, theta, n_max)[0]
+    rho = growth_ratio_range(s, u * 3 + e, theta, n_max)[1]
     bound = lam / (report.lr.value * rho)
 
     sample_word = iterate_prefix(s, report.certificate.letter, sample_length)

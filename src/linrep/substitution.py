@@ -617,16 +617,28 @@ def perron_growth(
         if not any(ch in growing for ch in v):
             raise ValueError(f"word {v!r} contains no growing letter")
     theta = perron_eigenvalue(reduced.abelianization())
-    s = reduced.original
-    lo = math.inf
-    hi = 0.0
-    for v in word_list:
+    lo, hi = zip(*(growth_ratio_range(reduced.original, v, theta, n_max) for v in word_list))
+    return GrowthEstimate(
+        theta=theta, lambda_v=min(lo), rho_v=max(hi), words=word_list, n_checked=n_max
+    )
+
+
+def growth_ratio_range(s: Substitution, v: str, theta: float, n_max: int) -> tuple[float, float]:
+    """Least and greatest ratio |S^n(v)| / theta^n over 1 <= n <= n_max.
+
+    Raises SubstitutionError, naming n_max and theta, when theta^n or
+    |S^n(v)| leaves the float range.  theta >= 1, so theta^n_max is the
+    largest power, and it is tried before the length table is filled.
+    """
+    try:
+        theta**n_max
         lengths = s.word_image_lengths(v, n_max)
-        for n in range(1, n_max + 1):
-            ratio = lengths[n] / theta**n
-            lo = min(lo, ratio)
-            hi = max(hi, ratio)
-    return GrowthEstimate(theta=theta, lambda_v=lo, rho_v=hi, words=word_list, n_checked=n_max)
+        ratios = [lengths[n] / theta**n for n in range(1, n_max + 1)]
+    except OverflowError:
+        raise SubstitutionError(
+            f"|S^n(v)| / theta^n leaves the float range for n <= {n_max} (theta = {theta:.12g})"
+        ) from None
+    return min(ratios), max(ratios)
 
 
 def iterate_prefix(s: Substitution, seed: str, length: int) -> str:

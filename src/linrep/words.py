@@ -9,9 +9,14 @@ length n and the whole iterates shorter than n, each with a witness
 S^k(a) (all of it while it is shorter).  Every factor is a prefix of a
 maximal word or of a suffix of an end word, so `FactorSet` derives the full
 set, the words of one length and the witnesses only when a caller asks for
-them; membership tests and the coverage scan read the maximal words
-directly.  The cost follows the number of length-n factors, not the length
-of the iterates or the number of shorter factors.
+them; membership tests and the return words read the maximal words and
+the roots directly.  The cost follows the number of length-n factors, not
+the length of the iterates or the number of shorter factors.
+
+Coverage lengths, the smallest L such that every factor of length L holds
+every target, have one algorithm: `coverage_exact`, an exact fold over the
+letter images that needs no factor set.  The gap bound kappa, the
+repetitivity function R(n) and the pair coverage G all read it.
 """
 
 from __future__ import annotations
@@ -270,33 +275,6 @@ def factor_language(s, max_length: int) -> FactorSet:
     )
 
 
-def coverage_length(factors: FactorSet, targets: Iterable[Word]) -> int | None:
-    """Smallest L >= max |t| with: every factor of length L contains every target.
-
-    Read from the roots: a prefix r[:L] of a root r avoids a target t
-    exactly when L < r.find(t) + |t| (or L <= |r| when t is not in r), and
-    every factor is such a prefix, so the longest factor avoiding a target
-    has length A = max over r, t of those bounds and the answer is
-    max(start, A + 1).  Returns None when that exceeds the longest factor;
-    a factor of length max_length missing a target settles it at once.
-    """
-    factors.require_saturated()
-    targets = tuple(targets)
-    roots = factors.roots()
-    n = factors.max_length
-    avoid = 0
-    for t in targets:
-        hits = [r.find(t) for r in roots]
-        if min(hits) < 0:
-            missed = [len(r) for r, i in zip(roots, hits) if i < 0]
-            if max(missed) == n:
-                return None
-            avoid = max(avoid, *missed)
-        avoid = max(avoid, max(hits) + len(t) - 1)
-    L = max(max(map(len, targets)), avoid + 1)
-    return L if L <= max(map(len, roots)) else None
-
-
 class CoverageUndecidedError(ValueError):
     """`coverage_exact` hit its round cap before its summaries repeated."""
 
@@ -413,11 +391,13 @@ def coverage_exact(s, targets: Iterable[Word]) -> int:
     return max(max(map(len, targets)), avoid + 1)
 
 
-def repetitivity_function(factors: FactorSet, n: int) -> int | None:
+def repetitivity_function(factors: FactorSet, n: int) -> int:
     """Smallest L with: every factor of length L contains every factor of length n.
 
-    Returns None when no such L exists within factors.max_length (the
-    sentinel case; e.g. a letter that does not occur with bounded gaps).
+    The targets are the factors of length n, read from `factors`; L itself
+    is exact from `coverage_exact` and may exceed factors.max_length.
+    Raises `CoverageUndecidedError` when some factor of length n is avoided
+    by arbitrarily long factors (e.g. a letter without bounded gaps).
     """
     factors.require_saturated()
     if n < 1 or n > factors.max_length:
@@ -425,33 +405,29 @@ def repetitivity_function(factors: FactorSet, n: int) -> int | None:
     targets = factors.words_of_length(n)
     if not targets:
         raise ValueError(f"factor set has no words of length {n}")
-    return coverage_length(factors, targets)
+    return coverage_exact(factors.substitution, targets)
 
 
-def gap_bound(factors: FactorSet, v: Word) -> int | None:
-    """Smallest L with: every factor of length L contains `v` (None if not found)."""
-    return coverage_length(factors, (v,))
+def gap_bound(factors: FactorSet, v: Word) -> int:
+    """Smallest L with: every factor of length L contains `v`, from `coverage_exact`."""
+    return coverage_exact(factors.substitution, (v,))
 
 
 @dataclass(frozen=True)
 class ReturnWordSet:
-    """Return words of a word v, with a completeness certificate.
+    """Return words of a word v: every x with xv a factor that starts with v
+    and holds v exactly twice.
 
-    `complete` is True when the factor set is provably deep enough to contain
-    every return word: any return word x of v satisfies |x| <= kappa, where
-    kappa is a certified gap bound for v (a strictly interior occurrence of v
-    inside a window of length kappa would be a third occurrence), so depth
-    kappa + |v| suffices.
+    They are complete when the factor set is at least kappa + |v| deep, with
+    kappa a gap bound for v: a return word x longer than kappa would have a
+    factor x[1:kappa + 1] of length kappa, holding a third occurrence of v.
     """
 
     base: Word
     words: frozenset[Word]
-    complete: bool
-    kappa: int | None
-    max_observed_gap: int | None
 
 
-def return_words(s, v: Word, factors: FactorSet) -> ReturnWordSet:
+def return_words(v: Word, factors: FactorSet) -> ReturnWordSet:
     """All x with xv in the language, xv starting with v and containing v exactly twice.
 
     Read from the roots: xv is a prefix of some root r, which then starts
@@ -466,15 +442,7 @@ def return_words(s, v: Word, factors: FactorSet) -> ReturnWordSet:
             j = r.find(v, 1)
             if j > 0:
                 found.add(r[:j])
-    kappa = gap_bound(factors, v)
-    complete = kappa is not None and factors.max_length >= kappa + len(v)
-    return ReturnWordSet(
-        base=v,
-        words=frozenset(found),
-        complete=complete,
-        kappa=kappa,
-        max_observed_gap=max(map(len, found), default=None),
-    )
+    return ReturnWordSet(base=v, words=frozenset(found))
 
 
 def find_power(

@@ -64,6 +64,20 @@ def test_analyze_undecided_exit3(tmp_path, capsys):
     assert "minimal: undecided-at-depth" in out
 
 
+def test_analyze_growth_past_float_range_is_a_caveat(defs):
+    # theta^n leaves the float range from n = 1474 for Fibonacci: the
+    # repetitivity constant becomes undecided, and the run still exits 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "linrep.cli", "analyze", str(defs / "fibonacci.json"),
+            "--nmax", "2000"]
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert "Traceback" not in child.stdout + child.stderr
+    assert ("caveat: repetitivity constant undecided: |S^n(v)| / theta^n leaves the float "
+            "range for n <= 2000 (theta = 1.61803398875)") in child.stdout
+
+
 def test_analyze_wide_blocks_certified(tmp_path, capsys):
     # gap bound and pair coverage far beyond the old scanned depths (256):
     # the longest a-free factor is b^300, and b^300 a b^300 a b^299 is the

@@ -227,6 +227,43 @@ def test_gordon_fibonacci(fib, catalog_reports):
         assert nk <= growth.rho_v * growth.theta**k * (1 + 1e-9)
 
 
+GORDON_NAMES = [
+    "fibonacci",
+    "free",
+    "minimal-nonprimitive",
+    "minimal-nonprimitive-noaa",
+    "period-doubling",
+    "periodic-ab",
+    "stutter-doubled",
+    "stutter-separated",
+    "thue-morse",
+]
+
+
+@pytest.mark.parametrize("name", GORDON_NAMES)
+def test_growth_ratios_match_inline_expressions(name, catalog_subs, catalog_reports):
+    # lambda, rho and the Gordon bound from the ratio expressions written
+    # out: growth_ratio_range must give the same floats, bit for bit
+    s, rep = catalog_subs[name], catalog_reports[name]
+    growth = rep.lr.growth
+    theta, n_max = growth.theta, growth.n_checked
+    ratios = [
+        s.word_image_lengths(v, n_max)[n] / theta**n
+        for v in growth.words
+        for n in range(1, n_max + 1)
+    ]
+    assert (growth.lambda_v, growth.rho_v) == (min(ratios), max(ratios))
+    g = gordon_check(s, rep)
+    if isinstance(g, GordonHypothesisMissing):
+        return
+    n_max = max(n_max, max(g.levels))
+    e_lengths = s.word_image_lengths(g.e, n_max)
+    cube_lengths = s.word_image_lengths(g.u * 3 + g.e, n_max)
+    lam = min(e_lengths[n] / theta**n for n in range(1, n_max + 1))
+    rho = max(cube_lengths[n] / theta**n for n in range(1, n_max + 1))
+    assert g.freq_lower_bound == lam / (rep.lr.value * rho)
+
+
 def test_gordon_thue_morse_missing(catalog_subs, catalog_reports):
     g = gordon_check(catalog_subs["thue-morse"], catalog_reports["thue-morse"])
     assert isinstance(g, GordonHypothesisMissing)

@@ -405,6 +405,17 @@ def test_perron_growth_rejects_empty_range(fib, n_max):
         perron_growth(red, ["a"], n_max)
 
 
+def test_perron_growth_past_float_range_builds_no_length_table(fib, monkeypatch):
+    red = reduced_substitution(fib, bounded_letters(fib))
+
+    def no_table(self, w, n_max):
+        pytest.fail(f"length table of {w!r} up to {n_max} built")
+
+    monkeypatch.setattr(Substitution, "word_image_lengths", no_table)
+    with pytest.raises(SubstitutionError, match=r"n <= 2000 \(theta = 1\.61803398875\)"):
+        perron_growth(red, ["a", "ab"], 2000)
+
+
 def test_growth_sandwich_exact_integers():
     s = Substitution.from_rules({"a": "abaa", "b": "b"})
     red = reduced_substitution(s, bounded_letters(s))

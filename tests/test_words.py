@@ -11,7 +11,6 @@ from linrep.words import (
     UnsaturatedFactorSetError,
     count_occurrences,
     coverage_exact,
-    coverage_length,
     factor_language,
     find_power,
     gap_bound,
@@ -157,31 +156,25 @@ def test_repetitivity_sentinel_remarkc():
     s = lr.load("remarkc")
     fs = factor_language(s, 14)
     assert fs.saturated
-    assert repetitivity_function(fs, 1) is None
+    with pytest.raises(CoverageUndecidedError):  # a letter without bounded gaps
+        repetitivity_function(fs, 1)
 
 
-def test_return_words_fibonacci(fib, fib_factors):
-    rw = return_words(fib, "a", fib_factors)
-    assert rw.words == {"a", "ab"}
-    assert rw.complete
-    assert rw.kappa == 2
-    rwb = return_words(fib, "b", fib_factors)
-    assert rwb.words == {"ba", "baa"}
-    assert rwb.complete
+def test_return_words_fibonacci(fib_factors):
+    assert return_words("a", fib_factors).words == {"a", "ab"}
+    assert return_words("b", fib_factors).words == {"ba", "baa"}
 
 
 def test_return_words_abaa():
     s = lr.load("minimal-nonprimitive")
     fs = factor_language(s, 16)
-    rw = return_words(s, "a", fs)
-    assert rw.words == {"a", "ab"}
-    assert rw.complete
+    assert return_words("a", fs).words == {"a", "ab"}
 
 
 def test_return_words_periodic_point():
     s = Substitution.from_rules({"a": "aa"})
     fs = factor_language(s, 8)
-    assert return_words(s, "a", fs).words == {"a"}
+    assert return_words("a", fs).words == {"a"}
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "minimal-nonprimitive", "thue-morse"])
@@ -189,7 +182,7 @@ def test_return_words_match_bruteforce(name, catalog_subs):
     s = catalog_subs[name]
     fs = factor_language(s, 12)
     for v in sorted(s.letters):
-        got = return_words(s, v, fs).words
+        got = return_words(v, fs).words
         assert got == naive_return_words(naive_factors(s.rules, 12), v)
 
 
@@ -355,9 +348,7 @@ def test_return_words_match_closure_oracle(name, catalog_subs):
     words, *_ = closure_factor_language(s, 12)
     for v in sorted(s.letters):
         expected = naive_return_words(words, v)
-        rw = return_words(s, v, fs)
-        assert rw.words == expected, v
-        assert rw.max_observed_gap == max(map(len, expected), default=None), v
+        assert return_words(v, fs).words == expected, v
 
 
 def test_deep_slow_system_saturates_below_word_cap():
@@ -378,7 +369,42 @@ def test_word_cap_counts_maximal_words(monkeypatch):
     capped = factor_language(s, 64)
     assert not capped.saturated
     with pytest.raises(UnsaturatedFactorSetError):
-        coverage_length(capped, ["a"])
+        repetitivity_function(capped, 1)
+
+
+# --- the exact coverage fold against the reference scan ------------------------
+
+# the six systems of the classify-slow benchmark workload
+CLASSIFY_SLOW_RULES = [
+    {"0": "01001", "1": "1"},
+    {"a": "baa", "b": "b"},
+    {"a": "a", "b": "abbb"},
+    {"a": "abc", "b": "bc", "c": "c"},
+    {"a": "a", "b": "abba"},
+    {"a": "abab", "b": "b"},
+]
+
+
+def _check_fold_against_scan(s, target_sets, depth) -> int:
+    """Compare coverage_exact with the scan; returns how many values were compared."""
+    words, _, saturated, _ = closure_factor_language(s, depth)
+    assert saturated
+    compared = 0
+    for targets in target_sets:
+        expected = scan_coverage_length(words, targets, depth)
+        try:
+            got = coverage_exact(s, targets)
+        except CoverageUndecidedError:
+            assert expected is None, targets
+            continue
+        if not any(len(w) == got for w in words):
+            # past the depth, or vacuous past the longest factor of a finite
+            # language; the scan skips lengths without factors
+            assert expected is None, targets
+        else:
+            assert got == expected, targets
+            compared += 1
+    return compared
 
 
 def _coverage_target_sets(fs):
@@ -412,66 +438,38 @@ def _coverage_target_sets(fs):
 def test_coverage_length_matches_scan(rules, depth):
     s = Substitution.from_rules(rules)
     fs = factor_language(s, depth)
-    assert fs.saturated
-    words, *_ = closure_factor_language(s, depth)
-    for targets in _coverage_target_sets(fs):
-        if targets:
-            assert coverage_length(fs, targets) == scan_coverage_length(words, targets, depth), targets
+    target_sets = [targets for targets in _coverage_target_sets(fs) if targets]
+    _check_fold_against_scan(s, target_sets, depth)
 
 
 def test_coverage_length_quick_rejection():
-    # remarkc has a letter missing from a factor of length max_length
+    # remarkc has a letter missing from a factor of length 14: the fold
+    # finds no gap bound for it, and the scan none within that depth
     s = lr.load("remarkc")
     fs = factor_language(s, 14)
     missing = [a for a in s.letters if any(a not in w for w in fs.words_of_length(14))]
     assert missing
+    words, *_ = closure_factor_language(s, 14)
     for a in missing:
-        assert coverage_length(fs, [a]) is None
-        assert scan_coverage_length(closure_factor_language(s, 14)[0], [a], 14) is None
+        with pytest.raises(CoverageUndecidedError):
+            coverage_exact(s, [a])
+        assert scan_coverage_length(words, [a], 14) is None
 
 
 def test_coverage_length_short_iterates():
     s = Substitution.from_rules({"a": "a", "b": "abbb"})
     fs = factor_language(s, 12)
     assert "a" in fs.maximal  # S^k(a) = a stays shorter than the depth
-    assert coverage_length(fs, ["a"]) == 4
-    assert coverage_length(fs, ["b"]) is None  # S^k(b) starts with a^k
-    single = factor_language(Substitution.from_rules({"a": "a"}), 5)
-    assert coverage_length(single, ["a"]) == 1
-    assert coverage_length(single, ["aa"]) is None
-
-
-# --- the exact coverage fold against the reference scan ------------------------
-
-# the six systems of the classify-slow benchmark workload
-CLASSIFY_SLOW_RULES = [
-    {"0": "01001", "1": "1"},
-    {"a": "baa", "b": "b"},
-    {"a": "a", "b": "abbb"},
-    {"a": "abc", "b": "bc", "c": "c"},
-    {"a": "a", "b": "abba"},
-    {"a": "abab", "b": "b"},
-]
-
-
-def _check_fold_against_scan(s, target_sets, depth) -> int:
-    """Compare coverage_exact with the scan; returns how many values were compared."""
-    words, _, saturated, _ = closure_factor_language(s, depth)
-    assert saturated
-    compared = 0
-    for targets in target_sets:
-        expected = scan_coverage_length(words, targets, depth)
-        try:
-            got = coverage_exact(s, targets)
-        except CoverageUndecidedError:
-            assert expected is None, targets
-            continue
-        if got > depth:
-            assert expected is None, targets
-        else:
-            assert got == expected, targets
-            compared += 1
-    return compared
+    assert _check_fold_against_scan(s, [["a"]], 12) == 1
+    assert coverage_exact(s, ["a"]) == 4
+    with pytest.raises(CoverageUndecidedError):
+        coverage_exact(s, ["b"])  # S^k(b) starts with a^k
+    single = Substitution.from_rules({"a": "a"})
+    assert coverage_exact(single, ["a"]) == 1
+    # the language is {a}: no factor has length 2, so 2 holds vacuously,
+    # where the scan, which skips empty lengths, answers None
+    assert coverage_exact(single, ["aa"]) == 2
+    assert _check_fold_against_scan(single, [["a"], ["aa"]], 5) == 1
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
