@@ -27,6 +27,9 @@ certifies the agreement for every factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
 from . import words as wd
 from .classify import YES, ClassificationReport
 from .substitution import Substitution, SubstitutionError, iterate_prefix
@@ -384,7 +387,9 @@ class UniquenessScan:
     For every window start, every admissible front remainder whose block
     chain survives into the safety strip must land on the same first cut at
     or past the strip; deterministic parsing then forces identical interior
-    cuts for every window of length >= 4L+2.  Coverage of all factors up to
+    cuts for every window of length >= 4L+2.  The landings of all starts are
+    computed at once (`uniqueness_violations`), and `violations` holds the
+    first 17 starts that fail.  Coverage of all factors up to
     `max_word_length` is certified by sizing the sample with the system's
     repetitivity constant.
     """
@@ -397,6 +402,61 @@ class UniquenessScan:
     violations: tuple[int, ...]
 
 
+def uniqueness_violations(alpha: str, b: str, L: int, sample: str) -> tuple[int, ...]:
+    """The first 17 window starts of `sample` whose fronts do not land on one cut.
+
+    The starts are 0 .. len(sample) - (4L+2).  A front of a start is an
+    offset o < |alpha| with sample[start : start+o] a suffix of alpha (o = 0
+    always is one).  From start+o the block chain steps over a b, else over
+    an alpha, until it reaches the strip start+L, and is dropped where
+    neither block begins.  A start is a violation when none of its fronts
+    lands, or when they land on different cuts.
+
+    All starts are walked together: the chain positions form an
+    (|alpha|, starts) array, and each round advances every chain still
+    short of its strip by one block, so at most L rounds run.  The
+    admissible fronts are |alpha| - 1 masks read from the letter-match rows
+    sample[i] == alpha[k].
+    """
+    n, width = len(sample), len(alpha)
+    count = n - (4 * L + 2) + 1
+    if count <= 0:
+        return ()
+    codes = np.frombuffer(sample.encode("utf-32-le"), dtype=np.uint32)
+    # match[k, i]: sample[i] == alpha[k]; False past the end of the sample
+    match = np.zeros((width, n + width), dtype=bool)
+    for k, ch in enumerate(alpha):
+        match[k, :n] = codes == ord(ch)
+    at_alpha = np.logical_and.reduce([match[k, k : k + n] for k in range(width)])
+    index = np.arange(n)
+    nxt = np.full(n, -1, dtype=np.intp)
+    nxt[at_alpha] = index[at_alpha] + width
+    at_b = codes == ord(b)
+    nxt[at_b] = index[at_b] + 1  # a b block takes precedence, as in front_parses
+
+    starts = index[:count]
+    admissible = np.ones((width, count), dtype=bool)
+    for o in range(1, width):
+        for j in range(o):
+            admissible[o] &= match[width - o + j, j : j + count]
+        # a front past the end compares only the n - start letters left
+        late = starts[starts > n - o]
+        admissible[o, late] = admissible[n - late, late]
+
+    pos = starts + np.arange(width)[:, None]
+    flat = pos.reshape(-1)
+    live = np.flatnonzero(admissible & (pos < starts + L))
+    while live.size:
+        step = nxt[flat[live]]
+        flat[live] = step
+        live = live[(step >= 0) & (step < live % count + L)]
+    landed = admissible & (pos >= 0)
+    # a start with no landing gets lo = n + width > hi = -1
+    lo = np.where(landed, pos, n + width).min(axis=0)
+    hi = np.where(landed, pos, -1).max(axis=0)
+    return tuple(np.flatnonzero(lo != hi)[:17].tolist())
+
+
 def uniqueness_scan(
     s: Substitution,
     report: ClassificationReport,
@@ -404,7 +464,16 @@ def uniqueness_scan(
     *,
     max_word_length: int = 600,
 ) -> UniquenessScan:
-    """Certify unique interior cut-sets for every factor up to max_word_length."""
+    """Certify unique interior cut-sets for every factor up to max_word_length.
+
+    The sample is the prefix of S^k(a) of length lr * max_word_length +
+    2 * max_word_length, and every start of a (4L+2)-window in it is checked
+    by `uniqueness_violations`, which walks the block chains of all starts
+    at once.  Raises ValueError when max_word_length < 1 or the sample is
+    shorter than one window, since no window would be checked.
+    """
+    if max_word_length < 1:
+        raise ValueError(f"max_word_length must be at least 1, got {max_word_length}")
     _require_minimal_aperiodic(report)
     if report.lr is None:
         raise SubstitutionError("needs the explicit repetitivity constant for coverage sizing")
@@ -414,48 +483,17 @@ def uniqueness_scan(
     L = window_half_width(s, factors).half_width
     need = int(report.lr.value * max_word_length) + 2 * max_word_length
     sample = iterate_prefix(s, a, need)
-
-    n = len(sample)
-    width = len(alpha)
-    nxt = [-1] * n
-    for i in range(n):
-        if sample[i] == b:
-            nxt[i] = i + 1
-        elif sample.startswith(alpha, i):
-            nxt[i] = i + width
-
-    violations: list[int] = []
-    last_start = n - (4 * L + 2)
-    for start in range(0, last_start + 1):
-        strip = start + L
-        landing = None
-        consistent = True
-        for o in range(width):
-            if o and not alpha.endswith(sample[start : start + o]):
-                continue
-            p = start + o
-            while p < strip:
-                step = nxt[p] if p < n else -1
-                if step < 0:
-                    p = -1
-                    break
-                p = step
-            if p < 0:
-                continue
-            if landing is None:
-                landing = p
-            elif p != landing:
-                consistent = False
-                break
-        if landing is None or not consistent:
-            violations.append(start)
-            if len(violations) > 16:
-                break
+    if len(sample) < 4 * L + 2:
+        raise ValueError(
+            f"sample of {len(sample)} letters is shorter than a window of {4 * L + 2}; "
+            f"max_word_length {max_word_length} is too small"
+        )
+    violations = uniqueness_violations(alpha, b, L, sample)
     return UniquenessScan(
         ok=not violations,
         half_width=L,
-        positions_checked=last_start + 1,
-        sample_length=n,
+        positions_checked=len(sample) - (4 * L + 2) + 1,
+        sample_length=len(sample),
         max_word_length=max_word_length,
-        violations=tuple(violations),
+        violations=violations,
     )

@@ -348,3 +348,51 @@ def own_set_compatibility(s, depth: int = 16):
                     )
 
     return CompatibilityResult("unknown", {"depth": depth})
+
+
+def uniqueness_walk(alpha: str, b: str, L: int, sample: str) -> tuple[int, ...]:
+    """The uniqueness scan's violations by walking each start's chains one block at a time.
+
+    For every start of a (4L+2)-window, each front remainder o (with
+    sample[start:start+o] a suffix of alpha) follows its block chain, a b
+    before an alpha, until it reaches start + L or no block begins; the
+    start is a violation when no chain lands or two land apart.  Stops
+    after the 17th violation.
+    """
+    n = len(sample)
+    width = len(alpha)
+    nxt = [-1] * n
+    for i in range(n):
+        if sample[i] == b:
+            nxt[i] = i + 1
+        elif sample.startswith(alpha, i):
+            nxt[i] = i + width
+
+    violations: list[int] = []
+    last_start = n - (4 * L + 2)
+    for start in range(0, last_start + 1):
+        strip = start + L
+        landing = None
+        consistent = True
+        for o in range(width):
+            if o and not alpha.endswith(sample[start : start + o]):
+                continue
+            p = start + o
+            while p < strip:
+                step = nxt[p] if p < n else -1
+                if step < 0:
+                    p = -1
+                    break
+                p = step
+            if p < 0:
+                continue
+            if landing is None:
+                landing = p
+            elif p != landing:
+                consistent = False
+                break
+        if landing is None or not consistent:
+            violations.append(start)
+            if len(violations) > 16:
+                break
+    return tuple(violations)

@@ -9,7 +9,7 @@ from linrep import words as wd
 from linrep.classify import YES
 from linrep.substitution import Substitution, SubstitutionError
 
-from bruteforce import distinct_windows, naive_partitions
+from bruteforce import distinct_windows, naive_partitions, uniqueness_walk
 
 # the catalog's minimal aperiodic two-letter fixed-letter systems
 SHAPES = ["minimal-nonprimitive", "minimal-nonprimitive-noaa", "stutter-doubled", "stutter-separated"]
@@ -358,3 +358,76 @@ def test_uniqueness_scan_moderate(abaa, abaa_report, abaa_factors):
     scan = lr.uniqueness_scan(abaa, abaa_report, abaa_factors, max_word_length=240)
     assert scan.ok
     assert scan.positions_checked > 10000
+
+
+def test_uniqueness_scan_refuses_an_empty_audit(abaa, abaa_report, abaa_factors):
+    # max_word_length 1 sizes a 73-letter sample, shorter than one 90-letter
+    # window, so no start would be checked
+    for m in (0, 1):
+        with pytest.raises(ValueError):
+            lr.uniqueness_scan(abaa, abaa_report, abaa_factors, max_word_length=m)
+    scan = lr.uniqueness_scan(abaa, abaa_report, abaa_factors, max_word_length=2)
+    assert scan.ok and (scan.sample_length, scan.positions_checked) == (146, 57)
+
+
+def _walk_case(rng):
+    """A random (alpha, L, sample): half are random strings over a random
+    alpha, half prefixes of S^k(a) for a bordered alpha with 1-3 letters
+    flipped."""
+    if rng.random() < 0.5:
+        alpha = "".join(rng.choice("ab") for _ in range(rng.randint(1, 7)))
+        L = rng.randint(0, 12)
+        sample = "".join(rng.choice("aab") for _ in range(4 * L + rng.randint(-4, 150)))
+        return alpha, L, sample
+    middle = "".join(rng.choice("ab") for _ in range(rng.randint(0, 5)))
+    alpha = "a" + (middle if "b" in middle else middle + "b") + "a"
+    L = rng.randint(2, 4 * len(alpha) + 8)
+    sample = "a"
+    while len(sample) < 4 * L + 200:
+        sample = "".join(alpha if ch == "a" else ch for ch in sample)
+    letters = list(sample[: 4 * L + 2 + rng.randrange(200)])
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(letters))
+        letters[i] = "b" if letters[i] == "a" else "a"
+    return alpha, L, "".join(letters)
+
+
+def test_uniqueness_violations_match_the_walk():
+    # fronts 6 and 7 both compare the whole sample "aaaaab" with a suffix of
+    # alpha, as front 7 runs past the end, and they land apart at 6 and 7
+    assert rec.uniqueness_violations("bbaaaaab", "b", 1, "aaaaab") == (0,)
+    assert uniqueness_walk("bbaaaaab", "b", 1, "aaaaab") == (0,)
+    rng = random.Random(14)
+    outcomes = {"clean": 0, "some": 0, "capped": 0}
+    for _ in range(2400):
+        alpha, L, sample = _walk_case(rng)
+        expected = uniqueness_walk(alpha, "b", L, sample)
+        assert rec.uniqueness_violations(alpha, "b", L, sample) == expected, (alpha, L, sample)
+        if not expected:
+            outcomes["clean"] += 1
+        else:
+            outcomes["capped" if len(expected) == 17 else "some"] += 1
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+@pytest.mark.parametrize(
+    "name, max_word_length",
+    [(name, 240) for name in SHAPES]
+    + [("minimal-nonprimitive", 600), ("stutter-separated", 600)],
+)
+def test_uniqueness_scan_matches_the_walk(shape_rules, name, max_word_length):
+    s, rep, rule = shape_rules[name]
+    scan = lr.uniqueness_scan(s, rep, rep.factors, max_word_length=max_word_length)
+    a, b = rec.shape_letters(s)
+    L = rule.half_width
+    sample = lr.iterate_prefix(s, a, int(rep.lr.value * max_word_length) + 2 * max_word_length)
+    violations = uniqueness_walk(s.rules[a], b, L, sample)
+    assert scan.ok
+    assert scan == rec.UniquenessScan(
+        ok=not violations,
+        half_width=L,
+        positions_checked=len(sample) - (4 * L + 2) + 1,
+        sample_length=len(sample),
+        max_word_length=max_word_length,
+        violations=violations,
+    )
