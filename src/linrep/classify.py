@@ -28,6 +28,11 @@ of `words.coverage_exact`, a fold over summaries of the letter images, not
 of a scan at some depth.  `classify` builds one factor set per system; it
 supplies the compatibility scan, the periodicity core and, for a certified
 system (depth 2 * kappa at least), the return words and the pairs that occur.
+
+Periodicity of a certified system is exact: `derived_periodicity` iterates
+the return-word derivation (Durand 1998) until it reaches one letter
+(periodic) or repeats (aperiodic).  Only a system that is not certified
+minimal walks the factor-complexity core of `is_periodic` to a depth.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .substitution import (
     bounded_letters,
     check_compatibility,
     CompatibilityResult,
-    int_det,
     is_primitive,
     perron_growth,
     reduced_substitution,
@@ -61,6 +65,8 @@ CORE_MARGIN = 8
 APERIODIC_MARGIN = 24
 # steps analyze_bounded_blocks spends measuring one bounded run orbit
 MEASURE_CAP = 4096
+# image letters derived_periodicity writes before it reports undecided
+DERIVATION_WORK = 10**7
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +417,22 @@ class LRBound:
     caveats: tuple[str, ...]
 
 
+def _occurring_pairs(letter: str, returns: frozenset[str], factors: wd.FactorSet) -> set[str]:
+    # a pair z1 z2 of return words to the letter that is a factor is a prefix
+    # of a root r, with z1 = r[:j] for the next occurrence j of the letter in
+    # r; no pair is longer than 2 * max|z|, so the roots' heads of that
+    # length hold them all
+    top = 2 * max(map(len, returns))
+    pairs = set()
+    for head in {r[:top] for r in factors.roots() if r[0] == letter}:
+        j = head.find(letter, 1)
+        if j > 0:
+            for z2 in returns:
+                if head.startswith(z2, j):
+                    pairs.add(head[:j] + z2)
+    return pairs
+
+
 def lr_constant_bound(
     s: Substitution,
     split: AlphabetSplit,
@@ -422,9 +444,9 @@ def lr_constant_bound(
 
     A return word is at most kappa long, so a saturated factor set of depth
     2 * kappa holds every return word and every pair of them that is a
-    factor; both are read from `factors`, in one return-word pass.  The
-    return words are also the words whose growth constants (n <= n_max)
-    enter the constant, and G comes from `words.coverage_exact`.
+    factor; both are read from the roots of `factors`.  The return words
+    are also the words whose growth constants (n <= n_max) enter the
+    constant, and G comes from `words.coverage_exact`.
     """
     if not factors.saturated:
         raise SubstitutionError(f"factor set did not saturate at depth {factors.max_length}")
@@ -434,7 +456,7 @@ def lr_constant_bound(
         )
     rw = wd.return_words(cert.letter, factors)
     growth = perron_growth(reduced_substitution(s, split), rw.words, n_max)
-    pairs = sorted(z1 + z2 for z1 in rw.words for z2 in rw.words if z1 + z2 in factors)
+    pairs = sorted(_occurring_pairs(cert.letter, rw.words, factors))
     try:
         G = wd.coverage_exact(s, pairs)
     except wd.CoverageUndecidedError as exc:
@@ -551,40 +573,119 @@ def is_periodic(
     return PeriodicityResult(status="aperiodic-up-to-depth", period=None, depth=depth)
 
 
-def aperiodicity_certificate(s: Substitution) -> str | None:
-    """The exact aperiodicity certificate of a minimal system, or None.
+def _period_result(u: str) -> PeriodicityResult:
+    # x = u^infinity: its least period q divides |u|, and the walk would stop
+    # at the first n with at most n cyclic factors of length n (n <= q)
+    n = len(u)
+    q = next(q for q in range(1, n + 1) if n % q == 0 and u == u[:q] * (n // q))
+    doubled = u[:q] * 2
+    depth = next(m for m in range(1, q + 1) if len({doubled[i : i + m] for i in range(q)}) <= m)
+    canonical = min(doubled[i : i + q] for i in range(q))
+    return PeriodicityResult(status="periodic", period=canonical, depth=depth)
 
-    Returns a note naming the checked range when det(M - mI) != 0, in exact
-    integers, for every m in 2..max|S(a)|, M the occurrence matrix.  If S
-    is certified minimal, the subshift X is then aperiodic:
 
-    * Minimality makes every factor of the language occur in every long
-      factor, so X is minimal with L(X) the whole language, and S maps X
-      into itself.  If X were periodic with least period word w, then
-      S(w)^infinity would be a shift of w^infinity, so S(w) is m copies of
-      a conjugate of w and content(S(w)) = m * content(w): m would be an
-      eigenvalue of M.  The certified letter grows and occurs in w, so
-      m^n * |w| = |S^n(w)| is unbounded and m >= 2, and m <= max|S(a)|.
-    * X aperiodic and minimal is infinite, so p_X(n) >= n + 1 for every n
-      (Morse-Hedlund 1938).
-    * Every word of L(X) extends on both sides within L(X), so on a
-      saturated factor set the pruning of `extendable_core` keeps all of
-      L(X): every core level within the horizon has at least n + 1 words,
-      and `is_periodic` can only return ("aperiodic-up-to-depth", None,
-      depth).  `classify` skips that walk when this certificate holds.
+def _cut(image: str, c: str, names: dict[str, str], words: list[str]) -> str:
+    # image, which begins with c, cut before each c and coded by the names of
+    # its pieces; a new piece gets the next name and joins `words`
+    pieces = image[1:].split(c)
+    for piece in pieces:
+        if piece not in names:
+            names[piece] = chr(len(words))
+            words.append(c + piece)
+    return "".join(map(names.__getitem__, pieces))
 
-    The premise "minimal" is needed: remark1b {0 -> 10, 1 -> 1} passes the
-    determinant test but is not minimal, and its subshift holds the fixed
-    point 1^infinity, with m = 1.
+
+def derived_periodicity(
+    s: Substitution, split: AlphabetSplit, letter: str, depth: int
+) -> PeriodicityResult:
+    """Exact periodicity of a certified minimal system by iterated return-word derivation.
+
+    Seed: follow c -> first growing letter of S(c) from `letter` to its cycle,
+    of length p.  S^p(c) begins with c: otherwise S^p(c) = beta c ... with
+    beta a nonempty bounded block, S^(np)(c) would begin with a bounded block
+    at least n long, and the certified letter could not have bounded gaps.
+    So S^p has a fixed point x beginning with c, and minimality makes L(x)
+    the whole language.
+
+    Derive: the first return word is the prefix of x up to its second c;
+    S^p of a return word, cut before each c, gives return words again, and
+    these images close the set.  Naming the return words 0, 1, ... in
+    breadth-first discovery order gives the derived substitution tau, whose
+    letters are `chr(i)`, with no dependence on letter names; tau(0) begins
+    with 0 and every letter of tau grows.  The step repeats on tau from 0.
+
+    * One return word means x = r^infinity: the result is "periodic" with
+      r (expanded through the stored return words) reduced to its least
+      period and its least rotation, at the first depth n with at most n
+      cyclic factors of length n, the depth at which `is_periodic` detects
+      it.
+    * A repeated tau means aperiodic.  Step k derives x from a prefix u_k,
+      and the u_k grow strictly; a periodic x has exactly one return word to
+      every prefix at least as long as its period, so its derivations reach
+      one letter and cannot cycle before.  The verdict keeps the status
+      "aperiodic-up-to-depth" at `depth` that the core walk would give: an
+      aperiodic minimal subshift has complexity at least n + 1 (Morse-Hedlund).
+
+    Derived sequences of a primitive substitutive sequence are finitely many
+    (Durand 1998), so one of the two happens; DERIVATION_WORK bounds the
+    image letters written on the way and gives an undecided result instead.
     """
-    top = max(len(image) for image in s.rules.values())
-    matrix = s.abelianization()
-    size = len(matrix)
-    for m in range(2, top + 1):
-        shifted = [[matrix[i][j] - m * (i == j) for j in range(size)] for i in range(size)]
-        if int_det(shifted) == 0:
-            return None
-    return f"no integer eigenvalue in 2..{top} of the occurrence matrix"
+    growing = split.growing
+    orbit: dict[str, int] = {}
+    c = letter
+    while c not in orbit:
+        orbit[c] = len(orbit)
+        c = _first_growing(s.rules[c], growing)
+    p = len(orbit) - orbit[c]
+    table = {ord(a): s.iterate(a, p) for a in s.letters}
+    if not table[ord(c)].startswith(c):
+        raise SubstitutionError(f"S^{p}({c!r}) does not begin with {c!r} on a certified system")
+    capped = PeriodicityResult(
+        status=UNDECIDED,
+        period=None,
+        depth=0,
+        note=f"return-word derivation wrote more than {DERIVATION_WORK} letters",
+    )
+    prefix, work = c, 0
+    while (j := prefix.find(c, 1)) < 0:
+        prefix = prefix.translate(table)
+        work += len(prefix)
+        if work > DERIVATION_WORK:
+            return capped
+    names, words, images = {prefix[1:j]: chr(0)}, [prefix[:j]], []
+    for r in words:
+        image = r.translate(table)
+        images.append(_cut(image, c, names, words))
+        work += len(image)
+        if work > DERIVATION_WORK:
+            return capped
+    levels: list[list[str]] = []  # the return words of each step, over the letters before it
+    seen: set[tuple[str, ...]] = set()
+    while True:
+        levels.append(words)
+        tau = tuple(images)
+        if len(tau) == 1:
+            u = words[0]
+            for lower in reversed(levels[:-1]):
+                u = u.translate(lower)
+            return _period_result(u)
+        if tau in seen:
+            counts = [len(w) for w in levels]
+            note = f"return-word derivation repeats after {len(levels)} steps; return words {counts}"
+            return PeriodicityResult("aperiodic-up-to-depth", None, depth, note)
+        seen.add(tau)
+        # every image of tau begins with 0, so tau(r) is cut letter by letter;
+        # the first piece of tau(0) is the first return word
+        names, words, images = {}, [], []
+        coded = {chr(0): _cut(tau[0], chr(0), names, words)}
+        for r in words:
+            for a in r:
+                if a not in coded:
+                    coded[a] = _cut(tau[ord(a)], chr(0), names, words)
+            images.append("".join(map(coded.__getitem__, r)))
+            work += len(images[-1])
+            if work > DERIVATION_WORK:
+                return capped
 
 
 # ---------------------------------------------------------------------------
@@ -720,16 +821,15 @@ def classify(
     certificate or counterexample), linear repetitivity with its explicit
     constant, periodicity, unique ergodicity.
 
-    The periodicity core is walked to aperiodic_depth = compat_depth +
-    APERIODIC_MARGIN.  Every system gets one factor set, of depth
-    max(compat_depth + 1, aperiodic_depth + CORE_MARGIN, and 2 * kappa when
-    certified): deep enough for the compatibility scan, the periodicity core
-    and the return-word pairs.  All of them read it, and it becomes
-    `report.factors`.  A certified minimal system whose occurrence matrix
-    has no integer eigenvalue m >= 2 skips the periodicity walk: by the
-    proof in `aperiodicity_certificate` the walk would answer
-    "aperiodic-up-to-depth" at `aperiodic_depth`, and the result carries
-    the certificate as its note."""
+    Every system gets one factor set, of depth max(compat_depth + 1,
+    aperiodic_depth + CORE_MARGIN, and 2 * kappa when certified), with
+    aperiodic_depth = compat_depth + APERIODIC_MARGIN: deep enough for the
+    compatibility scan, the periodicity core and the return-word pairs.  It
+    becomes `report.factors`, which the applications reuse.  A certified
+    minimal system gets its periodicity from `derived_periodicity`, which
+    is exact and reads no factors; an aperiodic verdict keeps the status
+    "aperiodic-up-to-depth" at `aperiodic_depth`.  Any other system walks
+    the periodicity core of `is_periodic` to `aperiodic_depth`."""
     split, candidates, decision = decide_minimality(s)
     minimal = decision.status
     aperiodic_depth = compat_depth + APERIODIC_MARGIN
@@ -751,11 +851,11 @@ def classify(
     elif minimal == UNDECIDED and decision.note:
         caveats.append(decision.note)
 
-    aperiodic = aperiodicity_certificate(s) if minimal == YES and factors.saturated else None
-    if aperiodic is None:
-        periodicity = is_periodic(s, aperiodic_depth, factors=factors)
+    if minimal == YES:
+        letter = decision.certificate.letter
+        periodicity = derived_periodicity(s, split, letter, aperiodic_depth)
     else:
-        periodicity = PeriodicityResult("aperiodic-up-to-depth", None, aperiodic_depth, aperiodic)
+        periodicity = is_periodic(s, aperiodic_depth, factors=factors)
     if compatibility.status != "holds-certified":
         caveats.append(
             "statements describe the finite-word language; its compatibility "

@@ -252,12 +252,27 @@ def expansion_value(digits: Sequence[int] | str, base: int = 2, bits: int = 160)
     need = math.ceil(bits * math.log(2) / math.log(base)) + 8
     if len(ds) < need:
         raise InsufficientDigitsError(f"need at least {need} digits for {bits} bits, got {len(ds)}")
-    num = 0
-    for d in ds:
-        num = num * base + d
+    num = _digits_value(ds, base)
     den = base ** len(ds)
     mantissa = ((num << bits) + den // 2) // den
     return ExpansionValue(mantissa=mantissa, bits=bits, base=base, digits_used=len(ds))
+
+
+def _digits_value(ds: list[int], base: int) -> int:
+    """The integer with the digits ds in `base`, most significant first.
+
+    Adjacent groups of equal width merge as hi * base^width + lo, so the
+    products are balanced and the cost stays quasi-linear in len(ds); a
+    zero group in front keeps every group full width.
+    """
+    groups, power = ds or [0], base
+    while len(groups) > 1:
+        if len(groups) % 2:
+            groups = [0, *groups]
+        pairs = iter(groups)
+        groups = [hi * power + lo for hi, lo in zip(pairs, pairs)]
+        power *= power
+    return groups[0]
 
 
 @dataclass

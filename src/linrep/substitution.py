@@ -128,31 +128,6 @@ def mat_pow(a: Sequence[Sequence[int]], n: int) -> list[list[int]]:
     return result
 
 
-def int_det(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss elimination).
-
-    After step k every remaining entry is a (k+1)-by-(k+1) minor of the
-    row-swapped matrix, so each division by the previous pivot is exact.
-    """
-    m = [list(row) for row in a]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mi, mk = m[i], m[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - mi[k] * mk[j]) // prev
-        prev = pivot
-    return sign * m[-1][-1] if n else 1
-
-
 class _Images(dict):
     """The rules as a lookup table whose missing letters raise a typed error."""
 

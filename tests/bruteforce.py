@@ -396,3 +396,11 @@ def uniqueness_walk(alpha: str, b: str, L: int, sample: str) -> tuple[int, ...]:
             if len(violations) > 16:
                 break
     return tuple(violations)
+
+
+def horner_value(digits, base: int) -> int:
+    """The integer with the given digits in `base`, most significant first, by Horner's rule."""
+    num = 0
+    for d in digits:
+        num = num * base + d
+    return num

@@ -1,8 +1,6 @@
-import dataclasses
 import importlib
 import random
 
-import numpy as np
 import pytest
 
 import linrep as lr
@@ -12,10 +10,10 @@ from linrep.classify import (
     UNDECIDED,
     YES,
     analyze_bounded_blocks,
-    aperiodicity_certificate,
     bounded_gaps,
     classify,
     decide_minimality,
+    derived_periodicity,
     extendable_core,
     is_periodic,
 )
@@ -438,13 +436,6 @@ def _sweep_systems():
     return out
 
 
-def _integer_eigenvalues(s):
-    # floating-point eigenvalues as an oracle independent of int_det
-    top = max(len(image) for image in s.rules.values())
-    eigenvalues = np.linalg.eigvals(np.array(s.abelianization(), dtype=float))
-    return [k for k in range(2, top + 1) if any(abs(ev - k) < 1e-9 for ev in eigenvalues)]
-
-
 def _count_walks(monkeypatch):
     # the package attribute linrep.classify is the function, not the module
     module = importlib.import_module("linrep.classify")
@@ -459,62 +450,120 @@ def _count_walks(monkeypatch):
     return calls
 
 
-def test_aperiodicity_shortcut_equals_walk(monkeypatch):
+def _walk_verdict(s, factors):
+    res = is_periodic(s, 40, factors=factors)
+    return res.status, res.period, res.depth
+
+
+def test_derived_periodicity_equals_walk(monkeypatch):
     calls = _count_walks(monkeypatch)
+    # through classify: the catalog and the classify-sweep rules
     systems = [lr.load(name) for name in CATALOG_NAMES]
     systems += [Substitution.from_rules(rules) for rules in _sweep_systems()]
-    rng = random.Random(1938)
-    for _ in range(300):
-        letters = "abcd"[: rng.choice([2, 3, 4])]
-        rules = {a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 5))) for a in letters}
-        systems.append(Substitution.from_rules(rules))
-    certified = nonprimitive = 0
+    certified = 0
     for s in systems:
         calls.clear()
+        rep = classify(s)
+        if rep.minimal != YES:
+            assert calls == [s.name], s
+            continue
+        assert calls == [] and rep.factors.saturated, s
+        got = rep.periodicity
+        assert (got.status, got.period, got.depth) == _walk_verdict(s, rep.factors), s
+        certified += 1
+    assert certified == 109
+    # directly: seeded random certified systems, 2-4 letters, rules 1-8 long,
+    # then periodic ones: images u^k (primitive), or a -> (aw)^k a with w
+    # over fixed letters (nonprimitive)
+    rng = random.Random(1998)
+    counts = {"periodic": 0, "aperiodic-up-to-depth": 0, "nonprimitive": 0}
+    while counts["aperiodic-up-to-depth"] + counts["periodic"] < 700:
+        letters = "abcd"[: rng.choice([2, 3, 4])]
+        if counts["aperiodic-up-to-depth"] + counts["periodic"] < 600:
+            rules = {a: "".join(rng.choices(letters, k=rng.randint(1, 8))) for a in letters}
+        elif rng.random() < 0.5:
+            u = "".join(rng.choices(letters, k=rng.randint(2, 9)))
+            rules = {a: u * rng.randint(1, 3) for a in letters}
+        else:
+            w = "".join(rng.choices(letters[1:], k=rng.randint(1, 4)))
+            rules = {a: a for a in letters} | {"a": ("a" + w) * rng.randint(1, 3) + "a"}
+        s = Substitution.from_rules(rules)
         try:
-            rep = classify(s)
+            split, _, decision = decide_minimality(s)
         except SubstitutionError:
             continue  # empty subshift or unreachable letters
-        note = aperiodicity_certificate(s)
-        if rep.minimal != YES or note is None or not rep.factors.saturated:
-            assert len(calls) == 1, s
+        if decision.status != YES:
             continue
-        assert calls == [] and rep.periodicity.note == note, s
-        walked = is_periodic(s, 40, factors=rep.factors)
-        assert dataclasses.replace(rep.periodicity, note=None) == walked, s
-        certified += 1
-        nonprimitive += not rep.primitive.primitive
-    assert certified >= 150 and nonprimitive >= 1
+        got = derived_periodicity(s, split, decision.certificate.letter, 40)
+        factors = wd.factor_language(s, max(48, 2 * decision.certificate.kappa))
+        assert (got.status, got.period, got.depth) == _walk_verdict(s, factors), s
+        counts[got.status] += 1
+        counts["nonprimitive"] += not is_primitive(s).primitive
+    assert counts["periodic"] >= 90 and counts["nonprimitive"] >= 50
 
 
-def test_aperiodicity_shortcut_premises(monkeypatch):
-    calls = _count_walks(monkeypatch)
-    # remark1b passes the determinant test, but it is not minimal (1^infinity, m = 1)
-    s = lr.load("remark1b")
-    assert aperiodicity_certificate(s) is not None and not _integer_eigenvalues(s)
+def test_derived_periodicity_periods():
+    for rules, period, depth in [
+        ({"a": "aa"}, "a", 1),  # free
+        ({"a": "aba", "b": "b"}, "ab", 2),  # periodic-ab
+        # the return word abbab has the border period 3, but x = (abbab)^infinity
+        ({"a": "abbab", "b": "abbab"}, "ababb", 5),
+    ]:
+        rep = classify(Substitution.from_rules(rules))
+        assert rep.minimal == YES
+        got = rep.periodicity
+        assert (got.status, got.period, got.depth) == ("periodic", period, depth), rules
+
+
+def test_derived_periodicity_beyond_the_walk_depth():
+    # x = w^infinity for a Christoffel word w of length 50: p(n) = n + 1 for
+    # n < 50, so the core walk to depth 40 cannot see the period
+    w = "".join("b" if ((i + 1) * 21) // 50 > (i * 21) // 50 else "a" for i in range(50))
+    s = Substitution.from_rules({"a": w, "b": w})
     rep = classify(s)
-    assert rep.minimal != YES and rep.periodicity.note is None
-    assert calls == ["remark1b"]
-    # minimal, but an integer eigenvalue m >= 2 leaves the walk in place
-    for name, eigenvalue in [("thue-morse", 2), ("period-doubling", 2), ("stutter-doubled", 3)]:
-        calls.clear()
-        s = lr.load(name)
-        assert eigenvalue in _integer_eigenvalues(s), name
-        assert aperiodicity_certificate(s) is None, name
-        rep = classify(s)
-        assert rep.minimal == YES and rep.periodicity.status == "aperiodic-up-to-depth", name
-        assert calls == [name]
+    assert rep.minimal == YES
+    got = rep.periodicity
+    canonical = min(w[i:] + w[:i] for i in range(50))
+    assert (got.status, got.period, got.depth) == ("periodic", canonical, 50)
+    assert _walk_verdict(s, rep.factors) == ("aperiodic-up-to-depth", None, 40)
 
 
-def test_classify_walks_the_core_only_without_certificate(monkeypatch):
+def test_classify_walks_the_core_only_when_not_certified(monkeypatch):
     calls = _count_walks(monkeypatch)
-    rep = classify(lr.load("fibonacci"))
+    for name in ["fibonacci", "thue-morse", "period-doubling", "stutter-doubled"]:
+        got = classify(lr.load(name)).periodicity
+        assert (got.status, got.period, got.depth) == ("aperiodic-up-to-depth", None, 40), name
+        assert got.note.startswith("return-word derivation repeats after"), name
     assert calls == []
-    assert (rep.periodicity.status, rep.periodicity.period, rep.periodicity.depth) == (
-        "aperiodic-up-to-depth",
-        None,
-        40,
-    )
-    assert rep.periodicity.note == "no integer eigenvalue in 2..2 of the occurrence matrix"
-    classify(lr.load("thue-morse"))
-    assert calls == ["thue-morse"]
+    for name in ["remark1b", "remarkc"]:
+        rep = classify(lr.load(name))
+        assert rep.minimal == NO and rep.periodicity.note is None
+    assert calls == ["remark1b", "remarkc"]
+
+
+def test_derived_periodicity_work_cap_is_undecided(monkeypatch):
+    module = importlib.import_module("linrep.classify")
+    monkeypatch.setattr(module, "DERIVATION_WORK", 20)
+    got = classify(lr.load("thue-morse")).periodicity
+    assert (got.status, got.period, got.depth) == (UNDECIDED, None, 0)
+    assert "more than 20 letters" in got.note
+
+
+def test_derived_periodicity_needs_a_seed_that_begins_its_image():
+    # remark1b is not minimal: S(0) = 10 does not begin with 0
+    s = lr.load("remark1b")
+    with pytest.raises(SubstitutionError, match="does not begin with"):
+        derived_periodicity(s, bounded_letters(s), "0", 40)
+
+
+def test_occurring_pairs_match_every_pair_tested():
+    for s in [lr.load(name) for name in CATALOG_NAMES] + [
+        Substitution.from_rules(rules) for rules in _sweep_systems()
+    ]:
+        rep = classify(s)
+        if rep.lr is None:
+            continue
+        words = rep.lr.return_word_set.words
+        fresh = wd.factor_language(s, rep.factors.max_length)
+        want = sorted(z1 + z2 for z1 in words for z2 in words if z1 + z2 in fresh)
+        assert list(rep.lr.pair_set) == want, s

@@ -9,6 +9,8 @@ from linrep import numtheory as nt
 from linrep.classify import UNDECIDED, YES, PeriodicityResult, classify
 from linrep.substitution import Substitution, fixed_point_prefix
 
+from bruteforce import horner_value
+
 
 def _two_letter(rules):
     return Substitution.from_rules(rules, values={"0": 0.0, "1": 1.0})
@@ -165,6 +167,20 @@ def test_expansion_third_base3():
     # 1/3 is not dyadic: the 64-bit rounding is correct to half an ulp
     v = nt.expansion_value([1] + [0] * 150, base=3, bits=64)
     assert abs(v.fraction - Fraction(1, 3)) <= Fraction(1, 2**65)
+
+
+def test_expansion_value_matches_horner():
+    # base 3 past 4,300 digits: a digit string read by int() would hit the
+    # interpreter's int-to-str limit there
+    rng = random.Random(20261018)
+    for base, count in [(2, 9000), (3, 4400), (3, 9000), (10, 500), (16, 3000)]:
+        for length in [count, count + 1, count + rng.randint(2, 999)]:
+            digits = [rng.randrange(base) for _ in range(length)]
+            bits = rng.randint(32, 512)
+            value = nt.expansion_value(digits, base, bits)
+            den = base**length
+            want = ((horner_value(digits, base) << bits) + den // 2) // den
+            assert value.mantissa == want, (base, length, bits)
 
 
 def test_expansion_needs_enough_digits():

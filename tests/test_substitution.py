@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +17,6 @@ from linrep.substitution import (
     bounded_letters,
     check_compatibility,
     fixed_point_prefix,
-    int_det,
     is_primitive,
     mat_mul,
     mat_pow,
@@ -286,42 +284,6 @@ def test_image_lengths_match_row_sums(fib):
     p = mat_pow(m, 9)
     for i, a in enumerate(fib.letters):
         assert fib.image_length(a, 9) == sum(p[i])
-
-
-def _fraction_det(a):
-    # Gaussian elimination over the rationals, the oracle for int_det
-    m = [[Fraction(x) for x in row] for row in a]
-    n, det = len(m), Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det
-        det *= m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return det
-
-
-def test_int_det_matches_fraction_elimination():
-    rng = random.Random(20261018)
-    singular = 0
-    for _ in range(600):
-        n = rng.randint(1, 4)
-        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if rng.random() < 0.2:  # force a zero leading entry, so the pivot search swaps rows
-            a[0][0] = 0
-        want = _fraction_det(a)
-        assert want.denominator == 1
-        assert int_det(a) == want, a
-        singular += want == 0
-    assert singular > 20  # the zero-determinant branch is exercised
-    assert int_det([[0, 1], [1, 0]]) == -1
-    assert int_det([[2, 1], [1, 1]]) == 1
 
 
 # --- primitivity ------------------------------------------------------------------
