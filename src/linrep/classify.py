@@ -37,6 +37,7 @@ minimal walks the factor-complexity core of `is_periodic` to a depth.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from . import words as wd
@@ -417,22 +418,6 @@ class LRBound:
     caveats: tuple[str, ...]
 
 
-def _occurring_pairs(letter: str, returns: frozenset[str], factors: wd.FactorSet) -> set[str]:
-    # a pair z1 z2 of return words to the letter that is a factor is a prefix
-    # of a root r, with z1 = r[:j] for the next occurrence j of the letter in
-    # r; no pair is longer than 2 * max|z|, so the roots' heads of that
-    # length hold them all
-    top = 2 * max(map(len, returns))
-    pairs = set()
-    for head in {r[:top] for r in factors.roots() if r[0] == letter}:
-        j = head.find(letter, 1)
-        if j > 0:
-            for z2 in returns:
-                if head.startswith(z2, j):
-                    pairs.add(head[:j] + z2)
-    return pairs
-
-
 def lr_constant_bound(
     s: Substitution,
     split: AlphabetSplit,
@@ -444,9 +429,9 @@ def lr_constant_bound(
 
     A return word is at most kappa long, so a saturated factor set of depth
     2 * kappa holds every return word and every pair of them that is a
-    factor; both are read from the roots of `factors`.  The return words
-    are also the words whose growth constants (n <= n_max) enter the
-    constant, and G comes from `words.coverage_exact`.
+    factor; both are read from `factors`, in one return-word pass.  The
+    return words are also the words whose growth constants (n <= n_max)
+    enter the constant, and G comes from `words.coverage_exact`.
     """
     if not factors.saturated:
         raise SubstitutionError(f"factor set did not saturate at depth {factors.max_length}")
@@ -456,7 +441,7 @@ def lr_constant_bound(
         )
     rw = wd.return_words(cert.letter, factors)
     growth = perron_growth(reduced_substitution(s, split), rw.words, n_max)
-    pairs = sorted(_occurring_pairs(cert.letter, rw.words, factors))
+    pairs = sorted(z1 + z2 for z1 in rw.words for z2 in rw.words if z1 + z2 in factors)
     try:
         G = wd.coverage_exact(s, pairs)
     except wd.CoverageUndecidedError as exc:
@@ -595,6 +580,34 @@ def _cut(image: str, c: str, names: dict[str, str], words: list[str]) -> str:
     return "".join(map(names.__getitem__, pieces))
 
 
+def derive_return_words(
+    table: Mapping[int, str] | tuple[str, ...], c: str, budget: int
+) -> tuple[list[str], tuple[str, ...], int] | None:
+    """One return-word derivation of the fixed point of `table` that begins with c.
+
+    table maps each letter (by code point, as `str.translate` reads it) to
+    its image, and the image of c begins with c.  Returns the return words
+    to c in breadth-first discovery order, the derived substitution over
+    chr(0), chr(1), ... (the image of return word i, cut before each c and
+    coded), and the number of image letters written; None once that number
+    exceeds `budget`.
+    """
+    prefix, work = c, 0
+    while (j := prefix.find(c, 1)) < 0:
+        prefix = prefix.translate(table)
+        work += len(prefix)
+        if work > budget:
+            return None
+    names, words, images = {prefix[1:j]: chr(0)}, [prefix[:j]], []
+    for r in words:
+        image = r.translate(table)
+        images.append(_cut(image, c, names, words))
+        work += len(image)
+        if work > budget:
+            return None
+    return words, tuple(images), work
+
+
 def derived_periodicity(
     s: Substitution, split: AlphabetSplit, letter: str, depth: int
 ) -> PeriodicityResult:
@@ -612,7 +625,9 @@ def derived_periodicity(
     these images close the set.  Naming the return words 0, 1, ... in
     breadth-first discovery order gives the derived substitution tau, whose
     letters are `chr(i)`, with no dependence on letter names; tau(0) begins
-    with 0 and every letter of tau grows.  The step repeats on tau from 0.
+    with 0 and every letter of tau grows.  The same step,
+    `derive_return_words`, repeats on tau from 0: tau of each whole return
+    word, cut before each 0.
 
     * One return word means x = r^infinity: the result is "periodic" with
       r (expanded through the stored return words) reduced to its least
@@ -637,33 +652,24 @@ def derived_periodicity(
         orbit[c] = len(orbit)
         c = _first_growing(s.rules[c], growing)
     p = len(orbit) - orbit[c]
-    table = {ord(a): s.iterate(a, p) for a in s.letters}
+    table: Mapping[int, str] | tuple[str, ...] = {ord(a): s.iterate(a, p) for a in s.letters}
     if not table[ord(c)].startswith(c):
         raise SubstitutionError(f"S^{p}({c!r}) does not begin with {c!r} on a certified system")
-    capped = PeriodicityResult(
-        status=UNDECIDED,
-        period=None,
-        depth=0,
-        note=f"return-word derivation wrote more than {DERIVATION_WORK} letters",
-    )
-    prefix, work = c, 0
-    while (j := prefix.find(c, 1)) < 0:
-        prefix = prefix.translate(table)
-        work += len(prefix)
-        if work > DERIVATION_WORK:
-            return capped
-    names, words, images = {prefix[1:j]: chr(0)}, [prefix[:j]], []
-    for r in words:
-        image = r.translate(table)
-        images.append(_cut(image, c, names, words))
-        work += len(image)
-        if work > DERIVATION_WORK:
-            return capped
     levels: list[list[str]] = []  # the return words of each step, over the letters before it
     seen: set[tuple[str, ...]] = set()
+    work = 0
     while True:
+        step = derive_return_words(table, c, DERIVATION_WORK - work)
+        if step is None:
+            return PeriodicityResult(
+                status=UNDECIDED,
+                period=None,
+                depth=0,
+                note=f"return-word derivation wrote more than {DERIVATION_WORK} letters",
+            )
+        words, tau, written = step
         levels.append(words)
-        tau = tuple(images)
+        work += written
         if len(tau) == 1:
             u = words[0]
             for lower in reversed(levels[:-1]):
@@ -674,18 +680,7 @@ def derived_periodicity(
             note = f"return-word derivation repeats after {len(levels)} steps; return words {counts}"
             return PeriodicityResult("aperiodic-up-to-depth", None, depth, note)
         seen.add(tau)
-        # every image of tau begins with 0, so tau(r) is cut letter by letter;
-        # the first piece of tau(0) is the first return word
-        names, words, images = {}, [], []
-        coded = {chr(0): _cut(tau[0], chr(0), names, words)}
-        for r in words:
-            for a in r:
-                if a not in coded:
-                    coded[a] = _cut(tau[ord(a)], chr(0), names, words)
-            images.append("".join(map(coded.__getitem__, r)))
-            work += len(images[-1])
-            if work > DERIVATION_WORK:
-                return capped
+        table, c = tau, chr(0)
 
 
 # ---------------------------------------------------------------------------

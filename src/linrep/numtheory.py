@@ -262,8 +262,9 @@ def _digits_value(ds: list[int], base: int) -> int:
     """The integer with the digits ds in `base`, most significant first.
 
     Adjacent groups of equal width merge as hi * base^width + lo, so the
-    products are balanced and the cost stays quasi-linear in len(ds); a
-    zero group in front keeps every group full width.
+    products are balanced and the cost stays subquadratic in len(ds) (as
+    CPython's big-int product is); a zero group in front keeps every group
+    full width.
     """
     groups, power = ds or [0], base
     while len(groups) > 1:

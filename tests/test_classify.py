@@ -13,6 +13,7 @@ from linrep.classify import (
     bounded_gaps,
     classify,
     decide_minimality,
+    derive_return_words,
     derived_periodicity,
     extendable_core,
     is_periodic,
@@ -556,14 +557,53 @@ def test_derived_periodicity_needs_a_seed_that_begins_its_image():
         derived_periodicity(s, bounded_letters(s), "0", 40)
 
 
-def test_occurring_pairs_match_every_pair_tested():
-    for s in [lr.load(name) for name in CATALOG_NAMES] + [
-        Substitution.from_rules(rules) for rules in _sweep_systems()
-    ]:
-        rep = classify(s)
-        if rep.lr is None:
-            continue
-        words = rep.lr.return_word_set.words
-        fresh = wd.factor_language(s, rep.factors.max_length)
-        want = sorted(z1 + z2 for z1 in words for z2 in words if z1 + z2 in fresh)
-        assert list(rep.lr.pair_set) == want, s
+def _fixed_prefix(table, c, words):
+    # the prefix of the fixed point of `table` from c, iterated until w + c
+    # occurs in it for every return word w
+    prefix = c
+    while not all(w + c in prefix for w in words):
+        assert len(prefix) < 10**6, words
+        prefix = prefix.translate(table)
+    return prefix
+
+
+def test_derived_return_words_occur():
+    # every derivation step against the fixed point it derives: the return
+    # words to c read off that fixed point are exactly the step's words, each
+    # holds c only in front, and tau(i) codes the image of return word i.
+    # Thue-Morse and most random systems have some tau(i) that does not begin
+    # with 0, so the next step must cut tau of whole return words
+    rng = random.Random(1998)
+    systems = [lr.load("thue-morse")]
+    while len(systems) < 200:
+        letters = "abcd"[: rng.choice([2, 3, 4])]
+        rules = {a: "".join(rng.choices(letters, k=rng.randint(1, 8))) for a in letters}
+        s = Substitution.from_rules(rules)
+        try:
+            _, _, decision = decide_minimality(s)
+        except SubstitutionError:
+            continue  # empty subshift or unreachable letters
+        if decision.status == YES:
+            systems.append(s)
+    late_images = 0
+    for s in systems:
+        growing = sorted(bounded_letters(s).growing)
+        p, c = next(
+            (p, a) for p in range(1, len(s.letters) + 1) for a in growing
+            if s.iterate(a, p).startswith(a)
+        )
+        table = {ord(a): s.iterate(a, p) for a in s.letters}
+        seen = set()
+        while True:
+            words, tau, _ = derive_return_words(table, c, 10**7)
+            prefix = _fixed_prefix(table, c, words)
+            assert {c + piece for piece in prefix.split(c)[1:-1]} == set(words), s
+            assert all(w.find(c, 1) < 0 for w in words), s
+            for i, image in enumerate(tau):
+                assert "".join(words[ord(k)] for k in image) == words[i].translate(table), s
+            if len(tau) == 1 or tau in seen:
+                break
+            seen.add(tau)
+            late_images += any(not image.startswith(chr(0)) for image in tau)
+            table, c = tau, chr(0)
+    assert late_images >= 40
