@@ -46,15 +46,12 @@ from .spectral import (
     GordonHypothesisMissing,
     GordonReport,
     band_spectrum,
-    finite_section_eigenvalues,
     gordon_check,
-    transfer_matrix,
 )
 from .substitution import (
     Alphabet,
     AlphabetSplit,
     GrowthEstimate,
-    ReducedSubstitution,
     Substitution,
     SubstitutionError,
     bounded_letters,
@@ -69,7 +66,6 @@ from .substitution import (
 from .words import (
     FactorSet,
     ReturnWordSet,
-    count_occurrences,
     coverage_exact,
     factor_language,
     find_power,

@@ -47,18 +47,19 @@ from .substitution import (
     PrimitivityResult,
     Substitution,
     SubstitutionError,
-    bounded_letters,
     check_compatibility,
     CompatibilityResult,
     is_primitive,
     perron_growth,
-    reduced_substitution,
     validate,
 )
 
 YES = "yes"
 NO = "no"
 UNDECIDED = "undecided-at-depth"
+# the periodicity statuses
+PERIODIC = "periodic"
+APERIODIC = "aperiodic-up-to-depth"
 
 # is_periodic reads core complexities this many letters below the factor depth
 CORE_MARGIN = 8
@@ -122,7 +123,7 @@ class BlockAnalysis:
         """
         if self.pump is None:
             raise ValueError("no pump certificate")
-        growing = bounded_letters(s).growing
+        growing = s.split.growing
         left, run, right = self.pump.seed
         letter, depth = self.pump.origin
         guard = self.pump.steps_to_cycle + self.pump.cycle_length * min_length
@@ -183,14 +184,14 @@ def _interior_triples(s: Substitution, c: str, growing: frozenset[str]) -> list[
     return out
 
 
-def analyze_bounded_blocks(s: Substitution, split: AlphabetSplit) -> BlockAnalysis:
+def analyze_bounded_blocks(s: Substitution) -> BlockAnalysis:
     """Decide whether the bounded-letter-only factors have bounded length.
 
     The decision itself is exact (margin sum over the context cycle); the
     cap MEASURE_CAP only limits the measurement of the maximal block
     length of orbits already known to be bounded.
     """
-    growing = split.growing
+    growing = s.split.growing
 
     seeds: list[_RunTriple] = []
     for a in s.letters:
@@ -318,11 +319,7 @@ class BGDecision:
 
 
 def bounded_gaps(
-    s: Substitution,
-    split: AlphabetSplit,
-    e: str,
-    *,
-    block_analysis: BlockAnalysis | None = None,
+    s: Substitution, e: str, *, block_analysis: BlockAnalysis | None = None
 ) -> BGDecision:
     """Decide whether the growing letter e occurs with bounded gaps.
 
@@ -331,10 +328,10 @@ def bounded_gaps(
     (the block-orbit measurement or the round cap of the coverage fold).
     No factor set is built.
     """
-    if e not in split.growing:
+    if e not in s.split.growing:
         raise ValueError(f"candidate {e!r} is not a growing letter")
     if block_analysis is None:
-        block_analysis = analyze_bounded_blocks(s, split)
+        block_analysis = analyze_bounded_blocks(s)
 
     if block_analysis.bounded is None:
         return BGDecision(status=UNDECIDED, note=block_analysis.undecided_reason)
@@ -354,7 +351,7 @@ def bounded_gaps(
 
     # every growing letter must keep producing e along its whole letter-set cycle
     witnesses: dict[str, int] = {}
-    for c in sorted(split.growing):
+    for c in sorted(s.split.growing):
         sets, preperiod, period = s.letter_set_orbit(c)
         for idx in range(preperiod, preperiod + period):
             if e not in sets[idx]:
@@ -419,11 +416,7 @@ class LRBound:
 
 
 def lr_constant_bound(
-    s: Substitution,
-    split: AlphabetSplit,
-    cert: BGCertificate,
-    factors: wd.FactorSet,
-    n_max: int,
+    s: Substitution, cert: BGCertificate, factors: wd.FactorSet, n_max: int
 ) -> LRBound:
     """Assemble the explicit linear-repetitivity constant from a bounded-gaps certificate.
 
@@ -440,7 +433,7 @@ def lr_constant_bound(
             f"return-word pairs need a saturated factor set of depth >= {2 * cert.kappa}"
         )
     rw = wd.return_words(cert.letter, factors)
-    growth = perron_growth(reduced_substitution(s, split), rw.words, n_max)
+    growth = perron_growth(s, rw.words, n_max)
     pairs = sorted(z1 + z2 for z1 in rw.words for z2 in rw.words if z1 + z2 in factors)
     try:
         G = wd.coverage_exact(s, pairs)
@@ -466,7 +459,7 @@ def lr_constant_bound(
 
 @dataclass
 class PeriodicityResult:
-    status: str  # "periodic" | "aperiodic-up-to-depth" | UNDECIDED
+    status: str  # PERIODIC | APERIODIC | UNDECIDED
     period: str | None
     depth: int
     note: str | None = None
@@ -480,23 +473,12 @@ def _minimal_period(u: str) -> int:
     return n
 
 
-def extendable_core(factors: wd.FactorSet) -> frozenset[str]:
-    """Prune factors that cannot be extended on both sides within the language.
-
-    Removal is sound: a word all of whose one-letter extensions are gone can
-    occur in no two-sided sequence.  Words of maximal length are kept
-    unconditionally (nothing is known beyond the depth), so the core is only
-    trustworthy with a margin below max_length.  The result is the greatest
-    fixed point.  A word's extensions are one letter longer, so it is
-    computed top-down from the factors of maximal length: the kept words of
-    length L are those that are both a prefix and a suffix of kept words of
-    length L + 1.
-    """
-    return frozenset().union(*_core_levels(factors))
-
-
 def _core_levels(factors: wd.FactorSet):
-    # the levels of the extendable core, longest first
+    # The levels of the extendable core, longest first.  A word without a
+    # kept extension on one side occurs in no two-sided sequence, so the kept
+    # words of length L are those that are both a prefix and a suffix of kept
+    # words of length L + 1.  The words of maximal length are all kept, so
+    # the core is only trustworthy with a margin below max_length.
     factors.require_saturated()
     level = {w for w in factors.maximal if len(w) == factors.max_length}
     while level:
@@ -548,14 +530,14 @@ def is_periodic(
             tiling_ok = all(f in period * (len(f) // q + 2) for f in top)
             if tiling_ok:
                 canonical = min(period[i:] + period[:i] for i in range(q))
-                return PeriodicityResult(status="periodic", period=canonical, depth=n)
+                return PeriodicityResult(status=PERIODIC, period=canonical, depth=n)
             return PeriodicityResult(
                 status=UNDECIDED,
                 period=None,
                 depth=n,
                 note="low core complexity but no single periodic word tiles the core",
             )
-    return PeriodicityResult(status="aperiodic-up-to-depth", period=None, depth=depth)
+    return PeriodicityResult(status=APERIODIC, period=None, depth=depth)
 
 
 def _period_result(u: str) -> PeriodicityResult:
@@ -566,7 +548,7 @@ def _period_result(u: str) -> PeriodicityResult:
     doubled = u[:q] * 2
     depth = next(m for m in range(1, q + 1) if len({doubled[i : i + m] for i in range(q)}) <= m)
     canonical = min(doubled[i : i + q] for i in range(q))
-    return PeriodicityResult(status="periodic", period=canonical, depth=depth)
+    return PeriodicityResult(status=PERIODIC, period=canonical, depth=depth)
 
 
 def _cut(image: str, c: str, names: dict[str, str], words: list[str]) -> str:
@@ -608,9 +590,7 @@ def derive_return_words(
     return words, tuple(images), work
 
 
-def derived_periodicity(
-    s: Substitution, split: AlphabetSplit, letter: str, depth: int
-) -> PeriodicityResult:
+def derived_periodicity(s: Substitution, letter: str, depth: int) -> PeriodicityResult:
     """Exact periodicity of a certified minimal system by iterated return-word derivation.
 
     Seed: follow c -> first growing letter of S(c) from `letter` to its cycle,
@@ -645,7 +625,7 @@ def derived_periodicity(
     (Durand 1998), so one of the two happens; DERIVATION_WORK bounds the
     image letters written on the way and gives an undecided result instead.
     """
-    growing = split.growing
+    growing = s.split.growing
     orbit: dict[str, int] = {}
     c = letter
     while c not in orbit:
@@ -678,7 +658,7 @@ def derived_periodicity(
         if tau in seen:
             counts = [len(w) for w in levels]
             note = f"return-word derivation repeats after {len(levels)} steps; return words {counts}"
-            return PeriodicityResult("aperiodic-up-to-depth", None, depth, note)
+            return PeriodicityResult(APERIODIC, None, depth, note)
         seen.add(tau)
         table, c = tau, chr(0)
 
@@ -779,31 +759,31 @@ class ClassificationReport:
         return out
 
 
-def decide_minimality(s: Substitution) -> tuple[AlphabetSplit, tuple[str, ...], BGDecision]:
-    """The minimality decision alone: the alphabet split, the candidate letters
-    (growing letters that reach the whole alphabet) and the bounded-gaps
-    decision of the first candidate certified, else the most decisive one."""
-    split = validate(s).split
+def decide_minimality(s: Substitution) -> tuple[tuple[str, ...], BGDecision]:
+    """The minimality decision alone: the candidate letters (growing letters
+    that reach the whole alphabet) and the bounded-gaps decision of the first
+    candidate certified, else the most decisive one."""
+    validate(s)  # raises EmptySubshiftError when no letter grows
     all_letters = frozenset(s.letters)
     candidates = tuple(
-        e for e in s.letters if e in split.growing and s.reachable([e]) == all_letters
+        e for e in s.letters if e in s.split.growing and s.reachable([e]) == all_letters
     )
     if not candidates:
         raise SubstitutionError(
             "no growing letter reaches the whole alphabet; prune unreachable letters first"
         )
 
-    block_analysis = analyze_bounded_blocks(s, split)
+    block_analysis = analyze_bounded_blocks(s)
     decision: BGDecision | None = None
     for e in candidates:
-        d = bounded_gaps(s, split, e, block_analysis=block_analysis)
+        d = bounded_gaps(s, e, block_analysis=block_analysis)
         if d.status == YES:
-            return split, candidates, d
+            return candidates, d
         if decision is None or (decision.status == UNDECIDED and d.status == NO):
             decision = d
     if decision is None:
         raise SubstitutionError("no bounded-gaps decision for any candidate letter")
-    return split, candidates, decision
+    return candidates, decision
 
 
 def classify(
@@ -825,7 +805,7 @@ def classify(
     is exact and reads no factors; an aperiodic verdict keeps the status
     "aperiodic-up-to-depth" at `aperiodic_depth`.  Any other system walks
     the periodicity core of `is_periodic` to `aperiodic_depth`."""
-    split, candidates, decision = decide_minimality(s)
+    candidates, decision = decide_minimality(s)
     minimal = decision.status
     aperiodic_depth = compat_depth + APERIODIC_MARGIN
     depth = max(compat_depth + 1, aperiodic_depth + CORE_MARGIN)
@@ -839,7 +819,7 @@ def classify(
     lr = None
     if minimal == YES:
         try:
-            lr = lr_constant_bound(s, split, decision.certificate, factors, growth_nmax)
+            lr = lr_constant_bound(s, decision.certificate, factors, growth_nmax)
             caveats.extend(lr.caveats)
         except SubstitutionError as exc:
             caveats.append(f"repetitivity constant undecided: {exc}")
@@ -848,7 +828,7 @@ def classify(
 
     if minimal == YES:
         letter = decision.certificate.letter
-        periodicity = derived_periodicity(s, split, letter, aperiodic_depth)
+        periodicity = derived_periodicity(s, letter, aperiodic_depth)
     else:
         periodicity = is_periodic(s, aperiodic_depth, factors=factors)
     if compatibility.status != "holds-certified":
@@ -860,7 +840,7 @@ def classify(
 
     return ClassificationReport(
         substitution=s,
-        split=split,
+        split=s.split,
         witness_pool=candidates,
         compatibility=compatibility,
         primitive=primitive,

@@ -29,7 +29,7 @@ from pathlib import Path
 from . import catalog as cat
 from . import numtheory as nt
 from . import recognizer as rec
-from .classify import UNDECIDED, YES, classify, decide_minimality
+from .classify import PERIODIC, UNDECIDED, YES, classify, decide_minimality
 from .spectral import band_spectrum
 from .substitution import (
     Substitution,
@@ -93,7 +93,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ue_note = "" if report.minimal == YES else " (not implied either way without minimality)"
     print(f"uniquely ergodic: {report.uniquely_ergodic}{ue_note}")
     p = report.periodicity
-    if p.status == "periodic":
+    if p.status == PERIODIC:
         print(f"periodic: yes (period {p.period!r}, detected at length {p.depth})")
     else:
         print(f"periodic: {p.status} (depth {p.depth})")
@@ -149,8 +149,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         if not (hi > lo):
             return _fail(f"inverted or empty energy window [{lo}, {hi}]")
         window = (lo, hi)
-    split, _, decision = decide_minimality(s)
-    letter = decision.certificate.letter if decision.certificate else min(split.growing)
+    _, decision = decide_minimality(s)
+    letter = decision.certificate.letter if decision.certificate else min(s.split.growing)
 
     if args.levels is not None:
         levels = list(range(args.levels[0], args.levels[1] + 1))

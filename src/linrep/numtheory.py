@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .classify import NO, YES, ClassificationReport
+from .classify import APERIODIC, NO, YES, ClassificationReport
 from .recognizer import shape_letters
 from .substitution import Substitution, SubstitutionError, fixed_point_prefix
 
@@ -85,7 +85,7 @@ def detect_case(s: Substitution, report: ClassificationReport) -> StutterWitness
         raise CaseDetectionError("primitive systems are out of scope for this analysis")
     if report.minimal != YES:
         raise CaseDetectionError(f"system is not certified minimal (status {report.minimal!r})")
-    if report.periodicity.status != "aperiodic-up-to-depth":
+    if report.periodicity.status != APERIODIC:
         raise CaseDetectionError(
             f"requires aperiodicity (periodicity status {report.periodicity.status!r})"
         )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import words as wd
-from .classify import YES, ClassificationReport
+from .classify import APERIODIC, YES, ClassificationReport
 from .substitution import Substitution, SubstitutionError, iterate_prefix
 
 
@@ -74,10 +74,6 @@ class OnePartition:
     blocks: tuple[str, ...]
     z_end: str
     cut_positions: tuple[int, ...]
-
-    def interior_cuts(self, half_width: int) -> tuple[int, ...]:
-        lo, hi = half_width, len(self.target) - half_width
-        return tuple(c for c in self.cut_positions if lo <= c <= hi)
 
 
 def enumerate_one_partitions(s: Substitution, w: str) -> list[OnePartition]:
@@ -236,7 +232,7 @@ def _require_minimal_aperiodic(report: ClassificationReport) -> None:
         raise ShapeError("requires a nonprimitive substitution")
     if report.minimal != YES:
         raise SubstitutionError(f"requires certified minimality (got {report.minimal!r})")
-    if report.periodicity.status != "aperiodic-up-to-depth":
+    if report.periodicity.status != APERIODIC:
         raise SubstitutionError(
             f"requires aperiodicity (periodicity status {report.periodicity.status!r})"
         )

@@ -12,12 +12,8 @@ eigenvalue problems, with no energy grid and no bisection.  Shrinking total
 band measure across levels is the desk-scale signature of a zero-measure
 Cantor limit.
 
-scipy is imported on the first band-edge or finite-section solve, not with
-the module: classification and the other applications never load it.
-
-Time convention: the transfer matrix of a word multiplies factors
-right-to-left, the rightmost factor belonging to the first letter, so
-T(uv, E) = T(v, E) @ T(u, E).
+scipy is imported on the first band-edge solve, not with the module:
+classification and the other applications never load it.
 """
 
 from __future__ import annotations
@@ -30,8 +26,6 @@ import numpy as np
 from . import words as wd
 from .classify import YES, ClassificationReport
 from .substitution import Substitution, growth_ratio_range, iterate_prefix
-
-FINITE_SECTION_CAP = 4096
 
 # Adjacent bands whose gap is no wider than this are reported as one band.
 # Touching bands (the free operator, Thue-Morse) come out of the eigensolver
@@ -46,23 +40,6 @@ WINDOW_MARGIN = 0.5
 # factor set it searches for a cube when the report's set is shallower
 GORDON_TOL = 1e-3
 GORDON_SEARCH_DEPTH = 48
-
-
-def transfer_matrix(
-    word: str, energy: float, potentials: Mapping[str, float], dtype=float
-) -> np.ndarray:
-    """Product of one-step transfer matrices [[E - v, -1], [1, 0]] over the word.
-
-    Entries grow exponentially off the spectrum, so determinant checks at
-    tight absolute tolerances should pass dtype=np.longdouble and keep the
-    word short enough for the conditioning to allow them.
-    """
-    m = np.eye(2, dtype=dtype)
-    one = np.asarray(1.0, dtype=dtype)
-    for ch in word:
-        x = np.asarray(energy - potentials[ch], dtype=dtype)
-        m = np.array([[x, -one], [one, 0.0 * one]], dtype=dtype) @ m
-    return m
 
 
 @dataclass
@@ -168,25 +145,6 @@ def band_spectrum(
         closed_gaps=closed,
         window=window,
     )
-
-
-def finite_section_eigenvalues(word: str, potentials: Mapping[str, float]) -> np.ndarray:
-    """Eigenvalues of the operator restricted to the word's sites, Dirichlet cut.
-
-    Symmetric tridiagonal matrix with the letter values on the diagonal and
-    unit hopping; eigenvalues sorted ascending.
-    """
-    from scipy.linalg import eigh_tridiagonal
-    n = len(word)
-    if n == 0:
-        raise ValueError("empty word")
-    if n > FINITE_SECTION_CAP:
-        raise ValueError(f"finite section capped at {FINITE_SECTION_CAP} sites, got {n}")
-    diag = np.array([potentials[ch] for ch in word], dtype=float)
-    if n == 1:
-        return diag.copy()
-    off = np.ones(n - 1)
-    return eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
 @dataclass

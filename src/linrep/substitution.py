@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 # power iteration stops once theta is stable to this relative tolerance
 PERRON_RTOL = 1e-12
-# relative slack GrowthEstimate.verify allows around the float constants
-GROWTH_SLACK = 1e-9
 
 
 class SubstitutionError(Exception):
@@ -115,19 +114,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
     return out
 
 
-def mat_pow(a: Sequence[Sequence[int]], n: int) -> list[list[int]]:
-    """Exact integer matrix power (n >= 0)."""
-    size = len(a)
-    result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    base = [list(row) for row in a]
-    while n > 0:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
-
-
 class _Images(dict):
     """The rules as a lookup table whose missing letters raise a typed error."""
 
@@ -139,7 +125,7 @@ class Substitution:
     """A non-erasing substitution over an Alphabet.
 
     `rules[a]` is the image word of the letter a.  Instances are treated as
-    immutable; derived data (occurrence matrix, image lengths) is cached.
+    immutable; derived data (image lengths, the alphabet split) is cached.
     """
 
     def __init__(self, alphabet: Alphabet, rules: Mapping[str, str], name: str | None = None):
@@ -212,6 +198,11 @@ class Substitution:
             sum(k * row[ch] for ch, k in counts.items()) for row in self._lengths[: n_max + 1]
         ]
 
+    @cached_property
+    def split(self) -> "AlphabetSplit":
+        """The bounded/growing split of the alphabet, from `bounded_letters`."""
+        return bounded_letters(self)
+
     def first_letter(self, ch: str) -> str:
         return self.rules[ch][0]
 
@@ -266,7 +257,6 @@ class AlphabetSplit:
     bounded: frozenset[str]
     growing: frozenset[str]
     eternally_single: frozenset[str]
-    stabilization_depth: int
 
 
 def bounded_letters(s: Substitution) -> AlphabetSplit:
@@ -287,19 +277,13 @@ def bounded_letters(s: Substitution) -> AlphabetSplit:
     eternally_single = frozenset(single)
 
     bounded = set()
-    depth = 0
     for a in s.letters:
-        sets, preperiod, period = s.letter_set_orbit(a)
-        depth = max(depth, preperiod + period)
-        cycle = sets[preperiod:]
-        if all(st <= eternally_single for st in cycle):
+        sets, preperiod, _ = s.letter_set_orbit(a)
+        if all(st <= eternally_single for st in sets[preperiod:]):
             bounded.add(a)
     growing = frozenset(set(s.letters) - bounded)
     return AlphabetSplit(
-        bounded=frozenset(bounded),
-        growing=growing,
-        eternally_single=eternally_single,
-        stabilization_depth=depth,
+        bounded=frozenset(bounded), growing=growing, eternally_single=eternally_single
     )
 
 
@@ -318,10 +302,6 @@ class ValidationReport:
     witness: str
     full_reachability: bool
     reachable: tuple[str, ...]
-
-    @property
-    def growing(self) -> frozenset[str]:
-        return self.split.growing
 
 
 def validate(definition: Mapping | Substitution) -> ValidationReport:
@@ -371,7 +351,7 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
             alphabet = Alphabet(sorted(rules), allow_duplicate_values=allow_dupes)
         s = Substitution(alphabet, rules, name)
 
-    split = bounded_letters(s)
+    split = s.split
     if not split.growing:
         raise EmptySubshiftError(
             "no letter has unbounded image growth; the two-sided subshift is empty"
@@ -408,35 +388,8 @@ def prune_to_reachable(s: Substitution, witness: str) -> Substitution:
     return Substitution(alphabet, {a: s.rules[a] for a in letters}, s.name)
 
 
-@dataclass
-class ReducedSubstitution:
-    """The substitution with bounded letters erased, acting on the growing letters.
-
-    `base` is the reduced substitution itself; `original` is kept because
-    growth estimates compare iterate lengths of the original against the
-    Perron eigenvalue of the reduced one.  Nothing here assumes the reduced
-    substitution is primitive or even growing: without a bounded-gaps
-    certificate a growing letter may well reduce to a non-growing rule.
-    """
-
-    base: Substitution
-    original: Substitution
-    split: AlphabetSplit
-
-    def project(self, w: str) -> str:
-        growing = self.split.growing
-        return "".join(ch for ch in w if ch in growing)
-
-    def abelianization(self) -> list[list[int]]:
-        return self.base.abelianization()
-
-    @property
-    def letters(self) -> tuple[str, ...]:
-        return self.base.letters
-
-
-def reduced_substitution(s: Substitution, split: AlphabetSplit) -> ReducedSubstitution:
-    """Erase bounded letters from every rule.
+def reduced_substitution(s: Substitution) -> Substitution:
+    """Erase bounded letters from every rule, leaving a substitution on the growing letters.
 
     With pi the erasure of the bounded letters B and S' the reduced
     substitution, pi(S^n(w)) = S'^n(pi(w)) for every word w and every n
@@ -447,33 +400,27 @@ def reduced_substitution(s: Substitution, split: AlphabetSplit) -> ReducedSubsti
     definition of S'.  For a bounded letter b, S'(pi(b)) is empty, and
     pi(S(b)) is empty exactly when S(b) lies in B*.  So erasure commutes
     with S exactly when no bounded letter's image holds a growing letter,
-    which `bounded_letters` guarantees (B is invariant) and which is checked
-    here for a split built elsewhere.
+    which `bounded_letters` guarantees (B is invariant).  The result need
+    not be primitive or even growing without a bounded-gaps certificate.
     """
-    if not split.growing:
+    growing = s.split.growing
+    if not growing:
         raise NoGrowingLettersError("cannot reduce: no growing letters")
-    for b in s.letters:
-        if b in split.bounded and not split.growing.isdisjoint(s.rules[b]):
-            raise SubstitutionError(
-                f"bounded letter {b!r} maps to {s.rules[b]!r}, which holds a growing "
-                "letter; erasure would not commute with the substitution"
-            )
-    growing = [a for a in s.letters if a in split.growing]
+    letters = [a for a in s.letters if a in growing]
     rules = {}
-    for c in growing:
-        image = "".join(ch for ch in s.rules[c] if ch in split.growing)
+    for c in letters:
+        image = "".join(ch for ch in s.rules[c] if ch in growing)
         if not image:
             raise SubstitutionError(
                 f"reduced rule for {c!r} is empty; {c!r} cannot be a growing letter"
             )
         rules[c] = image
     alphabet = Alphabet(
-        growing,
-        {a: s.alphabet.value(a) for a in growing},
+        letters,
+        {a: s.alphabet.value(a) for a in letters},
         allow_duplicate_values=True,
     )
-    base = Substitution(alphabet, rules, name=(s.name and s.name + "~"))
-    return ReducedSubstitution(base=base, original=s, split=split)
+    return Substitution(alphabet, rules, name=(s.name and s.name + "~"))
 
 
 @dataclass(frozen=True)
@@ -482,11 +429,8 @@ class PrimitivityResult:
     power: int | None
     zero_entry: tuple[int, str, str] | None
 
-    def __bool__(self) -> bool:
-        return self.primitive
 
-
-def is_primitive(s: Substitution | ReducedSubstitution) -> PrimitivityResult:
+def is_primitive(s: Substitution) -> PrimitivityResult:
     """Primitivity via positivity of a power of the occurrence matrix.
 
     If M^r is entrywise positive for some r it already is for
@@ -550,24 +494,9 @@ class GrowthEstimate:
     words: tuple[str, ...]
     n_checked: int
 
-    def verify(self, s: Substitution) -> bool:
-        """Re-check the sandwich against exact iterate lengths."""
-        for v in self.words:
-            lengths = s.word_image_lengths(v, self.n_checked)
-            for n in range(1, self.n_checked + 1):
-                length = lengths[n]
-                scale = self.theta**n
-                if not (
-                    self.lambda_v * scale * (1 - GROWTH_SLACK)
-                    <= length
-                    <= self.rho_v * scale * (1 + GROWTH_SLACK)
-                ):
-                    return False
-        return True
-
 
 def perron_growth(
-    reduced: ReducedSubstitution,
+    s: Substitution,
     words_with_growing: Iterable[str],
     n_max: int = 30,
 ) -> GrowthEstimate:
@@ -575,10 +504,12 @@ def perron_growth(
 
     theta is the Perron eigenvalue of the reduced substitution (which must be
     primitive); the lambda/rho constants are empirical extrema of the exact
-    integer lengths |S^n(v)| against theta^n for n up to n_max (>= 1).
+    integer lengths |S^n(v)| of the original substitution against theta^n
+    for n up to n_max (>= 1).
     """
     if n_max < 1:
         raise ValueError(f"growth constants need n_max >= 1, got {n_max}")
+    reduced = reduced_substitution(s)
     prim = is_primitive(reduced)
     if not prim.primitive:
         raise NotPrimitiveError(
@@ -587,12 +518,11 @@ def perron_growth(
     word_list = tuple(sorted(set(words_with_growing)))
     if not word_list:
         raise ValueError("need at least one word")
-    growing = reduced.split.growing
     for v in word_list:
-        if not any(ch in growing for ch in v):
+        if s.split.growing.isdisjoint(v):
             raise ValueError(f"word {v!r} contains no growing letter")
     theta = perron_eigenvalue(reduced.abelianization())
-    lo, hi = zip(*(growth_ratio_range(reduced.original, v, theta, n_max) for v in word_list))
+    lo, hi = zip(*(growth_ratio_range(s, v, theta, n_max) for v in word_list))
     return GrowthEstimate(
         theta=theta, lambda_v=min(lo), rho_v=max(hi), words=word_list, n_checked=n_max
     )
@@ -729,31 +659,33 @@ def check_compatibility(s: Substitution, factors, depth: int = 16) -> Compatibil
             f"compatibility to depth {depth} needs a factor set of depth >= {depth + 1}, "
             f"got {factors.max_length}"
         )
-    split = bounded_letters(s)
+    split = s.split
     all_letters = frozenset(s.letters)
     if factors.saturated:
-        # the factors of each length n <= depth + 1, longest first: every
-        # factor is a prefix of a root, so level n holds the roots cut to
-        # length n and the words of level n + 1 less their last letter
-        levels = [set() for _ in range(depth + 2)]
+        # refutation scan over the factors of each length n <= depth + 1,
+        # two levels at a time, longest first: every factor is a prefix of a
+        # root, so level n holds the roots cut to length n and the words of
+        # level n + 1 less their last letter.  A word has a right (left)
+        # extension when it is a prefix (suffix) of a word one level up, so
+        # only a root of length n can lack a right one.  The verdict names
+        # the shortest level with a blocked word: its first in sorted order,
+        # the right side checked before the left
+        roots: dict[int, set[str]] = {}
         for r in factors.roots():
-            levels[min(len(r), depth + 1)].add(r[: depth + 1])
+            roots.setdefault(min(len(r), depth + 1), set()).add(r[: depth + 1])
+        upper = roots.pop(depth + 1, set())
+        blocked = None
         for n in range(depth, 0, -1):
-            levels[n] |= {u[:-1] for u in levels[n + 1]}
-        # refutation scan, small words first: a word has a right (left)
-        # extension when it is a prefix (suffix) of a factor one letter longer
-        for n in range(1, depth + 1):
-            prefixes = {u[:-1] for u in levels[n + 1]}
-            suffixes = {u[1:] for u in levels[n + 1]}
-            for w in sorted(levels[n]):
-                if w not in prefixes:
-                    return CompatibilityResult(
-                        "fails-certified", {"blocked_factor": w, "side": "right"}
-                    )
-                if w not in suffixes:
-                    return CompatibilityResult(
-                        "fails-certified", {"blocked_factor": w, "side": "left"}
-                    )
+            level = {u[:-1] for u in upper}
+            right = roots.pop(n, set()) - level
+            level |= right
+            left = level - {u[1:] for u in upper}
+            if right or left:
+                w = min(right | left)
+                blocked = {"blocked_factor": w, "side": "right" if w in right else "left"}
+            upper = level
+        if blocked is not None:
+            return CompatibilityResult("fails-certified", blocked)
 
     # interior recurrence certificate
     for e in sorted(split.growing):

@@ -31,24 +31,6 @@ class UnsaturatedFactorSetError(ValueError):
     """An operation required a saturated factor set but got a capped one."""
 
 
-def count_occurrences(pattern: Word, text: Word) -> int:
-    """Number of (possibly overlapping) occurrences of `pattern` in `text`.
-
-    The empty pattern is rejected: it would occur at every position and
-    poisons every counting argument built on top of this.
-    """
-    if not pattern:
-        raise ValueError("occurrence counting needs a nonempty pattern")
-    count = 0
-    start = 0
-    while True:
-        i = text.find(pattern, start)
-        if i < 0:
-            return count
-        count += 1
-        start = i + 1
-
-
 def subwords(w: Word, max_length: int) -> set[Word]:
     """All nonempty factors of `w` of length <= max_length."""
     n = len(w)
@@ -150,10 +132,6 @@ class FactorSet:
                 sorted({r[:length] for r in self.roots() if len(r) >= length})
             )
         return self._by_length[length]
-
-    def complexity(self, length: int) -> int:
-        """Factor-count p(length)."""
-        return len(self.words_of_length(length))
 
     def require_saturated(self) -> None:
         if not self.saturated:

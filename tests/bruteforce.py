@@ -350,6 +350,31 @@ def own_set_compatibility(s, depth: int = 16):
     return CompatibilityResult("unknown", {"depth": depth})
 
 
+def levels_blocked_factor(factors, depth: int) -> dict | None:
+    """The blocked-factor verdict of a refutation scan that holds every level at once.
+
+    Builds the factors of every length n <= depth + 1 from the roots, then
+    scans the levels shortest first and each level in sorted order,
+    stopping at the first word that is neither a prefix (right side,
+    checked first) nor a suffix (left side) of a word one letter longer.
+    Reference for the two-levels-at-a-time scan of `check_compatibility`.
+    """
+    levels = [set() for _ in range(depth + 2)]
+    for r in factors.roots():
+        levels[min(len(r), depth + 1)].add(r[: depth + 1])
+    for n in range(depth, 0, -1):
+        levels[n] |= {u[:-1] for u in levels[n + 1]}
+    for n in range(1, depth + 1):
+        prefixes = {u[:-1] for u in levels[n + 1]}
+        suffixes = {u[1:] for u in levels[n + 1]}
+        for w in sorted(levels[n]):
+            if w not in prefixes:
+                return {"blocked_factor": w, "side": "right"}
+            if w not in suffixes:
+                return {"blocked_factor": w, "side": "left"}
+    return None
+
+
 def uniqueness_walk(alpha: str, b: str, L: int, sample: str) -> tuple[int, ...]:
     """The uniqueness scan's violations by walking each start's chains one block at a time.
 
@@ -404,3 +429,92 @@ def horner_value(digits, base: int) -> int:
     for d in digits:
         num = num * base + d
     return num
+
+
+def mat_pow(a, n: int) -> list[list[int]]:
+    """Exact integer matrix power (n >= 0) by repeated squaring."""
+
+    def mul(x, y):
+        return [[sum(p * q for p, q in zip(row, col)) for col in zip(*y)] for row in x]
+
+    size = len(a)
+    result = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    base = [list(row) for row in a]
+    while n > 0:
+        if n & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        n >>= 1
+    return result
+
+
+# relative slack `growth_sandwich_holds` allows around the float constants
+GROWTH_SLACK = 1e-9
+
+
+def growth_sandwich_holds(growth, s) -> bool:
+    """Re-check lambda * theta^n <= |S^n(v)| <= rho * theta^n against exact lengths.
+
+    Every word v of the `GrowthEstimate` and every 1 <= n <= n_checked.
+    """
+    for v in growth.words:
+        lengths = s.word_image_lengths(v, growth.n_checked)
+        for n in range(1, growth.n_checked + 1):
+            scale = growth.theta**n
+            if not (
+                growth.lambda_v * scale * (1 - GROWTH_SLACK)
+                <= lengths[n]
+                <= growth.rho_v * scale * (1 + GROWTH_SLACK)
+            ):
+                return False
+    return True
+
+
+def transfer_matrix(word: str, energy: float, potentials, dtype=float) -> np.ndarray:
+    """Product of one-step transfer matrices [[E - v, -1], [1, 0]] over the word.
+
+    Factors multiply right-to-left, the rightmost belonging to the first
+    letter, so T(uv, E) = T(v, E) @ T(u, E).  Entries grow exponentially off
+    the spectrum, so determinant checks at tight absolute tolerances should
+    pass dtype=np.longdouble and keep the word short enough for the
+    conditioning to allow them.
+    """
+    m = np.eye(2, dtype=dtype)
+    one = np.asarray(1.0, dtype=dtype)
+    for ch in word:
+        x = np.asarray(energy - potentials[ch], dtype=dtype)
+        m = np.array([[x, -one], [one, 0.0 * one]], dtype=dtype) @ m
+    return m
+
+
+FINITE_SECTION_CAP = 4096
+
+
+def finite_section_eigenvalues(word: str, potentials) -> np.ndarray:
+    """Eigenvalues of the operator restricted to the word's sites, Dirichlet cut.
+
+    Symmetric tridiagonal matrix with the letter values on the diagonal and
+    unit hopping; eigenvalues sorted ascending.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    n = len(word)
+    if n == 0:
+        raise ValueError("empty word")
+    if n > FINITE_SECTION_CAP:
+        raise ValueError(f"finite section capped at {FINITE_SECTION_CAP} sites, got {n}")
+    diag = np.array([potentials[ch] for ch in word], dtype=float)
+    if n == 1:
+        return diag.copy()
+    return eigh_tridiagonal(diag, np.ones(n - 1), eigvals_only=True)
+
+
+def interior_cuts(partition, half_width: int) -> tuple[int, ...]:
+    """The cut positions of a `OnePartition` at least `half_width` from both ends."""
+    lo, hi = half_width, len(partition.target) - half_width
+    return tuple(c for c in partition.cut_positions if lo <= c <= hi)
+
+
+def project(s, w: str) -> str:
+    """w with the bounded letters of s erased."""
+    return "".join(ch for ch in w if ch in s.split.growing)

@@ -20,13 +20,7 @@ from linrep import recognizer as rec
 from linrep import words as wd
 from linrep.classify import NO, YES
 from linrep.cli import main
-from linrep.spectral import (
-    GordonHypothesisMissing,
-    band_spectrum,
-    finite_section_eigenvalues,
-    gordon_check,
-    transfer_matrix,
-)
+from linrep.spectral import GordonHypothesisMissing, band_spectrum, gordon_check
 from linrep.substitution import (
     Substitution,
     bounded_letters,
@@ -34,7 +28,16 @@ from linrep.substitution import (
     reduced_substitution,
 )
 
-from bruteforce import distinct_windows, naive_factors, naive_find_power, naive_return_words
+from bruteforce import (
+    distinct_windows,
+    finite_section_eigenvalues,
+    interior_cuts,
+    naive_factors,
+    naive_find_power,
+    naive_return_words,
+    project,
+    transfer_matrix,
+)
 from conftest import CATALOG_NAMES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -129,16 +132,15 @@ def test_criterion_4_erasure_intertwining(capsys):
             for ch in letters
         }
         s = Substitution.from_rules(rules)
-        split = bounded_letters(s)
-        if not split.growing:
+        if not s.split.growing:
             continue
-        red = reduced_substitution(s, split)
+        red = reduced_substitution(s)
         x = "".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
         n = rng.randint(0, 6)
         if s.word_image_length(x, n) > 10**5:
             continue
         image = s.iterate(x, n)
-        assert red.project(image) == red.base.iterate(red.project(x), n)
+        assert project(s, image) == red.iterate(project(s, x), n)
         done += 1
     assert time.time() - t0 < 5.0
     capsys.readouterr()
@@ -220,7 +222,7 @@ def test_criterion_7_recognizer_uniqueness(catalog_subs, catalog_reports, capsys
     sample = lr.iterate_prefix(s, "a", int(rep.lr.value * 600) + 1200)
     for m in (4 * L + 2, 4 * L + 30, 280):
         for w in sorted(distinct_windows(sample, m)):
-            cut_sets = {p.interior_cuts(L) for p in rec.enumerate_one_partitions(s, w)}
+            cut_sets = {interior_cuts(p, L) for p in rec.enumerate_one_partitions(s, w)}
             assert len(cut_sets) == 1, (m, w[:40])
 
     # propagation below the threshold length, exhaustively over the language

@@ -15,8 +15,8 @@ from linrep.classify import (
     decide_minimality,
     derive_return_words,
     derived_periodicity,
-    extendable_core,
     is_periodic,
+    _core_levels,
 )
 from linrep.substitution import (
     Substitution,
@@ -26,14 +26,13 @@ from linrep.substitution import (
     is_primitive,
 )
 
-from bruteforce import own_set_compatibility, rescan_extendable_core
+from bruteforce import mat_pow, own_set_compatibility, rescan_extendable_core
 from conftest import CATALOG_NAMES
 
 
 def test_bounded_gaps_abaa_certificate():
     s = lr.load("minimal-nonprimitive")
-    split = bounded_letters(s)
-    d = bounded_gaps(s, split, "a")
+    d = bounded_gaps(s, "a")
     assert d.status == YES
     cert = d.certificate
     assert cert.kappa == 2
@@ -43,8 +42,7 @@ def test_bounded_gaps_abaa_certificate():
 
 def test_bounded_gaps_remarkc_counterexample():
     s = lr.load("remarkc")
-    split = bounded_letters(s)
-    d = bounded_gaps(s, split, "0")
+    d = bounded_gaps(s, "0")
     assert d.status == NO
     assert d.counterexample.kind == "bounded-block-pump"
     word, (letter, depth) = d.counterexample.avoiding_factor(25)
@@ -55,8 +53,7 @@ def test_bounded_gaps_remarkc_counterexample():
 
 
 def test_bounded_gaps_fibonacci_via_b(fib):
-    split = bounded_letters(fib)
-    d = bounded_gaps(fib, split, "b")
+    d = bounded_gaps(fib, "b")
     assert d.status == YES
     assert d.certificate.kappa == 3
 
@@ -65,8 +62,7 @@ def test_bounded_gaps_parity_avoider():
     # letters alternate between pure-e and pure-c images: every reachability
     # witness exists, yet c^(2^k) are e-free at every odd depth
     s = Substitution.from_rules({"e": "cc", "c": "ee"})
-    split = bounded_letters(s)
-    d = bounded_gaps(s, split, "e")
+    d = bounded_gaps(s, "e")
     assert d.status == NO
     assert d.counterexample.kind == "growing-letter-avoids"
     word, origin = d.counterexample.avoiding_factor(16)
@@ -77,24 +73,20 @@ def test_bounded_gaps_agree_across_candidates(catalog_reports, catalog_subs):
     # the decision is a property of the system, not of the candidate letter
     for name, rep in catalog_reports.items():
         s = catalog_subs[name]
-        split = rep.split
-        statuses = {
-            bounded_gaps(s, split, e).status
-            for e in rep.witness_pool
-        }
+        statuses = {bounded_gaps(s, e).status for e in rep.witness_pool}
         assert len(statuses) == 1
 
 
 def test_block_analysis_abaa_bounded():
     s = lr.load("minimal-nonprimitive")
-    res = analyze_bounded_blocks(s, bounded_letters(s))
+    res = analyze_bounded_blocks(s)
     assert res.bounded is True
     assert res.max_block == 1
 
 
 def test_block_analysis_remark1b_pumps():
     s = lr.load("remark1b")
-    res = analyze_bounded_blocks(s, bounded_letters(s))
+    res = analyze_bounded_blocks(s)
     assert res.bounded is False
     assert res.pump.cycle_margin >= 1
 
@@ -173,8 +165,6 @@ def test_letter_frequencies_cauchy(catalog_reports, catalog_subs):
         e = rep.certificate.letter
         freqs = []
         for n in (15, 16):
-            from linrep.substitution import mat_pow
-
             power = mat_pow(s.abelianization(), n)
             i = s.letters.index(e)
             total = sum(power[i])
@@ -192,13 +182,13 @@ def test_is_periodic_fibonacci_complexity(fib):
     assert res.status == "aperiodic-up-to-depth"
     fs = wd.factor_language(fib, 31)
     for n in range(1, 31):
-        assert fs.complexity(n) == n + 1  # golden-rotation complexity
+        assert len(fs.words_of_length(n)) == n + 1  # golden-rotation complexity
 
 
 def test_extendable_core_drops_one_sided_junk():
     s = lr.load("remark1b")
     fs = wd.factor_language(s, 20)
-    core = extendable_core(fs)
+    core = frozenset().union(*_core_levels(fs))
     assert "0" not in core
     assert "1" * 10 in core
 
@@ -219,7 +209,8 @@ def test_extendable_core_drops_one_sided_junk():
 def test_extendable_core_matches_rescan_fixpoint(rules):
     s = Substitution.from_rules(rules)
     fs = wd.factor_language(s, 24)
-    assert extendable_core(fs) == rescan_extendable_core(set(fs.words), s.letters, 24)
+    core = frozenset().union(*_core_levels(fs))
+    assert core == rescan_extendable_core(set(fs.words), s.letters, 24)
 
 
 def test_classify_rejects_unreachable_alphabet():
@@ -284,7 +275,7 @@ def test_bounded_gaps_matches_naive_factor_scan():
         if not candidates:
             continue
         e = candidates[0]
-        d = bounded_gaps(s, split, e)
+        d = bounded_gaps(s, e)
         if d.status == YES and yes_checked < 8:
             kappa = d.certificate.kappa
             if kappa > 10:
@@ -337,8 +328,8 @@ def test_random_two_letter_pipeline_consistency():
 
 def test_decide_minimality_matches_classify(catalog_reports, catalog_subs):
     for name, rep in catalog_reports.items():
-        split, candidates, decision = decide_minimality(catalog_subs[name])
-        assert split == rep.split, name
+        candidates, decision = decide_minimality(catalog_subs[name])
+        assert rep.split is catalog_subs[name].split, name
         assert candidates == rep.witness_pool, name
         assert decision.status == rep.minimal, name
         assert decision.certificate == rep.certificate, name
@@ -430,7 +421,7 @@ def _sweep_systems():
         letters = "abc"[: rng.choice([2, 3])]
         rules = {a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 5))) for a in letters}
         key = tuple(sorted(rules.items()))
-        if key in seen or not is_primitive(Substitution.from_rules(rules)):
+        if key in seen or not is_primitive(Substitution.from_rules(rules)).primitive:
             continue
         seen.add(key)
         out.append(rules)
@@ -490,12 +481,12 @@ def test_derived_periodicity_equals_walk(monkeypatch):
             rules = {a: a for a in letters} | {"a": ("a" + w) * rng.randint(1, 3) + "a"}
         s = Substitution.from_rules(rules)
         try:
-            split, _, decision = decide_minimality(s)
+            _, decision = decide_minimality(s)
         except SubstitutionError:
             continue  # empty subshift or unreachable letters
         if decision.status != YES:
             continue
-        got = derived_periodicity(s, split, decision.certificate.letter, 40)
+        got = derived_periodicity(s, decision.certificate.letter, 40)
         factors = wd.factor_language(s, max(48, 2 * decision.certificate.kappa))
         assert (got.status, got.period, got.depth) == _walk_verdict(s, factors), s
         counts[got.status] += 1
@@ -554,7 +545,7 @@ def test_derived_periodicity_needs_a_seed_that_begins_its_image():
     # remark1b is not minimal: S(0) = 10 does not begin with 0
     s = lr.load("remark1b")
     with pytest.raises(SubstitutionError, match="does not begin with"):
-        derived_periodicity(s, bounded_letters(s), "0", 40)
+        derived_periodicity(s, "0", 40)
 
 
 def _fixed_prefix(table, c, words):
@@ -580,7 +571,7 @@ def test_derived_return_words_occur():
         rules = {a: "".join(rng.choices(letters, k=rng.randint(1, 8))) for a in letters}
         s = Substitution.from_rules(rules)
         try:
-            _, _, decision = decide_minimality(s)
+            _, decision = decide_minimality(s)
         except SubstitutionError:
             continue  # empty subshift or unreachable letters
         if decision.status == YES:

@@ -13,6 +13,8 @@ from linrep import recognizer as rec
 from linrep.cli import build_parser, main
 from linrep.substitution import validate
 
+from bruteforce import interior_cuts
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -101,7 +103,7 @@ def test_analyze_inconsistent_pump_is_an_input_error(tmp_path, capsys, monkeypat
     # traceback
     lc = importlib.import_module("linrep.classify")  # the package attribute is the function
 
-    def forged(s, split, **kwargs):
+    def forged(s, **kwargs):
         pump = lc.BlockPump(
             seed=(None, "b", None), origin=("b", 0), cycle_length=1, cycle_margin=1,
             steps_to_cycle=0,
@@ -313,11 +315,11 @@ def _expected_partition(s, target):
     rule = rec.recognition_rule(s, report.factors, report)
     parts = rec.enumerate_one_partitions(s, target)
     L = rule.half_width
-    interior = parts[0].interior_cuts(L)
+    interior = interior_cuts(parts[0], L)
     lines = [
         f"half-width L = {L} ({rule.route}); window set size {len(rule.windows)}",
         f"1-partitions: {len(parts)}; distinct interior cut-sets: "
-        f"{len({p.interior_cuts(L) for p in parts})}",
+        f"{len({interior_cuts(p, L) for p in parts})}",
         f"interior cuts: {list(interior)}",
     ]
     if len(target) > 4 * L + 2:

@@ -9,7 +9,7 @@ from linrep import words as wd
 from linrep.classify import YES
 from linrep.substitution import Substitution, SubstitutionError
 
-from bruteforce import distinct_windows, naive_partitions, uniqueness_walk
+from bruteforce import distinct_windows, interior_cuts, naive_partitions, uniqueness_walk
 
 # the catalog's minimal aperiodic two-letter fixed-letter systems
 SHAPES = ["minimal-nonprimitive", "minimal-nonprimitive-noaa", "stutter-doubled", "stutter-separated"]
@@ -206,7 +206,7 @@ def test_one_partitions_agree_on_samples(abaa, abaa_factors):
         w = sample[i : i + rng.randint(2 * L + 1, 3 * L)]
         parts = rec.enumerate_one_partitions(abaa, w)
         assert parts
-        assert len({p.interior_cuts(L) for p in parts}) == 1, w
+        assert len({interior_cuts(p, L) for p in parts}) == 1, w
 
 
 def test_recognition_rule_refuses_periodic():

@@ -19,7 +19,6 @@ from linrep.substitution import (
     fixed_point_prefix,
     is_primitive,
     mat_mul,
-    mat_pow,
     perron_eigenvalue,
     perron_growth,
     prune_to_reachable,
@@ -28,7 +27,13 @@ from linrep.substitution import (
 )
 from linrep.words import factor_language
 
-from bruteforce import apply_rules
+from bruteforce import (
+    apply_rules,
+    growth_sandwich_holds,
+    levels_blocked_factor,
+    mat_pow,
+    project,
+)
 
 
 # --- construction and validation -------------------------------------------------
@@ -65,14 +70,14 @@ def test_validate_fibonacci(fib):
     assert report.witness == "a"
     assert report.full_reachability
     assert report.reachable == ("a", "b")
-    assert report.growing == {"a", "b"}
+    assert report.split.growing == {"a", "b"}
 
 
 def test_validate_remark1b():
     report = validate(lr.load("remark1b"))
     assert report.witness == "0"
     assert report.full_reachability
-    assert report.growing == {"0"}
+    assert report.split.growing == {"0"}
 
 
 def test_validate_empty_subshift():
@@ -138,27 +143,30 @@ def test_b_invariance(catalog_subs):
             assert set(s.rules[b]) <= set(split.bounded)
 
 
+def test_split_is_computed_once(fib):
+    assert fib.split is fib.split
+    assert fib.split == bounded_letters(fib)
+
+
 # --- reduction --------------------------------------------------------------------
 
 
 def test_reduced_abaa():
     s = Substitution.from_rules({"a": "abaa", "b": "b"})
-    red = reduced_substitution(s, bounded_letters(s))
-    assert red.base.rules == {"a": "aaa"}
+    assert reduced_substitution(s).rules == {"a": "aaa"}
 
 
 def test_reduced_primitive_unchanged(fib):
-    red = reduced_substitution(fib, bounded_letters(fib))
-    assert red.base.rules == fib.rules
+    assert reduced_substitution(fib).rules == fib.rules
 
 
 def test_reduced_remarkc_not_growing():
     # erasing the bounded letter from 101 leaves a single 0: reduction must
     # not assume the reduced substitution grows
     s = lr.load("remarkc")
-    red = reduced_substitution(s, bounded_letters(s))
-    assert red.base.rules == {"0": "0"}
-    assert red.base.image_length("0", 10) == 1
+    red = reduced_substitution(s)
+    assert red.rules == {"0": "0"}
+    assert red.image_length("0", 10) == 1
 
 
 def test_reduced_requires_growing_letter():
@@ -166,23 +174,7 @@ def test_reduced_requires_growing_letter():
 
     s = Substitution.from_rules({"a": "b", "b": "a"})
     with pytest.raises(NoGrowingLettersError):
-        reduced_substitution(s, bounded_letters(s))
-
-
-def test_reduced_rejects_split_with_growing_image_of_bounded_letter():
-    # a forged split calls b bounded although S(b) = a is a growing letter:
-    # erasing b cannot commute with S, since pi(S(b)) = a but S'(pi(b)) is empty
-    from linrep.substitution import AlphabetSplit
-
-    s = Substitution.from_rules({"a": "ab", "b": "a"})
-    forged = AlphabetSplit(
-        bounded=frozenset("b"),
-        growing=frozenset("a"),
-        eternally_single=frozenset(),
-        stabilization_depth=0,
-    )
-    with pytest.raises(SubstitutionError, match="bounded letter 'b'"):
-        reduced_substitution(s, forged)
+        reduced_substitution(s)
 
 
 def _random_substitution(rng, letters="abc", max_len=3):
@@ -200,16 +192,15 @@ def test_erasure_intertwines_iteration_random():
     done = 0
     while done < 60:
         s = _random_substitution(rng)
-        split = bounded_letters(s)
-        if not split.growing:
+        if not s.split.growing:
             continue
-        red = reduced_substitution(s, split)
+        red = reduced_substitution(s)
         w = "".join(rng.choice(s.letters) for _ in range(rng.randint(1, 5)))
         n = rng.randint(0, 6)
         image = s.iterate(w, n)
         if len(image) > 50000:
             continue
-        assert red.project(image) == red.base.iterate(red.project(w), n)
+        assert project(s, image) == red.iterate(project(s, w), n)
         done += 1
 
 
@@ -220,16 +211,14 @@ def test_erasure_never_lengthens():
     done = 0
     while done < 40:
         s = _random_substitution(rng)
-        split = bounded_letters(s)
-        if not split.growing:
+        if not s.split.growing:
             continue
-        red = reduced_substitution(s, split)
         w = "".join(rng.choice(s.letters) for _ in range(rng.randint(1, 5)))
         for n in range(0, 6):
             if s.word_image_length(w, n) > 50000:
                 break
             image = s.iterate(w, n)
-            assert len(red.project(image)) <= len(image)
+            assert len(project(s, image)) <= len(image)
         done += 1
 
 
@@ -242,11 +231,10 @@ def test_reduced_length_comparable_under_bounded_gaps():
     rep = classify(s)
     assert rep.minimal == YES
     kappa = rep.certificate.kappa
-    red = reduced_substitution(s, bounded_letters(s))
     for v in ("a", "ab", "aba"):
         for n in range(1, 12):
             full = s.iterate(v, n)
-            reduced_len = len(red.project(full))
+            reduced_len = len(project(s, full))
             assert reduced_len <= len(full)
             assert reduced_len >= len(full) / kappa - 2
 
@@ -313,16 +301,14 @@ def test_primitive_one_letter():
 
 def test_perron_theta_one_letter():
     s = Substitution.from_rules({"a": "abaa", "b": "b"})
-    red = reduced_substitution(s, bounded_letters(s))
-    g = perron_growth(red, ["a"], 30)
+    g = perron_growth(s, ["a"], 30)
     assert g.theta == pytest.approx(3.0, abs=1e-12)
 
 
 def test_perron_theta_fibonacci(fib):
-    red = reduced_substitution(fib, bounded_letters(fib))
-    g = perron_growth(red, ["a", "ab"], 30)
+    g = perron_growth(fib, ["a", "ab"], 30)
     assert abs(g.theta - (1 + math.sqrt(5)) / 2) < 1e-8
-    assert g.verify(fib)
+    assert growth_sandwich_holds(g, fib)
     # internal consistency: n=1 ratios are inside the window
     for v in g.words:
         ratio = fib.word_image_length(v, 1) / g.theta
@@ -332,56 +318,49 @@ def test_perron_theta_fibonacci(fib):
 
 def test_perron_theta_constant_length():
     s = Substitution.from_rules({"a": "ab", "b": "ab"})
-    red = reduced_substitution(s, bounded_letters(s))
-    assert perron_growth(red, ["a"], 10).theta == pytest.approx(2.0, abs=1e-12)
+    assert perron_growth(s, ["a"], 10).theta == pytest.approx(2.0, abs=1e-12)
 
 
 def test_perron_matches_growth_ratio_at_40(fib):
-    red = reduced_substitution(fib, bounded_letters(fib))
+    red = reduced_substitution(fib)
     theta = perron_eigenvalue(red.abelianization())
-    ratio = red.base.image_length("a", 41) / red.base.image_length("a", 40)
+    ratio = red.image_length("a", 41) / red.image_length("a", 40)
     assert abs(theta - ratio) < 1e-8
 
 
 def test_perron_rejects_nonprimitive_reduction():
     s = lr.load("remarkc")
-    red = reduced_substitution(s, bounded_letters(s))
     # the 1x1 reduction 0 -> 0 is "primitive" as a matrix, so growth runs,
     # but theta = 1 reflects that the reduction lost all growth
-    g = perron_growth(red, ["0"], 10)
+    g = perron_growth(s, ["0"], 10)
     assert g.theta == pytest.approx(1.0)
 
 
 def test_perron_rejects_bounded_only_words(fib):
     s = Substitution.from_rules({"a": "abaa", "b": "b"})
-    red = reduced_substitution(s, bounded_letters(s))
     with pytest.raises(ValueError):
-        perron_growth(red, ["b"], 5)
+        perron_growth(s, ["b"], 5)
 
 
 @pytest.mark.parametrize("n_max", [0, -2])
 def test_perron_growth_rejects_empty_range(fib, n_max):
     # with no exponent checked lambda would stay inf and rho 0
-    red = reduced_substitution(fib, bounded_letters(fib))
     with pytest.raises(ValueError, match="n_max >= 1"):
-        perron_growth(red, ["a"], n_max)
+        perron_growth(fib, ["a"], n_max)
 
 
 def test_perron_growth_past_float_range_builds_no_length_table(fib, monkeypatch):
-    red = reduced_substitution(fib, bounded_letters(fib))
-
     def no_table(self, w, n_max):
         pytest.fail(f"length table of {w!r} up to {n_max} built")
 
     monkeypatch.setattr(Substitution, "word_image_lengths", no_table)
     with pytest.raises(SubstitutionError, match=r"n <= 2000 \(theta = 1\.61803398875\)"):
-        perron_growth(red, ["a", "ab"], 2000)
+        perron_growth(fib, ["a", "ab"], 2000)
 
 
 def test_growth_sandwich_exact_integers():
     s = Substitution.from_rules({"a": "abaa", "b": "b"})
-    red = reduced_substitution(s, bounded_letters(s))
-    g = perron_growth(red, ["a", "ab"], 30)
+    g = perron_growth(s, ["a", "ab"], 30)
     for v in g.words:
         for n in range(1, 31):
             length = s.word_image_length(v, n)
@@ -492,3 +471,41 @@ def test_compatibility_one_sided_prefix_point_fails():
 def test_compatibility_rejects_shallow_factor_set(fib):
     with pytest.raises(ValueError, match="depth >= 17"):
         check_compatibility(fib, factor_language(fib, 16))
+
+
+def test_compatibility_scan_matches_all_levels_oracle():
+    # the scan holds two levels at a time; the oracle holds every level and
+    # stops at the first blocked word, and both must name the same one
+    rng = random.Random(1606)
+    systems = [lr.load(name) for name in lr.CATALOG]
+    while len(systems) < len(lr.CATALOG) + 400:
+        systems.append(_random_substitution(rng, max_len=4))
+    blocked = 0
+    for s in systems:
+        fs = factor_language(s, 20)
+        if not fs.saturated:
+            continue
+        for depth in range(1, 20):
+            got = check_compatibility(s, fs, depth)
+            want = levels_blocked_factor(fs, depth)
+            if want is None:
+                assert got.status != "fails-certified", (s, depth)
+            else:
+                assert (got.status, got.detail) == ("fails-certified", want), (s, depth)
+                blocked += 1
+    assert blocked >= 1000
+
+
+def test_compatibility_scan_memory_stays_at_two_levels(fib):
+    # every factor of every length up to 401 at once would be about 30 MB
+    import tracemalloc
+
+    fs = factor_language(fib, 401)
+    tracemalloc.start()
+    try:
+        res = check_compatibility(fib, fs, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "holds-certified"
+    assert peak < 5 * 10**6, peak
