@@ -27,7 +27,6 @@ from .numtheory import (
     ExpansionValue,
     StutterWitness,
     TranscendenceReport,
-    build_witness,
     check_conditions,
     detect_case,
     expansion_value,
@@ -56,7 +55,6 @@ from .substitution import (
     SubstitutionError,
     bounded_letters,
     check_compatibility,
-    fixed_point_prefix,
     is_primitive,
     iterate_prefix,
     perron_growth,
@@ -65,7 +63,6 @@ from .substitution import (
 )
 from .words import (
     FactorSet,
-    ReturnWordSet,
     coverage_exact,
     factor_language,
     find_power,

@@ -409,7 +409,7 @@ class LRBound:
     value: float
     G: int
     pair_set: tuple[str, ...]
-    return_word_set: wd.ReturnWordSet
+    return_words: frozenset[str]
     growth: GrowthEstimate
     factor_depth: int
     caveats: tuple[str, ...]
@@ -433,8 +433,8 @@ def lr_constant_bound(
             f"return-word pairs need a saturated factor set of depth >= {2 * cert.kappa}"
         )
     rw = wd.return_words(cert.letter, factors)
-    growth = perron_growth(s, rw.words, n_max)
-    pairs = sorted(z1 + z2 for z1 in rw.words for z2 in rw.words if z1 + z2 in factors)
+    growth = perron_growth(s, rw, n_max)
+    pairs = sorted(z1 + z2 for z1 in rw for z2 in rw if z1 + z2 in factors)
     try:
         G = wd.coverage_exact(s, pairs)
     except wd.CoverageUndecidedError as exc:
@@ -446,7 +446,7 @@ def lr_constant_bound(
         value=value,
         G=G,
         pair_set=tuple(pairs),
-        return_word_set=rw,
+        return_words=rw,
         growth=growth,
         factor_depth=factors.max_length,
         caveats=(f"growth constants checked for n <= {growth.n_checked}",),
@@ -751,7 +751,7 @@ class ClassificationReport:
                 "value": self.lr.value,
                 "G": self.lr.G,
                 "pair_set": list(self.lr.pair_set),
-                "return_words": sorted(self.lr.return_word_set.words),
+                "return_words": sorted(self.lr.return_words),
                 "kappa": self.certificate.kappa,
                 "factor_depth": self.lr.factor_depth,
                 "caveats": list(self.lr.caveats),
@@ -796,10 +796,11 @@ def classify(
     certificate or counterexample), linear repetitivity with its explicit
     constant, periodicity, unique ergodicity.
 
-    Every system gets one factor set, of depth max(compat_depth + 1,
-    aperiodic_depth + CORE_MARGIN, and 2 * kappa when certified), with
-    aperiodic_depth = compat_depth + APERIODIC_MARGIN: deep enough for the
-    compatibility scan, the periodicity core and the return-word pairs.  It
+    Every system gets one factor set, of depth max(aperiodic_depth +
+    CORE_MARGIN, and 2 * kappa when certified), with aperiodic_depth =
+    compat_depth + APERIODIC_MARGIN: deep enough for the compatibility
+    check (compat_depth + 1), the periodicity core and the return-word
+    pairs.  It
     becomes `report.factors`, which the applications reuse.  A certified
     minimal system gets its periodicity from `derived_periodicity`, which
     is exact and reads no factors; an aperiodic verdict keeps the status
@@ -808,7 +809,7 @@ def classify(
     candidates, decision = decide_minimality(s)
     minimal = decision.status
     aperiodic_depth = compat_depth + APERIODIC_MARGIN
-    depth = max(compat_depth + 1, aperiodic_depth + CORE_MARGIN)
+    depth = aperiodic_depth + CORE_MARGIN
     if minimal == YES:
         depth = max(depth, 2 * decision.certificate.kappa)
     factors = wd.factor_language(s, depth)

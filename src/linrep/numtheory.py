@@ -8,23 +8,26 @@ iterate, which splits the fixed point as u = p . V V ... with
 
     U_n = S^n(p),   V_n = S^n(0 1^k),   V_n' = S^n(0)
 
-(doubled case: V_n = V_n' = S^n(0)).  The Ferenczi-Mauduit transcendence
-criterion then needs |V_n| -> infinity, |U_n| / |V_n| bounded above and
-|V_n'| / |V_n| bounded below; we verify those premises numerically at a
-stated depth and evaluate the expansion value exactly.  The module reports
-premises, never the conclusion on its own authority.
+(doubled case: V_n = V_n' = S^n(0)).  As S(0) begins with 0, every
+iterate S^k(0) is a prefix of u, so `iterate_prefix` reads u.
+`detect_case` finds the shape, the prefix p and the length tables in one
+step.  The Ferenczi-Mauduit transcendence criterion then needs
+|V_n| -> infinity, |U_n| / |V_n| bounded above and |V_n'| / |V_n| bounded
+below; we verify those premises numerically at a stated depth and evaluate
+the expansion value exactly.  The module reports premises, never the
+conclusion on its own authority.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .classify import APERIODIC, NO, YES, ClassificationReport
 from .recognizer import shape_letters
-from .substitution import Substitution, SubstitutionError, fixed_point_prefix
+from .substitution import Substitution, SubstitutionError, iterate_prefix
 
 CASE_SEPARATED = "separated-run"  # S(0) = 0 1^k 0 w 0
 CASE_DOUBLED = "doubled-start"    # S(0) = 0 0 w 0, w containing 1
@@ -71,15 +74,15 @@ class StutterWitness:
     v_prime_lengths: tuple[int, ...]
 
 
-def detect_case(s: Substitution, report: ClassificationReport) -> StutterWitness:
-    """Classify S(0) into the separated-run or doubled-start shape.
+def detect_case(s: Substitution, report: ClassificationReport, depth: int = 32) -> StutterWitness:
+    """Classify S(0) into the separated-run or doubled-start shape, locate the
+    stutter prefix p in the fixed point and tabulate exact lengths to `depth`.
 
     Preconditions (checked): nonprimitive, certified minimal, aperiodic up
     to depth.  Primitive systems are out of scope here (handled by the
     constant-length / primitive theory elsewhere).  The growing and fixed
     letters come from `recognizer.shape_letters`, whose `ShapeError` says
-    when there are none.  The skeleton witness has empty length tables;
-    build_witness fills them.
+    when there are none.
     """
     if report.primitive.primitive:
         raise CaseDetectionError("primitive systems are out of scope for this analysis")
@@ -105,39 +108,19 @@ def detect_case(s: Substitution, report: ClassificationReport) -> StutterWitness
                 f"image {img!r} is exactly {zero}{one}^{k}{zero}: periodic fixed point"
             )
         case_tag, w = CASE_SEPARATED, rest[:-1]
+        v_word = zero + one * k
+        pattern = v_word + v_word + zero
     else:  # img[1] == zero
         case_tag, k, w = CASE_DOUBLED, None, img[2:-1]
         if one not in w:
             raise CaseDetectionError(
                 f"doubled-start image {img!r} must carry {one!r} strictly inside"
             )
-    return StutterWitness(
-        case_tag=case_tag,
-        zero=zero,
-        one=one,
-        swapped=s.letters.index(one) == 0,
-        k=k,
-        w=w,
-        p="",
-        depth=0,
-        u_lengths=(),
-        v_lengths=(),
-        v_prime_lengths=(),
-    )
-
-
-def build_witness(s: Substitution, skeleton: StutterWitness, depth: int = 32) -> StutterWitness:
-    """Locate the stutter prefix p in the fixed point and tabulate exact lengths."""
-    zero, one = skeleton.zero, skeleton.one
-    if skeleton.case_tag == CASE_SEPARATED:
-        pattern = zero + one * skeleton.k + zero + one * skeleton.k + zero
-        v_word = zero + one * skeleton.k
-    else:
-        pattern = zero * 3
         v_word = zero
+        pattern = zero * 3
     # the stutter shows up inside the second iterate alignment of the fixed point
     horizon = s.word_image_length(zero, 2) + len(pattern) + 2
-    prefix = fixed_point_prefix(s, zero, horizon)
+    prefix = iterate_prefix(s, zero, horizon)
     idx = prefix.find(pattern)
     if idx < 0:
         raise CaseDetectionError(
@@ -145,8 +128,13 @@ def build_witness(s: Substitution, skeleton: StutterWitness, depth: int = 32) ->
             "shape classification inconsistent, flag for review"
         )
     p = prefix[:idx]
-    return replace(
-        skeleton,
+    return StutterWitness(
+        case_tag=case_tag,
+        zero=zero,
+        one=one,
+        swapped=s.letters.index(one) == 0,
+        k=k,
+        w=w,
         p=p,
         depth=depth,
         u_lengths=tuple(s.word_image_lengths(p, depth)[1:]),
@@ -335,13 +323,12 @@ def transcendence_report(
     base: int = 2,
 ) -> TranscendenceReport:
     """Full premise verification plus exact evaluation of the expansion value."""
-    skeleton = detect_case(s, report)
-    witness = build_witness(s, skeleton, depth)
+    witness = detect_case(s, report, depth)
     conditions = check_conditions(witness)
 
     digit_map = _digit_map(s, base)
     need = math.ceil(bits * math.log(2) / math.log(base)) + 8
-    u = fixed_point_prefix(s, witness.zero, need)
+    u = iterate_prefix(s, witness.zero, need)
     digits = tuple(digit_map[ch] for ch in u)
     value = expansion_value(digits, base, bits)
     return TranscendenceReport(

@@ -8,15 +8,17 @@ by erasing bounded letters, primitivity, Perron growth constants, and the
 compatibility check between the finite-word language and the two-sided
 subshift it generates.
 
-All counting is done with exact integer arithmetic (matrix powers over
-Python ints); floating point only enters the growth-constant ratios.
+All counting is done with exact integer arithmetic (length recursions over
+Python ints, zero patterns for primitivity); floating point only enters the
+growth-constant ratios.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -46,10 +48,6 @@ class NoGrowingLettersError(SubstitutionError):
 
 
 class NotPrimitiveError(SubstitutionError):
-    pass
-
-
-class FixedPointError(SubstitutionError):
     pass
 
 
@@ -96,22 +94,6 @@ class Alphabet:
 
     def __repr__(self) -> str:
         return f"Alphabet({''.join(self.letters)!r})"
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact integer matrix product."""
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    oi[j] += c * bt[j]
-    return out
 
 
 class _Images(dict):
@@ -433,27 +415,31 @@ class PrimitivityResult:
 def is_primitive(s: Substitution) -> PrimitivityResult:
     """Primitivity via positivity of a power of the occurrence matrix.
 
-    If M^r is entrywise positive for some r it already is for
+    Only the zero pattern matters, so the powers are boolean: row i of
+    M^r is a bit mask of the letters j with a nonzero entry, and row i of
+    M^(r+1) is the OR of the rows of M^r over the letters in S(a_i).  If
+    M^r is entrywise positive for some r it already is for
     r = (n-1)^2 + 1, so scanning up to that bound decides.  The first zero
     entry at the bound, in row-major order, is returned as the certificate
     of failure.
     """
-    m = s.abelianization()
-    n = len(m)
+    letters = s.letters
+    n = len(letters)
+    full = (1 << n) - 1
+    # succ[i]: the letters j in S(letters[i]), that is the nonzero M[i][j]
+    succ = [[j for j, b in enumerate(letters) if b in s.rules[a]] for a in letters]
+    rows = [sum(1 << j for j in js) for js in succ]
     bound = (n - 1) ** 2 + 1
-    power = m
     for r in range(1, bound + 1):
-        zero = next(
-            ((i, j) for i, row in enumerate(power) for j, x in enumerate(row) if x == 0), None
-        )
-        if zero is None:
+        i = next((i for i, row in enumerate(rows) if row != full), None)
+        if i is None:
             return PrimitivityResult(primitive=True, power=r, zero_entry=None)
         if r == bound:
-            i, j = zero
+            j = next(j for j in range(n) if not rows[i] >> j & 1)
             return PrimitivityResult(
-                primitive=False, power=None, zero_entry=(bound, s.letters[i], s.letters[j])
+                primitive=False, power=None, zero_entry=(bound, letters[i], letters[j])
             )
-        power = mat_mul(power, m)
+        rows = [reduce(or_, (rows[j] for j in js)) for js in succ]
 
 
 def perron_eigenvalue(matrix: Sequence[Sequence[int]]) -> float:
@@ -549,8 +535,9 @@ def growth_ratio_range(s: Substitution, v: str, theta: float, n_max: int) -> tup
 def iterate_prefix(s: Substitution, seed: str, length: int) -> str:
     """First `length` letters of S^k(seed), k the first power that long.
 
-    Unlike `fixed_point_prefix`, the seed need not start a fixed point, but
-    when `length` > |seed| it must hold a growing letter, or
+    When S(seed) begins with seed, every S^k(seed) is a prefix of the next,
+    so this is a prefix of the one-sided fixed point grown from the seed.
+    When `length` > |seed| the seed must hold a growing letter, or
     SubstitutionError is raised.  k is read from the exact lengths, and
     S^k(seed) is built as S^m(S^(k-m)(seed)) with m = k // 2: S^(k-m) is
     applied to the seed, keeping `length` letters after each step, and the
@@ -586,43 +573,6 @@ def iterate_prefix(s: Substitution, seed: str, length: int) -> str:
     return "".join(map(images.__getitem__, w))[:length]
 
 
-def fixed_point_prefix(s: Substitution, letter: str, length: int) -> str:
-    """First `length` letters of the one-sided fixed point grown from `letter`.
-
-    Requires S^p(letter) to begin with `letter` for some power p (the letter's
-    first-letter orbit returns to it) with eventually growing images.  When
-    that structure is absent the caller should consult check_compatibility
-    for what the language actually supports.
-    """
-    if letter not in s.alphabet:
-        raise UnknownLetterError(f"unknown letter {letter!r}")
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    # first-letter orbit: find the return time of `letter`
-    orbit = [letter]
-    cur = letter
-    period = None
-    for _ in range(len(s.letters) + 1):
-        cur = s.first_letter(cur)
-        if cur == letter:
-            period = len(orbit)
-            break
-        orbit.append(cur)
-    if period is None:
-        raise FixedPointError(
-            f"{letter!r} is not on a first-letter cycle: no one-sided fixed point "
-            "starts with it (see check_compatibility for alternatives)"
-        )
-    # S^period(letter) begins with letter, so if it is that one letter it
-    # is the letter again at every multiple of the period
-    if s.image_length(letter, period) < 2:
-        raise FixedPointError(f"images of {letter!r} never grow; no fixed point to expand")
-    w = letter
-    while len(w) < length:
-        w = s.iterate(w[: max(length, 1)], period)
-    return w[:length]
-
-
 @dataclass
 class CompatibilityResult:
     """Three-valued answer to: is every finite factor realized inside the subshift?
@@ -644,15 +594,17 @@ def check_compatibility(s: Substitution, factors, depth: int = 16) -> Compatibil
     of length <= depth + 1 are read, so the answer is that of a set of
     depth exactly depth + 1 whenever both are saturated.
 
-    Refutation: the factor language is exact up to its depth, so a factor
-    of length <= depth with no single-letter extension on one side can
-    never occur inside a two-sided sequence.  Certification: either some
-    growing letter e recurs strictly inside S^p(e) and reaches every letter
-    (every factor then sits inside some S^N(e) with margins growing along
-    multiples of p), or a seed pair a.b of growing letters with S^p(a)
-    ending in a, S^p(b) beginning with b and ab in the language builds
-    two-sided fixed points of S^p covering everything the pair reaches.
-    Anything else: unknown.
+    Certification: either some growing letter e recurs strictly inside
+    S^p(e) and reaches every letter (every factor then sits inside some
+    S^N(e) with margins growing along multiples of p), or a seed pair a.b
+    of growing letters with S^p(a) ending in a, S^p(b) beginning with b and
+    ab in the language builds two-sided fixed points of S^p covering
+    everything the pair reaches.  Refutation: the factor language is exact
+    up to its depth, so a factor of length <= depth with no single-letter
+    extension on one side can never occur inside a two-sided sequence.
+    Either certificate shows that every factor extends on both sides, so
+    the refutation scan can find nothing where one holds, and it runs only
+    when neither does.  Anything else: unknown.
     """
     if factors.max_length < depth + 1:
         raise ValueError(
@@ -661,32 +613,6 @@ def check_compatibility(s: Substitution, factors, depth: int = 16) -> Compatibil
         )
     split = s.split
     all_letters = frozenset(s.letters)
-    if factors.saturated:
-        # refutation scan over the factors of each length n <= depth + 1,
-        # two levels at a time, longest first: every factor is a prefix of a
-        # root, so level n holds the roots cut to length n and the words of
-        # level n + 1 less their last letter.  A word has a right (left)
-        # extension when it is a prefix (suffix) of a word one level up, so
-        # only a root of length n can lack a right one.  The verdict names
-        # the shortest level with a blocked word: its first in sorted order,
-        # the right side checked before the left
-        roots: dict[int, set[str]] = {}
-        for r in factors.roots():
-            roots.setdefault(min(len(r), depth + 1), set()).add(r[: depth + 1])
-        upper = roots.pop(depth + 1, set())
-        blocked = None
-        for n in range(depth, 0, -1):
-            level = {u[:-1] for u in upper}
-            right = roots.pop(n, set()) - level
-            level |= right
-            left = level - {u[1:] for u in upper}
-            if right or left:
-                w = min(right | left)
-                blocked = {"blocked_factor": w, "side": "right" if w in right else "left"}
-            upper = level
-        if blocked is not None:
-            return CompatibilityResult("fails-certified", blocked)
-
     # interior recurrence certificate
     for e in sorted(split.growing):
         if s.reachable([e]) != all_letters:
@@ -703,8 +629,11 @@ def check_compatibility(s: Substitution, factors, depth: int = 16) -> Compatibil
                     {"kind": "interior-recurrence", "letter": e, "power": p},
                 )
 
+    if not factors.saturated:
+        return CompatibilityResult("unknown", {"depth": depth})
+
     # seed-pair certificate
-    if factors.saturated and factors.max_length >= 2:
+    if factors.max_length >= 2:
         pairs = set(factors.words_of_length(2))
         ends = _return_times(s.last_letter, split.growing, depth)
         begins = _return_times(s.first_letter, split.growing, depth)
@@ -719,6 +648,30 @@ def check_compatibility(s: Substitution, factors, depth: int = 16) -> Compatibil
                         {"kind": "seed-pair", "left": x, "right": y, "power": p},
                     )
 
+    # refutation scan over the factors of each length n <= depth + 1, two
+    # levels at a time, longest first: every factor is a prefix of a root,
+    # so level n holds the roots cut to length n and the words of level
+    # n + 1 less their last letter.  A word has a right (left) extension
+    # when it is a prefix (suffix) of a word one level up, so only a root of
+    # length n can lack a right one.  The verdict names the shortest level
+    # with a blocked word: its first in sorted order, the right side checked
+    # before the left
+    roots: dict[int, set[str]] = {}
+    for r in factors.roots:
+        roots.setdefault(min(len(r), depth + 1), set()).add(r[: depth + 1])
+    upper = roots.pop(depth + 1, set())
+    blocked = None
+    for n in range(depth, 0, -1):
+        level = {u[:-1] for u in upper}
+        right = roots.pop(n, set()) - level
+        level |= right
+        left = level - {u[1:] for u in upper}
+        if right or left:
+            w = min(right | left)
+            blocked = {"blocked_factor": w, "side": "right" if w in right else "left"}
+        upper = level
+    if blocked is not None:
+        return CompatibilityResult("fails-certified", blocked)
     return CompatibilityResult("unknown", {"depth": depth})
 
 

@@ -22,6 +22,7 @@ repetitivity function R(n) and the pair coverage G all read it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable
 
 Word = str
@@ -55,8 +56,8 @@ class FactorSet:
 
     `saturated` is True when the closure reached a fixed point, in which
     case `words` is exactly the set of nonempty factors of length
-    <= max_length.  `words`, `words_of_length` and `witnesses` are derived
-    from the roots on first use; `in` searches the maximal words.
+    <= max_length.  `roots`, `words`, `words_of_length` and `witnesses` are
+    derived on first use; `in` searches the maximal words.
     """
 
     substitution: object
@@ -65,63 +66,52 @@ class FactorSet:
     ends: dict[Word, tuple[str, int]]
     saturated: bool
     rounds: int
-    # views derived on first use
-    _roots: dict[Word, tuple[str, int]] | None = field(default=None, repr=False, compare=False)
-    _words: frozenset[Word] | None = field(default=None, repr=False, compare=False)
-    _witnesses: dict[Word, tuple[str, int]] | None = field(
-        default=None, repr=False, compare=False
-    )
     _by_length: dict[int, tuple[Word, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    _text: tuple[str, str] | None = field(default=None, repr=False, compare=False)
 
+    @cached_property
     def roots(self) -> dict[Word, tuple[str, int]]:
         """The maximal words and the proper suffixes of the end words, with witnesses."""
-        if self._roots is None:
-            roots = dict(self.maximal)
-            for e, origin in self.ends.items():
-                for i in range(1, len(e)):
-                    roots.setdefault(e[i:], origin)
-            self._roots = roots
-        return self._roots
+        roots = dict(self.maximal)
+        for e, origin in self.ends.items():
+            for i in range(1, len(e)):
+                roots.setdefault(e[i:], origin)
+        return roots
 
     def _derive(self, record: Callable[[Word, tuple[str, int]], None], known) -> None:
         # the prefixes of every root, longest first; the derived set stays
         # prefix-closed, so the first known prefix ends the walk
-        for root, origin in self.roots().items():
+        for root, origin in self.roots.items():
             for length in range(len(root), 0, -1):
                 w = root[:length]
                 if w in known:
                     break
                 record(w, origin)
 
-    @property
+    @cached_property
     def words(self) -> frozenset[Word]:
-        if self._words is None:
-            words: set[Word] = set()
-            self._derive(lambda w, _: words.add(w), words)
-            self._words = frozenset(words)
-        return self._words
+        words: set[Word] = set()
+        self._derive(lambda w, _: words.add(w), words)
+        return frozenset(words)
 
-    @property
+    @cached_property
     def witnesses(self) -> dict[Word, tuple[str, int]]:
         """Maps each factor w to a pair (a, n) with w a subword of S^n(a)."""
-        if self._witnesses is None:
-            witnesses: dict[Word, tuple[str, int]] = {}
-            self._derive(witnesses.__setitem__, witnesses)
-            self._witnesses = witnesses
-        return self._witnesses
+        witnesses: dict[Word, tuple[str, int]] = {}
+        self._derive(witnesses.__setitem__, witnesses)
+        return witnesses
+
+    @cached_property
+    def _text(self) -> tuple[str, str]:
+        # the maximal words joined by a letter outside the alphabet
+        letters = set(self.substitution.letters)
+        sep = next(chr(i) for i in range(len(letters) + 1) if chr(i) not in letters)
+        return sep, sep.join(self.maximal)
 
     def __contains__(self, w: Word) -> bool:
-        if self._words is not None:
-            return w in self._words
         if len(w) >= self.max_length:
             return len(w) == self.max_length and w in self.maximal
-        if self._text is None:
-            letters = set(self.substitution.letters)
-            sep = next(chr(i) for i in range(len(letters) + 1) if chr(i) not in letters)
-            self._text = (sep, sep.join(self.maximal))
         sep, text = self._text
         return bool(w) and sep not in w and w in text
 
@@ -129,7 +119,7 @@ class FactorSet:
         """Sorted tuple of the factors of exactly the given length."""
         if length not in self._by_length:
             self._by_length[length] = tuple(
-                sorted({r[:length] for r in self.roots() if len(r) >= length})
+                sorted({r[:length] for r in self.roots if len(r) >= length})
             )
         return self._by_length[length]
 
@@ -391,36 +381,25 @@ def gap_bound(factors: FactorSet, v: Word) -> int:
     return coverage_exact(factors.substitution, (v,))
 
 
-@dataclass(frozen=True)
-class ReturnWordSet:
-    """Return words of a word v: every x with xv a factor that starts with v
-    and holds v exactly twice.
-
-    They are complete when the factor set is at least kappa + |v| deep, with
-    kappa a gap bound for v: a return word x longer than kappa would have a
-    factor x[1:kappa + 1] of length kappa, holding a third occurrence of v.
-    """
-
-    base: Word
-    words: frozenset[Word]
-
-
-def return_words(v: Word, factors: FactorSet) -> ReturnWordSet:
+def return_words(v: Word, factors: FactorSet) -> frozenset[Word]:
     """All x with xv in the language, xv starting with v and containing v exactly twice.
 
     Read from the roots: xv is a prefix of some root r, which then starts
-    with v and has its next occurrence of v at |x|.
+    with v and has its next occurrence of v at |x|.  The set is complete
+    when the factor set is at least kappa + |v| deep, with kappa a gap bound
+    for v: a return word x longer than kappa would have a factor
+    x[1:kappa + 1] of length kappa, holding a third occurrence of v.
     """
     factors.require_saturated()
     if v not in factors:
         raise ValueError(f"{v!r} is not a factor at depth {factors.max_length}")
     found = set()
-    for r in factors.roots():
+    for r in factors.roots:
         if r.startswith(v):
             j = r.find(v, 1)
             if j > 0:
                 found.add(r[:j])
-    return ReturnWordSet(base=v, words=frozenset(found))
+    return frozenset(found)
 
 
 def find_power(

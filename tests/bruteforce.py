@@ -360,7 +360,7 @@ def levels_blocked_factor(factors, depth: int) -> dict | None:
     Reference for the two-levels-at-a-time scan of `check_compatibility`.
     """
     levels = [set() for _ in range(depth + 2)]
-    for r in factors.roots():
+    for r in factors.roots:
         levels[min(len(r), depth + 1)].add(r[: depth + 1])
     for n in range(depth, 0, -1):
         levels[n] |= {u[:-1] for u in levels[n + 1]}

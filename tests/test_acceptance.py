@@ -24,7 +24,7 @@ from linrep.spectral import GordonHypothesisMissing, band_spectrum, gordon_check
 from linrep.substitution import (
     Substitution,
     bounded_letters,
-    fixed_point_prefix,
+    iterate_prefix,
     reduced_substitution,
 )
 
@@ -261,11 +261,11 @@ def test_criterion_8_transcendence_premises(catalog_subs, catalog_reports, capsy
     sk2 = nt.detect_case(dbl, catalog_reports["stutter-doubled"])
     assert sk2.case_tag == nt.CASE_DOUBLED and sk2.w == "11"
 
-    wit = nt.build_witness(dbl, sk2, 24)
+    wit = nt.detect_case(dbl, catalog_reports["stutter-doubled"], 24)
     assert wit.v_lengths == wit.v_prime_lengths
     assert all(vp / v == 1.0 for vp, v in zip(wit.v_prime_lengths, wit.v_lengths))
 
-    digits = [int(ch) for ch in fixed_point_prefix(sep, "0", 500)]
+    digits = [int(ch) for ch in iterate_prefix(sep, "0", 500)]
     lo = nt.expansion_value(digits, 2, 192)
     hi = nt.expansion_value(digits, 2, 192 + 64)
     assert abs(lo.fraction - hi.fraction) <= Fraction(2, 2**192)
@@ -286,7 +286,7 @@ def test_criterion_9_oracle_equivalence(catalog_subs, capsys):
         assert fs.words == oracle, name
 
         for v in s.letters:
-            mine = wd.return_words(v, fs).words
+            mine = wd.return_words(v, fs)
             assert mine == naive_return_words(oracle, v), (name, v)
 
         growing = bounded_letters(s).growing

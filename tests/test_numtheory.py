@@ -7,7 +7,7 @@ import pytest
 import linrep as lr
 from linrep import numtheory as nt
 from linrep.classify import UNDECIDED, YES, PeriodicityResult, classify
-from linrep.substitution import Substitution, fixed_point_prefix
+from linrep.substitution import Substitution, iterate_prefix
 
 from bruteforce import horner_value
 
@@ -82,27 +82,25 @@ def test_detect_swapped_letters():
 
 def test_build_witness_separated():
     s = _two_letter({"0": "0100", "1": "1"})
-    sk = nt.detect_case(s, _report(s))
-    wit = nt.build_witness(s, sk, 24)
+    wit = nt.detect_case(s, _report(s), 24)
     # the stutter sits inside the second iterate of the growing letter
-    stutter = "0" + "1" * sk.k + "0" + "1" * sk.k + "0"
+    stutter = "0" + "1" * wit.k + "0" + "1" * wit.k + "0"
     assert stutter in s.iterate("0", 2)
-    fp = fixed_point_prefix(s, "0", len(wit.p) + len(stutter))
+    fp = iterate_prefix(s, "0", len(wit.p) + len(stutter))
     assert fp == wit.p + stutter
     assert wit.u_lengths == tuple(s.word_image_length(wit.p, n) for n in range(1, 25))
 
 
 def test_build_witness_doubled_has_triple_zero():
     s = _two_letter({"0": "00110", "1": "1"})
-    sk = nt.detect_case(s, _report(s))
-    wit = nt.build_witness(s, sk, 20)
+    wit = nt.detect_case(s, _report(s), 20)
     assert "000" in s.iterate("0", 2)
     assert wit.v_lengths == wit.v_prime_lengths  # V_n = V_n' = S^n(0)
 
 
 def test_conditions_doubled_identity():
     s = _two_letter({"0": "00110", "1": "1"})
-    wit = nt.build_witness(s, nt.detect_case(s, _report(s)), 24)
+    wit = nt.detect_case(s, _report(s), 24)
     cond = nt.check_conditions(wit)
     assert cond.lengths_diverge == YES
     assert cond.min_core_ratio == 1.0
@@ -111,7 +109,7 @@ def test_conditions_doubled_identity():
 
 def test_conditions_separated():
     s = _two_letter({"0": "0100", "1": "1"})
-    wit = nt.build_witness(s, nt.detect_case(s, _report(s)), 32)
+    wit = nt.detect_case(s, _report(s), 32)
     cond = nt.check_conditions(wit)
     assert cond.lengths_diverge == YES
     assert cond.prefix_ratio_bounded == YES
@@ -190,7 +188,7 @@ def test_expansion_needs_enough_digits():
 
 def test_expansion_two_precisions_agree():
     s = _two_letter({"0": "0100", "1": "1"})
-    digits = [int(ch) for ch in fixed_point_prefix(s, "0", 400)]
+    digits = [int(ch) for ch in iterate_prefix(s, "0", 400)]
     lo = nt.expansion_value(digits, 2, 128)
     hi = nt.expansion_value(digits, 2, 128 + 64)
     assert abs(lo.fraction - hi.fraction) <= Fraction(2, 2**128)

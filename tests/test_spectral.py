@@ -178,9 +178,7 @@ def test_finite_section_bulk_inside_bands(fib, catalog_reports):
     # the bulk of a finite cut's eigenvalues lies near the level-10 periodic
     # bands; a bounded handful of boundary modes parks inside gaps no matter
     # how long the section is, so containment is asserted for all but those
-    from linrep.substitution import fixed_point_prefix
-
-    word = fixed_point_prefix(fib, "a", 610)
+    word = lr.iterate_prefix(fib, "a", 610)
     ev = finite_section_eigenvalues(word, fib.alphabet.values)
     spec = band_spectrum(fib, "a", 10)
     outliers = 0
