@@ -487,26 +487,20 @@ def _core_levels(factors: wd.FactorSet):
         level.discard("")
 
 
-def is_periodic(
-    s: Substitution,
-    depth: int = 40,
-    factors: wd.FactorSet | None = None,
-) -> PeriodicityResult:
+def is_periodic(factors: wd.FactorSet) -> PeriodicityResult:
     """Bounded periodicity decision via factor complexity of the extendable core.
 
     The subshift only sees two-sided-extendable factors, so complexity is
-    read off the pruned core (with a safety margin of CORE_MARGIN below
-    the factor-set depth).  Core complexity p(n) <= n at any n forces
-    eventual periodicity; the period word is then extracted from a longest
-    core factor and verified to tile every core factor.  Otherwise
-    p(n) >= n + 1 throughout and the system is aperiodic up to the depth.
-    Every core word is a prefix of a longer one, so the tiling is checked
-    on the longest core words within the margin alone, and only their
-    level is kept.
+    read off the pruned core, to the depth factors.max_length - CORE_MARGIN
+    (the margin keeps it clear of boundary effects).  Core complexity
+    p(n) <= n at any n forces eventual periodicity; the period word is then
+    extracted from a longest core factor and verified to tile every core
+    factor.  Otherwise p(n) >= n + 1 throughout and the system is aperiodic
+    up to the depth.  Every core word is a prefix of a longer one, so the
+    tiling is checked on the longest core words within the margin alone,
+    and only their level is kept.
     """
-    want = depth + CORE_MARGIN
-    if factors is None or factors.max_length < want:
-        factors = wd.factor_language(s, want)
+    depth = factors.max_length - CORE_MARGIN
     if not factors.saturated:
         return PeriodicityResult(
             status=UNDECIDED,
@@ -514,7 +508,7 @@ def is_periodic(
             depth=0,
             note=f"factor set did not saturate at depth {factors.max_length}",
         )
-    horizon = factors.max_length - CORE_MARGIN + 1  # lengths safe from boundary effects
+    horizon = depth + 1  # lengths safe from boundary effects
     top: set[str] = set()  # the longest core words within the horizon
     sizes: dict[int, int] = {}
     for level in _core_levels(factors):
@@ -831,7 +825,7 @@ def classify(
         letter = decision.certificate.letter
         periodicity = derived_periodicity(s, letter, aperiodic_depth)
     else:
-        periodicity = is_periodic(s, aperiodic_depth, factors=factors)
+        periodicity = is_periodic(factors)
     if compatibility.status != "holds-certified":
         caveats.append(
             "statements describe the finite-word language; its compatibility "

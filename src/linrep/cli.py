@@ -261,7 +261,7 @@ def cmd_transcendence(args: argparse.Namespace) -> int:
     print(f"lengths diverge: {c.lengths_diverge}")
     print(f"prefix ratio bounded: {c.prefix_ratio_bounded} (max {c.max_prefix_ratio:.6g})")
     print(f"core ratio positive: {c.core_ratio_positive} (min {c.min_core_ratio:.6g})")
-    print(f"value ({tr.value.bits} bits, base {tr.value.base}): {tr.value.decimal_string()}")
+    print(f"value ({tr.value.bits} bits, base {tr.value.base}): {tr.value.decimal}")
     print(tr.attribution)
     if args.dump_digits:
         nt.dump_digits(args.dump_digits, tr.digits)

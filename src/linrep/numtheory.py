@@ -1,7 +1,8 @@
 """Stutter witnesses and digit expansions for two-letter fixed points.
 
-For a nonprimitive minimal aperiodic substitution on {0, 1} fixing the
-letter 1, the image of 0 begins and ends with 0 and has one of two shapes:
+For a substitution on {0, 1} fixing the letter 1 that passes
+`recognizer.require_premises` (nonprimitive, certified minimal,
+aperiodic), the image of 0 begins and ends with 0 and has one of two shapes:
 a separated run 0 1^k 0 w 0, or a doubled start 0 0 w 0 with w containing a
 1.  Either shape plants a stutter 0 1^k 0 1^k 0 (resp. 0 0 0) in the second
 iterate, which splits the fixed point as u = p . V V ... with
@@ -20,13 +21,13 @@ conclusion on its own authority.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-from .classify import APERIODIC, NO, YES, ClassificationReport
-from .recognizer import shape_letters
+from .classify import NO, YES, ClassificationReport
+from .recognizer import require_premises
 from .substitution import Substitution, SubstitutionError, iterate_prefix
 
 CASE_SEPARATED = "separated-run"  # S(0) = 0 1^k 0 w 0
@@ -78,26 +79,12 @@ def detect_case(s: Substitution, report: ClassificationReport, depth: int = 32) 
     """Classify S(0) into the separated-run or doubled-start shape, locate the
     stutter prefix p in the fixed point and tabulate exact lengths to `depth`.
 
-    Preconditions (checked): nonprimitive, certified minimal, aperiodic up
-    to depth.  Primitive systems are out of scope here (handled by the
-    constant-length / primitive theory elsewhere).  The growing and fixed
-    letters come from `recognizer.shape_letters`, whose `ShapeError` says
-    when there are none.
+    The premises and the growing and fixed letters come from
+    `recognizer.require_premises`, which raises when they fail; an image
+    without the fixed letter fails the doubled-start check.
     """
-    if report.primitive.primitive:
-        raise CaseDetectionError("primitive systems are out of scope for this analysis")
-    if report.minimal != YES:
-        raise CaseDetectionError(f"system is not certified minimal (status {report.minimal!r})")
-    if report.periodicity.status != APERIODIC:
-        raise CaseDetectionError(
-            f"requires aperiodicity (periodicity status {report.periodicity.status!r})"
-        )
-    zero, one = shape_letters(s)
+    zero, one = require_premises(s, report)
     img = s.rules[zero]
-    if not (img[0] == zero and img[-1] == zero and one in img):
-        raise CaseDetectionError(
-            f"image of {zero!r} must begin and end with {zero!r} and contain {one!r}; got {img!r}"
-        )
     if img[1] == one:
         k = 1
         while img[1 + k] == one:
@@ -152,7 +139,6 @@ class ConditionReport:
     core_ratio_positive: str
     max_prefix_ratio: float
     min_core_ratio: float
-    depth: int
 
 
 def check_conditions(witness: StutterWitness) -> ConditionReport:
@@ -184,7 +170,6 @@ def check_conditions(witness: StutterWitness) -> ConditionReport:
         core_ratio_positive=positive,
         max_prefix_ratio=max(ratios_uv),
         min_core_ratio=min_core,
-        depth=n,
     )
 
 
@@ -192,8 +177,8 @@ class InsufficientDigitsError(ValueError):
     pass
 
 
-# decimal_string converts in chunks of this many digits, below the smallest
-# int-to-str digit limit the interpreter accepts (640)
+# ExpansionValue.decimal converts in chunks of this many digits, below the
+# smallest int-to-str digit limit the interpreter accepts (640)
 _DECIMAL_CHUNK = 512
 
 
@@ -210,13 +195,11 @@ class ExpansionValue:
     base: int
     digits_used: int
 
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.mantissa, 1 << self.bits)
-
-    def decimal_string(self) -> str:
+    @functools.cached_property
+    def decimal(self) -> str:
+        """The value truncated to ceil(bits * log10 2) decimal digits, as "0.ddd"."""
         digits10 = max(1, math.ceil(self.bits * math.log10(2)))
-        scaled = self.mantissa * 10**digits10 // (1 << self.bits)
+        scaled = self.mantissa * 10**digits10 >> self.bits
         chunks = []
         while digits10 > _DECIMAL_CHUNK:
             scaled, low = divmod(scaled, 10**_DECIMAL_CHUNK)
@@ -307,7 +290,7 @@ class TranscendenceReport:
                 "base": self.value.base,
                 "bits": self.value.bits,
                 "digits_used": self.value.digits_used,
-                "decimal": self.value.decimal_string(),
+                "decimal": self.value.decimal,
             },
             "digit_letter_map": dict(self.digit_letter_map),
             "attribution": self.attribution,

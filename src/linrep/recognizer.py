@@ -13,12 +13,13 @@ inside S(a), L = L0 + 2|S(a)b| with L0 the length of the longest power of a
 subword of S(a) inside the language; otherwise L = (N+2) * 2|S(a)| with N
 the largest exponent any short factor achieves.
 
-For a minimal aperiodic system S(a) begins and ends with a
-(`_require_bordered_image`), so every front remainder is followed by at
-most one block chain: the recognition rule and `linrep partition` read
-their cuts from these forced parses (`front_parses`), while
-`enumerate_one_partitions` serves any shape and is the reference the
-forced parses are tested against.  The recognition rule reads its window
+`require_premises` is the one premise gate of the partition and
+number-theory applications: a nonprimitive, certified minimal, aperiodic
+system of the shape, whose S(a) then begins and ends with a.  So every
+front remainder is followed by at most one block chain: the recognition
+rule and `linrep partition` read their cuts from these forced parses
+(`front_parses`), while `enumerate_one_partitions` serves any shape and is
+the reference the forced parses are tested against.  The recognition rule reads its window
 set from the factors of length 2L+1 and checks, factor by factor, that
 their 1-partitions agree at the center; that one exhaustive check
 certifies the agreement for every factor.
@@ -45,6 +46,7 @@ class ShallowFactorSetError(SubstitutionError):
 
 MAX_PARTITIONS = 10**4
 MAX_WIDTH_DEPTH = 256  # deepest factor set window_half_width builds
+SCAN_WORD_LENGTH = 600  # uniqueness_scan covers every factor up to this length
 
 
 def shape_letters(s: Substitution) -> tuple[str, str]:
@@ -169,14 +171,15 @@ def power_bound(s: Substitution, factors: wd.FactorSet) -> int:
     )
 
 
-def max_power_exponent(s: Substitution, factors: wd.FactorSet, max_base_length: int) -> int:
-    """N: the largest n with v^n in the language over factors v of length <= max_base_length."""
+def max_power_exponent(s: Substitution, factors: wd.FactorSet) -> int:
+    """N: the largest n with v^n in the language over factors v of length <= 2|S(a)|."""
+    a, _ = shape_letters(s)
     factors.require_saturated()
     bound = "cannot certify the exponent bound: {power} exceeds factor depth"
     return max(
         (
             _certified_exponent(v, factors, bound)
-            for m in range(1, max_base_length + 1)
+            for m in range(1, 2 * len(s.rules[a]) + 1)
             for v in factors.words_of_length(m)
         ),
         default=1,
@@ -210,7 +213,7 @@ def window_half_width(s: Substitution, factors: wd.FactorSet) -> WindowWidth:
                     power_bound=L0,
                     max_exponent=None,
                 )
-            N = max_power_exponent(s, factors, 2 * len(alpha))
+            N = max_power_exponent(s, factors)
             return WindowWidth(
                 route="no-doubled-letter",
                 half_width=(N + 2) * 2 * len(alpha),
@@ -227,7 +230,19 @@ def window_half_width(s: Substitution, factors: wd.FactorSet) -> WindowWidth:
                 ) from None
 
 
-def _require_minimal_aperiodic(report: ClassificationReport) -> None:
+def require_premises(s: Substitution, report: ClassificationReport) -> tuple[str, str]:
+    """Return (a, b) = (growing, fixed) for a nonprimitive, certified minimal,
+    aperiodic system of the shape whose image S(a) begins and ends with a.
+
+    The last premise holds for every such system.  If S(a) began with b,
+    then S^n(a) would begin with b^n for every n, so b^inf would lie in X; a
+    minimal X would then be {b^inf}, which is periodic.  The end of S(a) is
+    symmetric.  As b != a, a block S(a) and a block b never start at the
+    same position, and a tail that is a proper prefix of S(a) starts with a
+    but is shorter than S(a), so it starts no block either: each admissible
+    front remainder is followed by at most one parse, and a word has at
+    most |S(a)| 1-partitions.
+    """
     if report.primitive.primitive:
         raise ShapeError("requires a nonprimitive substitution")
     if report.minimal != YES:
@@ -236,6 +251,11 @@ def _require_minimal_aperiodic(report: ClassificationReport) -> None:
         raise SubstitutionError(
             f"requires aperiodicity (periodicity status {report.periodicity.status!r})"
         )
+    a, b = shape_letters(s)
+    alpha = s.rules[a]
+    if alpha[0] != a or alpha[-1] != a:
+        raise SubstitutionError("requires the image of the growing letter to start and end with it")
+    return a, b
 
 
 @dataclass
@@ -255,30 +275,12 @@ class RecognitionRule:
         ]
 
 
-def _require_bordered_image(alpha: str, a: str) -> None:
-    """Raise unless the image alpha = S(a) of the growing letter a begins and ends with a.
-
-    This holds for every certified minimal aperiodic system of the shape.
-    If S(a) began with b, then S^n(a) would begin with b^n for every n, so
-    b^inf would lie in X; a minimal X would then be {b^inf}, which is
-    periodic.  The end of S(a) is symmetric.  As b != a, a block S(a) and a
-    block b never start at the same position, and a tail that is a proper
-    prefix of S(a) starts with a but is shorter than S(a), so it starts no
-    block either: each admissible front remainder is followed by at most
-    one parse, and a word has at most |S(a)| 1-partitions.
-    """
-    if alpha[0] != a or alpha[-1] != a:
-        raise SubstitutionError(
-            "requires the image of the growing letter to start and end with it"
-        )
-
-
 def front_parses(alpha: str, b: str, w: str) -> list[tuple[int, ...]]:
     """Cut positions of the 1-partitions of w, in `enumerate_one_partitions` order.
 
     One cut tuple per front remainder whose forced parse reaches an
     admissible tail; requires alpha to begin and end with a letter other
-    than b (`_require_bordered_image`).
+    than b (`require_premises`).
     """
     n, width = len(w), len(alpha)
     out = []
@@ -318,17 +320,15 @@ def recognition_rule(
     W = f[i-L : i+L+1] gives a 1-partition of W: the block cut at each end
     leaves a proper suffix or a proper prefix of S(a) (a cut b block leaves
     nothing).  `front_parses` lists every 1-partition of W
-    (`_require_bordered_image`), so i is a cut of P iff W is in `windows`.
+    (`require_premises`), so i is a cut of P iff W is in `windows`.
     Hence all 1-partitions of every factor agree on [L, |f|-1-L], and
     `RecognitionRule.cuts` reads their common cuts there.
 
-    The report must certify minimality and aperiodicity; then S(a) begins
-    and ends with a, and the 1-partitions are read from forced parses.
+    The system must pass `require_premises`; then S(a) begins and ends
+    with a, and the 1-partitions are read from forced parses.
     """
-    _require_minimal_aperiodic(report)
-    a, b = shape_letters(s)
+    a, b = require_premises(s, report)
     alpha = s.rules[a]
-    _require_bordered_image(alpha, a)
     ww = window_half_width(s, factors)
     L = ww.half_width
     if factors.max_length < 2 * L + 1 or not factors.saturated:
@@ -386,8 +386,8 @@ class UniquenessScan:
     cuts for every window of length >= 4L+2.  The landings of all starts are
     computed at once (`uniqueness_violations`), and `violations` holds the
     first 17 starts that fail.  Coverage of all factors up to
-    `max_word_length` is certified by sizing the sample with the system's
-    repetitivity constant.
+    `max_word_length` (SCAN_WORD_LENGTH) is certified by sizing the sample
+    with the system's repetitivity constant.
     """
 
     ok: bool
@@ -457,32 +457,27 @@ def uniqueness_scan(
     s: Substitution,
     report: ClassificationReport,
     factors: wd.FactorSet,
-    *,
-    max_word_length: int = 600,
 ) -> UniquenessScan:
-    """Certify unique interior cut-sets for every factor up to max_word_length.
+    """Certify unique interior cut-sets for every factor up to SCAN_WORD_LENGTH.
 
-    The sample is the prefix of S^k(a) of length lr * max_word_length +
-    2 * max_word_length, and every start of a (4L+2)-window in it is checked
-    by `uniqueness_violations`, which walks the block chains of all starts
-    at once.  Raises ValueError when max_word_length < 1 or the sample is
-    shorter than one window, since no window would be checked.
+    The system must pass `require_premises` and carry its repetitivity
+    constant lr.  With m = SCAN_WORD_LENGTH, the sample is the prefix of
+    S^k(a) of length lr * m + 2m, and every start of a (4L+2)-window in it
+    is checked by `uniqueness_violations`, which walks the block chains of
+    all starts at once.  Raises ValueError when the sample is shorter than
+    one window, since no window would be checked.
     """
-    if max_word_length < 1:
-        raise ValueError(f"max_word_length must be at least 1, got {max_word_length}")
-    _require_minimal_aperiodic(report)
+    a, b = require_premises(s, report)
     if report.lr is None:
         raise SubstitutionError("needs the explicit repetitivity constant for coverage sizing")
-    a, b = shape_letters(s)
     alpha = s.rules[a]
-    _require_bordered_image(alpha, a)
     L = window_half_width(s, factors).half_width
-    need = int(report.lr.value * max_word_length) + 2 * max_word_length
-    sample = iterate_prefix(s, a, need)
+    m = SCAN_WORD_LENGTH
+    sample = iterate_prefix(s, a, int(report.lr.value * m) + 2 * m)
     if len(sample) < 4 * L + 2:
         raise ValueError(
             f"sample of {len(sample)} letters is shorter than a window of {4 * L + 2}; "
-            f"max_word_length {max_word_length} is too small"
+            f"SCAN_WORD_LENGTH {m} is too small"
         )
     violations = uniqueness_violations(alpha, b, L, sample)
     return UniquenessScan(
@@ -490,6 +485,6 @@ def uniqueness_scan(
         half_width=L,
         positions_checked=len(sample) - (4 * L + 2) + 1,
         sample_length=len(sample),
-        max_word_length=max_word_length,
+        max_word_length=m,
         violations=violations,
     )

@@ -19,13 +19,13 @@ classification and the other applications never load it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import words as wd
-from .classify import YES, ClassificationReport
-from .substitution import Substitution, growth_ratio_range, iterate_prefix
+from .classify import ClassificationReport
+from .substitution import Substitution, SubstitutionError, growth_ratio_range, iterate_prefix
 
 # Adjacent bands whose gap is no wider than this are reported as one band.
 # Touching bands (the free operator, Thue-Morse) come out of the eigensolver
@@ -36,10 +36,13 @@ CLOSED_GAP_TOL = 1e-9
 # the default energy window reaches this far beyond the spectrum's bound
 WINDOW_MARGIN = 0.5
 
-# gordon_check: slack of the cube-frequency bound, and the depth of the
-# factor set it searches for a cube when the report's set is shallower
+# gordon_check: slack of the cube-frequency bound, the depth of the factor
+# set it searches for a cube when the report's set is shallower, the levels
+# k it checks and the length of its fixed-point sample
 GORDON_TOL = 1e-3
 GORDON_SEARCH_DEPTH = 48
+GORDON_LEVELS = (1, 2, 3, 4, 5, 6)
+GORDON_SAMPLE_LENGTH = 10**6
 
 
 @dataclass
@@ -176,7 +179,7 @@ class GordonHypothesisMissing:
     searched_depth: int
     note: str = (
         "no word u with a growing first letter and uuu+first(u) in the language; "
-        "an alternative route is palindrome recurrence, see words.palindromes"
+        "an alternative route is palindrome recurrence"
     )
 
 
@@ -193,17 +196,16 @@ def cube_positions(sample: np.ndarray, n: int) -> int:
 
 
 def gordon_check(
-    s: Substitution,
-    report: ClassificationReport,
-    *,
-    levels: Sequence[int] = (1, 2, 3, 4, 5, 6),
-    sample_length: int = 10**6,
+    s: Substitution, report: ClassificationReport
 ) -> GordonReport | GordonHypothesisMissing:
-    """Locate a cube witness and verify the analytic cube-frequency bound empirically."""
-    if report.minimal != YES:
-        raise ValueError("gordon_check needs a certified minimal system")
+    """Locate a cube witness and verify the analytic cube-frequency bound empirically.
+
+    The report must carry the repetitivity constant, which only a certified
+    minimal system gets.  The bound is checked at the levels GORDON_LEVELS
+    on the first GORDON_SAMPLE_LENGTH letters of the fixed point.
+    """
     if report.lr is None:
-        raise ValueError("gordon_check needs the explicit repetitivity constant")
+        raise SubstitutionError("needs the explicit repetitivity constant for coverage sizing")
     factors = report.factors
     if factors.max_length < GORDON_SEARCH_DEPTH:
         factors = wd.factor_language(s, GORDON_SEARCH_DEPTH)
@@ -215,19 +217,19 @@ def gordon_check(
 
     # the Perron eigenvalue of the reduced substitution, as the report found it
     theta = report.lr.growth.theta
-    n_max = max(report.lr.growth.n_checked, max(levels))
+    n_max = max(report.lr.growth.n_checked, max(GORDON_LEVELS))
     lam = growth_ratio_range(s, e, theta, n_max)[0]
     rho = growth_ratio_range(s, u * 3 + e, theta, n_max)[1]
     bound = lam / (report.lr.value * rho)
 
-    sample_word = iterate_prefix(s, report.certificate.letter, sample_length)
+    sample_word = iterate_prefix(s, report.certificate.letter, GORDON_SAMPLE_LENGTH)
     codes = {ord(ch): i for i, ch in enumerate(s.letters)}
     sample = np.frombuffer(sample_word.translate(codes).encode("latin-1"), dtype=np.uint8)
 
-    n_k = tuple(s.word_image_length(u, k) for k in levels)
+    n_k = tuple(s.word_image_length(u, k) for k in GORDON_LEVELS)
     empirical: dict[int, float] = {}
     ok = True
-    for k, n in zip(levels, n_k):
+    for k, n in zip(GORDON_LEVELS, n_k):
         total = len(sample) - 3 * n + 1
         if total <= 0:
             ok = False
@@ -239,7 +241,7 @@ def gordon_check(
     return GordonReport(
         u=u,
         e=e,
-        levels=tuple(levels),
+        levels=GORDON_LEVELS,
         n_k=n_k,
         freq_lower_bound=bound,
         empirical_frequency=empirical,

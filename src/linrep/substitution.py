@@ -275,15 +275,13 @@ class ValidationReport:
 
     `witness` is a growing letter chosen to maximize reachability;
     `full_reachability` says whether every letter occurs in some iterate of
-    the witness (after which no pruning is needed).  `reachable` is the
-    pruned alphabet: the letters that survive restriction to the witness.
+    the witness (after which no pruning is needed).
     """
 
     substitution: Substitution
     split: AlphabetSplit
     witness: str
     full_reachability: bool
-    reachable: tuple[str, ...]
 
 
 def validate(definition: Mapping | Substitution) -> ValidationReport:
@@ -354,7 +352,6 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
         split=split,
         witness=best,
         full_reachability=(best_reach == frozenset(s.letters)),
-        reachable=tuple(a for a in s.letters if a in best_reach),
     )
 
 

@@ -422,9 +422,3 @@ def find_power(
             if base_constraint(u) and (u * exponent + u[0]) in factors:
                 return u
     return None
-
-
-def palindromes(factors: FactorSet) -> list[Word]:
-    """All palindromic factors, sorted by length then lexicographically."""
-    factors.require_saturated()
-    return sorted((w for w in factors.words if w == w[::-1]), key=lambda w: (len(w), w))

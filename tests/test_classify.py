@@ -173,12 +173,18 @@ def test_letter_frequencies_cauchy(catalog_reports, catalog_subs):
 
 
 def test_is_periodic_examples():
-    assert is_periodic(Substitution.from_rules({"a": "aba", "b": "b"})).period == "ab"
-    assert is_periodic(Substitution.from_rules({"a": "aa"})).period == "a"
+    periodic_ab = Substitution.from_rules({"a": "aba", "b": "b"})
+    assert is_periodic(wd.factor_language(periodic_ab, 48)).period == "ab"
+    assert is_periodic(wd.factor_language(Substitution.from_rules({"a": "aa"}), 48)).period == "a"
+
+
+def test_is_periodic_depth_is_the_factor_depth_less_the_margin():
+    # classify walks remarkc (not minimal) on its depth-48 factor set
+    assert is_periodic(wd.factor_language(lr.load("remarkc"), 48)).depth == 40
 
 
 def test_is_periodic_fibonacci_complexity(fib):
-    res = is_periodic(fib, depth=30)
+    res = is_periodic(wd.factor_language(fib, 38))
     assert res.status == "aperiodic-up-to-depth"
     fs = wd.factor_language(fib, 31)
     for n in range(1, 31):
@@ -435,15 +441,15 @@ def _count_walks(monkeypatch):
     walk = module.is_periodic
 
     def counted(*args, **kwargs):
-        calls.append(args[0].name)
+        calls.append(args[0].substitution.name)
         return walk(*args, **kwargs)
 
     monkeypatch.setattr(module, "is_periodic", counted)
     return calls
 
 
-def _walk_verdict(s, factors):
-    res = is_periodic(s, 40, factors=factors)
+def _walk_verdict(s):
+    res = is_periodic(wd.factor_language(s, 48))
     return res.status, res.period, res.depth
 
 
@@ -461,7 +467,7 @@ def test_derived_periodicity_equals_walk(monkeypatch):
             continue
         assert calls == [] and rep.factors.saturated, s
         got = rep.periodicity
-        assert (got.status, got.period, got.depth) == _walk_verdict(s, rep.factors), s
+        assert (got.status, got.period, got.depth) == _walk_verdict(s), s
         certified += 1
     assert certified == 109
     # directly: seeded random certified systems, 2-4 letters, rules 1-8 long,
@@ -487,8 +493,7 @@ def test_derived_periodicity_equals_walk(monkeypatch):
         if decision.status != YES:
             continue
         got = derived_periodicity(s, decision.certificate.letter, 40)
-        factors = wd.factor_language(s, max(48, 2 * decision.certificate.kappa))
-        assert (got.status, got.period, got.depth) == _walk_verdict(s, factors), s
+        assert (got.status, got.period, got.depth) == _walk_verdict(s), s
         counts[got.status] += 1
         counts["nonprimitive"] += not is_primitive(s).primitive
     assert counts["periodic"] >= 90 and counts["nonprimitive"] >= 50
@@ -517,7 +522,7 @@ def test_derived_periodicity_beyond_the_walk_depth():
     got = rep.periodicity
     canonical = min(w[i:] + w[:i] for i in range(50))
     assert (got.status, got.period, got.depth) == ("periodic", canonical, 50)
-    assert _walk_verdict(s, rep.factors) == ("aperiodic-up-to-depth", None, 40)
+    assert _walk_verdict(s) == ("aperiodic-up-to-depth", None, 40)
 
 
 def test_classify_walks_the_core_only_when_not_certified(monkeypatch):

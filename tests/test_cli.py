@@ -302,6 +302,22 @@ def test_partition_primitive_rejected(defs, capsys):
     assert "nonprimitive two-letter shape" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("remarkc", "requires certified minimality (got 'no')"),
+        ("periodic-ab", "requires aperiodicity (periodicity status 'periodic')"),
+    ],
+)
+def test_applications_report_one_premise_error(defs, capsys, name, message):
+    # partition and transcendence check their premises in one gate
+    path = str(defs / f"{name}.json")
+    for argv in (["partition", path, "--prefix", "50"], ["transcendence", path]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+
+
 def test_partition_foreign_word(defs, capsys):
     assert (
         main(["partition", str(defs / "minimal-nonprimitive.json"), "--word", "abcb"]) == 1

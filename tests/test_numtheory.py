@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,8 @@ import pytest
 import linrep as lr
 from linrep import numtheory as nt
 from linrep.classify import UNDECIDED, YES, PeriodicityResult, classify
-from linrep.substitution import Substitution, iterate_prefix
+from linrep.recognizer import ShapeError
+from linrep.substitution import Substitution, SubstitutionError, iterate_prefix
 
 from bruteforce import horner_value
 
@@ -18,6 +21,10 @@ def _two_letter(rules):
 
 def _report(s):
     return classify(s)
+
+
+def _value(v):
+    return Fraction(v.mantissa, 1 << v.bits)
 
 
 def test_detect_separated_0100():
@@ -46,13 +53,13 @@ def test_detect_rejects_bad_boundary():
     # image ending in 1 violates the begin/end-with-0 consequence of
     # bounded gaps; here it also breaks minimality upstream
     s = _two_letter({"0": "01001", "1": "1"})
-    with pytest.raises(nt.CaseDetectionError):
+    with pytest.raises(SubstitutionError):
         nt.detect_case(s, _report(s))
 
 
 def test_detect_excludes_periodic_shape():
     s = _two_letter({"0": "0110", "1": "1"})
-    with pytest.raises(nt.CaseDetectionError):
+    with pytest.raises(SubstitutionError):
         nt.detect_case(s, _report(s))
 
 
@@ -63,12 +70,12 @@ def test_detect_rejects_undecided_periodicity(catalog_subs, catalog_reports):
     undecided = dataclasses.replace(
         rep, periodicity=PeriodicityResult(UNDECIDED, None, 0, "factor set did not saturate")
     )
-    with pytest.raises(nt.CaseDetectionError, match="undecided-at-depth"):
+    with pytest.raises(SubstitutionError, match="undecided-at-depth"):
         nt.detect_case(s, undecided)
 
 
 def test_detect_rejects_primitive(fib):
-    with pytest.raises(nt.CaseDetectionError):
+    with pytest.raises(ShapeError):
         nt.detect_case(fib, _report(fib))
 
 
@@ -153,18 +160,18 @@ def test_case_dichotomy_randomized():
 
 def test_expansion_half():
     v = nt.expansion_value("1" + "0" * 200, base=2, bits=64)
-    assert v.fraction == Fraction(1, 2)
+    assert _value(v) == Fraction(1, 2)
 
 
 def test_expansion_third_base2():
     v = nt.expansion_value("01" * 120, base=2, bits=100)
-    assert abs(v.fraction - Fraction(1, 3)) <= Fraction(1, 2**99)
+    assert abs(_value(v) - Fraction(1, 3)) <= Fraction(1, 2**99)
 
 
 def test_expansion_third_base3():
     # 1/3 is not dyadic: the 64-bit rounding is correct to half an ulp
     v = nt.expansion_value([1] + [0] * 150, base=3, bits=64)
-    assert abs(v.fraction - Fraction(1, 3)) <= Fraction(1, 2**65)
+    assert abs(_value(v) - Fraction(1, 3)) <= Fraction(1, 2**65)
 
 
 def test_expansion_value_matches_horner():
@@ -191,7 +198,7 @@ def test_expansion_two_precisions_agree():
     digits = [int(ch) for ch in iterate_prefix(s, "0", 400)]
     lo = nt.expansion_value(digits, 2, 128)
     hi = nt.expansion_value(digits, 2, 128 + 64)
-    assert abs(lo.fraction - hi.fraction) <= Fraction(2, 2**128)
+    assert abs(_value(lo) - _value(hi)) <= Fraction(2, 2**128)
 
 
 def test_full_report_round_trip():
@@ -210,7 +217,7 @@ def test_decimal_string_beyond_int_str_limit(catalog_subs, catalog_reports):
     # limit of 4,300 for converting one int to a string
     s = catalog_subs["stutter-separated"]
     tr = nt.transcendence_report(s, catalog_reports["stutter-separated"], bits=14400)
-    text = tr.value.decimal_string()
+    text = tr.value.decimal
     assert text.startswith("0.")
     digits = text[2:]
     assert len(digits) == 4335
@@ -223,3 +230,21 @@ def test_decimal_string_beyond_int_str_limit(catalog_subs, catalog_reports):
         expected.append(str(d))
         rest -= d
     assert digits == "".join(expected)
+
+
+@pytest.mark.parametrize("bits", [160, 14000, 200000])
+def test_decimal_is_the_truncated_quotient(bits):
+    m = random.Random(bits).getrandbits(bits)
+    v = nt.ExpansionValue(mantissa=m, bits=bits, base=2, digits_used=bits + 8)
+    d = math.ceil(bits * math.log10(2))
+    # str() of a number past 4,300 digits needs the interpreter's limit lifted
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    limit = get_limit()
+    set_limit(0)
+    try:
+        want = "0." + str(m * 10**d // 2**bits).zfill(d)
+    finally:
+        set_limit(limit)
+    assert v.decimal == want
+    assert v.decimal is v.decimal  # the second read returns the cached string

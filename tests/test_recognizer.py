@@ -4,6 +4,7 @@ import random
 import pytest
 
 import linrep as lr
+from linrep import numtheory as nt
 from linrep import recognizer as rec
 from linrep import words as wd
 from linrep.classify import YES
@@ -114,6 +115,36 @@ def test_recognition_rule_requires_bordered_image(abaa_factors, abaa_report):
     s = Substitution.from_rules({"a": "baa", "b": "b"})
     with pytest.raises(SubstitutionError, match="start and end"):
         rec.recognition_rule(s, abaa_factors, abaa_report)
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("fibonacci", "requires a nonprimitive substitution"),
+        ("remarkc", "requires certified minimality (got 'no')"),
+        ("periodic-ab", "requires aperiodicity (periodicity status 'periodic')"),
+        ("unbordered", "requires the image of the growing letter to start and end with it"),
+    ],
+)
+def test_applications_share_one_premise_gate(name, message, abaa_report):
+    if name == "unbordered":
+        # a report forged from minimal-nonprimitive for an image starting with b
+        s, rep = Substitution.from_rules({"a": "baa", "b": "b"}), abaa_report
+    else:
+        s = lr.load(name)
+        rep = lr.classify(s)
+    calls = [
+        lambda: rec.recognition_rule(s, rep.factors, rep),
+        lambda: rec.uniqueness_scan(s, rep, rep.factors),
+        lambda: nt.detect_case(s, rep),
+    ]
+    raised = set()
+    for call in calls:
+        with pytest.raises(SubstitutionError) as info:
+            call()
+        raised.add((info.type, str(info.value)))
+    expected = rec.ShapeError if name == "fibonacci" else SubstitutionError
+    assert raised == {(expected, message)}
 
 
 def test_partition_concatenation_invariant(abaa):
@@ -335,7 +366,7 @@ def test_desubstitute_rejects_short_window(abaa, abaa_rule):
         rec.desubstitute(abaa, "abaa", abaa_rule)
 
 
-def test_recognition_no_doubled_letter_route():
+def test_recognition_no_doubled_letter_route(monkeypatch):
     noaa = lr.load("minimal-nonprimitive-noaa")
     rep = lr.classify(noaa)
     fs = wd.factor_language(noaa, 64)
@@ -350,23 +381,27 @@ def test_recognition_no_doubled_letter_route():
         preimage, offset = rec.desubstitute(noaa, window, rule)
         image = noaa.apply(preimage)
         assert image == window[offset : offset + len(image)]
-    scan = lr.uniqueness_scan(noaa, rep, fs, max_word_length=240)
+    monkeypatch.setattr(rec, "SCAN_WORD_LENGTH", 240)
+    scan = lr.uniqueness_scan(noaa, rep, fs)
     assert scan.ok
 
 
-def test_uniqueness_scan_moderate(abaa, abaa_report, abaa_factors):
-    scan = lr.uniqueness_scan(abaa, abaa_report, abaa_factors, max_word_length=240)
+def test_uniqueness_scan_moderate(abaa, abaa_report, abaa_factors, monkeypatch):
+    monkeypatch.setattr(rec, "SCAN_WORD_LENGTH", 240)
+    scan = lr.uniqueness_scan(abaa, abaa_report, abaa_factors)
     assert scan.ok
     assert scan.positions_checked > 10000
 
 
-def test_uniqueness_scan_refuses_an_empty_audit(abaa, abaa_report, abaa_factors):
-    # max_word_length 1 sizes a 73-letter sample, shorter than one 90-letter
+def test_uniqueness_scan_refuses_an_empty_audit(abaa, abaa_report, abaa_factors, monkeypatch):
+    # SCAN_WORD_LENGTH 1 sizes a 73-letter sample, shorter than one 90-letter
     # window, so no start would be checked
     for m in (0, 1):
+        monkeypatch.setattr(rec, "SCAN_WORD_LENGTH", m)
         with pytest.raises(ValueError):
-            lr.uniqueness_scan(abaa, abaa_report, abaa_factors, max_word_length=m)
-    scan = lr.uniqueness_scan(abaa, abaa_report, abaa_factors, max_word_length=2)
+            lr.uniqueness_scan(abaa, abaa_report, abaa_factors)
+    monkeypatch.setattr(rec, "SCAN_WORD_LENGTH", 2)
+    scan = lr.uniqueness_scan(abaa, abaa_report, abaa_factors)
     assert scan.ok and (scan.sample_length, scan.positions_checked) == (146, 57)
 
 
@@ -415,9 +450,10 @@ def test_uniqueness_violations_match_the_walk():
     [(name, 240) for name in SHAPES]
     + [("minimal-nonprimitive", 600), ("stutter-separated", 600)],
 )
-def test_uniqueness_scan_matches_the_walk(shape_rules, name, max_word_length):
+def test_uniqueness_scan_matches_the_walk(shape_rules, name, max_word_length, monkeypatch):
     s, rep, rule = shape_rules[name]
-    scan = lr.uniqueness_scan(s, rep, rep.factors, max_word_length=max_word_length)
+    monkeypatch.setattr(rec, "SCAN_WORD_LENGTH", max_word_length)
+    scan = lr.uniqueness_scan(s, rep, rep.factors)
     a, b = rec.shape_letters(s)
     L = rule.half_width
     sample = lr.iterate_prefix(s, a, int(rep.lr.value * max_word_length) + 2 * max_word_length)

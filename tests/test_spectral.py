@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import linrep as lr
+from linrep import spectral
 from bruteforce import apply_rules, finite_section_eigenvalues, floquet_bands, transfer_matrix
 from linrep.spectral import (
     CLOSED_GAP_TOL,
@@ -13,7 +14,7 @@ from linrep.spectral import (
     cube_positions,
     gordon_check,
 )
-from linrep.substitution import Substitution
+from linrep.substitution import Substitution, SubstitutionError
 
 
 def test_transfer_single_letter():
@@ -207,9 +208,11 @@ def test_cube_positions_counter():
             assert cube_positions(x, n) == direct
 
 
-def test_gordon_fibonacci(fib, catalog_reports):
+def test_gordon_fibonacci(fib, catalog_reports, monkeypatch):
     rep = catalog_reports["fibonacci"]
-    g = gordon_check(fib, rep, levels=(2, 3, 4), sample_length=200000)
+    monkeypatch.setattr(spectral, "GORDON_LEVELS", (2, 3, 4))
+    monkeypatch.setattr(spectral, "GORDON_SAMPLE_LENGTH", 200000)
+    g = gordon_check(fib, rep)
     assert g.u == "abaab"
     assert g.n_k == tuple(fib.word_image_length("abaab", k) for k in (2, 3, 4))
     assert g.freq_lower_bound > 0
@@ -266,7 +269,7 @@ def test_gordon_thue_morse_missing(catalog_subs, catalog_reports):
 
 
 def test_gordon_needs_minimality(catalog_subs, catalog_reports):
-    with pytest.raises(ValueError):
+    with pytest.raises(SubstitutionError):
         gordon_check(catalog_subs["remarkc"], catalog_reports["remarkc"])
 
 

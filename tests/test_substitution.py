@@ -66,7 +66,7 @@ def test_validate_fibonacci(fib):
     report = validate(fib)
     assert report.witness == "a"
     assert report.full_reachability
-    assert report.reachable == ("a", "b")
+    assert fib.reachable([report.witness]) == {"a", "b"}
     assert report.split.growing == {"a", "b"}
 
 
@@ -88,7 +88,7 @@ def test_validate_reports_pruning():
     report = validate(s)
     assert report.witness == "a"
     assert not report.full_reachability
-    assert set(report.reachable) == {"a", "b"}
+    assert s.reachable([report.witness]) == {"a", "b"}
     pruned = prune_to_reachable(s, "a")
     assert pruned.letters == ("a", "b")
 

@@ -13,7 +13,6 @@ from linrep.words import (
     factor_language,
     find_power,
     gap_bound,
-    palindromes,
     repetitivity_function,
     return_words,
     subwords,
@@ -188,24 +187,6 @@ def test_find_power_matches_bruteforce(name, catalog_subs):
     mine = find_power(fs, lambda w: True, 3)
     naive = naive_find_power(naive_factors(s.rules, 12), lambda w: True, 3, 12)
     assert mine == naive
-
-
-def test_palindromes_fibonacci(fib):
-    fs = factor_language(fib, 3)
-    assert palindromes(fs) == ["a", "b", "aa", "aba", "bab"]
-
-
-def test_palindromes_single_letter():
-    s = Substitution.from_rules({"a": "aa"})
-    fs = factor_language(s, 4)
-    assert palindromes(fs) == ["a", "aa", "aaa", "aaaa"]
-
-
-def test_palindromes_constant_length_alternating():
-    # both letters map to ab, so the language is the alternating word's
-    s = Substitution.from_rules({"a": "ab", "b": "ab"})
-    fs = factor_language(s, 5)
-    assert palindromes(fs) == ["a", "b", "aba", "bab", "ababa", "babab"]
 
 
 def test_gap_bound_fibonacci(fib_factors):
