@@ -25,9 +25,11 @@ for these systems, and the explicit repetitivity constant
 (3 + G) * theta * rho / lambda is assembled from the return words of the
 certified letter.  kappa and the pair-coverage length G are exact results
 of `words.coverage_exact`, a fold over summaries of the letter images, not
-of a scan at some depth.  `classify` builds one factor set per system; it
-supplies the compatibility scan, the periodicity core and, for a certified
-system (depth 2 * kappa at least), the return words and the pairs that occur.
+of a scan at some depth.  The return words of the certified letter and
+the pairs of them that occur come from one conjugated return-word step,
+`return_word_pairs`, not from a factor set.  `classify` builds one factor
+set per system: for the compatibility check, and for the periodicity core
+of a system that is not certified.
 
 Periodicity of a certified system is exact: `derived_periodicity` iterates
 the return-word derivation (Durand 1998) until it reaches one letter
@@ -401,9 +403,9 @@ class LRBound:
 
     G is the smallest length such that every factor of length >= G contains
     every concatenation of two return words that is itself a factor, exact
-    from `words.coverage_exact`.  factor_depth is the depth of the saturated
-    factor set the return words and the pairs were read from.  Valid
-    insofar as lambda/rho are (n <= growth.n_checked); carried as a caveat.
+    from `words.coverage_exact`.  The return words and the pairs come from
+    `return_word_pairs`, with no factor set.  Valid insofar as lambda/rho
+    are (n <= growth.n_checked); carried as a caveat.
     """
 
     value: float
@@ -411,30 +413,19 @@ class LRBound:
     pair_set: tuple[str, ...]
     return_words: frozenset[str]
     growth: GrowthEstimate
-    factor_depth: int
     caveats: tuple[str, ...]
 
 
-def lr_constant_bound(
-    s: Substitution, cert: BGCertificate, factors: wd.FactorSet, n_max: int
-) -> LRBound:
+def lr_constant_bound(s: Substitution, cert: BGCertificate, n_max: int) -> LRBound:
     """Assemble the explicit linear-repetitivity constant from a bounded-gaps certificate.
 
-    A return word is at most kappa long, so a saturated factor set of depth
-    2 * kappa holds every return word and every pair of them that is a
-    factor; both are read from `factors`, in one return-word pass.  The
-    return words are also the words whose growth constants (n <= n_max)
+    The return words to the certified letter and the pairs of them that are
+    factors come from one conjugated return-word step, `return_word_pairs`.
+    The return words are also the words whose growth constants (n <= n_max)
     enter the constant, and G comes from `words.coverage_exact`.
     """
-    if not factors.saturated:
-        raise SubstitutionError(f"factor set did not saturate at depth {factors.max_length}")
-    if factors.max_length < 2 * cert.kappa:
-        raise SubstitutionError(
-            f"return-word pairs need a saturated factor set of depth >= {2 * cert.kappa}"
-        )
-    rw = wd.return_words(cert.letter, factors)
+    rw, pairs = return_word_pairs(s, cert.letter)
     growth = perron_growth(s, rw, n_max)
-    pairs = sorted(z1 + z2 for z1 in rw for z2 in rw if z1 + z2 in factors)
     try:
         G = wd.coverage_exact(s, pairs)
     except wd.CoverageUndecidedError as exc:
@@ -448,7 +439,6 @@ def lr_constant_bound(
         pair_set=tuple(pairs),
         return_words=rw,
         growth=growth,
-        factor_depth=factors.max_length,
         caveats=(f"growth constants checked for n <= {growth.n_checked}",),
     )
 
@@ -559,29 +549,82 @@ def _cut(image: str, c: str, names: dict[str, str], words: list[str]) -> str:
 def derive_return_words(
     table: Mapping[int, str] | tuple[str, ...], c: str, budget: int
 ) -> tuple[list[str], tuple[str, ...], int] | None:
-    """One return-word derivation of the fixed point of `table` that begins with c.
+    """One return-word derivation under `table`, from the iterates of c.
 
     table maps each letter (by code point, as `str.translate` reads it) to
-    its image, and the image of c begins with c.  Returns the return words
-    to c in breadth-first discovery order, the derived substitution over
-    chr(0), chr(1), ... (the image of return word i, cut before each c and
-    coded), and the number of image letters written; None once that number
-    exceeds `budget`.
+    its image, and the image of c is beta c ... with beta free of c.  The
+    first return word to c is read between the first two c in the iterates
+    of c; when beta is empty, these are prefixes of the fixed point of
+    `table` that begins with c.  A return word r maps to beta^-1 table(r)
+    beta, cut before each c, and these images close the set.  Returns the
+    return words to c in breadth-first discovery order, the derived
+    substitution over chr(0), chr(1), ... (the image of return word i, coded
+    by the names of its pieces), and the number of image letters written;
+    None once that number exceeds `budget`.
     """
     prefix, work = c, 0
-    while (j := prefix.find(c, 1)) < 0:
+    while prefix.count(c) < 2:
         prefix = prefix.translate(table)
         work += len(prefix)
         if work > budget:
             return None
-    names, words, images = {prefix[1:j]: chr(0)}, [prefix[:j]], []
+    i = prefix.index(c)
+    j = prefix.index(c, i + 1)
+    beta = table[ord(c)].split(c, 1)[0]
+    names, words, images = {prefix[i + 1 : j]: chr(0)}, [prefix[i:j]], []
     for r in words:
         image = r.translate(table)
-        images.append(_cut(image, c, names, words))
+        images.append(_cut(image[len(beta) :] + beta, c, names, words))
         work += len(image)
         if work > budget:
             return None
     return words, tuple(images), work
+
+
+def return_word_pairs(s: Substitution, e: str) -> tuple[frozenset[str], list[str]]:
+    """The return words to the certified letter e and the sorted pairs z1 z2
+    of them that are factors, from one conjugated return-word step.
+
+    Let k be the least k >= 1 with e in S^k(e), so S^k(e) = beta e ... with
+    beta free of e.  For a return word r, r e is a factor, so S^k(r) beta is
+    followed by e, and sigma(r) = beta^-1 S^k(r) beta, cut before each e, is
+    a word of return words: the step of `derive_return_words` (Durand 1998).
+    sigma extends to words of return words, and for any return word r0 (the
+    step's first one), sigma^n(r0) codes a factor of length
+    |S^(nk)(r0)| that is followed by e.  By minimality, for large n that
+    factor holds every factor of length 2 * kappa + 1, hence every return
+    word a and every 2-factor (a, b), the pairs with z_a z_b e a factor.  So
+    the return words are the closure of r0 under sigma, and the 2-factors
+    are those inside each sigma(a), closed under (a, b) -> (last sigma(a),
+    first sigma(b)).  z1 z2 is a factor iff z1 = z_a and z2 is a prefix of
+    z_b for a 2-factor (a, b): z2 holds e only in front, so the return word
+    after z1 extends it.  Raises SubstitutionError past DERIVATION_WORK
+    letters written.
+    """
+    sets, pre, _ = s.letter_set_orbit(e)
+    orbit = sets + [sets[pre]]  # letters(S^n(e)) for n = 0 .. pre + period
+    k = next((n for n in range(1, len(orbit)) if e in orbit[n]), None)
+    if k is None:
+        raise SubstitutionError(f"{e!r} occurs in no S^k({e!r})")
+    limit = f"return-word derivation wrote more than {DERIVATION_WORK} letters"
+    work = sum(s.image_length(a, k) for a in s.letters)
+    if work > DERIVATION_WORK:
+        raise SubstitutionError(limit)
+    table = {ord(a): s.iterate(a, k) for a in s.letters}
+    step = derive_return_words(table, e, DERIVATION_WORK - work)
+    if step is None:
+        raise SubstitutionError(limit)
+    words, images, _ = step
+    adjacent = {pair for coded in images for pair in zip(coded, coded[1:])}
+    todo = list(adjacent)
+    while todo:
+        a, b = todo.pop()
+        pair = (images[ord(a)][-1], images[ord(b)][0])
+        if pair not in adjacent:
+            adjacent.add(pair)
+            todo.append(pair)
+    pairs = {words[ord(a)] + z for a, b in adjacent for z in words if words[ord(b)].startswith(z)}
+    return frozenset(words), sorted(pairs)
 
 
 def derived_periodicity(s: Substitution, letter: str, depth: int) -> PeriodicityResult:
@@ -747,7 +790,6 @@ class ClassificationReport:
                 "pair_set": list(self.lr.pair_set),
                 "return_words": sorted(self.lr.return_words),
                 "kappa": self.certificate.kappa,
-                "factor_depth": self.lr.factor_depth,
                 "caveats": list(self.lr.caveats),
             }
         return out
@@ -790,22 +832,20 @@ def classify(
     certificate or counterexample), linear repetitivity with its explicit
     constant, periodicity, unique ergodicity.
 
-    Every system gets one factor set, of depth max(aperiodic_depth +
-    CORE_MARGIN, and 2 * kappa when certified), with aperiodic_depth =
-    compat_depth + APERIODIC_MARGIN: deep enough for the compatibility
-    check (compat_depth + 1), the periodicity core and the return-word
-    pairs.  It
-    becomes `report.factors`, which the applications reuse.  A certified
-    minimal system gets its periodicity from `derived_periodicity`, which
-    is exact and reads no factors; an aperiodic verdict keeps the status
-    "aperiodic-up-to-depth" at `aperiodic_depth`.  Any other system walks
-    the periodicity core of `is_periodic` to `aperiodic_depth`."""
+    Every system gets one factor set, which becomes `report.factors`; the
+    applications reuse it and deepen it where they need more.  A certified
+    minimal system gets its set at compat_depth + 1, the compatibility
+    check's depth: its return words and pairs come from
+    `return_word_pairs`, and its periodicity from `derived_periodicity`,
+    neither of which reads factors; an aperiodic verdict keeps the status
+    "aperiodic-up-to-depth" at aperiodic_depth = compat_depth +
+    APERIODIC_MARGIN.  Any other system gets its set at aperiodic_depth +
+    CORE_MARGIN and walks the periodicity core of `is_periodic` to
+    aperiodic_depth."""
     candidates, decision = decide_minimality(s)
     minimal = decision.status
     aperiodic_depth = compat_depth + APERIODIC_MARGIN
-    depth = aperiodic_depth + CORE_MARGIN
-    if minimal == YES:
-        depth = max(depth, 2 * decision.certificate.kappa)
+    depth = compat_depth + 1 if minimal == YES else aperiodic_depth + CORE_MARGIN
     factors = wd.factor_language(s, depth)
     compatibility = check_compatibility(s, factors, compat_depth)
     primitive = is_primitive(s)
@@ -814,7 +854,7 @@ def classify(
     lr = None
     if minimal == YES:
         try:
-            lr = lr_constant_bound(s, decision.certificate, factors, growth_nmax)
+            lr = lr_constant_bound(s, decision.certificate, growth_nmax)
             caveats.extend(lr.caveats)
         except SubstitutionError as exc:
             caveats.append(f"repetitivity constant undecided: {exc}")

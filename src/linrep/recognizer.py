@@ -198,8 +198,8 @@ def window_half_width(s: Substitution, factors: wd.FactorSet) -> WindowWidth:
     """The agreement half-width L for the system, by the applicable route.
 
     When `factors` is too shallow to certify the power bound, the factor set
-    is deepened by doubling up to MAX_WIDTH_DEPTH; past that the error is
-    raised.
+    is deepened by doubling, the last step to MAX_WIDTH_DEPTH itself; a set
+    of that depth that is still too shallow raises the error.
     """
     a, b = shape_letters(s)
     alpha = s.rules[a]
@@ -221,9 +221,9 @@ def window_half_width(s: Substitution, factors: wd.FactorSet) -> WindowWidth:
                 max_exponent=N,
             )
         except ShallowFactorSetError:
-            if 2 * factors.max_length > MAX_WIDTH_DEPTH:
+            if factors.max_length >= MAX_WIDTH_DEPTH:
                 raise
-            factors = wd.factor_language(s, 2 * factors.max_length)
+            factors = wd.factor_language(s, min(2 * factors.max_length, MAX_WIDTH_DEPTH))
             if not factors.saturated:
                 raise SubstitutionError(
                     f"factor set did not saturate at depth {factors.max_length}"

@@ -201,16 +201,21 @@ def gordon_check(
     """Locate a cube witness and verify the analytic cube-frequency bound empirically.
 
     The report must carry the repetitivity constant, which only a certified
-    minimal system gets.  The bound is checked at the levels GORDON_LEVELS
-    on the first GORDON_SAMPLE_LENGTH letters of the fixed point.
+    minimal system gets.  The cube witness is searched in `report.factors`,
+    and on a miss in a set of depth GORDON_SEARCH_DEPTH: `find_power`
+    returns the shortest u, ties broken lexicographically, so every
+    saturated set that holds u^3 u[0] finds the same u.  The bound is
+    checked at the levels GORDON_LEVELS on the first GORDON_SAMPLE_LENGTH
+    letters of the fixed point.
     """
     if report.lr is None:
         raise SubstitutionError("needs the explicit repetitivity constant for coverage sizing")
-    factors = report.factors
-    if factors.max_length < GORDON_SEARCH_DEPTH:
-        factors = wd.factor_language(s, GORDON_SEARCH_DEPTH)
     growing = report.split.growing
+    factors = report.factors
     u = wd.find_power(factors, lambda w: w[0] in growing, 3)
+    if u is None and factors.max_length < GORDON_SEARCH_DEPTH:
+        factors = wd.factor_language(s, GORDON_SEARCH_DEPTH)
+        u = wd.find_power(factors, lambda w: w[0] in growing, 3)
     if u is None:
         return GordonHypothesisMissing(searched_depth=factors.max_length)
     e = u[0]

@@ -82,6 +82,17 @@ def naive_return_words(factors: set[str], v: str) -> set[str]:
     return out
 
 
+def factor_set_return_pairs(letter: str, factors) -> tuple[frozenset[str], list[str]]:
+    """The return words to `letter` and the sorted pairs z1 z2 of them that
+    are factors, read off a saturated factor set of depth >= 2 * kappa: a
+    return word is at most kappa long, so the set holds every pair that
+    occurs."""
+    from linrep.words import return_words
+
+    rw = return_words(letter, factors)
+    return rw, sorted(z1 + z2 for z1 in rw for z2 in rw if z1 + z2 in factors)
+
+
 def naive_find_power(factors: set[str], predicate, exponent: int, max_len: int) -> str | None:
     best = None
     by_len: dict[int, list[str]] = {}

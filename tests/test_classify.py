@@ -16,6 +16,7 @@ from linrep.classify import (
     derive_return_words,
     derived_periodicity,
     is_periodic,
+    return_word_pairs,
     _core_levels,
 )
 from linrep.substitution import (
@@ -26,7 +27,12 @@ from linrep.substitution import (
     is_primitive,
 )
 
-from bruteforce import mat_pow, own_set_compatibility, rescan_extendable_core
+from bruteforce import (
+    factor_set_return_pairs,
+    mat_pow,
+    own_set_compatibility,
+    rescan_extendable_core,
+)
 from conftest import CATALOG_NAMES
 
 
@@ -355,7 +361,7 @@ def test_lr_bound_beyond_old_scan_depth(rules, kappa, G, confirm):
     rep = classify(s)
     assert rep.minimal == YES and rep.certificate.kappa == kappa
     assert rep.lr is not None and rep.lr.G == G
-    assert rep.lr.factor_depth == rep.factors.max_length >= 2 * kappa
+    assert rep.factors.max_length == 17  # compat_depth + 1: the pairs read no factor set
     if confirm:
         # G by definition, on a saturated factor set one letter deeper: every
         # factor of length G holds every pair, and some of length G - 1 misses one
@@ -367,7 +373,9 @@ def test_lr_bound_beyond_old_scan_depth(rules, kappa, G, confirm):
 
 
 def test_classify_builds_one_factor_set(monkeypatch):
-    # compatibility, periodicity and the return words all read the one set
+    # one set per system: at the compatibility depth 17 for a certified
+    # system, whose return words and periodicity read no factors, and at the
+    # core walk's 40 + CORE_MARGIN = 48 for any other
     calls = []
     build = wd.factor_language
 
@@ -379,7 +387,67 @@ def test_classify_builds_one_factor_set(monkeypatch):
     for name in CATALOG_NAMES:
         calls.clear()
         rep = classify(lr.load(name))
-        assert calls == [rep.factors.max_length], name
+        assert calls == [17 if rep.minimal == YES else 48], name
+        assert rep.factors.max_length == calls[0], name
+
+
+def _drawn_systems(seed, count, sizes, lengths):
+    # seeded random systems, `count` of them: an alphabet size from `sizes`
+    # and every image length from `lengths`
+    rng = random.Random(seed)
+    for _ in range(count):
+        letters = [chr(ord("a") + i) for i in range(rng.choice(sizes))]
+        rules = {a: "".join(rng.choices(letters, k=rng.randint(*lengths))) for a in letters}
+        yield Substitution.from_rules(rules)
+
+
+def _certificate(s):
+    try:
+        _, decision = decide_minimality(s)
+    except SubstitutionError:
+        return None  # empty subshift or unreachable letters
+    return decision.certificate
+
+
+def test_return_word_pairs_match_factor_set_oracle():
+    # the conjugated return-word step against the return words and pairs
+    # read off a saturated factor set of depth 2 * kappa
+    systems = [lr.load(name) for name in CATALOG_NAMES]
+    systems += [Substitution.from_rules(rules) for rules in _sweep_systems()]
+    for s in systems:
+        rep = classify(s)
+        if rep.minimal == YES:
+            fs = wd.factor_language(s, 2 * rep.certificate.kappa)
+            rw, pairs = factor_set_return_pairs(rep.certificate.letter, fs)
+            assert (rep.lr.return_words, rep.lr.pair_set) == (rw, tuple(pairs)), s
+    certified = 0
+    for s in _drawn_systems(19, 600, [2, 3, 4], (1, 6)):
+        cert = _certificate(s)
+        if cert is not None:
+            fs = wd.factor_language(s, 2 * cert.kappa)
+            assert return_word_pairs(s, cert.letter) == factor_set_return_pairs(cert.letter, fs), s
+            certified += 1
+    assert certified >= 400
+    # 8-16 letters, where the pair test on a deep factor set is slow; kappa
+    # <= 32 keeps the oracle's set cheap
+    wide = 0
+    for s in _drawn_systems(8, 240, range(8, 17), (2, 4)):
+        cert = _certificate(s)
+        if cert is not None and cert.kappa <= 32:
+            fs = wd.factor_language(s, 2 * cert.kappa)
+            assert return_word_pairs(s, cert.letter) == factor_set_return_pairs(cert.letter, fs), s
+            wide += 1
+    assert wide >= 20
+
+
+def test_return_word_pairs_work_cap_is_a_caveat(monkeypatch):
+    # thue-morse's S images hold 4 letters, and its iterates ab, abba of a
+    # write 6 more before a second a shows up: 10 letters in all, past 8
+    module = importlib.import_module("linrep.classify")
+    monkeypatch.setattr(module, "DERIVATION_WORK", 8)
+    rep = classify(lr.load("thue-morse"))
+    assert rep.minimal == YES and rep.lr is None
+    assert "repetitivity constant undecided: return-word derivation wrote more than 8 letters" in rep.depth_caveats
 
 
 # the six systems whose iterates grow fast while new factors arrive slowly

@@ -247,6 +247,25 @@ def test_recognition_rule_refuses_periodic():
         rec.recognition_rule(s, wd.factor_language(s, 32), rep)
 
 
+def test_window_ladder_ends_at_the_width_cap(monkeypatch):
+    # periodic-ab (a -> aba) holds every power (ab)^n, so no depth certifies
+    # the exponent bound: from the classify depth 17 the ladder doubles to
+    # 34, 68 and 136, builds MAX_WIDTH_DEPTH itself last, and then raises
+    s = lr.load("periodic-ab")
+    factors = wd.factor_language(s, 17)
+    calls = []
+    build = wd.factor_language
+
+    def counted(s, max_length, **kwargs):
+        calls.append(max_length)
+        return build(s, max_length, **kwargs)
+
+    monkeypatch.setattr(wd, "factor_language", counted)
+    with pytest.raises(rec.ShallowFactorSetError):
+        rec.window_half_width(s, factors)
+    assert calls == [34, 68, 136, 256] and calls[-1] == rec.MAX_WIDTH_DEPTH
+
+
 def test_no_doubled_letter_run_arithmetic():
     # in the no-doubled-letter case, the fixed-letter runs between image
     # blocks are pinned: every full-block decomposition of an aligned image

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -261,6 +262,29 @@ def test_growth_ratios_match_inline_expressions(name, catalog_subs, catalog_repo
     lam = min(e_lengths[n] / theta**n for n in range(1, n_max + 1))
     rho = max(cube_lengths[n] / theta**n for n in range(1, n_max + 1))
     assert g.freq_lower_bound == lam / (rep.lr.value * rho)
+
+
+@pytest.mark.parametrize("name", GORDON_NAMES)
+def test_gordon_check_equals_a_full_depth_search(name, catalog_subs, catalog_reports, monkeypatch):
+    # the cube witness is searched in the report's set (depth 17 for these
+    # certified systems) first; the outcome is the one a set of
+    # GORDON_SEARCH_DEPTH gives, and a hit there builds no second set
+    s, rep = catalog_subs[name], catalog_reports[name]
+    monkeypatch.setattr(spectral, "GORDON_SAMPLE_LENGTH", 100000)
+    deep = dataclasses.replace(rep, factors=lr.factor_language(s, spectral.GORDON_SEARCH_DEPTH))
+    expected = gordon_check(s, deep)
+    calls = []
+    build = spectral.wd.factor_language
+
+    def counted(s, max_length, **kwargs):
+        calls.append(max_length)
+        return build(s, max_length, **kwargs)
+
+    monkeypatch.setattr(spectral.wd, "factor_language", counted)
+    assert rep.factors.max_length == 17
+    assert gordon_check(s, rep) == expected
+    hit_at_17 = name in {"fibonacci", "free", "period-doubling", "periodic-ab"}
+    assert calls == ([] if hit_at_17 else [spectral.GORDON_SEARCH_DEPTH])
 
 
 def test_gordon_thue_morse_missing(catalog_subs, catalog_reports):
