@@ -866,6 +866,8 @@ def classify(
         periodicity = derived_periodicity(s, letter, aperiodic_depth)
     else:
         periodicity = is_periodic(factors)
+    if periodicity.status == UNDECIDED:
+        caveats.append(f"periodicity undecided: {periodicity.note}")
     if compatibility.status != "holds-certified":
         caveats.append(
             "statements describe the finite-word language; its compatibility "

@@ -141,15 +141,16 @@ def enumerate_one_partitions(s: Substitution, w: str) -> list[OnePartition]:
     return out
 
 
-def _certified_exponent(v: str, factors: wd.FactorSet, bound: str) -> int:
-    """The largest n with v^n a factor; raises `bound`, formatted with the
-    {power} and {depth}, when v^(n+1) does not fit inside the factor depth."""
+def _certified_exponent(v: str, factors: wd.FactorSet) -> int:
+    """The largest n with v^n a factor; raises `ShallowFactorSetError`, naming
+    v^(n+1) and the depth, when that power does not fit inside the depth."""
     n = 1
     while len(v) * (n + 1) <= factors.max_length and v * (n + 1) in factors:
         n += 1
     if len(v) * (n + 1) > factors.max_length:
         raise ShallowFactorSetError(
-            bound.format(power=f"{v!r}^{n + 1}", depth=factors.max_length)
+            f"cannot certify the power bound: {v!r}^{n + 1} exceeds factor depth "
+            f"{factors.max_length}"
         )
     return n
 
@@ -164,9 +165,8 @@ def power_bound(s: Substitution, factors: wd.FactorSet) -> int:
     a, _ = shape_letters(s)
     factors.require_saturated()
     alpha = s.rules[a]
-    bound = "cannot certify the power bound: {power} exceeds factor depth {depth}"
     return max(
-        len(v) * _certified_exponent(v, factors, bound)
+        len(v) * _certified_exponent(v, factors)
         for v in sorted(wd.subwords(alpha, len(alpha)))
     )
 
@@ -175,10 +175,9 @@ def max_power_exponent(s: Substitution, factors: wd.FactorSet) -> int:
     """N: the largest n with v^n in the language over factors v of length <= 2|S(a)|."""
     a, _ = shape_letters(s)
     factors.require_saturated()
-    bound = "cannot certify the exponent bound: {power} exceeds factor depth"
     return max(
         (
-            _certified_exponent(v, factors, bound)
+            _certified_exponent(v, factors)
             for m in range(1, 2 * len(s.rules[a]) + 1)
             for v in factors.words_of_length(m)
         ),
@@ -190,8 +189,6 @@ def max_power_exponent(s: Substitution, factors: wd.FactorSet) -> int:
 class WindowWidth:
     route: str  # "doubled-letter" | "no-doubled-letter"
     half_width: int
-    power_bound: int | None
-    max_exponent: int | None
 
 
 def window_half_width(s: Substitution, factors: wd.FactorSet) -> WindowWidth:
@@ -207,19 +204,9 @@ def window_half_width(s: Substitution, factors: wd.FactorSet) -> WindowWidth:
         try:
             if a + a in alpha:
                 L0 = power_bound(s, factors)
-                return WindowWidth(
-                    route="doubled-letter",
-                    half_width=L0 + 2 * (len(alpha) + 1),
-                    power_bound=L0,
-                    max_exponent=None,
-                )
+                return WindowWidth("doubled-letter", L0 + 2 * (len(alpha) + 1))
             N = max_power_exponent(s, factors)
-            return WindowWidth(
-                route="no-doubled-letter",
-                half_width=(N + 2) * 2 * len(alpha),
-                power_bound=None,
-                max_exponent=N,
-            )
+            return WindowWidth("no-doubled-letter", (N + 2) * 2 * len(alpha))
         except ShallowFactorSetError:
             if factors.max_length >= MAX_WIDTH_DEPTH:
                 raise

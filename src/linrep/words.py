@@ -4,14 +4,14 @@ Words are plain Python strings over single-character letters.  The factor
 language of a substitution S collects every subword of length <= n of every
 iterate S^k(a), a in the alphabet.  `factor_language` builds it by a closure
 at the fixed depth n and stores only its maximal words: the factors of
-length n and the whole iterates shorter than n, each with a witness
-(a, k).  It also keeps the end words, the last n letters of each iterate
-S^k(a) (all of it while it is shorter).  Every factor is a prefix of a
-maximal word or of a suffix of an end word, so `FactorSet` derives the full
-set, the words of one length and the witnesses only when a caller asks for
-them; membership tests and the return words read the maximal words and
-the roots directly.  The cost follows the number of length-n factors, not
-the length of the iterates or the number of shorter factors.
+length n and the whole iterates shorter than n.  It also keeps the end
+words, the last n letters of each iterate S^k(a) (all of it while it is
+shorter).  Every factor is a prefix of a maximal word or of a suffix of an
+end word, so `FactorSet` derives the full set and the words of one length
+only when a caller asks for them; membership tests and the return words
+read the maximal words and the roots directly.  The cost follows the number
+of length-n factors, not the length of the iterates or the number of
+shorter factors.
 
 Coverage lengths, the smallest L such that every factor of length L holds
 every target, have one algorithm: `coverage_exact`, an exact fold over the
@@ -21,14 +21,16 @@ repetitivity function R(n) and the pair coverage G all read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
+
+from .substitution import SubstitutionError
 
 Word = str
 
 
-class UnsaturatedFactorSetError(ValueError):
+class UnsaturatedFactorSetError(SubstitutionError):
     """An operation required a saturated factor set but got a capped one."""
 
 
@@ -47,60 +49,42 @@ def subwords(w: Word, max_length: int) -> set[Word]:
 class FactorSet:
     """Factors of a substitution language up to `max_length`, kept as maximal words.
 
-    `maximal` maps every factor of length max_length, and every whole
-    iterate S^k(a) shorter than that, to a witness (a, k) with the word a
-    subword of S^k(a).  `ends` maps each end word seen (the last max_length
-    letters of S^k(a), or all of it) to its witness.  Every factor is a
+    `maximal` holds every factor of length max_length and every whole
+    iterate S^k(a) shorter than that.  `ends` holds each end word seen: the
+    last max_length letters of S^k(a), or all of it.  Every factor is a
     subword of a maximal word and a prefix of a *root*: a maximal word or a
     proper suffix of an end word.
 
     `saturated` is True when the closure reached a fixed point, in which
     case `words` is exactly the set of nonempty factors of length
-    <= max_length.  `roots`, `words`, `words_of_length` and `witnesses` are
-    derived on first use; `in` searches the maximal words.
+    <= max_length.  `roots` and `words` are derived on first use;
+    `words_of_length` cuts the roots, and `in` searches the maximal words.
     """
 
     substitution: object
     max_length: int
-    maximal: dict[Word, tuple[str, int]]
-    ends: dict[Word, tuple[str, int]]
+    maximal: frozenset[Word]
+    ends: frozenset[Word]
     saturated: bool
     rounds: int
-    _by_length: dict[int, tuple[Word, ...]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @cached_property
-    def roots(self) -> dict[Word, tuple[str, int]]:
-        """The maximal words and the proper suffixes of the end words, with witnesses."""
-        roots = dict(self.maximal)
-        for e, origin in self.ends.items():
-            for i in range(1, len(e)):
-                roots.setdefault(e[i:], origin)
-        return roots
-
-    def _derive(self, record: Callable[[Word, tuple[str, int]], None], known) -> None:
-        # the prefixes of every root, longest first; the derived set stays
-        # prefix-closed, so the first known prefix ends the walk
-        for root, origin in self.roots.items():
-            for length in range(len(root), 0, -1):
-                w = root[:length]
-                if w in known:
-                    break
-                record(w, origin)
+    def roots(self) -> frozenset[Word]:
+        """The maximal words and the proper suffixes of the end words."""
+        return self.maximal.union(e[i:] for e in self.ends for i in range(1, len(e)))
 
     @cached_property
     def words(self) -> frozenset[Word]:
+        # the prefixes of every root, longest first; the set stays
+        # prefix-closed, so the first known prefix ends the walk
         words: set[Word] = set()
-        self._derive(lambda w, _: words.add(w), words)
+        for root in self.roots:
+            for length in range(len(root), 0, -1):
+                w = root[:length]
+                if w in words:
+                    break
+                words.add(w)
         return frozenset(words)
-
-    @cached_property
-    def witnesses(self) -> dict[Word, tuple[str, int]]:
-        """Maps each factor w to a pair (a, n) with w a subword of S^n(a)."""
-        witnesses: dict[Word, tuple[str, int]] = {}
-        self._derive(witnesses.__setitem__, witnesses)
-        return witnesses
 
     @cached_property
     def _text(self) -> tuple[str, str]:
@@ -117,11 +101,7 @@ class FactorSet:
 
     def words_of_length(self, length: int) -> tuple[Word, ...]:
         """Sorted tuple of the factors of exactly the given length."""
-        if length not in self._by_length:
-            self._by_length[length] = tuple(
-                sorted({r[:length] for r in self.roots if len(r) >= length})
-            )
-        return self._by_length[length]
+        return tuple(sorted({r[:length] for r in self.roots if len(r) >= length}))
 
     def require_saturated(self) -> None:
         if not self.saturated:
@@ -149,9 +129,7 @@ def factor_language(s, max_length: int) -> FactorSet:
     end word E_{k-1}(a): the last n letters of S^(k-1)(a), or all of it
     while it is shorter.  The new end word E_k(a) is the last n letters of
     that image; while S^k(a) is shorter than n it is stored whole as a
-    maximal word.  A word found in round k lies in S^k(a), with a the
-    witness letter of the factor or end word it came from, and (a, k) is
-    kept as its witness.
+    maximal word.
 
     Covering: S is non-erasing, so a window v of length <= n of
     S^k(a) = S(x), x = S^(k-1)(a), starts inside S(x[j]) for some j.  If
@@ -188,36 +166,36 @@ def factor_language(s, max_length: int) -> FactorSet:
     rules = s.rules
     apply = s.apply
     letters = list(s.letters)
-    maximal: dict[str, tuple[str, int]] = {}
-    ends: dict[str, tuple[str, int]] = {}
+    maximal: set[str] = set()
+    ends: set[str] = set()
     fresh: list[str] = []  # factors of length n found in the current round
 
-    def harvest(text: str, stop: int, origin: tuple[str, int]) -> None:
+    def harvest(text: str, stop: int) -> None:
         # length-n windows starting before `stop`
         for i in range(min(stop, len(text) - n + 1)):
             w = text[i : i + n]
             if w not in maximal:
-                maximal[w] = origin
+                maximal.add(w)
                 fresh.append(w)
 
-    def advance(images: dict[str, str], k: int) -> bool:
+    def advance(images: dict[str, str]) -> bool:
         # harvest each letter's image and keep its end word; True when the
         # round adds nothing.  Short iterates are stored whether or not they
         # are new, and searched in the maximal words only in a round without
         # new length-n factors, the only round where that decides anything
-        short: dict[str, tuple[str, int]] = {}
+        short: set[str] = set()
         for a, image in images.items():
-            harvest(image, len(image), (a, k))
+            harvest(image, len(image))
             tail = tails[a] = image[-n:]
-            ends.setdefault(tail, (a, k))
+            ends.add(tail)
             if len(tail) < n and tail not in maximal:
-                short.setdefault(tail, (a, k))
+                short.add(tail)
         quiet = not fresh and all(any(t in m for m in maximal) for t in short)
         maximal.update(short)
         return quiet
 
     tails: dict[str, str] = {}
-    advance({a: a for a in letters}, 0)
+    advance({a: a for a in letters})
 
     saturated = False
     rounds = 0
@@ -225,8 +203,8 @@ def factor_language(s, max_length: int) -> FactorSet:
         rounds = k
         batch, fresh = fresh, []
         for u in batch:
-            harvest(apply(u), len(rules[u[0]]), (maximal[u][0], k))
-        quiet = advance({a: apply(tails[a]) for a in letters}, k)
+            harvest(apply(u), len(rules[u[0]]))
+        quiet = advance({a: apply(tails[a]) for a in letters})
         if len(maximal) > MAX_WORDS:
             break
         if quiet:
@@ -236,14 +214,14 @@ def factor_language(s, max_length: int) -> FactorSet:
     return FactorSet(
         substitution=s,
         max_length=max_length,
-        maximal=maximal,
-        ends=ends,
+        maximal=frozenset(maximal),
+        ends=frozenset(ends),
         saturated=saturated,
         rounds=rounds,
     )
 
 
-class CoverageUndecidedError(ValueError):
+class CoverageUndecidedError(SubstitutionError):
     """`coverage_exact` hit its round cap before its summaries repeated."""
 
 

@@ -172,14 +172,13 @@ def closure_factor_language(s, max_length: int):
     inside the image of their first letter, plus the whole image of each
     letter's end word, and adds every window and its prefixes.  It stops
     unsaturated after the library's caps: max(64, 3n + 16) rounds or more
-    than 10**6 words.  Returns (words, witnesses, saturated, rounds).
+    than 10**6 words.  Returns (words, saturated, rounds).
     """
     n = max_length
     words: set[str] = set()
-    witnesses: dict[str, tuple[str, int]] = {}
     fresh: list[str] = []
 
-    def harvest(text, stop, origin):
+    def harvest(text, stop):
         for i in range(min(stop, len(text))):
             length = min(n, len(text) - i)
             while length >= 1:
@@ -187,13 +186,12 @@ def closure_factor_language(s, max_length: int):
                 if w in words:
                     break
                 words.add(w)
-                witnesses[w] = origin
                 if length == n:
                     fresh.append(w)
                 length -= 1
 
     for a in s.letters:
-        harvest(a, 1, (a, 0))
+        harvest(a, 1)
     ends = {a: a for a in s.letters}
     saturated = False
     rounds = 0
@@ -202,17 +200,17 @@ def closure_factor_language(s, max_length: int):
         size = len(words)
         batch, fresh = fresh, []
         for u in batch:
-            harvest(apply_rules(s.rules, u), len(s.rules[u[0]]), (witnesses[u][0], k))
+            harvest(apply_rules(s.rules, u), len(s.rules[u[0]]))
         for a in s.letters:
             image = apply_rules(s.rules, ends[a])
             ends[a] = image[-n:]
-            harvest(image, len(image), (a, k))
+            harvest(image, len(image))
         if len(words) > 10**6:
             break
         if len(words) == size:
             saturated = True
             break
-    return words, witnesses, saturated, rounds
+    return words, saturated, rounds
 
 
 def scan_coverage_length(words: set[str], targets, max_length: int) -> int | None:
@@ -225,73 +223,6 @@ def scan_coverage_length(words: set[str], targets, max_length: int) -> int | Non
         if candidates and all(t in w for w in candidates for t in targets):
             return length
     return None
-
-
-def failed_witnesses(rules: dict[str, str], witnesses: dict[str, tuple[str, int]], m: int):
-    """Words w whose witness (a, k) is wrong: w is not a subword of S^k(a).
-
-    Level by level, each S^i(b) is kept as its length-m windows plus its
-    first and last m - 1 letters (or whole while short), built from the
-    blocks S^(i-1)(c), c in S(b): the windows inside a long block are that
-    block's, and every other window lies in the string of whole short
-    blocks and the edges of long blocks around a seam.  No iterate longer
-    than 4m is ever written out.  A word that is a prefix of another word
-    with the same witness holds when that one does, so only the others are
-    searched.
-    """
-    sep = "\x00"
-    keep = m - 1
-
-    def state(text):
-        if len(text) <= 4 * m:
-            wins = {text[i : i + m] for i in range(len(text) - m + 1)}
-            return text, text[:keep], text[len(text) - keep :], wins
-        return None
-
-    by_key: dict[tuple[str, int], list[str]] = {}
-    for w, key in witnesses.items():
-        by_key.setdefault(key, []).append(w)
-    by_level: dict[int, list[tuple[str, str]]] = {}
-    for (a, k), ws in by_key.items():
-        ws.sort()
-        for w, after in zip(ws, ws[1:] + [""]):
-            if not after.startswith(w):
-                by_level.setdefault(k, []).append((w, a))
-    level = {b: state(b) for b in rules}
-    failed = []
-    for i in range(max(by_level) + 1):
-        if i > 0:
-            prev, level = level, {}
-            for b, image in rules.items():
-                parts, wins = [], set()
-                for c in image:
-                    full, head, tail, cwins = prev[c]
-                    if full is not None:
-                        parts.append(full)
-                    else:
-                        parts += [head, sep, tail]
-                        wins |= cwins
-                skeleton = "".join(parts)
-                level[b] = state(skeleton) if sep not in skeleton else None
-                if level[b] is None:
-                    segments = skeleton.split(sep)
-                    for seg in segments:
-                        wins.update(seg[j : j + m] for j in range(len(seg) - m + 1))
-                    level[b] = (None, segments[0][:keep], segments[-1][len(segments[-1]) - keep :], wins)
-        texts = {}
-        for w, a in by_level.get(i, ()):
-            full, _, _, wins = level[a]
-            if full is not None:
-                ok = w in full
-            elif len(w) == m:
-                ok = w in wins
-            else:
-                if a not in texts:
-                    texts[a] = sep.join(wins)
-                ok = w in texts[a]
-            if not ok:
-                failed.append(w)
-    return failed
 
 
 def own_set_compatibility(s, depth: int = 16):

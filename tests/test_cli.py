@@ -10,12 +10,14 @@ import pytest
 import linrep as lr
 from linrep import catalog
 from linrep import recognizer as rec
+from linrep import words as wd
 from linrep.cli import build_parser, main
 from linrep.substitution import validate
 
 from bruteforce import interior_cuts
 
 GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,32 @@ def test_analyze_undecided_exit3(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 3
     out = capsys.readouterr().out
     assert "minimal: undecided-at-depth" in out
+
+
+def test_analyze_undecided_periodicity_names_its_cap(tmp_path, capsys):
+    # primitive and certified minimal, but the return-word derivation of its
+    # periodicity writes more than DERIVATION_WORK letters
+    path = DATA / "undecided-5.json"
+    out_json = tmp_path / "u5.json"
+    assert main(["analyze", str(path), "--json", str(out_json)]) == 3
+    out = capsys.readouterr().out
+    assert "minimal: yes" in out
+    assert "periodic: undecided-at-depth (depth 0)" in out
+    caveat = "periodicity undecided: return-word derivation wrote more than 10000000 letters"
+    assert f"caveat: {caveat}\n" in out
+    payload = json.loads(out_json.read_text())
+    assert payload["periodic"]["status"] == "undecided-at-depth"
+    assert caveat in payload["depth_caveats"]
+
+
+def test_unsaturated_factor_set_is_an_input_error(defs, capsys, monkeypatch):
+    # a word cap of 20 leaves the depth-17 factor set unsaturated, so the
+    # power bound raises UnsaturatedFactorSetError; main maps it to one line
+    monkeypatch.setattr(wd, "MAX_WORDS", 20)
+    argv = ["partition", str(defs / "minimal-nonprimitive-noaa.json"), "--prefix", "300"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_analyze_growth_past_float_range_is_a_caveat(defs):

@@ -207,7 +207,7 @@ def test_window_width_routes(abaa, abaa_factors):
     fs = wd.factor_language(noaa, 64)
     ww2 = rec.window_half_width(noaa, fs)
     assert ww2.route == "no-doubled-letter"
-    assert ww2.half_width == (ww2.max_exponent + 2) * 2 * len(noaa.rules["a"])
+    assert ww2.half_width == (rec.max_power_exponent(noaa, fs) + 2) * 2 * len(noaa.rules["a"])
 
 
 def test_propagation_below_threshold(abaa, abaa_factors):
@@ -261,7 +261,7 @@ def test_window_ladder_ends_at_the_width_cap(monkeypatch):
         return build(s, max_length, **kwargs)
 
     monkeypatch.setattr(wd, "factor_language", counted)
-    with pytest.raises(rec.ShallowFactorSetError):
+    with pytest.raises(rec.ShallowFactorSetError, match=r"'ab'\^129 exceeds factor depth 256$"):
         rec.window_half_width(s, factors)
     assert calls == [34, 68, 136, 256] and calls[-1] == rec.MAX_WIDTH_DEPTH
 
@@ -374,7 +374,7 @@ def test_rule_refuses_too_narrow_half_width(shape_rules, monkeypatch, name):
     # center, and the exhaustive check must name it
     s, rep, _ = shape_rules[name]
     monkeypatch.setattr(
-        rec, "window_half_width", lambda *_: rec.WindowWidth("doubled-letter", 1, None, None)
+        rec, "window_half_width", lambda *_: rec.WindowWidth("doubled-letter", 1)
     )
     with pytest.raises(SubstitutionError, match="do not decide a cut"):
         rec.recognition_rule(s, rep.factors, rep)

@@ -21,7 +21,6 @@ from linrep.words import (
 from bruteforce import (
     closure_factor_language,
     distinct_windows,
-    failed_witnesses,
     naive_count,
     naive_factors,
     naive_find_power,
@@ -84,28 +83,6 @@ def test_factor_language_matches_bruteforce(name, catalog_subs):
     fs = factor_language(s, depth)
     assert fs.saturated
     assert fs.words == naive_factors(s.rules, depth)
-
-
-def test_witnesses_recheck(fib):
-    fs = factor_language(fib, 10)
-    for w in sorted(fs.words):
-        letter, level = fs.witnesses[w]
-        assert w in fib.iterate(letter, level)
-
-
-def test_witnesses_recheck_slow_system():
-    # new factors keep arriving for about max_length rounds, so witnesses
-    # reach deep iterates; each must still hold its word
-    s = Substitution.from_rules({"a": "abc", "b": "bc", "c": "c"})
-    fs = factor_language(s, 32)
-    assert fs.saturated
-    assert max(level for _, level in fs.witnesses.values()) >= 30
-    iterates: dict[tuple[str, int], str] = {}
-    for w in sorted(fs.words):
-        key = fs.witnesses[w]
-        if key not in iterates:
-            iterates[key] = s.iterate(*key)
-        assert w in iterates[key]
 
 
 def test_unsaturated_is_flagged_not_truncated(monkeypatch):
@@ -278,11 +255,18 @@ def _oracle_substitution(name: str, catalog_subs) -> Substitution:
 def test_factor_language_matches_closure_oracle(name, depth, catalog_subs):
     s = _oracle_substitution(name, catalog_subs)
     fs = factor_language(s, depth)
-    words, _, saturated, rounds = closure_factor_language(s, depth)
+    words, saturated, rounds = closure_factor_language(s, depth)
     assert (fs.saturated, fs.rounds) == (saturated, rounds)
     assert fs.words == words
-    assert fs.witnesses.keys() == words
-    assert failed_witnesses(s.rules, fs.witnesses, depth) == []
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_words_of_length_match_closure_oracle(name, catalog_subs):
+    s = catalog_subs[name]
+    fs = factor_language(s, 24)
+    words, *_ = closure_factor_language(s, 24)
+    for n in range(1, 25):
+        assert fs.words_of_length(n) == tuple(sorted(w for w in words if len(w) == n)), n
 
 
 @pytest.mark.parametrize(
@@ -345,7 +329,7 @@ CLASSIFY_SLOW_RULES = [
 
 def _check_fold_against_scan(s, target_sets, depth) -> int:
     """Compare coverage_exact with the scan; returns how many values were compared."""
-    words, _, saturated, _ = closure_factor_language(s, depth)
+    words, saturated, _ = closure_factor_language(s, depth)
     assert saturated
     compared = 0
     for targets in target_sets:
