@@ -66,7 +66,6 @@ from .words import (
     coverage_exact,
     factor_language,
     find_power,
-    repetitivity_function,
     return_words,
     subwords,
 )

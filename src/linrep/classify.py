@@ -33,14 +33,17 @@ of a system that is not certified.
 
 Periodicity of a certified system is exact: `derived_periodicity` iterates
 the return-word derivation (Durand 1998) until it reaches one letter
-(periodic) or repeats (aperiodic).  Only a system that is not certified
-minimal walks the factor-complexity core of `is_periodic` to a depth.
+(periodic) or repeats (aperiodic).  A system that is not certified
+minimal walks the factor-complexity core of `is_periodic` to a depth, and
+so does a certified one whose derivation passes its work cap.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import words as wd
 from .substitution import (
@@ -463,18 +466,27 @@ def _minimal_period(u: str) -> int:
     return n
 
 
-def _core_levels(factors: wd.FactorSet):
-    # The levels of the extendable core, longest first.  A word without a
-    # kept extension on one side occurs in no two-sided sequence, so the kept
-    # words of length L are those that are both a prefix and a suffix of kept
-    # words of length L + 1.  The words of maximal length are all kept, so
-    # the core is only trustworthy with a margin below max_length.
-    factors.require_saturated()
-    level = {w for w in factors.maximal if len(w) == factors.max_length}
-    while level:
-        yield level
-        level = {w[:-1] for w in level} & {w[1:] for w in level}
-        level.discard("")
+def _walk_core(coded: wd.CodedWords, length: int):
+    # The levels of the extendable core, longest first, as (length, kept):
+    # kept marks the prefix classes of that length in the core.  `coded`
+    # holds the words of the given length, which are all kept.  A word
+    # without a kept extension on one side occurs in no two-sided sequence,
+    # so the kept words of length L are those that are both a prefix and a
+    # suffix of kept words of length L + 1: a class with a kept class below
+    # it, hit by the suffix link of a kept word.  The core is only
+    # trustworthy with a margin below the factor depth.
+    kept = np.ones(len(coded.words), bool)
+    classes = coded.classes(length)
+    while length and kept.any():
+        yield length, kept
+        length -= 1
+        live = kept[classes]
+        classes = coded.classes(length)
+        kept = np.zeros_like(live)
+        kept[classes[live]] = True
+        suffix = np.zeros_like(live)
+        suffix[classes[coded.link[live & (coded.reach >= length)]]] = True
+        kept &= suffix
 
 
 def is_periodic(factors: wd.FactorSet) -> PeriodicityResult:
@@ -482,13 +494,16 @@ def is_periodic(factors: wd.FactorSet) -> PeriodicityResult:
 
     The subshift only sees two-sided-extendable factors, so complexity is
     read off the pruned core, to the depth factors.max_length - CORE_MARGIN
-    (the margin keeps it clear of boundary effects).  Core complexity
-    p(n) <= n at any n forces eventual periodicity; the period word is then
-    extracted from a longest core factor and verified to tile every core
-    factor.  Otherwise p(n) >= n + 1 throughout and the system is aperiodic
-    up to the depth.  Every core word is a prefix of a longer one, so the
-    tiling is checked on the longest core words within the margin alone,
-    and only their level is kept.
+    (the margin keeps it clear of boundary effects).  The core is walked on
+    the factors of length max_length coded as integer levels
+    (`words.code_words`): each level is an array of kept prefix classes,
+    and only the level of the horizon, one past the depth, becomes words.
+    Core complexity p(n) <= n at any n forces eventual periodicity; the
+    period word is then extracted from a longest core factor and verified
+    to tile every core factor.  Otherwise p(n) >= n + 1 throughout and the
+    system is aperiodic up to the depth.  Every core word is a prefix of a
+    longer one, so the tiling is checked on the core words of the horizon
+    alone.
     """
     depth = factors.max_length - CORE_MARGIN
     if not factors.saturated:
@@ -499,13 +514,15 @@ def is_periodic(factors: wd.FactorSet) -> PeriodicityResult:
             note=f"factor set did not saturate at depth {factors.max_length}",
         )
     horizon = depth + 1  # lengths safe from boundary effects
-    top: set[str] = set()  # the longest core words within the horizon
+    longest = [w for w in factors.maximal if len(w) == factors.max_length]
+    coded = wd.code_words(longest, factors.substitution.letters)
+    top: list[str] = []  # the core words of the horizon
     sizes: dict[int, int] = {}
-    for level in _core_levels(factors):
-        length = len(next(iter(level)))
+    for length, kept in _walk_core(coded, factors.max_length):
         if length <= horizon:
-            top = top or level
-            sizes[length] = len(level)
+            sizes[length] = int(np.count_nonzero(kept))
+        if length == horizon:
+            top = coded.prefixes(length, kept)
     for n in range(1, depth + 1):
         if sizes.get(n, 0) <= n:
             u = min(top)
@@ -841,7 +858,9 @@ def classify(
     "aperiodic-up-to-depth" at aperiodic_depth = compat_depth +
     APERIODIC_MARGIN.  Any other system gets its set at aperiodic_depth +
     CORE_MARGIN and walks the periodicity core of `is_periodic` to
-    aperiodic_depth."""
+    aperiodic_depth.  So does a certified system whose derivation passes
+    DERIVATION_WORK, on a set of that depth of its own, with a caveat that
+    names the cap."""
     candidates, decision = decide_minimality(s)
     minimal = decision.status
     aperiodic_depth = compat_depth + APERIODIC_MARGIN
@@ -864,6 +883,10 @@ def classify(
     if minimal == YES:
         letter = decision.certificate.letter
         periodicity = derived_periodicity(s, letter, aperiodic_depth)
+        if periodicity.status == UNDECIDED:  # the derivation passed its work cap
+            cap = periodicity.note
+            periodicity = is_periodic(wd.factor_language(s, aperiodic_depth + CORE_MARGIN))
+            caveats.append(f"periodicity from the core walk to depth {aperiodic_depth}: {cap}")
     else:
         periodicity = is_periodic(factors)
     if periodicity.status == UNDECIDED:

@@ -601,7 +601,11 @@ def check_compatibility(s: Substitution, factors, depth: int = 16) -> Compatibil
     extension on one side can never occur inside a two-sided sequence.
     Either certificate shows that every factor extends on both sides, so
     the refutation scan can find nothing where one holds, and it runs only
-    when neither does.  Anything else: unknown.
+    when neither does.  The scan, `FactorSet.blocked_factor`, codes the
+    roots cut to depth + 1 as integer levels (`words.code_words`) and reads
+    each length's extensions off arrays, without slicing a word per level;
+    it names the first blocked factor in sorted order of the shortest length
+    that has one.  Anything else: unknown.
     """
     if factors.max_length < depth + 1:
         raise ValueError(
@@ -631,7 +635,6 @@ def check_compatibility(s: Substitution, factors, depth: int = 16) -> Compatibil
 
     # seed-pair certificate
     if factors.max_length >= 2:
-        pairs = set(factors.words_of_length(2))
         ends = _return_times(s.last_letter, split.growing, depth)
         begins = _return_times(s.first_letter, split.growing, depth)
         for x in sorted(ends):
@@ -639,34 +642,15 @@ def check_compatibility(s: Substitution, factors, depth: int = 16) -> Compatibil
                 p = math.lcm(ends[x], begins[y])
                 if p > depth:
                     continue
-                if (x + y) in pairs and (s.reachable([x]) | s.reachable([y])) == all_letters:
+                if (x + y) in factors and (s.reachable([x]) | s.reachable([y])) == all_letters:
                     return CompatibilityResult(
                         "holds-certified",
                         {"kind": "seed-pair", "left": x, "right": y, "power": p},
                     )
 
-    # refutation scan over the factors of each length n <= depth + 1, two
-    # levels at a time, longest first: every factor is a prefix of a root,
-    # so level n holds the roots cut to length n and the words of level
-    # n + 1 less their last letter.  A word has a right (left) extension
-    # when it is a prefix (suffix) of a word one level up, so only a root of
-    # length n can lack a right one.  The verdict names the shortest level
-    # with a blocked word: its first in sorted order, the right side checked
-    # before the left
-    roots: dict[int, set[str]] = {}
-    for r in factors.roots:
-        roots.setdefault(min(len(r), depth + 1), set()).add(r[: depth + 1])
-    upper = roots.pop(depth + 1, set())
-    blocked = None
-    for n in range(depth, 0, -1):
-        level = {u[:-1] for u in upper}
-        right = roots.pop(n, set()) - level
-        level |= right
-        left = level - {u[1:] for u in upper}
-        if right or left:
-            w = min(right | left)
-            blocked = {"blocked_factor": w, "side": "right" if w in right else "left"}
-        upper = level
+    # refutation scan: the factor language is exact up to depth + 1, so a
+    # factor of length <= depth without an extension on one side is blocked
+    blocked = factors.blocked_factor(depth)
     if blocked is not None:
         return CompatibilityResult("fails-certified", blocked)
     return CompatibilityResult("unknown", {"depth": depth})

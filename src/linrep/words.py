@@ -13,6 +13,12 @@ read the maximal words and the roots directly.  The cost follows the number
 of length-n factors, not the length of the iterates or the number of
 shorter factors.
 
+Walks over the levels of a set of words, the periodicity core and the
+refutation scan of the compatibility check, run on `code_words`: the words
+sorted and coded as integer rows, with the prefix classes of every length
+and the suffix links as arrays, so a level costs a few array passes and no
+string slicing.
+
 Coverage lengths, the smallest L such that every factor of length L holds
 every target, have one algorithm: `coverage_exact`, an exact fold over the
 letter images that needs no factor set.  The gap bound kappa, the
@@ -24,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .substitution import SubstitutionError
 
@@ -58,7 +66,9 @@ class FactorSet:
     `saturated` is True when the closure reached a fixed point, in which
     case `words` is exactly the set of nonempty factors of length
     <= max_length.  `roots` and `words` are derived on first use;
-    `words_of_length` cuts the roots, and `in` searches the maximal words.
+    `words_of_length` cuts the roots, `in` searches the maximal words, and
+    `blocked_factor` scans the coded roots for a factor that does not
+    extend.
     """
 
     substitution: object
@@ -103,12 +113,129 @@ class FactorSet:
         """Sorted tuple of the factors of exactly the given length."""
         return tuple(sorted({r[:length] for r in self.roots if len(r) >= length}))
 
+    def blocked_factor(self, depth: int) -> dict | None:
+        """The shortest factor of length <= depth with no extension on one side.
+
+        The factors of length n are the prefixes of the roots cut to n + 1
+        that are at least n long.  One has a right extension when it is a
+        prefix of such a cut root longer than n, and a left one when it is
+        r[1:n + 1] for such an r.  The lengths are scanned shortest first,
+        each on roots cut no deeper than twice its length, so a short
+        blocked factor costs no deep coding.  Among the blocked words of the
+        shortest length that has one, the first in sorted order is named,
+        the right side checked before the left; None when there are none.
+        The answer is that of a set of depth exactly depth + 1.
+        """
+        short = 1  # the shortest length not scanned yet
+        while short <= depth:
+            cut = min(2 * short, depth + 1)  # lengths short .. cut - 1 read the roots cut to `cut`
+            coded = code_words({r[:cut] for r in self.roots}, self.substitution.letters)
+            lengths = coded.lengths
+            for n in range(short, cut):
+                classes = coded.classes(n)
+                word = np.zeros(len(classes), bool)
+                word[classes[lengths >= n]] = True
+                right = np.zeros_like(word)
+                right[classes[lengths > n]] = True
+                left = np.zeros_like(word)
+                left[classes[coded.link[coded.reach >= n]]] = True
+                blocked = np.flatnonzero(word & ~(right & left))
+                if len(blocked):
+                    c = blocked[0]
+                    w = coded.words[np.flatnonzero(coded.lcp < n)[c]][:n]
+                    return {"blocked_factor": w, "side": "left" if right[c] else "right"}
+            short = cut
+        return None
+
     def require_saturated(self) -> None:
         if not self.saturated:
             raise UnsaturatedFactorSetError(
                 "factor set was capped before reaching its fixed point "
                 f"(max_length={self.max_length}, rounds={self.rounds})"
             )
+
+
+@dataclass(frozen=True)
+class CodedWords:
+    """Distinct words in sorted order, with the arrays that walk their prefix levels.
+
+    Two words share a class at length L when their prefixes of length L are
+    equal.  In sorted order the words of a class are neighbours, so the
+    common prefixes `lcp` of neighbours give every class at every length:
+    `classes(L)` numbers them in sorted order, and a class begins at each
+    word whose lcp is below L.  `link` and `reach` are the suffix links:
+    for each word w, words[link] begins with the first `reach` letters of
+    w[1:], and no word begins with more of them.
+    """
+
+    words: list[Word]
+    lengths: np.ndarray
+    lcp: np.ndarray  # with the word before; -1 for the first
+    link: np.ndarray
+    reach: np.ndarray
+
+    def classes(self, length: int) -> np.ndarray:
+        """The class of each word at the given length."""
+        return np.cumsum(self.lcp < length) - 1
+
+    def prefixes(self, length: int, kept: np.ndarray) -> list[Word]:
+        """The prefixes of the given length of the classes marked in `kept`, sorted."""
+        first = np.flatnonzero(self.lcp < length)
+        return [self.words[i][:length] for i in first[kept[: len(first)]]]
+
+
+def _common_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the length of the common prefix of each pair of rows
+    differ = a != b
+    return np.where(differ.any(axis=1), differ.argmax(axis=1), a.shape[1])
+
+
+def _code_rows(words: list[Word], letters: list[str], width: int) -> np.ndarray:
+    # one row per word: each letter coded as 1 + its rank, padded with 0;
+    # one byte a letter up to 255 letters, else four bytes, big-endian
+    known = set(letters)
+    pad = next(chr(i) for i in range(len(letters) + 1) if chr(i) not in known)
+    top = max(ord(letters[-1]), ord(pad))
+    text = "".join(w.ljust(width, pad) for w in words)
+    if top > 255:
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+    else:
+        points = np.frombuffer(text.encode("latin-1"), "u1")
+    table = np.zeros(top + 1, "u1" if len(letters) < 256 else ">u4")
+    table[[ord(a) for a in letters]] = range(1, len(letters) + 1)
+    return table[points].reshape(len(words), width)
+
+
+def code_words(words: Iterable[Word], letters: Iterable[str]) -> CodedWords:
+    """Sort `words` and code each letter as 1 + its rank in code point order.
+
+    The rows are padded with code 0 to the longest word, so the codes sort
+    as the words do.  They are one byte each up to 255 letters and four
+    bytes, big-endian, beyond, so that the rows read as byte strings sort
+    the same way: one `searchsorted` of the rows less their first letter
+    then finds, for each word, the neighbour that shares the longest prefix
+    with its suffix.
+    """
+    words = sorted(set(words))
+    n = len(words)
+    rows = _code_rows(words, sorted(letters), max(map(len, words), default=1))
+    keys = rows.view(f"S{rows.itemsize * rows.shape[1]}").ravel()
+    shifted = np.zeros_like(rows)
+    shifted[:, :-1] = rows[:, 1:]
+    at = np.searchsorted(keys, shifted.view(keys.dtype).ravel())
+    below, above = np.maximum(at - 1, 0), np.minimum(at, n - 1)
+    with_below = _common_prefix(shifted, rows[below])
+    with_above = _common_prefix(shifted, rows[above])
+    lengths = np.fromiter(map(len, words), int, n)
+    lcp = np.full(n, -1)
+    lcp[1:] = _common_prefix(rows[1:], rows[:-1])
+    return CodedWords(
+        words=words,
+        lengths=lengths,
+        lcp=lcp,
+        link=np.where(with_above >= with_below, above, below),
+        reach=np.minimum(np.maximum(with_below, with_above), lengths - 1),
+    )
 
 
 MAX_WORDS = 10**6  # the most maximal words factor_language stores
@@ -335,23 +462,6 @@ def coverage_exact(s, targets: Iterable[Word]) -> int:
                 f"within {FOLD_ROUNDS} rounds"
             )
     return max(max(map(len, targets)), avoid + 1)
-
-
-def repetitivity_function(factors: FactorSet, n: int) -> int:
-    """Smallest L with: every factor of length L contains every factor of length n.
-
-    The targets are the factors of length n, read from `factors`; L itself
-    is exact from `coverage_exact` and may exceed factors.max_length.
-    Raises `CoverageUndecidedError` when some factor of length n is avoided
-    by arbitrarily long factors (e.g. a letter without bounded gaps).
-    """
-    factors.require_saturated()
-    if n < 1 or n > factors.max_length:
-        raise ValueError(f"n={n} outside 1..{factors.max_length}")
-    targets = factors.words_of_length(n)
-    if not targets:
-        raise ValueError(f"factor set has no words of length {n}")
-    return coverage_exact(factors.substitution, targets)
 
 
 def gap_bound(factors: FactorSet, v: Word) -> int:

@@ -65,6 +65,41 @@ def rescan_extendable_core(words: set[str], letters, top: int) -> set[str]:
         kept.difference_update(doomed)
 
 
+def string_core_levels(factors):
+    """The levels of the extendable core, longest first, walked on strings.
+
+    The kept words of length L are those that are both a prefix and a
+    suffix of kept words of length L + 1, starting from every factor of
+    length max_length.  Reference for the integer-coded walk of
+    `classify.is_periodic`.
+    """
+    factors.require_saturated()
+    level = {w for w in factors.maximal if len(w) == factors.max_length}
+    while level:
+        yield level
+        level = {w[:-1] for w in level} & {w[1:] for w in level}
+        level.discard("")
+
+
+def repetitivity_function(factors, n: int) -> int:
+    """Smallest L with: every factor of length L contains every factor of length n.
+
+    The targets are the factors of length n, read from `factors`; L itself
+    is exact from `coverage_exact` and may exceed factors.max_length.
+    Raises `CoverageUndecidedError` when some factor of length n is avoided
+    by arbitrarily long factors (e.g. a letter without bounded gaps).
+    """
+    from linrep.words import coverage_exact
+
+    factors.require_saturated()
+    if n < 1 or n > factors.max_length:
+        raise ValueError(f"n={n} outside 1..{factors.max_length}")
+    targets = factors.words_of_length(n)
+    if not targets:
+        raise ValueError(f"factor set has no words of length {n}")
+    return coverage_exact(factors.substitution, targets)
+
+
 def naive_count(pattern: str, text: str) -> int:
     hits = 0
     for i in range(len(text) - len(pattern) + 1):

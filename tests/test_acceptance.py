@@ -37,6 +37,7 @@ from bruteforce import (
     naive_find_power,
     naive_return_words,
     project,
+    repetitivity_function,
     transfer_matrix,
 )
 from conftest import CATALOG_NAMES
@@ -84,7 +85,7 @@ def test_criterion_2_tri_agreement(catalog_reports, catalog_subs, capsys):
             bound = rep.lr.value
             fs = wd.factor_language(s, 20)
             for n in range(1, 21):
-                r = wd.repetitivity_function(fs, n)
+                r = repetitivity_function(fs, n)
                 assert r <= bound * n, (name, n, r, bound)
         else:
             assert rep.minimal == NO

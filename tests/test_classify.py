@@ -1,6 +1,7 @@
 import importlib
 import random
 
+import numpy as np
 import pytest
 
 import linrep as lr
@@ -9,6 +10,7 @@ from linrep.classify import (
     NO,
     UNDECIDED,
     YES,
+    _walk_core,
     analyze_bounded_blocks,
     bounded_gaps,
     classify,
@@ -17,7 +19,6 @@ from linrep.classify import (
     derived_periodicity,
     is_periodic,
     return_word_pairs,
-    _core_levels,
 )
 from linrep.substitution import (
     Substitution,
@@ -31,9 +32,11 @@ from bruteforce import (
     factor_set_return_pairs,
     mat_pow,
     own_set_compatibility,
+    repetitivity_function,
     rescan_extendable_core,
+    string_core_levels,
 )
-from conftest import CATALOG_NAMES
+from conftest import CATALOG_NAMES, CLASSIFY_SLOW_RULES
 
 
 def test_bounded_gaps_abaa_certificate():
@@ -141,7 +144,7 @@ def test_lr_bound_dominates_empirical_repetitivity(catalog_reports, catalog_subs
         s = catalog_subs[name]
         fs = wd.factor_language(s, 8)
         for n in range(1, 9):
-            assert wd.repetitivity_function(fs, n) <= rep.lr.value * n
+            assert repetitivity_function(fs, n) <= rep.lr.value * n
 
 
 def test_g_kappa_block_chain(catalog_reports):
@@ -197,10 +200,36 @@ def test_is_periodic_fibonacci_complexity(fib):
         assert len(fs.words_of_length(n)) == n + 1  # golden-rotation complexity
 
 
+def _coded_core_levels(fs):
+    # the levels of the integer-coded core walk, longest first, as
+    # (length, words, size)
+    longest = [w for w in fs.maximal if len(w) == fs.max_length]
+    coded = wd.code_words(longest, fs.substitution.letters)
+    return [
+        (length, set(coded.prefixes(length, kept)), int(np.count_nonzero(kept)))
+        for length, kept in _walk_core(coded, fs.max_length)
+    ]
+
+
+def test_core_walk_levels_match_the_string_walk(level_systems):
+    # every level's words and size from the coded walk equal the string
+    # walk's, at every depth 1-19 and at 48
+    walked = 0
+    for s in level_systems:
+        for depth in [*range(1, 20), 48]:
+            fs = wd.factor_language(s, depth)
+            if not fs.saturated:
+                continue
+            want = [(len(min(level)), level, len(level)) for level in string_core_levels(fs)]
+            assert _coded_core_levels(fs) == want, (s, depth)
+            walked += 1
+    assert walked >= 8000
+
+
 def test_extendable_core_drops_one_sided_junk():
     s = lr.load("remark1b")
     fs = wd.factor_language(s, 20)
-    core = frozenset().union(*_core_levels(fs))
+    core = frozenset().union(*(words for _, words, _ in _coded_core_levels(fs)))
     assert "0" not in core
     assert "1" * 10 in core
 
@@ -221,7 +250,7 @@ def test_extendable_core_drops_one_sided_junk():
 def test_extendable_core_matches_rescan_fixpoint(rules):
     s = Substitution.from_rules(rules)
     fs = wd.factor_language(s, 24)
-    core = frozenset().union(*_core_levels(fs))
+    core = frozenset().union(*(words for _, words, _ in _coded_core_levels(fs)))
     assert core == rescan_extendable_core(set(fs.words), s.letters, 24)
 
 
@@ -326,7 +355,7 @@ def test_random_two_letter_pipeline_consistency():
             minimal_seen += 1
             fs = rep.factors
             for n in (1, 2):
-                r = wd.repetitivity_function(fs, n)
+                r = repetitivity_function(fs, n)
                 assert r <= rep.lr.value * n, (rules, n, r, rep.lr.value)
         elif rep.minimal == NO and nonminimal_seen < 8:
             nonminimal_seen += 1
@@ -450,24 +479,13 @@ def test_return_word_pairs_work_cap_is_a_caveat(monkeypatch):
     assert "repetitivity constant undecided: return-word derivation wrote more than 8 letters" in rep.depth_caveats
 
 
-# the six systems whose iterates grow fast while new factors arrive slowly
-SLOW_SYSTEMS = [
-    {"0": "01001", "1": "1"},
-    {"a": "baa", "b": "b"},
-    {"a": "a", "b": "abbb"},
-    {"a": "abc", "b": "bc", "c": "c"},
-    {"a": "a", "b": "abba"},
-    {"a": "abab", "b": "b"},
-]
-
-
 def test_compatibility_on_classify_set_matches_own_set():
     import random
 
     systems = [lr.load(name) for name in CATALOG_NAMES]
-    systems += [Substitution.from_rules(rules) for rules in SLOW_SYSTEMS]
+    systems += [Substitution.from_rules(rules) for rules in CLASSIFY_SLOW_RULES]
     rng = random.Random(7)
-    while len(systems) < len(CATALOG_NAMES) + len(SLOW_SYSTEMS) + 40:
+    while len(systems) < len(CATALOG_NAMES) + len(CLASSIFY_SLOW_RULES) + 40:
         letters = "abc"[: rng.choice([2, 3])]
         rules = {
             a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 4))) for a in letters
@@ -609,9 +627,26 @@ def test_classify_walks_the_core_only_when_not_certified(monkeypatch):
 def test_derived_periodicity_work_cap_is_undecided(monkeypatch):
     module = importlib.import_module("linrep.classify")
     monkeypatch.setattr(module, "DERIVATION_WORK", 20)
-    got = classify(lr.load("thue-morse")).periodicity
+    got = derived_periodicity(lr.load("thue-morse"), "a", 40)
     assert (got.status, got.period, got.depth) == (UNDECIDED, None, 0)
     assert "more than 20 letters" in got.note
+
+
+def test_capped_derivation_falls_back_to_the_walk(monkeypatch):
+    # past the cap, classify walks the core on a depth-48 set of its own and
+    # names the cap in one caveat
+    module = importlib.import_module("linrep.classify")
+    monkeypatch.setattr(module, "DERIVATION_WORK", 2)
+    calls = []
+    monkeypatch.setattr(module, "is_periodic", lambda fs: calls.append(fs.max_length) or is_periodic(fs))
+    for name, period in [("thue-morse", None), ("periodic-ab", "ab")]:
+        rep = classify(lr.load(name))
+        assert rep.minimal == YES and rep.factors.max_length == 17
+        want = is_periodic(wd.factor_language(lr.load(name), 48))
+        assert rep.periodicity == want and want.period == period
+        cap = "periodicity from the core walk to depth 40: return-word derivation wrote more than 2 letters"
+        assert [c for c in rep.depth_caveats if "periodicity" in c] == [cap]
+    assert calls == [48, 48]
 
 
 def test_derived_periodicity_needs_a_seed_that_begins_its_image():

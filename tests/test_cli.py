@@ -70,17 +70,22 @@ def test_analyze_undecided_exit3(tmp_path, capsys):
 
 def test_analyze_undecided_periodicity_names_its_cap(tmp_path, capsys):
     # primitive and certified minimal, but the return-word derivation of its
-    # periodicity writes more than DERIVATION_WORK letters
+    # periodicity writes more than DERIVATION_WORK letters, so the core walk
+    # gives the bounded-depth verdict and a caveat names the cap
     path = DATA / "undecided-5.json"
     out_json = tmp_path / "u5.json"
-    assert main(["analyze", str(path), "--json", str(out_json)]) == 3
+    assert main(["analyze", str(path), "--json", str(out_json)]) == 0
     out = capsys.readouterr().out
     assert "minimal: yes" in out
-    assert "periodic: undecided-at-depth (depth 0)" in out
-    caveat = "periodicity undecided: return-word derivation wrote more than 10000000 letters"
+    assert "periodic: aperiodic-up-to-depth (depth 40)" in out
+    caveat = (
+        "periodicity from the core walk to depth 40: "
+        "return-word derivation wrote more than 10000000 letters"
+    )
     assert f"caveat: {caveat}\n" in out
+    assert "periodicity undecided" not in out
     payload = json.loads(out_json.read_text())
-    assert payload["periodic"]["status"] == "undecided-at-depth"
+    assert payload["periodic"] == {"status": "aperiodic-up-to-depth", "period": None, "depth": 40}
     assert caveat in payload["depth_caveats"]
 
 

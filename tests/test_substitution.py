@@ -487,32 +487,31 @@ def test_compatibility_rejects_shallow_factor_set(fib):
         check_compatibility(fib, factor_language(fib, 16))
 
 
-def test_compatibility_scan_matches_all_levels_oracle():
-    # the scan holds two levels at a time; the oracle holds every level and
-    # stops at the first blocked word, and both must name the same one
-    rng = random.Random(1606)
-    systems = [lr.load(name) for name in lr.CATALOG]
-    while len(systems) < len(lr.CATALOG) + 400:
-        systems.append(_random_substitution(rng, max_len=4))
+def test_compatibility_scan_matches_all_levels_oracle(level_systems):
+    # the coded scan against the oracle that holds every level as strings,
+    # at every depth 1-19 on a depth-20 set and at 48 on a depth-56 set, so
+    # both read roots cut below the set's depth; check_compatibility reports
+    # the same blocked factor, as no certificate holds where one is blocked
     blocked = 0
-    for s in systems:
-        fs = factor_language(s, 20)
-        if not fs.saturated:
-            continue
-        for depth in range(1, 20):
-            got = check_compatibility(s, fs, depth)
+    for s in level_systems:
+        shallow, deep = factor_language(s, 20), factor_language(s, 56)
+        for fs, depth in [*((shallow, d) for d in range(1, 20)), (deep, 48)]:
+            if not fs.saturated:
+                continue
             want = levels_blocked_factor(fs, depth)
+            assert fs.blocked_factor(depth) == want, (s, depth)
+            got = check_compatibility(s, fs, depth)
             if want is None:
                 assert got.status != "fails-certified", (s, depth)
             else:
                 assert (got.status, got.detail) == ("fails-certified", want), (s, depth)
                 blocked += 1
-    assert blocked >= 1000
+    assert blocked >= 2000
 
 
 def test_compatibility_scan_memory_stays_at_two_levels():
     # {a -> abc, b -> bc, c -> c} has no certificate, so the scan runs; every
-    # factor of every length up to 121 at once peaks near 28 MB
+    # factor of every length up to 121 at once as strings peaks near 28 MB
     import tracemalloc
 
     s = Substitution.from_rules({"a": "abc", "b": "bc", "c": "c"})

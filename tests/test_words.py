@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from linrep.words import (
     factor_language,
     find_power,
     gap_bound,
-    repetitivity_function,
     return_words,
     subwords,
 )
@@ -25,9 +25,10 @@ from bruteforce import (
     naive_factors,
     naive_find_power,
     naive_return_words,
+    repetitivity_function,
     scan_coverage_length,
 )
-from conftest import CATALOG_NAMES
+from conftest import CATALOG_NAMES, CLASSIFY_SLOW_RULES
 
 
 @pytest.mark.parametrize(
@@ -314,18 +315,51 @@ def test_word_cap_counts_maximal_words(monkeypatch):
         repetitivity_function(capped, 1)
 
 
+# --- integer-coded word levels ---------------------------------------------------
+
+
+def _check_coding(words, letters):
+    # every field of code_words against its definition on the strings
+    coded = wd.code_words(words, letters)
+    ws = sorted(set(words))
+    assert coded.words == ws
+    assert list(coded.lengths) == [len(w) for w in ws]
+    for i, w in enumerate(ws):
+        if i:
+            assert coded.lcp[i] == len(os.path.commonprefix([ws[i - 1], w]))
+        tail = w[1:]
+        for length in range(1, len(w)):
+            occurs = any(v.startswith(tail[:length]) for v in ws)
+            assert occurs == (length <= coded.reach[i]), (w, length)
+            if occurs:
+                assert ws[coded.link[i]].startswith(tail[:length])
+    for length in range(1, max(map(len, ws), default=0) + 1):
+        prefixes = sorted({w[:length] for w in ws})
+        assert [prefixes.index(w[:length]) for w in ws] == list(coded.classes(length))
+
+
+def test_code_words_match_their_definitions():
+    rng = random.Random(2122)
+    _check_coding([], "ab")
+    _check_coding(["a"], "ab")
+    for letters in ["ab", "abc", "αβж"]:
+        for _ in range(30):
+            words = ["".join(rng.choices(letters, k=rng.randint(1, 7))) for _ in range(40)]
+            _check_coding(words, letters)
+
+
+def test_code_words_past_255_letters():
+    # 300 letters, chr(0) among them: the codes are four bytes, big-endian,
+    # and code 256 holds zero bytes, yet the rows still sort as the words do
+    letters = [chr(i) for i in range(300)]
+    rng = random.Random(2123)
+    for _ in range(5):
+        words = ["".join(rng.choices(letters, k=rng.randint(1, 5))) for _ in range(200)]
+        words += [w + letters[256] + letters[0] for w in words[:50]]
+        _check_coding(words, letters)
+
+
 # --- the exact coverage fold against the reference scan ------------------------
-
-# the six systems of the classify-slow benchmark workload
-CLASSIFY_SLOW_RULES = [
-    {"0": "01001", "1": "1"},
-    {"a": "baa", "b": "b"},
-    {"a": "a", "b": "abbb"},
-    {"a": "abc", "b": "bc", "c": "c"},
-    {"a": "a", "b": "abba"},
-    {"a": "abab", "b": "b"},
-]
-
 
 def _check_fold_against_scan(s, target_sets, depth) -> int:
     """Compare coverage_exact with the scan; returns how many values were compared."""
