@@ -25,17 +25,13 @@ for these systems, and the explicit repetitivity constant
 (3 + G) * theta * rho / lambda is assembled from the return words of the
 certified letter.  kappa and the pair-coverage length G are exact results
 of `words.coverage_exact`, a fold over summaries of the letter images, not
-of a scan at some depth.  The return words of the certified letter and
-the pairs of them that occur come from one conjugated return-word step,
-`return_word_pairs`, not from a factor set.  `classify` builds one factor
-set per system: for the compatibility check, and for the periodicity core
-of a system that is not certified.
-
-Periodicity of a certified system is exact: `derived_periodicity` iterates
-the return-word derivation (Durand 1998) until it reaches one letter
-(periodic) or repeats (aperiodic).  A system that is not certified
-minimal walks the factor-complexity core of `is_periodic` to a depth, and
-so does a certified one whose derivation passes its work cap.
+of a scan at some depth.  A certified system runs one chain of
+return-word derivations (Durand 1998), `return_word_chain`: its first step
+gives the return words of the certified letter and the pairs of them that
+occur, with no factor set, and the whole chain gives exact periodicity.
+`classify` builds one factor set per system: for the compatibility check,
+and for the factor-complexity core of `is_periodic`, which a system walks
+to a depth when it is not certified minimal or its chain passes its cap.
 """
 
 from __future__ import annotations
@@ -72,8 +68,10 @@ CORE_MARGIN = 8
 APERIODIC_MARGIN = 24
 # steps analyze_bounded_blocks spends measuring one bounded run orbit
 MEASURE_CAP = 4096
-# image letters derived_periodicity writes before it reports undecided
+# letters return_word_chain counts, over all its steps, before it stops
 DERIVATION_WORK = 10**7
+# one return-word derivation step: the return words and the derived substitution
+Step = tuple[list[str], tuple[str, ...]]
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +271,9 @@ class BGCertificate:
 
     kappa: the least length with every factor of length >= kappa containing
     the letter, exact from `words.coverage_exact`.  factor_depth = kappa + 1
-    is the depth of a saturated factor set on which a scan confirms kappa
-    and which holds every return word of the letter.
+    bounds |r e| for every return word r to the letter e, since r less its
+    first letter is e-free; it is reported only, and no factor set of that
+    depth is built.
     reachability_witnesses[c] is the first depth at which the letter shows
     up in the images of the growing letter c.  bblock_bound is the maximal
     bounded-letter block length.
@@ -407,8 +406,8 @@ class LRBound:
     G is the smallest length such that every factor of length >= G contains
     every concatenation of two return words that is itself a factor, exact
     from `words.coverage_exact`.  The return words and the pairs come from
-    `return_word_pairs`, with no factor set.  Valid insofar as lambda/rho
-    are (n <= growth.n_checked); carried as a caveat.
+    step 1 of `return_word_chain`, with no factor set.  Valid insofar as
+    lambda/rho are (n <= growth.n_checked); carried as a caveat.
     """
 
     value: float
@@ -419,15 +418,21 @@ class LRBound:
     caveats: tuple[str, ...]
 
 
-def lr_constant_bound(s: Substitution, cert: BGCertificate, n_max: int) -> LRBound:
+def lr_constant_bound(
+    s: Substitution, cert: BGCertificate, steps: list[Step], n_max: int
+) -> LRBound:
     """Assemble the explicit linear-repetitivity constant from a bounded-gaps certificate.
 
     The return words to the certified letter and the pairs of them that are
-    factors come from one conjugated return-word step, `return_word_pairs`.
-    The return words are also the words whose growth constants (n <= n_max)
-    enter the constant, and G comes from `words.coverage_exact`.
+    factors come from step 1 of its `return_word_chain`, through
+    `return_word_pairs`; no step 1 (the chain passed DERIVATION_WORK) raises
+    SubstitutionError.  The return words are also the words whose growth
+    constants (n <= n_max) enter the constant, and G comes from
+    `words.coverage_exact`.
     """
-    rw, pairs = return_word_pairs(s, cert.letter)
+    if not steps:
+        raise SubstitutionError(f"return-word derivation wrote more than {DERIVATION_WORK} letters")
+    rw, pairs = return_word_pairs(steps[0])
     growth = perron_growth(s, rw, n_max)
     try:
         G = wd.coverage_exact(s, pairs)
@@ -503,7 +508,8 @@ def is_periodic(factors: wd.FactorSet) -> PeriodicityResult:
     to tile every core factor.  Otherwise p(n) >= n + 1 throughout and the
     system is aperiodic up to the depth.  Every core word is a prefix of a
     longer one, so the tiling is checked on the core words of the horizon
-    alone.
+    alone.  A finite language, with no factor of length max_length, raises
+    SubstitutionError.
     """
     depth = factors.max_length - CORE_MARGIN
     if not factors.saturated:
@@ -515,6 +521,10 @@ def is_periodic(factors: wd.FactorSet) -> PeriodicityResult:
         )
     horizon = depth + 1  # lengths safe from boundary effects
     longest = [w for w in factors.maximal if len(w) == factors.max_length]
+    if not longest:
+        raise SubstitutionError(
+            f"the language is finite: it has no factor of length {factors.max_length}"
+        )
     coded = wd.code_words(longest, factors.substitution.letters)
     top: list[str] = []  # the core words of the horizon
     sizes: dict[int, int] = {}
@@ -598,40 +608,64 @@ def derive_return_words(
     return words, tuple(images), work
 
 
-def return_word_pairs(s: Substitution, e: str) -> tuple[frozenset[str], list[str]]:
-    """The return words to the certified letter e and the sorted pairs z1 z2
-    of them that are factors, from one conjugated return-word step.
+def return_word_chain(s: Substitution, e: str) -> list[Step]:
+    """The iterated return-word derivation of a certified system from e.
 
-    Let k be the least k >= 1 with e in S^k(e), so S^k(e) = beta e ... with
-    beta free of e.  For a return word r, r e is a factor, so S^k(r) beta is
-    followed by e, and sigma(r) = beta^-1 S^k(r) beta, cut before each e, is
-    a word of return words: the step of `derive_return_words` (Durand 1998).
-    sigma extends to words of return words, and for any return word r0 (the
-    step's first one), sigma^n(r0) codes a factor of length
-    |S^(nk)(r0)| that is followed by e.  By minimality, for large n that
-    factor holds every factor of length 2 * kappa + 1, hence every return
-    word a and every 2-factor (a, b), the pairs with z_a z_b e a factor.  So
-    the return words are the closure of r0 under sigma, and the 2-factors
-    are those inside each sigma(a), closed under (a, b) -> (last sigma(a),
-    first sigma(b)).  z1 z2 is a factor iff z1 = z_a and z2 is a prefix of
-    z_b for a 2-factor (a, b): z2 holds e only in front, so the return word
-    after z1 extends it.  Raises SubstitutionError past DERIVATION_WORK
-    letters written.
+    Each step takes the least k >= 1 with c in table^k(c) (at most the
+    number of letters, since c recurs) and runs `derive_return_words` under
+    table^k from c, giving (return words, tau): step 1 under S from e, and
+    every later step under the tau of the step before from chr(0).  The
+    chain stops at a one-letter tau or at a tau it has seen before.  Its
+    steps share one budget of DERIVATION_WORK letters, those of each
+    table^k and those `derive_return_words` writes; past it the chain ends
+    early, on a step that is neither or on no step at all.
     """
-    sets, pre, _ = s.letter_set_orbit(e)
-    orbit = sets + [sets[pre]]  # letters(S^n(e)) for n = 0 .. pre + period
-    k = next((n for n in range(1, len(orbit)) if e in orbit[n]), None)
-    if k is None:
-        raise SubstitutionError(f"{e!r} occurs in no S^k({e!r})")
-    limit = f"return-word derivation wrote more than {DERIVATION_WORK} letters"
-    work = sum(s.image_length(a, k) for a in s.letters)
-    if work > DERIVATION_WORK:
-        raise SubstitutionError(limit)
-    table = {ord(a): s.iterate(a, k) for a in s.letters}
-    step = derive_return_words(table, e, DERIVATION_WORK - work)
-    if step is None:
-        raise SubstitutionError(limit)
-    words, images, _ = step
+    table, c = {ord(a): s.rules[a] for a in s.letters}, e
+    steps: list[Step] = []
+    work = 0
+    while True:
+        found, lengths = {c}, dict.fromkeys(table, 1)
+        for k in range(1, len(table) + 1):
+            found = {b for a in found for b in table[ord(a)]}
+            lengths = {a: sum(lengths[ord(b)] for b in w) for a, w in table.items()}
+            if c in found:
+                break
+        else:
+            raise SubstitutionError(f"{c!r} occurs in no iterate of its own image")
+        work += sum(lengths.values())  # counted before table^k is built
+        if work > DERIVATION_WORK:
+            return steps
+        power = table
+        for _ in range(k - 1):
+            power = {a: w.translate(table) for a, w in power.items()}
+        step = derive_return_words(power, c, DERIVATION_WORK - work)
+        if step is None:
+            return steps
+        words, tau, written = step
+        work += written
+        repeat = any(tau == seen for _, seen in steps)
+        steps.append((words, tau))
+        if len(tau) == 1 or repeat:
+            return steps
+        table, c = dict(enumerate(tau)), chr(0)
+
+
+def return_word_pairs(step: Step) -> tuple[frozenset[str], list[str]]:
+    """The return words to the certified letter e and the sorted pairs z1 z2
+    of them that are factors, from step 1 of `return_word_chain`.
+
+    That step maps a return word r to sigma(r) = beta^-1 S^k(r) beta, cut
+    before each e, where S^k(e) = beta e ...: r e is a factor, so S^k(r)
+    beta is followed by e.  For any return word r0, sigma^n(r0) codes a
+    factor of length |S^(nk)(r0)| followed by e; by minimality, for large n
+    it holds every factor of length 2 * kappa + 1, hence every return word a
+    and every 2-factor (a, b), the pairs with z_a z_b e a factor.  So the
+    2-factors are those inside each sigma(a), closed under (a, b) -> (last
+    sigma(a), first sigma(b)).  z1 z2 is a factor iff z1 = z_a and z2 is a
+    prefix of z_b for a 2-factor (a, b): z2 holds e only in front, so the
+    return word after z1 extends it.
+    """
+    words, images = step
     adjacent = {pair for coded in images for pair in zip(coded, coded[1:])}
     todo = list(adjacent)
     while todo:
@@ -644,77 +678,41 @@ def return_word_pairs(s: Substitution, e: str) -> tuple[frozenset[str], list[str
     return frozenset(words), sorted(pairs)
 
 
-def derived_periodicity(s: Substitution, letter: str, depth: int) -> PeriodicityResult:
-    """Exact periodicity of a certified minimal system by iterated return-word derivation.
+def derived_periodicity(steps: list[Step], depth: int) -> PeriodicityResult:
+    """Exact periodicity of a certified minimal system from its `return_word_chain`.
 
-    Seed: follow c -> first growing letter of S(c) from `letter` to its cycle,
-    of length p.  S^p(c) begins with c: otherwise S^p(c) = beta c ... with
-    beta a nonempty bounded block, S^(np)(c) would begin with a bounded block
-    at least n long, and the certified letter could not have bounded gaps.
-    So S^p has a fixed point x beginning with c, and minimality makes L(x)
-    the whole language.
-
-    Derive: the first return word is the prefix of x up to its second c;
-    S^p of a return word, cut before each c, gives return words again, and
-    these images close the set.  Naming the return words 0, 1, ... in
-    breadth-first discovery order gives the derived substitution tau, whose
-    letters are `chr(i)`, with no dependence on letter names; tau(0) begins
-    with 0 and every letter of tau grows.  The same step,
-    `derive_return_words`, repeats on tau from 0: tau of each whole return
-    word, cut before each 0.
+    Step j codes the return words to a word W_j: W_1 = e, and W_(j+1) =
+    r W_j for the first return word r of step j (over the letters of S),
+    which step j + 1 derives from as chr(0); r W_j holds W_j at its two
+    ends only, so the W_j grow strictly.
 
     * One return word means x = r^infinity: the result is "periodic" with
-      r (expanded through the stored return words) reduced to its least
-      period and its least rotation, at the first depth n with at most n
-      cyclic factors of length n, the depth at which `is_periodic` detects
-      it.
-    * A repeated tau means aperiodic.  Step k derives x from a prefix u_k,
-      and the u_k grow strictly; a periodic x has exactly one return word to
-      every prefix at least as long as its period, so its derivations reach
-      one letter and cannot cycle before.  The verdict keeps the status
-      "aperiodic-up-to-depth" at `depth` that the core walk would give: an
-      aperiodic minimal subshift has complexity at least n + 1 (Morse-Hedlund).
+      r (expanded through the return words of the steps before) reduced to
+      its least period and its least rotation, at the first depth n with at
+      most n cyclic factors of length n, where `is_periodic` detects it.
+    * A repeated tau means aperiodic: from there the chain cycles without
+      reaching one letter, while a periodic system of least period q has
+      one return word to each of its words at least q long, as some W_j
+      is.  The verdict keeps the status "aperiodic-up-to-depth" at `depth`
+      that the core walk would give: an aperiodic minimal subshift has
+      complexity at least n + 1 (Morse-Hedlund).
 
     Derived sequences of a primitive substitutive sequence are finitely many
-    (Durand 1998), so one of the two happens; DERIVATION_WORK bounds the
-    image letters written on the way and gives an undecided result instead.
+    (Durand 1998), so one of the two happens unless the chain passed
+    DERIVATION_WORK: then the result is undecided.
     """
-    growing = s.split.growing
-    orbit: dict[str, int] = {}
-    c = letter
-    while c not in orbit:
-        orbit[c] = len(orbit)
-        c = _first_growing(s.rules[c], growing)
-    p = len(orbit) - orbit[c]
-    table: Mapping[int, str] | tuple[str, ...] = {ord(a): s.iterate(a, p) for a in s.letters}
-    if not table[ord(c)].startswith(c):
-        raise SubstitutionError(f"S^{p}({c!r}) does not begin with {c!r} on a certified system")
-    levels: list[list[str]] = []  # the return words of each step, over the letters before it
-    seen: set[tuple[str, ...]] = set()
-    work = 0
-    while True:
-        step = derive_return_words(table, c, DERIVATION_WORK - work)
-        if step is None:
-            return PeriodicityResult(
-                status=UNDECIDED,
-                period=None,
-                depth=0,
-                note=f"return-word derivation wrote more than {DERIVATION_WORK} letters",
-            )
-        words, tau, written = step
-        levels.append(words)
-        work += written
-        if len(tau) == 1:
-            u = words[0]
-            for lower in reversed(levels[:-1]):
-                u = u.translate(lower)
-            return _period_result(u)
-        if tau in seen:
-            counts = [len(w) for w in levels]
-            note = f"return-word derivation repeats after {len(levels)} steps; return words {counts}"
-            return PeriodicityResult(APERIODIC, None, depth, note)
-        seen.add(tau)
-        table, c = tau, chr(0)
+    taus = [tau for _, tau in steps]
+    if taus and len(taus[-1]) == 1:
+        u = steps[-1][0][0]
+        for words, _ in reversed(steps[:-1]):
+            u = u.translate(words)
+        return _period_result(u)
+    if taus and taus[-1] in taus[:-1]:
+        counts = [len(words) for words, _ in steps]
+        note = f"return-word derivation repeats after {len(steps)} steps; return words {counts}"
+        return PeriodicityResult(APERIODIC, None, depth, note)
+    note = f"return-word derivation wrote more than {DERIVATION_WORK} letters"
+    return PeriodicityResult(status=UNDECIDED, period=None, depth=0, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -852,15 +850,16 @@ def classify(
     Every system gets one factor set, which becomes `report.factors`; the
     applications reuse it and deepen it where they need more.  A certified
     minimal system gets its set at compat_depth + 1, the compatibility
-    check's depth: its return words and pairs come from
-    `return_word_pairs`, and its periodicity from `derived_periodicity`,
-    neither of which reads factors; an aperiodic verdict keeps the status
-    "aperiodic-up-to-depth" at aperiodic_depth = compat_depth +
-    APERIODIC_MARGIN.  Any other system gets its set at aperiodic_depth +
-    CORE_MARGIN and walks the periodicity core of `is_periodic` to
-    aperiodic_depth.  So does a certified system whose derivation passes
-    DERIVATION_WORK, on a set of that depth of its own, with a caveat that
-    names the cap."""
+    check's depth: one `return_word_chain` from its certified letter gives
+    its return words and pairs (step 1) and its periodicity (the whole
+    chain, through `derived_periodicity`), and reads no factors; an
+    aperiodic verdict keeps the status "aperiodic-up-to-depth" at
+    aperiodic_depth = compat_depth + APERIODIC_MARGIN.  Any other system
+    gets its set at aperiodic_depth + CORE_MARGIN and walks the periodicity
+    core of `is_periodic` to aperiodic_depth.  So does a certified system
+    whose chain passes DERIVATION_WORK, on a set of that depth of its own,
+    with a caveat that names the cap; past the cap in step 1 the
+    repetitivity constant is undecided as well."""
     candidates, decision = decide_minimality(s)
     minimal = decision.status
     aperiodic_depth = compat_depth + APERIODIC_MARGIN
@@ -872,22 +871,20 @@ def classify(
     caveats: list[str] = []
     lr = None
     if minimal == YES:
+        steps = return_word_chain(s, decision.certificate.letter)
         try:
-            lr = lr_constant_bound(s, decision.certificate, growth_nmax)
+            lr = lr_constant_bound(s, decision.certificate, steps, growth_nmax)
             caveats.extend(lr.caveats)
         except SubstitutionError as exc:
             caveats.append(f"repetitivity constant undecided: {exc}")
-    elif minimal == UNDECIDED and decision.note:
-        caveats.append(decision.note)
-
-    if minimal == YES:
-        letter = decision.certificate.letter
-        periodicity = derived_periodicity(s, letter, aperiodic_depth)
-        if periodicity.status == UNDECIDED:  # the derivation passed its work cap
+        periodicity = derived_periodicity(steps, aperiodic_depth)
+        if periodicity.status == UNDECIDED:  # the chain passed its work cap
             cap = periodicity.note
             periodicity = is_periodic(wd.factor_language(s, aperiodic_depth + CORE_MARGIN))
             caveats.append(f"periodicity from the core walk to depth {aperiodic_depth}: {cap}")
     else:
+        if minimal == UNDECIDED and decision.note:
+            caveats.append(decision.note)
         periodicity = is_periodic(factors)
     if periodicity.status == UNDECIDED:
         caveats.append(f"periodicity undecided: {periodicity.note}")

@@ -15,9 +15,9 @@ from linrep.classify import (
     bounded_gaps,
     classify,
     decide_minimality,
-    derive_return_words,
     derived_periodicity,
     is_periodic,
+    return_word_chain,
     return_word_pairs,
 )
 from linrep.substitution import (
@@ -185,6 +185,16 @@ def test_is_periodic_examples():
     periodic_ab = Substitution.from_rules({"a": "aba", "b": "b"})
     assert is_periodic(wd.factor_language(periodic_ab, 48)).period == "ab"
     assert is_periodic(wd.factor_language(Substitution.from_rules({"a": "aa"}), 48)).period == "a"
+
+
+def test_is_periodic_names_a_finite_language():
+    # {a->bb, b->b} and {a->b, b->a} have no factor longer than 2 and 1
+    for rules in [{"a": "bb", "b": "b"}, {"a": "b", "b": "a"}]:
+        for depth in (9, 19, 48):
+            factors = wd.factor_language(Substitution.from_rules(rules), depth)
+            assert factors.saturated
+            with pytest.raises(SubstitutionError, match=f"finite: it has no factor of length {depth}"):
+                is_periodic(factors)
 
 
 def test_is_periodic_depth_is_the_factor_depth_less_the_margin():
@@ -438,6 +448,10 @@ def _certificate(s):
     return decision.certificate
 
 
+def _chain_pairs(s, e):
+    return return_word_pairs(return_word_chain(s, e)[0])
+
+
 def test_return_word_pairs_match_factor_set_oracle():
     # the conjugated return-word step against the return words and pairs
     # read off a saturated factor set of depth 2 * kappa
@@ -454,7 +468,7 @@ def test_return_word_pairs_match_factor_set_oracle():
         cert = _certificate(s)
         if cert is not None:
             fs = wd.factor_language(s, 2 * cert.kappa)
-            assert return_word_pairs(s, cert.letter) == factor_set_return_pairs(cert.letter, fs), s
+            assert _chain_pairs(s, cert.letter) == factor_set_return_pairs(cert.letter, fs), s
             certified += 1
     assert certified >= 400
     # 8-16 letters, where the pair test on a deep factor set is slow; kappa
@@ -464,7 +478,7 @@ def test_return_word_pairs_match_factor_set_oracle():
         cert = _certificate(s)
         if cert is not None and cert.kappa <= 32:
             fs = wd.factor_language(s, 2 * cert.kappa)
-            assert return_word_pairs(s, cert.letter) == factor_set_return_pairs(cert.letter, fs), s
+            assert _chain_pairs(s, cert.letter) == factor_set_return_pairs(cert.letter, fs), s
             wide += 1
     assert wide >= 20
 
@@ -578,11 +592,26 @@ def test_derived_periodicity_equals_walk(monkeypatch):
             continue  # empty subshift or unreachable letters
         if decision.status != YES:
             continue
-        got = derived_periodicity(s, decision.certificate.letter, 40)
+        got = derived_periodicity(return_word_chain(s, decision.certificate.letter), 40)
         assert (got.status, got.period, got.depth) == _walk_verdict(s), s
         counts[got.status] += 1
         counts["nonprimitive"] += not is_primitive(s).primitive
     assert counts["periodic"] >= 90 and counts["nonprimitive"] >= 50
+    # 4-6 letters, images 1-7 long, where first steps with a nonempty beta
+    # and chains past the work cap are common: wherever the chain decides,
+    # it agrees with the walk
+    decided = capped = 0
+    for s in _drawn_systems(31, 480, [4, 5, 6], (1, 7)):
+        cert = _certificate(s)
+        if cert is None:
+            continue
+        got = derived_periodicity(return_word_chain(s, cert.letter), 40)
+        if got.status == UNDECIDED:
+            capped += 1
+            continue
+        assert (got.status, got.period, got.depth) == _walk_verdict(s), s
+        decided += 1
+    assert decided >= 300 and capped <= decided // 100
 
 
 def test_derived_periodicity_periods():
@@ -627,15 +656,25 @@ def test_classify_walks_the_core_only_when_not_certified(monkeypatch):
 def test_derived_periodicity_work_cap_is_undecided(monkeypatch):
     module = importlib.import_module("linrep.classify")
     monkeypatch.setattr(module, "DERIVATION_WORK", 20)
-    got = derived_periodicity(lr.load("thue-morse"), "a", 40)
+    assert return_word_chain(lr.load("thue-morse"), "a") == []
+    got = derived_periodicity([], 40)
     assert (got.status, got.period, got.depth) == (UNDECIDED, None, 0)
     assert "more than 20 letters" in got.note
+    # 40 letters pay for step 1 only: the chain ends on a tau that is
+    # neither one letter nor a repeat
+    monkeypatch.setattr(module, "DERIVATION_WORK", 40)
+    steps = return_word_chain(lr.load("thue-morse"), "a")
+    assert [words for words, _ in steps] == [["abb", "ab", "a"]]
+    got = derived_periodicity(steps, 40)
+    assert (got.status, got.period, got.depth) == (UNDECIDED, None, 0)
+    assert "more than 40 letters" in got.note
 
 
 def test_capped_derivation_falls_back_to_the_walk(monkeypatch):
     # past the cap, classify walks the core on a depth-48 set of its own and
     # names the cap in one caveat
     module = importlib.import_module("linrep.classify")
+    uncapped = classify(lr.load("thue-morse")).lr
     monkeypatch.setattr(module, "DERIVATION_WORK", 2)
     calls = []
     monkeypatch.setattr(module, "is_periodic", lambda fs: calls.append(fs.max_length) or is_periodic(fs))
@@ -647,18 +686,38 @@ def test_capped_derivation_falls_back_to_the_walk(monkeypatch):
         cap = "periodicity from the core walk to depth 40: return-word derivation wrote more than 2 letters"
         assert [c for c in rep.depth_caveats if "periodicity" in c] == [cap]
     assert calls == [48, 48]
+    # a cap that step 1 fits under keeps the repetitivity constant: only
+    # the later steps fall back to the walk
+    monkeypatch.setattr(module, "DERIVATION_WORK", 40)
+    rep = classify(lr.load("thue-morse"))
+    assert rep.lr == uncapped and rep.lr.return_words == {"abb", "ab", "a"}
+    assert rep.periodicity == is_periodic(wd.factor_language(lr.load("thue-morse"), 48))
+    cap = "periodicity from the core walk to depth 40: return-word derivation wrote more than 40 letters"
+    assert rep.depth_caveats == ("growth constants checked for n <= 30", cap)
+    assert calls == [48, 48, 48]
 
 
-def test_derived_periodicity_needs_a_seed_that_begins_its_image():
-    # remark1b is not minimal: S(0) = 10 does not begin with 0
-    s = lr.load("remark1b")
-    with pytest.raises(SubstitutionError, match="does not begin with"):
-        derived_periodicity(s, "0", 40)
+def test_classify_runs_each_derivation_step_once(monkeypatch):
+    # thue-morse derives three steps, the third repeating the second's
+    # tau; the repetitivity constant reads step 1 and does not run it again
+    module = importlib.import_module("linrep.classify")
+    calls = []
+    derive = module.derive_return_words
+    monkeypatch.setattr(module, "derive_return_words", lambda *a: calls.append(a[1]) or derive(*a))
+    rep = classify(lr.load("thue-morse"))
+    assert rep.lr is not None and rep.periodicity.note.startswith("return-word derivation repeats after 3 steps")
+    assert calls == ["a", "\x00", "\x00"]
 
 
-def _fixed_prefix(table, c, words):
-    # the prefix of the fixed point of `table` from c, iterated until w + c
-    # occurs in it for every return word w
+def _iterate(table, w, n):
+    for _ in range(n):
+        w = w.translate(table)
+    return w
+
+
+def _long_iterate(table, c, words):
+    # an iterate of c under `table`, long enough that w + c occurs in it for
+    # every return word w
     prefix = c
     while not all(w + c in prefix for w in words):
         assert len(prefix) < 10**6, words
@@ -667,13 +726,15 @@ def _fixed_prefix(table, c, words):
 
 
 def test_derived_return_words_occur():
-    # every derivation step against the fixed point it derives: the return
-    # words to c read off that fixed point are exactly the step's words, each
-    # holds c only in front, and tau(i) codes the image of return word i.
-    # Thue-Morse and most random systems have some tau(i) that does not begin
-    # with 0, so the next step must cut tau of whole return words
+    # every step of the return-word chain against the iterates of its letter
+    # c under table^k, k >= 1 least with c in table^k(c) = beta c ...: the
+    # return words to c read off a long iterate are exactly the step's
+    # words, each holds c only in front, and tau(i) codes beta^-1 table^k(r)
+    # beta for return word r = i.  Thue-Morse and most random systems have
+    # some tau(i) that does not begin with 0, so the next step must cut tau
+    # of whole return words, and many first steps have a nonempty beta
     rng = random.Random(1998)
-    systems = [lr.load("thue-morse")]
+    systems = [(lr.load("thue-morse"), "a")]
     while len(systems) < 200:
         letters = "abcd"[: rng.choice([2, 3, 4])]
         rules = {a: "".join(rng.choices(letters, k=rng.randint(1, 8))) for a in letters}
@@ -683,26 +744,24 @@ def test_derived_return_words_occur():
         except SubstitutionError:
             continue  # empty subshift or unreachable letters
         if decision.status == YES:
-            systems.append(s)
-    late_images = 0
-    for s in systems:
-        growing = sorted(bounded_letters(s).growing)
-        p, c = next(
-            (p, a) for p in range(1, len(s.letters) + 1) for a in growing
-            if s.iterate(a, p).startswith(a)
-        )
-        table = {ord(a): s.iterate(a, p) for a in s.letters}
-        seen = set()
-        while True:
-            words, tau, _ = derive_return_words(table, c, 10**7)
-            prefix = _fixed_prefix(table, c, words)
+            systems.append((s, decision.certificate.letter))
+    late_images = conjugated = 0
+    for s, e in systems:
+        table, c = {ord(a): s.rules[a] for a in s.letters}, e
+        steps = return_word_chain(s, e)
+        taus = [tau for _, tau in steps]
+        assert len(taus[-1]) == 1 or taus[-1] in taus[:-1], s
+        for words, tau in steps:
+            k = next(k for k in range(1, len(table) + 1) if c in _iterate(table, c, k))
+            power = {a: _iterate(table, chr(a), k) for a in table}
+            beta = power[ord(c)].split(c, 1)[0]
+            prefix = _long_iterate(power, c, words)
             assert {c + piece for piece in prefix.split(c)[1:-1]} == set(words), s
             assert all(w.find(c, 1) < 0 for w in words), s
             for i, image in enumerate(tau):
-                assert "".join(words[ord(k)] for k in image) == words[i].translate(table), s
-            if len(tau) == 1 or tau in seen:
-                break
-            seen.add(tau)
+                full = words[i].translate(power)
+                assert "".join(words[ord(x)] for x in image) == full[len(beta) :] + beta, s
             late_images += any(not image.startswith(chr(0)) for image in tau)
-            table, c = tau, chr(0)
-    assert late_images >= 40
+            conjugated += beta != ""
+            table, c = dict(enumerate(tau)), chr(0)
+    assert late_images >= 40 and conjugated >= 100

@@ -69,11 +69,11 @@ def test_analyze_undecided_exit3(tmp_path, capsys):
 
 
 def test_analyze_undecided_periodicity_names_its_cap(tmp_path, capsys):
-    # primitive and certified minimal, but the return-word derivation of its
-    # periodicity writes more than DERIVATION_WORK letters, so the core walk
+    # primitive and certified minimal, but its chain of return-word
+    # derivations writes more than DERIVATION_WORK letters, so the core walk
     # gives the bounded-depth verdict and a caveat names the cap
-    path = DATA / "undecided-5.json"
-    out_json = tmp_path / "u5.json"
+    path = DATA / "capped-6.json"
+    out_json = tmp_path / "c6.json"
     assert main(["analyze", str(path), "--json", str(out_json)]) == 0
     out = capsys.readouterr().out
     assert "minimal: yes" in out
@@ -87,6 +87,21 @@ def test_analyze_undecided_periodicity_names_its_cap(tmp_path, capsys):
     payload = json.loads(out_json.read_text())
     assert payload["periodic"] == {"status": "aperiodic-up-to-depth", "period": None, "depth": 40}
     assert caveat in payload["depth_caveats"]
+
+
+def test_analyze_chain_decides_undecided_5(tmp_path, capsys):
+    # certified minimal, and its chain of return-word derivations repeats
+    # within DERIVATION_WORK, so no core walk runs and no caveat names a cap
+    path = DATA / "undecided-5.json"
+    out_json = tmp_path / "u5.json"
+    assert main(["analyze", str(path), "--json", str(out_json)]) == 0
+    out = capsys.readouterr().out
+    assert "minimal: yes" in out
+    assert "periodic: aperiodic-up-to-depth (depth 40)\n" in out
+    assert "periodicity from the core walk" not in out
+    payload = json.loads(out_json.read_text())
+    assert payload["periodic"] == {"status": "aperiodic-up-to-depth", "period": None, "depth": 40}
+    assert payload["depth_caveats"] == ["growth constants checked for n <= 30"]
 
 
 def test_unsaturated_factor_set_is_an_input_error(defs, capsys, monkeypatch):
