@@ -29,9 +29,10 @@ of a scan at some depth.  A certified system runs one chain of
 return-word derivations (Durand 1998), `return_word_chain`: its first step
 gives the return words of the certified letter and the pairs of them that
 occur, with no factor set, and the whole chain gives exact periodicity.
-`classify` builds one factor set per system: for the compatibility check,
-and for the factor-complexity core of `is_periodic`, which a system walks
-to a depth when it is not certified minimal or its chain passes its cap.
+`classify` builds one factor set per system: `check_compatibility`, exact
+from letter data, reads it only to name a blocked factor, and a system
+walks the factor-complexity core of `is_periodic` on it when it is not
+certified minimal or its chain passes its cap.
 """
 
 from __future__ import annotations
@@ -509,9 +510,15 @@ def is_periodic(factors: wd.FactorSet) -> PeriodicityResult:
     system is aperiodic up to the depth.  Every core word is a prefix of a
     longer one, so the tiling is checked on the core words of the horizon
     alone.  A finite language, with no factor of length max_length, raises
-    SubstitutionError.
+    SubstitutionError, and a set too shallow to leave a depth of 1,
+    ValueError.
     """
     depth = factors.max_length - CORE_MARGIN
+    if depth < 1:
+        raise ValueError(
+            f"the periodicity core needs a factor set of depth >= {CORE_MARGIN + 1}, "
+            f"got {factors.max_length}"
+        )
     if not factors.saturated:
         return PeriodicityResult(
             status=UNDECIDED,
@@ -848,9 +855,11 @@ def classify(
     constant, periodicity, unique ergodicity.
 
     Every system gets one factor set, which becomes `report.factors`; the
-    applications reuse it and deepen it where they need more.  A certified
-    minimal system gets its set at compat_depth + 1, the compatibility
-    check's depth: one `return_word_chain` from its certified letter gives
+    applications reuse it and deepen it where they need more.  The
+    compatibility check reads it only where compatibility fails, never for
+    a certified system, whose letter recurs inside its images.  A
+    certified minimal system gets its set at compat_depth + 1: one
+    `return_word_chain` from its certified letter gives
     its return words and pairs (step 1) and its periodicity (the whole
     chain, through `derived_periodicity`), and reads no factors; an
     aperiodic verdict keeps the status "aperiodic-up-to-depth" at
@@ -865,7 +874,7 @@ def classify(
     aperiodic_depth = compat_depth + APERIODIC_MARGIN
     depth = compat_depth + 1 if minimal == YES else aperiodic_depth + CORE_MARGIN
     factors = wd.factor_language(s, depth)
-    compatibility = check_compatibility(s, factors, compat_depth)
+    compatibility = check_compatibility(s, factors)
     primitive = is_primitive(s)
 
     caveats: list[str] = []

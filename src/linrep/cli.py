@@ -124,9 +124,7 @@ def _compat_note(report) -> str:
     if report.compatibility.status == "fails-certified":
         return f" (factor {d['blocked_factor']!r} has no {d['side']} extension)"
     if report.compatibility.status == "holds-certified":
-        if d.get("kind") == "interior-recurrence":
-            return f" (letter {d['letter']!r} recurs inside its power-{d['power']} image)"
-        return f" (two-sided seed {d['left']}.{d['right']}, power {d['power']})"
+        return f" (letter {d['letter']!r} recurs inside its power-{d['power']} image)"
     return ""
 
 

@@ -116,7 +116,7 @@ def enumerate_one_partitions(s: Substitution, w: str) -> list[OnePartition]:
         if w.startswith(alpha, i):
             res.extend((i, rest) for rest in memo[i + len(alpha)])
         if len(res) > MAX_PARTITIONS:
-            raise RuntimeError(f"more than {MAX_PARTITIONS} partitions; refusing")
+            raise SubstitutionError(f"more than {MAX_PARTITIONS} partitions; refusing")
         memo[i] = res
 
     out = []

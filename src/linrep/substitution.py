@@ -15,7 +15,6 @@ growth-constant ratios.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
@@ -184,12 +183,6 @@ class Substitution:
     def split(self) -> "AlphabetSplit":
         """The bounded/growing split of the alphabet, from `bounded_letters`."""
         return bounded_letters(self)
-
-    def first_letter(self, ch: str) -> str:
-        return self.rules[ch][0]
-
-    def last_letter(self, ch: str) -> str:
-        return self.rules[ch][-1]
 
     def reachable(self, start: Iterable[str]) -> frozenset[str]:
         """Letters occurring in some S^n(a), n >= 0, for a in start."""
@@ -572,98 +565,82 @@ def iterate_prefix(s: Substitution, seed: str, length: int) -> str:
 
 @dataclass
 class CompatibilityResult:
-    """Three-valued answer to: is every finite factor realized inside the subshift?
+    """Answer to: is every finite factor realized inside the subshift?
 
-    status is one of "holds-certified", "fails-certified", "unknown".
-    `detail` carries the machine-checkable certificate: a recurrence or
-    seed-pair witness for holds, a one-sided-blocked factor for fails.
+    status is "holds-certified" (`detail`: a letter that recurs inside its
+    power-p image), "fails-certified" (a factor blocked on one side), or
+    "unknown" (only for a capped factor set).
     """
 
     status: str
     detail: dict
 
 
-def check_compatibility(s: Substitution, factors, depth: int = 16) -> CompatibilityResult:
-    """Decide (partially) whether the factor language equals the subshift language.
+def interior_power(s: Substitution, e: str) -> int | None:
+    """The least p >= 1 with e at neither end of S^p(e), or None when there is none.
 
-    `factors` is a `words.FactorSet` of depth >= depth + 1 (`classify`
-    passes the one it builds for the whole classification); only its words
-    of length <= depth + 1 are read, so the answer is that of a set of
-    depth exactly depth + 1 whenever both are saturated.
-
-    Certification: either some growing letter e recurs strictly inside
-    S^p(e) and reaches every letter (every factor then sits inside some
-    S^N(e) with margins growing along multiples of p), or a seed pair a.b
-    of growing letters with S^p(a) ending in a, S^p(b) beginning with b and
-    ab in the language builds two-sided fixed points of S^p covering
-    everything the pair reaches.  Refutation: the factor language is exact
-    up to its depth, so a factor of length <= depth with no single-letter
-    extension on one side can never occur inside a two-sided sequence.
-    Either certificate shows that every factor extends on both sides, so
-    the refutation scan can find nothing where one holds, and it runs only
-    when neither does.  The scan, `FactorSet.blocked_factor`, codes the
-    roots cut to depth + 1 as integer levels (`words.code_words`) and reads
-    each length's extensions off arrays, without slicing a word per level;
-    it names the first blocked factor in sorted order of the shortest length
-    that has one.  Anything else: unknown.
+    A letter of S^p(e) is the end of a walk of p steps from e, each from a
+    letter a to a position of S(a), and it is the first (last) letter of
+    S^p(e) exactly when every step takes a first (last) position.  So the
+    walk follows the states (letter, took a non-first position, took a
+    non-last position), and e lies strictly inside S^p(e) exactly when p
+    steps reach (e, True, True).  A step from a to b of a closed walk from
+    e lies on one of at most 2|A| - 1 steps, through shortest walks from e
+    to a and from b to e; joining two of these, through a non-first and a
+    non-last position, bounds the least p by 4|A| - 2.
     """
-    if factors.max_length < depth + 1:
-        raise ValueError(
-            f"compatibility to depth {depth} needs a factor set of depth >= {depth + 1}, "
-            f"got {factors.max_length}"
-        )
-    split = s.split
+    rules = s.rules
+    states = {(e, False, False)}
+    for p in range(1, 4 * len(s.letters) - 1):
+        states = {
+            (b, left or i > 0, right or i < len(rules[a]) - 1)
+            for a, left, right in states
+            for i, b in enumerate(rules[a])
+        }
+        if (e, True, True) in states:
+            return p
+    return None
+
+
+def check_compatibility(s: Substitution, factors) -> CompatibilityResult:
+    """Decide whether the factor language L equals the two-sided subshift's language.
+
+    That holds exactly when every factor extends on both sides.  With e the
+    first growing letter, in sorted order, that reaches every letter
+    (SubstitutionError when none does), L is the set of factors of the S^n(e).
+
+    (a) If S^p(e) = u e v with u, v nonempty, S^(n + jp)(e) holds S^n(e)
+    with at least j letters on each side (S is non-erasing), so every
+    factor extends: "holds-certified", with e and its `interior_power`.
+    (b) Otherwise e occurs in each S^n(e), n >= 1, only at its ends.  A
+    factor xe lies in some S^n(e), so at its end, and xey would put e
+    inside some S^m(e).  So the factor e has no left extension or some xe
+    has no right one: "fails-certified", naming the first blocked factor in
+    sorted order of the shortest length, 1 or 2, the right side checked
+    first.  That reads the factors of length <= 3 of `factors`: ValueError
+    when it is shallower, "unknown" when it is capped.  L does not depend
+    on e, so where e does not recur, no growing letter does.
+    """
     all_letters = frozenset(s.letters)
-    # interior recurrence certificate
-    for e in sorted(split.growing):
-        if s.reachable([e]) != all_letters:
-            continue
-        w = e
-        for p in range(1, depth + 1):
-            if len(w) > 200000:
-                break
-            w = s.apply(w)
-            idx = w.find(e, 1)
-            if 0 < idx < len(w) - 1:
-                return CompatibilityResult(
-                    "holds-certified",
-                    {"kind": "interior-recurrence", "letter": e, "power": p},
-                )
-
+    e = next((e for e in sorted(s.split.growing) if s.reachable([e]) == all_letters), None)
+    if e is None:
+        raise SubstitutionError("no growing letter reaches the whole alphabet")
+    p = interior_power(s, e)
+    if p is not None:
+        return CompatibilityResult(
+            "holds-certified", {"kind": "interior-recurrence", "letter": e, "power": p}
+        )
+    if factors.max_length < 3:
+        raise ValueError(f"a refutation needs a factor set of depth >= 3, got {factors.max_length}")
     if not factors.saturated:
-        return CompatibilityResult("unknown", {"depth": depth})
-
-    # seed-pair certificate
-    if factors.max_length >= 2:
-        ends = _return_times(s.last_letter, split.growing, depth)
-        begins = _return_times(s.first_letter, split.growing, depth)
-        for x in sorted(ends):
-            for y in sorted(begins):
-                p = math.lcm(ends[x], begins[y])
-                if p > depth:
-                    continue
-                if (x + y) in factors and (s.reachable([x]) | s.reachable([y])) == all_letters:
-                    return CompatibilityResult(
-                        "holds-certified",
-                        {"kind": "seed-pair", "left": x, "right": y, "power": p},
-                    )
-
-    # refutation scan: the factor language is exact up to depth + 1, so a
-    # factor of length <= depth without an extension on one side is blocked
-    blocked = factors.blocked_factor(depth)
-    if blocked is not None:
-        return CompatibilityResult("fails-certified", blocked)
-    return CompatibilityResult("unknown", {"depth": depth})
-
-
-def _return_times(step, letters, depth: int) -> dict[str, int]:
-    # the least p <= depth with step^p(x) = x, for each letter x that has one
-    times = {}
-    for x in sorted(letters):
-        cur = x
-        for p in range(1, depth + 1):
-            cur = step(cur)
-            if cur == x:
-                times[x] = p
-                break
-    return times
+        return CompatibilityResult("unknown", {"depth": factors.max_length})
+    cut = {r[:3] for r in factors.roots}  # each short factor is a prefix of one of these
+    levels = [sorted({w[:n] for w in cut if len(w) >= n}) for n in (1, 2, 3)]
+    for words, longer in zip(levels, levels[1:]):
+        prefixes = {u[:-1] for u in longer}
+        suffixes = {u[1:] for u in longer}
+        for w in words:
+            if w not in prefixes or w not in suffixes:
+                side = "left" if w in prefixes else "right"
+                return CompatibilityResult("fails-certified", {"blocked_factor": w, "side": side})
+    raise SubstitutionError(f"{e!r} recurs only at the ends of its images, yet nothing is blocked")

@@ -13,16 +13,16 @@ read the maximal words and the roots directly.  The cost follows the number
 of length-n factors, not the length of the iterates or the number of
 shorter factors.
 
-Walks over the levels of a set of words, the periodicity core and the
-refutation scan of the compatibility check, run on `code_words`: the words
-sorted and coded as integer rows, with the prefix classes of every length
-and the suffix links as arrays, so a level costs a few array passes and no
-string slicing.
+The walk of the periodicity core over the levels of the factors runs on
+`code_words`: the words sorted and coded as integer rows, with the prefix
+classes of every length and the suffix links as arrays, so a level costs a
+few array passes and no string slicing.
 
 Coverage lengths, the smallest L such that every factor of length L holds
 every target, have one algorithm: `coverage_exact`, an exact fold over the
-letter images that needs no factor set.  The gap bound kappa, the
-repetitivity function R(n) and the pair coverage G all read it.
+letter images that needs no factor set.  The gap bound kappa and the pair
+coverage G read it, and so does the tests' reference repetitivity function
+R(n).
 """
 
 from __future__ import annotations
@@ -66,9 +66,7 @@ class FactorSet:
     `saturated` is True when the closure reached a fixed point, in which
     case `words` is exactly the set of nonempty factors of length
     <= max_length.  `roots` and `words` are derived on first use;
-    `words_of_length` cuts the roots, `in` searches the maximal words, and
-    `blocked_factor` scans the coded roots for a factor that does not
-    extend.
+    `words_of_length` cuts the roots and `in` searches the maximal words.
     """
 
     substitution: object
@@ -113,40 +111,6 @@ class FactorSet:
         """Sorted tuple of the factors of exactly the given length."""
         return tuple(sorted({r[:length] for r in self.roots if len(r) >= length}))
 
-    def blocked_factor(self, depth: int) -> dict | None:
-        """The shortest factor of length <= depth with no extension on one side.
-
-        The factors of length n are the prefixes of the roots cut to n + 1
-        that are at least n long.  One has a right extension when it is a
-        prefix of such a cut root longer than n, and a left one when it is
-        r[1:n + 1] for such an r.  The lengths are scanned shortest first,
-        each on roots cut no deeper than twice its length, so a short
-        blocked factor costs no deep coding.  Among the blocked words of the
-        shortest length that has one, the first in sorted order is named,
-        the right side checked before the left; None when there are none.
-        The answer is that of a set of depth exactly depth + 1.
-        """
-        short = 1  # the shortest length not scanned yet
-        while short <= depth:
-            cut = min(2 * short, depth + 1)  # lengths short .. cut - 1 read the roots cut to `cut`
-            coded = code_words({r[:cut] for r in self.roots}, self.substitution.letters)
-            lengths = coded.lengths
-            for n in range(short, cut):
-                classes = coded.classes(n)
-                word = np.zeros(len(classes), bool)
-                word[classes[lengths >= n]] = True
-                right = np.zeros_like(word)
-                right[classes[lengths > n]] = True
-                left = np.zeros_like(word)
-                left[classes[coded.link[coded.reach >= n]]] = True
-                blocked = np.flatnonzero(word & ~(right & left))
-                if len(blocked):
-                    c = blocked[0]
-                    w = coded.words[np.flatnonzero(coded.lcp < n)[c]][:n]
-                    return {"blocked_factor": w, "side": "left" if right[c] else "right"}
-            short = cut
-        return None
-
     def require_saturated(self) -> None:
         if not self.saturated:
             raise UnsaturatedFactorSetError(
@@ -169,7 +133,6 @@ class CodedWords:
     """
 
     words: list[Word]
-    lengths: np.ndarray
     lcp: np.ndarray  # with the word before; -1 for the first
     link: np.ndarray
     reach: np.ndarray
@@ -231,7 +194,6 @@ def code_words(words: Iterable[Word], letters: Iterable[str]) -> CodedWords:
     lcp[1:] = _common_prefix(rows[1:], rows[:-1])
     return CodedWords(
         words=words,
-        lengths=lengths,
         lcp=lcp,
         link=np.where(with_above >= with_below, above, below),
         reach=np.minimum(np.maximum(with_below, with_above), lengths - 1),

@@ -261,11 +261,13 @@ def scan_coverage_length(words: set[str], targets, max_length: int) -> int | Non
 
 
 def own_set_compatibility(s, depth: int = 16):
-    """The compatibility check on a factor set of its own, of depth max(4, depth + 1).
+    """A depth-bounded compatibility check on a factor set of its own, of depth max(4, depth + 1).
 
-    Reference for `check_compatibility` on the factor set `classify` builds:
-    the same refutation scan over the full derived word set (with `in` on
-    the set itself), the same recurrence and seed-pair certificates.
+    Reference for the exact `check_compatibility`: a refutation scan over
+    the full derived word set (with `in` on the set itself), interior
+    recurrence of a growing letter up to power `depth`, and a two-sided seed
+    pair a.b (S^p(a) ends in a, S^p(b) begins with b, ab a factor).  Each
+    of them proves its verdict, so where one decides, the exact check agrees.
     """
     import math
 
@@ -304,13 +306,13 @@ def own_set_compatibility(s, depth: int = 16):
         for x in sorted(split.growing):
             cur = x
             for p in range(1, depth + 1):
-                cur = s.last_letter(cur)
+                cur = s.rules[cur][-1]
                 if cur == x:
                     ends[x] = p
                     break
             cur = x
             for p in range(1, depth + 1):
-                cur = s.first_letter(cur)
+                cur = s.rules[cur][0]
                 if cur == x:
                     begins[x] = p
                     break
@@ -327,6 +329,24 @@ def own_set_compatibility(s, depth: int = 16):
     return CompatibilityResult("unknown", {"depth": depth})
 
 
+def interior_power_by_strings(s, e: str, cap: int = 10**5) -> tuple[int | None, int]:
+    """The least p <= 8|A| with e at neither end of S^p(e), read off the words.
+
+    Returns (p, checked): p is None when no power up to `checked` has it.
+    `checked` stops short of 8|A| only where the next word would pass `cap`
+    letters.  Reference for `substitution.interior_power`.
+    """
+    w = e
+    top = 8 * len(s.letters)
+    for p in range(1, top + 1):
+        if s.word_image_length(w, 1) > cap:
+            return None, p - 1
+        w = s.apply(w)
+        if e in w[1:-1]:
+            return p, p
+    return None, top
+
+
 def levels_blocked_factor(factors, depth: int) -> dict | None:
     """The blocked-factor verdict of a refutation scan that holds every level at once.
 
@@ -334,7 +354,7 @@ def levels_blocked_factor(factors, depth: int) -> dict | None:
     scans the levels shortest first and each level in sorted order,
     stopping at the first word that is neither a prefix (right side,
     checked first) nor a suffix (left side) of a word one letter longer.
-    Reference for the two-levels-at-a-time scan of `check_compatibility`.
+    Reference for the refutation of `check_compatibility`.
     """
     levels = [set() for _ in range(depth + 2)]
     for r in factors.roots:

@@ -7,6 +7,7 @@ import pytest
 import linrep as lr
 from linrep import words as wd
 from linrep.classify import (
+    CORE_MARGIN,
     NO,
     UNDECIDED,
     YES,
@@ -24,7 +25,6 @@ from linrep.substitution import (
     Substitution,
     SubstitutionError,
     bounded_letters,
-    check_compatibility,
     is_primitive,
 )
 
@@ -195,6 +195,15 @@ def test_is_periodic_names_a_finite_language():
             assert factors.saturated
             with pytest.raises(SubstitutionError, match=f"finite: it has no factor of length {depth}"):
                 is_periodic(factors)
+
+
+def test_is_periodic_rejects_a_set_too_shallow_for_its_margin():
+    # at depth CORE_MARGIN or less the walk would read no level at all
+    periodic_ab = lr.load("periodic-ab")
+    for depth in (4, CORE_MARGIN):
+        with pytest.raises(ValueError, match=f"depth >= {CORE_MARGIN + 1}, got {depth}"):
+            is_periodic(wd.factor_language(periodic_ab, depth))
+    assert is_periodic(wd.factor_language(periodic_ab, CORE_MARGIN + 1)).depth == 1
 
 
 def test_is_periodic_depth_is_the_factor_depth_less_the_margin():
@@ -512,9 +521,6 @@ def test_compatibility_on_classify_set_matches_own_set():
         except SubstitutionError:
             continue  # empty subshift or unreachable letters
         assert rep.compatibility == own_set_compatibility(s, 16), s
-        for depth in (3, 8):
-            got = check_compatibility(s, rep.factors, depth)
-            assert got == own_set_compatibility(s, depth), (s, depth)
         checked += 1
     assert checked >= 40
 

@@ -36,6 +36,17 @@ def test_analyze_fibonacci_exit_zero(defs, capsys):
     assert "repetitivity constant" in out
 
 
+def test_analyze_compatibility_is_exact_at_depth_1(defs, capsys):
+    # the check reads the letters, not a factor set of the given depth
+    assert main(["analyze", str(defs / "fibonacci.json"), "--depth", "1"]) == 0
+    out = capsys.readouterr().out
+    assert (
+        "language/subshift compatibility: holds-certified "
+        "(letter 'a' recurs inside its power-3 image)"
+    ) in out.splitlines()
+    assert "compatibility with the two-sided subshift" not in out
+
+
 def test_analyze_remark1b_report(defs, capsys):
     assert main(["analyze", str(defs / "remark1b.json")]) == 0
     out = capsys.readouterr().out

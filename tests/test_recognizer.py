@@ -73,6 +73,13 @@ def test_enumerate_rejects_foreign_letters(abaa):
         rec.enumerate_one_partitions(abaa, "abc")
 
 
+def test_enumerate_partition_cap_is_a_substitution_error(abaa, monkeypatch):
+    # "abaab" has more 1-partitions than a cap of 0 allows
+    monkeypatch.setattr(rec, "MAX_PARTITIONS", 0)
+    with pytest.raises(SubstitutionError, match="more than 0 partitions"):
+        rec.enumerate_one_partitions(abaa, "abaab")
+
+
 def test_enumerate_matches_naive_recursion(abaa):
     rng = random.Random(5)
     sample = lr.iterate_prefix(abaa, "a", 400)

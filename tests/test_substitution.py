@@ -15,6 +15,7 @@ from linrep.substitution import (
     UnknownLetterError,
     bounded_letters,
     check_compatibility,
+    interior_power,
     is_primitive,
     perron_eigenvalue,
     perron_growth,
@@ -27,6 +28,7 @@ from linrep.words import factor_language
 from bruteforce import (
     apply_rules,
     growth_sandwich_holds,
+    interior_power_by_strings,
     levels_blocked_factor,
     mat_pow,
     project,
@@ -483,42 +485,78 @@ def test_compatibility_one_sided_prefix_point_fails():
 
 
 def test_compatibility_rejects_shallow_factor_set(fib):
-    with pytest.raises(ValueError, match="depth >= 17"):
-        check_compatibility(fib, factor_language(fib, 16))
+    # a recurrence needs no factors, but {a -> ab, b -> b}, where no letter
+    # recurs inside its images, reads the factors of length 3 to name the
+    # blocked one
+    assert check_compatibility(fib, factor_language(fib, 1)).status == "holds-certified"
+    s = Substitution.from_rules({"a": "ab", "b": "b"})
+    with pytest.raises(ValueError, match="depth >= 3, got 2"):
+        check_compatibility(s, factor_language(s, 2))
+    res = check_compatibility(s, factor_language(s, 3))
+    assert res.detail == {"blocked_factor": "a", "side": "left"}
 
 
-def test_compatibility_scan_matches_all_levels_oracle(level_systems):
-    # the coded scan against the oracle that holds every level as strings,
-    # at every depth 1-19 on a depth-20 set and at 48 on a depth-56 set, so
-    # both read roots cut below the set's depth; check_compatibility reports
-    # the same blocked factor, as no certificate holds where one is blocked
-    blocked = 0
+def test_interior_power_matches_string_oracle():
+    # the letter walk against S^p(e) built as strings for p up to 8|A|, on
+    # seeded systems over 2-8 letters with mostly one-letter images, so that
+    # least powers run long and many letters never recur inside their images
+    rng = random.Random(2323)
+    found = never = 0
+    for _ in range(1200):
+        letters = "abcdefgh"[: rng.randint(2, 8)]
+        rules = {
+            a: "".join(rng.choices(letters, k=rng.choice([1, 1, 1, 1, 2, 3]))) for a in letters
+        }
+        s = Substitution.from_rules(rules)
+        for e in letters:
+            got = interior_power(s, e)
+            want, checked = interior_power_by_strings(s, e, cap=2000)
+            assert got is None or got <= 4 * len(letters) - 2, (rules, e)
+            if want is not None or checked == 8 * len(letters):
+                assert got == want, (rules, e)
+                found += want is not None
+                never += want is None
+            else:  # the words passed the cap after `checked` powers
+                assert got is None or got > checked, (rules, e)
+    assert found >= 1000 and never >= 1000, (found, never)
+
+
+def test_compatibility_refutation_matches_all_levels_oracle(level_systems):
+    # the exact check against the oracle that scans every level up to 48 as
+    # strings: compatibility holds exactly where nothing is blocked, and
+    # fails naming the oracle's factor; a system without a growing letter
+    # that reaches every letter raises
+    verdicts = {"holds-certified": 0, "fails-certified": 0, "raises": 0}
     for s in level_systems:
-        shallow, deep = factor_language(s, 20), factor_language(s, 56)
-        for fs, depth in [*((shallow, d) for d in range(1, 20)), (deep, 48)]:
-            if not fs.saturated:
-                continue
-            want = levels_blocked_factor(fs, depth)
-            assert fs.blocked_factor(depth) == want, (s, depth)
-            got = check_compatibility(s, fs, depth)
-            if want is None:
-                assert got.status != "fails-certified", (s, depth)
-            else:
-                assert (got.status, got.detail) == ("fails-certified", want), (s, depth)
-                blocked += 1
-    assert blocked >= 2000
+        fs = factor_language(s, 49)
+        if all(s.reachable([e]) != set(s.letters) for e in s.split.growing):
+            with pytest.raises(SubstitutionError):
+                check_compatibility(s, fs)
+            verdicts["raises"] += 1
+            continue
+        got = check_compatibility(s, fs)
+        if not fs.saturated:
+            continue
+        want = levels_blocked_factor(fs, 48)
+        if want is None:
+            assert got.status == "holds-certified", s
+        else:
+            assert (got.status, got.detail) == ("fails-certified", want), s
+        verdicts[got.status] += 1
+    assert min(verdicts.values()) >= 20, verdicts
 
 
 def test_compatibility_scan_memory_stays_at_two_levels():
-    # {a -> abc, b -> bc, c -> c} has no certificate, so the scan runs; every
-    # factor of every length up to 121 at once as strings peaks near 28 MB
+    # {a -> abc, b -> bc, c -> c}: a never recurs inside its images, so the
+    # check reads the factors of length <= 3 of a depth-121 set; every factor
+    # of every length up to 121 at once as strings peaks near 28 MB
     import tracemalloc
 
     s = Substitution.from_rules({"a": "abc", "b": "bc", "c": "c"})
     fs = factor_language(s, 121)
     tracemalloc.start()
     try:
-        res = check_compatibility(s, fs, 120)
+        res = check_compatibility(s, fs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

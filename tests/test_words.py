@@ -323,7 +323,6 @@ def _check_coding(words, letters):
     coded = wd.code_words(words, letters)
     ws = sorted(set(words))
     assert coded.words == ws
-    assert list(coded.lengths) == [len(w) for w in ws]
     for i, w in enumerate(ws):
         if i:
             assert coded.lcp[i] == len(os.path.commonprefix([ws[i - 1], w]))
