@@ -29,16 +29,16 @@ of a scan at some depth.  A certified system runs one chain of
 return-word derivations (Durand 1998), `return_word_chain`: its first step
 gives the return words of the certified letter and the pairs of them that
 occur, with no factor set, and the whole chain gives exact periodicity.
-`classify` builds one factor set per system: `check_compatibility`, exact
-from letter data, reads it only to name a blocked factor, and a system
-walks the factor-complexity core of `is_periodic` on it when it is not
-certified minimal or its chain passes its cap.
+`check_compatibility` is exact from letter data as well.  `classify` builds
+a factor set only to walk the factor-complexity core of `is_periodic`, for
+a system that is not certified minimal or whose chain passes its cap.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +65,7 @@ APERIODIC = "aperiodic-up-to-depth"
 
 # is_periodic reads core complexities this many letters below the factor depth
 CORE_MARGIN = 8
-# classify walks the periodicity core this many letters past compat_depth
+# classify reports aperiodicity this many letters past its depth
 APERIODIC_MARGIN = 24
 # steps analyze_bounded_blocks spends measuring one bounded run orbit
 MEASURE_CAP = 4096
@@ -741,8 +741,13 @@ class ClassificationReport:
     periodicity: PeriodicityResult
     growth: GrowthEstimate | None
     lr: LRBound | None
-    factors: wd.FactorSet
+    factor_depth: int
     depth_caveats: tuple[str, ...]
+
+    @cached_property
+    def factors(self) -> wd.FactorSet:
+        """The factor set of depth factor_depth: the core walk's, or built on first read."""
+        return wd.factor_language(self.substitution, self.factor_depth)
 
     def to_json_dict(self) -> dict:
         s = self.substitution
@@ -847,38 +852,31 @@ def decide_minimality(s: Substitution) -> tuple[tuple[str, ...], BGDecision]:
 def classify(
     s: Substitution,
     *,
-    compat_depth: int = 16,
+    depth: int = 16,
     growth_nmax: int = 30,
 ) -> ClassificationReport:
     """Full classification: compatibility, primitivity, minimality (with
     certificate or counterexample), linear repetitivity with its explicit
     constant, periodicity, unique ergodicity.
 
-    Every system gets one factor set, which becomes `report.factors`; the
-    applications reuse it and deepen it where they need more.  The
-    compatibility check reads it only where compatibility fails, never for
-    a certified system, whose letter recurs inside its images.  A
-    certified minimal system gets its set at compat_depth + 1: one
-    `return_word_chain` from its certified letter gives
-    its return words and pairs (step 1) and its periodicity (the whole
-    chain, through `derived_periodicity`), and reads no factors; an
-    aperiodic verdict keeps the status "aperiodic-up-to-depth" at
-    aperiodic_depth = compat_depth + APERIODIC_MARGIN.  Any other system
-    gets its set at aperiodic_depth + CORE_MARGIN and walks the periodicity
-    core of `is_periodic` to aperiodic_depth.  So does a certified system
-    whose chain passes DERIVATION_WORK, on a set of that depth of its own,
-    with a caveat that names the cap; past the cap in step 1 the
-    repetitivity constant is undecided as well."""
+    A certified minimal system runs one `return_word_chain` from its
+    certified letter: step 1 gives its return words and pairs, and the
+    whole chain its periodicity (`derived_periodicity`), with no factor
+    set; an aperiodic verdict has the status "aperiodic-up-to-depth" at
+    aperiodic_depth = depth + APERIODIC_MARGIN.  Any other system, and a
+    certified one whose chain passes DERIVATION_WORK (with a caveat naming
+    the cap, which in step 1 leaves the repetitivity constant undecided),
+    walks the core of `is_periodic` to aperiodic_depth on the factor set
+    of `report.factor_depth` = aperiodic_depth + CORE_MARGIN."""
     candidates, decision = decide_minimality(s)
     minimal = decision.status
-    aperiodic_depth = compat_depth + APERIODIC_MARGIN
-    depth = compat_depth + 1 if minimal == YES else aperiodic_depth + CORE_MARGIN
-    factors = wd.factor_language(s, depth)
-    compatibility = check_compatibility(s, factors)
+    aperiodic_depth = depth + APERIODIC_MARGIN
+    factor_depth = aperiodic_depth + CORE_MARGIN
+    compatibility = check_compatibility(s)
     primitive = is_primitive(s)
 
     caveats: list[str] = []
-    lr = None
+    lr = periodicity = None
     if minimal == YES:
         steps = return_word_chain(s, decision.certificate.letter)
         try:
@@ -889,11 +887,13 @@ def classify(
         periodicity = derived_periodicity(steps, aperiodic_depth)
         if periodicity.status == UNDECIDED:  # the chain passed its work cap
             cap = periodicity.note
-            periodicity = is_periodic(wd.factor_language(s, aperiodic_depth + CORE_MARGIN))
             caveats.append(f"periodicity from the core walk to depth {aperiodic_depth}: {cap}")
-    else:
-        if minimal == UNDECIDED and decision.note:
-            caveats.append(decision.note)
+            periodicity = None
+    elif minimal == UNDECIDED and decision.note:
+        caveats.append(decision.note)
+    factors = None
+    if periodicity is None:
+        factors = wd.factor_language(s, factor_depth)
         periodicity = is_periodic(factors)
     if periodicity.status == UNDECIDED:
         caveats.append(f"periodicity undecided: {periodicity.note}")
@@ -904,7 +904,7 @@ def classify(
             "subshift itself may behave differently"
         )
 
-    return ClassificationReport(
+    report = ClassificationReport(
         substitution=s,
         split=s.split,
         witness_pool=candidates,
@@ -918,9 +918,12 @@ def classify(
         periodicity=periodicity,
         growth=lr.growth if lr else None,
         lr=lr,
-        factors=factors,
+        factor_depth=factor_depth,
         depth_caveats=tuple(caveats),
     )
+    if factors is not None:
+        report.factors = factors  # primes the cached property
+    return report
 
 
 def _unique_ergodicity(minimal: str) -> str:

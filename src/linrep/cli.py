@@ -76,7 +76,7 @@ def _load(path: str) -> tuple[Substitution, list[str]]:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     s, notes = _load(args.definition)
-    report = classify(s, compat_depth=args.depth, growth_nmax=args.nmax)
+    report = classify(s, depth=args.depth, growth_nmax=args.nmax)
     payload = report.to_json_dict() if args.json else None
     rules = ", ".join(f"{a}->{s.rules[a]}" for a in s.letters)
     print(f"substitution {s.name or '?'}: {rules}")
@@ -123,9 +123,7 @@ def _compat_note(report) -> str:
     d = report.compatibility.detail
     if report.compatibility.status == "fails-certified":
         return f" (factor {d['blocked_factor']!r} has no {d['side']} extension)"
-    if report.compatibility.status == "holds-certified":
-        return f" (letter {d['letter']!r} recurs inside its power-{d['power']} image)"
-    return ""
+    return f" (letter {d['letter']!r} recurs inside its power-{d['power']} image)"
 
 
 def _minimal_note(report) -> str:

@@ -196,7 +196,8 @@ def window_half_width(s: Substitution, factors: wd.FactorSet) -> WindowWidth:
 
     When `factors` is too shallow to certify the power bound, the factor set
     is deepened by doubling, the last step to MAX_WIDTH_DEPTH itself; a set
-    of that depth that is still too shallow raises the error.
+    of that depth that is still too shallow raises the error.  A certified
+    exponent is exact, so L does not depend on the depth it is read at.
     """
     a, b = shape_letters(s)
     alpha = s.rules[a]

@@ -36,11 +36,9 @@ CLOSED_GAP_TOL = 1e-9
 # the default energy window reaches this far beyond the spectrum's bound
 WINDOW_MARGIN = 0.5
 
-# gordon_check: slack of the cube-frequency bound, the depth of the factor
-# set it searches for a cube when the report's set is shallower, the levels
-# k it checks and the length of its fixed-point sample
+# gordon_check: slack of the cube-frequency bound, the levels k it checks
+# and the length of its fixed-point sample
 GORDON_TOL = 1e-3
-GORDON_SEARCH_DEPTH = 48
 GORDON_LEVELS = (1, 2, 3, 4, 5, 6)
 GORDON_SAMPLE_LENGTH = 10**6
 
@@ -201,23 +199,17 @@ def gordon_check(
     """Locate a cube witness and verify the analytic cube-frequency bound empirically.
 
     The report must carry the repetitivity constant, which only a certified
-    minimal system gets.  The cube witness is searched in `report.factors`,
-    and on a miss in a set of depth GORDON_SEARCH_DEPTH: `find_power`
-    returns the shortest u, ties broken lexicographically, so every
-    saturated set that holds u^3 u[0] finds the same u.  The bound is
-    checked at the levels GORDON_LEVELS on the first GORDON_SAMPLE_LENGTH
-    letters of the fixed point.
+    minimal system gets.  The cube witness is searched in `report.factors`
+    alone: `find_power` returns the shortest u, ties broken
+    lexicographically, so every saturated set that holds u^3 u[0] finds the
+    same u.  The bound is checked at the levels GORDON_LEVELS on the first
+    GORDON_SAMPLE_LENGTH letters of the fixed point.
     """
     if report.lr is None:
         raise SubstitutionError("needs the explicit repetitivity constant for coverage sizing")
-    growing = report.split.growing
-    factors = report.factors
-    u = wd.find_power(factors, lambda w: w[0] in growing, 3)
-    if u is None and factors.max_length < GORDON_SEARCH_DEPTH:
-        factors = wd.factor_language(s, GORDON_SEARCH_DEPTH)
-        u = wd.find_power(factors, lambda w: w[0] in growing, 3)
+    u = wd.find_power(report.factors, lambda w: w[0] in report.split.growing, 3)
     if u is None:
-        return GordonHypothesisMissing(searched_depth=factors.max_length)
+        return GordonHypothesisMissing(searched_depth=report.factor_depth)
     e = u[0]
 
     # the Perron eigenvalue of the reduced substitution, as the report found it

@@ -568,8 +568,7 @@ class CompatibilityResult:
     """Answer to: is every finite factor realized inside the subshift?
 
     status is "holds-certified" (`detail`: a letter that recurs inside its
-    power-p image), "fails-certified" (a factor blocked on one side), or
-    "unknown" (only for a capped factor set).
+    power-p image) or "fails-certified" (a factor blocked on one side).
     """
 
     status: str
@@ -602,7 +601,20 @@ def interior_power(s: Substitution, e: str) -> int | None:
     return None
 
 
-def check_compatibility(s: Substitution, factors) -> CompatibilityResult:
+def short_factors(s: Substitution) -> list[list[str]]:
+    """The sorted factors of length 1, 2 and 3: a window of length m <= 3 of
+    S(w) lies inside the images of at most m adjacent letters of w, so the
+    windows of S(u) over the factors u found so far close this finite set."""
+    found, todo = set(s.letters), list(s.letters)
+    while todo:
+        image = s.apply(todo.pop())
+        windows = {image[i : i + m] for m in (1, 2, 3) for i in range(len(image) - m + 1)}
+        todo.extend(windows - found)
+        found |= windows
+    return [sorted(w for w in found if len(w) == m) for m in (1, 2, 3)]
+
+
+def check_compatibility(s: Substitution) -> CompatibilityResult:
     """Decide whether the factor language L equals the two-sided subshift's language.
 
     That holds exactly when every factor extends on both sides.  With e the
@@ -617,9 +629,8 @@ def check_compatibility(s: Substitution, factors) -> CompatibilityResult:
     inside some S^m(e).  So the factor e has no left extension or some xe
     has no right one: "fails-certified", naming the first blocked factor in
     sorted order of the shortest length, 1 or 2, the right side checked
-    first.  That reads the factors of length <= 3 of `factors`: ValueError
-    when it is shallower, "unknown" when it is capped.  L does not depend
-    on e, so where e does not recur, no growing letter does.
+    first, read off the `short_factors`.  L does not depend on e, so where
+    e does not recur, no growing letter does.
     """
     all_letters = frozenset(s.letters)
     e = next((e for e in sorted(s.split.growing) if s.reachable([e]) == all_letters), None)
@@ -630,12 +641,7 @@ def check_compatibility(s: Substitution, factors) -> CompatibilityResult:
         return CompatibilityResult(
             "holds-certified", {"kind": "interior-recurrence", "letter": e, "power": p}
         )
-    if factors.max_length < 3:
-        raise ValueError(f"a refutation needs a factor set of depth >= 3, got {factors.max_length}")
-    if not factors.saturated:
-        return CompatibilityResult("unknown", {"depth": factors.max_length})
-    cut = {r[:3] for r in factors.roots}  # each short factor is a prefix of one of these
-    levels = [sorted({w[:n] for w in cut if len(w) >= n}) for n in (1, 2, 3)]
+    levels = short_factors(s)
     for words, longer in zip(levels, levels[1:]):
         prefixes = {u[:-1] for u in longer}
         suffixes = {u[1:] for u in longer}

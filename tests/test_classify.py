@@ -409,7 +409,7 @@ def test_lr_bound_beyond_old_scan_depth(rules, kappa, G, confirm):
     rep = classify(s)
     assert rep.minimal == YES and rep.certificate.kappa == kappa
     assert rep.lr is not None and rep.lr.G == G
-    assert rep.factors.max_length == 17  # compat_depth + 1: the pairs read no factor set
+    assert rep.factor_depth == 48 and "factors" not in vars(rep)  # the pairs read no factor set
     if confirm:
         # G by definition, on a saturated factor set one letter deeper: every
         # factor of length G holds every pair, and some of length G - 1 misses one
@@ -421,9 +421,10 @@ def test_lr_bound_beyond_old_scan_depth(rules, kappa, G, confirm):
 
 
 def test_classify_builds_one_factor_set(monkeypatch):
-    # one set per system: at the compatibility depth 17 for a certified
-    # system, whose return words and periodicity read no factors, and at the
-    # core walk's 40 + CORE_MARGIN = 48 for any other
+    # a certified system, whose return words and periodicity read no
+    # factors, builds no set in classify; any other builds one, at the core
+    # walk's 40 + CORE_MARGIN = 48; report.factors is built once, on first
+    # read, at that depth
     calls = []
     build = wd.factor_language
 
@@ -432,11 +433,19 @@ def test_classify_builds_one_factor_set(monkeypatch):
         return build(s, max_length, **kwargs)
 
     monkeypatch.setattr(wd, "factor_language", counted)
-    for name in CATALOG_NAMES:
+    systems = [lr.load(name) for name in CATALOG_NAMES]
+    systems += [Substitution.from_rules(rules) for rules in _sweep_systems()]
+    certified = 0
+    for s in systems:
         calls.clear()
-        rep = classify(lr.load(name))
-        assert calls == [17 if rep.minimal == YES else 48], name
-        assert rep.factors.max_length == calls[0], name
+        rep = classify(s)
+        assert calls == ([] if rep.minimal == YES else [48]), s
+        certified += rep.minimal == YES
+        assert rep.factor_depth == 48
+        first = rep.factors
+        assert rep.factors is first and first.max_length == 48, s
+        assert calls == [48], s
+    assert certified == 109
 
 
 def _drawn_systems(seed, count, sizes, lengths):
@@ -677,21 +686,21 @@ def test_derived_periodicity_work_cap_is_undecided(monkeypatch):
 
 
 def test_capped_derivation_falls_back_to_the_walk(monkeypatch):
-    # past the cap, classify walks the core on a depth-48 set of its own and
-    # names the cap in one caveat
+    # past the cap, classify walks the core on a depth-48 set, which becomes
+    # report.factors, and names the cap in one caveat
     module = importlib.import_module("linrep.classify")
     uncapped = classify(lr.load("thue-morse")).lr
     monkeypatch.setattr(module, "DERIVATION_WORK", 2)
     calls = []
-    monkeypatch.setattr(module, "is_periodic", lambda fs: calls.append(fs.max_length) or is_periodic(fs))
+    monkeypatch.setattr(module, "is_periodic", lambda fs: calls.append(fs) or is_periodic(fs))
     for name, period in [("thue-morse", None), ("periodic-ab", "ab")]:
         rep = classify(lr.load(name))
-        assert rep.minimal == YES and rep.factors.max_length == 17
+        assert rep.minimal == YES and rep.factors is calls[-1]  # the walk's set
         want = is_periodic(wd.factor_language(lr.load(name), 48))
         assert rep.periodicity == want and want.period == period
         cap = "periodicity from the core walk to depth 40: return-word derivation wrote more than 2 letters"
         assert [c for c in rep.depth_caveats if "periodicity" in c] == [cap]
-    assert calls == [48, 48]
+    assert [fs.max_length for fs in calls] == [48, 48]
     # a cap that step 1 fits under keeps the repetitivity constant: only
     # the later steps fall back to the walk
     monkeypatch.setattr(module, "DERIVATION_WORK", 40)
@@ -700,7 +709,7 @@ def test_capped_derivation_falls_back_to_the_walk(monkeypatch):
     assert rep.periodicity == is_periodic(wd.factor_language(lr.load("thue-morse"), 48))
     cap = "periodicity from the core walk to depth 40: return-word derivation wrote more than 40 letters"
     assert rep.depth_caveats == ("growth constants checked for n <= 30", cap)
-    assert calls == [48, 48, 48]
+    assert [fs.max_length for fs in calls] == [48, 48, 48]
 
 
 def test_classify_runs_each_derivation_step_once(monkeypatch):

@@ -115,8 +115,25 @@ def test_analyze_chain_decides_undecided_5(tmp_path, capsys):
     assert payload["depth_caveats"] == ["growth constants checked for n <= 30"]
 
 
+def test_analyze_refutes_compatibility_past_a_capped_factor_set(tmp_path, capsys):
+    # not minimal, and its depth-48 factor set caps at 160 rounds, which
+    # left compatibility "unknown" while the refutation read that set; the
+    # factors of length <= 3 come from the closure over letter images
+    out_json = tmp_path / "w12.json"
+    assert main(["analyze", str(DATA / "wide-compat-12.json"), "--json", str(out_json)]) == 3
+    out = capsys.readouterr().out
+    line = "language/subshift compatibility: fails-certified (factor 'j' has no left extension)"
+    assert line in out.splitlines()
+    assert "periodicity undecided: factor set did not saturate at depth 48" in out
+    payload = json.loads(out_json.read_text())
+    assert payload["compatibility"] == {
+        "status": "fails-certified",
+        "detail": {"blocked_factor": "j", "side": "left"},
+    }
+
+
 def test_unsaturated_factor_set_is_an_input_error(defs, capsys, monkeypatch):
-    # a word cap of 20 leaves the depth-17 factor set unsaturated, so the
+    # a word cap of 20 leaves the depth-48 factor set unsaturated, so the
     # power bound raises UnsaturatedFactorSetError; main maps it to one line
     monkeypatch.setattr(wd, "MAX_WORDS", 20)
     argv = ["partition", str(defs / "minimal-nonprimitive-noaa.json"), "--prefix", "300"]

@@ -256,8 +256,8 @@ def test_recognition_rule_refuses_periodic():
 
 def test_window_ladder_ends_at_the_width_cap(monkeypatch):
     # periodic-ab (a -> aba) holds every power (ab)^n, so no depth certifies
-    # the exponent bound: from the classify depth 17 the ladder doubles to
-    # 34, 68 and 136, builds MAX_WIDTH_DEPTH itself last, and then raises
+    # the exponent bound: from a depth-17 set the ladder doubles to 34, 68
+    # and 136, builds MAX_WIDTH_DEPTH itself last, and then raises
     s = lr.load("periodic-ab")
     factors = wd.factor_language(s, 17)
     calls = []
@@ -271,6 +271,29 @@ def test_window_ladder_ends_at_the_width_cap(monkeypatch):
     with pytest.raises(rec.ShallowFactorSetError, match=r"'ab'\^129 exceeds factor depth 256$"):
         rec.window_half_width(s, factors)
     assert calls == [34, 68, 136, 256] and calls[-1] == rec.MAX_WIDTH_DEPTH
+
+
+def test_window_width_does_not_depend_on_the_starting_depth(catalog_subs):
+    # a certified exponent is exact, so the ladder from a saturated set of
+    # depth 17 and from one of the classify depth 48 ends at the same width,
+    # or at the same refusal at MAX_WIDTH_DEPTH
+    shapes = 0
+    for name, s in catalog_subs.items():
+        try:
+            rec.shape_letters(s)
+        except rec.ShapeError:
+            continue
+        outcomes = []
+        for depth in (17, 48):
+            factors = wd.factor_language(s, depth)
+            assert factors.saturated, (name, depth)
+            try:
+                outcomes.append(rec.window_half_width(s, factors))
+            except rec.ShallowFactorSetError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], name
+        shapes += 1
+    assert shapes == 7
 
 
 def test_no_doubled_letter_run_arithmetic():

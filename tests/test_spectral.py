@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -265,14 +264,13 @@ def test_growth_ratios_match_inline_expressions(name, catalog_subs, catalog_repo
 
 
 @pytest.mark.parametrize("name", GORDON_NAMES)
-def test_gordon_check_equals_a_full_depth_search(name, catalog_subs, catalog_reports, monkeypatch):
-    # the cube witness is searched in the report's set (depth 17 for these
-    # certified systems) first; the outcome is the one a set of
-    # GORDON_SEARCH_DEPTH gives, and a hit there builds no second set
-    s, rep = catalog_subs[name], catalog_reports[name]
+def test_gordon_check_equals_a_full_depth_search(name, catalog_subs, monkeypatch):
+    # the cube witness is searched in report.factors alone: a certified
+    # classify builds no set, the first read of report.factors builds it at
+    # depth 48, nothing else is built, and the witness is the shortest one a
+    # saturated set of that depth holds
+    s = catalog_subs[name]
     monkeypatch.setattr(spectral, "GORDON_SAMPLE_LENGTH", 100000)
-    deep = dataclasses.replace(rep, factors=lr.factor_language(s, spectral.GORDON_SEARCH_DEPTH))
-    expected = gordon_check(s, deep)
     calls = []
     build = spectral.wd.factor_language
 
@@ -281,10 +279,16 @@ def test_gordon_check_equals_a_full_depth_search(name, catalog_subs, catalog_rep
         return build(s, max_length, **kwargs)
 
     monkeypatch.setattr(spectral.wd, "factor_language", counted)
-    assert rep.factors.max_length == 17
-    assert gordon_check(s, rep) == expected
-    hit_at_17 = name in {"fibonacci", "free", "period-doubling", "periodic-ab"}
-    assert calls == ([] if hit_at_17 else [spectral.GORDON_SEARCH_DEPTH])
+    rep = lr.classify(s)
+    assert calls == [] and rep.factor_depth == 48
+    g = gordon_check(s, rep)
+    assert calls == [48] and rep.factors.max_length == 48
+    assert gordon_check(s, rep) == g and calls == [48]
+    u = lr.find_power(build(s, 48), lambda w: w[0] in rep.split.growing, 3)
+    if u is None:
+        assert g == GordonHypothesisMissing(searched_depth=48)
+    else:
+        assert g.u == u
 
 
 def test_gordon_thue_morse_missing(catalog_subs, catalog_reports):

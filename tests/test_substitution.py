@@ -1,5 +1,6 @@
 import math
 import random
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,8 +22,10 @@ from linrep.substitution import (
     perron_growth,
     prune_to_reachable,
     reduced_substitution,
+    short_factors,
     validate,
 )
+from linrep import words as wd
 from linrep.words import factor_language
 
 from bruteforce import (
@@ -458,20 +461,20 @@ def test_iterate_prefix_is_the_fixed_point_prefix():
 
 def test_compatibility_remark1b_fails():
     s = lr.load("remark1b")
-    res = check_compatibility(s, factor_language(s, 17))
+    res = check_compatibility(s)
     assert res.status == "fails-certified"
     assert res.detail["blocked_factor"] == "0"
     assert res.detail["side"] == "right"
 
 
 def test_compatibility_fibonacci_holds(fib):
-    res = check_compatibility(fib, factor_language(fib, 17))
+    res = check_compatibility(fib)
     assert res.status == "holds-certified"
 
 
 def test_compatibility_swapped_thue_morse():
     s = Substitution.from_rules({"a": "ba", "b": "ab"})
-    res = check_compatibility(s, factor_language(s, 17))
+    res = check_compatibility(s)
     assert res.status == "holds-certified"
 
 
@@ -479,21 +482,40 @@ def test_compatibility_one_sided_prefix_point_fails():
     # a -> ab, b -> b grows a one-sided fixed point whose first letter can
     # never be extended to the left, so the two-sided language is smaller
     s = Substitution.from_rules({"a": "ab", "b": "b"})
-    res = check_compatibility(s, factor_language(s, 17))
+    res = check_compatibility(s)
     assert res.status == "fails-certified"
     assert res.detail == {"blocked_factor": "a", "side": "left"}
 
 
 def test_compatibility_rejects_shallow_factor_set(fib):
     # a recurrence needs no factors, but {a -> ab, b -> b}, where no letter
-    # recurs inside its images, reads the factors of length 3 to name the
-    # blocked one
-    assert check_compatibility(fib, factor_language(fib, 1)).status == "holds-certified"
+    # recurs inside its images, reads the factors of length <= 3 from the
+    # closure over letter images to name the blocked one
+    assert check_compatibility(fib).status == "holds-certified"
     s = Substitution.from_rules({"a": "ab", "b": "b"})
-    with pytest.raises(ValueError, match="depth >= 3, got 2"):
-        check_compatibility(s, factor_language(s, 2))
-    res = check_compatibility(s, factor_language(s, 3))
+    res = check_compatibility(s)
     assert res.detail == {"blocked_factor": "a", "side": "left"}
+
+
+def test_short_factors_match_a_saturated_factor_set(monkeypatch):
+    # the closure over letter images against factor_language(s, 3) on
+    # seeded systems of 2-26 letters with mostly one-letter images; a set
+    # capped at round_cap(3) = 64 rounds is built again under a higher cap
+    rng = random.Random(5)
+    capped = 0
+    for _ in range(1000):
+        letters = string.ascii_lowercase[: rng.randint(2, 26)]
+        rules = {a: "".join(rng.choices(letters, k=rng.choice([1, 1, 2, 3]))) for a in letters}
+        s = Substitution.from_rules(rules)
+        fs = factor_language(s, 3)
+        if not fs.saturated:
+            capped += 1
+            with monkeypatch.context() as m:
+                m.setattr(wd, "round_cap", lambda max_length: 10**4)
+                fs = factor_language(s, 3)
+        assert fs.saturated, rules
+        assert short_factors(s) == [list(fs.words_of_length(m)) for m in (1, 2, 3)], rules
+    assert capped >= 1
 
 
 def test_interior_power_matches_string_oracle():
@@ -522,19 +544,19 @@ def test_interior_power_matches_string_oracle():
 
 
 def test_compatibility_refutation_matches_all_levels_oracle(level_systems):
-    # the exact check against the oracle that scans every level up to 48 as
-    # strings: compatibility holds exactly where nothing is blocked, and
-    # fails naming the oracle's factor; a system without a growing letter
-    # that reaches every letter raises
+    # the exact check against the oracle that scans every level up to 48 of
+    # a saturated depth-49 set as strings: compatibility holds exactly where
+    # nothing is blocked, and fails naming the oracle's factor; a system
+    # without a growing letter that reaches every letter raises
     verdicts = {"holds-certified": 0, "fails-certified": 0, "raises": 0}
     for s in level_systems:
-        fs = factor_language(s, 49)
         if all(s.reachable([e]) != set(s.letters) for e in s.split.growing):
             with pytest.raises(SubstitutionError):
-                check_compatibility(s, fs)
+                check_compatibility(s)
             verdicts["raises"] += 1
             continue
-        got = check_compatibility(s, fs)
+        got = check_compatibility(s)
+        fs = factor_language(s, 49)
         if not fs.saturated:
             continue
         want = levels_blocked_factor(fs, 48)
@@ -548,15 +570,14 @@ def test_compatibility_refutation_matches_all_levels_oracle(level_systems):
 
 def test_compatibility_scan_memory_stays_at_two_levels():
     # {a -> abc, b -> bc, c -> c}: a never recurs inside its images, so the
-    # check reads the factors of length <= 3 of a depth-121 set; every factor
-    # of every length up to 121 at once as strings peaks near 28 MB
+    # check reads its factors of length <= 3; every factor of every length
+    # up to 121 at once as strings peaks near 28 MB
     import tracemalloc
 
     s = Substitution.from_rules({"a": "abc", "b": "bc", "c": "c"})
-    fs = factor_language(s, 121)
     tracemalloc.start()
     try:
-        res = check_compatibility(s, fs)
+        res = check_compatibility(s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
