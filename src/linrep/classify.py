@@ -8,8 +8,8 @@ enumeration at all:
   deterministically (image of the run plus boundary margins contributed by
   the neighbouring growing letters).  Run contexts cycle, and a run grows
   without bound exactly when the margins picked up along one context cycle
-  are nonempty; otherwise all runs stay bounded and the maximum block length
-  is computed by direct iteration.
+  are nonempty; otherwise all runs stay bounded, and the maximum block
+  length is read where each run stops lengthening.
 
 * letter-content cycles: for a growing letter c the sets letters(S^n(c))
   are eventually periodic.  A candidate letter e occurs in every
@@ -67,8 +67,6 @@ APERIODIC = "aperiodic-up-to-depth"
 CORE_MARGIN = 8
 # classify reports aperiodicity this many letters past its depth
 APERIODIC_MARGIN = 24
-# steps analyze_bounded_blocks spends measuring one bounded run orbit
-MEASURE_CAP = 4096
 # letters return_word_chain counts, over all its steps, before it stops
 DERIVATION_WORK = 10**7
 # one return-word derivation step: the return words and the derived substitution
@@ -109,14 +107,13 @@ class BlockPump:
 class BlockAnalysis:
     """Outcome of the bounded-letter block analysis.
 
-    bounded is True/False when decided; None with `undecided_reason` set when
-    an iteration cap was hit while measuring a bounded orbit.
+    bounded is always decided: True with the exact `max_block`, or False
+    with a `pump`.
     """
 
-    bounded: bool | None
+    bounded: bool
     max_block: int | None
     pump: BlockPump | None
-    undecided_reason: str | None = None
 
     def pumped_block(self, s: Substitution, min_length: int) -> tuple[str, tuple[str, int]]:
         """Grow the pumped run until it reaches min_length; returns (run, origin).
@@ -191,9 +188,14 @@ def _interior_triples(s: Substitution, c: str, growing: frozenset[str]) -> list[
 def analyze_bounded_blocks(s: Substitution) -> BlockAnalysis:
     """Decide whether the bounded-letter-only factors have bounded length.
 
-    The decision itself is exact (margin sum over the context cycle); the
-    cap MEASURE_CAP only limits the measurement of the maximal block
-    length of orbits already known to be bounded.
+    The decision is exact: the margin sum over the context cycle.  An orbit
+    with a cycle margin of 0 is measured exactly too.  Its margins are 0
+    from the step `start` where its contexts enter their cycle, so from
+    there each step applies S to the run.  A bounded letter that is not
+    eternally single never recurs in its own images (it would grow, or be
+    eternally single), so after at most |A| more steps the run holds only
+    eternally single letters and keeps its length.  S is non-erasing, so
+    no step shortens the run, and that length is the orbit's maximum.
     """
     growing = s.split.growing
 
@@ -241,24 +243,13 @@ def analyze_bounded_blocks(s: Substitution) -> BlockAnalysis:
                     steps_to_cycle=start,
                 ),
             )
-        # bounded orbit: measure its maximal run length by direct iteration
+        # bounded orbit: its run only lengthens, up to its final length
         state = (seed.left, seed.run, seed.right)
-        visited = set()
-        steps = 0
-        while state not in visited:
-            visited.add(state)
-            max_block = max(max_block, len(state[1]))
+        for _ in range(start):
             state = _update_triple(s, growing, *state)
-            steps += 1
-            if steps > MEASURE_CAP:
-                return BlockAnalysis(
-                    bounded=None,
-                    max_block=None,
-                    pump=None,
-                    undecided_reason=(
-                        f"bounded-block orbit did not close within {MEASURE_CAP} steps"
-                    ),
-                )
+        while not set(state[1]) <= s.split.eternally_single:
+            state = _update_triple(s, growing, *state)
+        max_block = max(max_block, len(state[1]))
     return BlockAnalysis(bounded=True, max_block=max_block, pump=None)
 
 
@@ -329,18 +320,15 @@ def bounded_gaps(
     """Decide whether the growing letter e occurs with bounded gaps.
 
     Exactly one of three things happens: a certificate with the exact gap
-    bound, a counterexample pump, or an honest undecided when a cap is hit
-    (the block-orbit measurement or the round cap of the coverage fold).
-    No factor set is built.
+    bound, a counterexample pump, or an honest undecided when the coverage
+    fold hits its round cap.  No factor set is built.
     """
     if e not in s.split.growing:
         raise ValueError(f"candidate {e!r} is not a growing letter")
     if block_analysis is None:
         block_analysis = analyze_bounded_blocks(s)
 
-    if block_analysis.bounded is None:
-        return BGDecision(status=UNDECIDED, note=block_analysis.undecided_reason)
-    if block_analysis.bounded is False:
+    if not block_analysis.bounded:
         counter = BGCounterexample(
             letter=e,
             kind="bounded-block-pump",
@@ -681,7 +669,10 @@ def return_word_pairs(step: Step) -> tuple[frozenset[str], list[str]]:
         if pair not in adjacent:
             adjacent.add(pair)
             todo.append(pair)
-    pairs = {words[ord(a)] + z for a, b in adjacent for z in words if words[ord(b)].startswith(z)}
+    # the return words that are prefixes of each return word
+    known = set(words)
+    prefixes = [[w[:j] for j in range(1, len(w) + 1) if w[:j] in known] for w in words]
+    pairs = {words[ord(a)] + z for a, b in adjacent for z in prefixes[ord(b)]}
     return frozenset(words), sorted(pairs)
 
 

@@ -27,6 +27,7 @@ R(n).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
@@ -203,11 +204,6 @@ def code_words(words: Iterable[Word], letters: Iterable[str]) -> CodedWords:
 MAX_WORDS = 10**6  # the most maximal words factor_language stores
 
 
-def round_cap(max_length: int) -> int:
-    """The most closure rounds factor_language runs at depth max_length."""
-    return max(64, 3 * max_length + 16)
-
-
 def factor_language(s, max_length: int) -> FactorSet:
     """Factors of length <= max_length of all iterates S^k(a), a in the alphabet.
 
@@ -244,10 +240,14 @@ def factor_language(s, max_length: int) -> FactorSet:
     argument, in S(u) for some u of F_k: a length-n factor of S^k(a) or its
     end word.  As u is in F_{k-1}, it lies in some S^i(b) with i < k, so v
     lies in S^(i+1)(b) and is in F_k.  Hence F_{k+1} = F_k, and by
-    induction F_k holds every factor of length <= n.  Running
-    `round_cap(max_length)` rounds, max(64, 3 * max_length + 16), or
-    storing more than MAX_WORDS maximal words yields an explicit
-    unsaturated result, never a silent truncation.
+    induction F_k holds every factor of length <= n.
+
+    A round that does not end the closure stores a new maximal word: a new
+    length-n factor, or a short iterate inside no stored word.  So the
+    rounds are at most one more than the maximal words, and MAX_WORDS alone
+    bounds them: a round that leaves more than MAX_WORDS maximal words short
+    of the fixed point yields an explicit unsaturated result, never a
+    silent truncation.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
@@ -288,17 +288,12 @@ def factor_language(s, max_length: int) -> FactorSet:
 
     saturated = False
     rounds = 0
-    for k in range(1, round_cap(max_length) + 1):
-        rounds = k
+    while not saturated and len(maximal) <= MAX_WORDS:
+        rounds += 1
         batch, fresh = fresh, []
         for u in batch:
             harvest(apply(u), len(rules[u[0]]))
-        quiet = advance({a: apply(tails[a]) for a in letters})
-        if len(maximal) > MAX_WORDS:
-            break
-        if quiet:
-            saturated = True
-            break
+        saturated = advance({a: apply(tails[a]) for a in letters})
 
     return FactorSet(
         substitution=s,
@@ -365,8 +360,12 @@ def coverage_exact(s, targets: Iterable[Word]) -> int:
     letters = list(s.letters)
     avoid = 0
     # a word free of t is free of every word containing t, so only the
-    # targets inside no other target can reach the maximum
-    for t in [t for t in targets if not any(t != u and t in u for u in targets)]:
+    # targets inside no longer target can reach the maximum
+    by_length = sorted(set(targets), key=len)
+    lengths = [len(u) for u in by_length]
+    for t in targets:
+        if any(t in u for u in by_length[bisect_right(lengths, len(t)) :]):
+            continue
         m = len(t)
         k = m - 1
 

@@ -206,8 +206,8 @@ def closure_factor_language(s, max_length: int):
     Each round expands the new length-n factors at the windows starting
     inside the image of their first letter, plus the whole image of each
     letter's end word, and adds every window and its prefixes.  It stops
-    unsaturated after the library's caps: max(64, 3n + 16) rounds or more
-    than 10**6 words.  Returns (words, saturated, rounds).
+    unsaturated after a round that leaves more than 10**6 words.  Returns
+    (words, saturated, rounds).
     """
     n = max_length
     words: set[str] = set()
@@ -230,8 +230,8 @@ def closure_factor_language(s, max_length: int):
     ends = {a: a for a in s.letters}
     saturated = False
     rounds = 0
-    for k in range(1, max(64, 3 * n + 16) + 1):
-        rounds = k
+    while True:
+        rounds += 1
         size = len(words)
         batch, fresh = fresh, []
         for u in batch:
@@ -246,6 +246,52 @@ def closure_factor_language(s, max_length: int):
             saturated = True
             break
     return words, saturated, rounds
+
+
+def block_orbit_maximum(rules: dict[str, str], growing) -> int:
+    """Longest run of bounded letters over the orbits of the seed runs.
+
+    A seed is a maximal run of bounded letters in a letter or in the image
+    of a growing letter, with its nearest growing letters (None at a word
+    end).  A step replaces the run by its image, framed by the bounded end
+    of the left letter's image and the bounded start of the right one's.
+    Each orbit is walked until a state repeats, so the system's runs must
+    be bounded: an orbit that passes 10**6 states fails.
+    """
+
+    def bounded_start(word: str) -> str:
+        i = 0
+        while i < len(word) and word[i] not in growing:
+            i += 1
+        return word[:i]
+
+    seeds = []
+    for a, image in rules.items():
+        if a not in growing:
+            seeds.append((None, a, None))
+            continue
+        seeds += [(None, "", a), (a, "", None)]
+        at = [i for i, ch in enumerate(image) if ch in growing]
+        seeds += [(image[i], image[i + 1 : j], image[j]) for i, j in zip(at, at[1:])]
+    longest = 0
+    for state in seeds:
+        seen = set()
+        while state not in seen:
+            assert len(seen) < 10**6, "bounded-run orbit did not close"
+            seen.add(state)
+            left, run, right = state
+            longest = max(longest, len(run))
+            run = apply_rules(rules, run)
+            if left is not None:
+                image = rules[left]
+                run = bounded_start(image[::-1])[::-1] + run
+                left = next(ch for ch in reversed(image) if ch in growing)
+            if right is not None:
+                image = rules[right]
+                run += bounded_start(image)
+                right = next(ch for ch in image if ch in growing)
+            state = (left, run, right)
+    return longest
 
 
 def scan_coverage_length(words: set[str], targets, max_length: int) -> int | None:

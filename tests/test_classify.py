@@ -29,6 +29,7 @@ from linrep.substitution import (
 )
 
 from bruteforce import (
+    block_orbit_maximum,
     factor_set_return_pairs,
     mat_pow,
     own_set_compatibility,
@@ -91,6 +92,23 @@ def test_block_analysis_abaa_bounded():
     res = analyze_bounded_blocks(s)
     assert res.bounded is True
     assert res.max_block == 1
+
+
+def test_block_bound_matches_orbit_oracle():
+    # the bound read where each bounded orbit stops lengthening against
+    # every orbit walked until a state repeats, on seeded systems over 2-8
+    # letters with mostly one-letter images, so that bounded letters abound
+    rng = random.Random(2525)
+    bounded = 0
+    for _ in range(10_000):
+        letters = "abcdefgh"[: rng.randint(2, 8)]
+        rules = {a: "".join(rng.choices(letters, k=rng.choice([1, 1, 1, 2, 3]))) for a in letters}
+        s = Substitution.from_rules(rules)
+        res = analyze_bounded_blocks(s)
+        if res.bounded:
+            bounded += 1
+            assert res.max_block == block_orbit_maximum(rules, s.split.growing), rules
+    assert bounded >= 5000
 
 
 def test_block_analysis_remark1b_pumps():

@@ -61,22 +61,30 @@ def test_analyze_remarkc_report(defs, capsys):
     assert "bounded-block-pump" in out
 
 
-def test_analyze_undecided_exit3(tmp_path, capsys):
+def test_analyze_certifies_past_a_long_block_orbit(capsys):
     # bounded letters on cycles of lengths 5, 7, 9, 11 and 13: the run
-    # between two a's returns only after 45,045 steps, beyond the block-orbit
-    # measurement cap, so the decision stays open
-    symbols = iter("bcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-    rules, seed = {}, ""
-    for n in (5, 7, 9, 11, 13):
-        cycle = [next(symbols) for _ in range(n)]
-        rules.update(zip(cycle, cycle[1:] + cycle[:1]))
-        seed += cycle[0]
-    rules["a"] = "a" + seed + "a"
-    path = tmp_path / "cycles.json"
-    path.write_text(json.dumps({"name": "slow-cycles", "rules": rules}))
+    # between two a's returns only after 45,045 steps, but it holds only
+    # eternally single letters from the start, so its length 5 is the block
+    # bound; the pairs of its 45,045 return words all have one length, and
+    # their coverage fold stops at FOLD_ROUNDS
+    assert main(["analyze", str(DATA / "cycles-45045.json")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "minimal: yes (letter 'a' with gap bound 6, block bound 5)" in lines
+    caveat = (
+        "caveat: repetitivity constant undecided: pair-coverage length undecided-at-depth: "
+        "the coverage fold for 'abgnAHabgnwH' did not repeat within 1024 rounds"
+    )
+    assert caveat in lines
+
+
+def test_analyze_undecided_exits_3(tmp_path, capsys):
+    # the core of {a -> bb, b -> aa} is the two words a^n and b^n, and no
+    # single periodic word tiles both
+    path = tmp_path / "two-orbits.json"
+    path.write_text(json.dumps({"name": "two-orbits", "rules": {"a": "bb", "b": "aa"}}))
     assert main(["analyze", str(path)]) == 3
-    out = capsys.readouterr().out
-    assert "minimal: undecided-at-depth" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert "periodic: undecided-at-depth (depth 2)" in lines
 
 
 def test_analyze_undecided_periodicity_names_its_cap(tmp_path, capsys):
@@ -115,16 +123,17 @@ def test_analyze_chain_decides_undecided_5(tmp_path, capsys):
     assert payload["depth_caveats"] == ["growth constants checked for n <= 30"]
 
 
-def test_analyze_refutes_compatibility_past_a_capped_factor_set(tmp_path, capsys):
-    # not minimal, and its depth-48 factor set caps at 160 rounds, which
-    # left compatibility "unknown" while the refutation read that set; the
-    # factors of length <= 3 come from the closure over letter images
+def test_analyze_refutes_compatibility_of_a_slow_closure(tmp_path, capsys):
+    # not minimal, and its depth-48 factor set saturates only at round 191;
+    # the factors of length <= 3 that refute compatibility come from the
+    # closure over letter images
     out_json = tmp_path / "w12.json"
-    assert main(["analyze", str(DATA / "wide-compat-12.json"), "--json", str(out_json)]) == 3
-    out = capsys.readouterr().out
+    assert main(["analyze", str(DATA / "wide-compat-12.json"), "--json", str(out_json)]) == 0
+    lines = capsys.readouterr().out.splitlines()
     line = "language/subshift compatibility: fails-certified (factor 'j' has no left extension)"
-    assert line in out.splitlines()
-    assert "periodicity undecided: factor set did not saturate at depth 48" in out
+    assert line in lines
+    assert "periodic: aperiodic-up-to-depth (depth 40)" in lines
+    assert not any("did not saturate" in x for x in lines)
     payload = json.loads(out_json.read_text())
     assert payload["compatibility"] == {
         "status": "fails-certified",

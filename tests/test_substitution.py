@@ -25,7 +25,6 @@ from linrep.substitution import (
     short_factors,
     validate,
 )
-from linrep import words as wd
 from linrep.words import factor_language
 
 from bruteforce import (
@@ -497,25 +496,17 @@ def test_compatibility_rejects_shallow_factor_set(fib):
     assert res.detail == {"blocked_factor": "a", "side": "left"}
 
 
-def test_short_factors_match_a_saturated_factor_set(monkeypatch):
+def test_short_factors_match_a_saturated_factor_set():
     # the closure over letter images against factor_language(s, 3) on
-    # seeded systems of 2-26 letters with mostly one-letter images; a set
-    # capped at round_cap(3) = 64 rounds is built again under a higher cap
+    # seeded systems of 2-26 letters with mostly one-letter images
     rng = random.Random(5)
-    capped = 0
     for _ in range(1000):
         letters = string.ascii_lowercase[: rng.randint(2, 26)]
         rules = {a: "".join(rng.choices(letters, k=rng.choice([1, 1, 2, 3]))) for a in letters}
         s = Substitution.from_rules(rules)
         fs = factor_language(s, 3)
-        if not fs.saturated:
-            capped += 1
-            with monkeypatch.context() as m:
-                m.setattr(wd, "round_cap", lambda max_length: 10**4)
-                fs = factor_language(s, 3)
         assert fs.saturated, rules
         assert short_factors(s) == [list(fs.words_of_length(m)) for m in (1, 2, 3)], rules
-    assert capped >= 1
 
 
 def test_interior_power_matches_string_oracle():

@@ -1,5 +1,7 @@
+import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,8 @@ from bruteforce import (
     scan_coverage_length,
 )
 from conftest import CATALOG_NAMES, CLASSIFY_SLOW_RULES
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize(
@@ -87,12 +91,28 @@ def test_factor_language_matches_bruteforce(name, catalog_subs):
 
 
 def test_unsaturated_is_flagged_not_truncated(monkeypatch):
-    s = lr.load("remark1b")  # needs ~20 rounds at depth 20
-    monkeypatch.setattr(wd, "round_cap", lambda max_length: 3)
+    s = lr.load("remark1b")  # saturates at depth 20 with 22 maximal words
+    monkeypatch.setattr(wd, "MAX_WORDS", 10)
     fs = factor_language(s, 20)
     assert not fs.saturated
     with pytest.raises(UnsaturatedFactorSetError):
         repetitivity_function(fs, 1)
+
+
+def test_rounds_are_bounded_by_the_maximal_words(level_systems):
+    # a round that does not end the closure stores a new maximal word, so
+    # MAX_WORDS bounds the rounds
+    for s in level_systems:
+        for depth in [*range(1, 20), 48]:
+            fs = factor_language(s, depth)
+            assert fs.rounds <= len(fs.maximal) + 1, (s.rules, depth)
+
+
+def test_slow_closure_saturates():
+    # new factors arrive slowly: the depth-48 closure takes 191 rounds
+    rules = json.loads((DATA / "wide-compat-12.json").read_text())["rules"]
+    fs = factor_language(Substitution.from_rules(rules), 48)
+    assert (fs.saturated, fs.rounds, len(fs.maximal)) == (True, 191, 13720)
 
 
 def test_repetitivity_fibonacci(fib_factors):
