@@ -215,8 +215,8 @@ def gordon_check(
     # the Perron eigenvalue of the reduced substitution, as the report found it
     theta = report.lr.growth.theta
     n_max = max(report.lr.growth.n_checked, max(GORDON_LEVELS))
-    lam = growth_ratio_range(s, e, theta, n_max)[0]
-    rho = growth_ratio_range(s, u * 3 + e, theta, n_max)[1]
+    lam = growth_ratio_range(s, (e,), theta, n_max)[0]
+    rho = growth_ratio_range(s, (u * 3 + e,), theta, n_max)[1]
     bound = lam / (report.lr.value * rho)
 
     sample_word = iterate_prefix(s, report.certificate.letter, GORDON_SAMPLE_LENGTH)

@@ -126,7 +126,7 @@ class Substitution:
         extra = set(rules) - set(alphabet.letters)
         if extra:
             raise UnknownLetterError(f"rules given for letters outside the alphabet: {sorted(extra)}")
-        self._lengths: list[dict[str, int]] = [{a: 1 for a in alphabet.letters}]
+        self._lengths: dict[str, list[int]] = {a: [1] for a in alphabet.letters}
         self._image_of = _Images(self.rules).__getitem__
 
     @classmethod
@@ -159,13 +159,12 @@ class Substitution:
         return [[self.rules[a].count(b) for b in letters] for a in letters]
 
     def image_length(self, letter: str, n: int) -> int:
-        """|S^n(letter)| by the exact length recursion."""
-        while len(self._lengths) <= n:
-            prev = self._lengths[-1]
-            self._lengths.append(
-                {a: sum(prev[b] for b in self.rules[a]) for a in self.letters}
-            )
-        return self._lengths[n][letter]
+        """|S^n(letter)| by the exact length recursion, kept as one column per letter."""
+        columns = self._lengths
+        for m in range(len(columns[self.letters[0]]), n + 1):
+            for a in self.letters:
+                columns[a].append(sum(columns[b][m - 1] for b in self.rules[a]))
+        return columns[letter][n]
 
     def word_image_length(self, w: str, n: int) -> int:
         """|S^n(w)| for a word w, exact."""
@@ -173,11 +172,12 @@ class Substitution:
 
     def word_image_lengths(self, w: str, n_max: int) -> list[int]:
         """[|S^n(w)| for n = 0..n_max], exact: w's letters are counted once."""
-        counts = {ch: w.count(ch) for ch in set(w)}
-        self.image_length(self.letters[0], n_max)  # fills self._lengths up to n_max
-        return [
-            sum(k * row[ch] for ch, k in counts.items()) for row in self._lengths[: n_max + 1]
-        ]
+        self.image_length(self.letters[0], n_max)  # fills the columns up to n_max
+        lengths = [0] * (n_max + 1)
+        for ch in set(w):
+            k = w.count(ch)
+            lengths = [total + k * x for total, x in zip(lengths, self._lengths[ch])]
+        return lengths
 
     @cached_property
     def split(self) -> "AlphabetSplit":
@@ -498,23 +498,22 @@ def perron_growth(
         if s.split.growing.isdisjoint(v):
             raise ValueError(f"word {v!r} contains no growing letter")
     theta = perron_eigenvalue(reduced.abelianization())
-    lo, hi = zip(*(growth_ratio_range(s, v, theta, n_max) for v in word_list))
-    return GrowthEstimate(
-        theta=theta, lambda_v=min(lo), rho_v=max(hi), words=word_list, n_checked=n_max
-    )
+    lo, hi = growth_ratio_range(s, word_list, theta, n_max)
+    return GrowthEstimate(theta=theta, lambda_v=lo, rho_v=hi, words=word_list, n_checked=n_max)
 
 
-def growth_ratio_range(s: Substitution, v: str, theta: float, n_max: int) -> tuple[float, float]:
-    """Least and greatest ratio |S^n(v)| / theta^n over 1 <= n <= n_max.
+def growth_ratio_range(
+    s: Substitution, words: Iterable[str], theta: float, n_max: int
+) -> tuple[float, float]:
+    """Least and greatest ratio |S^n(v)| / theta^n over 1 <= n <= n_max and v in `words`.
 
     Raises SubstitutionError, naming n_max and theta, when theta^n or
-    |S^n(v)| leaves the float range.  theta >= 1, so theta^n_max is the
-    largest power, and it is tried before the length table is filled.
+    |S^n(v)| leaves the float range.  The powers theta^n are computed once,
+    before the length table is filled.
     """
     try:
-        theta**n_max
-        lengths = s.word_image_lengths(v, n_max)
-        ratios = [lengths[n] / theta**n for n in range(1, n_max + 1)]
+        powers = [theta**n for n in range(1, n_max + 1)]
+        ratios = [x / p for v in words for x, p in zip(s.word_image_lengths(v, n_max)[1:], powers)]
     except OverflowError:
         raise SubstitutionError(
             f"|S^n(v)| / theta^n leaves the float range for n <= {n_max} (theta = {theta:.12g})"

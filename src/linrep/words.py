@@ -322,36 +322,39 @@ def coverage_exact(s, targets: Iterable[Word]) -> int:
 
     Summary: for a target t of length m, a word x is summarized by its first
     and last m - 1 letters (all of x while shorter), whether x is t-free,
-    its longest t-free prefix, suffix and factor, and |x| while x is t-free
-    (else 0).  The summary of a product xy follows from those of x and y: an
+    its longest t-free prefix and suffix, and |x| while x is t-free (else
+    0).  The summary of a product xy follows from those of x and y: an
     occurrence of t in xy lies in x, in y, or crosses the seam, and a
     crossing one lies in the junction word suffix(x) + prefix(y), using s
-    letters of x (1 <= s <= m - 1).  Such an occurrence rules out exactly
-    the crossing runs with at least s letters of x and at least m - s of
-    y, so the longest t-free run across the seam is x[-a:] y[:b] with a
-    capped by the t-free suffix of x and by some s - 1, and b by the t-free
-    prefix of y and by m - s - 1 for every occurrence with s <= a: at most
-    m candidates.  The t-free prefix of xy is that of x when x holds t, else
-    it ends just before the end of the first crossing occurrence, else it
-    runs into y; the suffix is symmetric.
+    letters of x (1 <= s <= m - 1).  The t-free prefix of xy is that of x
+    when x holds t, else it ends just before the end of the first crossing
+    occurrence, else it runs into y; the suffix is symmetric.
+
+    Crossing runs: a crossing occurrence rules out exactly the crossing
+    runs with at least s letters of x and at least m - s of y, so the
+    longest t-free run across the seam is x[-a:] y[:b] with a capped by the
+    t-free suffix of x and by some s - 1, and b by the t-free prefix of y
+    and by m - s - 1 for every occurrence with s <= a: at most m
+    candidates.  A t-free factor of xy lies in x, in y or across the seam,
+    so the longest one in S^k(a) is the longest of the letters' (1, or 0
+    for t) and of the crossing runs of the joins that built it: the fold
+    keeps their running maximum, and no summary carries it.
 
     Fold: round 0 summarizes the letters; round k + 1 summarizes
     S^(k+1)(a) by folding the summaries of S^k(b), b in S(a), over the
-    letters of S(a).  The tuple of the letters' summaries in round k + 1 is
-    a function of the tuple in round k, so once a tuple repeats, every later
-    tuple is one already seen, and the fold stops there.  A factor of the
-    language is a subword of some S^k(a), so A is the largest longest-t-free
-    factor among the summaries seen: the answer is exact whenever the fold
-    stops.
+    letters of S(a).  The letters' summaries in round k + 1 and the
+    crossing runs met on the way are functions of the summaries in round
+    k, so once their tuple repeats, every later round repeats an earlier
+    one and the fold stops.  Every factor is a subword of some S^k(a), so
+    A is the running maximum then.  Dropping the longest t-free factor
+    from the summaries only projects them, so the tuple repeats no later.
 
-    Stopping: when A is finite, every number in a summary is at most A (a
-    t-free word is a t-free factor), and the letter strings have at most
-    m - 1 letters, so there are finitely many summaries and the tuple
-    repeats.  When some target is avoided by arbitrarily long factors (a
-    letter without bounded gaps, or a target outside the language), the
-    t-free lengths grow without bound and nothing repeats; after
-    FOLD_ROUNDS rounds `CoverageUndecidedError` says so.  The cap counts
-    rounds, and each round folds sum |S(a)| summaries per target.
+    Stopping: when A is finite, every number in a summary is at most A and
+    the letter strings have at most m - 1 letters, so the tuple repeats.
+    When some target is avoided by arbitrarily long factors (a letter
+    without bounded gaps, or a target outside the language), the crossing
+    runs grow without bound and nothing repeats; after FOLD_ROUNDS rounds,
+    of sum |S(a)| joins per target each, `CoverageUndecidedError` says so.
     """
     targets = tuple(targets)
     if not targets or not all(targets):
@@ -363,26 +366,27 @@ def coverage_exact(s, targets: Iterable[Word]) -> int:
     # targets inside no longer target can reach the maximum
     by_length = sorted(set(targets), key=len)
     lengths = [len(u) for u in by_length]
-    for t in targets:
+    for t in dict.fromkeys(targets):
         if any(t in u for u in by_length[bisect_right(lengths, len(t)) :]):
             continue
         m = len(t)
         k = m - 1
 
         def join(x, y):
-            xpre, xsuf, xfree, xhead, xtail, xrun, xn = x
-            ypre, ysuf, yfree, yhead, ytail, yrun, yn = y
-            pre = (xpre + ypre)[:k]
-            both = xsuf + ysuf
-            suf = both[max(len(both) - k, 0) :]
+            nonlocal avoid
+            xpre, xsuf, xfree, xhead, xtail, xn = x
+            ypre, ysuf, yfree, yhead, ytail, yn = y
+            pre = xpre if len(xpre) == k else (xpre + ypre)[:k]
+            suf = ysuf if len(ysuf) == k else (xsuf + ysuf)[-k:]
             seam = xsuf + ypre
             i = seam.find(t)
             if i < 0:  # nothing crosses the seam
+                if xtail + yhead > avoid:
+                    avoid = xtail + yhead
                 free = xfree and yfree
                 head = xn + yhead if xfree else xhead
                 tail = xtail + yn if yfree else ytail
-                run = max(xrun, yrun, xtail + yhead)
-                return pre, suf, free, head, tail, run, xn + yn if free else 0
+                return pre, suf, free, head, tail, xn + yn if free else 0
             # letters of x used by each occurrence of t across the seam
             cut = len(xsuf)
             uses = []
@@ -391,24 +395,20 @@ def coverage_exact(s, targets: Iterable[Word]) -> int:
                 i = seam.find(t, i + 1)
             head = xn + m - uses[0] - 1 if xfree else xhead
             tail = yn + uses[-1] - 1 if yfree else ytail
-            run = max(xrun, yrun)
             for cap in [xtail] + [u - 1 for u in uses]:
                 a = min(xtail, cap)
-                b = min([yhead] + [m - u - 1 for u in uses if u <= a])
-                run = max(run, a + b)
-            return pre, suf, False, head, tail, run, 0
+                avoid = max(avoid, a + min([yhead] + [m - u - 1 for u in uses if u <= a]))
+            return pre, suf, False, head, tail, 0
 
-        level = {}
-        for a in letters:
-            free = a != t
-            level[a] = (a[:k], a[:k], free, int(free), int(free), int(free), int(free))
+        free = {a: a != t for a in letters}
+        level = {a: (a[:k], a[:k], f, int(f), int(f), int(f)) for a, f in free.items()}
+        avoid = max(avoid, *map(int, free.values()))
         seen = set()
         for _ in range(FOLD_ROUNDS + 1):
             key = tuple(level.values())
             if key in seen:
                 break
             seen.add(key)
-            avoid = max(avoid, max(x[5] for x in key))
             nxt = {}
             for a in letters:
                 image = rules[a]
@@ -467,7 +467,8 @@ def find_power(
         raise ValueError("exponent must be >= 1")
     longest_base = (factors.max_length - 1) // exponent
     for m in range(1, longest_base + 1):
+        powers = set(factors.words_of_length(m * exponent + 1))
         for u in factors.words_of_length(m):
-            if base_constraint(u) and (u * exponent + u[0]) in factors:
+            if base_constraint(u) and u * exponent + u[0] in powers:
                 return u
     return None

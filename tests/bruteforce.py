@@ -306,6 +306,91 @@ def scan_coverage_length(words: set[str], targets, max_length: int) -> int | Non
     return None
 
 
+def coverage_fold_with_run(s, targets, fold_rounds: int | None = None) -> tuple[int, int]:
+    """The coverage fold that keeps the longest t-free factor `run` in every summary.
+
+    Returns (coverage length, the most rounds any target's fold ran before
+    its summary tuple repeated).  It stops only when the whole tuple, `run`
+    included, repeats, and folds a repeated target again.  Raises
+    `CoverageUndecidedError` with the message `coverage_exact` gives after
+    `fold_rounds` rounds (default `words.FOLD_ROUNDS`).
+    """
+    from bisect import bisect_right
+
+    from linrep import words as wd
+
+    if fold_rounds is None:
+        fold_rounds = wd.FOLD_ROUNDS
+    targets = tuple(targets)
+    if not targets or not all(targets):
+        raise ValueError("coverage needs nonempty targets")
+    rules = s.rules
+    letters = list(s.letters)
+    avoid = rounds = 0
+    by_length = sorted(set(targets), key=len)
+    lengths = [len(u) for u in by_length]
+    for t in targets:
+        if any(t in u for u in by_length[bisect_right(lengths, len(t)) :]):
+            continue
+        m = len(t)
+        k = m - 1
+
+        def join(x, y):
+            xpre, xsuf, xfree, xhead, xtail, xrun, xn = x
+            ypre, ysuf, yfree, yhead, ytail, yrun, yn = y
+            pre = (xpre + ypre)[:k]
+            both = xsuf + ysuf
+            suf = both[max(len(both) - k, 0) :]
+            seam = xsuf + ypre
+            i = seam.find(t)
+            if i < 0:
+                free = xfree and yfree
+                head = xn + yhead if xfree else xhead
+                tail = xtail + yn if yfree else ytail
+                run = max(xrun, yrun, xtail + yhead)
+                return pre, suf, free, head, tail, run, xn + yn if free else 0
+            cut = len(xsuf)
+            uses = []
+            while i >= 0:
+                uses.append(cut - i)
+                i = seam.find(t, i + 1)
+            head = xn + m - uses[0] - 1 if xfree else xhead
+            tail = yn + uses[-1] - 1 if yfree else ytail
+            run = max(xrun, yrun)
+            for cap in [xtail] + [u - 1 for u in uses]:
+                a = min(xtail, cap)
+                b = min([yhead] + [m - u - 1 for u in uses if u <= a])
+                run = max(run, a + b)
+            return pre, suf, False, head, tail, run, 0
+
+        level = {}
+        for a in letters:
+            free = a != t
+            level[a] = (a[:k], a[:k], free, int(free), int(free), int(free), int(free))
+        seen = set()
+        for r in range(fold_rounds + 1):
+            key = tuple(level.values())
+            if key in seen:
+                rounds = max(rounds, r)
+                break
+            seen.add(key)
+            avoid = max(avoid, max(x[5] for x in key))
+            nxt = {}
+            for a in letters:
+                image = rules[a]
+                acc = level[image[0]]
+                for b in image[1:]:
+                    acc = join(acc, level[b])
+                nxt[a] = acc
+            level = nxt
+        else:
+            raise wd.CoverageUndecidedError(
+                f"undecided-at-depth: the coverage fold for {t!r} did not repeat "
+                f"within {fold_rounds} rounds"
+            )
+    return max(max(map(len, targets)), avoid + 1), rounds
+
+
 def own_set_compatibility(s, depth: int = 16):
     """A depth-bounded compatibility check on a factor set of its own, of depth max(4, depth + 1).
 

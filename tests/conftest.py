@@ -4,7 +4,7 @@ import string
 import pytest
 
 import linrep as lr
-from linrep.substitution import Substitution
+from linrep.substitution import Substitution, is_primitive
 
 CATALOG_NAMES = [
     "fibonacci",
@@ -30,6 +30,21 @@ CLASSIFY_SLOW_RULES = [
     {"a": "a", "b": "abba"},
     {"a": "abab", "b": "b"},
 ]
+
+
+def sweep_rules() -> list[dict[str, str]]:
+    """The 100 primitive random systems of the classify-sweep benchmark workload."""
+    rng = random.Random(31337)
+    seen, out = set(), []
+    while len(out) < 100:
+        letters = "abc"[: rng.choice([2, 3])]
+        rules = {a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 5))) for a in letters}
+        key = tuple(sorted(rules.items()))
+        if key in seen or not is_primitive(Substitution.from_rules(rules)).primitive:
+            continue
+        seen.add(key)
+        out.append(rules)
+    return out
 
 
 @pytest.fixture(scope="session")

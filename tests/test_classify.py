@@ -37,7 +37,7 @@ from bruteforce import (
     rescan_extendable_core,
     string_core_levels,
 )
-from conftest import CATALOG_NAMES, CLASSIFY_SLOW_RULES
+from conftest import CATALOG_NAMES, CLASSIFY_SLOW_RULES, sweep_rules
 
 
 def test_bounded_gaps_abaa_certificate():
@@ -452,7 +452,7 @@ def test_classify_builds_one_factor_set(monkeypatch):
 
     monkeypatch.setattr(wd, "factor_language", counted)
     systems = [lr.load(name) for name in CATALOG_NAMES]
-    systems += [Substitution.from_rules(rules) for rules in _sweep_systems()]
+    systems += [Substitution.from_rules(rules) for rules in sweep_rules()]
     certified = 0
     for s in systems:
         calls.clear()
@@ -492,7 +492,7 @@ def test_return_word_pairs_match_factor_set_oracle():
     # the conjugated return-word step against the return words and pairs
     # read off a saturated factor set of depth 2 * kappa
     systems = [lr.load(name) for name in CATALOG_NAMES]
-    systems += [Substitution.from_rules(rules) for rules in _sweep_systems()]
+    systems += [Substitution.from_rules(rules) for rules in sweep_rules()]
     for s in systems:
         rep = classify(s)
         if rep.minimal == YES:
@@ -552,21 +552,6 @@ def test_compatibility_on_classify_set_matches_own_set():
     assert checked >= 40
 
 
-def _sweep_systems():
-    # the 100 primitive random systems of the classify-sweep benchmark workload
-    rng = random.Random(31337)
-    seen, out = set(), []
-    while len(out) < 100:
-        letters = "abc"[: rng.choice([2, 3])]
-        rules = {a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 5))) for a in letters}
-        key = tuple(sorted(rules.items()))
-        if key in seen or not is_primitive(Substitution.from_rules(rules)).primitive:
-            continue
-        seen.add(key)
-        out.append(rules)
-    return out
-
-
 def _count_walks(monkeypatch):
     # the package attribute linrep.classify is the function, not the module
     module = importlib.import_module("linrep.classify")
@@ -590,7 +575,7 @@ def test_derived_periodicity_equals_walk(monkeypatch):
     calls = _count_walks(monkeypatch)
     # through classify: the catalog and the classify-sweep rules
     systems = [lr.load(name) for name in CATALOG_NAMES]
-    systems += [Substitution.from_rules(rules) for rules in _sweep_systems()]
+    systems += [Substitution.from_rules(rules) for rules in sweep_rules()]
     certified = 0
     for s in systems:
         calls.clear()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import linrep as lr
 from linrep import words as wd
+from linrep.classify import return_word_chain, return_word_pairs
 from linrep.substitution import Substitution
 from linrep.words import (
     CoverageUndecidedError,
@@ -22,6 +23,7 @@ from linrep.words import (
 
 from bruteforce import (
     closure_factor_language,
+    coverage_fold_with_run,
     distinct_windows,
     naive_count,
     naive_factors,
@@ -30,7 +32,7 @@ from bruteforce import (
     repetitivity_function,
     scan_coverage_length,
 )
-from conftest import CATALOG_NAMES, CLASSIFY_SLOW_RULES
+from conftest import CATALOG_NAMES, CLASSIFY_SLOW_RULES, sweep_rules
 
 DATA = Path(__file__).parent / "data"
 
@@ -544,3 +546,97 @@ def test_coverage_exact_caps_rounds():
         coverage_exact(s, ["ba"])
     with pytest.raises(ValueError):
         coverage_exact(s, [""])
+
+
+# --- the coverage fold against the fold that keeps the longest t-free factor ----
+
+def _fold_outcome(fold, s, targets):
+    # the value, or the message of CoverageUndecidedError
+    try:
+        return fold(s, targets)
+    except CoverageUndecidedError as exc:
+        return str(exc)
+
+
+def _run_fold(s, targets):
+    return coverage_fold_with_run(s, targets)[0]
+
+
+def test_coverage_exact_matches_run_fold_random():
+    # seeded random systems with growing letters, targets drawn from their
+    # short factors and now and then a random word: values and messages agree
+    rng = random.Random(2626)
+    decided = undecided = 0
+    while decided + undecided < 1500:
+        letters = "abc"[: rng.choice((2, 3))]
+        rules = {c: "".join(rng.choices(letters, k=rng.randint(1, 4))) for c in letters}
+        s = Substitution.from_rules(rules)
+        if not lr.bounded_letters(s).growing:
+            continue
+        pool = sorted(factor_language(s, 5).words)
+        for _ in range(3):
+            targets = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
+            if rng.random() < 0.05:
+                targets.append("".join(rng.choices(letters, k=rng.randint(1, 6))))
+            targets += rng.sample(targets, rng.randint(0, 1))  # a repeated target now and then
+            expected = _fold_outcome(_run_fold, s, targets)
+            assert _fold_outcome(coverage_exact, s, targets) == expected, (rules, targets)
+            decided += isinstance(expected, int)
+            undecided += isinstance(expected, str)
+    assert decided >= 950 and undecided >= 500
+
+
+def _certified_systems():
+    systems = [lr.load(name) for name in CATALOG_NAMES]
+    systems += [Substitution.from_rules(rules) for rules in sweep_rules()]
+    for path in sorted(DATA.glob("*.json")):
+        systems.append(Substitution.from_rules(json.loads(path.read_text())["rules"]))
+    for s in systems:
+        rep = lr.classify(s)
+        if rep.certificate is not None:
+            yield s, rep
+
+
+def test_kappa_and_G_of_certified_systems_match_run_fold():
+    # every certified system of the catalog, the classify-sweep workload and
+    # tests/data: kappa and G, or G's undecided message, as the fold with the
+    # longest t-free factor in its summaries gives them
+    certified = with_G = 0
+    for s, rep in _certified_systems():
+        e = rep.certificate.letter
+        assert rep.certificate.kappa == _run_fold(s, [e]) == coverage_exact(s, [e]), s
+        certified += 1
+        steps = return_word_chain(s, e)
+        if not steps:
+            continue  # the chain passed its work cap: no pairs to cover
+        pairs = return_word_pairs(steps[0])[1]
+        expected = _fold_outcome(_run_fold, s, pairs)
+        assert _fold_outcome(coverage_exact, s, pairs) == expected, s
+        if rep.lr is None:
+            assert f"pair-coverage length {expected}" in " ".join(rep.depth_caveats), s
+        else:
+            assert rep.lr.G == expected, s
+            with_G += 1
+    assert certified == 113 and with_G == 112
+
+
+def test_coverage_fold_rounds_never_exceed_run_fold(monkeypatch):
+    # the projected summary tuple repeats no later than the whole one: capped
+    # at the rounds the fold with the longest t-free factor took, the fold
+    # still decides, with the same value
+    rng = random.Random(2627)
+    checked = 0
+    while checked < 400:
+        letters = "abc"[: rng.choice((2, 3))]
+        rules = {c: "".join(rng.choices(letters, k=rng.randint(1, 4))) for c in letters}
+        s = Substitution.from_rules(rules)
+        pool = sorted(factor_language(s, 6).words)
+        for t in rng.sample(pool, min(len(pool), 3)):
+            try:
+                expected, rounds = coverage_fold_with_run(s, [t], fold_rounds=64)
+            except CoverageUndecidedError:
+                continue
+            monkeypatch.setattr(wd, "FOLD_ROUNDS", rounds)
+            assert coverage_exact(s, [t]) == expected, (rules, t)
+            monkeypatch.undo()
+            checked += 1
