@@ -18,17 +18,17 @@ enumeration at all:
   arbitrarily long e-free images; conversely, long factors contain deep
   images of growing letters once bounded blocks cannot stretch).
 
-A positive decision is turned into a concrete certificate (the exact gap
-bound kappa, reachability witnesses, block bound); a negative one into a
-word-pumping counterexample.  Minimality and linear repetitivity coincide
-for these systems, and the explicit repetitivity constant
-(3 + G) * theta * rho / lambda is assembled from the return words of the
-certified letter.  kappa and the pair-coverage length G are exact results
-of `words.coverage_exact`, a fold over summaries of the letter images, not
-of a scan at some depth.  A certified system runs one chain of
-return-word derivations (Durand 1998), `return_word_chain`: its first step
-gives the return words of the certified letter and the pairs of them that
-occur, with no factor set, and the whole chain gives exact periodicity.
+A positive decision is turned into a concrete certificate (reachability
+witnesses, block bound); a negative one into a word-pumping counterexample.
+Minimality and linear repetitivity coincide for these systems, and the
+explicit repetitivity constant (3 + G) * theta * rho / lambda is assembled
+from the return words of the certified letter.  A certified system runs one
+chain of return-word derivations (Durand 1998), `return_word_chain`: its
+first step gives the return words of the certified letter, whose longest
+length is the exact gap bound kappa, and the pairs of them that occur, with
+no factor set, and the whole chain gives exact periodicity.  The
+pair-coverage length G is the exact result of `words.coverage_exact`, a
+fold over summaries of the letter images, not of a scan at some depth.
 `check_compatibility` is exact from letter data as well.  `classify` builds
 a factor set only to walk the factor-complexity core of `is_periodic`, for
 a system that is not certified minimal or whose chain passes its cap.
@@ -37,7 +37,7 @@ a system that is not certified minimal or whose chain passes its cap.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -261,21 +261,25 @@ def analyze_bounded_blocks(s: Substitution) -> BlockAnalysis:
 class BGCertificate:
     """Witness that `letter` occurs with bounded gaps.
 
-    kappa: the least length with every factor of length >= kappa containing
-    the letter, exact from `words.coverage_exact`.  factor_depth = kappa + 1
-    bounds |r e| for every return word r to the letter e, since r less its
-    first letter is e-free; it is reported only, and no factor set of that
-    depth is built.
     reachability_witnesses[c] is the first depth at which the letter shows
     up in the images of the growing letter c.  bblock_bound is the maximal
     bounded-letter block length.
+    kappa: the least length with every factor of length >= kappa containing
+    the letter, set by `classify` to the length of the longest return word
+    to it (`return_word_chain`, step 1); None when the chain passed its cap
+    before that step.  factor_depth = kappa + 1 bounds |r e| for every
+    return word r to the letter e; it is reported only, and no factor set of
+    that depth is built.
     """
 
     letter: str
-    kappa: int
     reachability_witnesses: dict[str, int]
     bblock_bound: int
-    factor_depth: int
+    kappa: int | None = None
+
+    @property
+    def factor_depth(self) -> int | None:
+        return None if self.kappa is None else self.kappa + 1
 
 
 @dataclass
@@ -311,7 +315,6 @@ class BGDecision:
     status: str
     certificate: BGCertificate | None = None
     counterexample: BGCounterexample | None = None
-    note: str | None = None
 
 
 def bounded_gaps(
@@ -319,9 +322,9 @@ def bounded_gaps(
 ) -> BGDecision:
     """Decide whether the growing letter e occurs with bounded gaps.
 
-    Exactly one of three things happens: a certificate with the exact gap
-    bound, a counterexample pump, or an honest undecided when the coverage
-    fold hits its round cap.  No factor set is built.
+    Exactly one of two things happens, from the block analysis and the
+    letter-set cycles alone: a certificate, or a counterexample pump.  No
+    factor set is built, and the gap bound is left to `classify`.
     """
     if e not in s.split.growing:
         raise ValueError(f"candidate {e!r} is not a growing letter")
@@ -361,25 +364,8 @@ def bounded_gaps(
                 return BGDecision(status=NO, counterexample=counter)
         witnesses[c] = next(i for i, st in enumerate(sets) if e in st)
 
-    # decided YES, so e has bounded gaps and the fold pins kappa exactly
-    bblock = block_analysis.max_block
-    try:
-        kappa = wd.coverage_exact(s, (e,))
-    except wd.CoverageUndecidedError as exc:
-        return BGDecision(
-            status=UNDECIDED,
-            note=f"gap bound for {e!r}: {exc}; the cycle analysis still certifies bounded gaps",
-        )
-    if kappa < bblock + 1:
-        raise SubstitutionError(
-            f"gap bound {kappa} for {e!r} does not exceed the block bound {bblock}"
-        )
     cert = BGCertificate(
-        letter=e,
-        kappa=kappa,
-        reachability_witnesses=witnesses,
-        bblock_bound=bblock,
-        factor_depth=kappa + 1,
+        letter=e, reachability_witnesses=witnesses, bblock_bound=block_analysis.max_block
     )
     return BGDecision(status=YES, certificate=cert)
 
@@ -727,13 +713,22 @@ class ClassificationReport:
     minimal: str
     certificate: BGCertificate | None
     counterexample: BGCounterexample | None
-    linearly_repetitive: str
-    uniquely_ergodic: str
     periodicity: PeriodicityResult
     growth: GrowthEstimate | None
     lr: LRBound | None
     factor_depth: int
     depth_caveats: tuple[str, ...]
+
+    @property
+    def linearly_repetitive(self) -> str:
+        """Coincides with minimality for substitution subshifts."""
+        return self.minimal
+
+    @property
+    def uniquely_ergodic(self) -> str:
+        """Minimality forces unique ergodicity; the converse fails, so a
+        non-minimal system gets no verdict from this analysis."""
+        return YES if self.minimal == YES else UNDECIDED
 
     @cached_property
     def factors(self) -> wd.FactorSet:
@@ -816,7 +811,9 @@ class ClassificationReport:
 def decide_minimality(s: Substitution) -> tuple[tuple[str, ...], BGDecision]:
     """The minimality decision alone: the candidate letters (growing letters
     that reach the whole alphabet) and the bounded-gaps decision of the first
-    candidate certified, else the most decisive one."""
+    candidate certified, else the first candidate's counterexample.  The
+    certificate carries kappa = factor_depth = None: `classify` sets the gap
+    bound from the return words."""
     validate(s)  # raises EmptySubshiftError when no letter grows
     all_letters = frozenset(s.letters)
     candidates = tuple(
@@ -833,10 +830,7 @@ def decide_minimality(s: Substitution) -> tuple[tuple[str, ...], BGDecision]:
         d = bounded_gaps(s, e, block_analysis=block_analysis)
         if d.status == YES:
             return candidates, d
-        if decision is None or (decision.status == UNDECIDED and d.status == NO):
-            decision = d
-    if decision is None:
-        raise SubstitutionError("no bounded-gaps decision for any candidate letter")
+        decision = decision or d
     return candidates, decision
 
 
@@ -851,16 +845,17 @@ def classify(
     constant, periodicity, unique ergodicity.
 
     A certified minimal system runs one `return_word_chain` from its
-    certified letter: step 1 gives its return words and pairs, and the
-    whole chain its periodicity (`derived_periodicity`), with no factor
-    set; an aperiodic verdict has the status "aperiodic-up-to-depth" at
+    certified letter: step 1 gives its return words, the longest of which
+    is the certificate's gap bound kappa, and their pairs, and the whole
+    chain its periodicity (`derived_periodicity`), with no factor set; an
+    aperiodic verdict has the status "aperiodic-up-to-depth" at
     aperiodic_depth = depth + APERIODIC_MARGIN.  Any other system, and a
     certified one whose chain passes DERIVATION_WORK (with a caveat naming
-    the cap, which in step 1 leaves the repetitivity constant undecided),
-    walks the core of `is_periodic` to aperiodic_depth on the factor set
-    of `report.factor_depth` = aperiodic_depth + CORE_MARGIN."""
+    the cap, which in step 1 leaves kappa and the repetitivity constant
+    undecided), walks the core of `is_periodic` to aperiodic_depth on the
+    factor set of `report.factor_depth` = aperiodic_depth + CORE_MARGIN."""
     candidates, decision = decide_minimality(s)
-    minimal = decision.status
+    minimal, cert = decision.status, decision.certificate
     aperiodic_depth = depth + APERIODIC_MARGIN
     factor_depth = aperiodic_depth + CORE_MARGIN
     compatibility = check_compatibility(s)
@@ -869,9 +864,19 @@ def classify(
     caveats: list[str] = []
     lr = periodicity = None
     if minimal == YES:
-        steps = return_word_chain(s, decision.certificate.letter)
+        steps = return_word_chain(s, cert.letter)
+        if steps:
+            # r less its first letter is e-free for each return word r, and
+            # by minimality every e-free factor lies inside one of them
+            kappa = max(map(len, steps[0][0]))
+            if kappa < cert.bblock_bound + 1:
+                raise SubstitutionError(
+                    f"gap bound {kappa} for {cert.letter!r} does not exceed "
+                    f"the block bound {cert.bblock_bound}"
+                )
+            cert = replace(cert, kappa=kappa)
         try:
-            lr = lr_constant_bound(s, decision.certificate, steps, growth_nmax)
+            lr = lr_constant_bound(s, cert, steps, growth_nmax)
             caveats.extend(lr.caveats)
         except SubstitutionError as exc:
             caveats.append(f"repetitivity constant undecided: {exc}")
@@ -880,8 +885,6 @@ def classify(
             cap = periodicity.note
             caveats.append(f"periodicity from the core walk to depth {aperiodic_depth}: {cap}")
             periodicity = None
-    elif minimal == UNDECIDED and decision.note:
-        caveats.append(decision.note)
     factors = None
     if periodicity is None:
         factors = wd.factor_language(s, factor_depth)
@@ -902,10 +905,8 @@ def classify(
         compatibility=compatibility,
         primitive=primitive,
         minimal=minimal,
-        certificate=decision.certificate,
+        certificate=cert,
         counterexample=decision.counterexample,
-        linearly_repetitive=minimal,
-        uniquely_ergodic=_unique_ergodicity(minimal),
         periodicity=periodicity,
         growth=lr.growth if lr else None,
         lr=lr,
@@ -915,9 +916,3 @@ def classify(
     if factors is not None:
         report.factors = factors  # primes the cached property
     return report
-
-
-def _unique_ergodicity(minimal: str) -> str:
-    # minimality forces unique ergodicity; the converse fails, so a
-    # non-minimal system gets no verdict from this analysis
-    return YES if minimal == YES else UNDECIDED

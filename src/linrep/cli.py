@@ -6,11 +6,11 @@ bands as CSV), partition (1-partition cuts and preimage), transcendence
 definitions).
 
 Exit codes: 0 decided, 1 input error or stdout closed by the reader,
-3 undecided-at-depth, 4 spectrum requested for a system without a minimality
-certificate (computed anyway).  Input errors print one `error: ...` line on
-stderr: `main` maps every `SubstitutionError` a command raises to it, and
-a command adds its own clause only to prefix a message or to map another
-type.
+3 periodicity undecided-at-depth (minimality is always decided), 4 spectrum
+requested for a system without a minimality certificate (computed anyway).
+Input errors print one `error: ...` line on stderr: `main` maps every
+`SubstitutionError` a command raises to it, and a command adds its own
+clause only to prefix a message or to map another type.
 Identical inputs and flags produce byte-identical outputs; reports carry the
 effective parameter values instead of timestamps.  The argument parser is
 built once per process and reused by every `main` call; scipy is loaded only
@@ -111,12 +111,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         payload["parameters"] = {"depth": args.depth, "nmax": args.nmax}
         _write_json(args.json, payload)
 
-    undecided = (
-        report.minimal == UNDECIDED
-        or report.linearly_repetitive == UNDECIDED
-        or report.periodicity.status == UNDECIDED
-    )
-    return 3 if undecided else 0
+    return 3 if report.periodicity.status == UNDECIDED else 0
 
 
 def _compat_note(report) -> str:
@@ -129,10 +124,9 @@ def _compat_note(report) -> str:
 def _minimal_note(report) -> str:
     if report.certificate is not None:
         c = report.certificate
-        return f" (letter {c.letter!r} with gap bound {c.kappa}, block bound {c.bblock_bound})"
-    if report.counterexample is not None:
-        return f" ({report.counterexample.kind})"
-    return ""
+        kappa = "undecided" if c.kappa is None else c.kappa
+        return f" (letter {c.letter!r} with gap bound {kappa}, block bound {c.bblock_bound})"
+    return f" ({report.counterexample.kind})"
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:

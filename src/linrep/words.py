@@ -20,9 +20,9 @@ few array passes and no string slicing.
 
 Coverage lengths, the smallest L such that every factor of length L holds
 every target, have one algorithm: `coverage_exact`, an exact fold over the
-letter images that needs no factor set.  The gap bound kappa and the pair
-coverage G read it, and so does the tests' reference repetitivity function
-R(n).
+letter images that needs no factor set.  The pair coverage G reads it, and
+so does the tests' reference repetitivity function R(n); the gap bound kappa
+is the longest return word instead, and the tests check it against the fold.
 """
 
 from __future__ import annotations
@@ -316,7 +316,10 @@ FOLD_ROUNDS = 1024
 def coverage_exact(s, targets: Iterable[Word]) -> int:
     """Smallest L >= max |t| with: every factor of length L contains every target.
 
-    Exact and without a factor set: with A the length of the longest factor
+    It gives the pair-coverage length G of the repetitivity constant; for
+    the gap bound kappa of a single letter, the longest return word gives
+    the same value without a fold, and the tests compare the two.  Exact
+    and without a factor set: with A the length of the longest factor
     of the language that avoids some target, the answer is
     max(max |t|, A + 1), and A is folded from the letter images.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import random
 
@@ -40,14 +41,23 @@ from bruteforce import (
 from conftest import CATALOG_NAMES, CLASSIFY_SLOW_RULES, sweep_rules
 
 
-def test_bounded_gaps_abaa_certificate():
+def _chain_kappa(s, e):
+    # the gap bound of e: the length of its longest return word
+    return max(map(len, return_word_chain(s, e)[0][0]))
+
+
+def test_bounded_gaps_abaa_certificate(catalog_reports):
     s = lr.load("minimal-nonprimitive")
     d = bounded_gaps(s, "a")
     assert d.status == YES
     cert = d.certificate
-    assert cert.kappa == 2
+    assert cert.kappa is None  # the decision leaves the gap bound to classify
     assert cert.bblock_bound == 1
     assert cert.reachability_witnesses["a"] == 0
+    assert _chain_kappa(s, "a") == 2
+    rep = catalog_reports["minimal-nonprimitive"]
+    assert rep.certificate == dataclasses.replace(cert, kappa=2)
+    assert rep.certificate.factor_depth == 3
 
 
 def test_bounded_gaps_remarkc_counterexample():
@@ -65,7 +75,7 @@ def test_bounded_gaps_remarkc_counterexample():
 def test_bounded_gaps_fibonacci_via_b(fib):
     d = bounded_gaps(fib, "b")
     assert d.status == YES
-    assert d.certificate.kappa == 3
+    assert _chain_kappa(fib, "b") == 3
 
 
 def test_bounded_gaps_parity_avoider():
@@ -332,7 +342,8 @@ def test_split_matches_length_behaviour_randomized():
 def test_bounded_gaps_matches_naive_factor_scan():
     # arbitration by raw factor enumeration: a YES must show its gap bound
     # in the naive factor sets, a NO must keep producing avoiding factors at
-    # every depth
+    # every depth.  The gap bound is the coverage fold's; for a letter that
+    # reaches the whole alphabet it is also the longest return word
     import random
 
     from bruteforce import naive_factors
@@ -355,7 +366,9 @@ def test_bounded_gaps_matches_naive_factor_scan():
         e = candidates[0]
         d = bounded_gaps(s, e)
         if d.status == YES and yes_checked < 8:
-            kappa = d.certificate.kappa
+            kappa = wd.coverage_exact(s, (e,))
+            if s.reachable([e]) == set(letters):
+                assert _chain_kappa(s, e) == kappa, rules
             if kappa > 10:
                 continue
             oracle = naive_factors(rules, kappa + 4)
@@ -410,7 +423,12 @@ def test_decide_minimality_matches_classify(catalog_reports, catalog_subs):
         assert rep.split is catalog_subs[name].split, name
         assert candidates == rep.witness_pool, name
         assert decision.status == rep.minimal, name
-        assert decision.certificate == rep.certificate, name
+        if decision.certificate is None:
+            assert rep.certificate is None, name
+        else:
+            # classify adds the gap bound, from step 1 of the chain
+            kappa = _chain_kappa(catalog_subs[name], decision.certificate.letter)
+            assert rep.certificate == dataclasses.replace(decision.certificate, kappa=kappa), name
 
 
 @pytest.mark.parametrize(
@@ -503,7 +521,7 @@ def test_return_word_pairs_match_factor_set_oracle():
     for s in _drawn_systems(19, 600, [2, 3, 4], (1, 6)):
         cert = _certificate(s)
         if cert is not None:
-            fs = wd.factor_language(s, 2 * cert.kappa)
+            fs = wd.factor_language(s, 2 * _chain_kappa(s, cert.letter))
             assert _chain_pairs(s, cert.letter) == factor_set_return_pairs(cert.letter, fs), s
             certified += 1
     assert certified >= 400
@@ -512,8 +530,11 @@ def test_return_word_pairs_match_factor_set_oracle():
     wide = 0
     for s in _drawn_systems(8, 240, range(8, 17), (2, 4)):
         cert = _certificate(s)
-        if cert is not None and cert.kappa <= 32:
-            fs = wd.factor_language(s, 2 * cert.kappa)
+        if cert is None:
+            continue
+        kappa = _chain_kappa(s, cert.letter)
+        if kappa <= 32:
+            fs = wd.factor_language(s, 2 * kappa)
             assert _chain_pairs(s, cert.letter) == factor_set_return_pairs(cert.letter, fs), s
             wide += 1
     assert wide >= 20

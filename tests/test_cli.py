@@ -77,6 +77,44 @@ def test_analyze_certifies_past_a_long_block_orbit(capsys):
     assert caveat in lines
 
 
+def test_analyze_certifies_past_independent_letter_cycles(capsys):
+    # primitive, with growing-letter cycles of lengths 5, 7, 11 and 13: the
+    # coverage fold's tuple for 'A' repeats only at round 10,015, but the
+    # gap bound is the longest return word to 'A', from the return-word
+    # chain; the pair coverage G still waits for the fold
+    path = str(DATA / "kappa-lcm.json")
+    assert main(["analyze", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "minimal: yes (letter 'A' with gap bound 66, block bound 0)" in lines
+    assert "linearly repetitive: yes" in lines and "uniquely ergodic: yes" in lines
+    caveat = (
+        "caveat: repetitivity constant undecided: pair-coverage length undecided-at-depth: "
+        "the coverage fold for 'AAeBeBeebhozebhozcceiieppe' did not repeat within 1024 rounds"
+    )
+    assert [x for x in lines if x.startswith("caveat:")] == [caveat]
+    assert main(["spectrum", path, "--level", "2"]) == 0
+
+
+def test_analyze_chain_capped_before_step_1(defs, tmp_path, monkeypatch, capsys):
+    # thue-morse's chain writes 10 letters before its first return word:
+    # past a cap of 8 there are no return words, so the gap bound is
+    # undecided while minimality stays certified, and the core walk decides
+    # periodicity as before
+    monkeypatch.setattr(importlib.import_module("linrep.classify"), "DERIVATION_WORK", 8)
+    out_json = tmp_path / "tm.json"
+    assert main(["analyze", str(defs / "thue-morse.json"), "--json", str(out_json)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "minimal: yes (letter 'a' with gap bound undecided, block bound 0)" in lines
+    assert "linearly repetitive: yes" in lines
+    cap = "repetitivity constant undecided: return-word derivation wrote more than 8 letters"
+    assert f"caveat: {cap}" in lines
+    payload = json.loads(out_json.read_text())
+    assert payload["minimal"]["status"] == "yes"
+    cert = payload["minimal"]["certificate"]
+    assert cert["kappa"] is None and cert["factor_depth"] is None
+    assert "lr_bound" not in payload and cap in payload["depth_caveats"]
+
+
 def test_analyze_undecided_exits_3(tmp_path, capsys):
     # the core of {a -> bb, b -> aa} is the two words a^n and b^n, and no
     # single periodic word tiles both
