@@ -37,7 +37,7 @@ a system that is not certified minimal or whose chain passes its cap.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -263,23 +263,13 @@ class BGCertificate:
 
     reachability_witnesses[c] is the first depth at which the letter shows
     up in the images of the growing letter c.  bblock_bound is the maximal
-    bounded-letter block length.
-    kappa: the least length with every factor of length >= kappa containing
-    the letter, set by `classify` to the length of the longest return word
-    to it (`return_word_chain`, step 1); None when the chain passed its cap
-    before that step.  factor_depth = kappa + 1 bounds |r e| for every
-    return word r to the letter e; it is reported only, and no factor set of
-    that depth is built.
+    bounded-letter block length.  The gap bound is the report's
+    (`ClassificationReport.kappa`).
     """
 
     letter: str
     reachability_witnesses: dict[str, int]
     bblock_bound: int
-    kappa: int | None = None
-
-    @property
-    def factor_depth(self) -> int | None:
-        return None if self.kappa is None else self.kappa + 1
 
 
 @dataclass
@@ -394,16 +384,16 @@ class LRBound:
 
 
 def lr_constant_bound(
-    s: Substitution, cert: BGCertificate, steps: list[Step], n_max: int
+    s: Substitution, kappa: int | None, steps: list[Step], n_max: int
 ) -> LRBound:
-    """Assemble the explicit linear-repetitivity constant from a bounded-gaps certificate.
+    """Assemble the explicit linear-repetitivity constant of a certified letter.
 
-    The return words to the certified letter and the pairs of them that are
-    factors come from step 1 of its `return_word_chain`, through
-    `return_word_pairs`; no step 1 (the chain passed DERIVATION_WORK) raises
-    SubstitutionError.  The return words are also the words whose growth
-    constants (n <= n_max) enter the constant, and G comes from
-    `words.coverage_exact`.
+    kappa is the letter's gap bound, below which G cannot lie.  The return
+    words to the letter and the pairs of them that are factors come from
+    step 1 of its `return_word_chain`, through `return_word_pairs`; no step
+    1 (the chain passed DERIVATION_WORK) raises SubstitutionError.  The
+    return words are also the words whose growth constants (n <= n_max)
+    enter the constant, and G comes from `words.coverage_exact`.
     """
     if not steps:
         raise SubstitutionError(f"return-word derivation wrote more than {DERIVATION_WORK} letters")
@@ -413,8 +403,8 @@ def lr_constant_bound(
         G = wd.coverage_exact(s, pairs)
     except wd.CoverageUndecidedError as exc:
         raise SubstitutionError(f"pair-coverage length {exc}") from None
-    if G < cert.kappa:
-        raise SubstitutionError(f"pair-coverage length {G} is below the gap bound {cert.kappa}")
+    if G < kappa:
+        raise SubstitutionError(f"pair-coverage length {G} is below the gap bound {kappa}")
     value = (3 + G) * growth.theta * growth.rho_v / growth.lambda_v
     return LRBound(
         value=value,
@@ -705,6 +695,16 @@ def derived_periodicity(steps: list[Step], depth: int) -> PeriodicityResult:
 
 @dataclass
 class ClassificationReport:
+    """Everything `classify` decides about one substitution.
+
+    kappa is the gap bound of the certified letter e, the least length with
+    every factor that long holding e: the length of the longest return word
+    to e (`return_word_chain`, step 1).  It is None without a certificate or
+    when the chain passed its cap before step 1.  kappa + 1 bounds |r e| for
+    every return word r; it is reported as the certificate's factor_depth
+    only, and no factor set of that depth is built.
+    """
+
     substitution: Substitution
     split: AlphabetSplit
     witness_pool: tuple[str, ...]
@@ -712,6 +712,7 @@ class ClassificationReport:
     primitive: PrimitivityResult
     minimal: str
     certificate: BGCertificate | None
+    kappa: int | None
     counterexample: BGCounterexample | None
     periodicity: PeriodicityResult
     growth: GrowthEstimate | None
@@ -774,10 +775,10 @@ class ClassificationReport:
         if self.certificate is not None:
             out["minimal"]["certificate"] = {
                 "letter": self.certificate.letter,
-                "kappa": self.certificate.kappa,
+                "kappa": self.kappa,
                 "reachability_witnesses": dict(self.certificate.reachability_witnesses),
                 "bblock_bound": self.certificate.bblock_bound,
-                "factor_depth": self.certificate.factor_depth,
+                "factor_depth": None if self.kappa is None else self.kappa + 1,
             }
         if self.counterexample is not None:
             sample, origin = self.counterexample.avoiding_factor(40)
@@ -802,7 +803,7 @@ class ClassificationReport:
                 "G": self.lr.G,
                 "pair_set": list(self.lr.pair_set),
                 "return_words": sorted(self.lr.return_words),
-                "kappa": self.certificate.kappa,
+                "kappa": self.kappa,
                 "caveats": list(self.lr.caveats),
             }
         return out
@@ -811,9 +812,8 @@ class ClassificationReport:
 def decide_minimality(s: Substitution) -> tuple[tuple[str, ...], BGDecision]:
     """The minimality decision alone: the candidate letters (growing letters
     that reach the whole alphabet) and the bounded-gaps decision of the first
-    candidate certified, else the first candidate's counterexample.  The
-    certificate carries kappa = factor_depth = None: `classify` sets the gap
-    bound from the return words."""
+    candidate certified, else the first candidate's counterexample.  The gap
+    bound comes from the return words, in `classify`."""
     validate(s)  # raises EmptySubshiftError when no letter grows
     all_letters = frozenset(s.letters)
     candidates = tuple(
@@ -862,7 +862,7 @@ def classify(
     primitive = is_primitive(s)
 
     caveats: list[str] = []
-    lr = periodicity = None
+    lr = periodicity = kappa = None
     if minimal == YES:
         steps = return_word_chain(s, cert.letter)
         if steps:
@@ -874,9 +874,8 @@ def classify(
                     f"gap bound {kappa} for {cert.letter!r} does not exceed "
                     f"the block bound {cert.bblock_bound}"
                 )
-            cert = replace(cert, kappa=kappa)
         try:
-            lr = lr_constant_bound(s, cert, steps, growth_nmax)
+            lr = lr_constant_bound(s, kappa, steps, growth_nmax)
             caveats.extend(lr.caveats)
         except SubstitutionError as exc:
             caveats.append(f"repetitivity constant undecided: {exc}")
@@ -906,6 +905,7 @@ def classify(
         primitive=primitive,
         minimal=minimal,
         certificate=cert,
+        kappa=kappa,
         counterexample=decision.counterexample,
         periodicity=periodicity,
         growth=lr.growth if lr else None,

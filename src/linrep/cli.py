@@ -124,7 +124,7 @@ def _compat_note(report) -> str:
 def _minimal_note(report) -> str:
     if report.certificate is not None:
         c = report.certificate
-        kappa = "undecided" if c.kappa is None else c.kappa
+        kappa = "undecided" if report.kappa is None else report.kappa
         return f" (letter {c.letter!r} with gap bound {kappa}, block bound {c.bblock_bound})"
     return f" ({report.counterexample.kind})"
 

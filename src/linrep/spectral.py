@@ -33,9 +33,6 @@ from .substitution import Substitution, SubstitutionError, growth_ratio_range, i
 # (period-doubling level 8) and are merged as well, which `closed_gaps` counts.
 CLOSED_GAP_TOL = 1e-9
 
-# the default energy window reaches this far beyond the spectrum's bound
-WINDOW_MARGIN = 0.5
-
 # gordon_check: slack of the cube-frequency bound, the levels k it checks
 # and the length of its fixed-point sample
 GORDON_TOL = 1e-3
@@ -47,9 +44,9 @@ GORDON_SAMPLE_LENGTH = 10**6
 class BandSpectrum:
     """Level-k periodic-approximant spectrum as disjoint closed energy bands.
 
-    `closed_gaps` counts the gaps inside the window no wider than
-    `CLOSED_GAP_TOL` that were merged, so `band_count + closed_gaps` is the
-    number of Floquet bands that meet the window.
+    `closed_gaps` counts the merged gaps no wider than `CLOSED_GAP_TOL`, so
+    `band_count + closed_gaps` is the number of Floquet bands that meet the
+    energy window, or of all of them when none was given.
     """
 
     level: int
@@ -57,16 +54,10 @@ class BandSpectrum:
     bands: tuple[tuple[float, float], ...]
     total_measure: float
     closed_gaps: int
-    window: tuple[float, float]
 
     @property
     def band_count(self) -> int:
         return len(self.bands)
-
-
-def default_window(s: Substitution) -> tuple[float, float]:
-    values = [s.alphabet.value(ch) for ch in s.letters]
-    return (min(values) - 2.0 - WINDOW_MARGIN, max(values) + 2.0 + WINDOW_MARGIN)
 
 
 def _floquet_edges(word: str, potentials: Mapping[str, float]) -> np.ndarray:
@@ -106,11 +97,13 @@ def band_spectrum(
     level: int,
     window: tuple[float, float] | None = None,
 ) -> BandSpectrum:
-    """Bands {E : |tr T(S^level(letter), E)| <= 2} inside the energy window.
+    """Bands {E : |tr T(S^level(letter), E)| <= 2}, inside the energy window if given.
 
     The sorted Floquet edges e_0 <= e_1 <= ... <= e_{2q-1} pair up as the q
-    bands [e_0, e_1], [e_2, e_3], ...; each band is clipped to the window and
-    dropped if it misses the window.  A gap no wider than `CLOSED_GAP_TOL`
+    bands [e_0, e_1], [e_2, e_3], ...; with a window, each band is clipped to
+    it and dropped if it misses it.  Without one nothing is clipped: by
+    Gershgorin every edge lies in [min v - 2, max v + 2], so no window is
+    needed to bound the spectrum.  A gap no wider than `CLOSED_GAP_TOL`
     is treated as closed: its two bands are reported as one and
     `closed_gaps` counts it.  This merge is the one approximation; every
     edge is an eigenvalue from a backward-stable banded solver, found in
@@ -118,11 +111,9 @@ def band_spectrum(
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
-    if window is None:
-        window = default_window(s)
-    lo, hi = window
-    if not (hi > lo):
+    if window is not None and not window[1] > window[0]:
         raise ValueError(f"empty energy window {window}")
+    lo, hi = window or (-np.inf, np.inf)
     word = s.iterate(letter, level)
     edges = _floquet_edges(word, s.alphabet.values)
 
@@ -144,7 +135,6 @@ def band_spectrum(
         bands=tuple((a, b) for a, b in bands),
         total_measure=float(sum(b - a for a, b in bands)),
         closed_gaps=closed,
-        window=window,
     )
 
 

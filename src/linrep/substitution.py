@@ -18,12 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
-
-# power iteration stops once theta is stable to this relative tolerance
-PERRON_RTOL = 1e-12
 
 
 class SubstitutionError(Exception):
@@ -432,29 +429,6 @@ def is_primitive(s: Substitution) -> PrimitivityResult:
         rows = [reduce(or_, (rows[j] for j in js)) for js in succ]
 
 
-def perron_eigenvalue(matrix: Sequence[Sequence[int]]) -> float:
-    """Dominant eigenvalue of a primitive nonnegative matrix by power iteration."""
-    m = np.asarray(matrix, dtype=float)
-    v = np.ones(m.shape[0])
-    theta = 0.0
-    stable = 0
-    for _ in range(200000):
-        w = m @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            raise NotPrimitiveError("matrix power iteration collapsed to zero")
-        new_theta = nw / float(np.linalg.norm(v))
-        v = w / nw
-        if theta and abs(new_theta - theta) <= PERRON_RTOL * abs(new_theta):
-            stable += 1
-            if stable >= 5:
-                return new_theta
-        else:
-            stable = 0
-        theta = new_theta
-    return theta
-
-
 @dataclass
 class GrowthEstimate:
     """Window constants for the growth sandwich lambda*theta^n <= |S^n(v)| <= rho*theta^n.
@@ -478,8 +452,10 @@ def perron_growth(
 ) -> GrowthEstimate:
     """Growth constants for a finite set of words, each containing a growing letter.
 
-    theta is the Perron eigenvalue of the reduced substitution (which must be
-    primitive); the lambda/rho constants are empirical extrema of the exact
+    theta is the Perron eigenvalue of the reduced substitution, which must be
+    primitive: by Perron-Frobenius that eigenvalue is the spectral radius of
+    its occurrence matrix, the largest modulus among the eigenvalues of one
+    dense solve.  The lambda/rho constants are empirical extrema of the exact
     integer lengths |S^n(v)| of the original substitution against theta^n
     for n up to n_max (>= 1).
     """
@@ -497,7 +473,7 @@ def perron_growth(
     for v in word_list:
         if s.split.growing.isdisjoint(v):
             raise ValueError(f"word {v!r} contains no growing letter")
-    theta = perron_eigenvalue(reduced.abelianization())
+    theta = float(np.abs(np.linalg.eigvals(reduced.abelianization())).max())
     lo, hi = growth_ratio_range(s, word_list, theta, n_max)
     return GrowthEstimate(theta=theta, lambda_v=lo, rho_v=hi, words=word_list, n_checked=n_max)
 

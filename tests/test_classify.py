@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import random
 
@@ -51,13 +50,12 @@ def test_bounded_gaps_abaa_certificate(catalog_reports):
     d = bounded_gaps(s, "a")
     assert d.status == YES
     cert = d.certificate
-    assert cert.kappa is None  # the decision leaves the gap bound to classify
     assert cert.bblock_bound == 1
     assert cert.reachability_witnesses["a"] == 0
     assert _chain_kappa(s, "a") == 2
     rep = catalog_reports["minimal-nonprimitive"]
-    assert rep.certificate == dataclasses.replace(cert, kappa=2)
-    assert rep.certificate.factor_depth == 3
+    assert rep.certificate == cert and rep.kappa == 2
+    assert rep.to_json_dict()["minimal"]["certificate"]["factor_depth"] == 3
 
 
 def test_bounded_gaps_remarkc_counterexample():
@@ -178,7 +176,7 @@ def test_lr_bound_dominates_empirical_repetitivity(catalog_reports, catalog_subs
 def test_g_kappa_block_chain(catalog_reports):
     for rep in catalog_reports.values():
         if rep.lr is not None and rep.certificate is not None:
-            assert rep.lr.G >= rep.certificate.kappa >= rep.certificate.bblock_bound + 1
+            assert rep.lr.G >= rep.kappa >= rep.certificate.bblock_bound + 1
 
 
 def test_witness_images_cover_long_factors(catalog_reports, catalog_subs):
@@ -423,12 +421,12 @@ def test_decide_minimality_matches_classify(catalog_reports, catalog_subs):
         assert rep.split is catalog_subs[name].split, name
         assert candidates == rep.witness_pool, name
         assert decision.status == rep.minimal, name
+        assert rep.certificate == decision.certificate, name
         if decision.certificate is None:
-            assert rep.certificate is None, name
+            assert rep.kappa is None, name
         else:
             # classify adds the gap bound, from step 1 of the chain
-            kappa = _chain_kappa(catalog_subs[name], decision.certificate.letter)
-            assert rep.certificate == dataclasses.replace(decision.certificate, kappa=kappa), name
+            assert rep.kappa == _chain_kappa(catalog_subs[name], decision.certificate.letter), name
 
 
 @pytest.mark.parametrize(
@@ -443,7 +441,7 @@ def test_decide_minimality_matches_classify(catalog_reports, catalog_subs):
 def test_lr_bound_beyond_old_scan_depth(rules, kappa, G, confirm):
     s = Substitution.from_rules(rules)
     rep = classify(s)
-    assert rep.minimal == YES and rep.certificate.kappa == kappa
+    assert rep.minimal == YES and rep.kappa == kappa
     assert rep.lr is not None and rep.lr.G == G
     assert rep.factor_depth == 48 and "factors" not in vars(rep)  # the pairs read no factor set
     if confirm:
@@ -514,7 +512,7 @@ def test_return_word_pairs_match_factor_set_oracle():
     for s in systems:
         rep = classify(s)
         if rep.minimal == YES:
-            fs = wd.factor_language(s, 2 * rep.certificate.kappa)
+            fs = wd.factor_language(s, 2 * rep.kappa)
             rw, pairs = factor_set_return_pairs(rep.certificate.letter, fs)
             assert (rep.lr.return_words, rep.lr.pair_set) == (rw, tuple(pairs)), s
     certified = 0

@@ -124,6 +124,44 @@ def test_conditions_separated():
     assert all(a < b for a, b in zip(wit.v_lengths, wit.v_lengths[1:]))
 
 
+def _statuses(cond):
+    return (cond.lengths_diverge, cond.prefix_ratio_bounded, cond.core_ratio_positive)
+
+
+@pytest.mark.parametrize("depth", [10, 16])
+def test_premises_hold_at_shallow_depth(catalog_subs, catalog_reports, depth):
+    # the premises are proved for every n; the tail of |U_n| / |V_n| has not
+    # settled to 1e-6 at these depths
+    s = catalog_subs["stutter-separated"]
+    tr = nt.transcendence_report(s, catalog_reports["stutter-separated"], depth=depth)
+    assert _statuses(tr.conditions) == (YES, YES, YES)
+
+
+def test_premises_and_ratio_bounds_on_seeded_shapes():
+    # every shape that passes require_premises, at every depth 1..32: the
+    # premises hold, |U_n| / |V_n| <= |p| and |V_n'| / |V_n| >= 1 / (k + 1)
+    rng = random.Random(2028)
+    checked = doubled = 0
+    while checked < 150:
+        zero, one = rng.choice([("0", "1"), ("1", "0")])
+        mid = "".join(rng.choice(zero + one) for _ in range(rng.randint(1, 8)))
+        s = _two_letter({zero: zero + mid + zero, one: one})
+        try:
+            report = _report(s)
+            nt.detect_case(s, report, 1)
+        except SubstitutionError:
+            continue  # not minimal, or fails the premises or the shape
+        for depth in range(1, 33):
+            wit = nt.detect_case(s, report, depth)
+            cond = nt.check_conditions(wit)
+            assert _statuses(cond) == (YES, YES, YES)
+            assert cond.max_prefix_ratio <= len(wit.p), s
+            assert cond.min_core_ratio >= 1 / ((wit.k or 0) + 1), s
+        checked += 1
+        doubled += wit.case_tag == nt.CASE_DOUBLED
+    assert doubled >= 30 and checked - doubled >= 30
+
+
 def test_length_recursion_matches_direct_iteration():
     rng = random.Random(3)
     for rules in ({"0": "0100", "1": "1"}, {"0": "00110", "1": "1"}, {"0": "010", "1": "11"}):
@@ -207,7 +245,8 @@ def test_full_report_round_trip():
     tr = nt.transcendence_report(s, rep, depth=16, bits=96)
     d = tr.to_json_dict()
     assert d["case"]["tag"] == nt.CASE_SEPARATED
-    assert d["conditions"]["lengths_diverge"] == "yes"
+    for premise in ("lengths_diverge", "prefix_ratio_bounded", "core_ratio_positive"):
+        assert d["conditions"][premise] == "yes"
     assert len(d["value"]["decimal"]) >= 10
     assert "transcendental" in d["attribution"]
 

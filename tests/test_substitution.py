@@ -1,6 +1,8 @@
+import json
 import math
 import random
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,6 @@ from linrep.substitution import (
     check_compatibility,
     interior_power,
     is_primitive,
-    perron_eigenvalue,
     perron_growth,
     prune_to_reachable,
     reduced_substitution,
@@ -35,6 +36,8 @@ from bruteforce import (
     mat_pow,
     project,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 # --- construction and validation -------------------------------------------------
@@ -231,7 +234,7 @@ def test_reduced_length_comparable_under_bounded_gaps():
     s = Substitution.from_rules({"a": "abaa", "b": "b"})
     rep = classify(s)
     assert rep.minimal == YES
-    kappa = rep.certificate.kappa
+    kappa = rep.kappa
     for v in ("a", "ab", "aba"):
         for n in range(1, 12):
             full = s.iterate(v, n)
@@ -343,9 +346,25 @@ def test_perron_theta_constant_length():
 
 def test_perron_matches_growth_ratio_at_40(fib):
     red = reduced_substitution(fib)
-    theta = perron_eigenvalue(red.abelianization())
+    theta = perron_growth(fib, ["a"], 1).theta
     ratio = red.image_length("a", 41) / red.image_length("a", 40)
     assert abs(theta - ratio) < 1e-8
+
+
+def test_perron_theta_of_a_slowly_mixing_matrix():
+    # M = [[100, 1], [1, 99]] has eigenvalues (199 +- sqrt 5) / 2 with ratio
+    # 1 - 2.2e-2, so a power iteration from the ones vector closes in slowly,
+    # and one that stops on a small step ends 1.7e-11 short of theta
+    s = Substitution.from_rules({"a": "a" * 100 + "b", "b": "b" * 99 + "a"})
+    theta = perron_growth(s, ["a"], 1).theta
+    assert abs(theta - (199 + math.sqrt(5)) / 2) <= 1e-14 * theta
+
+
+def test_perron_theta_of_wide_16():
+    # mpmath at 40 digits: 3.19525262489496...
+    rules = json.loads((DATA / "wide-16.json").read_text())["rules"]
+    s = Substitution.from_rules(rules)
+    assert f"{perron_growth(s, sorted(s.split.growing), 1).theta:.12g}" == "3.19525262489"
 
 
 def test_perron_rejects_nonprimitive_reduction():
