@@ -236,6 +236,8 @@ def cmd_transcendence(args: argparse.Namespace) -> int:
             )
             return 0
         tr = nt.transcendence_report(s, report, depth=args.depth, bits=args.bits, base=args.base)
+        if args.dump_digits and max(tr.digit_letter_map.values()) > 255:
+            return _fail("--dump-digits writes one byte per digit; letter values must be below 256")
     except ValueError as exc:
         return _fail(str(exc))
 
@@ -254,7 +256,7 @@ def cmd_transcendence(args: argparse.Namespace) -> int:
     print(f"value ({tr.value.bits} bits, base {tr.value.base}): {tr.value.decimal}")
     print(tr.attribution)
     if args.dump_digits:
-        nt.dump_digits(args.dump_digits, tr.digits)
+        Path(args.dump_digits).write_bytes(bytes(tr.digits))  # one byte per digit
     if args.json:
         _write_json(args.json, tr.to_json_dict())
     return 0

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -172,9 +173,7 @@ class InsufficientDigitsError(ValueError):
     pass
 
 
-# ExpansionValue.decimal converts in chunks of this many digits, below the
-# smallest int-to-str digit limit the interpreter accepts (640)
-_DECIMAL_CHUNK = 512
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"  # int()'s digit characters, by value
 
 
 @dataclass
@@ -194,34 +193,69 @@ class ExpansionValue:
     def decimal(self) -> str:
         """The value truncated to ceil(bits * log10 2) decimal digits, as "0.ddd"."""
         digits10 = max(1, math.ceil(self.bits * math.log10(2)))
-        scaled = self.mantissa * 10**digits10 >> self.bits
-        chunks = []
-        while digits10 > _DECIMAL_CHUNK:
-            scaled, low = divmod(scaled, 10**_DECIMAL_CHUNK)
-            chunks.append(f"{low:0{_DECIMAL_CHUNK}d}")
-            digits10 -= _DECIMAL_CHUNK
-        chunks.append(f"{scaled:0{digits10}d}")
-        return "0." + "".join(reversed(chunks))
+        return "0." + _decimal_text(self.mantissa * 10**digits10 >> self.bits, digits10)
+
+
+def _decimal_text(n: int, width: int) -> str:
+    """n >= 0 in decimal, zero-padded to `width`, in near-linear time.
+
+    Pieces of w bits, at most w log10(2) + 1 digits, go through str() under the
+    interpreter's int-to-str limit (4,300 where none is set); a larger n splits
+    as hi * 2^h + lo, recombined exactly in `decimal` as CPython 3.12's _pylong does."""
+    leaf_bits = ((getattr(sys, "get_int_max_str_digits", int)() or 4300) - 1) / math.log10(2)
+    if n.bit_length() < leaf_bits:
+        return f"{n:0{width}d}"
+    import decimal  # only here: small values never load it
+
+    @functools.cache
+    def power(h: int):  # 2^h
+        return decimal.Decimal(2) ** h if h < leaf_bits else power(h >> 1) * power(h - (h >> 1))
+
+    def convert(n: int, w: int):  # n < 2^w
+        if w < leaf_bits:
+            return decimal.Decimal(str(n))
+        h, hi = w >> 1, n >> (w >> 1)
+        return convert(hi, w - h) * power(h) + convert(n - (hi << h), h)
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        return str(convert(n, n.bit_length())).zfill(width)
 
 
 def expansion_value(digits: Sequence[int] | str, base: int = 2, bits: int = 160) -> ExpansionValue:
     """Evaluate sum(d_n / base^n) over the given digits, rounded to `bits` bits.
 
-    Requires enough digits that the truncated tail is below the rounding
-    grain: len(digits) >= bits * ln 2 / ln base + 8.
+    A str holds one digit per character, as int() writes them: 0-9, then a-z
+    for 10 to 35.  Requires enough digits that the truncated tail is below
+    the rounding grain: len(digits) >= bits * ln 2 / ln base + 8.
     """
     if base < 2:
         raise ValueError("base must be >= 2")
-    ds = [int(d) for d in digits]
-    if any(d < 0 or d >= base for d in ds):
+    if isinstance(digits, str):
+        # deleting every digit of the base leaves nothing
+        valid = not digits.translate(dict.fromkeys(map(ord, _DIGITS[:base])))
+    else:
+        digits = list(map(int, digits))
+        valid = not digits or (min(digits) >= 0 and max(digits) < base)
+    if not valid:
         raise ValueError(f"digits must lie in 0..{base - 1}")
+    n = len(digits)
     need = math.ceil(bits * math.log(2) / math.log(base)) + 8
-    if len(ds) < need:
-        raise InsufficientDigitsError(f"need at least {need} digits for {bits} bits, got {len(ds)}")
-    num = _digits_value(ds, base)
-    den = base ** len(ds)
-    mantissa = ((num << bits) + den // 2) // den
-    return ExpansionValue(mantissa=mantissa, bits=bits, base=base, digits_used=len(ds))
+    if n < need:
+        raise InsufficientDigitsError(f"need at least {need} digits for {bits} bits, got {n}")
+    k = base.bit_length() - 1
+    if base == 1 << k and base <= 36:  # int() reads a power-of-two base in linear time
+        text = digits if isinstance(digits, str) else "".join(map(_DIGITS.__getitem__, digits))
+        num = int(text, base)
+    else:
+        ds = list(map(_DIGITS.index, digits)) if isinstance(digits, str) else digits
+        num = _digits_value(ds, base)
+    if base == 1 << k:  # den = 2^(k n): the rounded quotient is a shift
+        mantissa = ((num << bits) + (1 << (k * n - 1))) >> (k * n)
+    else:
+        den = base**n
+        mantissa = ((num << bits) + den // 2) // den
+    return ExpansionValue(mantissa=mantissa, bits=bits, base=base, digits_used=n)
 
 
 def _digits_value(ds: list[int], base: int) -> int:
@@ -249,7 +283,11 @@ class TranscendenceReport:
     value: ExpansionValue
     digit_letter_map: dict[str, int]
     attribution: str
-    digits: tuple[int, ...]  # the digits of the fixed-point prefix behind `value`
+    prefix: str  # the fixed-point prefix whose digits give `value`
+
+    @functools.cached_property
+    def digits(self) -> tuple[int, ...]:
+        return tuple(map(self.digit_letter_map.__getitem__, self.prefix))
 
     def to_json_dict(self) -> dict:
         w = self.witness
@@ -306,8 +344,9 @@ def transcendence_report(
 
     digit_map = _digit_map(s, base)
     need = math.ceil(bits * math.log(2) / math.log(base)) + 8
-    u = iterate_prefix(s, witness.zero, need)
-    digits = tuple(digit_map[ch] for ch in u)
+    prefix = iterate_prefix(s, witness.zero, need)
+    digits = (prefix.translate({ord(ch): _DIGITS[d] for ch, d in digit_map.items()})
+              if base <= 36 and base & (base - 1) == 0 else [digit_map[ch] for ch in prefix])
     value = expansion_value(digits, base, bits)
     return TranscendenceReport(
         witness=witness,
@@ -315,7 +354,7 @@ def transcendence_report(
         value=value,
         digit_letter_map=digit_map,
         attribution=ATTRIBUTION,
-        digits=digits,
+        prefix=prefix,
     )
 
 
@@ -331,9 +370,3 @@ def _digit_map(s: Substitution, base: int) -> dict[str, int]:
             )
         out[ch] = int(v)
     return out
-
-
-def dump_digits(path, digits: Sequence[int]) -> None:
-    """Raw digit dump, one byte per digit."""
-    with open(path, "wb") as fh:
-        fh.write(bytes(int(d) for d in digits))

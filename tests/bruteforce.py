@@ -7,6 +7,8 @@ they can arbitrate the library's closure-based implementations.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -557,6 +559,38 @@ def horner_value(digits, base: int) -> int:
     for d in digits:
         num = num * base + d
     return num
+
+
+def digitwise_mantissa(digits, base: int, bits: int) -> int:
+    """The rounded mantissa of sum(d_n / base^n) at `bits` bits, one digit at
+    a time: int() of every digit, balanced pairwise merges of the digits and
+    one exact long division by base^len(digits)."""
+    ds = [int(d) for d in digits]
+    if any(d < 0 or d >= base for d in ds):
+        raise ValueError(f"digits must lie in 0..{base - 1}")
+    groups, power = ds or [0], base
+    while len(groups) > 1:
+        if len(groups) % 2:
+            groups = [0, *groups]
+        pairs = iter(groups)
+        groups = [hi * power + lo for hi, lo in zip(pairs, pairs)]
+        power *= power
+    den = base ** len(ds)
+    return ((groups[0] << bits) + den // 2) // den
+
+
+def chunked_decimal(mantissa: int, bits: int) -> str:
+    """mantissa / 2^bits truncated to ceil(bits log10 2) digits as "0.ddd",
+    with 512-digit chunks peeled off the low end by divmod."""
+    digits10 = max(1, math.ceil(bits * math.log10(2)))
+    scaled = mantissa * 10**digits10 >> bits
+    chunks = []
+    while digits10 > 512:
+        scaled, low = divmod(scaled, 10**512)
+        chunks.append(f"{low:0512d}")
+        digits10 -= 512
+    chunks.append(f"{scaled:0{digits10}d}")
+    return "0." + "".join(reversed(chunks))
 
 
 def mat_pow(a, n: int) -> list[list[int]]:

@@ -569,6 +569,28 @@ def test_transcendence_digit_dump(defs, tmp_path, capsys):
     assert data[:4] == bytes([0, 1, 0, 0])  # fixed point starts 0100...
 
 
+def test_transcendence_digit_dump_refuses_a_digit_above_255(tmp_path, capsys):
+    # 300 is a digit in base 1000 but does not fit in the dump's one byte
+    defn = {
+        "name": "wide-digit",
+        "alphabet": [{"symbol": "0", "value": 0}, {"symbol": "1", "value": 300}],
+        "rules": {"0": "0100", "1": "1"},
+    }
+    path = tmp_path / "wide-digit.json"
+    path.write_text(json.dumps(defn))
+    dump, out = tmp_path / "digits.bin", tmp_path / "tr.json"
+    argv = ["transcendence", str(path), "--base", "1000", "--dump-digits", str(dump)]
+    assert main([*argv, "--json", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --dump-digits writes one byte per digit; letter values must be below 256\n"
+    )
+    assert not dump.exists() and not out.exists()
+    assert main(argv[:4]) == 0
+    assert "value (160 bits, base 1000): 0.000300000000300" in capsys.readouterr().out
+
+
 def test_catalog_list(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out

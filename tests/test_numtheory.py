@@ -1,8 +1,10 @@
 import dataclasses
+import json
 import math
 import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +14,7 @@ from linrep.classify import UNDECIDED, YES, PeriodicityResult, classify
 from linrep.recognizer import ShapeError
 from linrep.substitution import Substitution, SubstitutionError, iterate_prefix
 
-from bruteforce import horner_value
+from bruteforce import chunked_decimal, digitwise_mantissa, horner_value
 
 
 def _two_letter(rules):
@@ -226,6 +228,38 @@ def test_expansion_value_matches_horner():
             assert value.mantissa == want, (base, length, bits)
 
 
+def test_expansion_string_with_a_non_digit():
+    # the same error as a sequence with a digit out of range
+    for base, bad in [(2, "x"), (10, "x"), (16, "x"), (1000, "!")]:
+        with pytest.raises(ValueError, match=f"digits must lie in 0..{base - 1}"):
+            nt.expansion_value("01" + bad + "0" * 200, base=base, bits=64)
+    with pytest.raises(ValueError, match="digits must lie in 0..1"):
+        nt.expansion_value("0120" * 50, base=2, bits=64)
+
+
+@pytest.mark.parametrize("bits", [160, 14000, 200000])
+@pytest.mark.parametrize("base", [2, 3, 10, 16, 1000])
+def test_evaluation_matches_the_chunked_oracle(catalog_subs, catalog_reports, bits, base):
+    need = math.ceil(bits * math.log(2) / math.log(base)) + 8
+    rng = random.Random(bits * base)
+    digits = [rng.randrange(base) for _ in range(need + rng.randrange(20))]
+    value = nt.expansion_value(digits, base, bits)
+    assert value.mantissa == digitwise_mantissa(digits, base, bits)
+    assert value.decimal == chunked_decimal(value.mantissa, bits)
+
+    s = catalog_subs["stutter-separated"]
+    tr = nt.transcendence_report(s, catalog_reports["stutter-separated"], bits=bits, base=base)
+    want_digits = tuple(int(ch) for ch in iterate_prefix(s, "0", need))
+    assert tr.digits == want_digits
+    mantissa = digitwise_mantissa(want_digits, base, bits)
+    assert tr.value.mantissa == mantissa
+    oracle_value = SimpleNamespace(
+        base=base, bits=bits, digits_used=need, decimal=chunked_decimal(mantissa, bits)
+    )
+    oracle = dataclasses.replace(tr, value=oracle_value)
+    assert json.dumps(tr.to_json_dict()) == json.dumps(oracle.to_json_dict())
+
+
 def test_expansion_needs_enough_digits():
     with pytest.raises(nt.InsufficientDigitsError):
         nt.expansion_value("101", base=2, bits=64)
@@ -269,6 +303,22 @@ def test_decimal_string_beyond_int_str_limit(catalog_subs, catalog_reports):
         expected.append(str(d))
         rest -= d
     assert digits == "".join(expected)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+@pytest.mark.parametrize("limit", [640, 0])
+def test_decimal_under_a_set_digit_limit(limit):
+    # the least limit the interpreter accepts, and none: str() takes pieces
+    # of at most 639 digits, or of the default 4,300
+    m = random.Random(limit).getrandbits(30000)
+    want = chunked_decimal(m, 30000)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        got = nt.ExpansionValue(mantissa=m, bits=30000, base=2, digits_used=30008).decimal
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert got == want
 
 
 @pytest.mark.parametrize("bits", [160, 14000, 200000])
