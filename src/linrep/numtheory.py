@@ -191,9 +191,10 @@ class ExpansionValue:
 
     @functools.cached_property
     def decimal(self) -> str:
-        """The value truncated to ceil(bits * log10 2) decimal digits, as "0.ddd"."""
+        """The value truncated to ceil(bits * log10 2) decimal digits: "0.ddd", or "1.000"."""
         digits10 = max(1, math.ceil(self.bits * math.log10(2)))
-        return "0." + _decimal_text(self.mantissa * 10**digits10 >> self.bits, digits10)
+        text = _decimal_text(self.mantissa * 10**digits10 >> self.bits, digits10)
+        return f"{text[:-digits10] or 0}.{text[-digits10:]}"
 
 
 def _decimal_text(n: int, width: int) -> str:

@@ -3,15 +3,14 @@
 Words are plain Python strings over single-character letters.  The factor
 language of a substitution S collects every subword of length <= n of every
 iterate S^k(a), a in the alphabet.  `factor_language` builds it by a closure
-at the fixed depth n and stores only its maximal words: the factors of
-length n and the whole iterates shorter than n.  It also keeps the end
-words, the last n letters of each iterate S^k(a) (all of it while it is
-shorter).  Every factor is a prefix of a maximal word or of a suffix of an
-end word, so `FactorSet` derives the full set and the words of one length
-only when a caller asks for them; membership tests and the return words
-read the maximal words and the roots directly.  The cost follows the number
-of length-n factors, not the length of the iterates or the number of
-shorter factors.
+at the fixed depth n whose round k expands each run of new length-n windows
+of round k-1 once, as the factor the run spans.  It stores only the maximal
+words, the factors of length n and the whole iterates shorter than n, and
+the end words, the last n letters of each S^k(a).  Every factor is a prefix
+of a maximal word or of a suffix of an end word, so `FactorSet` derives the
+full set and the words of one length only when asked; membership tests and
+the return words read the maximal words and the roots directly.  The cost
+follows the number of length-n factors, not the length of the iterates.
 
 The walk of the periodicity core over the levels of the factors runs on
 `code_words`: the words sorted and coded as integer rows, with the prefix
@@ -208,28 +207,32 @@ def factor_language(s, max_length: int) -> FactorSet:
     """Factors of length <= max_length of all iterates S^k(a), a in the alphabet.
 
     Closure at the fixed depth n = max_length over the maximal words.
-    Round 0 seeds the letters.  Round k expands, for every factor u of
-    length n found in round k-1, the length-n windows of S(u) that start
-    inside S(u[0]), and every length-n window of the image of each letter's
-    end word E_{k-1}(a): the last n letters of S^(k-1)(a), or all of it
-    while it is shorter.  The new end word E_k(a) is the last n letters of
-    that image; while S^k(a) is shorter than n it is stored whole as a
-    maximal word.
+    Round 0 seeds the letters.  New length-n factors arrive as runs of
+    consecutive windows of one text, each queued as the factor r it spans,
+    with c = |r| - n + 1 windows.  Round k applies S once to each run r of
+    round k-1 and harvests the windows of S(r) that start before
+    |S(r[:c])|, and every length-n window of the image of each letter's end
+    word E_{k-1}(a): the last n letters of S^(k-1)(a), or all of it while it
+    is shorter.  E_k(a) is the last n letters of that image; while S^k(a) is
+    shorter than n it is stored whole as a maximal word.
+
+    Runs: a window of S(r) that starts inside S(r[j]), j < c, lies inside
+    S(u) for the window u = r[j:j+n], as |S(u[1:])| >= n - 1.  So S(r)
+    yields, in order, exactly the windows that expanding each u alone at
+    the windows starting inside S(u[0]) would: every round finds the words
+    of that per-window closure, and a letter is expanded about once per
+    run, not once per window that holds it.
 
     Covering: S is non-erasing, so a window v of length <= n of
     S^k(a) = S(x), x = S^(k-1)(a), starts inside S(x[j]) for some j.  If
-    j + n <= |x|, then u = x[j:j+n] is a factor of length n and v fits
-    inside S(u), because |S(u[1:])| >= n - 1; u was found in some round
-    before k and expanded in the round after it.  Otherwise x[j] lies in the
-    end word E_{k-1}(a), whose image is a suffix of S^k(a) holding v.  So
-    after round k the windows of S^0(a), ..., S^k(a) over all letters a are
-    F_k: the subwords of the stored maximal words.
-
-    Derivation: a window of S^k(a) at position p is a prefix of the
-    length-n window at p when p + n <= |S^k(a)|, and otherwise a prefix of a
-    suffix of E_k(a).  So F_k is also the set of prefixes of the roots (the
-    maximal words and the proper suffixes of the end words), which is how
-    `FactorSet` derives its views.
+    j + n <= |x|, u = x[j:j+n] is a factor of length n, found in a round
+    before k and expanded in its run in the round after, and v fits inside
+    S(u).  Otherwise x[j] lies in the end word E_{k-1}(a), whose image is a
+    suffix of S^k(a) holding v.  So after round k the windows of S^0(a),
+    ..., S^k(a) over all letters a are F_k: the subwords of the stored
+    maximal words.  A window of S^k(a) at p is a prefix of the length-n
+    window at p or of a suffix of E_k(a), so F_k is also the set of
+    prefixes of the roots, from which `FactorSet` derives its views.
 
     Stopping: the round adds nothing to F_k exactly when it finds no new
     length-n factor and every short iterate S^k(a) is already a subword of
@@ -237,35 +240,35 @@ def factor_language(s, max_length: int) -> FactorSet:
     factor or a subword of a suffix of E_k(a), and the subwords of a
     length-n E_k(a) that was known before are known.  Suppose
     F_k = F_{k-1}.  Each window v of S^(k+1)(a) lies, by the covering
-    argument, in S(u) for some u of F_k: a length-n factor of S^k(a) or its
-    end word.  As u is in F_{k-1}, it lies in some S^i(b) with i < k, so v
-    lies in S^(i+1)(b) and is in F_k.  Hence F_{k+1} = F_k, and by
-    induction F_k holds every factor of length <= n.
-
-    A round that does not end the closure stores a new maximal word: a new
-    length-n factor, or a short iterate inside no stored word.  So the
-    rounds are at most one more than the maximal words, and MAX_WORDS alone
-    bounds them: a round that leaves more than MAX_WORDS maximal words short
-    of the fixed point yields an explicit unsaturated result, never a
-    silent truncation.
+    argument, in S(u) for some u of F_k, which lies in some S^i(b) with
+    i < k, so v lies in S^(i+1)(b) and is in F_k.  Hence F_{k+1} = F_k,
+    and by induction F_k holds every factor of length <= n.  A round that
+    does not end the closure stores a new maximal word, so the rounds are
+    at most one more than the maximal words, and MAX_WORDS alone bounds
+    them: a round that leaves more than MAX_WORDS maximal words short of
+    the fixed point yields an explicit unsaturated result, never a silent
+    truncation.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     n = max_length
-    rules = s.rules
     apply = s.apply
     letters = list(s.letters)
     maximal: set[str] = set()
     ends: set[str] = set()
-    fresh: list[str] = []  # factors of length n found in the current round
+    fresh: list[str] = []  # runs of new length-n factors found in the current round
 
     def harvest(text: str, stop: int) -> None:
-        # length-n windows starting before `stop`
-        for i in range(min(stop, len(text) - n + 1)):
-            w = text[i : i + n]
-            if w not in maximal:
+        # queue each run of new length-n windows starting before `stop`; i = top ends the last
+        top = min(stop, len(text) - n + 1)
+        first = 0
+        for i in range(top + 1):
+            if i < top and (w := text[i : i + n]) not in maximal:
                 maximal.add(w)
-                fresh.append(w)
+                continue
+            if first < i:
+                fresh.append(text[first : i + n - 1])
+            first = i + 1
 
     def advance(images: dict[str, str]) -> bool:
         # harvest each letter's image and keep its end word; True when the
@@ -291,8 +294,10 @@ def factor_language(s, max_length: int) -> FactorSet:
     while not saturated and len(maximal) <= MAX_WORDS:
         rounds += 1
         batch, fresh = fresh, []
-        for u in batch:
-            harvest(apply(u), len(rules[u[0]]))
+        for run in batch:
+            c = len(run) - n + 1  # windows in the run
+            head = apply(run[:c])
+            harvest(head + apply(run[c:]), len(head))
         saturated = advance({a: apply(tails[a]) for a in letters})
 
     return FactorSet(

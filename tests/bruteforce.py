@@ -250,6 +250,54 @@ def closure_factor_language(s, max_length: int):
     return words, saturated, rounds
 
 
+def per_window_factor_language(s, max_length: int, max_words: int = 10**6):
+    """The maximal-word closure that expands every new length-n factor alone.
+
+    Round k applies S to each factor u of length n first found in round k-1
+    and harvests the windows of S(u) that start inside S(u[0]), then the
+    whole image of each letter's end word.  Short iterates are stored as
+    maximal words; a round is quiet when it finds no new length-n factor and
+    every short iterate lies in a stored word.  It stops unsaturated after a
+    round that leaves more than `max_words` maximal words.  Returns
+    (maximal, ends, saturated, rounds).
+    """
+    n = max_length
+    maximal: set[str] = set()
+    ends: set[str] = set()
+    fresh: list[str] = []
+
+    def harvest(text, stop):
+        for i in range(min(stop, len(text) - n + 1)):
+            w = text[i : i + n]
+            if w not in maximal:
+                maximal.add(w)
+                fresh.append(w)
+
+    def advance(images):
+        short = set()
+        for a, image in images.items():
+            harvest(image, len(image))
+            tails[a] = image[-n:]
+            ends.add(tails[a])
+            if len(tails[a]) < n and tails[a] not in maximal:
+                short.add(tails[a])
+        quiet = not fresh and all(any(t in m for m in maximal) for t in short)
+        maximal.update(short)
+        return quiet
+
+    tails: dict[str, str] = {}
+    advance({a: a for a in s.letters})
+    saturated = False
+    rounds = 0
+    while not saturated and len(maximal) <= max_words:
+        rounds += 1
+        batch, fresh = fresh, []
+        for u in batch:
+            harvest(apply_rules(s.rules, u), len(s.rules[u[0]]))
+        saturated = advance({a: apply_rules(s.rules, tails[a]) for a in s.letters})
+    return frozenset(maximal), frozenset(ends), saturated, rounds
+
+
 def block_orbit_maximum(rules: dict[str, str], growing) -> int:
     """Longest run of bounded letters over the orbits of the seed runs.
 
@@ -580,9 +628,10 @@ def digitwise_mantissa(digits, base: int, bits: int) -> int:
 
 
 def chunked_decimal(mantissa: int, bits: int) -> str:
-    """mantissa / 2^bits truncated to ceil(bits log10 2) digits as "0.ddd",
-    with 512-digit chunks peeled off the low end by divmod."""
-    digits10 = max(1, math.ceil(bits * math.log10(2)))
+    """mantissa / 2^bits truncated to ceil(bits log10 2) digits as "0.ddd"
+    (or "1.000" at mantissa 2^bits), with 512-digit chunks peeled off the
+    low end by divmod."""
+    digits10 = width = max(1, math.ceil(bits * math.log10(2)))
     scaled = mantissa * 10**digits10 >> bits
     chunks = []
     while digits10 > 512:
@@ -590,7 +639,8 @@ def chunked_decimal(mantissa: int, bits: int) -> str:
         chunks.append(f"{low:0512d}")
         digits10 -= 512
     chunks.append(f"{scaled:0{digits10}d}")
-    return "0." + "".join(reversed(chunks))
+    text = "".join(reversed(chunks))
+    return f"{text[:-width] or 0}.{text[-width:]}"
 
 
 def mat_pow(a, n: int) -> list[list[int]]:

@@ -321,6 +321,15 @@ def test_decimal_under_a_set_digit_limit(limit):
     assert got == want
 
 
+@pytest.mark.parametrize("bits", [64, 30000])
+def test_decimal_of_a_value_rounded_up_to_one(bits):
+    # all-ones digits past the rounding grain round up to exactly 1
+    v = nt.expansion_value("1" * (bits + 16), 2, bits)
+    assert v.mantissa == 1 << bits
+    d = math.ceil(bits * math.log10(2))
+    assert v.decimal == "1." + "0" * d == chunked_decimal(v.mantissa, bits)
+
+
 @pytest.mark.parametrize("bits", [160, 14000, 200000])
 def test_decimal_is_the_truncated_quotient(bits):
     m = random.Random(bits).getrandbits(bits)

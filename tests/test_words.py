@@ -29,6 +29,7 @@ from bruteforce import (
     naive_factors,
     naive_find_power,
     naive_return_words,
+    per_window_factor_language,
     repetitivity_function,
     scan_coverage_length,
 )
@@ -335,6 +336,61 @@ def test_word_cap_counts_maximal_words(monkeypatch):
     assert not capped.saturated
     with pytest.raises(UnsaturatedFactorSetError):
         repetitivity_function(capped, 1)
+
+
+# --- runs of new windows against the per-window closure --------------------------
+
+@pytest.fixture(scope="module")
+def per_window_systems():
+    """(name, substitution) pairs: the catalog, tests/data, the classify-slow
+    systems and 300 seeded random systems over 2-4 letters with images of
+    1-5 letters, so that bounded letters (single-letter images) occur."""
+    named = {p.stem: json.loads(p.read_text())["rules"] for p in sorted(DATA.glob("*.json"))}
+    named.update((f"slow-{i}", rules) for i, rules in enumerate(CLASSIFY_SLOW_RULES))
+    rng = random.Random(3030)
+    for i in range(300):
+        letters = "abcd"[: rng.randint(2, 4)]
+        named[f"random-{i}"] = {a: "".join(rng.choices(letters, k=rng.randint(1, 5))) for a in letters}
+    systems = [(name, lr.load(name)) for name in CATALOG_NAMES]
+    return systems + [(name, Substitution.from_rules(rules)) for name, rules in named.items()]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 7, 48])
+def test_factor_language_matches_per_window_oracle(depth, per_window_systems):
+    for name, s in per_window_systems:
+        # cycles-45045 needs 45,046 rounds at depth 7, seconds for each closure
+        if depth > 2 and name == "cycles-45045":
+            continue
+        fs = factor_language(s, depth)
+        want = per_window_factor_language(s, depth)
+        assert (fs.maximal, fs.ends, fs.saturated, fs.rounds) == want, (name, depth)
+
+
+@pytest.mark.parametrize("cap", [10, 100, 1000])
+def test_capped_closure_matches_per_window_oracle(cap, monkeypatch):
+    # a closure stopped by MAX_WORDS stops after the same round, with the same words
+    monkeypatch.setattr(wd, "MAX_WORDS", cap)
+    capped = 0
+    for rules in CLASSIFY_SLOW_RULES:
+        s = Substitution.from_rules(rules)
+        fs = factor_language(s, 48)
+        want = per_window_factor_language(s, 48, max_words=cap)
+        assert (fs.maximal, fs.ends, fs.saturated, fs.rounds) == want, rules
+        capped += not fs.saturated
+    assert capped
+
+
+@pytest.mark.parametrize("depth,rounds,words", [(48, 49, 1092), (256, 257, 32045)])
+def test_runs_expand_few_letters_per_word(depth, rounds, words):
+    # each run of new windows is expanded once: about 5 letters per maximal
+    # word here, where expanding each window alone takes depth + 2
+    s = Substitution.from_rules({"0": "01001", "1": "1"})
+    expanded = []
+    apply = s.apply
+    s.apply = lambda w: expanded.append(len(w)) or apply(w)
+    fs = factor_language(s, depth)
+    assert (fs.saturated, fs.rounds, len(fs.maximal)) == (True, rounds, words)
+    assert sum(expanded) <= 10 * words
 
 
 # --- integer-coded word levels ---------------------------------------------------
