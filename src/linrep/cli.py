@@ -198,7 +198,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         return tuple(c for c in cuts if L <= c <= len(target) - L)
 
     first = parses[0]
-    print(f"half-width L = {L} ({rule.route}); window set size {len(rule.windows)}")
+    print(f"half-width L = {L}; window set size {len(rule.windows)}")
     print(f"1-partitions: {len(parses)}; distinct interior cut-sets: "
           f"{len(set(map(interior, parses)))}")
     print(f"interior cuts: {list(interior(first))}")
@@ -209,12 +209,11 @@ def cmd_partition(args: argparse.Namespace) -> int:
         payload = {
             "schema_version": "1",
             "depth_caveats": [
-                f"window rule read from every factor of length {2 * L + 1}; "
+                f"window rule read from every factor of length {2 * L}; "
                 "their 1-partitions agree at every center"
             ],
             "word_length": len(target),
             "half_width": L,
-            "route": rule.route,
             "cut_positions": list(interior(first)),
             "blocks": [[target[c1:c2] for c1, c2 in zip(first, first[1:])][:50]],
             "partition_count": len(parses),

@@ -5,13 +5,13 @@ A 1-partition of a word chops it into blocks from {S(a), b} with a proper
 suffix of a block in front and a proper prefix behind (full blocks are
 canonically represented as blocks, not as boundary remainders).  For
 minimal aperiodic systems all 1-partitions of a factor agree away from a
-boundary strip of computable half-width L, which makes the cut positions
-locally recognizable from (2L+1)-windows.
+boundary strip of half-width L, which makes the cut positions locally
+recognizable from symmetric 2L-windows, L letters on each side of a cut.
 
-The half-width follows two routes: when the doubled growing letter occurs
-inside S(a), L = L0 + 2|S(a)b| with L0 the length of the longest power of a
-subword of S(a) inside the language; otherwise L = (N+2) * 2|S(a)| with N
-the largest exponent any short factor achieves.
+L is the least half-width, from the floor |S(a)| // 2 up, at which every
+factor of length 2L has 1-partitions that agree at its centre: that window
+check is its own certificate, and no bound on the powers in the language
+is needed to read it.
 
 `require_premises` is the one premise gate of the partition and
 number-theory applications: a nonprimitive, certified minimal, aperiodic
@@ -19,10 +19,7 @@ system of the shape, whose S(a) then begins and ends with a.  So every
 front remainder is followed by at most one block chain: the recognition
 rule and `linrep partition` read their cuts from these forced parses
 (`front_parses`), while `enumerate_one_partitions` serves any shape and is
-the reference the forced parses are tested against.  The recognition rule reads its window
-set from the factors of length 2L+1 and checks, factor by factor, that
-their 1-partitions agree at the center; that one exhaustive check
-certifies the agreement for every factor.
+the reference the forced parses are tested against.
 """
 
 from __future__ import annotations
@@ -40,12 +37,7 @@ class ShapeError(SubstitutionError):
     """The substitution is not of the two-letter fixed-letter shape."""
 
 
-class ShallowFactorSetError(SubstitutionError):
-    """A power bound reaches past the factor-set depth, so it cannot be certified."""
-
-
 MAX_PARTITIONS = 10**4
-MAX_WIDTH_DEPTH = 256  # deepest factor set window_half_width builds
 SCAN_WORD_LENGTH = 600  # uniqueness_scan covers every factor up to this length
 
 
@@ -141,83 +133,6 @@ def enumerate_one_partitions(s: Substitution, w: str) -> list[OnePartition]:
     return out
 
 
-def _certified_exponent(v: str, factors: wd.FactorSet) -> int:
-    """The largest n with v^n a factor; raises `ShallowFactorSetError`, naming
-    v^(n+1) and the depth, when that power does not fit inside the depth."""
-    n = 1
-    while len(v) * (n + 1) <= factors.max_length and v * (n + 1) in factors:
-        n += 1
-    if len(v) * (n + 1) > factors.max_length:
-        raise ShallowFactorSetError(
-            f"cannot certify the power bound: {v!r}^{n + 1} exceeds factor depth "
-            f"{factors.max_length}"
-        )
-    return n
-
-
-def power_bound(s: Substitution, factors: wd.FactorSet) -> int:
-    """L0: the longest |v^n| with v a subword of S(a) and v^n in the language.
-
-    Certified: for the maximal exponent found, the (n+1)-st power still fits
-    inside the factor-set depth, so its absence is meaningful.  Raises when
-    the set is too shallow to certify.
-    """
-    a, _ = shape_letters(s)
-    factors.require_saturated()
-    alpha = s.rules[a]
-    return max(
-        len(v) * _certified_exponent(v, factors)
-        for v in sorted(wd.subwords(alpha, len(alpha)))
-    )
-
-
-def max_power_exponent(s: Substitution, factors: wd.FactorSet) -> int:
-    """N: the largest n with v^n in the language over factors v of length <= 2|S(a)|."""
-    a, _ = shape_letters(s)
-    factors.require_saturated()
-    return max(
-        (
-            _certified_exponent(v, factors)
-            for m in range(1, 2 * len(s.rules[a]) + 1)
-            for v in factors.words_of_length(m)
-        ),
-        default=1,
-    )
-
-
-@dataclass
-class WindowWidth:
-    route: str  # "doubled-letter" | "no-doubled-letter"
-    half_width: int
-
-
-def window_half_width(s: Substitution, factors: wd.FactorSet) -> WindowWidth:
-    """The agreement half-width L for the system, by the applicable route.
-
-    When `factors` is too shallow to certify the power bound, the factor set
-    is deepened by doubling, the last step to MAX_WIDTH_DEPTH itself; a set
-    of that depth that is still too shallow raises the error.  A certified
-    exponent is exact, so L does not depend on the depth it is read at.
-    """
-    a, b = shape_letters(s)
-    alpha = s.rules[a]
-    while True:
-        try:
-            if a + a in alpha:
-                L0 = power_bound(s, factors)
-                return WindowWidth("doubled-letter", L0 + 2 * (len(alpha) + 1))
-            N = max_power_exponent(s, factors)
-            return WindowWidth("no-doubled-letter", (N + 2) * 2 * len(alpha))
-        except ShallowFactorSetError:
-            if factors.max_length >= MAX_WIDTH_DEPTH:
-                raise
-            factors = wd.factor_language(s, min(2 * factors.max_length, MAX_WIDTH_DEPTH))
-            if not factors.saturated:
-                raise SubstitutionError(
-                    f"factor set did not saturate at depth {factors.max_length}"
-                ) from None
-
-
 def require_premises(s: Substitution, report: ClassificationReport) -> tuple[str, str]:
     """Return (a, b) = (growing, fixed) for a nonprimitive, certified minimal,
     aperiodic system of the shape whose image S(a) begins and ends with a.
@@ -248,18 +163,18 @@ def require_premises(s: Substitution, report: ClassificationReport) -> tuple[str
 
 @dataclass
 class RecognitionRule:
-    """Cut positions are exactly the centers whose (2L+1)-window is in `windows`."""
+    """Cut positions c, L <= c <= |text| - L, are exactly those whose 2L-window
+    text[c-L : c+L] is in `windows`."""
 
     half_width: int
-    route: str
     windows: frozenset[str]
 
     def cuts(self, text: str) -> list[int]:
         L = self.half_width
         return [
             i
-            for i in range(L, len(text) - L)
-            if text[i - L : i + L + 1] in self.windows
+            for i in range(L, len(text) - L + 1)
+            if text[i - L : i + L] in self.windows
         ]
 
 
@@ -296,43 +211,55 @@ def recognition_rule(
     factors: wd.FactorSet,
     report: ClassificationReport,
 ) -> RecognitionRule:
-    """The (2L+1)-windows whose center is a cut, read from the factors of length 2L+1.
+    """The least half-width L whose window check passes, with its 2L-windows.
 
-    For each factor W of length 2L+1 the 1-partitions of W must agree on
-    whether the center L is a cut; W joins `windows` when they all cut
-    there, and a SubstitutionError names W when they disagree or W has
-    none.
+    The check at L: every factor W of length 2L has 1-partitions, and they
+    all agree on whether the centre L is a cut; W joins `windows` when they
+    all cut there.  L starts at the floor |S(a)| // 2, so 2L >= |S(a)| - 1,
+    and rises by one until the check passes; `factors` is deepened, to
+    twice its depth or to 2L, when 2L passes it.
 
-    This one exhaustive check makes the rule exact.  Let f be any factor,
-    P any 1-partition of f and L <= i <= |f|-1-L.  Restricting P to
-    W = f[i-L : i+L+1] gives a 1-partition of W: the block cut at each end
-    leaves a proper suffix or a proper prefix of S(a) (a cut b block leaves
-    nothing).  `front_parses` lists every 1-partition of W
-    (`require_premises`), so i is a cut of P iff W is in `windows`.
-    Hence all 1-partitions of every factor agree on [L, |f|-1-L], and
-    `RecognitionRule.cuts` reads their common cuts there.
+    The check makes the rule exact.  Let f be any factor, P any
+    1-partition of f and L <= i <= |f| - L, and W = f[i-L : i+L].  As
+    |W| >= |S(a)| - 1, W does not lie strictly inside one S(a) block of P,
+    so restricting P to W gives a 1-partition of W: a block cut by the left
+    end of W leaves a proper suffix of S(a), one cut by the right end a
+    proper prefix, and a b block is never cut.  `front_parses` lists every
+    1-partition of W (`require_premises`), so i is a cut of P iff W is in
+    `windows`.  Hence all 1-partitions of every factor agree on
+    [L, |f| - L], and `RecognitionRule.cuts` reads their common cuts there.
+    Below the floor this fails: a window strictly inside one S(a) block
+    restricts to no 1-partition, and a check passed there certifies nothing.
+
+    Above the floor the check is monotone, so the first L that passes is the
+    least: if it passes at L, every factor of length 2L' > 2L has a
+    1-partition (restrict the block partition of an iterate S(x) holding
+    it), and each one restricts to a 1-partition of the central 2L letters,
+    which agree at the centre.  The ascent ends by L0 + 1, where L0 is the
+    half-width the paper reads off the powers in the language (the
+    power-bound routes of `tests/bruteforce.py`), whose (2 L0 + 1)-windows
+    all decide their centre.
 
     The system must pass `require_premises`; then S(a) begins and ends
     with a, and the 1-partitions are read from forced parses.
     """
     a, b = require_premises(s, report)
     alpha = s.rules[a]
-    ww = window_half_width(s, factors)
-    L = ww.half_width
-    if factors.max_length < 2 * L + 1 or not factors.saturated:
-        factors = wd.factor_language(s, 2 * L + 1)
+    L = len(alpha) // 2
+    while True:
+        if factors.max_length < 2 * L:
+            factors = wd.factor_language(s, max(2 * L, 2 * factors.max_length))
         factors.require_saturated()
-
-    windows: set[str] = set()
-    for w in factors.words_of_length(2 * L + 1):
-        center_cut = {L in parse for parse in front_parses(alpha, b, w)}
-        if len(center_cut) != 1:
-            raise SubstitutionError(
-                f"the 1-partitions of factor {w!r} do not decide a cut at its center {L}"
-            )
-        if center_cut == {True}:
-            windows.add(w)
-    return RecognitionRule(half_width=L, route=ww.route, windows=frozenset(windows))
+        windows: set[str] = set()
+        for w in factors.words_of_length(2 * L):
+            center_cut = {L in parse for parse in front_parses(alpha, b, w)}
+            if len(center_cut) != 1:
+                break
+            if center_cut == {True}:
+                windows.add(w)
+        else:
+            return RecognitionRule(half_width=L, windows=frozenset(windows))
+        L += 1
 
 
 def desubstitute(s: Substitution, window: str, rule: RecognitionRule) -> tuple[str, int]:
@@ -450,16 +377,28 @@ def uniqueness_scan(
 
     The system must pass `require_premises` and carry its repetitivity
     constant lr.  With m = SCAN_WORD_LENGTH, the sample is the prefix of
-    S^k(a) of length lr * m + 2m, and every start of a (4L+2)-window in it
+    S^k(a) of length lr * m + 2m, and every start of a (4H+2)-window in it
     is checked by `uniqueness_violations`, which walks the block chains of
     all starts at once.  Raises ValueError when the sample is shorter than
     one window, since no window would be checked.
+
+    The strip is H = 2L + |S(a)|, with L the half-width of
+    `recognition_rule`, and at that H the rule implies the scan.  Take two
+    chains of one start that land on different cuts: they share no cut, or
+    they would run together from it.  Both parse the sample from the start
+    to at least start + H, and the cuts of the first lie at most |S(a)|
+    apart, so as H - 2L + 1 >= |S(a)| one of them, c, has [c-L, c+L) inside
+    both chains.  Restricted to that 2L-factor they are two 1-partitions
+    that disagree at its centre, which the rule's check excludes.  A start
+    always lands, on the cut of the iterate's own block partition.  The
+    scan's chains include block runs that die later, so they are not
+    1-partitions, and at H = L the scan can fail where the rule passes.
     """
     a, b = require_premises(s, report)
     if report.lr is None:
         raise SubstitutionError("needs the explicit repetitivity constant for coverage sizing")
     alpha = s.rules[a]
-    L = window_half_width(s, factors).half_width
+    L = 2 * recognition_rule(s, factors, report).half_width + len(alpha)
     m = SCAN_WORD_LENGTH
     sample = iterate_prefix(s, a, int(report.lr.value * m) + 2 * m)
     if len(sample) < 4 * L + 2:

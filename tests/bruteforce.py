@@ -730,3 +730,89 @@ def interior_cuts(partition, half_width: int) -> tuple[int, ...]:
 def project(s, w: str) -> str:
     """w with the bounded letters of s erased."""
     return "".join(ch for ch in w if ch in s.split.growing)
+
+
+def center_disagreement(alpha: str, b: str, L: int, words) -> str | None:
+    """The first word of length 2L whose 1-partitions do not all cut, or all not
+    cut, at its centre L (a word with none counts), by plain recursion; None
+    when every word passes the recognition rule's window check."""
+    for w in words:
+        if len({L in cuts for cuts in naive_partitions(alpha, b, w)}) != 1:
+            return w
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the power-bound routes of the recognition half-width: the paper's L for
+# (2L+1)-windows, read off the longest powers in the language
+
+
+class ShallowFactorSetError(Exception):
+    """A power bound reaches past the factor-set depth, so it cannot be certified."""
+
+
+MAX_WIDTH_DEPTH = 256  # deepest factor set window_half_width builds
+
+
+def certified_exponent(v: str, factors) -> int:
+    """The largest n with v^n a factor; raises `ShallowFactorSetError`, naming
+    v^(n+1) and the depth, when that power does not fit inside the depth."""
+    n = 1
+    while len(v) * (n + 1) <= factors.max_length and v * (n + 1) in factors:
+        n += 1
+    if len(v) * (n + 1) > factors.max_length:
+        raise ShallowFactorSetError(
+            f"cannot certify the power bound: {v!r}^{n + 1} exceeds factor depth "
+            f"{factors.max_length}"
+        )
+    return n
+
+
+def _growing(s) -> tuple[str, str]:
+    """(a, S(a)) for the letter a not fixed by s."""
+    return next((letter, image) for letter, image in s.rules.items() if image != letter)
+
+
+def power_bound(s, factors) -> int:
+    """L0: the longest |v^n| with v a subword of S(a) and v^n in the language."""
+    _, alpha = _growing(s)
+    factors.require_saturated()
+    subwords = {alpha[i:j] for i in range(len(alpha)) for j in range(i + 1, len(alpha) + 1)}
+    return max(len(v) * certified_exponent(v, factors) for v in sorted(subwords))
+
+
+def max_power_exponent(s, factors) -> int:
+    """N: the largest n with v^n in the language over factors v of length <= 2|S(a)|."""
+    factors.require_saturated()
+    return max(
+        (
+            certified_exponent(v, factors)
+            for m in range(1, 2 * len(_growing(s)[1]) + 1)
+            for v in factors.words_of_length(m)
+        ),
+        default=1,
+    )
+
+
+def window_half_width(s, factors) -> tuple[str, int]:
+    """(route, L): L0 + 2|S(a)b| when S(a) holds the doubled growing letter,
+    else (N + 2) * 2|S(a)|.
+
+    When `factors` is too shallow to certify the power bound, the factor set
+    is deepened by doubling, the last step to MAX_WIDTH_DEPTH itself; a set
+    of that depth that is still too shallow raises the error.  A certified
+    exponent is exact, so L does not depend on the depth it is read at.
+    """
+    from linrep import words as wd
+
+    a, alpha = _growing(s)
+    while True:
+        try:
+            if a + a in alpha:
+                return "doubled-letter", power_bound(s, factors) + 2 * (len(alpha) + 1)
+            return "no-doubled-letter", (max_power_exponent(s, factors) + 2) * 2 * len(alpha)
+        except ShallowFactorSetError:
+            if factors.max_length >= MAX_WIDTH_DEPTH:
+                raise
+            factors = wd.factor_language(s, min(2 * factors.max_length, MAX_WIDTH_DEPTH))
+            factors.require_saturated()

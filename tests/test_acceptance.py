@@ -36,6 +36,7 @@ from bruteforce import (
     naive_factors,
     naive_find_power,
     naive_return_words,
+    power_bound,
     project,
     repetitivity_function,
     transfer_matrix,
@@ -231,7 +232,7 @@ def test_criterion_7_recognizer_uniqueness(catalog_subs, catalog_reports, capsys
 
     # propagation below the threshold length, exhaustively over the language
     alpha = s.rules["a"]
-    L0 = rec.power_bound(s, fs)
+    L0 = power_bound(s, fs)
     threshold = 2 * len(alpha) + L0
     for length in range(threshold + 1, 2 * threshold + 1):
         for w in fs.words_of_length(length):

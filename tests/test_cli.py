@@ -405,14 +405,34 @@ def test_partition_prefix(defs, capsys):
 
 @pytest.mark.parametrize(
     "name,half_width",
-    [("minimal-nonprimitive-noaa", 60), ("stutter-doubled", 27)],
+    [
+        ("minimal-nonprimitive", 3),
+        ("minimal-nonprimitive-noaa", 5),
+        ("stutter-doubled", 3),
+        ("stutter-separated", 3),
+    ],
 )
-def test_partition_deepens_shallow_factor_set(defs, capsys, name, half_width):
-    # the kappa scan's depth-16 factor set cannot certify these power bounds
+def test_partition_prints_least_half_width(defs, capsys, name, half_width):
     assert main(["partition", str(defs / f"{name}.json"), "--prefix", "300"]) == 0
     out = capsys.readouterr().out
-    assert f"half-width L = {half_width} " in out
+    assert f"half-width L = {half_width}; " in out
     assert "distinct interior cut-sets: 1" in out
+
+
+def test_partition_long_power_deepens_factor_set(tmp_path, capsys):
+    # {a -> (ab)^130 abba, b -> b} holds 'ab'^129, longer than any factor
+    # set a power bound could read at depth 256; its half-width is the floor
+    # 264 // 2, read from a factor set deepened from 48 to 264
+    path = DATA / "long-power.json"
+    out_json = tmp_path / "long-power.json"
+    assert main(["partition", str(path), "--prefix", "1000", "--json", str(out_json)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("half-width L = 132; ")
+    assert "distinct interior cut-sets: 1" in out
+    s = lr.Substitution.from_rules(json.loads(path.read_text())["rules"])
+    expected_out, payload = _expected_partition(s, lr.iterate_prefix(s, "a", 1000))
+    assert out == expected_out
+    assert json.loads(out_json.read_text()) == payload
 
 
 def test_partition_long_prefix(defs, capsys):
@@ -456,7 +476,7 @@ def _expected_partition(s, target):
     L = rule.half_width
     interior = interior_cuts(parts[0], L)
     lines = [
-        f"half-width L = {L} ({rule.route}); window set size {len(rule.windows)}",
+        f"half-width L = {L}; window set size {len(rule.windows)}",
         f"1-partitions: {len(parts)}; distinct interior cut-sets: "
         f"{len({interior_cuts(p, L) for p in parts})}",
         f"interior cuts: {list(interior)}",
@@ -467,12 +487,11 @@ def _expected_partition(s, target):
     payload = {
         "schema_version": "1",
         "depth_caveats": [
-            f"window rule read from every factor of length {2 * L + 1}; "
+            f"window rule read from every factor of length {2 * L}; "
             "their 1-partitions agree at every center"
         ],
         "word_length": len(target),
         "half_width": L,
-        "route": rule.route,
         "cut_positions": list(interior),
         "blocks": [list(parts[0].blocks[:50])],
         "partition_count": len(parts),

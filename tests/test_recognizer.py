@@ -10,7 +10,18 @@ from linrep import words as wd
 from linrep.classify import YES
 from linrep.substitution import Substitution, SubstitutionError
 
-from bruteforce import distinct_windows, interior_cuts, naive_partitions, uniqueness_walk
+from bruteforce import (
+    MAX_WIDTH_DEPTH,
+    ShallowFactorSetError,
+    center_disagreement,
+    distinct_windows,
+    interior_cuts,
+    max_power_exponent,
+    naive_partitions,
+    power_bound,
+    uniqueness_walk,
+    window_half_width,
+)
 
 # the catalog's minimal aperiodic two-letter fixed-letter systems
 SHAPES = ["minimal-nonprimitive", "minimal-nonprimitive-noaa", "stutter-doubled", "stutter-separated"]
@@ -202,26 +213,24 @@ def test_front_remainder_bound(abaa):
 
 
 def test_power_bound_abaa(abaa, abaa_factors):
-    assert rec.power_bound(abaa, abaa_factors) == 12  # (abaa)^3 occurs, 4th powers do not
+    assert power_bound(abaa, abaa_factors) == 12  # (abaa)^3 occurs, 4th powers do not
 
 
 def test_window_width_routes(abaa, abaa_factors):
-    ww = rec.window_half_width(abaa, abaa_factors)
-    assert ww.route == "doubled-letter"
-    assert ww.half_width == 12 + 2 * 5
+    # the power-bound routes, kept as oracles of the recognition half-width
+    assert window_half_width(abaa, abaa_factors) == ("doubled-letter", 12 + 2 * 5)
 
     noaa = lr.load("minimal-nonprimitive-noaa")
     fs = wd.factor_language(noaa, 64)
-    ww2 = rec.window_half_width(noaa, fs)
-    assert ww2.route == "no-doubled-letter"
-    assert ww2.half_width == (rec.max_power_exponent(noaa, fs) + 2) * 2 * len(noaa.rules["a"])
+    L = (max_power_exponent(noaa, fs) + 2) * 2 * len(noaa.rules["a"])
+    assert window_half_width(noaa, fs) == ("no-doubled-letter", L)
 
 
 def test_propagation_below_threshold(abaa, abaa_factors):
     # once a word is long enough, a partition starting with a doubled image
     # block forces every partition to start that way
     alpha = abaa.rules["a"]
-    L0 = rec.power_bound(abaa, abaa_factors)
+    L0 = power_bound(abaa, abaa_factors)
     threshold = 2 * len(alpha) + L0
     for length in range(threshold + 1, min(2 * threshold, abaa_factors.max_length) + 1):
         for w in abaa_factors.words_of_length(length):
@@ -233,15 +242,15 @@ def test_propagation_below_threshold(abaa, abaa_factors):
                 assert all(starts_double)
 
 
-def test_one_partitions_agree_on_samples(abaa, abaa_factors):
+def test_one_partitions_agree_on_samples(abaa, abaa_rule):
     # the exhaustive enumerator, independent of the forced parses, finds one
-    # interior cut-set on sampled factors longer than 2L
+    # interior cut-set on sampled factors of length 2L and longer
     sample = lr.iterate_prefix(abaa, "a", 3000)
     rng = random.Random(17)
-    L = rec.window_half_width(abaa, abaa_factors).half_width
+    L = abaa_rule.half_width
     for _ in range(25):
-        i = rng.randrange(0, len(sample) - 3 * L - 2)
-        w = sample[i : i + rng.randint(2 * L + 1, 3 * L)]
+        i = rng.randrange(0, len(sample) - 6 * L)
+        w = sample[i : i + rng.randint(2 * L, 6 * L)]
         parts = rec.enumerate_one_partitions(abaa, w)
         assert parts
         assert len({interior_cuts(p, L) for p in parts}) == 1, w
@@ -268,9 +277,9 @@ def test_window_ladder_ends_at_the_width_cap(monkeypatch):
         return build(s, max_length, **kwargs)
 
     monkeypatch.setattr(wd, "factor_language", counted)
-    with pytest.raises(rec.ShallowFactorSetError, match=r"'ab'\^129 exceeds factor depth 256$"):
-        rec.window_half_width(s, factors)
-    assert calls == [34, 68, 136, 256] and calls[-1] == rec.MAX_WIDTH_DEPTH
+    with pytest.raises(ShallowFactorSetError, match=r"'ab'\^129 exceeds factor depth 256$"):
+        window_half_width(s, factors)
+    assert calls == [34, 68, 136, 256] and calls[-1] == MAX_WIDTH_DEPTH
 
 
 def test_window_width_does_not_depend_on_the_starting_depth(catalog_subs):
@@ -288,8 +297,8 @@ def test_window_width_does_not_depend_on_the_starting_depth(catalog_subs):
             factors = wd.factor_language(s, depth)
             assert factors.saturated, (name, depth)
             try:
-                outcomes.append(rec.window_half_width(s, factors))
-            except rec.ShallowFactorSetError as exc:
+                outcomes.append(window_half_width(s, factors))
+            except ShallowFactorSetError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1], name
         shapes += 1
@@ -338,7 +347,7 @@ def test_recognition_rule_and_round_trip(abaa, abaa_rule, abaa_report):
 
 
 def _harvested_windows(s, L):
-    """The (2L+1)-windows centered at the cuts of every 1-partition of every
+    """The 2L-windows centered at the cuts of every 1-partition of every
     factor of length 4L, away from the ends."""
     a, b = rec.shape_letters(s)
     fs = wd.factor_language(s, 4 * L)
@@ -346,7 +355,7 @@ def _harvested_windows(s, L):
     out = set()
     for f in fs.words_of_length(4 * L):
         cuts = {c for parse in rec.front_parses(s.rules[a], b, f) for c in parse}
-        out.update(f[c - L : c + L + 1] for c in cuts if L <= c <= len(f) - 1 - L)
+        out.update(f[c - L : c + L] for c in cuts if L <= c <= len(f) - L)
     return out
 
 
@@ -367,13 +376,13 @@ def test_rule_cuts_match_parses_on_fresh_samples(shape_rules, name):
     s, _, rule = shape_rules[name]
     a, b = rec.shape_letters(s)
     L = rule.half_width
-    fresh = sorted(distinct_windows(lr.iterate_prefix(s, a, 10**4), 6 * L))
+    fresh = sorted(distinct_windows(lr.iterate_prefix(s, a, 10**4), 6 * L + 100))
     checked = 0
     for f in fresh[:: max(1, len(fresh) // 120)]:
         parses = rec.front_parses(s.rules[a], b, f)
         assert parses, f
         for cuts in parses:
-            assert rule.cuts(f) == [c for c in cuts if L <= c <= len(f) - 1 - L], f
+            assert rule.cuts(f) == [c for c in cuts if L <= c <= len(f) - L], f
         checked += 1
     assert checked >= 100
 
@@ -399,15 +408,18 @@ def test_rule_windows_match_4l_harvest(shape_rules):
 
 
 @pytest.mark.parametrize("name", SHAPES)
-def test_rule_refuses_too_narrow_half_width(shape_rules, monkeypatch, name):
-    # with L = 1 some 3-letter factor has 1-partitions that disagree at its
-    # center, and the exhaustive check must name it
-    s, rep, _ = shape_rules[name]
-    monkeypatch.setattr(
-        rec, "window_half_width", lambda *_: rec.WindowWidth("doubled-letter", 1)
-    )
-    with pytest.raises(SubstitutionError, match="do not decide a cut"):
-        rec.recognition_rule(s, rep.factors, rep)
+def test_rule_refuses_too_narrow_half_width(shape_rules, name):
+    # the catalog shapes' half-widths 3, 5, 3 and 3 are the least: all lie
+    # above the floor |S(a)| // 2, and at L - 1 some factor of length 2L - 2
+    # has 1-partitions that disagree at its centre
+    s, _, rule = shape_rules[name]
+    a, b = rec.shape_letters(s)
+    alpha, L = s.rules[a], rule.half_width
+    assert L == {"minimal-nonprimitive-noaa": 5}.get(name, 3)
+    assert L - 1 >= len(alpha) // 2
+    fs = wd.factor_language(s, 2 * L)
+    assert center_disagreement(alpha, b, L, fs.words_of_length(2 * L)) is None
+    assert center_disagreement(alpha, b, L - 1, fs.words_of_length(2 * L - 2)) is not None
 
 
 def test_desubstitute_rejects_short_window(abaa, abaa_rule):
@@ -416,12 +428,15 @@ def test_desubstitute_rejects_short_window(abaa, abaa_rule):
 
 
 def test_recognition_no_doubled_letter_route(monkeypatch):
+    # S(a) = ababba holds no aa, so the paper's route is the exponent bound:
+    # 60, far above the least half-width 5
     noaa = lr.load("minimal-nonprimitive-noaa")
     rep = lr.classify(noaa)
     fs = wd.factor_language(noaa, 64)
     rule = rec.recognition_rule(noaa, fs, rep)
-    assert rule.route == "no-doubled-letter"
+    assert window_half_width(noaa, fs) == ("no-doubled-letter", 60)
     L = rule.half_width
+    assert L == 5
     sample = lr.iterate_prefix(noaa, "a", 6 * (4 * L + 80))
     rng = random.Random(41)
     for _ in range(10):
@@ -443,15 +458,15 @@ def test_uniqueness_scan_moderate(abaa, abaa_report, abaa_factors, monkeypatch):
 
 
 def test_uniqueness_scan_refuses_an_empty_audit(abaa, abaa_report, abaa_factors, monkeypatch):
-    # SCAN_WORD_LENGTH 1 sizes a 73-letter sample, shorter than one 90-letter
-    # window, so no start would be checked
-    for m in (0, 1):
-        monkeypatch.setattr(rec, "SCAN_WORD_LENGTH", m)
-        with pytest.raises(ValueError):
-            lr.uniqueness_scan(abaa, abaa_report, abaa_factors)
-    monkeypatch.setattr(rec, "SCAN_WORD_LENGTH", 2)
+    # the strip is 2L + |S(a)| = 2 * 3 + 4 = 10, so a window is 42 letters;
+    # SCAN_WORD_LENGTH 0 sizes an empty sample, so no start would be checked,
+    # and 1 sizes a 73-letter sample with 32 starts
+    monkeypatch.setattr(rec, "SCAN_WORD_LENGTH", 0)
+    with pytest.raises(ValueError, match="shorter than a window of 42"):
+        lr.uniqueness_scan(abaa, abaa_report, abaa_factors)
+    monkeypatch.setattr(rec, "SCAN_WORD_LENGTH", 1)
     scan = lr.uniqueness_scan(abaa, abaa_report, abaa_factors)
-    assert scan.ok and (scan.sample_length, scan.positions_checked) == (146, 57)
+    assert scan.ok and (scan.half_width, scan.sample_length, scan.positions_checked) == (10, 73, 32)
 
 
 def _walk_case(rng):
@@ -504,7 +519,7 @@ def test_uniqueness_scan_matches_the_walk(shape_rules, name, max_word_length, mo
     monkeypatch.setattr(rec, "SCAN_WORD_LENGTH", max_word_length)
     scan = lr.uniqueness_scan(s, rep, rep.factors)
     a, b = rec.shape_letters(s)
-    L = rule.half_width
+    L = 2 * rule.half_width + len(s.rules[a])  # the strip the rule implies
     sample = lr.iterate_prefix(s, a, int(rep.lr.value * max_word_length) + 2 * max_word_length)
     violations = uniqueness_walk(s.rules[a], b, L, sample)
     assert scan.ok
@@ -516,3 +531,85 @@ def test_uniqueness_scan_matches_the_walk(shape_rules, name, max_word_length, mo
         max_word_length=max_word_length,
         violations=violations,
     )
+
+
+def test_uniqueness_walk_fails_at_the_rule_half_width(shape_rules):
+    # the scan's chains include block runs that die later, so they are not
+    # 1-partitions: at the rule's own L = 3 the walk reports violations on
+    # minimal-nonprimitive, and only the strip 2L + |S(a)| = 10 is implied
+    s, rep, rule = shape_rules["minimal-nonprimitive"]
+    sample = lr.iterate_prefix(s, "a", int(rep.lr.value * 240) + 480)
+    assert len(uniqueness_walk(s.rules["a"], "b", rule.half_width, sample)) == 17
+    assert uniqueness_walk(s.rules["a"], "b", 2 * rule.half_width + 4, sample) == ()
+
+
+def test_half_width_floor_is_needed_for_soundness():
+    # {a -> aabaaaba, b -> b} has the floor 8 // 2 = 4.  Below it the check
+    # passes at 3, but a 6-letter window can lie strictly inside one S(a)
+    # block: aabaaab has the parses (0,) and (4,), which disagree at
+    # 4 = |f| - 3.  From the floor the check fails up to 12 and passes at 13.
+    s = Substitution.from_rules({"a": "aabaaaba", "b": "b"})
+    rep = lr.classify(s)
+    alpha = s.rules["a"]
+    fs = wd.factor_language(s, 26)
+    assert center_disagreement(alpha, "b", 3, fs.words_of_length(6)) is None
+    assert "aabaaab" in fs
+    parses = rec.front_parses(alpha, "b", "aabaaab")
+    assert parses == naive_partitions(alpha, "b", "aabaaab") == [(0,), (4,)]
+    for L in range(4, 13):
+        assert center_disagreement(alpha, "b", L, fs.words_of_length(2 * L)) is not None, L
+    assert center_disagreement(alpha, "b", 13, fs.words_of_length(26)) is None
+    assert rec.recognition_rule(s, rep.factors, rep).half_width == 13
+
+
+def _premise_systems(count, seed):
+    """`count` distinct systems a -> a w a, b -> b with |w| <= 10, drawn from a
+    seeded generator, that pass `require_premises`, with their reports."""
+    rng = random.Random(seed)
+    seen, out = set(), []
+    while len(out) < count:
+        w = "".join(rng.choice("ab") for _ in range(rng.randint(1, 10)))
+        if "b" not in w or w in seen:
+            continue
+        seen.add(w)
+        s = Substitution.from_rules({"a": "a" + w + "a", "b": "b"})
+        rep = lr.classify(s)
+        try:
+            rec.require_premises(s, rep)
+        except SubstitutionError:
+            continue
+        out.append((s, rep))
+    return out
+
+
+def test_half_width_is_the_least_passing_on_random_systems():
+    # on 300 premise-passing systems: the check passes at the rule's L and
+    # fails at L - 1 above the floor; the paper's route bounds the ascent;
+    # the exhaustive enumerator cuts where the rule does on L <= c <= |f| - L
+    # for every factor of length 2L .. 2L + 6; the scan passes at 2L + |S(a)|
+    above_floor = routes = 0
+    for s, rep in _premise_systems(300, 19):
+        alpha = s.rules["a"]
+        rule = rec.recognition_rule(s, rep.factors, rep)
+        L = rule.half_width
+        fs = wd.factor_language(s, 2 * L + 6)
+        assert center_disagreement(alpha, "b", L, fs.words_of_length(2 * L)) is None, alpha
+        if L > len(alpha) // 2:
+            words = fs.words_of_length(2 * L - 2)
+            assert center_disagreement(alpha, "b", L - 1, words) is not None, alpha
+            above_floor += 1
+        try:
+            _, route_L = window_half_width(s, rep.factors)
+        except ShallowFactorSetError:
+            pass
+        else:
+            assert route_L + 1 >= L, alpha
+            routes += 1
+        for n in range(2 * L, 2 * L + 7):
+            for f in fs.words_of_length(n):
+                cuts = rule.cuts(f)
+                for p in rec.enumerate_one_partitions(s, f):
+                    assert list(interior_cuts(p, L)) == cuts, (alpha, f)
+        sample = lr.iterate_prefix(s, "a", 3000)
+        assert rec.uniqueness_violations(alpha, "b", 2 * L + len(alpha), sample) == (), alpha
+    assert above_floor >= 100 and routes >= 250

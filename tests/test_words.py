@@ -680,7 +680,7 @@ def test_kappa_and_G_of_certified_systems_match_run_fold(monkeypatch):
         else:
             assert rep.lr.G == expected, s
             with_G += 1
-    assert certified == 115 and with_G == 113
+    assert certified == 116 and with_G == 114
 
 
 def _first_letter_cycle(s, letters):
