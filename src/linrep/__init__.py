@@ -67,7 +67,6 @@ from .words import (
     factor_language,
     find_power,
     return_words,
-    subwords,
 )
 
 __version__ = "0.1.0"

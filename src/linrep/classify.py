@@ -30,8 +30,8 @@ no factor set, and the whole chain gives exact periodicity.  The
 pair-coverage length G is the exact result of `words.coverage_exact`, a
 fold over summaries of the letter images, not of a scan at some depth.
 `check_compatibility` is exact from letter data as well.  `classify` builds
-a factor set only to walk the factor-complexity core of `is_periodic`, for
-a system that is not certified minimal or whose chain passes its cap.
+a factor set only to walk the core of `is_periodic`, for a chain past its
+cap or an uncertified system that is incompatible or has a minimal S^p.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .substitution import (
     CompatibilityResult,
     is_primitive,
     perron_growth,
+    prune_to_reachable,
     validate,
 )
 
@@ -214,21 +215,11 @@ def analyze_bounded_blocks(s: Substitution) -> BlockAnalysis:
         ctx = (seed.left, seed.right)
         seen: dict[tuple[str | None, str | None], int] = {}
         margins: list[int] = []
-        contexts: list[tuple[str | None, str | None]] = []
         while ctx not in seen:
-            seen[ctx] = len(contexts)
-            contexts.append(ctx)
-            l, r = ctx
-            margin = 0
-            if l is not None:
-                margin += len(_b_suffix(s.rules[l], growing))
-            if r is not None:
-                margin += len(_b_prefix(s.rules[r], growing))
-            margins.append(margin)
-            ctx = (
-                _last_growing(s.rules[l], growing) if l is not None else None,
-                _first_growing(s.rules[r], growing) if r is not None else None,
-            )
+            seen[ctx] = len(margins)
+            l, margin, r = _update_triple(s, growing, ctx[0], "", ctx[1])
+            margins.append(len(margin))
+            ctx = (l, r)
         start = seen[ctx]
         cycle_margin = sum(margins[start:])
         if cycle_margin > 0:
@@ -834,6 +825,25 @@ def decide_minimality(s: Substitution) -> tuple[tuple[str, ...], BGDecision]:
     return candidates, decision
 
 
+def _power_not_minimal(s: Substitution, detail: dict) -> bool:
+    """Whether T, S^p on the letters e reaches under it, is not minimal, for
+    a compatible system with S^p(e) = u e v, u and v nonempty (`detail`).
+
+    Then the walk answers aperiodic at every depth: the factors of the
+    T^k(e) = S^(kp)(e) lie in the language of the subshift X (compatibility),
+    so X holds the subshift X_0 of T.  X_0 is transitive, and a finite
+    transitive subshift is one periodic orbit, which is minimal, so X_0 and
+    X are infinite and p_X(n) >= n + 1 at every n (Morse-Hedlund 1938).
+    S^p's images, summed by `image_length` first, count against
+    DERIVATION_WORK: past it, or when T is minimal, the walk decides.
+    """
+    e, p = detail["letter"], detail["power"]
+    if sum(s.image_length(a, p) for a in s.letters) > DERIVATION_WORK:
+        return False
+    t = prune_to_reachable(Substitution(s.alphabet, {a: s.iterate(a, p) for a in s.letters}), e)
+    return decide_minimality(t)[1].status != YES
+
+
 def classify(
     s: Substitution,
     *,
@@ -849,7 +859,8 @@ def classify(
     is the certificate's gap bound kappa, and their pairs, and the whole
     chain its periodicity (`derived_periodicity`), with no factor set; an
     aperiodic verdict has the status "aperiodic-up-to-depth" at
-    aperiodic_depth = depth + APERIODIC_MARGIN.  Any other system, and a
+    aperiodic_depth = depth + APERIODIC_MARGIN, as has a compatible system
+    whose S^p is not minimal (`_power_not_minimal`).  Any other system, and a
     certified one whose chain passes DERIVATION_WORK (with a caveat naming
     the cap, which in step 1 leaves kappa and the repetitivity constant
     undecided), walks the core of `is_periodic` to aperiodic_depth on the
@@ -884,13 +895,16 @@ def classify(
             cap = periodicity.note
             caveats.append(f"periodicity from the core walk to depth {aperiodic_depth}: {cap}")
             periodicity = None
+    compatible = compatibility.status == "holds-certified"
+    if minimal != YES and compatible and _power_not_minimal(s, compatibility.detail):
+        periodicity = PeriodicityResult(APERIODIC, None, aperiodic_depth)
     factors = None
     if periodicity is None:
         factors = wd.factor_language(s, factor_depth)
         periodicity = is_periodic(factors)
     if periodicity.status == UNDECIDED:
         caveats.append(f"periodicity undecided: {periodicity.note}")
-    if compatibility.status != "holds-certified":
+    if not compatible:
         caveats.append(
             "statements describe the finite-word language; its compatibility "
             f"with the two-sided subshift is {compatibility.status}, so the "

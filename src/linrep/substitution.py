@@ -335,8 +335,6 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
         reach = s.reachable([e])
         if len(reach) > len(best_reach):
             best, best_reach = e, reach
-    if best is None:
-        raise SubstitutionError("no growing letter to serve as the witness")
     return ValidationReport(
         substitution=s,
         split=split,

@@ -42,17 +42,6 @@ class UnsaturatedFactorSetError(SubstitutionError):
     """An operation required a saturated factor set but got a capped one."""
 
 
-def subwords(w: Word, max_length: int) -> set[Word]:
-    """All nonempty factors of `w` of length <= max_length."""
-    n = len(w)
-    out: set[str] = set()
-    for i in range(n):
-        top = min(max_length, n - i)
-        for length in range(1, top + 1):
-            out.add(w[i : i + length])
-    return out
-
-
 @dataclass
 class FactorSet:
     """Factors of a substitution language up to `max_length`, kept as maximal words.

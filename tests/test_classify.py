@@ -456,9 +456,10 @@ def test_lr_bound_beyond_old_scan_depth(rules, kappa, G, confirm):
 
 def test_classify_builds_one_factor_set(monkeypatch):
     # a certified system, whose return words and periodicity read no
-    # factors, builds no set in classify; any other builds one, at the core
-    # walk's 40 + CORE_MARGIN = 48; report.factors is built once, on first
-    # read, at that depth
+    # factors, builds no set in classify, and neither does remarkc, which
+    # is compatible and whose S^p is not minimal; any other builds one, at
+    # the core walk's 40 + CORE_MARGIN = 48; report.factors is built once,
+    # on first read, at that depth
     calls = []
     build = wd.factor_language
 
@@ -473,7 +474,8 @@ def test_classify_builds_one_factor_set(monkeypatch):
     for s in systems:
         calls.clear()
         rep = classify(s)
-        assert calls == ([] if rep.minimal == YES else [48]), s
+        walks = rep.minimal != YES and s.name != "remarkc"
+        assert calls == ([48] if walks else []), s
         certified += rep.minimal == YES
         assert rep.factor_depth == 48
         first = rep.factors
@@ -599,13 +601,13 @@ def test_derived_periodicity_equals_walk(monkeypatch):
     for s in systems:
         calls.clear()
         rep = classify(s)
-        if rep.minimal != YES:
+        if rep.minimal != YES and s.name != "remarkc":
             assert calls == [s.name], s
             continue
         assert calls == [] and rep.factors.saturated, s
         got = rep.periodicity
         assert (got.status, got.period, got.depth) == _walk_verdict(s), s
-        certified += 1
+        certified += rep.minimal == YES
     assert certified == 109
     # directly: seeded random certified systems, 2-4 letters, rules 1-8 long,
     # then periodic ones: images u^k (primitive), or a -> (aw)^k a with w
@@ -687,7 +689,57 @@ def test_classify_walks_the_core_only_when_not_certified(monkeypatch):
     for name in ["remark1b", "remarkc"]:
         rep = classify(lr.load(name))
         assert rep.minimal == NO and rep.periodicity.note is None
-    assert calls == ["remark1b", "remarkc"]
+        got = rep.periodicity
+        assert (got.status, got.period, got.depth) == _walk_verdict(lr.load(name)), name
+    # remarkc is compatible and its S^p is not minimal: no walk
+    assert calls == ["remark1b"]
+
+
+def test_power_not_minimal_equals_walk(monkeypatch):
+    # seeded compatible systems that are not minimal, 3-6 letters, images
+    # 1-5 long, a third of them single letters: wherever S^p on the letters
+    # e reaches is not minimal, classify builds no factor set and gives the
+    # walk's verdict
+    built = []
+    build = wd.factor_language
+    monkeypatch.setattr(wd, "factor_language", lambda s, n: built.append(n) or build(s, n))
+    rng = random.Random(1938)
+    answered = {1: 0, "p > 1": 0}
+    while sum(answered.values()) < 600:
+        letters = "abcdef"[: rng.randint(3, 6)]
+        lengths = [1 if rng.random() < 1 / 3 else rng.randint(2, 5) for _ in letters]
+        rules = {a: "".join(rng.choices(letters, k=k)) for a, k in zip(letters, lengths)}
+        s = Substitution.from_rules(rules)
+        try:
+            _, decision = decide_minimality(s)
+        except SubstitutionError:
+            continue  # empty subshift or unreachable letters
+        compatibility = lr.check_compatibility(s)
+        if decision.status == YES or compatibility.status != "holds-certified":
+            continue
+        built.clear()
+        got = classify(s).periodicity
+        if built:
+            continue  # T is minimal: the walk decides
+        want = is_periodic(build(s, 48))
+        assert (got.status, got.period, got.depth) == (want.status, want.period, want.depth), s
+        answered[1 if compatibility.detail["power"] == 1 else "p > 1"] += 1
+    assert answered["p > 1"] >= 150
+
+
+def test_minimal_power_and_work_cap_still_walk(monkeypatch):
+    # {a -> bb, b -> aa} has S^2 = {a -> aaaa} on the letters a reaches
+    # under it, which is minimal; remarkc walks once S^p's images pass a tiny
+    # DERIVATION_WORK
+    calls = _count_walks(monkeypatch)
+    s = Substitution.from_rules({"a": "bb", "b": "aa"}, name="two-orbits")
+    assert classify(s).compatibility.detail["power"] == 2
+    assert calls == ["two-orbits"]
+    module = importlib.import_module("linrep.classify")
+    monkeypatch.setattr(module, "DERIVATION_WORK", 2)
+    got = classify(lr.load("remarkc")).periodicity
+    assert calls == ["two-orbits", "remarkc"]
+    assert (got.status, got.period, got.depth) == _walk_verdict(lr.load("remarkc"))
 
 
 def test_derived_periodicity_work_cap_is_undecided(monkeypatch):

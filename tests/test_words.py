@@ -18,7 +18,6 @@ from linrep.words import (
     find_power,
     gap_bound,
     return_words,
-    subwords,
 )
 
 from bruteforce import (
@@ -36,18 +35,6 @@ from bruteforce import (
 from conftest import CATALOG_NAMES, CLASSIFY_SLOW_RULES, sweep_rules
 
 DATA = Path(__file__).parent / "data"
-
-
-@pytest.mark.parametrize(
-    "w,ell,expected",
-    [
-        ("ab", 2, {"a", "b", "ab"}),
-        ("aaa", 1, {"a"}),
-        ("aba", 3, {"a", "b", "ab", "ba", "aba"}),
-    ],
-)
-def test_subwords(w, ell, expected):
-    assert subwords(w, ell) == expected
 
 
 def test_factor_language_fibonacci_depth2(fib):
