@@ -31,7 +31,8 @@ pair-coverage length G is the exact result of `words.coverage_exact`, a
 fold over summaries of the letter images, not of a scan at some depth.
 `check_compatibility` is exact from letter data as well.  `classify` builds
 a factor set only to walk the core of `is_periodic`, for a chain past its
-cap or an uncertified system that is incompatible or has a minimal S^p.
+cap or an uncertified system whose letter data does not show its subshift
+infinite (`_power_not_minimal`, `_two_sided_pump`).
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ from .substitution import (
     SubstitutionError,
     check_compatibility,
     CompatibilityResult,
+    EmptySubshiftError,
     is_primitive,
     perron_growth,
     prune_to_reachable,
-    validate,
 )
 
 YES = "yes"
@@ -805,7 +806,10 @@ def decide_minimality(s: Substitution) -> tuple[tuple[str, ...], BGDecision]:
     that reach the whole alphabet) and the bounded-gaps decision of the first
     candidate certified, else the first candidate's counterexample.  The gap
     bound comes from the return words, in `classify`."""
-    validate(s)  # raises EmptySubshiftError when no letter grows
+    if not s.split.growing:
+        raise EmptySubshiftError(
+            "no letter has unbounded image growth; the two-sided subshift is empty"
+        )
     all_letters = frozenset(s.letters)
     candidates = tuple(
         e for e in s.letters if e in s.split.growing and s.reachable([e]) == all_letters
@@ -827,21 +831,71 @@ def decide_minimality(s: Substitution) -> tuple[tuple[str, ...], BGDecision]:
 
 def _power_not_minimal(s: Substitution, detail: dict) -> bool:
     """Whether T, S^p on the letters e reaches under it, is not minimal, for
-    a compatible system with S^p(e) = u e v, u and v nonempty (`detail`).
+    a letter e with S^p(e) = u e v, u and v nonempty (`detail`): the
+    compatibility letter and its power, or any growing letter strictly
+    inside its own image, with p = 1.
 
-    Then the walk answers aperiodic at every depth: the factors of the
-    T^k(e) = S^(kp)(e) lie in the language of the subshift X (compatibility),
-    so X holds the subshift X_0 of T.  X_0 is transitive, and a finite
-    transitive subshift is one periodic orbit, which is minimal, so X_0 and
-    X are infinite and p_X(n) >= n + 1 at every n (Morse-Hedlund 1938).
-    S^p's images, summed by `image_length` first, count against
-    DERIVATION_WORK: past it, or when T is minimal, the walk decides.
+    Then the walk answers aperiodic at every depth, compatible or not:
+    T^(k+1)(e) holds T^k(e) with at least one letter on each side, so the
+    factors of the T^k(e) = S^(kp)(e) extend on both sides and lie in the
+    language of the subshift X, and X holds the subshift X_0 of T.  X_0 is
+    transitive, and a finite transitive subshift is one periodic orbit,
+    which is minimal, so X_0 and X are infinite and p_X(n) >= n + 1 at
+    every n (Morse-Hedlund 1938).  S^p's images, summed by `image_length`
+    first, count against DERIVATION_WORK: past it, or when T is minimal,
+    the walk decides.
     """
     e, p = detail["letter"], detail["power"]
     if sum(s.image_length(a, p) for a in s.letters) > DERIVATION_WORK:
         return False
     t = prune_to_reachable(Substitution(s.alphabet, {a: s.iterate(a, p) for a in s.letters}), e)
     return decide_minimality(t)[1].status != YES
+
+
+def _two_sided_pump(s: Substitution) -> bool:
+    """Whether some factor b1 g b2, g a growing letter, has both bounded
+    runs b1 and b2 as long as wanted, read from the letter images.
+
+    A state (l, g, r) is a growing letter g of a factor with the nearest
+    growing letters l and r on its sides (None where the factor ends); the
+    seeds are those of each S(a).  When S(g) holds exactly one growing
+    letter g', S maps l b1 g b2 r into (last growing letter of S(l)) b1' g'
+    b2' (first growing letter of S(r)), where b1' is the B-suffix of S(l),
+    S(b1) and the B-prefix of S(g), and b2' is the B-suffix of S(g), S(b2)
+    and the B-prefix of S(r) (`_update_triple` on each side).  B is
+    invariant and S is non-erasing, so neither run shrinks, and each gains
+    the B-letters around it.  The states are finitely many, so each path
+    ends in a state with no step or in a cycle.  A cycle whose left gains
+    and right gains both sum above 0 pumps both runs, so the language holds
+    b1 g b2 with both runs unbounded.  Centred at g, these words have a
+    limit point x, whose factors all lie in the language, so x is in the
+    subshift X and holds exactly one growing letter.  So x is not periodic,
+    X is infinite and p_X(n) >= n + 1 at every n (Morse-Hedlund 1938).
+    """
+    growing = s.split.growing
+    seeds = []
+    for a in s.letters:
+        marks = [None, *(ch for ch in s.rules[a] if ch in growing), None]
+        seeds.extend(zip(marks, marks[1:], marks[2:]))
+    visited: set = set()
+    for state in seeds:
+        path: dict = {}
+        gains: list[tuple[int, int]] = []
+        while state not in visited:
+            visited.add(state)
+            path[state] = len(gains)
+            l, g, r = state
+            if sum(ch in growing for ch in s.rules[g]) != 1:
+                break
+            next_l, left, next_g = _update_triple(s, growing, l, "", g)
+            _, right, next_r = _update_triple(s, growing, g, "", r)
+            gains.append((len(left), len(right)))
+            state = (next_l, next_g, next_r)
+        else:
+            # a cycle of this path; a state of an earlier path is checked already
+            if state in path and all(map(sum, zip(*gains[path[state] :]))):
+                return True
+    return False
 
 
 def classify(
@@ -859,12 +913,17 @@ def classify(
     is the certificate's gap bound kappa, and their pairs, and the whole
     chain its periodicity (`derived_periodicity`), with no factor set; an
     aperiodic verdict has the status "aperiodic-up-to-depth" at
-    aperiodic_depth = depth + APERIODIC_MARGIN, as has a compatible system
-    whose S^p is not minimal (`_power_not_minimal`).  Any other system, and a
-    certified one whose chain passes DERIVATION_WORK (with a caveat naming
-    the cap, which in step 1 leaves kappa and the repetitivity constant
-    undecided), walks the core of `is_periodic` to aperiodic_depth on the
-    factor set of `report.factor_depth` = aperiodic_depth + CORE_MARGIN."""
+    aperiodic_depth = depth + APERIODIC_MARGIN.  A system that is not
+    certified gets that verdict, with no factor set, when letter data shows
+    its subshift infinite: a compatible system whose S^p is not minimal
+    (`_power_not_minimal`, asked first), a factor b1 g b2 whose bounded runs
+    both pump (`_two_sided_pump`), or a growing letter strictly inside its
+    own image on whose letters S is not minimal (`_power_not_minimal` with
+    p = 1).  Any other system, and a certified one whose chain passes
+    DERIVATION_WORK (with a caveat naming the cap, which in step 1 leaves
+    kappa and the repetitivity constant undecided), walks the core of
+    `is_periodic` to aperiodic_depth on the factor set of
+    `report.factor_depth` = aperiodic_depth + CORE_MARGIN."""
     candidates, decision = decide_minimality(s)
     minimal, cert = decision.status, decision.certificate
     aperiodic_depth = depth + APERIODIC_MARGIN
@@ -896,7 +955,16 @@ def classify(
             caveats.append(f"periodicity from the core walk to depth {aperiodic_depth}: {cap}")
             periodicity = None
     compatible = compatibility.status == "holds-certified"
-    if minimal != YES and compatible and _power_not_minimal(s, compatibility.detail):
+    # letter data that shows the subshift infinite; S^p of a compatible system first
+    if minimal != YES and (
+        (compatible and _power_not_minimal(s, compatibility.detail))
+        or _two_sided_pump(s)
+        or any(
+            _power_not_minimal(s, {"letter": c, "power": 1})
+            for c in s.letters
+            if c in s.split.growing and c in s.rules[c][1:-1]
+        )
+    ):
         periodicity = PeriodicityResult(APERIODIC, None, aperiodic_depth)
     factors = None
     if periodicity is None:

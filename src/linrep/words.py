@@ -203,7 +203,9 @@ def factor_language(s, max_length: int) -> FactorSet:
     |S(r[:c])|, and every length-n window of the image of each letter's end
     word E_{k-1}(a): the last n letters of S^(k-1)(a), or all of it while it
     is shorter.  E_k(a) is the last n letters of that image; while S^k(a) is
-    shorter than n it is stored whole as a maximal word.
+    shorter than n it is stored whole as a maximal word.  Each end word is
+    expanded once: an end word seen before keeps the end word of its image,
+    and the windows and the short iterate of that image are stored already.
 
     Runs: a window of S(r) that starts inside S(r[j]), j < c, lies inside
     S(u) for the window u = r[j:j+n], as |S(u[1:])| >= n - 1.  So S(r)
@@ -259,15 +261,15 @@ def factor_language(s, max_length: int) -> FactorSet:
                 fresh.append(text[first : i + n - 1])
             first = i + 1
 
-    def advance(images: dict[str, str]) -> bool:
-        # harvest each letter's image and keep its end word; True when the
-        # round adds nothing.  Short iterates are stored whether or not they
-        # are new, and searched in the maximal words only in a round without
-        # new length-n factors, the only round where that decides anything
+    def advance(images: Iterable[str]) -> bool:
+        # harvest each image and keep its end word; True when the round adds
+        # nothing.  Short iterates are stored whether or not they are new,
+        # and searched in the maximal words only in a round without new
+        # length-n factors, the only round where that decides anything
         short: set[str] = set()
-        for a, image in images.items():
+        for image in images:
             harvest(image, len(image))
-            tail = tails[a] = image[-n:]
+            tail = image[-n:]
             ends.add(tail)
             if len(tail) < n and tail not in maximal:
                 short.add(tail)
@@ -275,8 +277,9 @@ def factor_language(s, max_length: int) -> FactorSet:
         maximal.update(short)
         return quiet
 
-    tails: dict[str, str] = {}
-    advance({a: a for a in letters})
+    tails = {a: a for a in letters}
+    advance(letters)
+    expanded: dict[str, str] = {}  # each end word expanded, to its image's end word
 
     saturated = False
     rounds = 0
@@ -287,7 +290,10 @@ def factor_language(s, max_length: int) -> FactorSet:
             c = len(run) - n + 1  # windows in the run
             head = apply(run[:c])
             harvest(head + apply(run[c:]), len(head))
-        saturated = advance({a: apply(tails[a]) for a in letters})
+        images = {end: apply(end) for end in tails.values() if end not in expanded}
+        expanded.update((end, image[-n:]) for end, image in images.items())
+        tails = {a: expanded[end] for a, end in tails.items()}
+        saturated = advance(images.values())
 
     return FactorSet(
         substitution=s,

@@ -11,6 +11,8 @@ from linrep.classify import (
     NO,
     UNDECIDED,
     YES,
+    _power_not_minimal,
+    _two_sided_pump,
     _walk_core,
     analyze_bounded_blocks,
     bounded_gaps,
@@ -26,6 +28,8 @@ from linrep.substitution import (
     SubstitutionError,
     bounded_letters,
     is_primitive,
+    prune_to_reachable,
+    validate,
 )
 
 from bruteforce import (
@@ -729,17 +733,98 @@ def test_power_not_minimal_equals_walk(monkeypatch):
 
 def test_minimal_power_and_work_cap_still_walk(monkeypatch):
     # {a -> bb, b -> aa} has S^2 = {a -> aaaa} on the letters a reaches
-    # under it, which is minimal; remarkc walks once S^p's images pass a tiny
-    # DERIVATION_WORK
+    # under it, which is minimal; {a -> aa, b -> bab} (b recurs inside S^2(b),
+    # whose T is not minimal) walks once S^2's images pass a tiny
+    # DERIVATION_WORK: every image holds several growing letters, so no
+    # state of the two-sided pump steps, and no growing letter lies strictly
+    # inside its own image
     calls = _count_walks(monkeypatch)
     s = Substitution.from_rules({"a": "bb", "b": "aa"}, name="two-orbits")
     assert classify(s).compatibility.detail["power"] == 2
     assert calls == ["two-orbits"]
+    s = Substitution.from_rules({"a": "aa", "b": "bab"}, name="capped")
+    rep = classify(s)
+    assert rep.compatibility.detail == {"kind": "interior-recurrence", "letter": "b", "power": 2}
+    assert calls == ["two-orbits"] and not _two_sided_pump(s)
     module = importlib.import_module("linrep.classify")
     monkeypatch.setattr(module, "DERIVATION_WORK", 2)
-    got = classify(lr.load("remarkc")).periodicity
-    assert calls == ["two-orbits", "remarkc"]
-    assert (got.status, got.period, got.depth) == _walk_verdict(lr.load("remarkc"))
+    got = classify(s).periodicity
+    assert calls == ["two-orbits", "capped"]
+    assert (got.status, got.period, got.depth) == _walk_verdict(s) == (rep.periodicity.status, None, 40)
+
+
+def _analyzed_draws():
+    # seeded systems, loaded as `linrep analyze` loads them (validated and
+    # pruned to the letters the witness reaches): 3,000 draws of 2-5 letters
+    # from random.Random(5), 2,000 of 3-8 from Random(11) and 2,000 of 3-6
+    # from Random(1938); an image is one letter with probability 1/3, else
+    # 2-5 letters
+    for seed, count, lo, hi in [(5, 3000, 2, 5), (11, 2000, 3, 8), (1938, 2000, 3, 6)]:
+        rng = random.Random(seed)
+        for _ in range(count):
+            letters = "abcdefgh"[: rng.randint(lo, hi)]
+            lengths = [1 if rng.random() < 1 / 3 else rng.randint(2, 5) for _ in letters]
+            rules = {a: "".join(rng.choices(letters, k=k)) for a, k in zip(letters, lengths)}
+            try:
+                report = validate({"rules": rules})
+            except SubstitutionError:
+                continue  # empty subshift
+            s = report.substitution
+            yield s if report.full_reachability else prune_to_reachable(s, report.witness)
+
+
+def test_letter_rules_equal_walk(monkeypatch):
+    # wherever a two-sided pump or a growing letter strictly inside its own
+    # image shows the subshift of a system that is not certified minimal
+    # infinite, classify builds no factor set and gives the walk's verdict;
+    # the compatible draws are left to the S^p check, which classify asks first
+    built = []
+    build = wd.factor_language
+    monkeypatch.setattr(wd, "factor_language", lambda s, n: built.append(n) or build(s, n))
+    uncertified = 0
+    fired = {"pump": 0, "inside": 0}
+    for s in _analyzed_draws():
+        if decide_minimality(s)[1].status == YES:
+            continue
+        uncertified += 1
+        if lr.check_compatibility(s).status == "holds-certified":
+            continue
+        inside = [c for c in s.letters if c in s.split.growing and c in s.rules[c][1:-1]]
+        if _two_sided_pump(s):
+            fired["pump"] += 1
+        elif any(_power_not_minimal(s, {"letter": c, "power": 1}) for c in inside):
+            fired["inside"] += 1
+        else:
+            continue
+        built.clear()
+        got = classify(s).periodicity
+        assert built == [], s
+        want = is_periodic(build(s, 48))
+        assert (got.status, got.period, got.depth) == (want.status, want.period, want.depth), s
+    assert uncertified == 3461 and fired == {"pump": 97, "inside": 192}
+
+
+@pytest.mark.parametrize(
+    "rules,fires",
+    [
+        # slow-3: (a, b, None) steps into the cycle (b, b, None), which gains
+        # one letter c on each side of b
+        ({"a": "abc", "b": "bc", "c": "c"}, True),
+        # (None, a, None) gains one b right of a and none left of it: the
+        # subshift is the orbit of b^infinity, periodic
+        ({"a": "ab", "b": "b"}, False),
+        # (b, a, None) has no step, since S(a) = ba holds two growing letters;
+        # (None, b, b) gains a letter c right of b only
+        ({"a": "ba", "b": "bc", "c": "c"}, False),
+    ],
+)
+def test_two_sided_pump_cases(rules, fires, monkeypatch):
+    calls = _count_walks(monkeypatch)
+    s = Substitution.from_rules(rules, name="case")
+    assert _two_sided_pump(s) == fires
+    got = classify(s).periodicity
+    assert calls == ([] if fires else ["case"])
+    assert (got.status, got.period, got.depth) == _walk_verdict(s)
 
 
 def test_derived_periodicity_work_cap_is_undecided(monkeypatch):

@@ -380,6 +380,21 @@ def test_runs_expand_few_letters_per_word(depth, rounds, words):
     assert sum(expanded) <= 10 * words
 
 
+@pytest.mark.parametrize("depth,rounds,words", [(2, 144, 404), (4, 9010, 14316)])
+def test_end_words_are_expanded_once(depth, rounds, words):
+    # cycles-45045 keeps 47 end words over thousands of rounds, each finding
+    # a few new words: expanding each end word once applies about 3 letters
+    # per maximal word, where expanding all 46 letters' end words in every
+    # round applied 34 per word at depth 4
+    s = Substitution.from_rules(json.loads((DATA / "cycles-45045.json").read_text())["rules"])
+    expanded = []
+    apply = s.apply
+    s.apply = lambda w: expanded.append(w) or apply(w)
+    fs = factor_language(s, depth)
+    assert (fs.saturated, fs.rounds, len(fs.maximal), len(fs.ends)) == (True, rounds, words, 47)
+    assert sum(map(len, expanded)) <= 3 * words
+
+
 # --- integer-coded word levels ---------------------------------------------------
 
 
