@@ -56,6 +56,7 @@ from .substitution import (
     is_primitive,
     perron_growth,
     prune_to_reachable,
+    stable_letters,
 )
 
 YES = "yes"
@@ -187,6 +188,23 @@ def _interior_triples(s: Substitution, c: str, growing: frozenset[str]) -> list[
     return out
 
 
+def _context_cycle(s: Substitution, left: str | None, right: str | None) -> tuple[int, int, int]:
+    """Walk the context pair (left, right) of a bounded run to its cycle: a
+    step maps (l, r) to (last growing letter of S(l), first growing letter
+    of S(r)), None staying None, and the run gains the margin, the B-suffix
+    of S(l) and the B-prefix of S(r).  Returns the step at which the pairs
+    enter their cycle, its length and its margin, summed over the cycle."""
+    growing = s.split.growing
+    seen: dict[tuple[str | None, str | None], int] = {}
+    margins: list[int] = []
+    while (left, right) not in seen:
+        seen[left, right] = len(margins)
+        left, margin, right = _update_triple(s, growing, left, "", right)
+        margins.append(len(margin))
+    start = seen[left, right]
+    return start, len(margins) - start, sum(margins[start:])
+
+
 def analyze_bounded_blocks(s: Substitution) -> BlockAnalysis:
     """Decide whether the bounded-letter-only factors have bounded length.
 
@@ -212,17 +230,7 @@ def analyze_bounded_blocks(s: Substitution) -> BlockAnalysis:
 
     max_block = 0
     for seed in seeds:
-        # context pairs evolve independently of the run: find their cycle
-        ctx = (seed.left, seed.right)
-        seen: dict[tuple[str | None, str | None], int] = {}
-        margins: list[int] = []
-        while ctx not in seen:
-            seen[ctx] = len(margins)
-            l, margin, r = _update_triple(s, growing, ctx[0], "", ctx[1])
-            margins.append(len(margin))
-            ctx = (l, r)
-        start = seen[ctx]
-        cycle_margin = sum(margins[start:])
+        start, cycle_length, cycle_margin = _context_cycle(s, seed.left, seed.right)
         if cycle_margin > 0:
             return BlockAnalysis(
                 bounded=False,
@@ -230,7 +238,7 @@ def analyze_bounded_blocks(s: Substitution) -> BlockAnalysis:
                 pump=BlockPump(
                     seed=(seed.left, seed.run, seed.right),
                     origin=seed.origin,
-                    cycle_length=len(margins) - start,
+                    cycle_length=cycle_length,
                     cycle_margin=cycle_margin,
                     steps_to_cycle=start,
                 ),
@@ -305,8 +313,9 @@ def bounded_gaps(
     """Decide whether the growing letter e occurs with bounded gaps.
 
     Exactly one of two things happens, from the block analysis and the
-    letter-set cycles alone: a certificate, or a counterexample pump.  No
-    factor set is built, and the gap bound is left to `classify`.
+    letter-set cycles kept on the split alone: a certificate, or a
+    counterexample pump.  No factor set is built, and the gap bound is left
+    to `classify`.
     """
     if e not in s.split.growing:
         raise ValueError(f"candidate {e!r} is not a growing letter")
@@ -330,7 +339,7 @@ def bounded_gaps(
     # every growing letter must keep producing e along its whole letter-set cycle
     witnesses: dict[str, int] = {}
     for c in sorted(s.split.growing):
-        sets, preperiod, period = s.letter_set_orbit(c)
+        sets, preperiod, period = s.split.orbits[c]
         for idx in range(preperiod, preperiod + period):
             if e not in sets[idx]:
                 counter = BGCounterexample(
@@ -802,18 +811,16 @@ class ClassificationReport:
 
 
 def decide_minimality(s: Substitution) -> tuple[tuple[str, ...], BGDecision]:
-    """The minimality decision alone: the candidate letters (growing letters
-    that reach the whole alphabet) and the bounded-gaps decision of the first
-    candidate certified, else the first candidate's counterexample.  The gap
-    bound comes from the return words, in `classify`."""
+    """The minimality decision alone: the candidate letters (the split's
+    growing letters that reach the whole alphabet) and the bounded-gaps
+    decision of the first candidate certified, else the first candidate's
+    counterexample.  The gap bound comes from the return words, in
+    `classify`."""
     if not s.split.growing:
         raise EmptySubshiftError(
             "no letter has unbounded image growth; the two-sided subshift is empty"
         )
-    all_letters = frozenset(s.letters)
-    candidates = tuple(
-        e for e in s.letters if e in s.split.growing and s.reachable([e]) == all_letters
-    )
+    candidates = s.split.candidates
     if not candidates:
         raise SubstitutionError(
             "no growing letter reaches the whole alphabet; prune unreachable letters first"
@@ -829,11 +836,11 @@ def decide_minimality(s: Substitution) -> tuple[tuple[str, ...], BGDecision]:
     return candidates, decision
 
 
-def _power_not_minimal(s: Substitution, detail: dict) -> bool:
+def _power_not_minimal(s: Substitution, letter: str, power: int) -> bool:
     """Whether T, S^p on the letters e reaches under it, is not minimal, for
-    a letter e with S^p(e) = u e v, u and v nonempty (`detail`): the
-    compatibility letter and its power, or any growing letter strictly
-    inside its own image, with p = 1.
+    a letter e with S^p(e) = u e v, u and v nonempty: the compatibility
+    letter and its power, or any growing letter strictly inside its own
+    image, with p = 1.
 
     Then the walk answers aperiodic at every depth, compatible or not:
     T^(k+1)(e) holds T^k(e) with at least one letter on each side, so the
@@ -841,14 +848,18 @@ def _power_not_minimal(s: Substitution, detail: dict) -> bool:
     language of the subshift X, and X holds the subshift X_0 of T.  X_0 is
     transitive, and a finite transitive subshift is one periodic orbit,
     which is minimal, so X_0 and X are infinite and p_X(n) >= n + 1 at
-    every n (Morse-Hedlund 1938).  S^p's images, summed by `image_length`
-    first, count against DERIVATION_WORK: past it, or when T is minimal,
-    the walk decides.
+    every n (Morse-Hedlund 1938).  With p = 1 and e a candidate, T is S,
+    which `classify` asks about only when it is not certified minimal: yes,
+    with nothing built.  Else S^p's images, summed by `image_length` first,
+    count against DERIVATION_WORK: past it, or when T is minimal, the walk
+    decides.
     """
-    e, p = detail["letter"], detail["power"]
-    if sum(s.image_length(a, p) for a in s.letters) > DERIVATION_WORK:
+    if power == 1 and letter in s.split.candidates:
+        return True
+    if sum(s.image_length(a, power) for a in s.letters) > DERIVATION_WORK:
         return False
-    t = prune_to_reachable(Substitution(s.alphabet, {a: s.iterate(a, p) for a in s.letters}), e)
+    rules = {a: s.iterate(a, power) for a in s.letters}
+    t = prune_to_reachable(Substitution(s.alphabet, rules), letter)
     return decide_minimality(t)[1].status != YES
 
 
@@ -856,46 +867,31 @@ def _two_sided_pump(s: Substitution) -> bool:
     """Whether some factor b1 g b2, g a growing letter, has both bounded
     runs b1 and b2 as long as wanted, read from the letter images.
 
-    A state (l, g, r) is a growing letter g of a factor with the nearest
-    growing letters l and r on its sides (None where the factor ends); the
-    seeds are those of each S(a).  When S(g) holds exactly one growing
-    letter g', S maps l b1 g b2 r into (last growing letter of S(l)) b1' g'
-    b2' (first growing letter of S(r)), where b1' is the B-suffix of S(l),
-    S(b1) and the B-prefix of S(g), and b2' is the B-suffix of S(g), S(b2)
-    and the B-prefix of S(r) (`_update_triple` on each side).  B is
-    invariant and S is non-erasing, so neither run shrinks, and each gains
-    the B-letters around it.  The states are finitely many, so each path
-    ends in a state with no step or in a cycle.  A cycle whose left gains
-    and right gains both sum above 0 pumps both runs, so the language holds
+    A seed (l, g, r) is a growing letter g of some S(a) with its nearest
+    growing letters l and r (None where the image ends).  When S(g) holds
+    exactly one growing letter g', S maps l b1 g b2 r into (last growing
+    letter of S(l)) b1' g' b2' (first growing letter of S(r)), where b1' is
+    the B-suffix of S(l), S(b1) and the B-prefix of S(g), b2' likewise; B is
+    invariant and S non-erasing, so neither run shrinks.  So while g stays single, the pairs (l, g) and
+    (g, r) follow the context map of the block analysis, and each run gains
+    its pair's margins.  The seed pumps exactly when g's chain g -> g'
+    cycles without meeting an image with two or more growing letters and
+    both pairs have positive cycle margins: the triples then cycle, with a
+    common multiple of the pairs' cycle lengths, so each run gains a
+    multiple of its pair's cycle margin a turn.  Then the language holds
     b1 g b2 with both runs unbounded.  Centred at g, these words have a
-    limit point x, whose factors all lie in the language, so x is in the
-    subshift X and holds exactly one growing letter.  So x is not periodic,
-    X is infinite and p_X(n) >= n + 1 at every n (Morse-Hedlund 1938).
+    limit point x in the subshift X (its factors lie in the language) with
+    exactly one growing letter.  So x is not periodic, X is infinite and
+    p_X(n) >= n + 1 at every n (Morse-Hedlund 1938).
     """
     growing = s.split.growing
-    seeds = []
-    for a in s.letters:
-        marks = [None, *(ch for ch in s.rules[a] if ch in growing), None]
-        seeds.extend(zip(marks, marks[1:], marks[2:]))
-    visited: set = set()
-    for state in seeds:
-        path: dict = {}
-        gains: list[tuple[int, int]] = []
-        while state not in visited:
-            visited.add(state)
-            path[state] = len(gains)
-            l, g, r = state
-            if sum(ch in growing for ch in s.rules[g]) != 1:
-                break
-            next_l, left, next_g = _update_triple(s, growing, l, "", g)
-            _, right, next_r = _update_triple(s, growing, g, "", r)
-            gains.append((len(left), len(right)))
-            state = (next_l, next_g, next_r)
-        else:
-            # a cycle of this path; a state of an earlier path is checked already
-            if state in path and all(map(sum, zip(*gains[path[state] :]))):
-                return True
-    return False
+    images = {g: [ch for ch in s.rules[g] if ch in growing] for g in s.letters if g in growing}
+    chained = stable_letters({g: image[0] for g, image in images.items() if len(image) == 1})
+    return any(
+        g in chained and _context_cycle(s, l, g)[2] > 0 and _context_cycle(s, g, r)[2] > 0
+        for image in images.values()
+        for l, g, r in zip([None, *image], image, [*image[1:], None])
+    )
 
 
 def classify(
@@ -955,12 +951,13 @@ def classify(
             caveats.append(f"periodicity from the core walk to depth {aperiodic_depth}: {cap}")
             periodicity = None
     compatible = compatibility.status == "holds-certified"
+    detail = compatibility.detail
     # letter data that shows the subshift infinite; S^p of a compatible system first
     if minimal != YES and (
-        (compatible and _power_not_minimal(s, compatibility.detail))
+        (compatible and _power_not_minimal(s, detail["letter"], detail["power"]))
         or _two_sided_pump(s)
         or any(
-            _power_not_minimal(s, {"letter": c, "power": 1})
+            _power_not_minimal(s, c, 1)
             for c in s.letters
             if c in s.split.growing and c in s.rules[c][1:-1]
         )

@@ -210,8 +210,8 @@ def gordon_check(
     bound = lam / (report.lr.value * rho)
 
     sample_word = iterate_prefix(s, report.certificate.letter, GORDON_SAMPLE_LENGTH)
-    codes = {ord(ch): i for i, ch in enumerate(s.letters)}
-    sample = np.frombuffer(sample_word.translate(codes).encode("latin-1"), dtype=np.uint8)
+    # code points: the cube counts only compare letters for equality
+    sample = np.frombuffer(sample_word.encode("utf-32-le"), dtype="<u4")
 
     n_k = tuple(s.word_image_length(u, k) for k in GORDON_LEVELS)
     empirical: dict[int, float] = {}

@@ -15,7 +15,7 @@ growth-constant ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
 from typing import Iterable, Mapping
@@ -182,18 +182,8 @@ class Substitution:
         return bounded_letters(self)
 
     def reachable(self, start: Iterable[str]) -> frozenset[str]:
-        """Letters occurring in some S^n(a), n >= 0, for a in start."""
-        seen = set(start)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in set(self.rules[a]):
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return frozenset(seen)
+        """Letters occurring in some S^n(a), n >= 0, for a in start (`split.reach`)."""
+        return frozenset().union(*map(self.split.reach.__getitem__, start))
 
     def letter_set_orbit(self, letter: str) -> tuple[list[frozenset[str]], int, int]:
         """The sequence letters(S^n(letter)) up to its cycle.
@@ -224,39 +214,52 @@ class AlphabetSplit:
 
     `eternally_single` are the letters whose every iterated image is a single
     letter; they form the core of B.  B is invariant under the substitution.
+    `orbits[a]` is `letter_set_orbit(a)`; `reach[a]`, the union of its sets,
+    holds the letters of every S^n(a), since the tail repeats the cycle.
+    The `candidates` are the growing letters that reach every letter, in
+    alphabet order.
     """
 
     bounded: frozenset[str]
     growing: frozenset[str]
     eternally_single: frozenset[str]
+    orbits: dict[str, tuple[list[frozenset[str]], int, int]] = field(repr=False)
+    reach: dict[str, frozenset[str]] = field(repr=False)
+    candidates: tuple[str, ...]
+
+
+def stable_letters(step: Mapping[str, str]) -> frozenset[str]:
+    """The letters a whose chain a -> step[a] -> step[step[a]] -> ... never
+    leaves the keys of `step`: drop those stepping out until none do."""
+    kept = set(step)
+    while True:
+        inside = {a for a in kept if step[a] in kept}
+        if inside == kept:
+            return frozenset(kept)
+        kept = inside
 
 
 def bounded_letters(s: Substitution) -> AlphabetSplit:
-    """Exact B/C split via letter-content cycles.
+    """Exact B/C split via letter-content cycles, one orbit per letter.
 
     A letter is bounded iff every letter set on the cycle of
     n |-> letters(S^n(a)) consists of eternally-single letters: image length
     is non-decreasing, and any recurring letter that ever branches pumps the
     length up unboundedly.  Terminates because there are at most 2^|A|
-    letter sets.
+    letter sets.  The orbits are kept on the split, with the reach and the
+    candidates read off them, so no later stage walks the letter sets again.
     """
-    single = {a for a in s.letters if len(s.rules[a]) == 1}
-    while True:
-        kept = {a for a in single if s.rules[a] in single}
-        if kept == single:
-            break
-        single = kept
-    eternally_single = frozenset(single)
-
-    bounded = set()
-    for a in s.letters:
-        sets, preperiod, _ = s.letter_set_orbit(a)
-        if all(st <= eternally_single for st in sets[preperiod:]):
-            bounded.add(a)
-    growing = frozenset(set(s.letters) - bounded)
-    return AlphabetSplit(
-        bounded=frozenset(bounded), growing=growing, eternally_single=eternally_single
+    eternally_single = stable_letters({a: w for a, w in s.rules.items() if len(w) == 1})
+    orbits = {a: s.letter_set_orbit(a) for a in s.letters}
+    bounded = frozenset(
+        a
+        for a, (sets, start, _) in orbits.items()
+        if all(st <= eternally_single for st in sets[start:])
     )
+    growing = frozenset(s.letters) - bounded
+    reach = {a: frozenset().union(*sets) for a, (sets, _, _) in orbits.items()}
+    candidates = tuple(a for a in s.letters if a in growing and len(reach[a]) == len(s.letters))
+    return AlphabetSplit(bounded, growing, eternally_single, orbits, reach, candidates)
 
 
 @dataclass
@@ -326,26 +329,19 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
         raise EmptySubshiftError(
             "no letter has unbounded image growth; the two-sided subshift is empty"
         )
-    # pick the growing letter that reaches the most letters (ties: alphabet order)
-    best = None
-    best_reach: frozenset[str] = frozenset()
-    for e in s.letters:
-        if e not in split.growing:
-            continue
-        reach = s.reachable([e])
-        if len(reach) > len(best_reach):
-            best, best_reach = e, reach
+    # the growing letter that reaches the most letters (ties: alphabet order)
+    witness = max((e for e in s.letters if e in split.growing), key=lambda e: len(split.reach[e]))
     return ValidationReport(
         substitution=s,
         split=split,
-        witness=best,
-        full_reachability=(best_reach == frozenset(s.letters)),
+        witness=witness,
+        full_reachability=bool(split.candidates),
     )
 
 
 def prune_to_reachable(s: Substitution, witness: str) -> Substitution:
     """Restrict the substitution to the letters reachable from `witness`."""
-    keep = s.reachable([witness])
+    keep = s.split.reach[witness]
     letters = [a for a in s.letters if a in keep]
     alphabet = Alphabet(
         letters,
@@ -591,8 +587,9 @@ def check_compatibility(s: Substitution) -> CompatibilityResult:
     """Decide whether the factor language L equals the two-sided subshift's language.
 
     That holds exactly when every factor extends on both sides.  With e the
-    first growing letter, in sorted order, that reaches every letter
-    (SubstitutionError when none does), L is the set of factors of the S^n(e).
+    least of the split's candidates, the growing letters that reach every
+    letter (SubstitutionError when there is none), L is the set of factors
+    of the S^n(e).
 
     (a) If S^p(e) = u e v with u, v nonempty, S^(n + jp)(e) holds S^n(e)
     with at least j letters on each side (S is non-erasing), so every
@@ -605,10 +602,9 @@ def check_compatibility(s: Substitution) -> CompatibilityResult:
     first, read off the `short_factors`.  L does not depend on e, so where
     e does not recur, no growing letter does.
     """
-    all_letters = frozenset(s.letters)
-    e = next((e for e in sorted(s.split.growing) if s.reachable([e]) == all_letters), None)
-    if e is None:
+    if not s.split.candidates:
         raise SubstitutionError("no growing letter reaches the whole alphabet")
+    e = min(s.split.candidates)
     p = interior_power(s, e)
     if p is not None:
         return CompatibilityResult(

@@ -344,6 +344,75 @@ def block_orbit_maximum(rules: dict[str, str], growing) -> int:
     return longest
 
 
+def bfs_reach(rules: dict[str, str], start) -> frozenset[str]:
+    """Letters occurring in some S^n(a), n >= 0, for a in start, by breadth-first search."""
+    seen = set(start)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in set(rules[a]):
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def state_walk_pump(rules: dict[str, str], growing) -> bool:
+    """Whether a triple (l, g, r) of nearest growing letters pumps both bounded runs around g.
+
+    The seeds are the triples of each image, None where the image ends.  A
+    step needs exactly one growing letter g' in S(g), and goes to (last
+    growing letter of S(l), g', first growing letter of S(r)), gaining the
+    bounded letters between each new pair.  Each path is walked until it
+    has no step or meets a state seen before; a cycle of the path pumps when
+    its left gains and its right gains both sum above 0.
+    """
+
+    def bounded_start(word: str) -> str:
+        i = 0
+        while i < len(word) and word[i] not in growing:
+            i += 1
+        return word[:i]
+
+    def step(left, right):
+        # the new pair and the bounded letters between them
+        gain = ""
+        if left is not None:
+            image = rules[left]
+            gain += bounded_start(image[::-1])
+            left = next(ch for ch in reversed(image) if ch in growing)
+        if right is not None:
+            image = rules[right]
+            gain += bounded_start(image)
+            right = next(ch for ch in image if ch in growing)
+        return left, len(gain), right
+
+    seeds = []
+    for image in rules.values():
+        marks = [None, *(ch for ch in image if ch in growing), None]
+        seeds.extend(zip(marks, marks[1:], marks[2:]))
+    visited: set = set()
+    for state in seeds:
+        path: dict = {}
+        gains: list[tuple[int, int]] = []
+        while state not in visited:
+            visited.add(state)
+            path[state] = len(gains)
+            l, g, r = state
+            if sum(ch in growing for ch in rules[g]) != 1:
+                break
+            next_l, left, next_g = step(l, g)
+            _, right, next_r = step(g, r)
+            gains.append((left, right))
+            state = (next_l, next_g, next_r)
+        else:
+            if state in path and all(map(sum, zip(*gains[path[state] :]))):
+                return True
+    return False
+
+
 def scan_coverage_length(words: set[str], targets, max_length: int) -> int | None:
     """Smallest L >= max |t| at which every factor of length L holds every target.
 
@@ -468,7 +537,7 @@ def own_set_compatibility(s, depth: int = 16):
                 return CompatibilityResult("fails-certified", {"blocked_factor": w, "side": "left"})
 
     for e in sorted(split.growing):
-        if s.reachable([e]) != all_letters:
+        if bfs_reach(s.rules, [e]) != all_letters:
             continue
         w = e
         for p in range(1, depth + 1):
@@ -502,7 +571,7 @@ def own_set_compatibility(s, depth: int = 16):
                 p = math.lcm(ends[x], begins[y])
                 if p > depth:
                     continue
-                if (x + y) in factors and (s.reachable([x]) | s.reachable([y])) == all_letters:
+                if (x + y) in factors and bfs_reach(s.rules, [x, y]) == all_letters:
                     return CompatibilityResult(
                         "holds-certified", {"kind": "seed-pair", "left": x, "right": y, "power": p}
                     )

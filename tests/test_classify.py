@@ -39,6 +39,7 @@ from bruteforce import (
     own_set_compatibility,
     repetitivity_function,
     rescan_extendable_core,
+    state_walk_pump,
     string_core_levels,
 )
 from conftest import CATALOG_NAMES, CLASSIFY_SLOW_RULES, sweep_rules
@@ -792,7 +793,7 @@ def test_letter_rules_equal_walk(monkeypatch):
         inside = [c for c in s.letters if c in s.split.growing and c in s.rules[c][1:-1]]
         if _two_sided_pump(s):
             fired["pump"] += 1
-        elif any(_power_not_minimal(s, {"letter": c, "power": 1}) for c in inside):
+        elif any(_power_not_minimal(s, c, 1) for c in inside):
             fired["inside"] += 1
         else:
             continue
@@ -802,6 +803,59 @@ def test_letter_rules_equal_walk(monkeypatch):
         want = is_periodic(build(s, 48))
         assert (got.status, got.period, got.depth) == (want.status, want.period, want.depth), s
     assert uncertified == 3461 and fired == {"pump": 97, "inside": 192}
+
+
+def test_two_sided_pump_equals_state_walk():
+    # the pump reads the cycle margins of two context pairs per seed; the
+    # oracle walks the triples (l, g, r) themselves: they agree on the
+    # analyzed draws and on 4,000 draws of 3-7 letters from
+    # random.Random(34), an image one letter with probability 1/2, else 2-4
+    def single_heavy_draws():
+        rng = random.Random(34)
+        for _ in range(4000):
+            letters = "abcdefg"[: rng.randint(3, 7)]
+            lengths = [1 if rng.random() < 1 / 2 else rng.randint(2, 4) for _ in letters]
+            s = Substitution.from_rules(
+                {a: "".join(rng.choices(letters, k=k)) for a, k in zip(letters, lengths)}
+            )
+            if s.split.growing:
+                yield s
+
+    fired = []
+    for draws in [_analyzed_draws(), single_heavy_draws()]:
+        fired.append(0)
+        for s in draws:
+            got = _two_sided_pump(s)
+            assert got == state_walk_pump(s.rules, s.split.growing), s
+            fired[-1] += got
+    assert fired == [256, 244]
+
+
+def test_power_one_on_a_candidate_builds_nothing(monkeypatch):
+    # the five compatible classify-slow systems recur inside S(e) for their
+    # compatibility letter e, a candidate: T is S itself, so the S^p check
+    # builds no Substitution and asks decide_minimality of nothing but S, in
+    # classify's own call
+    systems = [Substitution.from_rules(rules) for rules in CLASSIFY_SLOW_RULES]
+    module = importlib.import_module("linrep.classify")
+    asked, built = [], []
+    decide, init = module.decide_minimality, Substitution.__init__
+    monkeypatch.setattr(module, "decide_minimality", lambda t: asked.append(t) or decide(t))
+    monkeypatch.setattr(
+        Substitution, "__init__", lambda self, *args: built.append(args) or init(self, *args)
+    )
+    compatible = 0
+    for s in systems:
+        asked.clear()
+        rep = classify(s)
+        if rep.compatibility.status != "holds-certified":
+            continue
+        compatible += 1
+        assert rep.minimal == NO and rep.compatibility.detail["power"] == 1
+        assert asked == [s] and built == [], s
+        got = rep.periodicity
+        assert (got.status, got.period, got.depth) == ("aperiodic-up-to-depth", None, 40)
+    assert compatible == 5
 
 
 @pytest.mark.parametrize(

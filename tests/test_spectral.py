@@ -291,6 +291,27 @@ def test_gordon_check_equals_a_full_depth_search(name, catalog_subs, monkeypatch
         assert g.u == u
 
 
+def test_gordon_check_past_256_letters():
+    # letters chr(0x100 + i), i < 257, with S(L0) = L0^3 L0 L1 ... L256 and
+    # S(Li) = L0 Li: certified minimal, with the cube witness u = L0; the
+    # sample is read as code points, so a letter of rank 256 or more is
+    # compared like any other.  Level 4 has n = 757,504, so 3n passes the
+    # 10^6-letter sample: that level is not checked, and it reads as a
+    # violated bound
+    letters = [chr(0x100 + i) for i in range(257)]
+    rules = {letters[0]: letters[0] * 3 + "".join(letters)}
+    rules.update({a: letters[0] + a for a in letters[1:]})
+    s = Substitution.from_rules(rules, name="wide-257")
+    rep = lr.classify(s)
+    assert rep.minimal == "yes"
+    g = gordon_check(s, rep)
+    assert g.u == g.e == letters[0] and g.sample_length == 10**6
+    assert g.n_k[:4] == (260, 1552, 73280, 757504)
+    want = {1: 0.0755468509969, 2: 0.0145939347663, 3: 0.125631760624}
+    assert g.empirical_frequency == pytest.approx(want, rel=1e-10)
+    assert g.freq_lower_bound < 1e-9 and not g.bound_satisfied
+
+
 def test_gordon_thue_morse_missing(catalog_subs, catalog_reports):
     g = gordon_check(catalog_subs["thue-morse"], catalog_reports["thue-morse"])
     assert isinstance(g, GordonHypothesisMissing)

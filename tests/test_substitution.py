@@ -26,10 +26,12 @@ from linrep.substitution import (
     short_factors,
     validate,
 )
+from linrep.classify import decide_minimality
 from linrep.words import factor_language
 
 from bruteforce import (
     apply_rules,
+    bfs_reach,
     growth_sandwich_holds,
     interior_power_by_strings,
     levels_blocked_factor,
@@ -98,6 +100,48 @@ def test_validate_reports_pruning():
     assert s.reachable([report.witness]) == {"a", "b"}
     pruned = prune_to_reachable(s, "a")
     assert pruned.letters == ("a", "b")
+
+
+def test_reach_and_candidates_equal_bfs():
+    # seeded systems of 2-6 letters whose alphabets come in shuffled order:
+    # the split's reach is each letter's breadth-first reach, its candidates
+    # are the growing letters that reach every letter, in alphabet order,
+    # validate's witness reaches the most letters (ties: alphabet order),
+    # and the compatibility letter is the first candidate in sorted order
+    rng = random.Random(35)
+    differs = {"witness": 0, "compatibility": 0, "no candidate": 0}
+    for _ in range(2000):
+        letters = list("abcdef"[: rng.randint(2, 6)])
+        rng.shuffle(letters)
+        lengths = [1 if rng.random() < 1 / 3 else rng.randint(2, 4) for _ in letters]
+        rules = {a: "".join(rng.choices(letters, k=k)) for a, k in zip(letters, lengths)}
+        alphabet = [{"symbol": a, "value": i} for i, a in enumerate(letters)]
+        try:
+            report = validate({"rules": rules, "alphabet": alphabet})
+        except EmptySubshiftError:
+            continue
+        s = report.substitution
+        reach = {a: bfs_reach(rules, [a]) for a in letters}
+        assert s.split.reach == reach
+        assert s.reachable(letters[:2]) == reach[letters[0]] | reach[letters[1]]
+        growing = [a for a in letters if a in s.split.growing]
+        candidates = tuple(a for a in growing if reach[a] == set(letters))
+        assert s.split.candidates == candidates, rules
+        most = max(len(reach[a]) for a in growing)
+        assert report.witness == next(a for a in growing if len(reach[a]) == most), rules
+        assert report.full_reachability == bool(candidates)
+        differs["witness"] += report.witness != growing[0]
+        if not candidates:
+            with pytest.raises(SubstitutionError):
+                check_compatibility(s)
+            differs["no candidate"] += 1
+            continue
+        assert decide_minimality(s)[0] == candidates
+        compatibility = check_compatibility(s)
+        if compatibility.status == "holds-certified":
+            assert compatibility.detail["letter"] == min(candidates), rules
+            differs["compatibility"] += min(candidates) != candidates[0]
+    assert differs == {"witness": 574, "compatibility": 591, "no candidate": 267}
 
 
 def test_definition_mapping_roundtrip():
