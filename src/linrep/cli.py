@@ -24,6 +24,7 @@ import functools
 import json
 import os
 import sys
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 from . import catalog as cat
@@ -195,13 +196,14 @@ def cmd_partition(args: argparse.Namespace) -> int:
     L = rule.half_width
 
     def interior(cuts: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(c for c in cuts if L <= c <= len(target) - L)
+        return cuts[bisect_left(cuts, L) : bisect_right(cuts, len(target) - L)]  # cuts increase
 
     first = parses[0]
+    cuts = list(interior(first))
     print(f"half-width L = {L}; window set size {len(rule.windows)}")
     print(f"1-partitions: {len(parses)}; distinct interior cut-sets: "
           f"{len(set(map(interior, parses)))}")
-    print(f"interior cuts: {list(interior(first))}")
+    print(f"interior cuts: {cuts}")
     if len(target) > 4 * L + 2:
         preimage, offset = rec.desubstitute(s, target, rule)
         print(f"preimage (from offset {offset}): {preimage}")
@@ -214,8 +216,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
             ],
             "word_length": len(target),
             "half_width": L,
-            "cut_positions": list(interior(first)),
-            "blocks": [[target[c1:c2] for c1, c2 in zip(first, first[1:])][:50]],
+            "cut_positions": cuts,
+            "blocks": [[target[c1:c2] for c1, c2 in zip(first, first[1:51])]],
             "partition_count": len(parses),
         }
         _write_json(args.json, payload)

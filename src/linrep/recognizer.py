@@ -323,48 +323,52 @@ def uniqueness_violations(alpha: str, b: str, L: int, sample: str) -> tuple[int,
     neither block begins.  A start is a violation when none of its fronts
     lands, or when they land on different cuts.
 
-    All starts are walked together: the chain positions form an
-    (|alpha|, starts) array, and each round advances every chain still
-    short of its strip by one block, so at most L rounds run.  The
-    admissible fronts are |alpha| - 1 masks read from the letter-match rows
-    sample[i] == alpha[k].
+    The sample is read as bytes below U+0100, else as code points.  Each
+    front offset o is walked for all starts at once, in one int32 row: each
+    round advances every chain still short of its strip by one block, so at
+    most L rounds run, and the row's landings fold into each start's least
+    and greatest landing.  Raises SubstitutionError past int32 positions.
     """
     n, width = len(sample), len(alpha)
+    if n + width >= 2**31:
+        raise SubstitutionError(f"a sample of {n} letters is past int32 positions")
     count = n - (4 * L + 2) + 1
     if count <= 0:
         return ()
-    codes = np.frombuffer(sample.encode("utf-32-le"), dtype=np.uint32)
-    # match[k, i]: sample[i] == alpha[k]; False past the end of the sample
-    match = np.zeros((width, n + width), dtype=bool)
-    for k, ch in enumerate(alpha):
-        match[k, :n] = codes == ord(ch)
-    at_alpha = np.logical_and.reduce([match[k, k : k + n] for k in range(width)])
-    index = np.arange(n)
-    nxt = np.full(n, -1, dtype=np.intp)
+    codes = wd.letter_codes(sample)
+    # is_letter[ch][i]: sample[i] == ch; False past the end of the sample
+    pad = np.zeros(width, dtype=bool)
+    is_letter = {ch: np.concatenate((codes == ord(ch), pad)) for ch in set(alpha)}
+    at_alpha = np.logical_and.reduce([is_letter[ch][k : k + n] for k, ch in enumerate(alpha)])
+    index = np.arange(n, dtype=np.int32)
+    nxt = np.full(n, -1, dtype=np.int32)
     nxt[at_alpha] = index[at_alpha] + width
     at_b = codes == ord(b)
     nxt[at_b] = index[at_b] + 1  # a b block takes precedence, as in front_parses
 
     starts = index[:count]
-    admissible = np.ones((width, count), dtype=bool)
-    for o in range(1, width):
+    # a front past the end compares only the n - start letters left
+    late = starts[starts > n - width]
+    late_front = np.array([alpha.endswith(sample[i:]) for i in late], dtype=bool)
+    # a start with no landing keeps lo = n + width > hi = -1
+    lo = np.full(count, n + width, dtype=np.int32)
+    hi = np.full(count, -1, dtype=np.int32)
+    for o in range(width):
+        front = np.ones(count, dtype=bool)
         for j in range(o):
-            admissible[o] &= match[width - o + j, j : j + count]
-        # a front past the end compares only the n - start letters left
-        late = starts[starts > n - o]
-        admissible[o, late] = admissible[n - late, late]
-
-    pos = starts + np.arange(width)[:, None]
-    flat = pos.reshape(-1)
-    live = np.flatnonzero(admissible & (pos < starts + L))
-    while live.size:
-        step = nxt[flat[live]]
-        flat[live] = step
-        live = live[(step >= 0) & (step < live % count + L)]
-    landed = admissible & (pos >= 0)
-    # a start with no landing gets lo = n + width > hi = -1
-    lo = np.where(landed, pos, n + width).min(axis=0)
-    hi = np.where(landed, pos, -1).max(axis=0)
+            front &= is_letter[alpha[width - o + j]][j : j + count]
+        past = late > n - o
+        front[late[past]] = late_front[past]
+        pos = starts + o
+        # the chains of row o, indexed by their start, short of the strip start + L
+        live = np.flatnonzero(front) if o < L else starts[:0]
+        while live.size:
+            step = nxt[pos[live]]
+            pos[live] = step
+            live = live[(step >= 0) & (step < live + L)]
+        landed = front & (pos >= 0)
+        np.minimum(lo, np.where(landed, pos, n + width), out=lo)
+        np.maximum(hi, np.where(landed, pos, -1), out=hi)
     return tuple(np.flatnonzero(lo != hi)[:17].tolist())
 
 
@@ -380,7 +384,7 @@ def uniqueness_scan(
     S^k(a) of length lr * m + 2m, and every start of a (4H+2)-window in it
     is checked by `uniqueness_violations`, which walks the block chains of
     all starts at once.  Raises ValueError when the sample is shorter than
-    one window, since no window would be checked.
+    one window, and SubstitutionError, before the rule is read, past int32.
 
     The strip is H = 2L + |S(a)|, with L the half-width of
     `recognition_rule`, and at that H the rule implies the scan.  Take two
@@ -398,9 +402,12 @@ def uniqueness_scan(
     if report.lr is None:
         raise SubstitutionError("needs the explicit repetitivity constant for coverage sizing")
     alpha = s.rules[a]
-    L = 2 * recognition_rule(s, factors, report).half_width + len(alpha)
     m = SCAN_WORD_LENGTH
-    sample = iterate_prefix(s, a, int(report.lr.value * m) + 2 * m)
+    length = int(report.lr.value * m) + 2 * m
+    if length + len(alpha) >= 2**31:
+        raise SubstitutionError(f"lr = {report.lr.value} asks for {length} letters, past int32")
+    L = 2 * recognition_rule(s, factors, report).half_width + len(alpha)
+    sample = iterate_prefix(s, a, length)
     if len(sample) < 4 * L + 2:
         raise ValueError(
             f"sample of {len(sample)} letters is shorter than a window of {4 * L + 2}; "

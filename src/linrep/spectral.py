@@ -171,16 +171,49 @@ class GordonHypothesisMissing:
     )
 
 
-def cube_positions(sample: np.ndarray, n: int) -> int:
-    """Count positions i with sample[i:i+3n] a perfect cube of period n.
+def _shifted(bits: np.ndarray, n: int) -> np.ndarray:
+    """Rows whose bit i (bit i % 64 of word i // 64) is bit i + n of `bits`, 0 past the end."""
+    q, r = divmod(n, 64)
+    out = np.zeros_like(bits)
+    w = bits.shape[-1] - q
+    if w > 0:
+        out[..., :w] = bits[..., q:] >> np.uint64(r)
+        if r:
+            out[..., : w - 1] |= bits[..., q + 1 :] << np.uint64(64 - r)
+    return out
 
-    Such an i starts 2n successive agreements sample[j] == sample[j+n], so a
-    maximal run of r agreements holds max(0, r - 2n + 1) of them.
+
+def letter_planes(codes: np.ndarray) -> np.ndarray:
+    """Packed bit planes of the letter codes, one per code bit that varies: two
+    positions agree on every plane exactly when they hold the same letter."""
+    varying = int(np.bitwise_or.reduce(codes) ^ np.bitwise_and.reduce(codes))
+    bits = [j for j in range(varying.bit_length()) if varying >> j & 1]
+    planes = np.zeros((len(bits), -(-len(codes) // 64) * 8), dtype=np.uint8)
+    for plane, j in zip(planes, bits):
+        packed = np.packbits(codes & codes.dtype.type(1 << j), bitorder="little")
+        plane[: len(packed)] = packed
+    return planes.view("<u8")
+
+
+def cube_positions(planes: np.ndarray, length: int, n: int) -> int:
+    """Count positions i with sample[i:i+3n] a perfect cube of period n, 3n <= length.
+
+    `planes` are the `letter_planes` of the sample's `length` letters.  Bit j
+    of `agree` holds sample[j] == sample[j+n] for j < length - n, and a cube
+    starts at i when bits i .. i+2n-1 all hold: ANDing `agree` with itself
+    shifted by 1, 2, 4, ... and last by the rest of 2n reads that window in
+    ceil(log2 2n) shifts.
     """
-    eq = np.concatenate(([False], sample[: len(sample) - n] == sample[n:], [False]))
-    edges = np.flatnonzero(eq[1:] != eq[:-1])
-    runs = edges[1::2] - edges[0::2]
-    return int(np.sum(runs[runs >= 2 * n] - (2 * n - 1)))
+    agree = ~np.bitwise_or.reduce(planes ^ _shifted(planes, n), axis=0)
+    q, r = divmod(length - n, 64)
+    agree[q + 1 :] = 0
+    agree[q] &= np.uint64((1 << r) - 1)
+    window = 1
+    while window < 2 * n:
+        step = min(window, 2 * n - window)
+        agree &= _shifted(agree, step)
+        window += step
+    return int(np.count_nonzero(np.unpackbits(agree.view(np.uint8))))
 
 
 def gordon_check(
@@ -193,7 +226,9 @@ def gordon_check(
     alone: `find_power` returns the shortest u, ties broken
     lexicographically, so every saturated set that holds u^3 u[0] finds the
     same u.  The bound is checked at the levels GORDON_LEVELS on the first
-    GORDON_SAMPLE_LENGTH letters of the fixed point.
+    GORDON_SAMPLE_LENGTH letters of the fixed point, bytes below U+0100 and
+    code points otherwise.  Levels whose cubes (3 n_k letters) pass the
+    sample are left out, and SubstitutionError is raised if all of them are.
     """
     if report.lr is None:
         raise SubstitutionError("needs the explicit repetitivity constant for coverage sizing")
@@ -209,30 +244,26 @@ def gordon_check(
     rho = growth_ratio_range(s, (u * 3 + e,), theta, n_max)[1]
     bound = lam / (report.lr.value * rho)
 
-    sample_word = iterate_prefix(s, report.certificate.letter, GORDON_SAMPLE_LENGTH)
-    # code points: the cube counts only compare letters for equality
-    sample = np.frombuffer(sample_word.encode("utf-32-le"), dtype="<u4")
-
     n_k = tuple(s.word_image_length(u, k) for k in GORDON_LEVELS)
-    empirical: dict[int, float] = {}
-    ok = True
-    for k, n in zip(GORDON_LEVELS, n_k):
-        total = len(sample) - 3 * n + 1
-        if total <= 0:
-            ok = False
-            break
-        freq = cube_positions(sample, n) / total
-        empirical[k] = freq
-        if freq < bound - GORDON_TOL:
-            ok = False
+    # a level whose cubes are longer than the sample is not checked
+    fits = [(k, n) for k, n in zip(GORDON_LEVELS, n_k) if 3 * n <= GORDON_SAMPLE_LENGTH]
+    if not fits:
+        raise SubstitutionError(
+            f"level {GORDON_LEVELS[0]} has n = {n_k[0]}, so its cubes pass the sample "
+            f"of {GORDON_SAMPLE_LENGTH} letters"
+        )
+    sample = wd.letter_codes(iterate_prefix(s, report.certificate.letter, GORDON_SAMPLE_LENGTH))
+    planes = letter_planes(sample)
+    N = len(sample)
+    empirical = {k: cube_positions(planes, N, n) / (N - 3 * n + 1) for k, n in fits}
     return GordonReport(
         u=u,
         e=e,
-        levels=GORDON_LEVELS,
-        n_k=n_k,
+        levels=tuple(empirical),
+        n_k=tuple(n for _, n in fits),
         freq_lower_bound=bound,
         empirical_frequency=empirical,
-        bound_satisfied=ok,
+        bound_satisfied=all(f >= bound - GORDON_TOL for f in empirical.values()),
         theta=theta,
-        sample_length=len(sample),
+        sample_length=N,
     )

@@ -136,6 +136,14 @@ class CodedWords:
         return [self.words[i][:length] for i in first[kept[: len(first)]]]
 
 
+def letter_codes(word: Word) -> np.ndarray:
+    """The code points of `word`: one byte each when every letter is below U+0100, else four."""
+    try:
+        return np.frombuffer(word.encode("latin-1"), "u1")
+    except UnicodeEncodeError:
+        return np.frombuffer(word.encode("utf-32-le", "surrogatepass"), "<u4")
+
+
 def _common_prefix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # the length of the common prefix of each pair of rows
     differ = a != b
@@ -149,13 +157,9 @@ def _code_rows(words: list[Word], letters: list[str], width: int) -> np.ndarray:
     pad = next(chr(i) for i in range(len(letters) + 1) if chr(i) not in known)
     top = max(ord(letters[-1]), ord(pad))
     text = "".join(w.ljust(width, pad) for w in words)
-    if top > 255:
-        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
-    else:
-        points = np.frombuffer(text.encode("latin-1"), "u1")
     table = np.zeros(top + 1, "u1" if len(letters) < 256 else ">u4")
     table[[ord(a) for a in letters]] = range(1, len(letters) + 1)
-    return table[points].reshape(len(words), width)
+    return table[letter_codes(text)].reshape(len(words), width)
 
 
 def code_words(words: Iterable[Word], letters: Iterable[str]) -> CodedWords:

@@ -622,6 +622,19 @@ def levels_blocked_factor(factors, depth: int) -> dict | None:
     return None
 
 
+def cube_positions_by_runs(sample: np.ndarray, n: int) -> int:
+    """Count positions i with sample[i:i+3n] a perfect cube of period n, from runs.
+
+    Such an i starts 2n successive agreements sample[j] == sample[j+n], so a
+    maximal run of r agreements holds max(0, r - 2n + 1) of them.  Reference
+    for the bit-plane count of `spectral.cube_positions`.
+    """
+    eq = np.concatenate(([False], sample[: len(sample) - n] == sample[n:], [False]))
+    edges = np.flatnonzero(eq[1:] != eq[:-1])
+    runs = edges[1::2] - edges[0::2]
+    return int(np.sum(runs[runs >= 2 * n] - (2 * n - 1)))
+
+
 def uniqueness_walk(alpha: str, b: str, L: int, sample: str) -> tuple[int, ...]:
     """The uniqueness scan's violations by walking each start's chains one block at a time.
 

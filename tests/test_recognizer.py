@@ -509,6 +509,61 @@ def test_uniqueness_violations_match_the_walk():
     assert min(outcomes.values()) >= 200, outcomes
 
 
+def test_uniqueness_violations_match_the_walk_past_the_end_and_past_u0100():
+    # fronts that reach past the end of the sample (|alpha| > 4L + 2), and
+    # the shape on the letters U+0100 and U+0101, read as code points
+    rng = random.Random(36)
+    wide = str.maketrans("ab", "\u0100\u0101")
+    past_end = 0
+    for _ in range(600):
+        alpha, L, sample = _walk_case(rng)
+        if rng.random() < 0.5:
+            alpha = "a" + "".join(rng.choice("ab") for _ in range(rng.randint(4, 14))) + "a"
+            L = rng.randint(0, 2)
+            sample = sample[: 4 * L + 2 + rng.randrange(len(alpha))]
+        past_end += len(alpha) > 4 * L + 2 and len(sample) >= 4 * L + 2
+        expected = uniqueness_walk(alpha, "b", L, sample)
+        assert rec.uniqueness_violations(alpha, "b", L, sample) == expected, (alpha, L, sample)
+        got = rec.uniqueness_violations(alpha.translate(wide), "\u0101", L, sample.translate(wide))
+        assert got == expected, (alpha, L, sample)
+    assert past_end >= 200, past_end
+
+
+def test_uniqueness_violations_memory(abaa, abaa_report):
+    # the minimal-nonprimitive scan sample, 43,950 letters at the strip
+    # L = 10: one byte per letter and one int32 row of positions at a time,
+    # where an (|alpha|, starts) array of int64 positions peaked near 5 MB
+    import tracemalloc
+
+    sample = lr.iterate_prefix(abaa, "a", int(abaa_report.lr.value * 600) + 1200)
+    assert len(sample) == 43950
+    tracemalloc.start()
+    try:
+        violations = rec.uniqueness_violations("abaa", "b", 10, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == ()
+    assert peak <= 3.5 * 10**6, peak
+
+
+def test_uniqueness_scan_refuses_a_sample_past_int32():
+    # tests/data/long-power.json has lr = 4,635,976, so the sample would
+    # hold 2,781,587,089 letters: the scan raises before it reads a window
+    # rule or builds the sample
+    import json
+    import time
+    from pathlib import Path
+
+    definition = json.loads((Path(__file__).parent / "data" / "long-power.json").read_text())
+    s = lr.validate(definition).substitution
+    rep = lr.classify(s)
+    t0 = time.perf_counter()
+    with pytest.raises(SubstitutionError, match="lr = 4635976.* 2781587089 letters, past int32"):
+        lr.uniqueness_scan(s, rep, rep.factors)
+    assert time.perf_counter() - t0 < 1.0
+
+
 @pytest.mark.parametrize(
     "name, max_word_length",
     [(name, 240) for name in SHAPES]

@@ -6,14 +6,22 @@ import pytest
 
 import linrep as lr
 from linrep import spectral
-from bruteforce import apply_rules, finite_section_eigenvalues, floquet_bands, transfer_matrix
+from bruteforce import (
+    apply_rules,
+    cube_positions_by_runs,
+    finite_section_eigenvalues,
+    floquet_bands,
+    transfer_matrix,
+)
 from linrep.spectral import (
     CLOSED_GAP_TOL,
     GordonHypothesisMissing,
     band_spectrum,
     cube_positions,
     gordon_check,
+    letter_planes,
 )
+from linrep.words import letter_codes
 from linrep.substitution import Substitution, SubstitutionError
 
 
@@ -194,18 +202,54 @@ def test_finite_section_bulk_inside_bands(fib, catalog_reports):
     assert outliers / len(ev) < 0.025
 
 
+def _cube_count(word: str, n: int) -> int:
+    codes = letter_codes(word)
+    return cube_positions(letter_planes(codes), len(codes), n)
+
+
 def test_cube_positions_counter():
-    x = np.frombuffer(b"\x00\x01\x00\x01\x00\x01\x00", dtype=np.uint8)
+    x = "\x00\x01\x00\x01\x00\x01\x00"
     # period-2 cubes start at 0 and 1 (010101 and 101010); no period-1 cube
-    assert cube_positions(x, 2) == 2
-    assert cube_positions(x, 1) == 0
+    assert _cube_count(x, 2) == 2
+    assert _cube_count(x, 1) == 0
     rng = np.random.default_rng(11)
     for _ in range(200):
-        x = rng.integers(0, 2, size=int(rng.integers(1, 40)), dtype=np.uint8)
-        w = x.tobytes()
+        w = rng.integers(0, 2, size=int(rng.integers(1, 40)), dtype=np.uint8).tobytes()
         for n in range(1, len(w) // 3 + 1):
             direct = sum(w[i : i + n] * 3 == w[i : i + 3 * n] for i in range(len(w) - 3 * n + 1))
-            assert cube_positions(x, n) == direct
+            assert _cube_count(w.decode("latin-1"), n) == direct
+
+
+def _repetitive_word(rng, letters, length: int) -> str:
+    """A random block repeated to `length` letters, with up to three letters redrawn."""
+    block = [rng.choice(letters) for _ in range(rng.randint(1, max(1, length // 3)))]
+    word = (block * (length // len(block) + 1))[:length]
+    for _ in range(rng.randint(0, 3)):
+        word[rng.randrange(length)] = rng.choice(letters)
+    return "".join(word)
+
+
+def test_cube_positions_match_the_run_oracle():
+    # the bit-plane count equals the run-length count on words of 1-4
+    # letters below U+0100 and of two and 300 letters from U+0100 on
+    # (code points), at lengths that are not multiples of 64, at periods
+    # that are, and at 3n equal to the length
+    rng = random.Random(36)
+    alphabets = ["a", "ab", "abc", "abcd", "\u0100\u0101", [chr(0x100 + i) for i in range(300)]]
+    found = 0
+    for letters in alphabets:
+        for length in [3, 63, 65, 127, 192, 193, 384, 577] + [rng.randint(1, 900) for _ in range(12)]:
+            word = _repetitive_word(rng, letters, length)
+            codes = letter_codes(word)
+            assert codes.dtype == (np.uint8 if letters[0] < "\u0100" else np.dtype("<u4"))
+            planes = letter_planes(codes)
+            periods = {n for n in range(64, length // 3 + 1, 64)}
+            periods |= {length // 3, 1, 2} | {rng.randint(1, 300) for _ in range(3)}
+            for n in sorted(p for p in periods if 1 <= 3 * p <= length):
+                count = cube_positions(planes, length, n)
+                assert count == cube_positions_by_runs(codes, n), (letters[:4], length, n)
+                found += count > 0
+    assert found >= 100, found
 
 
 def test_gordon_fibonacci(fib, catalog_reports, monkeypatch):
@@ -296,8 +340,8 @@ def test_gordon_check_past_256_letters():
     # S(Li) = L0 Li: certified minimal, with the cube witness u = L0; the
     # sample is read as code points, so a letter of rank 256 or more is
     # compared like any other.  Level 4 has n = 757,504, so 3n passes the
-    # 10^6-letter sample: that level is not checked, and it reads as a
-    # violated bound
+    # 10^6-letter sample: that level and the ones above are left out, and
+    # the bound holds at levels 1-3
     letters = [chr(0x100 + i) for i in range(257)]
     rules = {letters[0]: letters[0] * 3 + "".join(letters)}
     rules.update({a: letters[0] + a for a in letters[1:]})
@@ -306,10 +350,41 @@ def test_gordon_check_past_256_letters():
     assert rep.minimal == "yes"
     g = gordon_check(s, rep)
     assert g.u == g.e == letters[0] and g.sample_length == 10**6
-    assert g.n_k[:4] == (260, 1552, 73280, 757504)
+    assert g.levels == (1, 2, 3) and g.n_k == (260, 1552, 73280)
     want = {1: 0.0755468509969, 2: 0.0145939347663, 3: 0.125631760624}
     assert g.empirical_frequency == pytest.approx(want, rel=1e-10)
-    assert g.freq_lower_bound < 1e-9 and not g.bound_satisfied
+    assert g.freq_lower_bound < 1e-9 and g.bound_satisfied
+
+
+def test_gordon_check_reports_only_the_levels_that_fit(fib, monkeypatch):
+    # fibonacci's u = abaab has n_1 = 8 and n_2 = 13: a sample of 24 letters
+    # holds level 1 alone, and one of 23 holds no level
+    rep = lr.classify(fib)
+    monkeypatch.setattr(spectral, "GORDON_SAMPLE_LENGTH", 24)
+    g = gordon_check(fib, rep)
+    assert (g.levels, g.n_k, g.sample_length) == ((1,), (8,), 24)
+    word = lr.iterate_prefix(fib, rep.certificate.letter, 24)
+    assert g.empirical_frequency == {1: float(word[:8] * 3 == word)}
+    monkeypatch.setattr(spectral, "GORDON_SAMPLE_LENGTH", 23)
+    with pytest.raises(SubstitutionError, match="n = 8.* 23 letters"):
+        gordon_check(fib, rep)
+
+
+def test_gordon_check_memory(fib):
+    # the sample is held as one byte per letter and its cubes are counted on
+    # packed bit planes; four bytes per letter and run-length arrays over it
+    # peaked near 7.6 MB
+    import tracemalloc
+
+    rep = lr.classify(fib)
+    tracemalloc.start()
+    try:
+        g = gordon_check(fib, rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.bound_satisfied and g.levels == (1, 2, 3, 4, 5, 6)
+    assert peak <= 5 * 10**6, peak
 
 
 def test_gordon_thue_morse_missing(catalog_subs, catalog_reports):
