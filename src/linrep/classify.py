@@ -45,7 +45,6 @@ import numpy as np
 
 from . import words as wd
 from .substitution import (
-    AlphabetSplit,
     GrowthEstimate,
     PrimitivityResult,
     Substitution,
@@ -127,12 +126,11 @@ class BlockAnalysis:
         """
         if self.pump is None:
             raise ValueError("no pump certificate")
-        growing = s.split.growing
         left, run, right = self.pump.seed
         letter, depth = self.pump.origin
         guard = self.pump.steps_to_cycle + self.pump.cycle_length * min_length
         while len(run) < min_length:
-            left, run, right = _update_triple(s, growing, left, run, right)
+            left, run, right = _update_triple(s, left, run, right)
             depth += 1
             guard -= 1
             if guard < 0:
@@ -140,52 +138,15 @@ class BlockAnalysis:
         return run, (letter, depth)
 
 
-def _b_prefix(word: str, growing: frozenset[str]) -> str:
-    i = 0
-    while i < len(word) and word[i] not in growing:
-        i += 1
-    return word[:i]
-
-
-def _b_suffix(word: str, growing: frozenset[str]) -> str:
-    i = len(word)
-    while i > 0 and word[i - 1] not in growing:
-        i -= 1
-    return word[i:]
-
-
-def _first_growing(word: str, growing: frozenset[str]) -> str:
-    for ch in word:
-        if ch in growing:
-            return ch
-    raise SubstitutionError("image of a growing letter lost all growing letters")
-
-
-def _last_growing(word: str, growing: frozenset[str]) -> str:
-    for ch in reversed(word):
-        if ch in growing:
-            return ch
-    raise SubstitutionError("image of a growing letter lost all growing letters")
-
-
 def _update_triple(
-    s: Substitution, growing: frozenset[str], left: str | None, run: str, right: str | None
+    s: Substitution, left: str | None, run: str, right: str | None
 ) -> tuple[str | None, str, str | None]:
-    mid = s.apply(run)
-    lpart = _b_suffix(s.rules[left], growing) if left is not None else ""
-    rpart = _b_prefix(s.rules[right], growing) if right is not None else ""
-    new_left = _last_growing(s.rules[left], growing) if left is not None else None
-    new_right = _first_growing(s.rules[right], growing) if right is not None else None
-    return new_left, lpart + mid + rpart, new_right
-
-
-def _interior_triples(s: Substitution, c: str, growing: frozenset[str]) -> list[_RunTriple]:
-    word = s.rules[c]
-    positions = [i for i, ch in enumerate(word) if ch in growing]
-    out = []
-    for a, b in zip(positions, positions[1:]):
-        out.append(_RunTriple(word[a], word[a + 1 : b], word[b], origin=(c, 1)))
-    return out
+    # one step of a bounded run between the growing letters left and right
+    # (None at a word end), read off the ends of their cut images
+    shapes = s.split.shapes
+    new_left, lpart = shapes[left][-2:] if left is not None else (None, "")
+    rpart, new_right = shapes[right][:2] if right is not None else ("", None)
+    return new_left, lpart + s.apply(run) + rpart, new_right
 
 
 def _context_cycle(s: Substitution, left: str | None, right: str | None) -> tuple[int, int, int]:
@@ -194,12 +155,11 @@ def _context_cycle(s: Substitution, left: str | None, right: str | None) -> tupl
     of S(r)), None staying None, and the run gains the margin, the B-suffix
     of S(l) and the B-prefix of S(r).  Returns the step at which the pairs
     enter their cycle, its length and its margin, summed over the cycle."""
-    growing = s.split.growing
     seen: dict[tuple[str | None, str | None], int] = {}
     margins: list[int] = []
     while (left, right) not in seen:
         seen[left, right] = len(margins)
-        left, margin, right = _update_triple(s, growing, left, "", right)
+        left, margin, right = _update_triple(s, left, "", right)
         margins.append(len(margin))
     start = seen[left, right]
     return start, len(margins) - start, sum(margins[start:])
@@ -217,14 +177,19 @@ def analyze_bounded_blocks(s: Substitution) -> BlockAnalysis:
     eternally single letters and keeps its length.  S is non-erasing, so
     no step shortens the run, and that length is the orbit's maximum.
     """
-    growing = s.split.growing
+    shapes = s.split.shapes
 
     seeds: list[_RunTriple] = []
     for a in s.letters:
-        if a in growing:
+        if a in shapes:
             seeds.append(_RunTriple(None, "", a, origin=(a, 0)))
             seeds.append(_RunTriple(a, "", None, origin=(a, 0)))
-            seeds.extend(_interior_triples(s, a, growing))
+            # the runs between two growing letters of S(a)
+            shape = shapes[a]
+            seeds.extend(
+                _RunTriple(l, run, r, origin=(a, 1))
+                for l, run, r in zip(shape[1::2], shape[2:-1:2], shape[3::2])
+            )
         else:
             seeds.append(_RunTriple(None, a, None, origin=(a, 0)))
 
@@ -246,9 +211,9 @@ def analyze_bounded_blocks(s: Substitution) -> BlockAnalysis:
         # bounded orbit: its run only lengthens, up to its final length
         state = (seed.left, seed.run, seed.right)
         for _ in range(start):
-            state = _update_triple(s, growing, *state)
+            state = _update_triple(s, *state)
         while not set(state[1]) <= s.split.eternally_single:
-            state = _update_triple(s, growing, *state)
+            state = _update_triple(s, *state)
         max_block = max(max_block, len(state[1]))
     return BlockAnalysis(bounded=True, max_block=max_block, pump=None)
 
@@ -707,8 +672,6 @@ class ClassificationReport:
     """
 
     substitution: Substitution
-    split: AlphabetSplit
-    witness_pool: tuple[str, ...]
     compatibility: CompatibilityResult
     primitive: PrimitivityResult
     minimal: str
@@ -744,9 +707,9 @@ class ClassificationReport:
             "name": s.name,
             "letters": list(s.letters),
             "rules": dict(s.rules),
-            "growing_letters": sorted(self.split.growing),
-            "bounded_letters": sorted(self.split.bounded),
-            "witness_pool": list(self.witness_pool),
+            "growing_letters": sorted(s.split.growing),
+            "bounded_letters": sorted(s.split.bounded),
+            "witness_pool": list(s.split.candidates),
             "compatibility": {
                 "status": self.compatibility.status,
                 "detail": self.compatibility.detail,
@@ -810,30 +773,29 @@ class ClassificationReport:
         return out
 
 
-def decide_minimality(s: Substitution) -> tuple[tuple[str, ...], BGDecision]:
-    """The minimality decision alone: the candidate letters (the split's
-    growing letters that reach the whole alphabet) and the bounded-gaps
-    decision of the first candidate certified, else the first candidate's
-    counterexample.  The gap bound comes from the return words, in
-    `classify`."""
+def decide_minimality(s: Substitution) -> BGDecision:
+    """The minimality decision alone: the bounded-gaps decision of the first
+    of the split's candidates (`s.split.candidates`, the growing letters
+    that reach the whole alphabet) that is certified, else the first
+    candidate's counterexample.  The gap bound comes from the return words,
+    in `classify`."""
     if not s.split.growing:
         raise EmptySubshiftError(
             "no letter has unbounded image growth; the two-sided subshift is empty"
         )
-    candidates = s.split.candidates
-    if not candidates:
+    if not s.split.candidates:
         raise SubstitutionError(
             "no growing letter reaches the whole alphabet; prune unreachable letters first"
         )
 
     block_analysis = analyze_bounded_blocks(s)
     decision: BGDecision | None = None
-    for e in candidates:
+    for e in s.split.candidates:
         d = bounded_gaps(s, e, block_analysis=block_analysis)
         if d.status == YES:
-            return candidates, d
+            return d
         decision = decision or d
-    return candidates, decision
+    return decision
 
 
 def _power_not_minimal(s: Substitution, letter: str, power: int) -> bool:
@@ -860,7 +822,7 @@ def _power_not_minimal(s: Substitution, letter: str, power: int) -> bool:
         return False
     rules = {a: s.iterate(a, power) for a in s.letters}
     t = prune_to_reachable(Substitution(s.alphabet, rules), letter)
-    return decide_minimality(t)[1].status != YES
+    return decide_minimality(t).status != YES
 
 
 def _two_sided_pump(s: Substitution) -> bool:
@@ -884,8 +846,7 @@ def _two_sided_pump(s: Substitution) -> bool:
     exactly one growing letter.  So x is not periodic, X is infinite and
     p_X(n) >= n + 1 at every n (Morse-Hedlund 1938).
     """
-    growing = s.split.growing
-    images = {g: [ch for ch in s.rules[g] if ch in growing] for g in s.letters if g in growing}
+    images = {g: shape[1::2] for g, shape in s.split.shapes.items()}
     chained = stable_letters({g: image[0] for g, image in images.items() if len(image) == 1})
     return any(
         g in chained and _context_cycle(s, l, g)[2] > 0 and _context_cycle(s, g, r)[2] > 0
@@ -920,7 +881,7 @@ def classify(
     kappa and the repetitivity constant undecided), walks the core of
     `is_periodic` to aperiodic_depth on the factor set of
     `report.factor_depth` = aperiodic_depth + CORE_MARGIN."""
-    candidates, decision = decide_minimality(s)
+    decision = decide_minimality(s)
     minimal, cert = decision.status, decision.certificate
     aperiodic_depth = depth + APERIODIC_MARGIN
     factor_depth = aperiodic_depth + CORE_MARGIN
@@ -978,8 +939,6 @@ def classify(
 
     report = ClassificationReport(
         substitution=s,
-        split=s.split,
-        witness_pool=candidates,
         compatibility=compatibility,
         primitive=primitive,
         minimal=minimal,

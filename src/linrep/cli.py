@@ -8,9 +8,10 @@ definitions).
 Exit codes: 0 decided, 1 input error or stdout closed by the reader,
 3 periodicity undecided-at-depth (minimality is always decided), 4 spectrum
 requested for a system without a minimality certificate (computed anyway).
-Input errors print one `error: ...` line on stderr: `main` maps every
-`SubstitutionError` a command raises to it, and a command adds its own
-clause only to prefix a message or to map another type.
+Input errors print one `error: ...` line on stderr: `main` maps to it every
+`SubstitutionError` a command raises and every `OSError` but a closed stdout
+(an output path that cannot be written); a command adds its own clause only
+to prefix a message or to map another type.
 Identical inputs and flags produce byte-identical outputs; reports carry the
 effective parameter values instead of timestamps.  The argument parser is
 built once per process and reused by every `main` call; scipy is loaded only
@@ -66,7 +67,7 @@ def _load(path: str) -> tuple[Substitution, list[str]]:
     report = validate(definition)
     notes = []
     s = report.substitution
-    if not report.full_reachability:
+    if not s.split.candidates:
         s = prune_to_reachable(s, report.witness)
         notes.append(
             f"alphabet pruned to letters reachable from {report.witness!r}: "
@@ -83,8 +84,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"substitution {s.name or '?'}: {rules}")
     for note in notes:
         print(f"note: {note}")
-    print(f"growing letters: {''.join(sorted(report.split.growing)) or '-'}"
-          f"   bounded letters: {''.join(sorted(report.split.bounded)) or '-'}")
+    print(f"growing letters: {''.join(sorted(s.split.growing)) or '-'}"
+          f"   bounded letters: {''.join(sorted(s.split.bounded)) or '-'}")
     print(f"language/subshift compatibility: {report.compatibility.status}"
           + _compat_note(report))
     print(f"primitive: {'yes' if report.primitive.primitive else 'no'}"
@@ -140,7 +141,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         if not (hi > lo):
             return _fail(f"inverted or empty energy window [{lo}, {hi}]")
         window = (lo, hi)
-    _, decision = decide_minimality(s)
+    decision = decide_minimality(s)
     letter = decision.certificate.letter if decision.certificate else min(s.split.growing)
 
     if args.levels is not None:
@@ -345,6 +346,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except OSError as exc:  # an output path that cannot be written
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

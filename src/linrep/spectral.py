@@ -184,13 +184,16 @@ def _shifted(bits: np.ndarray, n: int) -> np.ndarray:
 
 
 def letter_planes(codes: np.ndarray) -> np.ndarray:
-    """Packed bit planes of the letter codes, one per code bit that varies: two
-    positions agree on every plane exactly when they hold the same letter."""
+    """Packed bit planes of the letter codes (`words.letter_codes`, bytes or
+    `<u4`), one per code bit that varies: two positions agree on every plane
+    exactly when they hold the same letter.  Bit j is read from byte j // 8
+    of each code, through the byte view of the array."""
     varying = int(np.bitwise_or.reduce(codes) ^ np.bitwise_and.reduce(codes))
     bits = [j for j in range(varying.bit_length()) if varying >> j & 1]
     planes = np.zeros((len(bits), -(-len(codes) // 64) * 8), dtype=np.uint8)
+    octets = codes.view(np.uint8)
     for plane, j in zip(planes, bits):
-        packed = np.packbits(codes & codes.dtype.type(1 << j), bitorder="little")
+        packed = np.packbits(octets[j // 8 :: codes.itemsize] & (1 << j % 8), bitorder="little")
         plane[: len(packed)] = packed
     return planes.view("<u8")
 
@@ -232,7 +235,7 @@ def gordon_check(
     """
     if report.lr is None:
         raise SubstitutionError("needs the explicit repetitivity constant for coverage sizing")
-    u = wd.find_power(report.factors, lambda w: w[0] in report.split.growing, 3)
+    u = wd.find_power(report.factors, lambda w: w[0] in s.split.growing, 3)
     if u is None:
         return GordonHypothesisMissing(searched_depth=report.factor_depth)
     e = u[0]

@@ -15,6 +15,8 @@ growth-constant ratios.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import or_
@@ -76,6 +78,9 @@ class Alphabet:
         if missing:
             raise SubstitutionError(f"missing values for letters {missing}")
         self.values: dict[str, float] = {ch: float(values[ch]) for ch in self.letters}
+        for ch, v in self.values.items():
+            if not math.isfinite(v):
+                raise SubstitutionError(f"letter values must be finite, got {v} for {ch!r}")
         if not allow_duplicate_values:
             if len({self.values[ch] for ch in self.letters}) != len(self.letters):
                 raise SubstitutionError(
@@ -217,7 +222,11 @@ class AlphabetSplit:
     `orbits[a]` is `letter_set_orbit(a)`; `reach[a]`, the union of its sets,
     holds the letters of every S^n(a), since the tail repeats the cycle.
     The `candidates` are the growing letters that reach every letter, in
-    alphabet order.
+    alphabet order.  `shapes[c]`, for each growing letter c in alphabet
+    order, is S(c) cut at its growing letters: the bounded runs and the
+    growing letters alternate, runs at both ends (possibly empty), so
+    `shapes[c][1::2]` are the growing letters of S(c), in order, and
+    `shapes[c][0::2]` the runs before, between and after them.
     """
 
     bounded: frozenset[str]
@@ -226,6 +235,7 @@ class AlphabetSplit:
     orbits: dict[str, tuple[list[frozenset[str]], int, int]] = field(repr=False)
     reach: dict[str, frozenset[str]] = field(repr=False)
     candidates: tuple[str, ...]
+    shapes: dict[str, tuple[str, ...]] = field(repr=False)
 
 
 def stable_letters(step: Mapping[str, str]) -> frozenset[str]:
@@ -247,7 +257,10 @@ def bounded_letters(s: Substitution) -> AlphabetSplit:
     is non-decreasing, and any recurring letter that ever branches pumps the
     length up unboundedly.  Terminates because there are at most 2^|A|
     letter sets.  The orbits are kept on the split, with the reach and the
-    candidates read off them, so no later stage walks the letter sets again.
+    candidates read off them, so no later stage walks the letter sets again;
+    so is each growing letter's image, cut once at its growing letters by one
+    `re.split`, so no later stage scans an image for them.  An image of a
+    growing letter with no growing letter raises SubstitutionError.
     """
     eternally_single = stable_letters({a: w for a, w in s.rules.items() if len(w) == 1})
     orbits = {a: s.letter_set_orbit(a) for a in s.letters}
@@ -259,22 +272,27 @@ def bounded_letters(s: Substitution) -> AlphabetSplit:
     growing = frozenset(s.letters) - bounded
     reach = {a: frozenset().union(*sets) for a, (sets, _, _) in orbits.items()}
     candidates = tuple(a for a in s.letters if a in growing and len(reach[a]) == len(s.letters))
-    return AlphabetSplit(bounded, growing, eternally_single, orbits, reach, candidates)
+    shapes = {}
+    if growing:
+        cut = re.compile(f"([{''.join(map(re.escape, sorted(growing)))}])")
+        for c in (a for a in s.letters if a in growing):
+            shapes[c] = tuple(cut.split(s.rules[c]))
+            if len(shapes[c]) == 1:
+                raise SubstitutionError(f"the image of the growing letter {c!r} holds none")
+    return AlphabetSplit(bounded, growing, eternally_single, orbits, reach, candidates, shapes)
 
 
 @dataclass
 class ValidationReport:
     """Outcome of structural validation of a substitution.
 
-    `witness` is a growing letter chosen to maximize reachability;
-    `full_reachability` says whether every letter occurs in some iterate of
-    the witness (after which no pruning is needed).
+    `witness` is a growing letter chosen to maximize reachability; every
+    letter occurs in some iterate of it (after which no pruning is needed)
+    exactly when the split has candidates, `substitution.split.candidates`.
     """
 
     substitution: Substitution
-    split: AlphabetSplit
     witness: str
-    full_reachability: bool
 
 
 def validate(definition: Mapping | Substitution) -> ValidationReport:
@@ -291,6 +309,8 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
         raise SubstitutionError(f"definition must be an object, got {type(definition).__name__}")
     else:
         name = definition.get("name")
+        if name is not None and not isinstance(name, str):
+            raise SubstitutionError(f"'name' must be a string, got {name!r}")
         rules = definition.get("rules")
         if not isinstance(rules, Mapping) or not rules:
             raise SubstitutionError("definition needs a nonempty 'rules' mapping")
@@ -299,7 +319,11 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
                 raise SubstitutionError(
                     f"rules must map symbol strings to word strings, got {k!r}: {v!r}"
                 )
-        allow_dupes = bool(definition.get("allow_duplicate_values", False))
+        allow_dupes = definition.get("allow_duplicate_values", False)
+        if not isinstance(allow_dupes, bool):
+            raise SubstitutionError(
+                f"'allow_duplicate_values' must be true or false, got {allow_dupes!r}"
+            )
         alpha_entries = definition.get("alphabet")
         if alpha_entries is not None:
             try:
@@ -331,12 +355,7 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
         )
     # the growing letter that reaches the most letters (ties: alphabet order)
     witness = max((e for e in s.letters if e in split.growing), key=lambda e: len(split.reach[e]))
-    return ValidationReport(
-        substitution=s,
-        split=split,
-        witness=witness,
-        full_reachability=bool(split.candidates),
-    )
+    return ValidationReport(substitution=s, witness=witness)
 
 
 def prune_to_reachable(s: Substitution, witness: str) -> Substitution:
@@ -366,18 +385,11 @@ def reduced_substitution(s: Substitution) -> Substitution:
     which `bounded_letters` guarantees (B is invariant).  The result need
     not be primitive or even growing without a bounded-gaps certificate.
     """
-    growing = s.split.growing
-    if not growing:
+    shapes = s.split.shapes
+    if not shapes:
         raise NoGrowingLettersError("cannot reduce: no growing letters")
-    letters = [a for a in s.letters if a in growing]
-    rules = {}
-    for c in letters:
-        image = "".join(ch for ch in s.rules[c] if ch in growing)
-        if not image:
-            raise SubstitutionError(
-                f"reduced rule for {c!r} is empty; {c!r} cannot be a growing letter"
-            )
-        rules[c] = image
+    letters = list(shapes)
+    rules = {c: "".join(shape[1::2]) for c, shape in shapes.items()}
     alphabet = Alphabet(
         letters,
         {a: s.alphabet.value(a) for a in letters},

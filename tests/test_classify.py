@@ -96,7 +96,7 @@ def test_bounded_gaps_agree_across_candidates(catalog_reports, catalog_subs):
     # the decision is a property of the system, not of the candidate letter
     for name, rep in catalog_reports.items():
         s = catalog_subs[name]
-        statuses = {bounded_gaps(s, e).status for e in rep.witness_pool}
+        statuses = {bounded_gaps(s, e).status for e in s.split.candidates}
         assert len(statuses) == 1
 
 
@@ -422,9 +422,8 @@ def test_random_two_letter_pipeline_consistency():
 
 def test_decide_minimality_matches_classify(catalog_reports, catalog_subs):
     for name, rep in catalog_reports.items():
-        candidates, decision = decide_minimality(catalog_subs[name])
-        assert rep.split is catalog_subs[name].split, name
-        assert candidates == rep.witness_pool, name
+        decision = decide_minimality(catalog_subs[name])
+        assert rep.substitution is catalog_subs[name], name
         assert decision.status == rep.minimal, name
         assert rep.certificate == decision.certificate, name
         if decision.certificate is None:
@@ -501,7 +500,7 @@ def _drawn_systems(seed, count, sizes, lengths):
 
 def _certificate(s):
     try:
-        _, decision = decide_minimality(s)
+        decision = decide_minimality(s)
     except SubstitutionError:
         return None  # empty subshift or unreachable letters
     return decision.certificate
@@ -631,7 +630,7 @@ def test_derived_periodicity_equals_walk(monkeypatch):
             rules = {a: a for a in letters} | {"a": ("a" + w) * rng.randint(1, 3) + "a"}
         s = Substitution.from_rules(rules)
         try:
-            _, decision = decide_minimality(s)
+            decision = decide_minimality(s)
         except SubstitutionError:
             continue  # empty subshift or unreachable letters
         if decision.status != YES:
@@ -716,7 +715,7 @@ def test_power_not_minimal_equals_walk(monkeypatch):
         rules = {a: "".join(rng.choices(letters, k=k)) for a, k in zip(letters, lengths)}
         s = Substitution.from_rules(rules)
         try:
-            _, decision = decide_minimality(s)
+            decision = decide_minimality(s)
         except SubstitutionError:
             continue  # empty subshift or unreachable letters
         compatibility = lr.check_compatibility(s)
@@ -771,7 +770,7 @@ def _analyzed_draws():
             except SubstitutionError:
                 continue  # empty subshift
             s = report.substitution
-            yield s if report.full_reachability else prune_to_reachable(s, report.witness)
+            yield s if s.split.candidates else prune_to_reachable(s, report.witness)
 
 
 def test_letter_rules_equal_walk(monkeypatch):
@@ -785,7 +784,7 @@ def test_letter_rules_equal_walk(monkeypatch):
     uncertified = 0
     fired = {"pump": 0, "inside": 0}
     for s in _analyzed_draws():
-        if decide_minimality(s)[1].status == YES:
+        if decide_minimality(s).status == YES:
             continue
         uncertified += 1
         if lr.check_compatibility(s).status == "holds-certified":
@@ -968,7 +967,7 @@ def test_derived_return_words_occur():
         rules = {a: "".join(rng.choices(letters, k=rng.randint(1, 8))) for a in letters}
         s = Substitution.from_rules(rules)
         try:
-            _, decision = decide_minimality(s)
+            decision = decide_minimality(s)
         except SubstitutionError:
             continue  # empty subshift or unreachable letters
         if decision.status == YES:

@@ -710,3 +710,67 @@ def test_broken_pipe_closes_its_devnull_descriptor():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout == "[1, 1, 1, 1, 1, 1] 0\n"
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_non_string_name_is_an_input_error(tmp_path, capsys):
+    # the reduced substitution is named after the system, so a name that is
+    # no string failed deep inside analyze
+    path = tmp_path / "named.json"
+    path.write_text('{"name": 5, "rules": {"a": "ab", "b": "a"}}')
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert "'name' must be a string" in captured.err
+
+
+def test_allow_duplicate_values_must_be_a_json_boolean(tmp_path, capsys):
+    # the string "false" is not false: it no longer reads as permission
+    path = tmp_path / "dupes.json"
+    path.write_text(
+        '{"rules": {"a": "ab", "b": "a"}, "allow_duplicate_values": "false", '
+        '"alphabet": [{"symbol": "a", "value": 1}, {"symbol": "b", "value": 1}]}'
+    )
+    assert main(["analyze", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert "'allow_duplicate_values' must be true or false" in captured.err
+
+
+@pytest.mark.parametrize(
+    "alphabet, coupling",
+    [('"nan"', 1), ('"inf"', 1), ("NaN", 1), ("1e300", 1e300)],
+    ids=["nan-string", "inf-string", "json-nan", "coupling-overflow"],
+)
+def test_non_finite_values_are_input_errors(tmp_path, capsys, alphabet, coupling):
+    # the band-edge solver refuses infs and NaNs, so spectrum must not reach it
+    path = tmp_path / "values.json"
+    path.write_text(
+        f'{{"rules": {{"a": "ab", "b": "a"}}, "potential_coupling": {coupling}, '
+        f'"alphabet": [{{"symbol": "a", "value": {alphabet}}}, {{"symbol": "b", "value": 0}}]}}'
+    )
+    assert main(["spectrum", str(path), "--level", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert "letter values must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{defs}/fibonacci.json", "--json", "{tmp}/missing/out.json"],
+        ["spectrum", "{defs}/fibonacci.json", "--level", "2", "--csv", "{tmp}/missing/out.csv"],
+        ["transcendence", "{defs}/stutter-separated.json", "--json", "{tmp}/missing/tr.json"],
+        ["transcendence", "{defs}/stutter-separated.json", "--dump-digits", "{tmp}/missing/d"],
+        ["catalog", "--export", "{tmp}/taken"],
+    ],
+    ids=["analyze-json", "spectrum-csv", "transcendence-json", "dump-digits", "catalog-export"],
+)
+def test_unwritable_output_path_is_an_input_error(defs, tmp_path, capsys, argv):
+    # a missing directory, or an export directory that is an existing file
+    (tmp_path / "taken").write_text("")
+    assert main([a.format(defs=defs, tmp=tmp_path) for a in argv]) == 1
+    assert _one_error_line(capsys.readouterr().err)

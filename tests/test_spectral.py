@@ -328,7 +328,7 @@ def test_gordon_check_equals_a_full_depth_search(name, catalog_subs, monkeypatch
     g = gordon_check(s, rep)
     assert calls == [48] and rep.factors.max_length == 48
     assert gordon_check(s, rep) == g and calls == [48]
-    u = lr.find_power(build(s, 48), lambda w: w[0] in rep.split.growing, 3)
+    u = lr.find_power(build(s, 48), lambda w: w[0] in s.split.growing, 3)
     if u is None:
         assert g == GordonHypothesisMissing(searched_depth=48)
     else:

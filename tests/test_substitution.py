@@ -74,16 +74,16 @@ def test_duplicate_values_rejected_by_default():
 def test_validate_fibonacci(fib):
     report = validate(fib)
     assert report.witness == "a"
-    assert report.full_reachability
+    assert fib.split.candidates == ("a", "b")
     assert fib.reachable([report.witness]) == {"a", "b"}
-    assert report.split.growing == {"a", "b"}
+    assert fib.split.growing == {"a", "b"}
 
 
 def test_validate_remark1b():
     report = validate(lr.load("remark1b"))
     assert report.witness == "0"
-    assert report.full_reachability
-    assert report.split.growing == {"0"}
+    assert report.substitution.split.candidates == ("0",)
+    assert report.substitution.split.growing == {"0"}
 
 
 def test_validate_empty_subshift():
@@ -96,20 +96,16 @@ def test_validate_reports_pruning():
     s = Substitution.from_rules({"a": "ab", "b": "a", "c": "cc"})
     report = validate(s)
     assert report.witness == "a"
-    assert not report.full_reachability
+    assert not s.split.candidates
     assert s.reachable([report.witness]) == {"a", "b"}
     pruned = prune_to_reachable(s, "a")
     assert pruned.letters == ("a", "b")
 
 
-def test_reach_and_candidates_equal_bfs():
-    # seeded systems of 2-6 letters whose alphabets come in shuffled order:
-    # the split's reach is each letter's breadth-first reach, its candidates
-    # are the growing letters that reach every letter, in alphabet order,
-    # validate's witness reaches the most letters (ties: alphabet order),
-    # and the compatibility letter is the first candidate in sorted order
+def _shuffled_draws():
+    # seeded systems of 2-6 letters whose alphabets come in shuffled order,
+    # with their validation reports; empty subshifts are skipped
     rng = random.Random(35)
-    differs = {"witness": 0, "compatibility": 0, "no candidate": 0}
     for _ in range(2000):
         letters = list("abcdef"[: rng.randint(2, 6)])
         rng.shuffle(letters)
@@ -117,9 +113,19 @@ def test_reach_and_candidates_equal_bfs():
         rules = {a: "".join(rng.choices(letters, k=k)) for a, k in zip(letters, lengths)}
         alphabet = [{"symbol": a, "value": i} for i, a in enumerate(letters)]
         try:
-            report = validate({"rules": rules, "alphabet": alphabet})
+            yield letters, rules, validate({"rules": rules, "alphabet": alphabet})
         except EmptySubshiftError:
             continue
+
+
+def test_reach_and_candidates_equal_bfs():
+    # on the shuffled draws, the split's reach is each letter's breadth-first
+    # reach, its candidates are the growing letters that reach every letter,
+    # in alphabet order, validate's witness reaches the most letters (ties:
+    # alphabet order), the minimality decision is about a candidate, and the
+    # compatibility letter is the first candidate in sorted order
+    differs = {"witness": 0, "compatibility": 0, "no candidate": 0}
+    for letters, rules, report in _shuffled_draws():
         s = report.substitution
         reach = {a: bfs_reach(rules, [a]) for a in letters}
         assert s.split.reach == reach
@@ -129,19 +135,40 @@ def test_reach_and_candidates_equal_bfs():
         assert s.split.candidates == candidates, rules
         most = max(len(reach[a]) for a in growing)
         assert report.witness == next(a for a in growing if len(reach[a]) == most), rules
-        assert report.full_reachability == bool(candidates)
         differs["witness"] += report.witness != growing[0]
         if not candidates:
             with pytest.raises(SubstitutionError):
                 check_compatibility(s)
             differs["no candidate"] += 1
             continue
-        assert decide_minimality(s)[0] == candidates
+        decision = decide_minimality(s)
+        assert (decision.certificate or decision.counterexample).letter in candidates
         compatibility = check_compatibility(s)
         if compatibility.status == "holds-certified":
             assert compatibility.detail["letter"] == min(candidates), rules
             differs["compatibility"] += min(candidates) != candidates[0]
     assert differs == {"witness": 574, "compatibility": 591, "no candidate": 267}
+
+
+def test_shapes_cut_each_growing_image(catalog_subs):
+    # the split cuts S(c) of each growing letter c at its growing letters:
+    # joined back it is S(c), its letters are the growing letters of S(c)
+    # in order, its runs hold none, and the reduced substitution keeps the
+    # letters; on the catalog, the shuffled draws and letters that are
+    # special inside a regular-expression character class
+    rules = {"-": "-^]", "]": "\\[-", "\\": "]^", "^": "[", "[": "^"}
+    special = Substitution.from_rules(rules)
+    systems = [*catalog_subs.values(), *(r.substitution for *_, r in _shuffled_draws()), special]
+    for s in systems:
+        growing, shapes = s.split.growing, s.split.shapes
+        assert list(shapes) == [c for c in s.letters if c in growing], s
+        for c, shape in shapes.items():
+            assert "".join(shape) == s.rules[c], s
+            assert shape[1::2] == tuple(ch for ch in s.rules[c] if ch in growing), s
+            assert all(growing.isdisjoint(run) for run in shape[0::2]), s
+        erased = {c: "".join(ch for ch in s.rules[c] if ch not in s.split.bounded) for c in shapes}
+        assert reduced_substitution(s).rules == erased, s
+    assert special.split.growing == {"-", "]", "\\"}
 
 
 def test_definition_mapping_roundtrip():

@@ -745,7 +745,7 @@ def test_kappa_is_the_longest_return_word(monkeypatch):
         if certified == 2000:
             break
         try:
-            _, decision = decide_minimality(s)
+            decision = decide_minimality(s)
         except SubstitutionError:
             continue  # empty subshift or unreachable letters
         if decision.certificate is None:
