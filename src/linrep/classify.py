@@ -21,8 +21,9 @@ enumeration at all:
 A positive decision is turned into a concrete certificate (reachability
 witnesses, block bound); a negative one into a word-pumping counterexample.
 Minimality and linear repetitivity coincide for these systems, and the
-explicit repetitivity constant (3 + G) * theta * rho / lambda is assembled
-from the return words of the certified letter.  A certified system runs one
+explicit repetitivity constant (3 + G) * theta * rho / lambda is assembled,
+on the report's first read of it, from the return words of the certified
+letter.  A certified system runs one
 chain of return-word derivations (Durand 1998), `return_word_chain`: its
 first step gives the return words of the certified letter, whose longest
 length is the exact gap bound kappa, and the pairs of them that occur, with
@@ -669,6 +670,11 @@ class ClassificationReport:
     when the chain passed its cap before step 1.  kappa + 1 bounds |r e| for
     every return word r; it is reported as the certificate's factor_depth
     only, and no factor set of that depth is built.
+
+    The repetitivity constant `lr` (and its `growth`) is assembled on first
+    read, from step 1 of `chain` with growth constants for n <= growth_nmax,
+    so a caller that never reads it never pays for it.  `depth_caveats`
+    holds its caveat first, for a certified system, then other_caveats.
     """
 
     substitution: Substitution
@@ -679,10 +685,10 @@ class ClassificationReport:
     kappa: int | None
     counterexample: BGCounterexample | None
     periodicity: PeriodicityResult
-    growth: GrowthEstimate | None
-    lr: LRBound | None
     factor_depth: int
-    depth_caveats: tuple[str, ...]
+    growth_nmax: int
+    chain: list[Step] = field(repr=False)
+    other_caveats: tuple[str, ...]
 
     @property
     def linearly_repetitive(self) -> str:
@@ -694,6 +700,29 @@ class ClassificationReport:
         """Minimality forces unique ergodicity; the converse fails, so a
         non-minimal system gets no verdict from this analysis."""
         return YES if self.minimal == YES else UNDECIDED
+
+    @cached_property
+    def _repetitivity(self) -> tuple[LRBound | None, tuple[str, ...]]:
+        """The constant of a certified system and its caveat, or None and why not."""
+        if self.minimal != YES:
+            return None, ()
+        try:
+            lr = lr_constant_bound(self.substitution, self.kappa, self.chain, self.growth_nmax)
+        except SubstitutionError as exc:
+            return None, (f"repetitivity constant undecided: {exc}",)
+        return lr, lr.caveats
+
+    @property
+    def lr(self) -> LRBound | None:
+        return self._repetitivity[0]
+
+    @property
+    def growth(self) -> GrowthEstimate | None:
+        return None if self.lr is None else self.lr.growth
+
+    @property
+    def depth_caveats(self) -> tuple[str, ...]:
+        return self._repetitivity[1] + self.other_caveats
 
     @cached_property
     def factors(self) -> wd.FactorSet:
@@ -867,8 +896,12 @@ def classify(
 
     A certified minimal system runs one `return_word_chain` from its
     certified letter: step 1 gives its return words, the longest of which
-    is the certificate's gap bound kappa, and their pairs, and the whole
-    chain its periodicity (`derived_periodicity`), with no factor set; an
+    is the certificate's gap bound kappa, and the whole chain its
+    periodicity (`derived_periodicity`), with no factor set.  The report
+    keeps the chain and assembles the constant from step 1 (the return
+    words' pairs, their growth constants for n <= growth_nmax and G) when
+    `lr`, `growth`, `depth_caveats` or `to_json_dict` is first read;
+    growth_nmax < 1 raises ValueError here, before any of that.  An
     aperiodic verdict has the status "aperiodic-up-to-depth" at
     aperiodic_depth = depth + APERIODIC_MARGIN.  A system that is not
     certified gets that verdict, with no factor set, when letter data shows
@@ -888,8 +921,12 @@ def classify(
     compatibility = check_compatibility(s)
     primitive = is_primitive(s)
 
+    if growth_nmax < 1:
+        raise ValueError(f"growth constants need n_max >= 1, got {growth_nmax}")
+
     caveats: list[str] = []
-    lr = periodicity = kappa = None
+    periodicity = kappa = None
+    steps: list[Step] = []
     if minimal == YES:
         steps = return_word_chain(s, cert.letter)
         if steps:
@@ -901,11 +938,6 @@ def classify(
                     f"gap bound {kappa} for {cert.letter!r} does not exceed "
                     f"the block bound {cert.bblock_bound}"
                 )
-        try:
-            lr = lr_constant_bound(s, kappa, steps, growth_nmax)
-            caveats.extend(lr.caveats)
-        except SubstitutionError as exc:
-            caveats.append(f"repetitivity constant undecided: {exc}")
         periodicity = derived_periodicity(steps, aperiodic_depth)
         if periodicity.status == UNDECIDED:  # the chain passed its work cap
             cap = periodicity.note
@@ -946,10 +978,10 @@ def classify(
         kappa=kappa,
         counterexample=decision.counterexample,
         periodicity=periodicity,
-        growth=lr.growth if lr else None,
-        lr=lr,
         factor_depth=factor_depth,
-        depth_caveats=tuple(caveats),
+        growth_nmax=growth_nmax,
+        chain=steps,
+        other_caveats=tuple(caveats),
     )
     if factors is not None:
         report.factors = factors  # primes the cached property

@@ -11,7 +11,10 @@ requested for a system without a minimality certificate (computed anyway).
 Input errors print one `error: ...` line on stderr: `main` maps to it every
 `SubstitutionError` a command raises and every `OSError` but a closed stdout
 (an output path that cannot be written); a command adds its own clause only
-to prefix a message or to map another type.
+to prefix a message or to map another type.  `analyze`, `partition` and
+`transcendence` write their output files before they print, so a run whose
+file cannot be written prints nothing on stdout; `spectrum` prints each
+level as it is solved and writes `--csv` last.
 Identical inputs and flags produce byte-identical outputs; reports carry the
 effective parameter values instead of timestamps.  The argument parser is
 built once per process and reused by every `main` call; scipy is loaded only
@@ -31,6 +34,7 @@ from pathlib import Path
 from . import catalog as cat
 from . import numtheory as nt
 from . import recognizer as rec
+from . import words as wd
 from .classify import PERIODIC, UNDECIDED, YES, classify, decide_minimality
 from .spectral import band_spectrum
 from .substitution import (
@@ -79,7 +83,11 @@ def _load(path: str) -> tuple[Substitution, list[str]]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     s, notes = _load(args.definition)
     report = classify(s, depth=args.depth, growth_nmax=args.nmax)
-    payload = report.to_json_dict() if args.json else None
+    if args.json:
+        payload = report.to_json_dict()
+        payload["depth_caveats"] = notes + payload["depth_caveats"]
+        payload["parameters"] = {"depth": args.depth, "nmax": args.nmax}
+        _write_json(args.json, payload)
     rules = ", ".join(f"{a}->{s.rules[a]}" for a in s.letters)
     print(f"substitution {s.name or '?'}: {rules}")
     for note in notes:
@@ -107,12 +115,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     for caveat in report.depth_caveats:
         print(f"caveat: {caveat}")
-
-    if payload is not None:
-        payload["depth_caveats"] = notes + payload["depth_caveats"]
-        payload["parameters"] = {"depth": args.depth, "nmax": args.nmax}
-        _write_json(args.json, payload)
-
     return 3 if report.periodicity.status == UNDECIDED else 0
 
 
@@ -179,7 +181,9 @@ def cmd_partition(args: argparse.Namespace) -> int:
     try:
         a, b = rec.shape_letters(s)
         report = classify(s)
-        rule = rec.recognition_rule(s, report.factors, report)
+        # the rule's first check reads the factors of length 2 * (|S(a)| // 2)
+        floor = wd.factor_language(s, 2 * (len(s.rules[a]) // 2))
+        rule = rec.recognition_rule(s, floor, report)
     except rec.ShapeError as exc:
         return _fail(f"requires nonprimitive two-letter shape: {exc}")
     if args.word is not None:
@@ -201,13 +205,9 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
     first = parses[0]
     cuts = list(interior(first))
-    print(f"half-width L = {L}; window set size {len(rule.windows)}")
-    print(f"1-partitions: {len(parses)}; distinct interior cut-sets: "
-          f"{len(set(map(interior, parses)))}")
-    print(f"interior cuts: {cuts}")
+    preimage = None
     if len(target) > 4 * L + 2:
         preimage, offset = rec.desubstitute(s, target, rule)
-        print(f"preimage (from offset {offset}): {preimage}")
     if args.json:
         payload = {
             "schema_version": "1",
@@ -222,6 +222,12 @@ def cmd_partition(args: argparse.Namespace) -> int:
             "partition_count": len(parses),
         }
         _write_json(args.json, payload)
+    print(f"half-width L = {L}; window set size {len(rule.windows)}")
+    print(f"1-partitions: {len(parses)}; distinct interior cut-sets: "
+          f"{len(set(map(interior, parses)))}")
+    print(f"interior cuts: {cuts}")
+    if preimage is not None:
+        print(f"preimage (from offset {offset}): {preimage}")
     return 0
 
 
@@ -242,6 +248,10 @@ def cmd_transcendence(args: argparse.Namespace) -> int:
             return _fail("--dump-digits writes one byte per digit; letter values must be below 256")
     except ValueError as exc:
         return _fail(str(exc))
+    if args.dump_digits:
+        Path(args.dump_digits).write_bytes(bytes(tr.digits))  # one byte per digit
+    if args.json:
+        _write_json(args.json, tr.to_json_dict())
 
     w = tr.witness
     if w.case_tag == nt.CASE_SEPARATED:
@@ -257,10 +267,6 @@ def cmd_transcendence(args: argparse.Namespace) -> int:
     print(f"core ratio positive: {c.core_ratio_positive} (min {c.min_core_ratio:.6g})")
     print(f"value ({tr.value.bits} bits, base {tr.value.base}): {tr.value.decimal}")
     print(tr.attribution)
-    if args.dump_digits:
-        Path(args.dump_digits).write_bytes(bytes(tr.digits))  # one byte per digit
-    if args.json:
-        _write_json(args.json, tr.to_json_dict())
     return 0
 
 

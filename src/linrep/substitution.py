@@ -16,6 +16,7 @@ growth-constant ratios.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -295,6 +296,13 @@ class ValidationReport:
     witness: str
 
 
+def _real(x: object) -> float:
+    """A JSON number as a float: true, false and numeric strings are not numbers."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 def validate(definition: Mapping | Substitution) -> ValidationReport:
     """Build and validate a substitution from a definition mapping.
 
@@ -328,8 +336,8 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
         if alpha_entries is not None:
             try:
                 letters = [entry["symbol"] for entry in alpha_entries]
-                values = {entry["symbol"]: float(entry["value"]) for entry in alpha_entries}
-            except (TypeError, KeyError, ValueError) as exc:
+                values = {entry["symbol"]: _real(entry["value"]) for entry in alpha_entries}
+            except (TypeError, KeyError, OverflowError) as exc:
                 raise SubstitutionError(
                     "alphabet entries must be objects with 'symbol' and a real 'value' "
                     f"({exc!r})"
@@ -337,8 +345,8 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
             coupling = definition.get("potential_coupling")
             if coupling is not None:
                 try:
-                    coupling = float(coupling)
-                except (TypeError, ValueError) as exc:
+                    coupling = _real(coupling)
+                except (TypeError, OverflowError) as exc:
                     raise SubstitutionError(
                         f"'potential_coupling' must be a real number, got {coupling!r}"
                     ) from exc

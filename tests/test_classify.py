@@ -554,6 +554,49 @@ def test_return_word_pairs_work_cap_is_a_caveat(monkeypatch):
     assert "repetitivity constant undecided: return-word derivation wrote more than 8 letters" in rep.depth_caveats
 
 
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda rep: rep.lr,
+        lambda rep: rep.growth,
+        lambda rep: rep.depth_caveats,
+        lambda rep: rep.to_json_dict(),
+    ],
+    ids=["lr", "growth", "depth_caveats", "to_json_dict"],
+)
+def test_repetitivity_constant_is_built_on_first_read(monkeypatch, read):
+    module = importlib.import_module("linrep.classify")
+    calls = []
+    bound = module.lr_constant_bound
+    monkeypatch.setattr(module, "lr_constant_bound", lambda *a: calls.append(a) or bound(*a))
+    rep = classify(lr.load("fibonacci"))
+    assert rep.minimal == YES and calls == []
+    first = read(rep)
+    assert len(calls) == 1
+    assert read(rep) == first
+    rep.lr, rep.growth, rep.depth_caveats, rep.to_json_dict()
+    assert len(calls) == 1
+    assert rep.depth_caveats[0] == "growth constants checked for n <= 30"
+    assert rep.growth is rep.lr.growth and rep.lr == bound(*calls[0])
+    # a system that is not certified has no constant to build
+    rep = classify(lr.load("remarkc"))
+    assert rep.lr is None and rep.growth is None and len(calls) == 1
+
+
+def test_undecided_constant_caveat_stays_first():
+    # --nmax 2000 takes theta^n past the float range
+    rep = classify(lr.load("fibonacci"), growth_nmax=2000)
+    assert rep.lr is None and rep.growth is None
+    assert rep.depth_caveats[0].startswith("repetitivity constant undecided: |S^n(v)| / theta^n")
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "remarkc"])
+def test_growth_nmax_is_checked_by_classify(name):
+    # the argument error comes from the call, not from the first read of lr
+    with pytest.raises(ValueError, match="n_max >= 1, got 0"):
+        classify(lr.load(name), growth_nmax=0)
+
+
 def test_compatibility_on_classify_set_matches_own_set():
     import random
 

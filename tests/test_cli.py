@@ -741,12 +741,18 @@ def test_allow_duplicate_values_must_be_a_json_boolean(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "alphabet, coupling",
-    [('"nan"', 1), ('"inf"', 1), ("NaN", 1), ("1e300", 1e300)],
+    "alphabet, coupling, message",
+    [
+        ('"nan"', 1, "a real 'value'"),
+        ('"inf"', 1, "a real 'value'"),
+        ("NaN", 1, "letter values must be finite"),
+        ("1e300", 1e300, "letter values must be finite"),
+    ],
     ids=["nan-string", "inf-string", "json-nan", "coupling-overflow"],
 )
-def test_non_finite_values_are_input_errors(tmp_path, capsys, alphabet, coupling):
-    # the band-edge solver refuses infs and NaNs, so spectrum must not reach it
+def test_non_finite_values_are_input_errors(tmp_path, capsys, alphabet, coupling, message):
+    # the band-edge solver refuses infs and NaNs, so spectrum must not reach
+    # it; a string is no number at all, whatever it spells
     path = tmp_path / "values.json"
     path.write_text(
         f'{{"rules": {{"a": "ab", "b": "a"}}, "potential_coupling": {coupling}, '
@@ -755,7 +761,20 @@ def test_non_finite_values_are_input_errors(tmp_path, capsys, alphabet, coupling
     assert main(["spectrum", str(path), "--level", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and _one_error_line(captured.err)
-    assert "letter values must be finite" in captured.err
+    assert message in captured.err
+
+
+def test_boolean_and_string_values_are_input_errors(tmp_path, capsys):
+    # true read as 1.0 and "2.5" as 2.5, and spectrum went on to print bands
+    path = tmp_path / "values.json"
+    path.write_text(
+        '{"rules": {"a": "ab", "b": "a"}, "alphabet": '
+        '[{"symbol": "a", "value": true}, {"symbol": "b", "value": "2.5"}]}'
+    )
+    assert main(["spectrum", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert "a real 'value'" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -774,3 +793,42 @@ def test_unwritable_output_path_is_an_input_error(defs, tmp_path, capsys, argv):
     (tmp_path / "taken").write_text("")
     assert main([a.format(defs=defs, tmp=tmp_path) for a in argv]) == 1
     assert _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{defs}/fibonacci.json", "--json", "{tmp}/missing/out.json"],
+        ["partition", "{defs}/minimal-nonprimitive.json", "--prefix", "200", "--json", "{tmp}/missing/p.json"],
+        ["transcendence", "{defs}/stutter-separated.json", "--json", "{tmp}/missing/tr.json"],
+        ["transcendence", "{defs}/stutter-separated.json", "--dump-digits", "{tmp}/missing/d"],
+    ],
+    ids=["analyze", "partition", "transcendence", "dump-digits"],
+)
+def test_unwritable_output_file_prints_no_report(defs, tmp_path, capsys, argv):
+    # the file is written before the report is printed, so a failed run
+    # leaves no complete-looking report on stdout
+    assert main([a.format(defs=defs, tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert "No such file or directory" in captured.err
+
+
+def test_partition_and_transcendence_build_no_repetitivity_constant(defs, tmp_path, monkeypatch):
+    # only the Schroedinger audits read the constant; the two applications
+    # run on the certificate's premises alone, whether they pass or fail
+    module = importlib.import_module("linrep.classify")
+    calls = []
+    bound = module.lr_constant_bound
+    monkeypatch.setattr(module, "lr_constant_bound", lambda *a: calls.append(a) or bound(*a))
+    shapes = 0
+    for name in catalog.names():
+        try:
+            rec.shape_letters(lr.load(name))
+        except rec.ShapeError:
+            continue
+        path = str(defs / f"{name}.json")
+        main(["partition", path, "--prefix", "200", "--json", str(tmp_path / "p.json")])
+        main(["transcendence", path, "--json", str(tmp_path / "t.json")])
+        shapes += 1
+    assert shapes == 7 and calls == []

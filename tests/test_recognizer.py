@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -305,6 +307,41 @@ def test_window_width_does_not_depend_on_the_starting_depth(catalog_subs):
     assert shapes == 7
 
 
+def _rule_or_refusal(s, factors, report):
+    try:
+        rule = rec.recognition_rule(s, factors, report)
+    except SubstitutionError as exc:
+        return str(exc)
+    return rule.half_width, rule.windows
+
+
+def test_floor_depth_set_gives_the_report_set_rule(catalog_subs):
+    # `linrep partition` hands the rule the factors of length 2 * (|S(a)| // 2),
+    # the depth of its first check, instead of the report's depth-48 set
+    systems = dict(catalog_subs)
+    definition = json.loads((Path(__file__).parent / "data" / "long-power.json").read_text())
+    systems["long-power"] = lr.validate(definition).substitution
+    ruled = []
+    for name, s in systems.items():
+        try:
+            a, _ = rec.shape_letters(s)
+        except rec.ShapeError:
+            continue
+        report = lr.classify(s)
+        floor = wd.factor_language(s, 2 * (len(s.rules[a]) // 2))
+        got = _rule_or_refusal(s, floor, report)
+        assert got == _rule_or_refusal(s, report.factors, report), name
+        if not isinstance(got, str):
+            ruled.append((name, got[0]))
+    assert sorted(ruled) == [
+        ("long-power", 132),
+        ("minimal-nonprimitive", 3),
+        ("minimal-nonprimitive-noaa", 5),
+        ("stutter-doubled", 3),
+        ("stutter-separated", 3),
+    ]
+
+
 def test_no_doubled_letter_run_arithmetic():
     # in the no-doubled-letter case, the fixed-letter runs between image
     # blocks are pinned: every full-block decomposition of an aligned image
@@ -551,9 +588,7 @@ def test_uniqueness_scan_refuses_a_sample_past_int32():
     # tests/data/long-power.json has lr = 4,635,976, so the sample would
     # hold 2,781,587,089 letters: the scan raises before it reads a window
     # rule or builds the sample
-    import json
     import time
-    from pathlib import Path
 
     definition = json.loads((Path(__file__).parent / "data" / "long-power.json").read_text())
     s = lr.validate(definition).substitution

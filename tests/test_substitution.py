@@ -71,6 +71,24 @@ def test_duplicate_values_rejected_by_default():
     assert al.value("a") == al.value("b") == 1.0
 
 
+@pytest.mark.parametrize(
+    "value, coupling",
+    [(True, None), (False, None), ("2.5", None), ("1", None), (None, None), (1, True), (1, "2")],
+    ids=["true", "false", "string", "digit-string", "null", "coupling-true", "coupling-string"],
+)
+def test_letter_values_must_be_json_numbers(value, coupling):
+    # JSON true read as 1.0 and "2.5" as 2.5
+    definition = {
+        "rules": {"a": "ab", "b": "a"},
+        "alphabet": [{"symbol": "a", "value": value}, {"symbol": "b", "value": 0}],
+    }
+    if coupling is not None:
+        definition["potential_coupling"] = coupling
+    field = "a real 'value'" if coupling is None else "'potential_coupling' must be a real number"
+    with pytest.raises(SubstitutionError, match=field):
+        validate(definition)
+
+
 def test_validate_fibonacci(fib):
     report = validate(fib)
     assert report.witness == "a"
