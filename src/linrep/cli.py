@@ -57,10 +57,11 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _load(path: str) -> tuple[Substitution, list[str]]:
     """The validated substitution of a definition file, pruned to the
-    letters its witness reaches, and a note for each change made."""
+    letters its witness reaches, and a note for each change made.  The
+    file is read as UTF-8, the encoding JSON specifies, whatever the locale."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SubstitutionError(f"cannot read {path}: {exc}") from exc
     try:
         definition = json.loads(text)

@@ -363,7 +363,7 @@ def _digit_map(s: Substitution, base: int) -> dict[str, int]:
     """Letters as digits: letter values must be integers inside 0..base-1."""
     out = {}
     for ch in s.letters:
-        v = s.alphabet.value(ch)
+        v = s.alphabet.values[ch]
         if not float(v).is_integer() or not (0 <= int(v) < base):
             raise ValueError(
                 f"letter {ch!r} has value {v}, not a digit in base {base}; "

@@ -156,7 +156,6 @@ class GordonReport:
     freq_lower_bound: float
     empirical_frequency: dict[int, float]
     bound_satisfied: bool
-    theta: float
     sample_length: int
 
 
@@ -267,6 +266,5 @@ def gordon_check(
         freq_lower_bound=bound,
         empirical_frequency=empirical,
         bound_satisfied=all(f >= bound - GORDON_TOL for f in empirical.values()),
-        theta=theta,
         sample_length=N,
     )

@@ -9,8 +9,8 @@ compatibility check between the finite-word language and the two-sided
 subshift it generates.
 
 All counting is done with exact integer arithmetic (length recursions over
-Python ints, zero patterns for primitivity); floating point only enters the
-growth-constant ratios.
+Python ints, letter-set orbits for primitivity); floating point only enters
+the growth-constant ratios.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -88,9 +87,6 @@ class Alphabet:
                     "duplicate letter values (pass allow_duplicate_values=True to permit)"
                 )
 
-    def value(self, ch: str) -> float:
-        return self.values[ch]
-
     def __contains__(self, ch: str) -> bool:
         return ch in self.values
 
@@ -131,6 +127,7 @@ class Substitution:
             raise UnknownLetterError(f"rules given for letters outside the alphabet: {sorted(extra)}")
         self._lengths: dict[str, list[int]] = {a: [1] for a in alphabet.letters}
         self._image_of = _Images(self.rules).__getitem__
+        self._image_letters = {a: frozenset(w) for a, w in self.rules.items()}
 
     @classmethod
     def from_rules(
@@ -187,10 +184,6 @@ class Substitution:
         """The bounded/growing split of the alphabet, from `bounded_letters`."""
         return bounded_letters(self)
 
-    def reachable(self, start: Iterable[str]) -> frozenset[str]:
-        """Letters occurring in some S^n(a), n >= 0, for a in start (`split.reach`)."""
-        return frozenset().union(*map(self.split.reach.__getitem__, start))
-
     def letter_set_orbit(self, letter: str) -> tuple[list[frozenset[str]], int, int]:
         """The sequence letters(S^n(letter)) up to its cycle.
 
@@ -203,7 +196,7 @@ class Substitution:
         while cur not in seen:
             seen[cur] = len(sets)
             sets.append(cur)
-            cur = frozenset().union(*(frozenset(self.rules[x]) for x in cur))
+            cur = frozenset().union(*map(self._image_letters.__getitem__, cur))
         preperiod = seen[cur]
         period = len(sets) - preperiod
         return sets, preperiod, period
@@ -372,7 +365,7 @@ def prune_to_reachable(s: Substitution, witness: str) -> Substitution:
     letters = [a for a in s.letters if a in keep]
     alphabet = Alphabet(
         letters,
-        {a: s.alphabet.value(a) for a in letters},
+        {a: s.alphabet.values[a] for a in letters},
         allow_duplicate_values=True,
     )
     return Substitution(alphabet, {a: s.rules[a] for a in letters}, s.name)
@@ -400,7 +393,7 @@ def reduced_substitution(s: Substitution) -> Substitution:
     rules = {c: "".join(shape[1::2]) for c, shape in shapes.items()}
     alphabet = Alphabet(
         letters,
-        {a: s.alphabet.value(a) for a in letters},
+        {a: s.alphabet.values[a] for a in letters},
         allow_duplicate_values=True,
     )
     return Substitution(alphabet, rules, name=(s.name and s.name + "~"))
@@ -414,33 +407,31 @@ class PrimitivityResult:
 
 
 def is_primitive(s: Substitution) -> PrimitivityResult:
-    """Primitivity via positivity of a power of the occurrence matrix.
+    """Primitivity read off the letter-set orbits of `s.split`.
 
-    Only the zero pattern matters, so the powers are boolean: row i of
-    M^r is a bit mask of the letters j with a nonzero entry, and row i of
-    M^(r+1) is the OR of the rows of M^r over the letters in S(a_i).  If
-    M^r is entrywise positive for some r it already is for
-    r = (n-1)^2 + 1, so scanning up to that bound decides.  The first zero
-    entry at the bound, in row-major order, is returned as the certificate
-    of failure.
+    Row a of M^r has a nonzero entry at b exactly when b is a letter of
+    S^r(a), so it is the set at step r of `orbits[a]`.  M^r is entrywise
+    positive for some r exactly when every orbit cycles on the one set of
+    all letters (a letter in no image leaves its column zero in every M^r,
+    r >= 1), and the least such r >= 1 is the largest preperiod, since a
+    set before the cycle differs from the sets on it.  Otherwise no power
+    is positive; if one were, r = (n-1)^2 + 1 would already be, and the
+    first zero entry of M^r at that bound, in row-major order, is returned
+    as the certificate of failure.
     """
     letters = s.letters
-    n = len(letters)
-    full = (1 << n) - 1
-    # succ[i]: the letters j in S(letters[i]), that is the nonzero M[i][j]
-    succ = [[j for j, b in enumerate(letters) if b in s.rules[a]] for a in letters]
-    rows = [sum(1 << j for j in js) for js in succ]
-    bound = (n - 1) ** 2 + 1
-    for r in range(1, bound + 1):
-        i = next((i for i, row in enumerate(rows) if row != full), None)
-        if i is None:
-            return PrimitivityResult(primitive=True, power=r, zero_entry=None)
-        if r == bound:
-            j = next(j for j in range(n) if not rows[i] >> j & 1)
-            return PrimitivityResult(
-                primitive=False, power=None, zero_entry=(bound, letters[i], letters[j])
-            )
-        rows = [reduce(or_, (rows[j] for j in js)) for js in succ]
+    every = frozenset(letters)
+    orbits = s.split.orbits
+    if all(sets[start:] == [every] for sets, start, _ in orbits.values()):
+        power = max(1, max(start for _, start, _ in orbits.values()))
+        return PrimitivityResult(primitive=True, power=power, zero_entry=None)
+    bound = (len(letters) - 1) ** 2 + 1
+    for a in letters:
+        sets, start, period = orbits[a]
+        row = sets[bound] if bound < len(sets) else sets[start + (bound - start) % period]
+        if row != every:
+            b = next(b for b in letters if b not in row)
+            return PrimitivityResult(primitive=False, power=None, zero_entry=(bound, a, b))
 
 
 @dataclass
@@ -516,32 +507,33 @@ def iterate_prefix(s: Substitution, seed: str, length: int) -> str:
 
     When S(seed) begins with seed, every S^k(seed) is a prefix of the next,
     so this is a prefix of the one-sided fixed point grown from the seed.
-    When `length` > |seed| the seed must hold a growing letter, or
-    SubstitutionError is raised.  k is read from the exact lengths, and
-    S^k(seed) is built as S^m(S^(k-m)(seed)) with m = k // 2: S^(k-m) is
-    applied to the seed, keeping `length` letters after each step, and the
-    letters' S^m images, computed once, are joined along that word.  Every
-    image joined is a factor of S^k(seed), so no string is longer than
-    S^k(seed) = S(S^(k-1)(seed)), below max|S(c)| * `length`.
-
-    Growth is decided exactly: if |S^n(seed)| = |S^(n+d)(seed)| with d the
-    alphabet size, every letter y of S^n(seed) has single-letter images
-    S^j(y) for j <= d.  These d + 1 letters repeat, so they run into a
-    cycle of single-letter images, and |S^n(seed)| never changes again.
+    When `length` > |seed| and the seed holds no growing letter, its images
+    stop growing by S^d(seed), d the alphabet size, and SubstitutionError
+    is raised if |S^d(seed)| < `length`: a path b -> (a letter of S(b))
+    among the bounded letters that are not eternally single meets none
+    twice, since a letter met twice recurs in its own images, so it grows
+    if a letter on the way has a longer image and is eternally single if
+    none has.  k is read from the exact lengths, and S^k(seed) is built as
+    S^m(S^(k-m)(seed)) with m = k // 2: S^(k-m) is applied to the seed,
+    keeping `length` letters after each step, and the letters' S^m images,
+    computed once, are joined along that word.  Every image joined is a
+    factor of S^k(seed), so no string is longer than S^k(seed) =
+    S(S^(k-1)(seed)), below max|S(c)| * `length`.
     """
     if len(seed) >= length:
         return seed[:length]
     foreign = set(seed) - set(s.letters)
     if foreign:
         raise UnknownLetterError(f"letter {min(foreign)!r} is not in the alphabet")
-    d = len(s.letters)
-    lengths = [len(seed)]
-    while lengths[-1] < length:
-        if len(lengths) > d and lengths[-1] == lengths[-1 - d]:
+    if s.split.growing.isdisjoint(seed):
+        stalled = s.word_image_length(seed, len(s.letters))
+        if stalled < length:
             raise SubstitutionError(
-                f"the seed has no growing letter: its images stay at {lengths[-1]} < "
+                f"the seed has no growing letter: its images stay at {stalled} < "
                 f"{length} letters"
             )
+    lengths = [len(seed)]
+    while lengths[-1] < length:
         lengths.append(s.word_image_length(seed, len(lengths)))
     k = len(lengths) - 1
     m = k // 2

@@ -370,7 +370,7 @@ def test_bounded_gaps_matches_naive_factor_scan():
         d = bounded_gaps(s, e)
         if d.status == YES and yes_checked < 8:
             kappa = wd.coverage_exact(s, (e,))
-            if s.reachable([e]) == set(letters):
+            if s.split.reach[e] == set(letters):
                 assert _chain_kappa(s, e) == kappa, rules
             if kappa > 10:
                 continue

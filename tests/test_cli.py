@@ -814,6 +814,35 @@ def test_unwritable_output_file_prints_no_report(defs, tmp_path, capsys, argv):
     assert "No such file or directory" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["spectrum", "--level", "2"], ["partition", "--prefix", "50"], ["transcendence"]],
+    ids=["analyze", "spectrum", "partition", "transcendence"],
+)
+def test_undecodable_definition_is_an_input_error(tmp_path, capsys, argv):
+    # a byte 0xFF starts no UTF-8 sequence; the decode error ended three of
+    # the commands in a traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff{"rules": {"a": "ab", "b": "a"}}')
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and _one_error_line(captured.err)
+    assert captured.err.startswith(f"error: cannot read {path}: ")
+
+
+def test_definition_is_read_as_utf8_under_an_ascii_locale(tmp_path):
+    # JSON text is UTF-8 whatever the locale; Greek letters failed to load
+    # where the locale's encoding is ASCII
+    path = tmp_path / "greek.json"
+    path.write_bytes('{"rules": {"α": "αβ", "β": "α"}}'.encode("utf-8"))
+    env = dict(os.environ, PYTHONPATH=str(SRC), LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0", PYTHONIOENCODING="utf-8")
+    argv = [sys.executable, "-m", "linrep.cli", "analyze", str(path)]
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == "" and "minimal: yes" in child.stdout
+
+
 def test_partition_and_transcendence_build_no_repetitivity_constant(defs, tmp_path, monkeypatch):
     # only the Schroedinger audits read the constant; the two applications
     # run on the certificate's premises alone, whether they pass or fail

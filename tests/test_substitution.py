@@ -68,7 +68,7 @@ def test_duplicate_values_rejected_by_default():
     with pytest.raises(SubstitutionError):
         Alphabet("ab", {"a": 1.0, "b": 1.0})
     al = Alphabet("ab", {"a": 1.0, "b": 1.0}, allow_duplicate_values=True)
-    assert al.value("a") == al.value("b") == 1.0
+    assert al.values["a"] == al.values["b"] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -93,7 +93,7 @@ def test_validate_fibonacci(fib):
     report = validate(fib)
     assert report.witness == "a"
     assert fib.split.candidates == ("a", "b")
-    assert fib.reachable([report.witness]) == {"a", "b"}
+    assert fib.split.reach[report.witness] == {"a", "b"}
     assert fib.split.growing == {"a", "b"}
 
 
@@ -115,7 +115,7 @@ def test_validate_reports_pruning():
     report = validate(s)
     assert report.witness == "a"
     assert not s.split.candidates
-    assert s.reachable([report.witness]) == {"a", "b"}
+    assert s.split.reach[report.witness] == {"a", "b"}
     pruned = prune_to_reachable(s, "a")
     assert pruned.letters == ("a", "b")
 
@@ -147,7 +147,6 @@ def test_reach_and_candidates_equal_bfs():
         s = report.substitution
         reach = {a: bfs_reach(rules, [a]) for a in letters}
         assert s.split.reach == reach
-        assert s.reachable(letters[:2]) == reach[letters[0]] | reach[letters[1]]
         growing = [a for a in letters if a in s.split.growing]
         candidates = tuple(a for a in growing if reach[a] == set(letters))
         assert s.split.candidates == candidates, rules
@@ -197,8 +196,8 @@ def test_definition_mapping_roundtrip():
         "potential_coupling": 2.0,
     }
     rep = validate(defn)
-    assert rep.substitution.alphabet.value("a") == 2.0
-    assert rep.substitution.alphabet.value("b") == -2.0
+    assert rep.substitution.alphabet.values["a"] == 2.0
+    assert rep.substitution.alphabet.values["b"] == -2.0
 
 
 # --- bounded letters --------------------------------------------------------------
@@ -408,6 +407,33 @@ def test_primitivity_matches_integer_powers():
         assert (res.primitive, res.power, res.zero_entry) == (power is not None, power, zero), rules
 
 
+def _primitivity_by_zero_patterns(s):
+    # the zero pattern of M^r is the boolean product of M^(r-1) and M
+    m = [[x > 0 for x in row] for row in s.abelianization()]
+    bound = (len(m) - 1) ** 2 + 1
+    p = m
+    for r in range(1, bound + 1):
+        if all(map(all, p)):
+            return True, r, None
+        if r < bound:
+            p = [[any(x and y for x, y in zip(row, col)) for col in zip(*m)] for row in p]
+    i, j = next((i, j) for i, row in enumerate(p) for j, x in enumerate(row) if not x)
+    return False, None, (bound, s.letters[i], s.letters[j])
+
+
+def test_primitivity_on_wide_alphabets(catalog_subs):
+    # every catalog system and every data system of at most 16 letters, so
+    # the orbit sets read at the Wielandt bound are checked on wide alphabets
+    systems = list(catalog_subs.values())
+    for path in sorted(DATA.glob("*.json")):
+        s = validate(json.loads(path.read_text())).substitution
+        if len(s.letters) <= 16:
+            systems.append(s)
+    assert len(systems) == 17
+    for s in systems:
+        res = is_primitive(s)
+        assert (res.primitive, res.power, res.zero_entry) == _primitivity_by_zero_patterns(s), s
+
 # --- growth -----------------------------------------------------------------------
 
 
@@ -529,6 +555,14 @@ def test_iterate_prefix_rejects_seed_without_growing_letter():
         lr.iterate_prefix(s, "", 1)
     with pytest.raises(UnknownLetterError):
         lr.iterate_prefix(s, "az", 10)
+    # b's images lengthen from 1 to 2 letters before they settle
+    s = Substitution.from_rules({"a": "aab", "b": "cc", "c": "c"})
+    message = "the seed has no growing letter: its images stay at 2 < 10 letters"
+    with pytest.raises(SubstitutionError) as info:
+        lr.iterate_prefix(s, "b", 10)
+    assert str(info.value) == message
+    assert lr.iterate_prefix(s, "b", 2) == "cc"
+
 
 
 def _naive_fixed_point_prefix(s, zero, n):
@@ -649,7 +683,7 @@ def test_compatibility_refutation_matches_all_levels_oracle(level_systems):
     # without a growing letter that reaches every letter raises
     verdicts = {"holds-certified": 0, "fails-certified": 0, "raises": 0}
     for s in level_systems:
-        if all(s.reachable([e]) != set(s.letters) for e in s.split.growing):
+        if all(s.split.reach[e] != set(s.letters) for e in s.split.growing):
             with pytest.raises(SubstitutionError):
                 check_compatibility(s)
             verdicts["raises"] += 1
