@@ -177,7 +177,10 @@ def analyze_bounded_blocks(s: Substitution) -> BlockAnalysis:
     eternally single), so after at most |A| more steps the run holds only
     eternally single letters and keeps its length.  S is non-erasing, so
     no step shortens the run, and that length is the orbit's maximum.
+    With no bounded letter every run is empty, so no orbit is walked.
     """
+    if not s.split.bounded:
+        return BlockAnalysis(bounded=True, max_block=0, pump=None)
     shapes = s.split.shapes
 
     seeds: list[_RunTriple] = []

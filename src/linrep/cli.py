@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from bisect import bisect_left, bisect_right
@@ -58,9 +59,10 @@ def _write_json(path: str, payload: dict) -> None:
 def _load(path: str) -> tuple[Substitution, list[str]]:
     """The validated substitution of a definition file, pruned to the
     letters its witness reaches, and a note for each change made.  The
-    file is read as UTF-8, the encoding JSON specifies, whatever the locale."""
+    file is read as UTF-8, the encoding JSON specifies, whatever the locale;
+    a leading byte-order mark is skipped, as RFC 8259 allows a reader to."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise SubstitutionError(f"cannot read {path}: {exc}") from exc
     try:
@@ -192,13 +194,25 @@ def cmd_partition(args: argparse.Namespace) -> int:
         foreign = set(target) - set(s.letters)
         if foreign:
             return _fail(f"word uses foreign symbols {sorted(foreign)}")
+        if report.lr is None:
+            return _fail(f"cannot decide that the word is a factor: {report.depth_caveats[0]}")
+        # R(n) <= C n, so the first ceil(C n) letters of the fixed point of a
+        # hold every factor of length n
+        C = report.lr.value
+        span = math.ceil(C * len(target))
+        if target not in iterate_prefix(s, a, span):
+            return _fail(
+                f"word is not a factor: it is not in the first {span} letters of the fixed "
+                f"point of {a!r}, which hold every factor of its length as R(n) <= C n, "
+                f"C = {C:.6g} ({report.lr.caveats[0]})"
+            )
     else:
         target = iterate_prefix(s, a, args.prefix)
     # the rule has certified that S(a) begins and ends with a, so every
     # 1-partition is a forced parse
     parses = rec.front_parses(s.rules[a], b, target)
     if not parses:
-        return _fail("word admits no 1-partition (not a factor of the language?)")
+        return _fail("word admits no 1-partition")
     L = rule.half_width
 
     def interior(cuts: tuple[int, ...]) -> tuple[int, ...]:
@@ -208,7 +222,10 @@ def cmd_partition(args: argparse.Namespace) -> int:
     cuts = list(interior(first))
     preimage = None
     if len(target) > 4 * L + 2:
-        preimage, offset = rec.desubstitute(s, target, rule)
+        # on a factor the parse's interior cuts are the rule's
+        # (`recognition_rule`), and a block of one letter is b, a longer one S(a)
+        preimage = "".join(b if c2 - c1 == 1 else a for c1, c2 in zip(cuts, cuts[1:]))
+        offset = cuts[0]
     if args.json:
         payload = {
             "schema_version": "1",

@@ -182,6 +182,34 @@ def _shifted(bits: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+# the SWAR masks of `popcount`: alternate bits, bit pairs, nibbles, and the
+# byte sum that multiplying by 0x01...01 gathers in the top byte
+_M1, _M2, _M4, _H01 = map(
+    np.uint64, (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
+
+
+def popcount(words: np.ndarray) -> int:
+    """The number of set bits of a uint64 array, read in place of its bits.
+
+    Each word counts its bits in pairs, then nibbles, then bytes (SWAR),
+    and one multiplication wraps the byte counts into its top byte; numpy
+    ops only, so every supported numpy takes the same path.
+    """
+    x = words >> np.uint64(1)
+    x &= _M1
+    x = words - x
+    y = x >> np.uint64(2)
+    y &= _M2
+    x &= _M2
+    x += y
+    x += x >> np.uint64(4)
+    x &= _M4
+    x *= _H01
+    x >>= np.uint64(56)
+    return int(x.sum())
+
+
 def letter_planes(codes: np.ndarray) -> np.ndarray:
     """Packed bit planes of the letter codes (`words.letter_codes`, bytes or
     `<u4`), one per code bit that varies: two positions agree on every plane
@@ -204,7 +232,7 @@ def cube_positions(planes: np.ndarray, length: int, n: int) -> int:
     of `agree` holds sample[j] == sample[j+n] for j < length - n, and a cube
     starts at i when bits i .. i+2n-1 all hold: ANDing `agree` with itself
     shifted by 1, 2, 4, ... and last by the rest of 2n reads that window in
-    ceil(log2 2n) shifts.
+    ceil(log2 2n) shifts, and `popcount` counts the starts on the words.
     """
     agree = ~np.bitwise_or.reduce(planes ^ _shifted(planes, n), axis=0)
     q, r = divmod(length - n, 64)
@@ -215,7 +243,7 @@ def cube_positions(planes: np.ndarray, length: int, n: int) -> int:
         step = min(window, 2 * n - window)
         agree &= _shifted(agree, step)
         window += step
-    return int(np.count_nonzero(np.unpackbits(agree.view(np.uint8))))
+    return popcount(agree)
 
 
 def gordon_check(

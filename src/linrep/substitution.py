@@ -9,8 +9,8 @@ compatibility check between the finite-word language and the two-sided
 subshift it generates.
 
 All counting is done with exact integer arithmetic (length recursions over
-Python ints, letter-set orbits for primitivity); floating point only enters
-the growth-constant ratios.
+Python ints, int64 length tables only below 2^63, letter-set orbits for
+primitivity); floating point only enters the growth-constant ratios.
 """
 
 from __future__ import annotations
@@ -460,25 +460,35 @@ def perron_growth(
     theta is the Perron eigenvalue of the reduced substitution, which must be
     primitive: by Perron-Frobenius that eigenvalue is the spectral radius of
     its occurrence matrix, the largest modulus among the eigenvalues of one
-    dense solve.  The lambda/rho constants are empirical extrema of the exact
-    integer lengths |S^n(v)| of the original substitution against theta^n
-    for n up to n_max (>= 1).
+    dense solve.  That matrix is the growing-letter block of the occurrence
+    matrix of `s`, as `reduced_substitution` keeps exactly the growing
+    letters of each growing letter's image.  Its orbits are those of `s`
+    cut to the growing letters, so it is primitive exactly when every set
+    on the cycle of each growing letter's orbit holds all growing letters
+    (`is_primitive`); the reduced system is built only to name the zero
+    entry when it is not.  The lambda/rho constants are empirical extrema of
+    the exact integer lengths |S^n(v)| of the original substitution against
+    theta^n for n up to n_max (>= 1).
     """
     if n_max < 1:
         raise ValueError(f"growth constants need n_max >= 1, got {n_max}")
-    reduced = reduced_substitution(s)
-    prim = is_primitive(reduced)
-    if not prim.primitive:
-        raise NotPrimitiveError(
-            f"reduced substitution is not primitive (zero at {prim.zero_entry})"
-        )
+    split = s.split
+    for c in split.growing:
+        sets, start, _ = split.orbits[c]
+        if not all(split.growing <= st for st in sets[start:]):
+            prim = is_primitive(reduced_substitution(s))
+            raise NotPrimitiveError(
+                f"reduced substitution is not primitive (zero at {prim.zero_entry})"
+            )
     word_list = tuple(sorted(set(words_with_growing)))
     if not word_list:
         raise ValueError("need at least one word")
     for v in word_list:
-        if s.split.growing.isdisjoint(v):
+        if split.growing.isdisjoint(v):
             raise ValueError(f"word {v!r} contains no growing letter")
-    theta = float(np.abs(np.linalg.eigvals(reduced.abelianization())).max())
+    growing = [c for c in s.letters if c in split.growing]
+    block = [[s.rules[c].count(d) for d in growing] for c in growing]
+    theta = float(np.abs(np.linalg.eigvals(block)).max())
     lo, hi = growth_ratio_range(s, word_list, theta, n_max)
     return GrowthEstimate(theta=theta, lambda_v=lo, rho_v=hi, words=word_list, n_checked=n_max)
 
@@ -490,10 +500,31 @@ def growth_ratio_range(
 
     Raises SubstitutionError, naming n_max and theta, when theta^n or
     |S^n(v)| leaves the float range.  The powers theta^n are computed once,
-    before the length table is filled.
+    before any length is.  As |S^n(v)| = sum_a c_v(a) |S^n(a)|, c_v(a) the
+    count of a in v, the whole table is one int64 product of the words'
+    letter counts with the letters' exact length columns whenever
+    max |v| * max_a |S^n_max(a)| < 2^63, which bounds every entry and
+    partial sum; past that, each word's lengths are summed as Python ints.
+    Either way each length is rounded to a float once, so the ratios agree
+    bit for bit.
     """
+    words = tuple(words)
     try:
         powers = [theta**n for n in range(1, n_max + 1)]
+        longest = max(s.image_length(a, n_max) for a in s.letters)
+        sizes = [len(v) for v in words]
+        if max(sizes) * longest < 2**63:
+            # one row of letter counts per word, each letter read as its rank
+            joined = "".join(words)
+            if not set(joined).issubset(s.letters):
+                raise UnknownLetterError("a word uses a letter outside the alphabet")
+            ranks = {ord(a): i for i, a in enumerate(s.letters)}
+            rank = np.frombuffer(joined.translate(ranks).encode("utf-32-le"), "<u4")
+            row = np.repeat(np.arange(len(words)) * len(ranks), sizes)
+            counts = np.bincount(row + rank, minlength=len(words) * len(ranks))
+            columns = np.array([s._lengths[a][1 : n_max + 1] for a in s.letters], dtype=np.int64)
+            ratios = (counts.reshape(len(words), -1) @ columns) / np.array(powers)
+            return float(ratios.min()), float(ratios.max())
         ratios = [x / p for v in words for x, p in zip(s.word_image_lengths(v, n_max)[1:], powers)]
     except OverflowError:
         raise SubstitutionError(

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,14 @@ from bruteforce import interior_cuts
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
+
+# the catalog systems that pass the partition premises
+PARTITION_SHAPES = [
+    "minimal-nonprimitive",
+    "minimal-nonprimitive-noaa",
+    "stutter-doubled",
+    "stutter-separated",
+]
 
 
 @pytest.fixture(scope="module")
@@ -468,10 +477,12 @@ def test_partition_foreign_word(defs, capsys):
     assert "foreign" in capsys.readouterr().err
 
 
-def _expected_partition(s, target):
-    """The stdout and --json payload of `partition`, from the exhaustive enumerator."""
-    report = lr.classify(s)
-    rule = rec.recognition_rule(s, report.factors, report)
+def _expected_partition(s, target, rule=None):
+    """The stdout and --json payload of `partition`, from the exhaustive
+    enumerator and the rule's own desubstitution."""
+    if rule is None:
+        report = lr.classify(s)
+        rule = rec.recognition_rule(s, report.factors, report)
     parts = rec.enumerate_one_partitions(s, target)
     L = rule.half_width
     interior = interior_cuts(parts[0], L)
@@ -518,16 +529,108 @@ def test_partition_output_matches_enumeration(defs, tmp_path, capsys, name, sour
     assert json.loads(out.read_text()) == payload
 
 
+def _non_factor_error(span: int) -> str:
+    return (
+        f"error: word is not a factor: it is not in the first {span} letters of the fixed "
+        "point of 'a', which hold every factor of its length as R(n) <= C n, "
+        "C = 71.25 (growth constants checked for n <= 30)\n"
+    )
+
+
 def test_partition_non_factor_word(defs, tmp_path, capsys):
+    # no iterate of {a -> abaa, b -> b} holds 'aaaa' or 'bb'; the second word
+    # has 1-partitions, whose cuts no rule certifies, so the factor check
+    # refuses both before any parse
     s = lr.load("minimal-nonprimitive")
-    assert rec.enumerate_one_partitions(s, "aaaa") == []
+    for word in ["aaaa", "bbbbbbabaababaa"]:
+        assert bool(rec.enumerate_one_partitions(s, word)) == (word != "aaaa")
+        out = tmp_path / "partition.json"
+        argv = ["partition", str(defs / "minimal-nonprimitive.json"), "--word", word]
+        assert main([*argv, "--json", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # C = 71.25: the first ceil(71.25 |w|) letters hold every factor of length |w|
+        assert captured.err == _non_factor_error(-(-7125 * len(word) // 100))
+        assert not out.exists()
+
+
+def test_partition_factor_windows_keep_their_output(defs, tmp_path, capsys):
+    # 300 seeded windows of long iterates are factors: the check passes them,
+    # and stdout and --json are the enumerator's and the rule's
+    rng = random.Random(40)
+    systems = {}
+    for name in PARTITION_SHAPES:
+        s = lr.load(name)
+        report = lr.classify(s)
+        rule = rec.recognition_rule(s, report.factors, report)
+        systems[name] = s, rule, lr.iterate_prefix(s, rec.shape_letters(s)[0], 20000)
     out = tmp_path / "partition.json"
-    argv = ["partition", str(defs / "minimal-nonprimitive.json"), "--word", "aaaa"]
-    assert main([*argv, "--json", str(out)]) == 1
+    for _ in range(300):
+        name = rng.choice(PARTITION_SHAPES)
+        s, rule, text = systems[name]
+        n = rng.randint(1, 600)
+        start = rng.randrange(len(text) - n)
+        word = text[start : start + n]
+        assert main(["partition", str(defs / f"{name}.json"), "--word", word,
+                     "--json", str(out)]) == 0, (name, start, n)
+        stdout, payload = _expected_partition(s, word, rule)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (stdout, ""), (name, start, n)
+        assert json.loads(out.read_text()) == payload
+
+
+def test_partition_factor_without_a_partition(capsys):
+    # 'ababb' lies inside S(a) = (ab)^130 abba, yet no 1-partition covers it
+    assert main(["partition", str(DATA / "long-power.json"), "--word", "ababb"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: word admits no 1-partition (not a factor of the language?)\n"
-    assert not out.exists()
+    assert (captured.out, captured.err) == ("", "error: word admits no 1-partition\n")
+
+
+def test_partition_word_needs_the_repetitivity_constant(defs, monkeypatch, capsys):
+    # without the constant no prefix is known to hold every factor, so a word
+    # is refused; a prefix needs no check
+    module = importlib.import_module("linrep.classify")
+
+    def undecided(*args):
+        raise lr.SubstitutionError("pair-coverage length stopped")
+
+    monkeypatch.setattr(module, "lr_constant_bound", undecided)
+    path = str(defs / "minimal-nonprimitive.json")
+    assert main(["partition", path, "--word", "abaab"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: cannot decide that the word is a factor: "
+        "repetitivity constant undecided: pair-coverage length stopped\n"
+    )
+    assert main(["partition", path, "--prefix", "200"]) == 0
+
+
+@pytest.mark.parametrize("name", [*PARTITION_SHAPES, "long-power"])
+def test_partition_preimage_matches_desubstitute(defs, capsys, name):
+    # the preimage read from the forced parse is the rule's desubstitution,
+    # at 30 prefixes up to 5,000 letters (3 for long-power, L = 132)
+    if name == "long-power":
+        path = DATA / "long-power.json"
+        s = lr.Substitution.from_rules(json.loads(path.read_text())["rules"])
+        prefixes = [600, 2345, 5000]
+    else:
+        path, s = defs / f"{name}.json", lr.load(name)
+        prefixes = sorted(random.Random(name).sample(range(1, 5001), 29)) + [5000]
+    report = lr.classify(s)
+    rule = rec.recognition_rule(s, report.factors, report)
+    a, _ = rec.shape_letters(s)
+    shown = 0
+    for n in prefixes:
+        assert main(["partition", str(path), "--prefix", str(n)]) == 0
+        lines = [x for x in capsys.readouterr().out.splitlines() if x.startswith("preimage")]
+        target = lr.iterate_prefix(s, a, n)
+        if len(target) > 4 * rule.half_width + 2:
+            preimage, offset = rec.desubstitute(s, target, rule)
+            assert lines == [f"preimage (from offset {offset}): {preimage}"], n
+            shown += 1
+        else:
+            assert lines == [], n
+    assert shown >= 3
 
 
 @pytest.mark.parametrize(
@@ -828,6 +931,22 @@ def test_undecodable_definition_is_an_input_error(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and _one_error_line(captured.err)
     assert captured.err.startswith(f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "minimal-nonprimitive"])
+def test_definition_with_a_byte_order_mark(defs, tmp_path, capsys, name):
+    # RFC 8259 lets a reader skip a leading byte-order mark, which some
+    # editors write; such a file failed as malformed JSON at line 1, column 1
+    plain = defs / f"{name}.json"
+    marked = tmp_path / f"{name}.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    runs = []
+    for path in (plain, marked):
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(path), "--json", str(out)]) == 0
+        runs.append((capsys.readouterr(), out.read_text()))
+    assert runs[0] == runs[1]
+    assert runs[0][0].err == ""
 
 
 def test_definition_is_read_as_utf8_under_an_ascii_locale(tmp_path):

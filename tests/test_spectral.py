@@ -20,6 +20,7 @@ from linrep.spectral import (
     cube_positions,
     gordon_check,
     letter_planes,
+    popcount,
 )
 from linrep.words import letter_codes
 from linrep.substitution import Substitution, SubstitutionError
@@ -205,6 +206,24 @@ def test_finite_section_bulk_inside_bands(fib, catalog_reports):
 def _cube_count(word: str, n: int) -> int:
     codes = letter_codes(word)
     return cube_positions(letter_planes(codes), len(codes), n)
+
+
+def test_popcount_matches_bin_counts():
+    # random words, all-zero and all-one words, at sizes that are not
+    # multiples of 64 words, and the tail word of a bit count that is not a
+    # multiple of 64, as cube_positions leaves it
+    rng = np.random.default_rng(40)
+    for size in [0, 1, 2, 3, 7, 63, 65, 1000, 15625]:
+        arrays = [
+            rng.integers(0, 2**64, size=size, dtype=np.uint64),
+            np.zeros(size, dtype=np.uint64),
+            np.full(size, 2**64 - 1, dtype=np.uint64),
+        ]
+        for bits in rng.integers(1, 64, size=3):
+            arrays.append(arrays[0] & np.uint64((1 << int(bits)) - 1))
+        for words in arrays:
+            assert popcount(words) == sum(bin(int(x)).count("1") for x in words), size
+    assert popcount(np.full(15625, 2**64 - 1, dtype=np.uint64)) == 10**6
 
 
 def test_cube_positions_counter():

@@ -1,9 +1,11 @@
 import json
 import math
 import random
+import re
 import string
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,8 +28,10 @@ from linrep.substitution import (
     short_factors,
     validate,
 )
-from linrep.classify import decide_minimality
+from linrep.classify import decide_minimality, return_word_pairs
 from linrep.words import factor_language
+
+from conftest import CATALOG_NAMES, sweep_rules
 
 from bruteforce import (
     apply_rules,
@@ -494,6 +498,33 @@ def test_perron_rejects_bounded_only_words(fib):
     s = Substitution.from_rules({"a": "abaa", "b": "b"})
     with pytest.raises(ValueError):
         perron_growth(s, ["b"], 5)
+    with pytest.raises(UnknownLetterError):
+        perron_growth(s, ["az"], 5)
+
+
+def test_perron_growth_reads_the_reduced_system_off_the_split():
+    # seeded random systems, most with bounded letters: perron_growth refuses
+    # exactly those whose reduced system is not primitive, naming its zero
+    # entry, and otherwise its theta is the reduced matrix's, bit for bit
+    rng = random.Random(40)
+    refused = accepted = 0
+    while refused < 100 or accepted < 100:
+        letters = string.ascii_lowercase[: rng.randint(2, 5)]
+        rules = {a: "".join(rng.choices(letters, k=rng.choice([1, 1, 2, 3]))) for a in letters}
+        s = Substitution.from_rules(rules)
+        if not s.split.growing:
+            continue
+        red = reduced_substitution(s)
+        growing = sorted(s.split.growing)
+        prim = is_primitive(red)
+        if prim.primitive:
+            theta = float(np.abs(np.linalg.eigvals(red.abelianization())).max())
+            assert perron_growth(s, growing, 3).theta == theta, rules
+            accepted += 1
+        else:
+            with pytest.raises(NotPrimitiveError, match=re.escape(f"zero at {prim.zero_entry})")):
+                perron_growth(s, growing, 3)
+            refused += 1
 
 
 @pytest.mark.parametrize("n_max", [0, -2])
@@ -510,6 +541,45 @@ def test_perron_growth_past_float_range_builds_no_length_table(fib, monkeypatch)
     monkeypatch.setattr(Substitution, "word_image_lengths", no_table)
     with pytest.raises(SubstitutionError, match=r"n <= 2000 \(theta = 1\.61803398875\)"):
         perron_growth(fib, ["a", "ab"], 2000)
+
+
+def test_growth_table_product_matches_python_ints(monkeypatch):
+    # lambda and rho from the int64 product of letter counts and length
+    # columns equal the ratios of the per-word Python-int tables, bit for bit,
+    # on every certified catalog, classify-sweep and tests/data system, for
+    # its return words (or, past the chain's cap, its growing letters);
+    # lengths past int64 take the Python-int tables themselves
+    word_tables = Substitution.word_image_lengths
+    tables = []
+    monkeypatch.setattr(
+        Substitution, "word_image_lengths", lambda self, w, n: tables.append(w) or word_tables(self, w, n)
+    )
+    systems = [(name, lr.load(name)) for name in CATALOG_NAMES]
+    systems += [(f"sweep-{i}", Substitution.from_rules(r)) for i, r in enumerate(sweep_rules())]
+    for path in sorted(DATA.glob("*.json")):
+        systems.append((path.stem, Substitution.from_rules(json.loads(path.read_text())["rules"])))
+    fallback, product = [], 0
+    for name, s in systems:
+        rep = lr.classify(s)
+        if rep.certificate is None:
+            continue
+        words = return_word_pairs(rep.chain[0])[0] if rep.chain else s.split.growing
+        tables.clear()
+        g = perron_growth(s, words, 30)
+        if tables:
+            fallback.append(name)
+        else:
+            product += 1
+        ratios = [
+            x / g.theta**n
+            for v in g.words
+            for n, x in enumerate(word_tables(s, v, 30))
+            if n
+        ]
+        assert (g.lambda_v, g.rho_v) == (min(ratios), max(ratios)), name
+    sweep = [name for name in fallback if name.startswith("sweep-")]
+    assert "slow-theta-100" in fallback and len(sweep) == 18
+    assert product >= 90 and "cycles-45045" not in fallback
 
 
 def test_growth_sandwich_exact_integers():
