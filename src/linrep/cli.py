@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from bisect import bisect_left, bisect_right
@@ -194,18 +193,9 @@ def cmd_partition(args: argparse.Namespace) -> int:
         foreign = set(target) - set(s.letters)
         if foreign:
             return _fail(f"word uses foreign symbols {sorted(foreign)}")
-        if report.lr is None:
-            return _fail(f"cannot decide that the word is a factor: {report.depth_caveats[0]}")
-        # R(n) <= C n, so the first ceil(C n) letters of the fixed point of a
-        # hold every factor of length n
-        C = report.lr.value
-        span = math.ceil(C * len(target))
-        if target not in iterate_prefix(s, a, span):
-            return _fail(
-                f"word is not a factor: it is not in the first {span} letters of the fixed "
-                f"point of {a!r}, which hold every factor of its length as R(n) <= C n, "
-                f"C = {C:.6g} ({report.lr.caveats[0]})"
-            )
+        # a certified check: desubstitution down to the floor factor set
+        if not rec.is_factor(s, target, floor):
+            return _fail("word is not a factor of the language")
     else:
         target = iterate_prefix(s, a, args.prefix)
     # the rule has certified that S(a) begins and ends with a, so every

@@ -206,6 +206,54 @@ def front_parses(alpha: str, b: str, w: str) -> list[tuple[int, ...]]:
     return out
 
 
+def is_factor(s: Substitution, w: str, factors: wd.FactorSet) -> bool:
+    """Whether w is a factor of the language, by desubstitution.
+
+    The language is that of the iterates S^n(a).  Let n be least with w a
+    factor of S^n(a) = S(u), u = S^(n-1)(a).  Either w lies inside one
+    S(a) block of S(u), so it is a factor of S(a), or the block partition
+    of S(u) restricts to a 1-partition of w whose preimage (its blocks'
+    letters, with an a for each nonempty remainder) is a factor of u.
+    Conversely S(u) holds w for every such preimage u that is a factor.
+    `factors` (saturated, of depth D >= |S(a)| - 1) answers the words of
+    length <= D, among them every factor of S(a) but S(a) itself, which
+    desubstitutes to a; it also refuses a longer word with a D-window
+    outside the language before the word is parsed.
+
+    A preimage is never longer than its word.  It is as long only when the
+    word holds no block S(a) and each remainder is the single letter a, and
+    it is then the word itself: by the choice of n it is not the preimage
+    that places w in S^n(a), so it is dropped.  Every word kept is thus
+    shorter than the one it came from, and the chain ends.  The system must
+    pass `require_premises`, so the 1-partitions are the forced parses.
+    """
+    a, b = shape_letters(s)
+    alpha = s.rules[a]
+    D = factors.max_length
+    if D < len(alpha) - 1:
+        raise ValueError(f"factor set depth {D} is below |S(a)| - 1 = {len(alpha) - 1}")
+    factors.require_saturated()
+    level = {w}
+    while level:
+        preimages = set()
+        for v in level:
+            if len(v) <= D:
+                if not v or v in factors:
+                    return True
+                continue
+            if not all(v[i : i + D] in factors for i in range(len(v) - D + 1)):
+                continue
+            for cuts in front_parses(alpha, b, v):
+                letters = [a] if cuts[0] else []
+                letters += [b if c2 - c1 == 1 else a for c1, c2 in zip(cuts, cuts[1:])]
+                if cuts[-1] < len(v):
+                    letters.append(a)
+                preimages.add("".join(letters))
+        preimages -= level
+        level = preimages
+    return False
+
+
 def recognition_rule(
     s: Substitution,
     factors: wd.FactorSet,

@@ -473,6 +473,8 @@ def perron_growth(
     if n_max < 1:
         raise ValueError(f"growth constants need n_max >= 1, got {n_max}")
     split = s.split
+    if not split.growing:
+        raise NoGrowingLettersError("cannot reduce: no growing letters")
     for c in split.growing:
         sets, start, _ = split.orbits[c]
         if not all(split.growing <= st for st in sets[start:]):
@@ -501,36 +503,35 @@ def growth_ratio_range(
     Raises SubstitutionError, naming n_max and theta, when theta^n or
     |S^n(v)| leaves the float range.  The powers theta^n are computed once,
     before any length is.  As |S^n(v)| = sum_a c_v(a) |S^n(a)|, c_v(a) the
-    count of a in v, the whole table is one int64 product of the words'
-    letter counts with the letters' exact length columns whenever
+    count of a in v, the whole table is one product of the words' letter
+    counts with the letters' exact length columns: in int64 when
     max |v| * max_a |S^n_max(a)| < 2^63, which bounds every entry and
-    partial sum; past that, each word's lengths are summed as Python ints.
-    Either way each length is rounded to a float once, so the ratios agree
-    bit for bit.
+    partial sum, and in Python ints past that.  Each length is rounded to
+    a float once either way.
     """
     words = tuple(words)
+    joined = "".join(words)
+    if not set(joined) <= set(s.letters):
+        raise UnknownLetterError("a word uses a letter outside the alphabet")
     try:
         powers = [theta**n for n in range(1, n_max + 1)]
         longest = max(s.image_length(a, n_max) for a in s.letters)
         sizes = [len(v) for v in words]
-        if max(sizes) * longest < 2**63:
-            # one row of letter counts per word, each letter read as its rank
-            joined = "".join(words)
-            if not set(joined).issubset(s.letters):
-                raise UnknownLetterError("a word uses a letter outside the alphabet")
-            ranks = {ord(a): i for i, a in enumerate(s.letters)}
-            rank = np.frombuffer(joined.translate(ranks).encode("utf-32-le"), "<u4")
-            row = np.repeat(np.arange(len(words)) * len(ranks), sizes)
-            counts = np.bincount(row + rank, minlength=len(words) * len(ranks))
-            columns = np.array([s._lengths[a][1 : n_max + 1] for a in s.letters], dtype=np.int64)
-            ratios = (counts.reshape(len(words), -1) @ columns) / np.array(powers)
-            return float(ratios.min()), float(ratios.max())
-        ratios = [x / p for v in words for x, p in zip(s.word_image_lengths(v, n_max)[1:], powers)]
+        dtype = np.int64 if max(sizes) * longest < 2**63 else object
+        # one row of letter counts per word, each letter read as its rank
+        ranks = {ord(a): i for i, a in enumerate(s.letters)}
+        rank = np.frombuffer(joined.translate(ranks).encode("utf-32-le"), "<u4")
+        row = np.repeat(np.arange(len(words)) * len(ranks), sizes)
+        counts = np.bincount(row + rank, minlength=len(words) * len(ranks))
+        columns = np.array([s._lengths[a][1 : n_max + 1] for a in s.letters], dtype=dtype)
+        table = counts.reshape(len(words), -1).astype(dtype) @ columns
+        # a Python int past the float range raises OverflowError on division
+        ratios = table / np.array(powers, dtype=float if dtype is np.int64 else object)
+        return float(ratios.min()), float(ratios.max())
     except OverflowError:
         raise SubstitutionError(
             f"|S^n(v)| / theta^n leaves the float range for n <= {n_max} (theta = {theta:.12g})"
         ) from None
-    return min(ratios), max(ratios)
 
 
 def iterate_prefix(s: Substitution, seed: str, length: int) -> str:

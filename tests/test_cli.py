@@ -529,14 +529,6 @@ def test_partition_output_matches_enumeration(defs, tmp_path, capsys, name, sour
     assert json.loads(out.read_text()) == payload
 
 
-def _non_factor_error(span: int) -> str:
-    return (
-        f"error: word is not a factor: it is not in the first {span} letters of the fixed "
-        "point of 'a', which hold every factor of its length as R(n) <= C n, "
-        "C = 71.25 (growth constants checked for n <= 30)\n"
-    )
-
-
 def test_partition_non_factor_word(defs, tmp_path, capsys):
     # no iterate of {a -> abaa, b -> b} holds 'aaaa' or 'bb'; the second word
     # has 1-partitions, whose cuts no rule certifies, so the factor check
@@ -549,8 +541,7 @@ def test_partition_non_factor_word(defs, tmp_path, capsys):
         assert main([*argv, "--json", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        # C = 71.25: the first ceil(71.25 |w|) letters hold every factor of length |w|
-        assert captured.err == _non_factor_error(-(-7125 * len(word) // 100))
+        assert captured.err == "error: word is not a factor of the language\n"
         assert not out.exists()
 
 
@@ -586,23 +577,28 @@ def test_partition_factor_without_a_partition(capsys):
     assert (captured.out, captured.err) == ("", "error: word admits no 1-partition\n")
 
 
-def test_partition_word_needs_the_repetitivity_constant(defs, monkeypatch, capsys):
-    # without the constant no prefix is known to hold every factor, so a word
-    # is refused; a prefix needs no check
-    module = importlib.import_module("linrep.classify")
-
-    def undecided(*args):
-        raise lr.SubstitutionError("pair-coverage length stopped")
-
-    monkeypatch.setattr(module, "lr_constant_bound", undecided)
-    path = str(defs / "minimal-nonprimitive.json")
-    assert main(["partition", path, "--word", "abaab"]) == 1
+def test_partition_long_power_windows(capsys):
+    # windows of a few hundred letters of long-power, |S(a)| = 264 and
+    # R(n) <= 4.6e6 n: the factor check desubstitutes them, where a prefix of
+    # the fixed point that holds every factor of their length would not fit
+    # in memory, and the output is the enumerator's
+    path = DATA / "long-power.json"
+    s = lr.Substitution.from_rules(json.loads(path.read_text())["rules"])
+    report = lr.classify(s)
+    rule = rec.recognition_rule(s, report.factors, report)
+    text = lr.iterate_prefix(s, "a", 100000)
+    rng = random.Random(264)
+    for _ in range(5):
+        n = rng.randint(300, 800)
+        start = rng.randrange(len(text) - n)
+        word = text[start : start + n]
+        assert main(["partition", str(path), "--word", word]) == 0, (start, n)
+        assert capsys.readouterr().out == _expected_partition(s, word, rule)[0]
+    # one letter changed inside an S(a) block leaves the language
+    word = text[:300].replace("abab", "abbb", 1)
+    assert main(["partition", str(path), "--word", word]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == (
-        "error: cannot decide that the word is a factor: "
-        "repetitivity constant undecided: pair-coverage length stopped\n"
-    )
-    assert main(["partition", path, "--prefix", "200"]) == 0
+    assert (captured.out, captured.err) == ("", "error: word is not a factor of the language\n")
 
 
 @pytest.mark.parametrize("name", [*PARTITION_SHAPES, "long-power"])
@@ -977,6 +973,7 @@ def test_partition_and_transcendence_build_no_repetitivity_constant(defs, tmp_pa
             continue
         path = str(defs / f"{name}.json")
         main(["partition", path, "--prefix", "200", "--json", str(tmp_path / "p.json")])
+        main(["partition", path, "--word", "a", "--json", str(tmp_path / "p.json")])
         main(["transcendence", path, "--json", str(tmp_path / "t.json")])
         shapes += 1
     assert shapes == 7 and calls == []

@@ -131,6 +131,43 @@ def test_front_parses_match_enumeration(name):
         assert parses == naive_partitions(alpha, b, w), w
 
 
+@pytest.mark.parametrize("name", [*SHAPES, "long-power"])
+def test_is_factor_matches_the_language(name):
+    # every word up to length 12 against the factor set, then seeded windows
+    # of a long iterate with one letter changed against the iterate itself
+    if name == "long-power":
+        path = Path(__file__).parent / "data" / "long-power.json"
+        s = Substitution.from_rules(json.loads(path.read_text())["rules"])
+    else:
+        s = lr.load(name)
+    a, b = rec.shape_letters(s)
+    floor = wd.factor_language(s, 2 * (len(s.rules[a]) // 2))
+    short = wd.factor_language(s, 12).words
+    for m in range(13):
+        for letters in itertools.product((a, b), repeat=m):
+            w = "".join(letters)
+            assert rec.is_factor(s, w, floor) == (w in short or not w), w
+    text = lr.iterate_prefix(s, a, 400000)
+    rng = random.Random(name)
+    refused = 0
+    for _ in range(100):
+        n = rng.randint(13, 300)
+        start = rng.randrange(len(text) - n)
+        w = list(text[start : start + n])
+        i = rng.randrange(n)
+        w[i] = a if w[i] == b else b
+        w = "".join(w)
+        assert rec.is_factor(s, w, floor) == (w in text), (start, n, i)
+        refused += w not in text
+        assert rec.is_factor(s, text[start : start + 20 * n], floor)
+    assert refused >= 90
+
+
+def test_is_factor_needs_the_floor_depth(abaa):
+    with pytest.raises(ValueError, match="below"):
+        rec.is_factor(abaa, "abaab", wd.factor_language(abaa, 2))
+
+
 def test_recognition_rule_requires_bordered_image(abaa_factors, abaa_report):
     s = Substitution.from_rules({"a": "baa", "b": "b"})
     with pytest.raises(SubstitutionError, match="start and end"):

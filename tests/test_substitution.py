@@ -14,12 +14,14 @@ from linrep.substitution import (
     Alphabet,
     EmptySubshiftError,
     ErasingRuleError,
+    NoGrowingLettersError,
     NotPrimitiveError,
     Substitution,
     SubstitutionError,
     UnknownLetterError,
     bounded_letters,
     check_compatibility,
+    growth_ratio_range,
     interior_power,
     is_primitive,
     perron_growth,
@@ -543,43 +545,61 @@ def test_perron_growth_past_float_range_builds_no_length_table(fib, monkeypatch)
         perron_growth(fib, ["a", "ab"], 2000)
 
 
-def test_growth_table_product_matches_python_ints(monkeypatch):
-    # lambda and rho from the int64 product of letter counts and length
-    # columns equal the ratios of the per-word Python-int tables, bit for bit,
-    # on every certified catalog, classify-sweep and tests/data system, for
-    # its return words (or, past the chain's cap, its growing letters);
-    # lengths past int64 take the Python-int tables themselves
-    word_tables = Substitution.word_image_lengths
-    tables = []
-    monkeypatch.setattr(
-        Substitution, "word_image_lengths", lambda self, w, n: tables.append(w) or word_tables(self, w, n)
-    )
+def test_growth_table_product_matches_python_ints():
+    # lambda and rho from the product of letter counts and length columns
+    # equal the ratios of the per-word Python-int tables, bit for bit, on
+    # every certified catalog, classify-sweep and tests/data system, for its
+    # return words (or, past the chain's cap, its growing letters); lengths
+    # past int64 take the product in Python ints
     systems = [(name, lr.load(name)) for name in CATALOG_NAMES]
     systems += [(f"sweep-{i}", Substitution.from_rules(r)) for i, r in enumerate(sweep_rules())]
     for path in sorted(DATA.glob("*.json")):
         systems.append((path.stem, Substitution.from_rules(json.loads(path.read_text())["rules"])))
-    fallback, product = [], 0
+    python_ints, int64 = [], 0
     for name, s in systems:
         rep = lr.classify(s)
         if rep.certificate is None:
             continue
         words = return_word_pairs(rep.chain[0])[0] if rep.chain else s.split.growing
-        tables.clear()
         g = perron_growth(s, words, 30)
-        if tables:
-            fallback.append(name)
+        longest = max(s.image_length(a, 30) for a in s.letters)
+        if max(map(len, g.words)) * longest >= 2**63:
+            python_ints.append(name)
         else:
-            product += 1
+            int64 += 1
         ratios = [
             x / g.theta**n
             for v in g.words
-            for n, x in enumerate(word_tables(s, v, 30))
+            for n, x in enumerate(s.word_image_lengths(v, 30))
             if n
         ]
         assert (g.lambda_v, g.rho_v) == (min(ratios), max(ratios)), name
-    sweep = [name for name in fallback if name.startswith("sweep-")]
-    assert "slow-theta-100" in fallback and len(sweep) == 18
-    assert product >= 90 and "cycles-45045" not in fallback
+    sweep = [name for name in python_ints if name.startswith("sweep-")]
+    assert "slow-theta-100" in python_ints and len(sweep) == 18
+    assert int64 >= 90 and "cycles-45045" not in python_ints
+
+
+def test_growth_table_errors_do_not_depend_on_magnitude():
+    # a foreign letter and a length past the float range raise the same
+    # errors whether the product runs in int64 or in Python ints
+    small = Substitution.from_rules({"a": "ab", "b": "a"})
+    large = Substitution.from_rules({"a": "a" * 40 + "b", "b": "a"})
+    assert 2 * large.image_length("a", 12) >= 2**63 > 2 * small.image_length("a", 12)
+    for s in (small, large):
+        with pytest.raises(UnknownLetterError):
+            growth_ratio_range(s, ["az"], 1.5, 12)
+    with pytest.raises(SubstitutionError, match="leaves the float range"):
+        growth_ratio_range(large, ["ab"], 1.0, 200)
+    ratios = [x / 40.0**n for n, x in enumerate(large.word_image_lengths("ab", 12)) if n]
+    assert growth_ratio_range(large, ["ab"], 40.0, 12) == (min(ratios), max(ratios))
+
+
+def test_perron_growth_without_growing_letters():
+    # as when the reduced system was built first: no growing letter is a
+    # SubstitutionError of its own, before any word is read
+    s = Substitution.from_rules({"a": "b", "b": "a"})
+    with pytest.raises(NoGrowingLettersError):
+        perron_growth(s, ["a"], 5)
 
 
 def test_growth_sandwich_exact_integers():
