@@ -844,13 +844,13 @@ def _power_not_minimal(s: Substitution, letter: str, power: int) -> bool:
     which is minimal, so X_0 and X are infinite and p_X(n) >= n + 1 at
     every n (Morse-Hedlund 1938).  With p = 1 and e a candidate, T is S,
     which `classify` asks about only when it is not certified minimal: yes,
-    with nothing built.  Else S^p's images, summed by `image_length` first,
-    count against DERIVATION_WORK: past it, or when T is minimal, the walk
-    decides.
+    with nothing built.  Else S^p's images, summed from their exact lengths
+    first (`Substitution.lengths`), count against DERIVATION_WORK: past it,
+    or when T is minimal, the walk decides.
     """
     if power == 1 and letter in s.split.candidates:
         return True
-    if sum(s.image_length(a, power) for a in s.letters) > DERIVATION_WORK:
+    if s.lengths("".join(s.letters), power)[-1] > DERIVATION_WORK:
         return False
     rules = {a: s.iterate(a, power) for a in s.letters}
     t = prune_to_reachable(Substitution(s.alphabet, rules), letter)

@@ -202,7 +202,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     # 1-partition is a forced parse
     parses = rec.front_parses(s.rules[a], b, target)
     if not parses:
-        return _fail("word admits no 1-partition")
+        # a factor with no 1-partition lies inside one S(a) block (`rec.is_factor`)
+        return _fail(f"word admits no 1-partition: it lies strictly inside one S({a!r}) block")
     L = rule.half_width
 
     def interior(cuts: tuple[int, ...]) -> tuple[int, ...]:
@@ -267,8 +268,8 @@ def cmd_transcendence(args: argparse.Namespace) -> int:
     else:
         shape = f"{w.zero} {w.zero} w {w.zero}"
     print(f"case: {w.case_tag} ({shape}), k={w.k}, w={w.w!r}, prefix p={w.p!r}")
-    print(f"depth {w.depth}: |U_n| -> {w.u_lengths[-1]}, |V_n| -> {w.v_lengths[-1]}, "
-          f"|V'_n| -> {w.v_prime_lengths[-1]}")
+    u, v, v_prime = (table[-1] for table in (w.u_lengths, w.v_lengths, w.v_prime_lengths))
+    print(f"depth {w.depth}: |U_n| -> {u}, |V_n| -> {v}, |V'_n| -> {v_prime}")
     c = tr.conditions
     print(f"lengths diverge: {c.lengths_diverge}")
     print(f"prefix ratio bounded: {c.prefix_ratio_bounded} (max {c.max_prefix_ratio:.6g})")

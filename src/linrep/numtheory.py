@@ -108,7 +108,7 @@ def detect_case(s: Substitution, report: ClassificationReport, depth: int = 32) 
         v_word = zero
         pattern = zero * 3
     # the stutter shows up inside the second iterate alignment of the fixed point
-    horizon = s.word_image_length(zero, 2) + len(pattern) + 2
+    horizon = s.lengths(zero, 2)[2] + len(pattern) + 2
     prefix = iterate_prefix(s, zero, horizon)
     idx = prefix.find(pattern)
     if idx < 0:
@@ -126,9 +126,9 @@ def detect_case(s: Substitution, report: ClassificationReport, depth: int = 32) 
         w=w,
         p=p,
         depth=depth,
-        u_lengths=tuple(s.word_image_lengths(p, depth)[1:]),
-        v_lengths=tuple(s.word_image_lengths(v_word, depth)[1:]),
-        v_prime_lengths=tuple(s.word_image_lengths(zero, depth)[1:]),
+        u_lengths=tuple(s.lengths(p, depth)[1:]),
+        v_lengths=tuple(s.lengths(v_word, depth)[1:]),
+        v_prime_lengths=tuple(s.lengths(zero, depth)[1:]),
     )
 
 

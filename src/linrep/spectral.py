@@ -274,7 +274,7 @@ def gordon_check(
     rho = growth_ratio_range(s, (u * 3 + e,), theta, n_max)[1]
     bound = lam / (report.lr.value * rho)
 
-    n_k = tuple(s.word_image_length(u, k) for k in GORDON_LEVELS)
+    n_k = tuple(map(s.lengths(u, max(GORDON_LEVELS)).__getitem__, GORDON_LEVELS))
     # a level whose cubes are longer than the sample is not checked
     fits = [(k, n) for k, n in zip(GORDON_LEVELS, n_k) if 3 * n <= GORDON_SAMPLE_LENGTH]
     if not fits:

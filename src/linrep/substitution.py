@@ -8,9 +8,9 @@ by erasing bounded letters, primitivity, Perron growth constants, and the
 compatibility check between the finite-word language and the two-sided
 subshift it generates.
 
-All counting is done with exact integer arithmetic (length recursions over
-Python ints, int64 length tables only below 2^63, letter-set orbits for
-primitivity); floating point only enters the growth-constant ratios.
+All counting is done with exact integer arithmetic (one length table per
+substitution over Python ints, int64 products only below 2^63, letter-set
+orbits for primitivity); floating point only enters the growth-constant ratios.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class Alphabet:
         return f"Alphabet({''.join(self.letters)!r})"
 
 
-class _Images(dict):
-    """The rules as a lookup table whose missing letters raise a typed error."""
+class _ByLetter(dict):
+    """A lookup table by letter whose missing letters raise a typed error."""
 
     def __missing__(self, letter: str) -> str:
         raise UnknownLetterError(f"letter {letter!r} is not in the alphabet")
@@ -125,8 +125,9 @@ class Substitution:
         extra = set(rules) - set(alphabet.letters)
         if extra:
             raise UnknownLetterError(f"rules given for letters outside the alphabet: {sorted(extra)}")
-        self._lengths: dict[str, list[int]] = {a: [1] for a in alphabet.letters}
-        self._image_of = _Images(self.rules).__getitem__
+        self._rank = _ByLetter((a, i) for i, a in enumerate(alphabet.letters))
+        self._rows: list[list[int]] = [[1] * len(alphabet.letters)]
+        self._image_of = _ByLetter(self.rules).__getitem__
         self._image_letters = {a: frozenset(w) for a, w in self.rules.items()}
 
     @classmethod
@@ -158,26 +159,31 @@ class Substitution:
         letters = self.letters
         return [[self.rules[a].count(b) for b in letters] for a in letters]
 
-    def image_length(self, letter: str, n: int) -> int:
-        """|S^n(letter)| by the exact length recursion, kept as one column per letter."""
-        columns = self._lengths
-        for m in range(len(columns[self.letters[0]]), n + 1):
-            for a in self.letters:
-                columns[a].append(sum(columns[b][m - 1] for b in self.rules[a]))
-        return columns[letter][n]
+    def lengths(self, w: str, n: int) -> list[int]:
+        """[|S^k(w)| for k = 0..n] in Python ints, from one table of the rows
+        L_k = (|S^k(a)|)_a, grown on demand by L_(k+1) = M L_k over the
+        nonzero entries of the occurrence matrix M (`abelianization`)."""
+        if n < 0:
+            raise ValueError(f"need n >= 0 for the lengths, got {n}")
+        rows = self._rows
+        while len(rows) <= n:
+            last, row = rows[-1], []
+            for step in self._steps:
+                x = 0
+                for j, m in step:
+                    x += m * last[j]
+                row.append(x)
+            rows.append(row)
+        total = [0] * (n + 1)
+        for ch in dict.fromkeys(w):  # the first foreign letter raises
+            i, k = self._rank[ch], w.count(ch)
+            total = [x + k * row[i] for x, row in zip(total, rows)]
+        return total
 
-    def word_image_length(self, w: str, n: int) -> int:
-        """|S^n(w)| for a word w, exact."""
-        return sum(self.image_length(ch, n) for ch in w)
-
-    def word_image_lengths(self, w: str, n_max: int) -> list[int]:
-        """[|S^n(w)| for n = 0..n_max], exact: w's letters are counted once."""
-        self.image_length(self.letters[0], n_max)  # fills the columns up to n_max
-        lengths = [0] * (n_max + 1)
-        for ch in set(w):
-            k = w.count(ch)
-            lengths = [total + k * x for total, x in zip(lengths, self._lengths[ch])]
-        return lengths
+    @cached_property
+    def _steps(self) -> list[list[tuple[int, int]]]:
+        """The nonzero entries (j, M[i][j]) of each row i of the occurrence matrix."""
+        return [[(j, m) for j, m in enumerate(row) if m] for row in self.abelianization()]
 
     @cached_property
     def split(self) -> "AlphabetSplit":
@@ -461,14 +467,14 @@ def perron_growth(
     primitive: by Perron-Frobenius that eigenvalue is the spectral radius of
     its occurrence matrix, the largest modulus among the eigenvalues of one
     dense solve.  That matrix is the growing-letter block of the occurrence
-    matrix of `s`, as `reduced_substitution` keeps exactly the growing
-    letters of each growing letter's image.  Its orbits are those of `s`
-    cut to the growing letters, so it is primitive exactly when every set
-    on the cycle of each growing letter's orbit holds all growing letters
-    (`is_primitive`); the reduced system is built only to name the zero
-    entry when it is not.  The lambda/rho constants are empirical extrema of
-    the exact integer lengths |S^n(v)| of the original substitution against
-    theta^n for n up to n_max (>= 1).
+    matrix of `s` (`abelianization`), as `reduced_substitution` keeps
+    exactly the growing letters of each growing letter's image.  Its orbits
+    are those of `s` cut to the growing letters, so it is primitive exactly
+    when every set on the cycle of each growing letter's orbit holds all
+    growing letters (`is_primitive`); the reduced system is built only to
+    name the zero entry when it is not.  The lambda/rho constants are
+    empirical extrema of the exact integer lengths |S^n(v)| of the original
+    substitution against theta^n for n up to n_max (>= 1).
     """
     if n_max < 1:
         raise ValueError(f"growth constants need n_max >= 1, got {n_max}")
@@ -488,8 +494,8 @@ def perron_growth(
     for v in word_list:
         if split.growing.isdisjoint(v):
             raise ValueError(f"word {v!r} contains no growing letter")
-    growing = [c for c in s.letters if c in split.growing]
-    block = [[s.rules[c].count(d) for d in growing] for c in growing]
+    m, growing = s.abelianization(), [i for i, c in enumerate(s.letters) if c in split.growing]
+    block = [[m[i][j] for j in growing] for i in growing]
     theta = float(np.abs(np.linalg.eigvals(block)).max())
     lo, hi = growth_ratio_range(s, word_list, theta, n_max)
     return GrowthEstimate(theta=theta, lambda_v=lo, rho_v=hi, words=word_list, n_checked=n_max)
@@ -504,10 +510,10 @@ def growth_ratio_range(
     |S^n(v)| leaves the float range.  The powers theta^n are computed once,
     before any length is.  As |S^n(v)| = sum_a c_v(a) |S^n(a)|, c_v(a) the
     count of a in v, the whole table is one product of the words' letter
-    counts with the letters' exact length columns: in int64 when
-    max |v| * max_a |S^n_max(a)| < 2^63, which bounds every entry and
-    partial sum, and in Python ints past that.  Each length is rounded to
-    a float once either way.
+    counts with the letters' exact length columns (`Substitution.lengths`):
+    in int64 when max |v| * max_a |S^n_max(a)| < 2^63, which bounds every
+    entry and partial sum, and in Python ints past that.  Each length is
+    rounded to a float once either way.
     """
     words = tuple(words)
     joined = "".join(words)
@@ -515,16 +521,15 @@ def growth_ratio_range(
         raise UnknownLetterError("a word uses a letter outside the alphabet")
     try:
         powers = [theta**n for n in range(1, n_max + 1)]
-        longest = max(s.image_length(a, n_max) for a in s.letters)
+        columns = [s.lengths(a, n_max)[1:] for a in s.letters]
         sizes = [len(v) for v in words]
-        dtype = np.int64 if max(sizes) * longest < 2**63 else object
+        dtype = np.int64 if max(sizes) * max(c[-1] for c in columns) < 2**63 else object
         # one row of letter counts per word, each letter read as its rank
         ranks = {ord(a): i for i, a in enumerate(s.letters)}
         rank = np.frombuffer(joined.translate(ranks).encode("utf-32-le"), "<u4")
         row = np.repeat(np.arange(len(words)) * len(ranks), sizes)
         counts = np.bincount(row + rank, minlength=len(words) * len(ranks))
-        columns = np.array([s._lengths[a][1 : n_max + 1] for a in s.letters], dtype=dtype)
-        table = counts.reshape(len(words), -1).astype(dtype) @ columns
+        table = counts.reshape(len(words), -1).astype(dtype) @ np.array(columns, dtype=dtype)
         # a Python int past the float range raises OverflowError on division
         ratios = table / np.array(powers, dtype=float if dtype is np.int64 else object)
         return float(ratios.min()), float(ratios.max())
@@ -545,29 +550,23 @@ def iterate_prefix(s: Substitution, seed: str, length: int) -> str:
     among the bounded letters that are not eternally single meets none
     twice, since a letter met twice recurs in its own images, so it grows
     if a letter on the way has a longer image and is eternally single if
-    none has.  k is read from the exact lengths, and S^k(seed) is built as
-    S^m(S^(k-m)(seed)) with m = k // 2: S^(k-m) is applied to the seed,
-    keeping `length` letters after each step, and the letters' S^m images,
-    computed once, are joined along that word.  Every image joined is a
-    factor of S^k(seed), so no string is longer than S^k(seed) =
-    S(S^(k-1)(seed)), below max|S(c)| * `length`.
+    none has.  Reads of `Substitution.lengths` up to the levels 1, 2, 4, ...
+    find k, and make that check from the first level n >= d on, where
+    |S^n(seed)| = |S^d(seed)|.  S^k(seed) is built as S^m(S^(k-m)(seed)) with
+    m = k // 2: S^(k-m) is applied to the seed, keeping `length` letters
+    after each step, and the letters' S^m images, computed once, are joined
+    along that word.  Every image joined is a factor of S^k(seed), so no
+    string is longer than S^k(seed) = S(S^(k-1)(seed)), below max|S(c)| * `length`.
     """
     if len(seed) >= length:
         return seed[:length]
-    foreign = set(seed) - set(s.letters)
-    if foreign:
-        raise UnknownLetterError(f"letter {min(foreign)!r} is not in the alphabet")
-    if s.split.growing.isdisjoint(seed):
-        stalled = s.word_image_length(seed, len(s.letters))
-        if stalled < length:
-            raise SubstitutionError(
-                f"the seed has no growing letter: its images stay at {stalled} < "
-                f"{length} letters"
-            )
-    lengths = [len(seed)]
-    while lengths[-1] < length:
-        lengths.append(s.word_image_length(seed, len(lengths)))
-    k = len(lengths) - 1
+    n = 1
+    while (lengths := s.lengths(seed, n))[-1] < length:
+        if n >= len(s.letters) and s.split.growing.isdisjoint(seed):
+            raise SubstitutionError(f"the seed has no growing letter: its images stay at "
+                                    f"{lengths[-1]} < {length} letters")
+        n *= 2
+    k = next(k for k, x in enumerate(lengths) if x >= length)
     m = k // 2
     w = seed
     for _ in range(k - m):

@@ -19,6 +19,25 @@ def apply_rules(rules: dict[str, str], w: str) -> str:
     return "".join(out)
 
 
+def length_columns(rules: dict[str, str], n: int) -> dict[str, list[int]]:
+    """{a: [|S^k(a)| for k = 0..n]} by the length recursion on Python ints.
+
+    |S^(k+1)(a)| is the sum of |S^k(b)| over the letters b of S(a), letter by
+    letter.  Reference for `Substitution.lengths`.
+    """
+    columns = {a: [1] for a in rules}
+    for k in range(n):
+        for a, image in rules.items():
+            columns[a].append(sum(columns[b][k] for b in image))
+    return columns
+
+
+def word_image_lengths(rules: dict[str, str], w: str, n: int) -> list[int]:
+    """[|S^k(w)| for k = 0..n], summed letter by letter over `length_columns`."""
+    columns = length_columns(rules, n)
+    return [sum(columns[ch][k] for ch in w) for k in range(n + 1)]
+
+
 def distinct_windows(text: str, length: int) -> set[str]:
     """Distinct length-`length` windows of a sample string."""
     return {text[i : i + length] for i in range(len(text) - length + 1)}
@@ -589,7 +608,7 @@ def interior_power_by_strings(s, e: str, cap: int = 10**5) -> tuple[int | None, 
     w = e
     top = 8 * len(s.letters)
     for p in range(1, top + 1):
-        if s.word_image_length(w, 1) > cap:
+        if sum(len(s.rules[ch]) for ch in w) > cap:
             return None, p - 1
         w = s.apply(w)
         if e in w[1:-1]:
@@ -752,7 +771,7 @@ def growth_sandwich_holds(growth, s) -> bool:
     Every word v of the `GrowthEstimate` and every 1 <= n <= n_checked.
     """
     for v in growth.words:
-        lengths = s.word_image_lengths(v, growth.n_checked)
+        lengths = word_image_lengths(s.rules, v, growth.n_checked)
         for n in range(1, growth.n_checked + 1):
             scale = growth.theta**n
             if not (

@@ -41,6 +41,7 @@ from bruteforce import (
     rescan_extendable_core,
     state_walk_pump,
     string_core_levels,
+    word_image_lengths,
 )
 from conftest import CATALOG_NAMES, CLASSIFY_SLOW_RULES, sweep_rules
 
@@ -334,8 +335,8 @@ def test_split_matches_length_behaviour_randomized():
         s = Substitution.from_rules(rules)
         split = bounded_letters(s)
         for a in letters:
-            l24 = s.image_length(a, 24)
-            l48 = s.image_length(a, 48)
+            lengths = word_image_lengths(rules, a, 48)
+            l24, l48 = lengths[24], lengths[48]
             if a in split.bounded:
                 assert l24 == l48
             else:
@@ -415,7 +416,7 @@ def test_random_two_letter_pipeline_consistency():
             v = rep.counterexample.letter
             word, (letter, depth) = rep.counterexample.avoiding_factor(12)
             assert v not in word
-            if s.image_length(letter, depth) <= 10**5:
+            if s.lengths(letter, depth)[-1] <= 10**5:
                 assert word in s.iterate(letter, depth)
     assert minimal_seen >= 6 and nonminimal_seen >= 6
 

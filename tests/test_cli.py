@@ -571,10 +571,12 @@ def test_partition_factor_windows_keep_their_output(defs, tmp_path, capsys):
 
 
 def test_partition_factor_without_a_partition(capsys):
-    # 'ababb' lies inside S(a) = (ab)^130 abba, yet no 1-partition covers it
+    # 'ababb' lies strictly inside S(a) = (ab)^130 abba, yet no 1-partition
+    # covers it, and the message says why
     assert main(["partition", str(DATA / "long-power.json"), "--word", "ababb"]) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == ("", "error: word admits no 1-partition\n")
+    message = "error: word admits no 1-partition: it lies strictly inside one S('a') block\n"
+    assert (captured.out, captured.err) == ("", message)
 
 
 def test_partition_long_power_windows(capsys):

@@ -14,7 +14,7 @@ from linrep.classify import UNDECIDED, YES, PeriodicityResult, classify
 from linrep.recognizer import ShapeError
 from linrep.substitution import Substitution, SubstitutionError, iterate_prefix
 
-from bruteforce import chunked_decimal, digitwise_mantissa, horner_value
+from bruteforce import chunked_decimal, digitwise_mantissa, horner_value, word_image_lengths
 
 
 def _two_letter(rules):
@@ -97,7 +97,7 @@ def test_build_witness_separated():
     assert stutter in s.iterate("0", 2)
     fp = iterate_prefix(s, "0", len(wit.p) + len(stutter))
     assert fp == wit.p + stutter
-    assert wit.u_lengths == tuple(s.word_image_length(wit.p, n) for n in range(1, 25))
+    assert wit.u_lengths == tuple(word_image_lengths(s.rules, wit.p, 24)[1:])
 
 
 def test_build_witness_doubled_has_triple_zero():
@@ -171,9 +171,10 @@ def test_length_recursion_matches_direct_iteration():
         for _ in range(6):
             w = "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
             n = rng.randint(0, 12)
-            if s.word_image_length(w, n) > 2 * 10**5:
+            length = s.lengths(w, n)[-1]
+            if length > 2 * 10**5:
                 continue
-            assert s.word_image_length(w, n) == len(s.iterate(w, n))
+            assert length == len(s.iterate(w, n))
 
 
 def test_case_dichotomy_randomized():

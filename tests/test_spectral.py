@@ -12,6 +12,7 @@ from bruteforce import (
     finite_section_eigenvalues,
     floquet_bands,
     transfer_matrix,
+    word_image_lengths,
 )
 from linrep.spectral import (
     CLOSED_GAP_TOL,
@@ -277,7 +278,7 @@ def test_gordon_fibonacci(fib, catalog_reports, monkeypatch):
     monkeypatch.setattr(spectral, "GORDON_SAMPLE_LENGTH", 200000)
     g = gordon_check(fib, rep)
     assert g.u == "abaab"
-    assert g.n_k == tuple(fib.word_image_length("abaab", k) for k in (2, 3, 4))
+    assert g.n_k == tuple(word_image_lengths(fib.rules, "abaab", 4)[2:])
     assert g.freq_lower_bound > 0
     assert g.bound_satisfied
     # growth cross-check: n_k stays inside the sandwich for u
@@ -310,7 +311,7 @@ def test_growth_ratios_match_inline_expressions(name, catalog_subs, catalog_repo
     growth = rep.lr.growth
     theta, n_max = growth.theta, growth.n_checked
     ratios = [
-        s.word_image_lengths(v, n_max)[n] / theta**n
+        word_image_lengths(s.rules, v, n_max)[n] / theta**n
         for v in growth.words
         for n in range(1, n_max + 1)
     ]
@@ -319,8 +320,8 @@ def test_growth_ratios_match_inline_expressions(name, catalog_subs, catalog_repo
     if isinstance(g, GordonHypothesisMissing):
         return
     n_max = max(n_max, max(g.levels))
-    e_lengths = s.word_image_lengths(g.e, n_max)
-    cube_lengths = s.word_image_lengths(g.u * 3 + g.e, n_max)
+    e_lengths = word_image_lengths(s.rules, g.e, n_max)
+    cube_lengths = word_image_lengths(s.rules, g.u * 3 + g.e, n_max)
     lam = min(e_lengths[n] / theta**n for n in range(1, n_max + 1))
     rho = max(cube_lengths[n] / theta**n for n in range(1, n_max + 1))
     assert g.freq_lower_bound == lam / (rep.lr.value * rho)

@@ -41,8 +41,10 @@ from bruteforce import (
     growth_sandwich_holds,
     interior_power_by_strings,
     levels_blocked_factor,
+    length_columns,
     mat_pow,
     project,
+    word_image_lengths,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -264,7 +266,7 @@ def test_reduced_remarkc_not_growing():
     s = lr.load("remarkc")
     red = reduced_substitution(s)
     assert red.rules == {"0": "0"}
-    assert red.image_length("0", 10) == 1
+    assert red.lengths("0", 10)[-1] == 1
 
 
 def test_reduced_requires_growing_letter():
@@ -313,7 +315,7 @@ def test_erasure_never_lengthens():
             continue
         w = "".join(rng.choice(s.letters) for _ in range(rng.randint(1, 5)))
         for n in range(0, 6):
-            if s.word_image_length(w, n) > 50000:
+            if s.lengths(w, n)[-1] > 50000:
                 break
             image = s.iterate(w, n)
             assert len(project(s, image)) <= len(image)
@@ -369,7 +371,49 @@ def test_image_lengths_match_row_sums(fib):
     m = fib.abelianization()
     p = mat_pow(m, 9)
     for i, a in enumerate(fib.letters):
-        assert fib.image_length(a, 9) == sum(p[i])
+        assert fib.lengths(a, 9)[-1] == sum(p[i])
+
+
+def test_lengths_match_the_length_recursion():
+    # the one length table equals the letter-by-letter recursion on Python
+    # ints, bit for bit, on every catalog, classify-sweep and tests/data
+    # system, read at levels out of order so the table grows between reads,
+    # and equals the iterates' own lengths below 10^5 letters
+    systems = [(name, lr.load(name)) for name in CATALOG_NAMES]
+    systems += [(f"sweep-{i}", Substitution.from_rules(r)) for i, r in enumerate(sweep_rules())]
+    for path in sorted(DATA.glob("*.json")):
+        systems.append((path.stem, Substitution.from_rules(json.loads(path.read_text())["rules"])))
+    rng = random.Random(41)
+    past_int64 = []
+    for name, s in systems:
+        words = list(s.letters) + ["".join(s.letters)]
+        words += ["".join(rng.choices(s.letters, k=rng.randint(1, 12))) for _ in range(3)]
+        for w in words:
+            want = word_image_lengths(s.rules, w, 40)
+            for n in (5, 40, 17, 0):
+                assert s.lengths(w, n) == want[: n + 1], (name, w, n)
+            image = w
+            for n, length in enumerate(want):
+                if length >= 10**5:
+                    break
+                assert len(image) == length, (name, w, n)
+                image = s.apply(image)
+        if s.lengths("".join(s.letters), 40)[-1] >= 2**63:
+            past_int64.append(name)
+    # the table passes 2^63 on slow-theta-100 and on 70 of the 100 sweep
+    # systems by level 40, so lengths on both sides of int64 are compared
+    assert "slow-theta-100" in past_int64
+    assert sum(name.startswith("sweep-") for name in past_int64) == 70
+
+
+def test_lengths_raise_typed_errors(fib):
+    # a foreign letter and a negative level are refused at the one entry,
+    # also after the table has grown past the level asked for
+    assert fib.lengths("ab", 3) == [2, 3, 5, 8]
+    with pytest.raises(UnknownLetterError, match="letter 'z' is not in the alphabet"):
+        fib.lengths("az", 3)
+    with pytest.raises(ValueError, match="n >= 0"):
+        fib.lengths("ab", -1)
 
 
 # --- primitivity ------------------------------------------------------------------
@@ -455,7 +499,7 @@ def test_perron_theta_fibonacci(fib):
     assert growth_sandwich_holds(g, fib)
     # internal consistency: n=1 ratios are inside the window
     for v in g.words:
-        ratio = fib.word_image_length(v, 1) / g.theta
+        ratio = word_image_lengths(fib.rules, v, 1)[1] / g.theta
         assert g.lambda_v <= ratio + 1e-12
         assert ratio <= g.rho_v + 1e-12
 
@@ -468,7 +512,8 @@ def test_perron_theta_constant_length():
 def test_perron_matches_growth_ratio_at_40(fib):
     red = reduced_substitution(fib)
     theta = perron_growth(fib, ["a"], 1).theta
-    ratio = red.image_length("a", 41) / red.image_length("a", 40)
+    lengths = word_image_lengths(red.rules, "a", 41)
+    ratio = lengths[41] / lengths[40]
     assert abs(theta - ratio) < 1e-8
 
 
@@ -540,7 +585,7 @@ def test_perron_growth_past_float_range_builds_no_length_table(fib, monkeypatch)
     def no_table(self, w, n_max):
         pytest.fail(f"length table of {w!r} up to {n_max} built")
 
-    monkeypatch.setattr(Substitution, "word_image_lengths", no_table)
+    monkeypatch.setattr(Substitution, "lengths", no_table)
     with pytest.raises(SubstitutionError, match=r"n <= 2000 \(theta = 1\.61803398875\)"):
         perron_growth(fib, ["a", "ab"], 2000)
 
@@ -562,16 +607,14 @@ def test_growth_table_product_matches_python_ints():
             continue
         words = return_word_pairs(rep.chain[0])[0] if rep.chain else s.split.growing
         g = perron_growth(s, words, 30)
-        longest = max(s.image_length(a, 30) for a in s.letters)
+        columns = length_columns(s.rules, 30)
+        longest = max(columns[a][-1] for a in s.letters)
         if max(map(len, g.words)) * longest >= 2**63:
             python_ints.append(name)
         else:
             int64 += 1
         ratios = [
-            x / g.theta**n
-            for v in g.words
-            for n, x in enumerate(s.word_image_lengths(v, 30))
-            if n
+            sum(columns[ch][n] for ch in v) / g.theta**n for v in g.words for n in range(1, 31)
         ]
         assert (g.lambda_v, g.rho_v) == (min(ratios), max(ratios)), name
     sweep = [name for name in python_ints if name.startswith("sweep-")]
@@ -584,13 +627,17 @@ def test_growth_table_errors_do_not_depend_on_magnitude():
     # errors whether the product runs in int64 or in Python ints
     small = Substitution.from_rules({"a": "ab", "b": "a"})
     large = Substitution.from_rules({"a": "a" * 40 + "b", "b": "a"})
-    assert 2 * large.image_length("a", 12) >= 2**63 > 2 * small.image_length("a", 12)
+    assert (
+        2 * word_image_lengths(large.rules, "a", 12)[-1]
+        >= 2**63
+        > 2 * word_image_lengths(small.rules, "a", 12)[-1]
+    )
     for s in (small, large):
         with pytest.raises(UnknownLetterError):
             growth_ratio_range(s, ["az"], 1.5, 12)
     with pytest.raises(SubstitutionError, match="leaves the float range"):
         growth_ratio_range(large, ["ab"], 1.0, 200)
-    ratios = [x / 40.0**n for n, x in enumerate(large.word_image_lengths("ab", 12)) if n]
+    ratios = [x / 40.0**n for n, x in enumerate(word_image_lengths(large.rules, "ab", 12)) if n]
     assert growth_ratio_range(large, ["ab"], 40.0, 12) == (min(ratios), max(ratios))
 
 
@@ -606,8 +653,7 @@ def test_growth_sandwich_exact_integers():
     s = Substitution.from_rules({"a": "abaa", "b": "b"})
     g = perron_growth(s, ["a", "ab"], 30)
     for v in g.words:
-        for n in range(1, 31):
-            length = s.word_image_length(v, n)
+        for n, length in enumerate(word_image_lengths(s.rules, v, 30)[1:], 1):
             assert g.lambda_v * g.theta**n * (1 - 1e-9) <= length
             assert length <= g.rho_v * g.theta**n * (1 + 1e-9)
 
@@ -617,7 +663,7 @@ def test_growth_sandwich_exact_integers():
 
 def test_iterate_prefix_matches_letter_by_letter_oracle():
     # seeded random systems with bounded letters; most seeds start no fixed point;
-    # word_image_lengths is checked against word_image_length on the way
+    # the lengths are checked against the length recursion on the way
     rng = random.Random(808)
     for _ in range(150):
         letters = "abcd"[: rng.randint(2, 4)]
@@ -625,7 +671,7 @@ def test_iterate_prefix_matches_letter_by_letter_oracle():
         s = Substitution.from_rules(rules)
         growing = bounded_letters(s).growing
         seed = "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
-        assert s.word_image_lengths(seed, 12) == [s.word_image_length(seed, n) for n in range(13)]
+        assert s.lengths(seed, 12) == word_image_lengths(rules, seed, 12)
         for length in (0, len(seed) - 1, len(seed), rng.randint(1, 40), rng.randint(100, 3000)):
             if length > len(seed) and not growing & set(seed):
                 with pytest.raises(SubstitutionError):
@@ -657,7 +703,7 @@ def test_iterate_prefix_rejects_seed_without_growing_letter():
 
 def _naive_fixed_point_prefix(s, zero, n):
     k = 0
-    while s.image_length(zero, k) < n:
+    while word_image_lengths(s.rules, zero, k)[-1] < n:
         k += 1
     return s.iterate(zero, k)[:n]
 

@@ -201,7 +201,7 @@ rule_strategy = st.fixed_dictionaries(
 @settings(max_examples=60, deadline=None)
 def test_morphism_length_additivity(rules, u, v, n):
     s = Substitution.from_rules(rules)
-    assert s.word_image_length(u + v, n) == s.word_image_length(u, n) + s.word_image_length(v, n)
+    assert s.lengths(u + v, n) == [x + y for x, y in zip(s.lengths(u, n), s.lengths(v, n))]
 
 
 @given(st.text(alphabet="abc", min_size=0, max_size=50))
