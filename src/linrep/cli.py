@@ -151,7 +151,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.levels is not None:
         levels = list(range(args.levels[0], args.levels[1] + 1))
     else:
-        levels = [args.level]
+        levels = [6 if args.level is None else args.level]
     rows = []
     for k in levels:
         spec = band_spectrum(s, letter, k, window=window)
@@ -193,8 +193,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
         foreign = set(target) - set(s.letters)
         if foreign:
             return _fail(f"word uses foreign symbols {sorted(foreign)}")
-        # a certified check: desubstitution down to the floor factor set
-        if not rec.is_factor(s, target, floor):
+        # a certified check: desubstitution down to a factor of S(a)
+        if not rec.is_factor(s, target):
             return _fail("word is not a factor of the language")
     else:
         target = iterate_prefix(s, a, args.prefix)
@@ -213,9 +213,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
     cuts = list(interior(first))
     preimage = None
     if len(target) > 4 * L + 2:
-        # on a factor the parse's interior cuts are the rule's
-        # (`recognition_rule`), and a block of one letter is b, a longer one S(a)
-        preimage = "".join(b if c2 - c1 == 1 else a for c1, c2 in zip(cuts, cuts[1:]))
+        # on a factor the parse's interior cuts are the rule's (`recognition_rule`)
+        preimage = rec.preimage(a, b, cuts)
         offset = cuts[0]
     if args.json:
         payload = {
@@ -253,6 +252,12 @@ def cmd_transcendence(args: argparse.Namespace) -> int:
             )
             return 0
         tr = nt.transcendence_report(s, report, depth=args.depth, bits=args.bits, base=args.base)
+        # the tables are printed in decimal; 0 means no int-to-str limit
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        w = tr.witness
+        if limit and max(w.u_lengths[-1], w.v_lengths[-1], w.v_prime_lengths[-1]) >= 10**limit:
+            return _fail(f"--depth {args.depth} gives lengths of more than {limit} digits, "
+                         "past the interpreter's int-to-str limit")
         if args.dump_digits and max(tr.digit_letter_map.values()) > 255:
             return _fail("--dump-digits writes one byte per digit; letter values must be below 256")
     except ValueError as exc:
@@ -262,7 +267,6 @@ def cmd_transcendence(args: argparse.Namespace) -> int:
     if args.json:
         _write_json(args.json, tr.to_json_dict())
 
-    w = tr.witness
     if w.case_tag == nt.CASE_SEPARATED:
         shape = f"{w.zero} {w.one}^{w.k} {w.zero} w {w.zero}"
     else:
@@ -309,8 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="periodic-approximant band spectrum")
     p.add_argument("definition")
-    p.add_argument("--level", type=int, default=6)
-    p.add_argument("--levels", type=int, nargs=2, metavar=("FROM", "TO"))
+    # no default on the group, or an explicit --level 6 would pass next to --levels
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--level", type=int)
+    group.add_argument("--levels", type=int, nargs=2, metavar=("FROM", "TO"))
     p.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--csv", metavar="OUT")
     p.set_defaults(func=cmd_spectrum)

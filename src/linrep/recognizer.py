@@ -17,13 +17,15 @@ is needed to read it.
 number-theory applications: a nonprimitive, certified minimal, aperiodic
 system of the shape, whose S(a) then begins and ends with a.  So every
 front remainder is followed by at most one block chain: the recognition
-rule and `linrep partition` read their cuts from these forced parses
-(`front_parses`), while `enumerate_one_partitions` serves any shape and is
-the reference the forced parses are tested against.
+rule, `is_factor`, `desubstitute` and `linrep partition` read their cuts
+from these forced parses (`front_parses`) and their preimages with
+`preimage`, while `enumerate_one_partitions` serves any shape and is the
+reference the forced parses are tested against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,19 +165,11 @@ def require_premises(s: Substitution, report: ClassificationReport) -> tuple[str
 
 @dataclass
 class RecognitionRule:
-    """Cut positions c, L <= c <= |text| - L, are exactly those whose 2L-window
-    text[c-L : c+L] is in `windows`."""
+    """Cut positions c, L <= c <= |text| - L, of a factor are exactly those
+    whose 2L-window text[c-L : c+L] is in `windows`."""
 
     half_width: int
     windows: frozenset[str]
-
-    def cuts(self, text: str) -> list[int]:
-        L = self.half_width
-        return [
-            i
-            for i in range(L, len(text) - L + 1)
-            if text[i - L : i + L] in self.windows
-        ]
 
 
 def front_parses(alpha: str, b: str, w: str) -> list[tuple[int, ...]]:
@@ -206,19 +200,23 @@ def front_parses(alpha: str, b: str, w: str) -> list[tuple[int, ...]]:
     return out
 
 
-def is_factor(s: Substitution, w: str, factors: wd.FactorSet) -> bool:
+def preimage(a: str, b: str, cuts: Sequence[int]) -> str:
+    """The letters of the blocks between consecutive cuts: a one-letter block
+    reads b, an S(a) block reads a."""
+    return "".join(b if c2 - c1 == 1 else a for c1, c2 in zip(cuts, cuts[1:]))
+
+
+def is_factor(s: Substitution, w: str) -> bool:
     """Whether w is a factor of the language, by desubstitution.
 
     The language is that of the iterates S^n(a).  Let n be least with w a
-    factor of S^n(a) = S(u), u = S^(n-1)(a).  Either w lies inside one
-    S(a) block of S(u), so it is a factor of S(a), or the block partition
-    of S(u) restricts to a 1-partition of w whose preimage (its blocks'
-    letters, with an a for each nonempty remainder) is a factor of u.
-    Conversely S(u) holds w for every such preimage u that is a factor.
-    `factors` (saturated, of depth D >= |S(a)| - 1) answers the words of
-    length <= D, among them every factor of S(a) but S(a) itself, which
-    desubstitutes to a; it also refuses a longer word with a D-window
-    outside the language before the word is parsed.
+    factor of S^n(a).  For n <= 1, w is a factor of S(a) (the empty word and
+    a included, as S(a) begins with a).  Otherwise S^n(a) = S(u),
+    u = S^(n-1)(a): either w lies inside one S(a) block of S(u), so it is a
+    factor of S(a), or the block partition of S(u) restricts to a
+    1-partition of w whose preimage (its blocks' letters, with an a for
+    each nonempty remainder) is a factor of u.  Conversely S(u) holds w for
+    every such preimage u that is a factor.
 
     A preimage is never longer than its word.  It is as long only when the
     word holds no block S(a) and each remainder is the single letter a, and
@@ -229,26 +227,15 @@ def is_factor(s: Substitution, w: str, factors: wd.FactorSet) -> bool:
     """
     a, b = shape_letters(s)
     alpha = s.rules[a]
-    D = factors.max_length
-    if D < len(alpha) - 1:
-        raise ValueError(f"factor set depth {D} is below |S(a)| - 1 = {len(alpha) - 1}")
-    factors.require_saturated()
     level = {w}
     while level:
         preimages = set()
         for v in level:
-            if len(v) <= D:
-                if not v or v in factors:
-                    return True
-                continue
-            if not all(v[i : i + D] in factors for i in range(len(v) - D + 1)):
-                continue
+            if v in alpha:
+                return True
             for cuts in front_parses(alpha, b, v):
-                letters = [a] if cuts[0] else []
-                letters += [b if c2 - c1 == 1 else a for c1, c2 in zip(cuts, cuts[1:])]
-                if cuts[-1] < len(v):
-                    letters.append(a)
-                preimages.add("".join(letters))
+                front = a if cuts[0] else ""
+                preimages.add(front + preimage(a, b, cuts) + (a if cuts[-1] < len(v) else ""))
         preimages -= level
         level = preimages
     return False
@@ -275,7 +262,7 @@ def recognition_rule(
     proper prefix, and a b block is never cut.  `front_parses` lists every
     1-partition of W (`require_premises`), so i is a cut of P iff W is in
     `windows`.  Hence all 1-partitions of every factor agree on
-    [L, |f| - L], and `RecognitionRule.cuts` reads their common cuts there.
+    [L, |f| - L], and `desubstitute` reads their common cuts off any one.
     Below the floor this fails: a window strictly inside one S(a) block
     restricts to no 1-partition, and a check passed there certifies nothing.
 
@@ -311,32 +298,23 @@ def recognition_rule(
 
 
 def desubstitute(s: Substitution, window: str, rule: RecognitionRule) -> tuple[str, int]:
-    """Invert one substitution level on the interior of a window.
+    """Invert one substitution level on the interior of a factor.
 
-    Cuts come from the rule's window set; the blocks between consecutive
-    cuts must read S(a) or b and map back to single letters.  Returns the
-    preimage of the interior and the offset of the first interior cut.
+    Reads the interior cuts L <= c <= |window| - L of the window's first
+    forced parse, which on a factor are the rule's (`recognition_rule`);
+    its cuts lie at most |S(a)| <= 2L + 1 apart from a front below |S(a)|,
+    so a window longer than 4L + 2 holds one.  Returns the preimage of the
+    blocks between them and the offset of the first.
     """
     a, b = shape_letters(s)
-    alpha = s.rules[a]
     L = rule.half_width
     if len(window) <= 4 * L + 2:
         raise ValueError(f"window must be longer than {4 * L + 2}, got {len(window)}")
-    cuts = rule.cuts(window)
-    if not cuts:
-        raise SubstitutionError("no cut recognized in the interior; window too short or foreign")
-    letters = []
-    for c1, c2 in zip(cuts, cuts[1:]):
-        block = window[c1:c2]
-        if block == alpha:
-            letters.append(a)
-        elif block == b:
-            letters.append(b)
-        else:
-            raise SubstitutionError(
-                f"segment {block!r} between recognized cuts {c1}..{c2} is not a block"
-            )
-    return "".join(letters), cuts[0]
+    parses = front_parses(s.rules[a], b, window)
+    if not parses:
+        raise SubstitutionError("window admits no 1-partition; it is not a factor")
+    cuts = [c for c in parses[0] if L <= c <= len(window) - L]
+    return preimage(a, b, cuts), cuts[0]
 
 
 @dataclass

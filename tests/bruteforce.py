@@ -843,6 +843,31 @@ def center_disagreement(alpha: str, b: str, L: int, words) -> str | None:
     return None
 
 
+def rule_cuts(rule, text: str) -> list[int]:
+    """The cuts c, L <= c <= |text| - L, whose 2L-window text[c-L : c+L] is in
+    the rule's window set, by scanning every window."""
+    L = rule.half_width
+    return [c for c in range(L, len(text) - L + 1) if text[c - L : c + L] in rule.windows]
+
+
+def window_desubstitute(rules: dict[str, str], window: str, rule) -> tuple[str, int]:
+    """The letters of the blocks between the window's `rule_cuts`, each matched
+    against S(a) and b, and the first cut; raises ValueError when no cut is
+    found or a block is neither."""
+    (b,) = [x for x, image in rules.items() if image == x]
+    (a,) = [x for x in rules if x != b]
+    cuts = rule_cuts(rule, window)
+    if not cuts:
+        raise ValueError("no cut recognized in the interior")
+    letters = []
+    for c1, c2 in zip(cuts, cuts[1:]):
+        block = window[c1:c2]
+        if block not in (rules[a], b):
+            raise ValueError(f"segment {block!r} between cuts {c1}..{c2} is not a block")
+        letters.append(a if block == rules[a] else b)
+    return "".join(letters), cuts[0]
+
+
 # ---------------------------------------------------------------------------
 # the power-bound routes of the recognition half-width: the paper's L for
 # (2L+1)-windows, read off the longest powers in the language

@@ -15,7 +15,7 @@ from linrep import words as wd
 from linrep.cli import build_parser, main
 from linrep.substitution import validate
 
-from bruteforce import interior_cuts
+from bruteforce import interior_cuts, window_desubstitute
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -373,6 +373,19 @@ def test_spectrum_level_table(defs, capsys):
     assert out.count("level ") == 3
 
 
+@pytest.mark.parametrize("level", ["2", "6"])
+def test_spectrum_level_and_levels_exclude_each_other(defs, capsys, level):
+    # 6 is the level used when none is given, which an argparse default on
+    # --level would let pass next to --levels
+    argv = ["spectrum", str(defs / "fibonacci.json"), "--level", level, "--levels", "3", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --levels: not allowed with argument --level" in captured.err
+
+
 def test_spectrum_window_clips(defs, tmp_path, capsys):
     csv = tmp_path / "bands.csv"
     argv = ["spectrum", str(defs / "free.json"), "--level", "3", "--csv", str(csv)]
@@ -479,7 +492,7 @@ def test_partition_foreign_word(defs, capsys):
 
 def _expected_partition(s, target, rule=None):
     """The stdout and --json payload of `partition`, from the exhaustive
-    enumerator and the rule's own desubstitution."""
+    enumerator and the rule's window scan."""
     if rule is None:
         report = lr.classify(s)
         rule = rec.recognition_rule(s, report.factors, report)
@@ -493,7 +506,7 @@ def _expected_partition(s, target, rule=None):
         f"interior cuts: {list(interior)}",
     ]
     if len(target) > 4 * L + 2:
-        preimage, offset = rec.desubstitute(s, target, rule)
+        preimage, offset = window_desubstitute(s.rules, target, rule)
         lines.append(f"preimage (from offset {offset}): {preimage}")
     payload = {
         "schema_version": "1",
@@ -605,8 +618,8 @@ def test_partition_long_power_windows(capsys):
 
 @pytest.mark.parametrize("name", [*PARTITION_SHAPES, "long-power"])
 def test_partition_preimage_matches_desubstitute(defs, capsys, name):
-    # the preimage read from the forced parse is the rule's desubstitution,
-    # at 30 prefixes up to 5,000 letters (3 for long-power, L = 132)
+    # the preimage read from the forced parse is the one the rule's window
+    # scan reads, at 30 prefixes up to 5,000 letters (3 for long-power, L = 132)
     if name == "long-power":
         path = DATA / "long-power.json"
         s = lr.Substitution.from_rules(json.loads(path.read_text())["rules"])
@@ -623,7 +636,7 @@ def test_partition_preimage_matches_desubstitute(defs, capsys, name):
         lines = [x for x in capsys.readouterr().out.splitlines() if x.startswith("preimage")]
         target = lr.iterate_prefix(s, a, n)
         if len(target) > 4 * rule.half_width + 2:
-            preimage, offset = rec.desubstitute(s, target, rule)
+            preimage, offset = window_desubstitute(s.rules, target, rule)
             assert lines == [f"preimage (from offset {offset}): {preimage}"], n
             shown += 1
         else:
@@ -667,6 +680,27 @@ def test_transcendence_doubled(defs, capsys):
 def test_transcendence_primitive_message(defs, capsys):
     assert main(["transcendence", str(defs / "fibonacci.json")]) == 0
     assert "primitive case" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["stutter-separated", "stutter-doubled"])
+def test_transcendence_refuses_a_depth_past_the_int_to_str_limit(defs, tmp_path, capsys, name):
+    # both systems' tables pass 10^4300 at n = 9,012: a deeper run is refused
+    # before it writes a file or prints a line, and the depth below keeps its run
+    if getattr(sys, "get_int_max_str_digits", int)() != 4300:
+        pytest.skip("the depths below sit at the default limit of 4,300 digits")
+    out, dump = tmp_path / "tr.json", tmp_path / "digits.bin"
+    argv = ["transcendence", str(defs / f"{name}.json"), "--json", str(out),
+            "--dump-digits", str(dump)]
+    assert main([*argv, "--depth", "9012"]) == 1
+    captured = capsys.readouterr()
+    message = ("error: --depth 9012 gives lengths of more than 4300 digits, "
+               "past the interpreter's int-to-str limit\n")
+    assert (captured.out, captured.err) == ("", message)
+    assert not out.exists() and not dump.exists()
+    assert main([*argv, "--depth", "9011"]) == 0
+    lengths = json.loads(out.read_text())["lengths"]
+    assert 10**4299 <= max(lengths[k][-1] for k in ("u", "v", "v_prime")) < 10**4300
+    assert f"|U_n| -> {lengths['u'][-1]}," in capsys.readouterr().out
 
 
 def test_transcendence_digit_dump(defs, tmp_path, capsys):

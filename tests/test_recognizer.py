@@ -21,7 +21,9 @@ from bruteforce import (
     max_power_exponent,
     naive_partitions,
     power_bound,
+    rule_cuts,
     uniqueness_walk,
+    window_desubstitute,
     window_half_width,
 )
 
@@ -131,22 +133,24 @@ def test_front_parses_match_enumeration(name):
         assert parses == naive_partitions(alpha, b, w), w
 
 
+def _shape_system(name):
+    if name == "long-power":
+        path = Path(__file__).parent / "data" / "long-power.json"
+        return Substitution.from_rules(json.loads(path.read_text())["rules"])
+    return lr.load(name)
+
+
 @pytest.mark.parametrize("name", [*SHAPES, "long-power"])
 def test_is_factor_matches_the_language(name):
     # every word up to length 12 against the factor set, then seeded windows
     # of a long iterate with one letter changed against the iterate itself
-    if name == "long-power":
-        path = Path(__file__).parent / "data" / "long-power.json"
-        s = Substitution.from_rules(json.loads(path.read_text())["rules"])
-    else:
-        s = lr.load(name)
+    s = _shape_system(name)
     a, b = rec.shape_letters(s)
-    floor = wd.factor_language(s, 2 * (len(s.rules[a]) // 2))
     short = wd.factor_language(s, 12).words
     for m in range(13):
         for letters in itertools.product((a, b), repeat=m):
             w = "".join(letters)
-            assert rec.is_factor(s, w, floor) == (w in short or not w), w
+            assert rec.is_factor(s, w) == (w in short or not w), w
     text = lr.iterate_prefix(s, a, 400000)
     rng = random.Random(name)
     refused = 0
@@ -157,15 +161,40 @@ def test_is_factor_matches_the_language(name):
         i = rng.randrange(n)
         w[i] = a if w[i] == b else b
         w = "".join(w)
-        assert rec.is_factor(s, w, floor) == (w in text), (start, n, i)
+        assert rec.is_factor(s, w) == (w in text), (start, n, i)
         refused += w not in text
-        assert rec.is_factor(s, text[start : start + 20 * n], floor)
+        assert rec.is_factor(s, text[start : start + 20 * n])
     assert refused >= 90
+    if name == "long-power":
+        # 100,000-letter windows, and each with one letter changed, which the
+        # 13 letters around the change show to be no factor
+        for _ in range(5):
+            start = rng.randrange(len(text) - 100000)
+            w = text[start : start + 100000]
+            assert rec.is_factor(s, w), start
+            i = rng.randrange(6, len(w) - 6)
+            w = w[:i] + (a if w[i] == b else b) + w[i + 1 :]
+            assert w[i - 6 : i + 7] not in short, (start, i)
+            assert not rec.is_factor(s, w), (start, i)
 
 
-def test_is_factor_needs_the_floor_depth(abaa):
-    with pytest.raises(ValueError, match="below"):
-        rec.is_factor(abaa, "abaab", wd.factor_language(abaa, 2))
+@pytest.mark.parametrize("name", [*SHAPES, "long-power"])
+def test_is_factor_builds_no_factor_set(monkeypatch, name):
+    # the chain of preimages ends at a factor of S(a), so no factor set is read
+    s = _shape_system(name)
+    a, b = rec.shape_letters(s)
+    short = wd.factor_language(s, 8).words
+    text = lr.iterate_prefix(s, a, 5000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_factor built a factor set")
+
+    monkeypatch.setattr(wd, "factor_language", refuse)
+    for m in range(9):
+        for letters in itertools.product((a, b), repeat=m):
+            w = "".join(letters)
+            assert rec.is_factor(s, w) == (w in short or not w), w
+    assert rec.is_factor(s, text)
 
 
 def test_recognition_rule_requires_bordered_image(abaa_factors, abaa_report):
@@ -456,7 +485,8 @@ def test_rule_cuts_match_parses_on_fresh_samples(shape_rules, name):
         parses = rec.front_parses(s.rules[a], b, f)
         assert parses, f
         for cuts in parses:
-            assert rule.cuts(f) == [c for c in cuts if L <= c <= len(f) - L], f
+            assert rule_cuts(rule, f) == [c for c in cuts if L <= c <= len(f) - L], f
+        assert rec.desubstitute(s, f, rule) == window_desubstitute(s.rules, f, rule), f
         checked += 1
     assert checked >= 100
 
@@ -734,7 +764,7 @@ def test_half_width_is_the_least_passing_on_random_systems():
             routes += 1
         for n in range(2 * L, 2 * L + 7):
             for f in fs.words_of_length(n):
-                cuts = rule.cuts(f)
+                cuts = rule_cuts(rule, f)
                 for p in rec.enumerate_one_partitions(s, f):
                     assert list(interior_cuts(p, L)) == cuts, (alpha, f)
         sample = lr.iterate_prefix(s, "a", 3000)
