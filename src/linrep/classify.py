@@ -30,10 +30,10 @@ length is the exact gap bound kappa, and the pairs of them that occur, with
 no factor set, and the whole chain gives exact periodicity.  The
 pair-coverage length G is the exact result of `words.coverage_exact`, a
 fold over summaries of the letter images, not of a scan at some depth.
-`check_compatibility` is exact from letter data as well.  `classify` builds
-a factor set only to walk the core of `is_periodic`, for a chain past its
-cap or an uncertified system whose letter data does not show its subshift
-infinite (`_power_not_minimal`, `_two_sided_pump`).
+`check_compatibility` is exact as well, and reads a depth-3 set only to
+refute.  Past that, `classify` builds a factor set only to walk the core of
+`is_periodic`, for a chain past its cap or an uncertified system whose letter
+data does not show its subshift infinite (`_power_not_minimal`, `_two_sided_pump`).
 """
 
 from __future__ import annotations

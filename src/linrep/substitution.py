@@ -4,7 +4,8 @@ A substitution maps each letter of a finite alphabet to a nonempty word and
 extends to words multiplicatively.  This module owns the exact combinatorial
 machinery around it: the occurrence matrix (abelianization), the split of the
 alphabet into bounded and growing letters, the reduced substitution obtained
-by erasing bounded letters, primitivity, Perron growth constants, and the
+by erasing bounded letters, primitivity, Perron growth constants, iterate
+prefixes (the fixed-point words the applications read), and the
 compatibility check between the finite-word language and the two-sided
 subshift it generates.
 
@@ -39,10 +40,6 @@ class UnknownLetterError(SubstitutionError):
 
 class EmptySubshiftError(SubstitutionError):
     """No letter has unboundedly growing images; the subshift is empty."""
-
-
-class NoGrowingLettersError(SubstitutionError):
-    pass
 
 
 class NotPrimitiveError(SubstitutionError):
@@ -394,7 +391,7 @@ def reduced_substitution(s: Substitution) -> Substitution:
     """
     shapes = s.split.shapes
     if not shapes:
-        raise NoGrowingLettersError("cannot reduce: no growing letters")
+        raise EmptySubshiftError("cannot reduce: no growing letters")
     letters = list(shapes)
     rules = {c: "".join(shape[1::2]) for c, shape in shapes.items()}
     alphabet = Alphabet(
@@ -480,7 +477,7 @@ def perron_growth(
         raise ValueError(f"growth constants need n_max >= 1, got {n_max}")
     split = s.split
     if not split.growing:
-        raise NoGrowingLettersError("cannot reduce: no growing letters")
+        raise EmptySubshiftError("cannot reduce: no growing letters")
     for c in split.growing:
         sets, start, _ = split.orbits[c]
         if not all(split.growing <= st for st in sets[start:]):
@@ -552,11 +549,14 @@ def iterate_prefix(s: Substitution, seed: str, length: int) -> str:
     if a letter on the way has a longer image and is eternally single if
     none has.  Reads of `Substitution.lengths` up to the levels 1, 2, 4, ...
     find k, and make that check from the first level n >= d on, where
-    |S^n(seed)| = |S^d(seed)|.  S^k(seed) is built as S^m(S^(k-m)(seed)) with
-    m = k // 2: S^(k-m) is applied to the seed, keeping `length` letters
-    after each step, and the letters' S^m images, computed once, are joined
-    along that word.  Every image joined is a factor of S^k(seed), so no
-    string is longer than S^k(seed) = S(S^(k-1)(seed)), below max|S(c)| * `length`.
+    |S^n(seed)| = |S^d(seed)|.  S is non-erasing, so S^j(w)[:length] =
+    S^m(S^(j-m)(w)[:length])[:length] with m = j // 2: the letters' S^m
+    images, memoised per (letter, m) and built only for the letters of that
+    word, are joined along it and cut at `length`.  Each halving meets at
+    most two powers, so any seed costs O(|A| * `length` * log k) letters.
+    A join is no longer than S^j(w), a factor of some S^i(seed) with i <= k,
+    so none is longer than S^k(seed) = S(S^(k-1)(seed)), below max|S(c)| *
+    `length`.
     """
     if len(seed) >= length:
         return seed[:length]
@@ -567,12 +567,17 @@ def iterate_prefix(s: Substitution, seed: str, length: int) -> str:
                                     f"{lengths[-1]} < {length} letters")
         n *= 2
     k = next(k for k, x in enumerate(lengths) if x >= length)
-    m = k // 2
-    w = seed
-    for _ in range(k - m):
-        w = s.apply(w)[:length]
-    images = {ch: s.iterate(ch, m) for ch in set(w)}
-    return "".join(map(images.__getitem__, w))[:length]
+    return _power_prefix(seed, k, length, {1: s.rules})
+
+
+def _power_prefix(w: str, j: int, length: int, level: dict[int, dict[str, str]]) -> str:
+    """S^j(w)[:length] for j >= 1, where level[m] holds the letters' S^m images
+    cut at `length` built so far (level[1], the rules, holds every letter)."""
+    u, m = (w, 1) if j == 1 else (_power_prefix(w, j - j // 2, length, level), j // 2)
+    images = level.setdefault(m, {})
+    for ch in set(u).difference(images):
+        images[ch] = _power_prefix(ch, m, length, level)
+    return "".join(map(images.__getitem__, u))[:length]
 
 
 @dataclass
@@ -613,19 +618,6 @@ def interior_power(s: Substitution, e: str) -> int | None:
     return None
 
 
-def short_factors(s: Substitution) -> list[list[str]]:
-    """The sorted factors of length 1, 2 and 3: a window of length m <= 3 of
-    S(w) lies inside the images of at most m adjacent letters of w, so the
-    windows of S(u) over the factors u found so far close this finite set."""
-    found, todo = set(s.letters), list(s.letters)
-    while todo:
-        image = s.apply(todo.pop())
-        windows = {image[i : i + m] for m in (1, 2, 3) for i in range(len(image) - m + 1)}
-        todo.extend(windows - found)
-        found |= windows
-    return [sorted(w for w in found if len(w) == m) for m in (1, 2, 3)]
-
-
 def check_compatibility(s: Substitution) -> CompatibilityResult:
     """Decide whether the factor language L equals the two-sided subshift's language.
 
@@ -642,8 +634,8 @@ def check_compatibility(s: Substitution) -> CompatibilityResult:
     inside some S^m(e).  So the factor e has no left extension or some xe
     has no right one: "fails-certified", naming the first blocked factor in
     sorted order of the shortest length, 1 or 2, the right side checked
-    first, read off the `short_factors`.  L does not depend on e, so where
-    e does not recur, no growing letter does.
+    first, read off the saturated `words.factor_language` of depth 3.  L
+    does not depend on e, so where e does not recur, no growing letter does.
     """
     if not s.split.candidates:
         raise SubstitutionError("no growing letter reaches the whole alphabet")
@@ -653,7 +645,11 @@ def check_compatibility(s: Substitution) -> CompatibilityResult:
         return CompatibilityResult(
             "holds-certified", {"kind": "interior-recurrence", "letter": e, "power": p}
         )
-    levels = short_factors(s)
+    from .words import factor_language  # words imports this module; a recurrence skips it
+
+    factors = factor_language(s, 3)
+    factors.require_saturated()
+    levels = [factors.words_of_length(m) for m in (1, 2, 3)]
     for words, longer in zip(levels, levels[1:]):
         prefixes = {u[:-1] for u in longer}
         suffixes = {u[1:] for u in longer}

@@ -161,15 +161,6 @@ def naive_find_power(factors: set[str], predicate, exponent: int, max_len: int) 
     return best
 
 
-def naive_repetitivity(factors: set[str], n: int, max_len: int) -> int | None:
-    targets = [w for w in factors if len(w) == n]
-    for length in range(n, max_len + 1):
-        words = [w for w in factors if len(w) == length]
-        if words and all(t in w for w in words for t in targets):
-            return length
-    return None
-
-
 def naive_partitions(alpha: str, b: str, w: str) -> list[tuple[int, ...]]:
     """All 1-partition cut tuples of w by plain recursion (no memoization)."""
     results: list[tuple[int, ...]] = []
@@ -614,6 +605,25 @@ def interior_power_by_strings(s, e: str, cap: int = 10**5) -> tuple[int | None, 
         if e in w[1:-1]:
             return p, p
     return None, top
+
+
+def short_factors_by_strings(rules: dict[str, str]) -> list[set[str]]:
+    """The factors of length 1, 2 and 3, by applying the rules to every one found.
+
+    A window of length m <= 3 of S(w) lies inside the images of at most m
+    adjacent letters of w, so the windows of S(u) over the factors u found
+    so far close the set, which is finite.  Reference for the factors that
+    `check_compatibility` reads.
+    """
+    found: set[str] = set(rules)
+    while True:
+        windows = set(found)
+        for u in found:
+            image = apply_rules(rules, u)
+            windows.update(image[i : i + m] for m in (1, 2, 3) for i in range(len(image) - m + 1))
+        if windows == found:
+            return [{w for w in found if len(w) == m} for m in (1, 2, 3)]
+        found = windows
 
 
 def levels_blocked_factor(factors, depth: int) -> dict | None:

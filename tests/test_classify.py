@@ -463,8 +463,10 @@ def test_classify_builds_one_factor_set(monkeypatch):
     # a certified system, whose return words and periodicity read no
     # factors, builds no set in classify, and neither does remarkc, which
     # is compatible and whose S^p is not minimal; any other builds one, at
-    # the core walk's 40 + CORE_MARGIN = 48; report.factors is built once,
-    # on first read, at that depth
+    # the core walk's 40 + CORE_MARGIN = 48, after the depth-3 set from
+    # which the compatibility check of remark1b, the one incompatible
+    # system, names its blocked factor; report.factors is built once, on
+    # first read, at depth 48
     calls = []
     build = wd.factor_language
 
@@ -480,12 +482,13 @@ def test_classify_builds_one_factor_set(monkeypatch):
         calls.clear()
         rep = classify(s)
         walks = rep.minimal != YES and s.name != "remarkc"
-        assert calls == ([48] if walks else []), s
+        refuted = [3] if s.name == "remark1b" else []
+        assert calls == refuted + ([48] if walks else []), s
         certified += rep.minimal == YES
         assert rep.factor_depth == 48
         first = rep.factors
         assert rep.factors is first and first.max_length == 48, s
-        assert calls == [48], s
+        assert calls == refuted + [48], s
     assert certified == 109
 
 
@@ -820,8 +823,9 @@ def _analyzed_draws():
 def test_letter_rules_equal_walk(monkeypatch):
     # wherever a two-sided pump or a growing letter strictly inside its own
     # image shows the subshift of a system that is not certified minimal
-    # infinite, classify builds no factor set and gives the walk's verdict;
-    # the compatible draws are left to the S^p check, which classify asks first
+    # infinite, classify builds no factor set for the walk and gives its
+    # verdict, and only the depth-3 set that refutes compatibility; the
+    # compatible draws are left to the S^p check, which classify asks first
     built = []
     build = wd.factor_language
     monkeypatch.setattr(wd, "factor_language", lambda s, n: built.append(n) or build(s, n))
@@ -842,7 +846,7 @@ def test_letter_rules_equal_walk(monkeypatch):
             continue
         built.clear()
         got = classify(s).periodicity
-        assert built == [], s
+        assert built == [3], s
         want = is_periodic(build(s, 48))
         assert (got.status, got.period, got.depth) == (want.status, want.period, want.depth), s
     assert uncertified == 3461 and fired == {"pump": 97, "inside": 192}

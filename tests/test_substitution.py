@@ -14,7 +14,6 @@ from linrep.substitution import (
     Alphabet,
     EmptySubshiftError,
     ErasingRuleError,
-    NoGrowingLettersError,
     NotPrimitiveError,
     Substitution,
     SubstitutionError,
@@ -27,7 +26,6 @@ from linrep.substitution import (
     perron_growth,
     prune_to_reachable,
     reduced_substitution,
-    short_factors,
     validate,
 )
 from linrep.classify import decide_minimality, return_word_pairs
@@ -44,6 +42,7 @@ from bruteforce import (
     length_columns,
     mat_pow,
     project,
+    short_factors_by_strings,
     word_image_lengths,
 )
 
@@ -270,10 +269,8 @@ def test_reduced_remarkc_not_growing():
 
 
 def test_reduced_requires_growing_letter():
-    from linrep.substitution import NoGrowingLettersError
-
     s = Substitution.from_rules({"a": "b", "b": "a"})
-    with pytest.raises(NoGrowingLettersError):
+    with pytest.raises(EmptySubshiftError, match="cannot reduce: no growing letters"):
         reduced_substitution(s)
 
 
@@ -645,7 +642,7 @@ def test_perron_growth_without_growing_letters():
     # as when the reduced system was built first: no growing letter is a
     # SubstitutionError of its own, before any word is read
     s = Substitution.from_rules({"a": "b", "b": "a"})
-    with pytest.raises(NoGrowingLettersError):
+    with pytest.raises(EmptySubshiftError, match="cannot reduce: no growing letters"):
         perron_growth(s, ["a"], 5)
 
 
@@ -699,6 +696,22 @@ def test_iterate_prefix_rejects_seed_without_growing_letter():
     assert str(info.value) == message
     assert lr.iterate_prefix(s, "b", 2) == "cc"
 
+
+
+def test_iterate_prefix_on_slowly_growing_seeds():
+    # the images of these seeds grow linearly ({a -> ab, b -> b}: S^k(a) =
+    # a b^k) or quadratically ({a -> abc, b -> bc, c -> c}: S^k(b) = b c^k
+    # and S^k(a) = a bc bc^2 ... bc^k), so the power k is near `length` or
+    # its square root; halving the power keeps the work near length * log k
+    s = Substitution.from_rules({"a": "ab", "b": "b"})
+    for n in (1, 2, 3, 1000, 20001, 200000):
+        assert lr.iterate_prefix(s, "a", n) == "a" + "b" * (n - 1), n
+    s = Substitution.from_rules({"a": "abc", "b": "bc", "c": "c"})
+    fixed = "a" + "".join("b" + "c" * i for i in range(1, 700))
+    assert len(fixed) > 200000
+    for n in (1, 2, 5, 1000, 50001, 200000):
+        assert lr.iterate_prefix(s, "a", n) == fixed[:n], n
+        assert lr.iterate_prefix(s, "b", n) == "b" + "c" * (n - 1), n
 
 
 def _naive_fixed_point_prefix(s, zero, n):
@@ -766,25 +779,51 @@ def test_compatibility_one_sided_prefix_point_fails():
 
 def test_compatibility_rejects_shallow_factor_set(fib):
     # a recurrence needs no factors, but {a -> ab, b -> b}, where no letter
-    # recurs inside its images, reads the factors of length <= 3 from the
-    # closure over letter images to name the blocked one
+    # recurs inside its images, reads the factors of length <= 3 from
+    # factor_language at depth 3 to name the blocked one
     assert check_compatibility(fib).status == "holds-certified"
     s = Substitution.from_rules({"a": "ab", "b": "b"})
     res = check_compatibility(s)
     assert res.detail == {"blocked_factor": "a", "side": "left"}
 
 
-def test_short_factors_match_a_saturated_factor_set():
-    # the closure over letter images against factor_language(s, 3) on
-    # seeded systems of 2-26 letters with mostly one-letter images
+def test_compatibility_matches_a_string_closure():
+    # the check reads the factors of length <= 3 from factor_language(s, 3);
+    # on seeded systems of 2-26 letters with mostly one-letter images that
+    # set saturates, its levels equal those of a closure that applies the
+    # rules to every factor found as strings, and the verdict equals the one
+    # read off those levels: fails-certified naming the first factor of
+    # length 1, then 2, in sorted order with no right (checked first) or no
+    # left extension, else holds-certified
     rng = random.Random(5)
+    verdicts = {"holds-certified": 0, "fails-certified": 0, "raises": 0}
     for _ in range(1000):
         letters = string.ascii_lowercase[: rng.randint(2, 26)]
         rules = {a: "".join(rng.choices(letters, k=rng.choice([1, 1, 2, 3]))) for a in letters}
         s = Substitution.from_rules(rules)
+        levels = short_factors_by_strings(rules)
         fs = factor_language(s, 3)
         assert fs.saturated, rules
-        assert short_factors(s) == [list(fs.words_of_length(m)) for m in (1, 2, 3)], rules
+        assert [sorted(v) for v in levels] == [list(fs.words_of_length(m)) for m in (1, 2, 3)], rules
+        if not s.split.candidates:
+            with pytest.raises(SubstitutionError):
+                check_compatibility(s)
+            verdicts["raises"] += 1
+            continue
+        blocked = [
+            {"blocked_factor": w, "side": "left" if any(u.startswith(w) for u in longer) else "right"}
+            for words, longer in zip(levels, levels[1:])
+            for w in sorted(words)
+            if not (any(u.startswith(w) for u in longer) and any(u.endswith(w) for u in longer))
+        ]
+        want = blocked[0] if blocked else None
+        got = check_compatibility(s)
+        if want is None:
+            assert got.status == "holds-certified", rules
+        else:
+            assert (got.status, got.detail) == ("fails-certified", want), rules
+        verdicts[got.status] += 1
+    assert verdicts == {"holds-certified": 93, "fails-certified": 146, "raises": 761}
 
 
 def test_interior_power_matches_string_oracle():
