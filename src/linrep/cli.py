@@ -28,7 +28,6 @@ import functools
 import json
 import os
 import sys
-from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 from . import catalog as cat
@@ -205,12 +204,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
         # a factor with no 1-partition lies inside one S(a) block (`rec.is_factor`)
         return _fail(f"word admits no 1-partition: it lies strictly inside one S({a!r}) block")
     L = rule.half_width
-
-    def interior(cuts: tuple[int, ...]) -> tuple[int, ...]:
-        return cuts[bisect_left(cuts, L) : bisect_right(cuts, len(target) - L)]  # cuts increase
-
     first = parses[0]
-    cuts = list(interior(first))
+    cuts = list(rec.interior_cuts(first, L, len(target)))
     preimage = None
     if len(target) > 4 * L + 2:
         # on a factor the parse's interior cuts are the rule's (`recognition_rule`)
@@ -232,7 +227,7 @@ def cmd_partition(args: argparse.Namespace) -> int:
         _write_json(args.json, payload)
     print(f"half-width L = {L}; window set size {len(rule.windows)}")
     print(f"1-partitions: {len(parses)}; distinct interior cut-sets: "
-          f"{len(set(map(interior, parses)))}")
+          f"{len({rec.interior_cuts(p, L, len(target)) for p in parses})}")
     print(f"interior cuts: {cuts}")
     if preimage is not None:
         print(f"preimage (from offset {offset}): {preimage}")

@@ -43,14 +43,6 @@ ATTRIBUTION = (
 )
 
 
-class CaseDetectionError(SubstitutionError):
-    pass
-
-
-class PeriodicShapeError(CaseDetectionError):
-    """S(0) = 0 1^k 0 exactly: the fixed point is periodic, outside scope."""
-
-
 @dataclass
 class StutterWitness:
     """Shape classification of S(0) plus the stutter prefix split of the fixed point.
@@ -93,7 +85,7 @@ def detect_case(s: Substitution, report: ClassificationReport, depth: int = 32) 
             k += 1
         rest = img[2 + k :]
         if rest == "":
-            raise PeriodicShapeError(
+            raise SubstitutionError(
                 f"image {img!r} is exactly {zero}{one}^{k}{zero}: periodic fixed point"
             )
         case_tag, w = CASE_SEPARATED, rest[:-1]
@@ -102,7 +94,7 @@ def detect_case(s: Substitution, report: ClassificationReport, depth: int = 32) 
     else:  # img[1] == zero
         case_tag, k, w = CASE_DOUBLED, None, img[2:-1]
         if one not in w:
-            raise CaseDetectionError(
+            raise SubstitutionError(
                 f"doubled-start image {img!r} must carry {one!r} strictly inside"
             )
         v_word = zero
@@ -112,7 +104,7 @@ def detect_case(s: Substitution, report: ClassificationReport, depth: int = 32) 
     prefix = iterate_prefix(s, zero, horizon)
     idx = prefix.find(pattern)
     if idx < 0:
-        raise CaseDetectionError(
+        raise SubstitutionError(
             f"stutter pattern {pattern!r} not found within the first {horizon} letters; "
             "shape classification inconsistent, flag for review"
         )

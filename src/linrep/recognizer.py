@@ -25,6 +25,7 @@ reference the forced parses are tested against.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -206,6 +207,11 @@ def preimage(a: str, b: str, cuts: Sequence[int]) -> str:
     return "".join(b if c2 - c1 == 1 else a for c1, c2 in zip(cuts, cuts[1:]))
 
 
+def interior_cuts(cuts: tuple[int, ...], L: int, n: int) -> tuple[int, ...]:
+    """The cuts c, L <= c <= n - L, of increasing cuts on a word of length n."""
+    return cuts[bisect_left(cuts, L) : bisect_right(cuts, n - L)]
+
+
 def is_factor(s: Substitution, w: str) -> bool:
     """Whether w is a factor of the language, by desubstitution.
 
@@ -313,7 +319,7 @@ def desubstitute(s: Substitution, window: str, rule: RecognitionRule) -> tuple[s
     parses = front_parses(s.rules[a], b, window)
     if not parses:
         raise SubstitutionError("window admits no 1-partition; it is not a factor")
-    cuts = [c for c in parses[0] if L <= c <= len(window) - L]
+    cuts = interior_cuts(parses[0], L, len(window))
     return preimage(a, b, cuts), cuts[0]
 
 

@@ -362,16 +362,17 @@ def validate(definition: Mapping | Substitution) -> ValidationReport:
     return ValidationReport(substitution=s, witness=witness)
 
 
+def _on_letters(s: Substitution, rules: dict[str, str], name: str | None) -> Substitution:
+    """The substitution `rules` on the keys of `rules`, in order, with `s`'s letter values."""
+    values = s.alphabet.values
+    alphabet = Alphabet(rules, {a: values[a] for a in rules}, allow_duplicate_values=True)
+    return Substitution(alphabet, rules, name)
+
+
 def prune_to_reachable(s: Substitution, witness: str) -> Substitution:
     """Restrict the substitution to the letters reachable from `witness`."""
     keep = s.split.reach[witness]
-    letters = [a for a in s.letters if a in keep]
-    alphabet = Alphabet(
-        letters,
-        {a: s.alphabet.values[a] for a in letters},
-        allow_duplicate_values=True,
-    )
-    return Substitution(alphabet, {a: s.rules[a] for a in letters}, s.name)
+    return _on_letters(s, {a: s.rules[a] for a in s.letters if a in keep}, s.name)
 
 
 def reduced_substitution(s: Substitution) -> Substitution:
@@ -392,14 +393,8 @@ def reduced_substitution(s: Substitution) -> Substitution:
     shapes = s.split.shapes
     if not shapes:
         raise EmptySubshiftError("cannot reduce: no growing letters")
-    letters = list(shapes)
     rules = {c: "".join(shape[1::2]) for c, shape in shapes.items()}
-    alphabet = Alphabet(
-        letters,
-        {a: s.alphabet.values[a] for a in letters},
-        allow_duplicate_values=True,
-    )
-    return Substitution(alphabet, rules, name=(s.name and s.name + "~"))
+    return _on_letters(s, rules, s.name and s.name + "~")
 
 
 @dataclass(frozen=True)

@@ -329,8 +329,8 @@ def coverage_exact(s, targets: Iterable[Word]) -> int:
 
     Summary: for a target t of length m, a word x is summarized by its first
     and last m - 1 letters (all of x while shorter), whether x is t-free,
-    its longest t-free prefix and suffix, and |x| while x is t-free (else
-    0).  The summary of a product xy follows from those of x and y: an
+    and its longest t-free prefix and suffix (both |x| when x is t-free).
+    The summary of a product xy follows from those of x and y: an
     occurrence of t in xy lies in x, in y, or crosses the seam, and a
     crossing one lies in the junction word suffix(x) + prefix(y), using s
     letters of x (1 <= s <= m - 1).  The t-free prefix of xy is that of x
@@ -381,8 +381,8 @@ def coverage_exact(s, targets: Iterable[Word]) -> int:
 
         def join(x, y):
             nonlocal avoid
-            xpre, xsuf, xfree, xhead, xtail, xn = x
-            ypre, ysuf, yfree, yhead, ytail, yn = y
+            xpre, xsuf, xfree, xhead, xtail = x
+            ypre, ysuf, yfree, yhead, ytail = y
             pre = xpre if len(xpre) == k else (xpre + ypre)[:k]
             suf = ysuf if len(ysuf) == k else (xsuf + ysuf)[-k:]
             seam = xsuf + ypre
@@ -391,24 +391,24 @@ def coverage_exact(s, targets: Iterable[Word]) -> int:
                 if xtail + yhead > avoid:
                     avoid = xtail + yhead
                 free = xfree and yfree
-                head = xn + yhead if xfree else xhead
-                tail = xtail + yn if yfree else ytail
-                return pre, suf, free, head, tail, xn + yn if free else 0
+                head = xhead + yhead if xfree else xhead
+                tail = xtail + ytail if yfree else ytail
+                return pre, suf, free, head, tail
             # letters of x used by each occurrence of t across the seam
             cut = len(xsuf)
             uses = []
             while i >= 0:
                 uses.append(cut - i)
                 i = seam.find(t, i + 1)
-            head = xn + m - uses[0] - 1 if xfree else xhead
-            tail = yn + uses[-1] - 1 if yfree else ytail
+            head = xhead + m - uses[0] - 1 if xfree else xhead
+            tail = ytail + uses[-1] - 1 if yfree else ytail
             for cap in [xtail] + [u - 1 for u in uses]:
                 a = min(xtail, cap)
                 avoid = max(avoid, a + min([yhead] + [m - u - 1 for u in uses if u <= a]))
-            return pre, suf, False, head, tail, 0
+            return pre, suf, False, head, tail
 
         free = {a: a != t for a in letters}
-        level = {a: (a[:k], a[:k], f, int(f), int(f), int(f)) for a, f in free.items()}
+        level = {a: (a[:k], a[:k], f, int(f), int(f)) for a, f in free.items()}
         avoid = max(avoid, *map(int, free.values()))
         seen = set()
         for _ in range(FOLD_ROUNDS + 1):

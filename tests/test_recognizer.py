@@ -531,6 +531,22 @@ def test_desubstitute_rejects_short_window(abaa, abaa_rule):
         rec.desubstitute(abaa, "abaa", abaa_rule)
 
 
+def test_interior_cuts_match_the_filter():
+    def expected(cuts, L, n):
+        return tuple(c for c in cuts if L <= c <= n - L)
+
+    fixed = [((), 3, 10), ((3, 7), 3, 10), ((0, 3, 5, 7, 10), 3, 10),
+             ((0, 2, 4, 6, 8), 5, 8), ((1, 4, 5), 3, 6), ((0, 1, 2), 0, 2)]
+    rng = random.Random(44)
+    drawn = []
+    for _ in range(500):
+        n = rng.randint(0, 40)
+        cuts = tuple(sorted(rng.sample(range(n + 1), rng.randint(0, n + 1))))
+        drawn.append((cuts, rng.randint(0, n + 2), n))
+    for cuts, L, n in fixed + drawn:
+        assert rec.interior_cuts(cuts, L, n) == expected(cuts, L, n), (cuts, L, n)
+
+
 def test_recognition_no_doubled_letter_route(monkeypatch):
     # S(a) = ababba holds no aa, so the paper's route is the exponent bound:
     # 60, far above the least half-width 5

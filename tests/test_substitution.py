@@ -127,6 +127,37 @@ def test_validate_reports_pruning():
     assert pruned.letters == ("a", "b")
 
 
+def test_derived_substitutions_keep_order_values_and_name():
+    # the alphabet is not in code-point order and its values repeat; x is
+    # bounded, and z grows but is reached from no other letter
+    definition = {
+        "name": "mixed",
+        "allow_duplicate_values": True,
+        "alphabet": [{"symbol": a, "value": v} for a, v in
+                     [("c", 2), ("z", 2), ("a", 0.5), ("x", 2)]],
+        "rules": {"c": "cxa", "z": "zz", "a": "acx", "x": "x"},
+    }
+    report = validate(definition)
+    s = report.substitution
+    assert report.witness == "c"
+    pruned = prune_to_reachable(s, "c")
+    assert pruned.letters == ("c", "a", "x")
+    assert pruned.alphabet.values == {"c": 2.0, "a": 0.5, "x": 2.0}
+    assert list(pruned.rules.items()) == [("c", "cxa"), ("a", "acx"), ("x", "x")]
+    assert pruned.name == "mixed"
+    for base, letters, rules in [
+        (s, ("c", "z", "a"), {"c": "ca", "z": "zz", "a": "ac"}),
+        (pruned, ("c", "a"), {"c": "ca", "a": "ac"}),
+    ]:
+        red = reduced_substitution(base)
+        assert red.letters == letters
+        assert red.alphabet.values == {a: s.alphabet.values[a] for a in letters}
+        assert list(red.rules.items()) == list(rules.items())
+        assert red.name == "mixed~"
+    # an unnamed system stays unnamed
+    assert reduced_substitution(Substitution.from_rules({"a": "ab", "b": "a"})).name is None
+
+
 def _shuffled_draws():
     # seeded systems of 2-6 letters whose alphabets come in shuffled order,
     # with their validation reports; empty subshifts are skipped
