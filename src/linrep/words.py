@@ -378,38 +378,8 @@ def coverage_exact(s, targets: Iterable[Word]) -> int:
             continue
         m = len(t)
         k = m - 1
-
-        def join(x, y):
-            nonlocal avoid
-            xpre, xsuf, xfree, xhead, xtail = x
-            ypre, ysuf, yfree, yhead, ytail = y
-            pre = xpre if len(xpre) == k else (xpre + ypre)[:k]
-            suf = ysuf if len(ysuf) == k else (xsuf + ysuf)[-k:]
-            seam = xsuf + ypre
-            i = seam.find(t)
-            if i < 0:  # nothing crosses the seam
-                if xtail + yhead > avoid:
-                    avoid = xtail + yhead
-                free = xfree and yfree
-                head = xhead + yhead if xfree else xhead
-                tail = xtail + ytail if yfree else ytail
-                return pre, suf, free, head, tail
-            # letters of x used by each occurrence of t across the seam
-            cut = len(xsuf)
-            uses = []
-            while i >= 0:
-                uses.append(cut - i)
-                i = seam.find(t, i + 1)
-            head = xhead + m - uses[0] - 1 if xfree else xhead
-            tail = ytail + uses[-1] - 1 if yfree else ytail
-            for cap in [xtail] + [u - 1 for u in uses]:
-                a = min(xtail, cap)
-                avoid = max(avoid, a + min([yhead] + [m - u - 1 for u in uses if u <= a]))
-            return pre, suf, False, head, tail
-
-        free = {a: a != t for a in letters}
-        level = {a: (a[:k], a[:k], f, int(f), int(f)) for a, f in free.items()}
-        avoid = max(avoid, *map(int, free.values()))
+        level = {a: (a[:k], a[:k], a != t, int(a != t), int(a != t)) for a in letters}
+        avoid = max(avoid, *(x[4] for x in level.values()))
         seen = set()
         for _ in range(FOLD_ROUNDS + 1):
             key = tuple(level.values())
@@ -419,10 +389,39 @@ def coverage_exact(s, targets: Iterable[Word]) -> int:
             nxt = {}
             for a in letters:
                 image = rules[a]
-                acc = level[image[0]]
+                # the summary of the product x so far, joined to each next y
+                pre, suf, free, head, tail = level[image[0]]
                 for b in image[1:]:
-                    acc = join(acc, level[b])
-                nxt[a] = acc
+                    ypre, ysuf, yfree, yhead, ytail = level[b]
+                    seam = suf + ypre
+                    i = seam.find(t)
+                    if len(pre) < k:
+                        pre = (pre + ypre)[:k]
+                    if i < 0:  # nothing crosses the seam
+                        if tail + yhead > avoid:
+                            avoid = tail + yhead
+                        if free:
+                            head += yhead
+                        tail = tail + ytail if yfree else ytail
+                        free = free and yfree
+                    else:
+                        # letters of x used by each occurrence of t across the seam
+                        cut = len(suf)
+                        uses = []
+                        while i >= 0:
+                            uses.append(cut - i)
+                            i = seam.find(t, i + 1)
+                        if free:
+                            head += m - uses[0] - 1
+                        # the crossing run x[-left:] y[:right] of each cap
+                        for cap in [tail] + [u - 1 for u in uses]:
+                            left = min(tail, cap)
+                            right = min([yhead] + [m - u - 1 for u in uses if u <= left])
+                            avoid = max(avoid, left + right)
+                        tail = ytail + uses[-1] - 1 if yfree else ytail
+                        free = False
+                    suf = ysuf if len(ysuf) == k else (suf + ysuf)[-k:]
+                nxt[a] = pre, suf, free, head, tail
             level = nxt
         else:
             raise CoverageUndecidedError(

@@ -435,6 +435,82 @@ def scan_coverage_length(words: set[str], targets, max_length: int) -> int | Non
     return None
 
 
+def coverage_fold_by_joins(s, targets) -> int:
+    """The coverage fold with its product as a function: `join(x, y)` of two
+    five-field summaries, folded over each letter image.
+
+    The same summaries, stop rule and `CoverageUndecidedError` message as
+    `words.coverage_exact`, which runs the join inline in its round loop.
+    """
+    from bisect import bisect_right
+
+    from linrep import words as wd
+
+    targets = tuple(targets)
+    if not targets or not all(targets):
+        raise ValueError("coverage needs nonempty targets")
+    rules = s.rules
+    letters = list(s.letters)
+    avoid = 0
+    by_length = sorted(set(targets), key=len)
+    lengths = [len(u) for u in by_length]
+    for t in dict.fromkeys(targets):
+        if any(t in u for u in by_length[bisect_right(lengths, len(t)) :]):
+            continue
+        m = len(t)
+        k = m - 1
+
+        def join(x, y):
+            nonlocal avoid
+            xpre, xsuf, xfree, xhead, xtail = x
+            ypre, ysuf, yfree, yhead, ytail = y
+            pre = xpre if len(xpre) == k else (xpre + ypre)[:k]
+            suf = ysuf if len(ysuf) == k else (xsuf + ysuf)[-k:]
+            seam = xsuf + ypre
+            i = seam.find(t)
+            if i < 0:
+                avoid = max(avoid, xtail + yhead)
+                free = xfree and yfree
+                head = xhead + yhead if xfree else xhead
+                tail = xtail + ytail if yfree else ytail
+                return pre, suf, free, head, tail
+            cut = len(xsuf)
+            uses = []
+            while i >= 0:
+                uses.append(cut - i)
+                i = seam.find(t, i + 1)
+            head = xhead + m - uses[0] - 1 if xfree else xhead
+            tail = ytail + uses[-1] - 1 if yfree else ytail
+            for cap in [xtail] + [u - 1 for u in uses]:
+                a = min(xtail, cap)
+                avoid = max(avoid, a + min([yhead] + [m - u - 1 for u in uses if u <= a]))
+            return pre, suf, False, head, tail
+
+        free = {a: a != t for a in letters}
+        level = {a: (a[:k], a[:k], f, int(f), int(f)) for a, f in free.items()}
+        avoid = max(avoid, *map(int, free.values()))
+        seen = set()
+        for _ in range(wd.FOLD_ROUNDS + 1):
+            key = tuple(level.values())
+            if key in seen:
+                break
+            seen.add(key)
+            nxt = {}
+            for a in letters:
+                image = rules[a]
+                acc = level[image[0]]
+                for b in image[1:]:
+                    acc = join(acc, level[b])
+                nxt[a] = acc
+            level = nxt
+        else:
+            raise wd.CoverageUndecidedError(
+                f"undecided-at-depth: the coverage fold for {t!r} did not repeat "
+                f"within {wd.FOLD_ROUNDS} rounds"
+            )
+    return max(max(map(len, targets)), avoid + 1)
+
+
 def coverage_fold_with_run(s, targets, fold_rounds: int | None = None) -> tuple[int, int]:
     """The coverage fold that keeps the longest t-free factor `run` in every summary.
 

@@ -949,6 +949,62 @@ def test_unwritable_output_file_prints_no_report(defs, tmp_path, capsys, argv):
     assert "No such file or directory" in captured.err
 
 
+# every kind of output file, with {out} for its path
+OUTPUT_FILE_ARGV = [
+    ["analyze", "{defs}/fibonacci.json", "--json", "{out}"],
+    ["partition", "{defs}/minimal-nonprimitive.json", "--prefix", "200", "--json", "{out}"],
+    ["transcendence", "{defs}/stutter-separated.json", "--json", "{out}"],
+    ["transcendence", "{defs}/stutter-separated.json", "--dump-digits", "{out}"],
+    ["spectrum", "{defs}/fibonacci.json", "--level", "3", "--csv", "{out}"],
+]
+OUTPUT_FILE_IDS = ["analyze-json", "partition-json", "transcendence-json", "dump-digits",
+                   "spectrum-csv"]
+
+
+def _run_to(defs, argv, out, capsys):
+    # the exit code and captured streams of a run writing its file to `out`
+    code = main([a.format(defs=defs, out=out) for a in argv])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", OUTPUT_FILE_ARGV, ids=OUTPUT_FILE_IDS)
+def test_existing_output_file_is_overwritten_to_a_fresh_run(defs, tmp_path, capsys, argv):
+    # the file is overwritten in place and then trimmed: a longer old file
+    # ends with the bytes that a run to a new path writes, and nothing after
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    old.write_bytes(b"x" * 100_000)
+    assert _run_to(defs, argv, fresh, capsys) == _run_to(defs, argv, old, capsys)
+    assert old.read_bytes() == fresh.read_bytes() and 0 < old.stat().st_size < 100_000
+
+
+@pytest.mark.parametrize("argv", OUTPUT_FILE_ARGV, ids=OUTPUT_FILE_IDS)
+def test_symlinked_output_path_writes_through_the_link(defs, tmp_path, capsys, argv):
+    fresh, target, link = tmp_path / "fresh", tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"x" * 100_000)
+    link.symlink_to(target)
+    assert _run_to(defs, argv, fresh, capsys) == _run_to(defs, argv, link, capsys)
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
+
+
+def test_csv_to_dev_null(defs, capsys):
+    # a character device is written without a trim, which it would refuse
+    assert main(["spectrum", str(defs / "fibonacci.json"), "--level", "4", "--csv", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", OUTPUT_FILE_ARGV, ids=OUTPUT_FILE_IDS)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_path_gives_the_open_error(defs, tmp_path, capsys, argv, where):
+    # the one error line carries the message that open(path, "w") gives
+    out = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+    with pytest.raises(OSError) as exc:
+        open(out, "w")
+    code, captured = _run_to(defs, argv, out, capsys)
+    assert code == 1 and captured.err == f"error: {exc.value}\n"
+    # spectrum prints its levels before it writes the CSV; the others print nothing
+    assert (captured.out == "") == (argv[0] != "spectrum")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["analyze"], ["spectrum", "--level", "2"], ["partition", "--prefix", "50"], ["transcendence"]],

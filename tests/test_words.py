@@ -22,6 +22,7 @@ from linrep.words import (
 
 from bruteforce import (
     closure_factor_language,
+    coverage_fold_by_joins,
     coverage_fold_with_run,
     distinct_windows,
     naive_count,
@@ -644,6 +645,58 @@ def test_coverage_exact_matches_run_fold_random():
     assert decided >= 950 and undecided >= 500
 
 
+def test_coverage_exact_matches_join_fold_random():
+    # seeded certified systems over 2-4 letters, targets drawn from their
+    # short factors and now and then a random word, which may lie outside
+    # the language: the round loop that joins inline gives the value, or
+    # the undecided message, of the fold that calls a join function
+    rng = random.Random(4545)
+    systems = decided = undecided = 0
+    while systems < 1500:
+        letters = "abcd"[: rng.randint(2, 4)]
+        rules = {c: "".join(rng.choices(letters, k=rng.randint(1, 4))) for c in letters}
+        s = Substitution.from_rules(rules)
+        try:
+            if decide_minimality(s).certificate is None:
+                continue
+        except SubstitutionError:
+            continue  # empty subshift or unreachable letters
+        systems += 1
+        pool = sorted(factor_language(s, 5).words)
+        for _ in range(3):
+            targets = rng.sample(pool, min(len(pool), rng.randint(1, 4)))
+            if rng.random() < 0.15:
+                targets.append("".join(rng.choices(letters, k=rng.randint(2, 5))))
+            expected = _fold_outcome(coverage_fold_by_joins, s, targets)
+            assert _fold_outcome(coverage_exact, s, targets) == expected, (rules, targets)
+            decided += isinstance(expected, int)
+            undecided += isinstance(expected, str)
+    assert decided >= 4000 and undecided >= 300
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("wide-16", 1245642780),
+        ("undecided-5", 39375),
+        ("slow-theta-100", 1040301),
+        ("cycles-45045", "undecided-at-depth: the coverage fold for 'abgnAHabgnwH' "
+                         "did not repeat within 1024 rounds"),
+        ("kappa-lcm", "undecided-at-depth: the coverage fold for "
+                      "'AAeBeBeebhozebhozcceiieppe' did not repeat within 1024 rounds"),
+    ],
+    ids=["wide-16", "undecided-5", "slow-theta-100", "cycles-45045", "kappa-lcm"],
+)
+def test_G_of_data_systems_matches_join_fold(name, expected):
+    # the pair-coverage length G of the certificate letter's step-1 return
+    # words, or its undecided message, from both folds
+    s = Substitution.from_rules(json.loads((DATA / f"{name}.json").read_text())["rules"])
+    e = decide_minimality(s).certificate.letter
+    pairs = return_word_pairs(return_word_chain(s, e)[0])[1]
+    assert _fold_outcome(coverage_exact, s, pairs) == expected
+    assert _fold_outcome(coverage_fold_by_joins, s, pairs) == expected
+
+
 def _certified_systems():
     systems = [lr.load(name) for name in CATALOG_NAMES]
     systems += [Substitution.from_rules(rules) for rules in sweep_rules()]
@@ -677,6 +730,7 @@ def test_kappa_and_G_of_certified_systems_match_run_fold(monkeypatch):
         pairs = return_word_pairs(steps[0])[1]
         expected = _fold_outcome(_run_fold, s, pairs)
         assert _fold_outcome(coverage_exact, s, pairs) == expected, s
+        assert _fold_outcome(coverage_fold_by_joins, s, pairs) == expected, s
         if rep.lr is None:
             assert f"pair-coverage length {expected}" in " ".join(rep.depth_caveats), s
         else:
